@@ -5,11 +5,7 @@
 //
 // Usage:
 //
-//	tddbench [-quick] [-parallel n] [E1 E3 ...]      # default: all experiments
-//
-// -parallel sets the engine worker bound the parallel-evaluation
-// experiment (E13) compares against the sequential schedule (default:
-// number of CPUs).
+//	tddbench [-quick] [E1 E3 ...]      # default: all experiments
 package main
 
 import (
@@ -22,11 +18,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced sweeps")
-	parallel := flag.Int("parallel", experiments.Parallelism, "worker bound for the parallel-evaluation experiment")
 	flag.Parse()
-	if *parallel > 0 {
-		experiments.Parallelism = *parallel
-	}
 
 	ids := flag.Args()
 	if len(ids) == 0 {

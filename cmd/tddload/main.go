@@ -32,7 +32,7 @@
 //
 // Self-hosted server tuning (ignored with -url):
 //
-//	-shards n -shed p -workers n -queue n -shard-queue n -parallel n
+//	-shards n -shed p -workers n -queue n -shard-queue n
 //
 // The closed loop is the honest shape for a backpressure benchmark:
 // each client has at most one request outstanding, so offered load
@@ -118,7 +118,6 @@ func run() error {
 	workers := flag.Int("workers", 0, "self-hosted: concurrent evaluations (0 = NumCPU)")
 	queue := flag.Int("queue", 0, "self-hosted: worker queue bound (0 = default)")
 	shardQueue := flag.Int("shard-queue", 0, "self-hosted: per-shard in-flight bound (0 = auto)")
-	parallel := flag.Int("parallel", 0, "self-hosted: engine parallelism (0 = sequential)")
 	flag.Parse()
 
 	if (*url == "") == !*self {
@@ -138,12 +137,11 @@ func run() error {
 	base := *url
 	if *self {
 		srv, err := server.New(server.Config{
-			Shards:      *shards,
-			Shed:        *shed,
-			Workers:     *workers,
-			Queue:       *queue,
-			ShardQueue:  *shardQueue,
-			Parallelism: *parallel,
+			Shards:     *shards,
+			Shed:       *shed,
+			Workers:    *workers,
+			Queue:      *queue,
+			ShardQueue: *shardQueue,
 		})
 		if err != nil {
 			return err
@@ -312,7 +310,7 @@ func run() error {
 	if *self {
 		rep.Self = &selfConfig{
 			Shards: *shards, Shed: *shed, Workers: *workers,
-			Queue: *queue, ShardQueue: *shardQueue, Parallelism: *parallel,
+			Queue: *queue, ShardQueue: *shardQueue,
 		}
 	}
 	printReport(os.Stderr, rep)
@@ -445,12 +443,11 @@ func scrapeMetrics(c *http.Client, base string) (metricsSnap, error) {
 
 // selfConfig records the self-hosted server's tuning in the report.
 type selfConfig struct {
-	Shards      int    `json:"shards"`
-	Shed        string `json:"shed,omitempty"`
-	Workers     int    `json:"workers"`
-	Queue       int    `json:"queue"`
-	ShardQueue  int    `json:"shard_queue"`
-	Parallelism int    `json:"parallelism"`
+	Shards     int    `json:"shards"`
+	Shed       string `json:"shed,omitempty"`
+	Workers    int    `json:"workers"`
+	Queue      int    `json:"queue"`
+	ShardQueue int    `json:"shard_queue"`
 }
 
 // opReport is the per-operation latency/throughput section.

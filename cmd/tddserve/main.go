@@ -24,7 +24,6 @@
 //	            (default: workers+queue spread over shards, min 16)
 //	-timeout d  per-request deadline (default 30s; negative disables)
 //	-window n   period-certification window budget per program (0 = engine default)
-//	-parallel n engine worker goroutines per evaluation (0 = sequential schedule)
 //	-slice      answer closed asks from the query's relevance slice: the
 //	            backward-reachable rule subset, certified separately
 //	            (identical answers; the response engine field says "sliced")
@@ -107,7 +106,6 @@ func run() error {
 	shardQueue := flag.Int("shard-queue", 0, "in-flight requests admitted per shard under shedding (0 = auto)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (negative disables)")
 	window := flag.Int("window", 0, "period-certification window budget (0 = default)")
-	parallel := flag.Int("parallel", 0, "engine worker goroutines per evaluation (0 = sequential)")
 	slice := flag.Bool("slice", false, "answer closed asks from the query's relevance slice")
 	quiet := flag.Bool("quiet", false, "suppress per-request logs")
 	slowQuery := flag.Duration("slowquery", 0, "log full phase traces of requests slower than this (0 disables)")
@@ -131,7 +129,6 @@ func run() error {
 		ShardQueue:     *shardQueue,
 		RequestTimeout: *timeout,
 		MaxWindow:      *window,
-		Parallelism:    *parallel,
 		Slicing:        *slice,
 		SlowQueryLog:   *slowQuery,
 		SlowQueryKeep:  *slowKeep,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os/exec"
@@ -257,5 +258,19 @@ func TestServePreload(t *testing.T) {
 	}
 	if len(list.Programs) != 1 {
 		t.Fatalf("preloaded programs = %v, want exactly one", list.Programs)
+	}
+}
+
+// The parallel schedule and its -parallel flag are gone; a deployment
+// script still passing the flag must fail loudly with the standard
+// unknown-flag usage error rather than silently run sequentially.
+func TestServeRejectsRemovedParallelFlag(t *testing.T) {
+	out, err := run(t, "tddserve", "-addr", "127.0.0.1:0", "-parallel", "2")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("tddserve -parallel 2: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(out, "flag provided but not defined: -parallel") || !strings.Contains(out, "Usage of") {
+		t.Errorf("missing unknown-flag usage error:\n%s", out)
 	}
 }

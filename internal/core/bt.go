@@ -69,26 +69,6 @@ func WithMaxWindow(m int) Option {
 	return func(b *BT) { b.maxWindow = m }
 }
 
-// WithParallelism evaluates fixpoint sweeps and delta propagation on up
-// to n worker goroutines (engine.Evaluator.SetParallelism). n <= 0 — the
-// default — keeps the sequential schedule. The parallel schedule is
-// deterministic: model, period, specification, and work counters are
-// independent of worker count and goroutine scheduling. Clones made by
-// Assert inherit the setting.
-func WithParallelism(n int) Option {
-	return func(b *BT) { b.eval.SetParallelism(n) }
-}
-
-// WithNestedLoopJoin evaluates rule bodies with the historical
-// source-order nested-loop strategy instead of the planned, hash-indexed
-// joins (engine.JoinNestedLoop). Answers, period, and specification are
-// identical in both modes; the nested-loop engine exists as the
-// differential baseline for the indexed one and for benchmarking the
-// index + planner ablation. Clones made by Assert inherit the setting.
-func WithNestedLoopJoin() Option {
-	return func(b *BT) { b.eval.SetJoinMode(engine.JoinNestedLoop) }
-}
-
 // WithTrace attaches a trace: the specification pipeline records its
 // phases (classify, certify-period, fixpoint, spec-construct) and
 // incremental ingestion its delta spans into it. The classification

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"testing"
 
 	"tdd/internal/parser"
@@ -90,37 +88,6 @@ null(0).
 				e.EnsureWindow(n)
 			}
 		})
-	}
-}
-
-// BenchmarkParallelFixpoint compares the sequential schedule (par=0)
-// against the parallel one at 1 worker and at NumCPU workers, on the two
-// extreme workloads: Chain (states form one dependency line — worst case
-// for timestamp partitioning) and FanOut (independent states — best
-// case). par=1 vs par=0 isolates the schedule's round/merge overhead;
-// par=NumCPU shows what concurrency recoups. On a single-CPU host the
-// overhead is all there is — see EXPERIMENTS.md E13.
-func BenchmarkParallelFixpoint(b *testing.B) {
-	chainRules, chainFacts, stream := workload.Chain(48)
-	fanRules, fanFacts := workload.FanOut(32, 24)
-	cases := []struct {
-		name   string
-		src    string
-		window int
-	}{
-		{"chain", chainRules + chainFacts + strings.Join(stream, ""), 60},
-		{"fanout", fanRules + fanFacts, 40},
-	}
-	for _, c := range cases {
-		for _, par := range []int{0, 1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("%s/par=%d", c.name, par), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					e := benchEval(b, c.src)
-					e.SetParallelism(par)
-					e.EnsureWindow(c.window)
-				}
-			})
-		}
 	}
 }
 

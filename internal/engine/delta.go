@@ -64,7 +64,7 @@ func (e *Evaluator) ensureBaseSet() {
 // buffers and lazy caches below likewise start empty in the clone and
 // are rebuilt on first use (ensureBaseSet, planJoins).
 //
-//tddlint:resets plans deltaPlans stepPreds stepIndexed baseSet headBuf keyBuf
+//tddlint:resets plans deltaPlans baseSet headBuf keyBuf
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		prog:      e.prog,
@@ -76,8 +76,6 @@ func (e *Evaluator) Clone() *Evaluator {
 		occ:       e.occ, // immutable once built
 		tr:        e.tr,
 		prof:      e.prof, // shared: the profile spans the database lifetime
-		par:       e.par,
-		maxHead:   e.maxHead,
 		mode:      e.mode,
 		derived:   e.derived, // immutable after New
 		maxSlots:  e.maxSlots,
@@ -140,9 +138,6 @@ func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 	m := e.evaluated
 	if m < 0 || len(seed) == 0 {
 		return 0
-	}
-	if e.par > 0 {
-		return e.propagateDeltaParallel(seed, m)
 	}
 	e.ensureOcc()
 	e.prof.lock()

@@ -46,7 +46,7 @@ type Stats struct {
 	StoreGrowth []int
 	// Index counts join-side relation accesses per body predicate: index
 	// bucket probes vs full scans (see IndexStat, plan.go). Like every
-	// other counter it is bit-identical across worker counts.
+	// other counter it is bit-identical across repeated runs.
 	Index map[string]*IndexStat
 }
 
@@ -93,16 +93,6 @@ type crule struct {
 	timeVar      string // "" if the rule has no temporal variable
 	headDepth    int    // temporal head depth after shifting; -1 if head non-temporal
 	maxBodyDepth int    // max temporal body depth after shifting; -1 if none
-	// sameOnly marks a temporal rule whose every body literal is temporal,
-	// non-ground, and at the head's own depth: it reads nothing but the
-	// state it writes. The parallel schedule runs such rules only on a
-	// state's first closure — no other task can ever feed them.
-	sameOnly bool
-	// samePreds lists the predicates of the body literals at the head's
-	// own depth. A local-fixpoint iteration can only enable this rule
-	// through one of them, so later iterations skip the rule unless the
-	// previous iteration added a matching predicate (semi-naive).
-	samePreds []string
 	// nslots is the rule's variable-slot count; headC/bodyC are the
 	// slot-compiled argument lists (parallel to head.Args / body[i].Args).
 	nslots int
@@ -138,40 +128,27 @@ type Evaluator struct {
 	// counters and per-rule join wall time (profile.go); nil profiling
 	// costs one nil check per hook site.
 	prof *Profile
-	// par selects the evaluation schedule: 0 is the classic sequential
-	// sweep above; n >= 1 is the deterministic parallel schedule of
-	// parallel.go with at most n workers. See SetParallelism.
-	par int
-	// maxHead is the maximum temporal head depth over all rules (0 when
-	// every temporal head is at depth 0 or there are none). The parallel
-	// schedule uses it to bound which states a merged fact can affect.
-	maxHead int
 	// mode selects the join strategy (plan.go); JoinIndexed by default.
 	mode JoinMode
 	// derived marks predicates appearing in some rule head: the planner
 	// treats their empty relations as database-sized rather than free,
 	// since they can grow within a fixpoint entry (plan.go).
 	derived map[string]bool
-	// bounds is the static bounds pass over (prog, db): per-predicate
-	// frontier shifts for the parallel schedule, provable emptiness, and
-	// cold-relation support seeds for the planner. Recomputed by planJoins
-	// whenever the database has grown (boundsFacts is the cache key — the
-	// database is append-only). A pure function of the snapshot, so it is
-	// identical across worker counts and clone lineages.
+	// bounds is the static bounds pass over (prog, db): provable emptiness
+	// and cold-relation support seeds for the planner. Recomputed by
+	// planJoins whenever the database has grown (boundsFacts is the cache
+	// key — the database is append-only). A pure function of the snapshot,
+	// so it is identical across runs and clone lineages.
 	bounds      *progan.Bounds
 	boundsFacts int
 	// plans/deltaPlans are the per-rule join orders, recomputed at every
 	// fixpoint entry by planJoins; deltaPlans[i][pin] is rule i's plan
-	// with body literal pin pre-bound. stepPreds/stepIndexed describe the
-	// plans' global step ids for the parallel merge (plan.go).
-	plans       []joinPlan
-	deltaPlans  [][]joinPlan
-	stepPreds   []string
-	stepIndexed []bool
+	// with body literal pin pre-bound (plan.go).
+	plans      []joinPlan
+	deltaPlans [][]joinPlan
 	// maxSlots sizes the scratch binding environment; en/headBuf/keyBuf
-	// are reused across firings on the sequential path (the evaluator is
-	// single-writer, so one scratch set suffices; parallel tasks carry
-	// their own).
+	// are reused across firings (the evaluator is single-writer, so one
+	// scratch set suffices).
 	maxSlots int
 	en       env
 	headBuf  []string
@@ -204,15 +181,9 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 		if s.Head.Time != nil {
 			c.headDepth = s.Head.Time.Depth
 		}
-		c.sameOnly = c.headDepth >= 0
 		for _, a := range s.Body {
 			if a.Time != nil && !a.Time.Ground() && a.Time.Depth > c.maxBodyDepth {
 				c.maxBodyDepth = a.Time.Depth
-			}
-			if a.Time == nil || a.Time.Ground() || a.Time.Depth != c.headDepth {
-				c.sameOnly = false
-			} else {
-				c.samePreds = append(c.samePreds, a.Pred)
 			}
 		}
 		// Slot-compile the arguments: data variables become integer slots
@@ -244,9 +215,6 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 		if c.nslots > e.maxSlots {
 			e.maxSlots = c.nslots
 		}
-		if c.headDepth > e.maxHead {
-			e.maxHead = c.headDepth
-		}
 		e.rules = append(e.rules, c)
 	}
 	e.derived = make(map[string]bool, len(e.rules))
@@ -270,26 +238,6 @@ func (e *Evaluator) Store() *Store { return e.store }
 // extension slices and index cells are deep-copied; the evaluator keeps
 // counting).
 func (e *Evaluator) Stats() Stats { return e.stats.Clone() }
-
-// SetParallelism selects the evaluation schedule. n <= 0 (the default)
-// is the classic sequential sweep. n >= 1 switches EnsureWindow and
-// PropagateDelta to the deterministic round-based parallel schedule
-// (parallel.go) with at most n worker goroutines. The parallel schedule
-// computes the same least model, but visits instantiations in its own
-// (round-structured) order, so work counters (Firings, Sweeps,
-// SweepSizes) are comparable only between parallel runs: they are
-// bit-identical for every n >= 1 and across repeated runs, independent
-// of worker count and goroutine scheduling. Callers set parallelism
-// before evaluation starts; the engine never locks around it.
-func (e *Evaluator) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.par = n
-}
-
-// Parallelism returns the configured worker bound (0 = sequential).
-func (e *Evaluator) Parallelism() int { return e.par }
 
 // SetJoinMode selects the join strategy (see plan.go): JoinIndexed — the
 // default — plans the body order and probes multi-column hash indexes;
@@ -327,10 +275,6 @@ func (e *Evaluator) Window() int { return e.evaluated }
 // outer fixpoint of algorithm BT's "until L_nt = L'_nt" condition).
 func (e *Evaluator) EnsureWindow(m int) {
 	if m <= e.evaluated {
-		return
-	}
-	if e.par > 0 {
-		e.ensureWindowParallel(m)
 		return
 	}
 	e.prof.lock()

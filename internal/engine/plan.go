@@ -3,18 +3,19 @@ package engine
 // Join-order planning. Each compiled rule body is evaluated as a chain of
 // streaming index probes: at every position the planner picks the body
 // literal with the smallest estimated enumeration cost given the columns
-// already bound, and the join loop (eval.go, parallel.go, delta.go) then
+// already bound, and the join loop (eval.go, shared by delta.go) then
 // iterates only the matching index bucket instead of the full relation.
 //
 // Determinism contract: a plan is a pure function of the compiled rule,
 // the join mode, and the store's per-predicate cardinality counters
 // (store.card). Plans are recomputed at every fixpoint entry
-// (EnsureWindow, PropagateDelta) — points at which the store content, and
-// hence the counters, are identical across worker counts — so the chosen
-// orders, the derived facts, and every Stats/profile counter downstream
-// are bit-identical for all parallelism levels. The cost model is integer
-// arithmetic only (no floats, no clock, no randomness; see the detfix
-// analyzer, which bans wall-clock reads in this package).
+// (EnsureWindow, PropagateDelta) from the store content alone, so two
+// evaluators holding the same content — repeated runs, or a clone and a
+// from-scratch build of the same snapshot — choose the same orders, derive
+// facts in the same order, and report bit-identical Stats/profile counters.
+// The cost model is integer arithmetic only (no floats, no clock, no
+// randomness; see the detfix analyzer, which bans wall-clock reads in this
+// package).
 
 import (
 	"crypto/sha256"
@@ -54,8 +55,7 @@ type IndexStat struct {
 type planStep struct {
 	lit  int
 	mask uint32
-	sid  int    // global step id (parallel tasks count per-sid, merged later)
-	ctr  *int64 // sequential fast path: &IndexStat.Probes or &IndexStat.Scans
+	ctr  *int64 // &IndexStat.Probes or &IndexStat.Scans of the literal's predicate
 }
 
 // joinPlan is the ordered body of one rule (delta plans omit the pinned
@@ -71,9 +71,7 @@ type joinPlan struct {
 // its own counters rather than its parent's.
 func (e *Evaluator) planJoins() {
 	// Refresh the static bounds when the database has grown (it is
-	// append-only, so the fact count keys the cache). Fixpoint entries are
-	// the points at which the database is identical across worker counts,
-	// so the bounds — like the plans — are too.
+	// append-only, so the fact count keys the cache).
 	if e.bounds == nil || e.boundsFacts != len(e.db.Facts) {
 		e.bounds = progan.ComputeBounds(e.prog, e.db)
 		e.boundsFacts = len(e.db.Facts)
@@ -84,8 +82,6 @@ func (e *Evaluator) planJoins() {
 	if len(e.en.vals) < e.maxSlots {
 		e.en.vals = make([]string, e.maxSlots)
 	}
-	e.stepPreds = e.stepPreds[:0]
-	e.stepIndexed = e.stepIndexed[:0]
 	e.plans = make([]joinPlan, len(e.rules))
 	e.deltaPlans = make([][]joinPlan, len(e.rules))
 	for i := range e.rules {
@@ -149,8 +145,8 @@ func (e *Evaluator) planRule(r *crule, pin int) joinPlan {
 	return plan
 }
 
-// newStep registers a plan step: allocates the predicate's Stats.Index
-// cell if needed and assigns the global step id the parallel merge uses.
+// newStep builds a plan step, allocating the predicate's Stats.Index
+// cell if needed.
 func (e *Evaluator) newStep(pred string, lit int, mask uint32) planStep {
 	st := e.stats.Index[pred]
 	if st == nil {
@@ -161,10 +157,7 @@ func (e *Evaluator) newStep(pred string, lit int, mask uint32) planStep {
 	if mask != 0 {
 		ctr = &st.Probes
 	}
-	sid := len(e.stepPreds)
-	e.stepPreds = append(e.stepPreds, pred)
-	e.stepIndexed = append(e.stepIndexed, mask != 0)
-	return planStep{lit: lit, mask: mask, sid: sid, ctr: ctr}
+	return planStep{lit: lit, mask: mask, ctr: ctr}
 }
 
 // boundMask returns the mask of columns determined under the bound set
@@ -258,8 +251,8 @@ func (e *Evaluator) estCost(r *crule, li int, bound []bool) uint64 {
 // counters and returns a digest of every choice the planner made: per
 // rule, the literal order and index masks of the main plan and of each
 // delta plan. Two evaluators over the same program and store content —
-// regardless of worker count, clone lineage, or repetition — produce the
-// same fingerprint; tests pin this (plans are a pure function of rule +
+// regardless of clone lineage or repetition — produce the same
+// fingerprint; tests pin this (plans are a pure function of rule +
 // cardinality snapshot).
 func (e *Evaluator) PlanFingerprint() string {
 	e.planJoins()

@@ -21,13 +21,12 @@ package engine
 // sums still reconcile with the measured fixpoint phase.
 //
 // Concurrency: counters are written only while the profile's mutex is
-// held. The sequential engine takes the lock once per fixpoint entry
-// (EnsureWindow / PropagateDelta), the parallel schedule gives every
-// task a private buffer and folds it in during the canonical merge —
-// sums commute, so profiles are bit-identical across worker counts
-// n >= 1, exactly like Stats. Snapshot takes the same lock, which makes
-// it safe against a clone (Assert path) still writing to the shared
-// profile from another goroutine.
+// held. The engine takes the lock once per fixpoint entry (EnsureWindow /
+// PropagateDelta); the scan/match counters it writes are a function of
+// the store content alone, so they are bit-identical across repeated
+// runs, exactly like Stats. Snapshot takes the same lock, which makes it
+// safe against a clone (Assert path) still writing to the shared profile
+// from another goroutine.
 
 import (
 	"fmt"
@@ -78,9 +77,8 @@ type ruleRec struct {
 	lits   [][]litCell
 }
 
-// profBuf is a single-writer counter block: the shared store inside a
-// Profile (written under its mutex) and the private per-task buffer of
-// the parallel schedule both use it.
+// profBuf is the counter block inside a Profile, written under its
+// mutex.
 type profBuf struct {
 	rules []*ruleRec
 }
@@ -111,39 +109,6 @@ func (rec *ruleRec) litCell(i, bucket int) *litCell {
 	}
 	rec.lits[i] = s
 	return &s[bucket]
-}
-
-// merge folds o into b. Pure summation: the result is independent of
-// merge order, which is what keeps parallel profiles deterministic.
-func (b *profBuf) merge(o *profBuf) {
-	for ri, orec := range o.rules {
-		if orec == nil {
-			continue
-		}
-		rec := b.rules[ri]
-		if rec == nil {
-			rec = &ruleRec{lits: make([][]litCell, len(orec.lits))}
-			b.rules[ri] = rec
-		}
-		for bu := range orec.strata {
-			for len(rec.strata) <= bu {
-				rec.strata = append(rec.strata, ruleCell{})
-			}
-			rec.strata[bu].calls += orec.strata[bu].calls
-			rec.strata[bu].ns += orec.strata[bu].ns
-		}
-		for li := range orec.lits {
-			for bu := range orec.lits[li] {
-				s := rec.lits[li]
-				for len(s) <= bu {
-					s = append(s, litCell{})
-				}
-				s[bu].scanned += orec.lits[li][bu].scanned
-				s[bu].matched += orec.lits[li][bu].matched
-				rec.lits[li] = s
-			}
-		}
-	}
 }
 
 // Profile is the engine-side join profiler. A nil *Profile is inert;

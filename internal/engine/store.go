@@ -65,12 +65,12 @@ type idxEntry struct {
 // idxTable is the set of indexes built so far for one relset. The table
 // value is immutable — building an index for a new mask installs a new
 // table via compare-and-swap — while the bucket maps inside it are
-// mutated in place by insert, which only runs in single-writer phases
-// (the sequential engine, the parallel schedule's merge phase, and the
-// overlay of one task). Concurrent read-side builds during a parallel
-// round race only on the CAS: both builders derive the same index from
-// the same frozen tuple list, so the loser's work is discarded without
-// any effect on results.
+// mutated in place by insert, which only runs on a private shard of a
+// single-writer evaluator. A shared shard (see relset.shared) is frozen
+// but may be joined against by several clone lineages at once; their
+// read-side builds race only on the CAS: both builders derive the same
+// index from the same frozen tuple list, so the loser's work is discarded
+// without any effect on results.
 type idxTable struct {
 	entries []idxEntry
 }
@@ -201,15 +201,6 @@ func (r *relset) all(f func([]string) bool) {
 			return
 		}
 	}
-}
-
-// tuples returns the full tuple list in insertion order (nil-safe); the
-// join loops iterate it directly instead of through a callback.
-func (r *relset) tuples() [][]string {
-	if r == nil {
-		return nil
-	}
-	return r.list
 }
 
 // materialize deep-copies a shared shard so the caller can write to it.

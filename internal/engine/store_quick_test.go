@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -95,5 +96,45 @@ func TestStateKeyPermutationInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStoreIterationOrderDeterministic is the regression test for the
+// map-order bug: relset iteration (all, bucket, State, Snapshot) must
+// follow insertion order, including after a copy-on-write materialize,
+// so join enumeration and answer rendering cannot reshuffle between
+// runs.
+func TestStoreIterationOrderDeterministic(t *testing.T) {
+	ins := [][]string{{"c", "1"}, {"a", "2"}, {"b", "3"}, {"a", "1"}, {"z", "0"}}
+	collect := func(rs *relset) [][]string {
+		var got [][]string
+		rs.all(func(tup []string) bool { got = append(got, tup); return true })
+		return got
+	}
+
+	rs := newRelset()
+	for _, tup := range ins {
+		rs.insert(tup)
+	}
+	if got := collect(rs); !reflect.DeepEqual(got, ins) {
+		t.Fatalf("all() order = %v, want insertion order %v", got, ins)
+	}
+	if got := collect(rs.materialize()); !reflect.DeepEqual(got, ins) {
+		t.Fatalf("materialized all() order = %v, want insertion order %v", got, ins)
+	}
+
+	s := NewStore()
+	for _, tup := range ins {
+		s.Insert(ast.Fact{Pred: "e", Args: tup})
+	}
+	// Writing through a clone materializes the shared shard; the order
+	// must survive.
+	c := s.Clone()
+	c.Insert(ast.Fact{Pred: "e", Args: []string{"m", "9"}})
+	var got [][]string
+	c.nt("e").all(func(tup []string) bool { got = append(got, tup); return true })
+	want := append(append([][]string{}, ins...), []string{"m", "9"})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-COW all() order = %v, want %v", got, want)
 	}
 }

@@ -85,11 +85,10 @@ var All = map[string]Runner{
 	"E8":  E8,
 	"E9":  E9,
 	"E10": E10,
-	"E13": E13,
 	"E18": E18,
 }
 
-// IDs returns the experiment ids in numeric order (E1, E2, ..., E13).
+// IDs returns the experiment ids in numeric order (E1, E2, ..., E18).
 func IDs() []string {
 	out := make([]string, 0, len(All))
 	for id := range All {

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"time"
 
 	"tdd/internal/ast"
@@ -525,85 +523,6 @@ func E10(quick bool) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			alphabet, itoa(m), itoa(e.Store().Len()), itoa(atDepth), ms(elapsed),
-		})
-	}
-	return t, nil
-}
-
-// Parallelism is the engine worker bound E13 compares against the
-// sequential schedule. Defaults to the machine's CPU count; cmd/tddbench
-// -parallel overrides it.
-var Parallelism = runtime.NumCPU()
-
-// E13 — parallel windowed fixpoint: time-stratification makes the sweep
-// partition safe, so on workloads whose states are mutually independent
-// (FanOut) a parallel evaluator should approach a NumCPU-fold speedup,
-// while a chain of dependent states (Chain) degenerates to sequential
-// rounds and gains nothing. Both schedules must certify the identical
-// period and derive the identical fact count — parallelism changes
-// throughput, never results.
-func E13(quick bool) (*Table, error) {
-	type wl struct {
-		name         string
-		rules, facts string
-	}
-	fanStates, fanWidth, chainNodes := 48, 32, 48
-	if quick {
-		fanStates, fanWidth, chainNodes = 16, 12, 16
-	}
-	fr, ff := workload.FanOut(fanStates, fanWidth)
-	cr, cf, stream := workload.Chain(chainNodes)
-	workloads := []wl{
-		{"fanout", fr, ff},
-		{"chain", cr, cf + strings.Join(stream, "")},
-	}
-	t := &Table{
-		ID:     "E13",
-		Title:  fmt.Sprintf("Parallel windowed fixpoint (sequential vs %d workers, GOMAXPROCS=%d)", Parallelism, runtime.GOMAXPROCS(0)),
-		Claim:  "Time-stratified sweeps partition by timestamp: independent states evaluate concurrently with bit-identical results",
-		Expect: "fanout: speedup approaching the worker count on multi-core hosts; chain: ~1x (states form one dependency line); identical period+derived in both schedules",
-		Header: []string{"workload", "window", "period", "derived_seq", "derived_par", "seq_ms", "par_ms", "speedup"},
-	}
-	for _, w := range workloads {
-		seq, _, _, err := build(w.rules, w.facts)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		sseq, err := spec.Compute(seq, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		seqTime := time.Since(start)
-
-		par, _, _, err := build(w.rules, w.facts)
-		if err != nil {
-			return nil, err
-		}
-		par.SetParallelism(Parallelism)
-		start = time.Now()
-		spar, err := spec.Compute(par, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		parTime := time.Since(start)
-
-		if sseq.Period != spar.Period {
-			return nil, fmt.Errorf("E13: %s: schedules disagree on the period: %v vs %v", w.name, sseq.Period, spar.Period)
-		}
-		dseq, dpar := seq.Stats().Derived, par.Stats().Derived
-		if dseq != dpar {
-			return nil, fmt.Errorf("E13: %s: schedules disagree on derived facts: %d vs %d", w.name, dseq, dpar)
-		}
-		for tt := 0; tt <= seq.Window() && tt <= par.Window(); tt++ {
-			if seq.Store().StateKey(tt) != par.Store().StateKey(tt) {
-				return nil, fmt.Errorf("E13: %s: schedules disagree on state %d", w.name, tt)
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			w.name, itoa(seq.Window()), sseq.Period.String(), itoa(dseq), itoa(dpar),
-			ms(seqTime), ms(parTime),
-			fmt.Sprintf("%.2fx", float64(seqTime)/float64(parTime)),
 		})
 	}
 	return t, nil

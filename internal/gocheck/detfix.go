@@ -11,8 +11,8 @@ import (
 // internal/wal, and internal/progan (whose analysis reports, slices, and
 // bounds must be pure functions of the AST — they feed fingerprints and
 // the planner). The engine's results, Stats, and derivation order
-// are part of its contract (bit-identical across worker counts and
-// runs); a time.Now branch or rand tie-break would make the fixpoint's
+// are part of its contract (bit-identical across runs and clone
+// lineages); a time.Now branch or rand tie-break would make the fixpoint's
 // output depend on the machine, which the differential tests could only
 // catch probabilistically. Banning the import bans every use. (Timing
 // belongs in internal/obs and the server layer, which are free to import
@@ -61,7 +61,7 @@ func runDetFix(p *Pass) {
 			if !banned || (path == "time" && allowClock) {
 				continue
 			}
-			p.Reportf(imp.Pos(), "import of %q brings %s into fixpoint code; the engine's output must be deterministic across runs and worker counts", path, why)
+			p.Reportf(imp.Pos(), "import of %q brings %s into fixpoint code; the engine's output must be deterministic across runs and clone lineages", path, why)
 		}
 		// Belt and braces: a dot-import or renamed import still surfaces
 		// as the path above, but also flag direct selector uses in case a
@@ -83,7 +83,7 @@ func runDetFix(p *Pass) {
 					p.Reportf(sel.Pos(), "time.Now in fixpoint code; derive timestamps outside internal/engine and internal/core")
 				}
 			case "rand":
-				p.Reportf(sel.Pos(), "rand.%s in fixpoint code; the engine's output must be deterministic across runs and worker counts", sel.Sel.Name)
+				p.Reportf(sel.Pos(), "rand.%s in fixpoint code; the engine's output must be deterministic across runs and clone lineages", sel.Sel.Name)
 			}
 			return true
 		})

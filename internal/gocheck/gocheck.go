@@ -1,7 +1,7 @@
 // Package gocheck is the Tier-B static analyzer: project-specific
 // checkers for the Go sources of this repository, enforcing the engine's
-// determinism contract at compile time (PR 4 guarantees bit-identical
-// derived-fact order, Stats, and traces across worker counts; these
+// determinism contract at compile time (bit-identical derived-fact
+// order, Stats, and traces across runs and clone lineages; these
 // checks catch the two classic ways to break that — unsorted map
 // iteration and wall-clock/randomness in fixpoint code — plus unlocked
 // access to mutex-guarded fields).

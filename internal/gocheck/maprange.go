@@ -14,7 +14,7 @@ import (
 // randomized per run, so such a function returns its facts, rows, or ids
 // in a different order every call — exactly the bug class the engine's
 // determinism contract (bit-identical derived-fact order and traces
-// across worker counts) forbids on response paths. Scoped to
+// across runs) forbids on response paths. Scoped to
 // internal/engine and internal/server, the two packages that build
 // ordered outputs.
 //

@@ -14,15 +14,11 @@
 // delta changed (state keys are cached per time point and invalidated by
 // insertion).
 //
-// Parallelism flows through unchanged: when the passed evaluator carries a
-// worker bound (engine.SetParallelism), both the delta propagation and any
-// window growth done here use the parallel schedule, and evaluator clones
-// made while applying a batch inherit the bound. The same holds for the
-// join mode: delta propagation re-fires pinned rules through the
-// evaluator's indexed join plans (engine.SetJoinMode), and because both
-// modes reach the same fixpoints the maintained model — and hence the
-// re-certified specification — is identical either way (see
-// TestApplyAgreesAcrossJoinModes).
+// The evaluator's join mode flows through unchanged: delta propagation
+// re-fires pinned rules through the evaluator's own join plans
+// (engine.SetJoinMode), and because both modes reach the same fixpoints
+// the maintained model — and hence the re-certified specification — is
+// identical either way (see TestApplyAgreesAcrossJoinModes).
 package inc
 
 import (

@@ -166,8 +166,8 @@ func TestApplyRejectsBadSignature(t *testing.T) {
 }
 
 // TestApplyAgreesAcrossJoinModes: incremental maintenance through the
-// indexed join plans (sequential and parallel) certifies exactly the
-// specification the nested-loop engine does, batch for batch.
+// indexed join plans certifies exactly the specification the nested-loop
+// engine does, batch for batch.
 func TestApplyAgreesAcrossJoinModes(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -190,13 +190,12 @@ func TestApplyAgreesAcrossJoinModes(t *testing.T) {
 			e  *engine.Evaluator
 			sp *spec.Spec
 		}
-		mk := func(mode engine.JoinMode, par int) *lane {
+		mk := func(mode engine.JoinMode) *lane {
 			e, err := engine.New(prog, initial.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
 			e.SetJoinMode(mode)
-			e.SetParallelism(par)
 			sp, err := spec.Compute(e, testMaxWindow)
 			if err != nil {
 				t.Fatal(err)
@@ -204,9 +203,8 @@ func TestApplyAgreesAcrossJoinModes(t *testing.T) {
 			return &lane{e: e, sp: sp}
 		}
 		lanes := []*lane{
-			mk(engine.JoinNestedLoop, 0),
-			mk(engine.JoinIndexed, 0),
-			mk(engine.JoinIndexed, 4),
+			mk(engine.JoinNestedLoop),
+			mk(engine.JoinIndexed),
 		}
 		for batch := facts[k:]; len(batch) > 0; {
 			n := 1 + len(batch)/3

@@ -2,24 +2,12 @@ package progan
 
 import "tdd/internal/ast"
 
-// Bounds is the static bounds pass: per-predicate frontier widths for
-// the parallel schedule and emptiness/support seeds for the join
-// planner. It is a pure function of (program, database) — no store
-// state — so every evaluator over the same snapshot derives identical
-// bounds regardless of worker count, which is what keeps the parallel
-// schedule's Stats bit-identical across parallelism levels.
+// Bounds is the static bounds pass: the emptiness and support seeds the
+// join planner costs cold relations with. It is a pure function of
+// (program, database) — no store state — so every evaluator over the
+// same snapshot derives identical bounds, and with them identical plans,
+// across runs and clone lineages.
 type Bounds struct {
-	// Shift[p] bounds how far ahead a new fact of p can land a temporal
-	// head: the maximum of (headDepth - bodyLiteralDepth) over fireable
-	// rules with a temporal head and a non-ground temporal body literal
-	// of p. Forwardness makes every such difference >= 0; ground temporal
-	// terms cannot occur in rules (ast.ErrGroundTemporal). A predicate
-	// absent from the map enables nothing ahead of its own time point —
-	// its frontier is empty.
-	Shift map[string]int
-	// MaxShift is the maximum over Shift (0 when the map is empty); it
-	// never exceeds the program's max head depth.
-	MaxShift int
 	// Empty marks predicates the base-reachability fixpoint proves empty
 	// in the least model: the planner can cost them at zero.
 	Empty map[string]bool
@@ -30,40 +18,15 @@ type Bounds struct {
 	Support map[string]int
 }
 
-// ShiftFor returns the frontier width of one predicate (0 when no
-// fireable temporal rule consumes it).
-func (b *Bounds) ShiftFor(pred string) int { return b.Shift[pred] }
-
 // ComputeBounds runs the bounds pass. db must be non-nil (the engine
-// always has one); the fireability verdict comes from the same populated
-// fixpoint Analyze runs.
+// always has one); the populated verdict comes from the same
+// base-reachability fixpoint Analyze runs.
 func ComputeBounds(prog *ast.Program, db *ast.Database) *Bounds {
 	r := Analyze(prog, db)
 	b := &Bounds{
-		Shift:   make(map[string]int),
 		Empty:   make(map[string]bool),
 		Support: make(map[string]int),
 	}
-	for i, rule := range prog.Rules {
-		if !r.CanFire[i] || rule.Head.Time == nil {
-			continue
-		}
-		h := rule.Head.Time.Depth
-		for _, a := range rule.Body {
-			if a.Time == nil || a.Time.Ground() {
-				continue
-			}
-			if d := h - a.Time.Depth; d > b.Shift[a.Pred] {
-				b.Shift[a.Pred] = d
-			}
-		}
-	}
-	for _, d := range b.Shift {
-		if d > b.MaxShift {
-			b.MaxShift = d
-		}
-	}
-
 	for i := range r.Preds {
 		if !r.Preds[i].Populated {
 			b.Empty[r.Preds[i].Name] = true

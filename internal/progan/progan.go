@@ -3,13 +3,13 @@
 // connected components (Tarjan), per-SCC static metadata (temporal
 // depths, recursion class, base-reachability), query-directed relevance
 // slicing (slice.go), and the static bounds pass that feeds the engine's
-// planner and parallel frontier (bounds.go).
+// planner (bounds.go).
 //
 // Everything in this package is a pure function of the AST: no clocks, no
 // randomness, no global state (the detfix analyzer enforces the first
 // two). Two calls over equal programs and databases produce structurally
 // identical reports, slices, and bounds — the property the slicing layer
-// and the deterministic parallel schedule lean on.
+// and the planner's determinism contract lean on.
 package progan
 
 import (

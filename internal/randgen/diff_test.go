@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"tdd"
 	"tdd/internal/ast"
 	"tdd/internal/baseline"
 	"tdd/internal/engine"
@@ -23,8 +22,8 @@ const trials = 60
 
 // statsFingerprint renders an engine.Stats snapshot canonically: every
 // counter, map keys sorted, Index cells dereferenced (a plain %+v would
-// print the cell pointers). Two runs with bit-identical counters — the
-// determinism contract of the parallel schedule — produce equal strings.
+// print the cell pointers). Two runs with bit-identical counters produce
+// equal strings.
 func statsFingerprint(s engine.Stats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "derived=%d firings=%d sweeps=%d rules=%+v sweepSizes=%v storeGrowth=%v deltaByTime=%v",
@@ -145,120 +144,53 @@ func TestSpecAnswersMatchDirectOnRandomPrograms(t *testing.T) {
 	}
 }
 
-// Property: the parallel schedule computes the same least model as the
-// sequential engine and the naive T_P baseline at every parallelism
-// level, and its Stats do not depend on the worker count (the schedule
-// is deterministic: counters differ from the sequential Gauss-Seidel
-// sweep by design, but must be bit-identical across n >= 1).
-func TestParallelMatchesSequentialOnRandomPrograms(t *testing.T) {
+// Property (three-way differential battery): on every random program,
+// three independently built evaluation pipelines agree — the naive T_P
+// oracle, the nested-loop engine (the historical join strategy), and the
+// indexed engine (planned join orders + hash-index probes). All compare
+// equal on answers (every state of the window), on the certified period,
+// and on the whole model (every state of base+period); the
+// mode-invariant Stats (Derived, Sweeps, SweepSizes, StoreGrowth) are
+// bit-identical between the two engines.
+func TestThreeWayDifferentialBattery(t *testing.T) {
 	const m = 12
-	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed)
-		seq, err := engine.New(prog, db)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		seq.EnsureWindow(m)
-		naive, _, err := baseline.NaiveTP(prog, db, m)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		statsFP := ""
-		for _, par := range []int{1, 2, 8} {
-			e, err := engine.New(prog.Clone(), db)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			e.SetParallelism(par)
-			e.EnsureWindow(m)
-			for tm := 0; tm <= m; tm++ {
-				if e.Store().StateKey(tm) != seq.Store().StateKey(tm) {
-					t.Fatalf("seed %d par %d: state differs from sequential at t=%d\nprogram:\n%sdb:\n%sparallel: %v\nsequential: %v",
-						seed, par, tm, prog, db, e.Store().State(tm), seq.Store().State(tm))
-				}
-				if e.Store().StateKey(tm) != naive.StateKey(tm) {
-					t.Fatalf("seed %d par %d: state differs from naive T_P at t=%d\nprogram:\n%sdb:\n%s",
-						seed, par, tm, prog, db)
-				}
-			}
-			if got, want := e.Store().NonTemporalCount(), seq.Store().NonTemporalCount(); got != want {
-				t.Fatalf("seed %d par %d: %d non-temporal facts, sequential has %d", seed, par, got, want)
-			}
-			for _, f := range seq.Store().NonTemporalFacts() {
-				if !e.Holds(f) {
-					t.Fatalf("seed %d par %d: missing non-temporal fact %v", seed, par, f)
-				}
-			}
-			fp := statsFingerprint(e.Stats())
-			if statsFP == "" {
-				statsFP = fp
-			} else if fp != statsFP {
-				t.Fatalf("seed %d: Stats depend on worker count\npar=1: %s\npar=%d: %s", seed, statsFP, par, fp)
-			}
-		}
-	}
-}
-
-// Property (four-way differential battery): on every random program, four
-// independently built evaluation pipelines agree — the naive T_P oracle,
-// the sequential nested-loop engine (the historical join strategy), the
-// sequential indexed engine (planned join orders + hash-index probes),
-// and the indexed parallel schedule at worker counts 1, 2, and 8. All
-// compare equal on answers (every state of the window), on the certified
-// period, and on the model fingerprint; the schedule-invariant Stats
-// (Derived, Sweeps, SweepSizes, StoreGrowth) are bit-identical between
-// the two sequential engines, and the full Stats — Index counters
-// included — are bit-identical across the parallel worker counts.
-func TestFourWayDifferentialBattery(t *testing.T) {
-	const m = 12
-	type run struct {
-		name string
-		e    *engine.Evaluator
-	}
 	for seed := int64(0); seed < trials; seed++ {
 		prog, db := generate(t, seed)
 		naive, _, err := baseline.NaiveTP(prog, db, m)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		mk := func(mode engine.JoinMode, par int) *engine.Evaluator {
+		mk := func(mode engine.JoinMode) *engine.Evaluator {
 			e, err := engine.New(prog.Clone(), db)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			e.SetJoinMode(mode)
-			e.SetParallelism(par)
 			e.EnsureWindow(m)
 			return e
 		}
-		runs := []run{
-			{"nested-loop", mk(engine.JoinNestedLoop, 0)},
-			{"indexed", mk(engine.JoinIndexed, 0)},
-			{"indexed-par1", mk(engine.JoinIndexed, 1)},
-			{"indexed-par2", mk(engine.JoinIndexed, 2)},
-			{"indexed-par8", mk(engine.JoinIndexed, 8)},
-		}
-		// Answers: every engine's every state equals the oracle's.
-		for _, r := range runs {
+		nestedE, indexedE := mk(engine.JoinNestedLoop), mk(engine.JoinIndexed)
+		// Answers: both engines' every state equals the oracle's.
+		for _, r := range []struct {
+			name string
+			e    *engine.Evaluator
+		}{{"nested-loop", nestedE}, {"indexed", indexedE}} {
 			for tm := 0; tm <= m; tm++ {
 				if r.e.Store().StateKey(tm) != naive.StateKey(tm) {
 					t.Fatalf("seed %d: %s differs from naive T_P at t=%d\nprogram:\n%sdb:\n%s%s: %v\nnaive: %v",
 						seed, r.name, tm, prog, db, r.name, r.e.Store().State(tm), naive.State(tm))
 				}
 			}
-			if got, want := r.e.Store().NonTemporalCount(), runs[0].e.Store().NonTemporalCount(); got != want {
-				t.Fatalf("seed %d: %s has %d non-temporal facts, nested-loop has %d", seed, r.name, got, want)
-			}
 		}
-		// Schedule-invariant Stats: identical across ALL engines (total
-		// derived facts), and between the two sequential engines also the
-		// sweep structure — join order changes which binding fires first
-		// within a state, never what a closed state contains.
-		nested, indexed := runs[0].e.Stats(), runs[1].e.Stats()
-		for _, r := range runs[1:] {
-			if d := r.e.Stats().Derived; d != nested.Derived {
-				t.Fatalf("seed %d: %s derived %d facts, nested-loop %d", seed, r.name, d, nested.Derived)
-			}
+		if got, want := indexedE.Store().NonTemporalCount(), nestedE.Store().NonTemporalCount(); got != want {
+			t.Fatalf("seed %d: indexed has %d non-temporal facts, nested-loop has %d", seed, got, want)
+		}
+		// Mode-invariant Stats: total derived facts and the sweep
+		// structure — join order changes which binding fires first within
+		// a state, never what a closed state contains.
+		nested, indexed := nestedE.Stats(), indexedE.Stats()
+		if indexed.Derived != nested.Derived {
+			t.Fatalf("seed %d: indexed derived %d facts, nested-loop %d", seed, indexed.Derived, nested.Derived)
 		}
 		if nested.Sweeps != indexed.Sweeps ||
 			fmt.Sprintf("%v%v%v", nested.SweepSizes, nested.StoreGrowth, nested.DeltaByTime) !=
@@ -266,81 +198,24 @@ func TestFourWayDifferentialBattery(t *testing.T) {
 			t.Fatalf("seed %d: sweep structure differs between join modes\nnested:  %s\nindexed: %s",
 				seed, statsFingerprint(nested), statsFingerprint(indexed))
 		}
-		// Full Stats across worker counts, Index counters included.
-		parFP := statsFingerprint(runs[2].e.Stats())
-		for _, r := range runs[3:] {
-			if fp := statsFingerprint(r.e.Stats()); fp != parFP {
-				t.Fatalf("seed %d: Stats depend on worker count\npar=1: %s\n%s: %s", seed, parFP, r.name, fp)
-			}
-		}
-		// Period and model fingerprint through the public facade. The
-		// fingerprint commits to the certified period and every state of
-		// base+period, so equality here is equality of the whole infinite
-		// model. Skipped when the period is not certifiable in budget.
-		ref, err := tdd.Open(prog.String(), db.String(), tdd.WithMaxWindow(1<<14))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		refFP, err := ref.ModelFingerprint()
+		// Period and whole model: the certified period plus every state of
+		// base+period determine the infinite model (Theorem 3.4), so
+		// equality here is equality at every time point. Skipped when the
+		// period is not certifiable in budget.
+		si, err := spec.Compute(indexedE, 1<<14)
 		if err != nil {
 			continue
 		}
-		for _, opts := range [][]tdd.Option{
-			{tdd.WithMaxWindow(1 << 14), tdd.WithNestedLoopJoin()},
-			{tdd.WithMaxWindow(1 << 14), tdd.WithParallelism(2)},
-			{tdd.WithMaxWindow(1 << 14), tdd.WithParallelism(8)},
-		} {
-			d, err := tdd.Open(prog.String(), db.String(), opts...)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			fp, err := d.ModelFingerprint()
-			if err != nil {
-				t.Fatalf("seed %d: fingerprint failed where reference succeeded: %v", seed, err)
-			}
-			if fp != refFP {
-				t.Fatalf("seed %d: model fingerprint %s != reference %s\nprogram:\n%sdb:\n%s", seed, fp, refFP, prog, db)
-			}
-		}
-	}
-}
-
-// Property: specifications computed under the parallel schedule certify
-// the same period and answer ground queries identically to one computed
-// sequentially — on every program the sequential pipeline can certify.
-func TestParallelSpecAnswersMatchSequentialOnRandomPrograms(t *testing.T) {
-	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed)
-		seq, err := engine.New(prog, db)
+		sn, err := spec.Compute(nestedE, 1<<14)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("seed %d: nested-loop certification failed where indexed succeeded: %v", seed, err)
 		}
-		s1, err := spec.Compute(seq, 1<<14)
-		if err != nil {
-			continue // exponential-ish period; covered by other tests
+		if sn.Period != si.Period {
+			t.Fatalf("seed %d: nested-loop period %v != indexed %v\nprogram:\n%sdb:\n%s", seed, sn.Period, si.Period, prog, db)
 		}
-		m := s1.Period.Base + 2*s1.Period.P + 3
-		seq.EnsureWindow(m)
-		for _, par := range []int{1, 2, 8} {
-			e, err := engine.New(prog.Clone(), db)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			e.SetParallelism(par)
-			s2, err := spec.Compute(e, 1<<14)
-			if err != nil {
-				t.Fatalf("seed %d par %d: sequential certified %v but parallel failed: %v", seed, par, s1.Period, err)
-			}
-			if s1.Period.Base != s2.Period.Base || s1.Period.P != s2.Period.P {
-				t.Fatalf("seed %d par %d: period %v vs sequential %v\nprogram:\n%sdb:\n%s",
-					seed, par, s2.Period, s1.Period, prog, db)
-			}
-			for tm := 0; tm <= m; tm++ {
-				for _, f := range seq.Store().Snapshot(tm) {
-					if !s2.HoldsFact(f) {
-						t.Fatalf("seed %d par %d: spec misses %v\nprogram:\n%sdb:\n%s", seed, par, f, prog, db)
-					}
-				}
+		for tm := 0; tm < si.Period.Base+si.Period.P; tm++ {
+			if nestedE.Store().StateKey(tm) != indexedE.Store().StateKey(tm) {
+				t.Fatalf("seed %d: certified models differ at t=%d\nprogram:\n%sdb:\n%s", seed, tm, prog, db)
 			}
 		}
 	}

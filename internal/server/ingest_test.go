@@ -213,7 +213,7 @@ func TestIngestMetrics(t *testing.T) {
 // not overwrite the cache with its stale base-only entry. publish is the
 // exact critical section both racing Registers funnel through.
 func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
-	reg := NewRegistry(4, 8, 0, 0, newMetrics(routeNames))
+	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
 	ent, _, err := reg.Register(evenUnit, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
 // before anything is ingested or published — a diverged model is never
 // served, not even transiently.
 func TestApplyReplicatedRejectsDivergentRecordPrePublish(t *testing.T) {
-	reg := NewRegistry(4, 8, 0, 0, newMetrics(routeNames))
+	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
 	ent, _, err := reg.Register(evenUnit, "", "")
 	if err != nil {
 		t.Fatal(err)

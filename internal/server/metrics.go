@@ -135,10 +135,6 @@ type Metrics struct {
 	// fsyncLatency observes every WAL fsync across all program logs.
 	fsyncLatency histogram
 
-	// EvalParallelism gauges the configured engine worker bound
-	// (Config.Parallelism; 0 = sequential schedule). Set once at startup.
-	EvalParallelism atomic.Int64
-
 	// start anchors the uptime gauge: set once when the server's metrics
 	// are created, read by every snapshot.
 	start time.Time
@@ -249,7 +245,6 @@ type MetricsSnapshot struct {
 	Fallbacks   int64 `json:"bt_fallbacks"`
 	Asserts     int64 `json:"asserts"`
 	Ingested    int64 `json:"facts_ingested"`
-	Parallelism int64 `json:"eval_parallelism"`
 	// Admission and coalescing: shed requests were rejected fast instead
 	// of queued; coalesced asks rode an identical in-flight evaluation
 	// (flight_leaders counts the evaluations that actually ran).
@@ -323,7 +318,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Fallbacks:     m.Fallbacks.Load(),
 		Asserts:       m.Asserts.Load(),
 		Ingested:      m.FactsIngested.Load(),
-		Parallelism:   m.EvalParallelism.Load(),
 		Shed:          m.Shed.Load(),
 		Coalesced:     m.Coalesced.Load(),
 		FlightLeaders: m.FlightLeaders.Load(),

@@ -43,8 +43,6 @@ var promScalars = []promMetric{
 		func(m *Metrics) int64 { return m.Asserts.Load() }},
 	{"tddserve_facts_ingested_total", "counter", "Facts new to a database across all ingestions.",
 		func(m *Metrics) int64 { return m.FactsIngested.Load() }},
-	{"tddserve_eval_parallelism", "gauge", "Engine worker bound per evaluation (0 = sequential schedule).",
-		func(m *Metrics) int64 { return m.EvalParallelism.Load() }},
 	{"tddserve_wal_appends_total", "counter", "Fact batches appended to program write-ahead logs.",
 		func(m *Metrics) int64 { return m.WalAppends.Load() }},
 	{"tddserve_wal_fsyncs_total", "counter", "Fsync calls across all program logs.",

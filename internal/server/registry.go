@@ -154,9 +154,8 @@ func resolvedFuture(e *entry) *future {
 // programs contends only within a shard, never globally; the flight
 // group coalesces identical concurrent asks into one evaluation.
 type Registry struct {
-	maxWindow   int
-	parallelism int
-	metrics     *Metrics
+	maxWindow int
+	metrics   *Metrics
 
 	// wal, when non-nil, makes the registry durable: registrations write
 	// base.json, every ingested batch is appended to the program's log
@@ -179,17 +178,15 @@ type Registry struct {
 // NewRegistry builds a registry split into shardCount lock domains
 // (forced to at least 1) whose spec caches hold at most cacheSize warm
 // programs in total; maxWindow (0 = default) bounds period
-// certification; parallelism (0 = sequential) sets the engine worker
-// bound every compiled program is opened with.
-func NewRegistry(shardCount, cacheSize, maxWindow, parallelism int, m *Metrics) *Registry {
+// certification.
+func NewRegistry(shardCount, cacheSize, maxWindow int, m *Metrics) *Registry {
 	if shardCount < 1 {
 		shardCount = 1
 	}
 	r := &Registry{
-		maxWindow:   maxWindow,
-		parallelism: parallelism,
-		metrics:     m,
-		shards:      make([]*shard, shardCount),
+		maxWindow: maxWindow,
+		metrics:   m,
+		shards:    make([]*shard, shardCount),
 	}
 	// The cache budget is divided across shards (at least one slot each):
 	// eviction pressure is local to a shard, which is what keeps the
@@ -235,9 +232,6 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 	opts := []tdd.Option{tdd.WithTrace(tr), tdd.WithProfile()}
 	if r.maxWindow > 0 {
 		opts = append(opts, tdd.WithMaxWindow(r.maxWindow))
-	}
-	if r.parallelism > 0 {
-		opts = append(opts, tdd.WithParallelism(r.parallelism))
 	}
 	if r.slicing {
 		opts = append(opts, tdd.WithSlicing())

@@ -54,12 +54,6 @@ type Config struct {
 	// MaxWindow bounds period certification per program (0 = engine
 	// default).
 	MaxWindow int
-	// Parallelism, when positive, evaluates each program's fixpoint and
-	// incremental delta propagation on up to this many worker goroutines
-	// (tdd.WithParallelism). 0 — the default — keeps the sequential
-	// engine schedule. Independent of Workers, which bounds concurrent
-	// requests: Workers×Parallelism goroutines can be evaluating at once.
-	Parallelism int
 	// Slicing opens every program with query-directed relevance slicing
 	// (tdd.WithSlicing): a closed ask whose predicates depend only on
 	// part of the program is answered from that part's (much smaller)
@@ -197,11 +191,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: unknown admission policy %q (want \"shed\" or \"block\")", cfg.Shed)
 	}
 	m := newMetrics(routeNames)
-	m.EvalParallelism.Store(int64(cfg.Parallelism))
 	s := &Server{
 		cfg:      cfg,
 		metrics:  m,
-		reg:      NewRegistry(cfg.Shards, cfg.CacheSize, cfg.MaxWindow, cfg.Parallelism, m),
+		reg:      NewRegistry(cfg.Shards, cfg.CacheSize, cfg.MaxWindow, m),
 		pool:     NewPool(cfg.Workers, cfg.Queue),
 		mux:      http.NewServeMux(),
 		inflight: newInflightTable(),

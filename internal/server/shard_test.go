@@ -16,7 +16,7 @@ import (
 // the program id: the same id always lands in the same shard, and with
 // one shard everything lands there.
 func TestShardForStable(t *testing.T) {
-	reg := NewRegistry(8, 8, 0, 0, newMetrics(routeNames))
+	reg := NewRegistry(8, 8, 0, newMetrics(routeNames))
 	for _, id := range []string{"a", "b", "c", "0123abcd"} {
 		first := reg.shardFor(id)
 		for i := 0; i < 3; i++ {
@@ -25,7 +25,7 @@ func TestShardForStable(t *testing.T) {
 			}
 		}
 	}
-	single := NewRegistry(1, 8, 0, 0, newMetrics(routeNames))
+	single := NewRegistry(1, 8, 0, newMetrics(routeNames))
 	if single.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d, want 1", single.ShardCount())
 	}

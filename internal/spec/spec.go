@@ -15,12 +15,10 @@
 // be answered over B after rewriting ground temporal terms to their
 // representatives.
 //
-// Compute works off whatever evaluation schedule the passed evaluator is
-// configured with: under engine.SetParallelism the window grows via the
-// parallel worker-pool sweeps, and because that schedule computes the
-// same least model, the certified period and the specification are
-// identical to the sequential ones (see internal/randgen's differential
-// battery).
+// Compute works off whatever join mode the passed evaluator is configured
+// with (engine.SetJoinMode): both modes compute the same least model, so
+// the certified period and the specification are identical either way
+// (see internal/randgen's differential battery).
 package spec
 
 import (

@@ -160,33 +160,6 @@ path(K+1, X, Y) :- path(K, X, Y).
 	return rules, b.String(), stream
 }
 
-// FanOut generates a wide, embarrassingly-parallel workload: every state
-// t < states is seeded with width independent constants and two rules do
-// quadratic within-state work (all seed pairs) plus one step of forward
-// propagation. States share no data, so a parallel evaluator can close
-// the whole window in one round — the best case for timestamp
-// partitioning, and the counterpart of Chain, whose states form one long
-// dependency line (the worst case). Used by BenchmarkParallelFixpoint
-// and experiment E13.
-func FanOut(states, width int) (rules, facts string) {
-	if states < 1 {
-		states = 1
-	}
-	if width < 1 {
-		width = 1
-	}
-	rules = `pair(T, X, Y) :- seed(T, X), seed(T, Y).
-mark(T+1, X) :- pair(T, X, X).
-`
-	var b strings.Builder
-	for t := 0; t < states; t++ {
-		for i := 0; i < width; i++ {
-			fmt.Fprintf(&b, "seed(%d, c%d).\n", t, i)
-		}
-	}
-	return rules, b.String()
-}
-
 // Distractor generates the relevance-slicing showcase: a small relevant
 // chain —
 //

@@ -204,17 +204,10 @@ func (an *analysis) slicedBT(st *dbState, sl *progan.Slice) (*core.BT, error) {
 			e.err = err
 			return
 		}
-		// The sliced processor inherits the evaluation configuration but
-		// never the observability hooks: traces, profiles, and provenance
-		// stay attached to the full processor the caller owns.
-		opts := []core.Option{core.WithMaxWindow(st.cfg.maxWindow)}
-		if st.cfg.parallelism > 0 {
-			opts = append(opts, core.WithParallelism(st.cfg.parallelism))
-		}
-		if st.cfg.nestedLoop {
-			opts = append(opts, core.WithNestedLoopJoin())
-		}
-		e.bt, e.err = core.New(prog, facts, opts...)
+		// The sliced processor inherits the window budget but never the
+		// observability hooks: traces, profiles, and provenance stay
+		// attached to the full processor the caller owns.
+		e.bt, e.err = core.New(prog, facts, core.WithMaxWindow(st.cfg.maxWindow))
 	})
 	return e.bt, e.err
 }

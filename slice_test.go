@@ -3,10 +3,7 @@ package tdd_test
 // The slicing differential battery: on random programs, a DB opened
 // WithSlicing must be indistinguishable from a plain one — closed asks
 // (the sliced production path) for every derivable query head, open
-// answers, the certified period, and the model fingerprint all agree,
-// at every parallelism level. The engine-level counterpart (frontier
-// narrowing never changes results, Stats bit-identical across worker
-// counts) rides on the same programs.
+// answers, the certified period, and the model fingerprint all agree.
 
 import (
 	"fmt"
@@ -85,8 +82,7 @@ func headQueries(prog *ast.Program, horizon int) []string {
 }
 
 // TestSlicedAskMatchesFull is the battery proper: sliced ≡ full on every
-// query, at parallelism 1, 2, and 8, plus period / fingerprint / open
-// answers.
+// query, plus period / fingerprint / open answers.
 func TestSlicedAskMatchesFull(t *testing.T) {
 	for seed := int64(0); seed < sliceTrials; seed++ {
 		unit, prog := genUnit(t, seed)
@@ -108,102 +104,56 @@ func TestSlicedAskMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, par := range []int{1, 2, 8} {
-			sliced, err := tdd.OpenUnit(unit, tdd.WithMaxWindow(1<<14), tdd.WithSlicing(), tdd.WithParallelism(par))
+		sliced, err := tdd.OpenUnit(unit, tdd.WithMaxWindow(1<<14), tdd.WithSlicing())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, q := range queries {
+			want, err := full.Ask(q)
 			if err != nil {
-				t.Fatalf("seed %d par %d: %v", seed, par, err)
+				t.Fatalf("seed %d full %q: %v", seed, q, err)
 			}
-			for _, q := range queries {
-				want, err := full.Ask(q)
-				if err != nil {
-					t.Fatalf("seed %d full %q: %v", seed, q, err)
-				}
-				got, err := sliced.Ask(q)
-				if err != nil {
-					t.Fatalf("seed %d par %d sliced %q: %v", seed, par, q, err)
-				}
-				if got != want {
-					info, _ := sliced.SliceFor(q)
-					t.Fatalf("seed %d par %d: %q sliced=%v full=%v (slice %+v)\nunit:\n%s",
-						seed, par, q, got, want, info, unit)
-				}
+			got, err := sliced.Ask(q)
+			if err != nil {
+				t.Fatalf("seed %d sliced %q: %v", seed, q, err)
 			}
-			// Period and fingerprint come off the full processor the slicing
-			// DB still owns — they must be untouched by the sliced asks.
-			sp, err := sliced.Period()
-			if err != nil || sp != per {
-				t.Fatalf("seed %d par %d: period %v/%v, full %v", seed, par, sp, err, per)
-			}
-			fp, err := sliced.ModelFingerprint()
-			if err != nil || fp != fullFP {
-				t.Fatalf("seed %d par %d: fingerprint %s/%v, full %s", seed, par, fp, err, fullFP)
-			}
-			// One open query per head predicate: Answers always takes the
-			// full path, so this checks slicing never leaked into it.
-			for _, r := range prog.Rules[:1] {
-				name := r.Head.Pred
-				q := name + "(T)"
-				if a := prog.Preds[name].Arity; a == 1 {
-					q = name + "(T, X)"
-				} else if a >= 2 {
-					q = name + "(T, X, Y)"
-				}
-				wa, err := full.Answers(q)
-				if err != nil {
-					t.Fatalf("seed %d answers %q: %v", seed, q, err)
-				}
-				ga, err := sliced.Answers(q)
-				if err != nil {
-					t.Fatalf("seed %d par %d answers %q: %v", seed, par, q, err)
-				}
-				if tdd.FormatAnswers(ga) != tdd.FormatAnswers(wa) {
-					t.Fatalf("seed %d par %d: answers to %q differ\nsliced:\n%s\nfull:\n%s",
-						seed, par, q, tdd.FormatAnswers(ga), tdd.FormatAnswers(wa))
-				}
+			if got != want {
+				info, _ := sliced.SliceFor(q)
+				t.Fatalf("seed %d: %q sliced=%v full=%v (slice %+v)\nunit:\n%s",
+					seed, q, got, want, info, unit)
 			}
 		}
-	}
-}
-
-// statsRender canonicalizes an EngineReport (map keys sorted, Index
-// cells dereferenced) so bit-identical counters compare as equal strings.
-func statsRender(s tdd.EngineReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "derived=%d firings=%d sweeps=%d rules=%+v sweepSizes=%v storeGrowth=%v deltaByTime=%v",
-		s.Derived, s.Firings, s.Sweeps, s.Rules, s.SweepSizes, s.StoreGrowth, s.DeltaByTime)
-	keys := make([]string, 0, len(s.Index))
-	for k := range s.Index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " idx[%s]=%+v", k, *s.Index[k])
-	}
-	return b.String()
-}
-
-// TestNarrowedFrontierStatsIdentical pins the static-bounds frontier
-// narrowing: the per-predicate affected window must never change what is
-// derived or when — the full Stats (Index counters included) are
-// bit-identical across worker counts, on every random program.
-func TestNarrowedFrontierStatsIdentical(t *testing.T) {
-	for seed := int64(0); seed < sliceTrials; seed++ {
-		unit, _ := genUnit(t, seed)
-		want := ""
-		for _, par := range []int{1, 2, 8} {
-			db, err := tdd.OpenUnit(unit, tdd.WithMaxWindow(1<<14), tdd.WithParallelism(par))
+		// Period and fingerprint come off the full processor the slicing
+		// DB still owns — they must be untouched by the sliced asks.
+		sp, err := sliced.Period()
+		if err != nil || sp != per {
+			t.Fatalf("seed %d: period %v/%v, full %v", seed, sp, err, per)
+		}
+		fp, err := sliced.ModelFingerprint()
+		if err != nil || fp != fullFP {
+			t.Fatalf("seed %d: fingerprint %s/%v, full %s", seed, fp, err, fullFP)
+		}
+		// One open query per head predicate: Answers always takes the
+		// full path, so this checks slicing never leaked into it.
+		for _, r := range prog.Rules[:1] {
+			name := r.Head.Pred
+			q := name + "(T)"
+			if a := prog.Preds[name].Arity; a == 1 {
+				q = name + "(T, X)"
+			} else if a >= 2 {
+				q = name + "(T, X, Y)"
+			}
+			wa, err := full.Answers(q)
 			if err != nil {
-				t.Fatalf("seed %d par %d: %v", seed, par, err)
+				t.Fatalf("seed %d answers %q: %v", seed, q, err)
 			}
-			if _, err := db.Period(); err != nil {
-				break // uncertifiable for every par; nothing to compare
+			ga, err := sliced.Answers(q)
+			if err != nil {
+				t.Fatalf("seed %d answers %q: %v", seed, q, err)
 			}
-			got := statsRender(db.EngineDetail())
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Fatalf("seed %d: Stats depend on worker count with narrowed frontier\npar1: %s\npar%d: %s",
-					seed, want, par, got)
+			if tdd.FormatAnswers(ga) != tdd.FormatAnswers(wa) {
+				t.Fatalf("seed %d: answers to %q differ\nsliced:\n%s\nfull:\n%s",
+					seed, q, tdd.FormatAnswers(ga), tdd.FormatAnswers(wa))
 			}
 		}
 	}
