@@ -7,7 +7,9 @@ package tdd
 
 import (
 	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	"tdd/internal/ast"
 	"tdd/internal/baseline"
@@ -289,36 +291,64 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // BenchmarkProfileOverhead: the same pipeline with the join profiler off
 // (the default one-nil-check path) vs enabled. The disabled variant must
 // stay within 1% of BenchmarkTraceOverhead/disabled and the profiled
-// variant within 5% of it — the E17 acceptance gates, enforced by
-// scripts/ci.sh comparing min-of-count times for the two variants here.
+// variant within 5% of it — the E17 acceptance gates. scripts/ci.sh
+// enforces the second on the paired sub-benchmark: the pipeline takes
+// about 2 ms, a shared runner slows everything by tens of per cent for
+// seconds at a time, and two separately timed runs mostly compare the
+// neighbours' load; paired runs the two variants back to back, order
+// alternating, and reports the median of the per-pair time ratios, which
+// a disturbance hits on both sides or, when it hits one, leaves as an
+// outlier the median ignores.
 func BenchmarkProfileOverhead(b *testing.B) {
 	rules, facts, stream := workload.Chain(16)
+	once := func(b *testing.B, profiled bool) {
+		var opts []Option
+		if profiled {
+			opts = append(opts, WithProfile())
+		}
+		db, err := Open(rules, facts, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Period(); err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range stream {
+			if _, err := db.Assert(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := db.Ask("path(1000000, n0, n15)"); err != nil {
+			b.Fatal(err)
+		}
+	}
 	pipeline := func(b *testing.B, profiled bool) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			var opts []Option
-			if profiled {
-				opts = append(opts, WithProfile())
-			}
-			db, err := Open(rules, facts, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := db.Period(); err != nil {
-				b.Fatal(err)
-			}
-			for _, batch := range stream {
-				if _, err := db.Assert(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := db.Ask("path(1000000, n0, n15)"); err != nil {
-				b.Fatal(err)
-			}
+			once(b, profiled)
 		}
 	}
 	b.Run("disabled", func(b *testing.B) { pipeline(b, false) })
 	b.Run("profiled", func(b *testing.B) { pipeline(b, true) })
+	b.Run("paired", func(b *testing.B) {
+		ratios := make([]float64, 0, b.N)
+		for i := 0; i < b.N; i++ {
+			var took [2]time.Duration
+			for k := 0; k < 2; k++ {
+				profiled := (i+k)%2 == 1
+				start := time.Now()
+				once(b, profiled)
+				if profiled {
+					took[1] = time.Since(start)
+				} else {
+					took[0] = time.Since(start)
+				}
+			}
+			ratios = append(ratios, float64(took[1])/float64(took[0]))
+		}
+		sort.Float64s(ratios)
+		b.ReportMetric(ratios[len(ratios)/2], "profiled/disabled")
+	})
 }
 
 // BenchmarkE9Pruning: end-to-end deep ground query with and without

@@ -9,8 +9,8 @@ import (
 )
 
 // Micro-benchmarks for the design choices DESIGN.md calls out: the
-// first-column index on relations, store insert/lookup, and state
-// canonicalization.
+// bound-column indexes on relations, store insert/lookup on interned
+// rows, state fingerprints, and copy-on-write forks.
 
 func benchEval(b *testing.B, src string) *Evaluator {
 	b.Helper()
@@ -120,24 +120,113 @@ func BenchmarkStoreInsertLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkStateCanonicalization compares the full canonical key against
-// the 64-bit fingerprint used to pre-filter period candidates.
-func BenchmarkStateCanonicalization(b *testing.B) {
+// benchRows interns side constants and returns them: side*side distinct
+// binary rows for the store benchmarks below.
+func benchRows(s *Store, side int) []uint32 {
+	ids := make([]uint32, side)
+	for i := range ids {
+		ids[i] = s.intern(fmt.Sprintf("c%d", i))
+	}
+	return ids
+}
+
+// BenchmarkStoreRows measures the evaluator-side write path on interned
+// rows: new facts (amortized growth of rows, table and one maintained
+// index), and the duplicate probe that dominates a fixpoint.
+func BenchmarkStoreRows(b *testing.B) {
+	const side = 64
+	fill := func(s *Store, ids []uint32, p uint32) {
+		row := make([]uint32, 2)
+		for i := range ids {
+			for j := range ids {
+				row[0], row[1] = ids[i], ids[j]
+				s.insertRow(p, 0, row)
+			}
+		}
+	}
+	b.Run("insert", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := NewStore()
+			ids := benchRows(s, side)
+			p := s.internPred("p", 2, true)
+			s.insertRow(p, 0, ids[:2])
+			s.at(p, 0).bucket(1, ids[:1])
+			fill(s, ids, p)
+		}
+	})
+	b.Run("duplicate", func(b *testing.B) {
+		s := NewStore()
+		ids := benchRows(s, side)
+		p := s.internPred("p", 2, true)
+		fill(s, ids, p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fill(s, ids, p)
+		}
+	})
+}
+
+// BenchmarkStateFingerprint reads the maintained fingerprint of a
+// 400-fact state and, for scale, renders the same state's exact key.
+func BenchmarkStateFingerprint(b *testing.B) {
 	s := NewStore()
 	for i := 0; i < 200; i++ {
 		s.Insert(tfact("p", 7, fmt.Sprintf("c%d", i), "x"))
 		s.Insert(tfact("q", 7, fmt.Sprintf("d%d", i)))
+		s.Insert(tfact("p", 9, fmt.Sprintf("c%d", i), "x"))
+		s.Insert(tfact("q", 9, fmt.Sprintf("d%d", i)))
 	}
+	b.Run("fingerprint", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if s.StateFingerprint(7) != s.StateFingerprint(9) {
+				b.Fatal("equal states, different fingerprints")
+			}
+		}
+	})
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !s.StateEqual(7, 9) {
+				b.Fatal("equal states compare unequal")
+			}
+		}
+	})
 	b.Run("StateKey", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.StateKey(7)
 		}
 	})
-	b.Run("StateHash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.StateHash(7)
+}
+
+// BenchmarkCloneThenWrite is one ingestion step seen from the store: fork
+// a model of 64 states × 256 facts, insert one new fact into one state
+// (materializing that shard with its index), drop the fork.
+func BenchmarkCloneThenWrite(b *testing.B) {
+	s := NewStore()
+	ids := benchRows(s, 16)
+	p := s.internPred("p", 2, true)
+	fresh := s.intern("fresh")
+	row := make([]uint32, 2)
+	for t := 0; t < 64; t++ {
+		for i := range ids {
+			for j := range ids {
+				row[0], row[1] = ids[i], ids[j]
+				s.insertRow(p, t, row)
+			}
 		}
-	})
+		s.at(p, t).bucket(1, ids[:1])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := s.Clone()
+		row[0], row[1] = ids[i%16], fresh
+		if _, added := c.insertRow(p, i%64, row); !added {
+			b.Fatal("insert into the fork was a duplicate")
+		}
+	}
 }
 
 // BenchmarkIndexedJoin is the regression benchmark behind the ci.sh

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"tdd/internal/ast"
-	"tdd/internal/obs"
 )
 
 // occurrence locates one body literal: rule index and literal index.
@@ -23,18 +22,15 @@ type occurrence struct {
 	lit  int
 }
 
-// ensureOcc builds the body-predicate index used to find the rules a
-// delta fact can re-fire.
-func (e *Evaluator) ensureOcc() {
-	if e.occ != nil {
-		return
-	}
-	e.occ = make(map[string][]occurrence)
-	for ri := range e.rules {
-		for li, a := range e.rules[ri].body {
-			e.occ[a.Pred] = append(e.occ[a.Pred], occurrence{rule: ri, lit: li})
-		}
-	}
+// dfact locates one stored fact for the delta frontier: predicate id,
+// time point (-1 for a non-temporal fact) and row number in its shard.
+// Row numbers are stable — shards are append-only and a copy-on-write
+// materialization keeps the order — so a frontier entry stays valid while
+// propagation keeps inserting.
+type dfact struct {
+	pred uint32
+	time int
+	row  uint32
 }
 
 // ensureBaseSet builds the database-membership set used to deduplicate
@@ -73,7 +69,7 @@ func (e *Evaluator) Clone() *Evaluator {
 		rules:     e.rules,
 		evaluated: e.evaluated,
 		stats:     e.stats.Clone(),
-		occ:       e.occ, // immutable once built
+		occ:       e.occ, // immutable after New
 		tr:        e.tr,
 		prof:      e.prof, // shared: the profile spans the database lifetime
 		mode:      e.mode,
@@ -133,34 +129,38 @@ func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
 // to a delta fact. It returns the number of facts derived. A no-op
 // before the first evaluation (the first EnsureWindow computes everything
 // anyway) and for seeds beyond the window (the window extension
-// recomputes those states from scratch).
+// recomputes those states from scratch). A seed that is not in the store
+// is not a fact and pins nothing.
 func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 	m := e.evaluated
 	if m < 0 || len(seed) == 0 {
 		return 0
 	}
-	e.ensureOcc()
+	e.planJoins()
 	e.prof.lock()
 	defer e.prof.unlock()
-	e.planJoins()
 	sp := e.tr.Begin("delta-propagate")
+	delta := make([]dfact, 0, len(seed))
+	for _, f := range seed {
+		if d, ok := e.store.locate(f); ok {
+			delta = append(delta, d)
+		}
+	}
 	rounds := 0
 	total := 0
-	delta := seed
 	for len(delta) > 0 {
 		rounds++
-		var next []ast.Fact
+		var next []dfact
 		for _, f := range delta {
-			for _, oc := range e.occ[f.Pred] {
+			if int(f.pred) >= len(e.occ) {
+				continue
+			}
+			for _, oc := range e.occ[f.pred] {
 				r := &e.rules[oc.rule]
-				lit := r.body[oc.lit]
-				if f.Temporal != (lit.Time != nil) {
-					continue
-				}
-				if f.Temporal {
+				if f.time >= 0 {
 					// The pinned literal determines the rule's temporal
-					// binding: T + depth = f.Time.
-					T := f.Time - lit.Time.Depth
+					// binding: T + depth = f.time.
+					T := f.time - r.body[oc.lit].Time.Depth
 					if T < 0 || !e.inRange(r, T, m) {
 						continue
 					}
@@ -179,14 +179,10 @@ func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 			}
 		}
 		for _, f := range next {
-			t := -1
-			if f.Temporal {
-				t = f.Time
-			}
 			if e.stats.DeltaByTime == nil {
 				e.stats.DeltaByTime = make(map[int]int)
 			}
-			e.stats.DeltaByTime[t]++
+			e.stats.DeltaByTime[f.time]++
 		}
 		total += len(next)
 		delta = next
@@ -216,28 +212,27 @@ func (e *Evaluator) inRange(r *crule, T, m int) bool {
 // and the temporal variable bound to T, joining the remaining literals —
 // in the pin's delta-plan order — against the full store. Head times are
 // capped at m; new head facts are appended to out.
-func (e *Evaluator) fireDelta(r *crule, pin int, f ast.Fact, T, m int, out *[]ast.Fact) {
+func (e *Evaluator) fireDelta(r *crule, pin int, f dfact, T, m int, out *[]dfact) {
 	en := &e.en
 	en.time = T
 	plan := &e.deltaPlans[r.idx][pin]
+	tup := e.store.shard(f.pred, f.time).row(f.row)
 	added := 0
 	mark := len(en.trail)
 	if e.prof == nil {
-		if matchCompiled(r.bodyC[pin], f.Args, en) {
+		if matchCompiled(r.bodyC[pin], tup, en) {
 			e.join(r, plan, 0, en, m, out, &added)
 		}
 		en.undo(mark)
 		return
 	}
-	start := obs.ClockNS()
-	pc := e.prof.buf.rec(r).litCell(pin, stratumOf(T))
+	e.prof.enter(r, en)
+	pc := &en.cell.lits[pin]
 	pc.scanned++
-	if matchCompiled(r.bodyC[pin], f.Args, en) {
+	if matchCompiled(r.bodyC[pin], tup, en) {
 		pc.matched++
 		e.join(r, plan, 0, en, m, out, &added)
 	}
 	en.undo(mark)
-	c := e.prof.buf.rec(r).ruleCell(stratumOf(T))
-	c.calls++
-	c.ns += obs.ClockNS() - start
+	e.prof.exit(r, en)
 }

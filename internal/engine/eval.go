@@ -77,11 +77,12 @@ func (s Stats) Clone() Stats {
 }
 
 // carg is one compiled argument position: a slot number for a variable,
-// or slot -1 with the literal text for a constant. Slots are per-rule,
-// assigned in order of first appearance across the body then the head.
+// or slot -1 with the interned symbol id for a constant. Slots are
+// per-rule, assigned in order of first appearance across the body then
+// the head.
 type carg struct {
 	slot int
-	name string
+	id   uint32
 }
 
 // crule is a compiled (shift-normalized) rule.
@@ -94,10 +95,14 @@ type crule struct {
 	headDepth    int    // temporal head depth after shifting; -1 if head non-temporal
 	maxBodyDepth int    // max temporal body depth after shifting; -1 if none
 	// nslots is the rule's variable-slot count; headC/bodyC are the
-	// slot-compiled argument lists (parallel to head.Args / body[i].Args).
+	// slot-compiled argument lists (parallel to head.Args / body[i].Args)
+	// and headP/bodyP the interned predicate ids of the head and of each
+	// body literal.
 	nslots int
 	headC  []carg
 	bodyC  [][]carg
+	headP  uint32
+	bodyP  []uint32
 }
 
 // Evaluator computes the least model of prog ∧ db restricted to a growing
@@ -114,9 +119,11 @@ type Evaluator struct {
 	// prov, when non-nil, records the first derivation of every derived
 	// fact (see provenance.go).
 	prov map[string]*Derivation
-	// occ indexes rules by body predicate for semi-naive delta
-	// propagation; built lazily by the first PropagateDelta (delta.go).
-	occ map[string][]occurrence
+	// occ indexes rules by body predicate id for semi-naive delta
+	// propagation (delta.go). Built by New and immutable afterwards; a
+	// predicate admitted later by InsertBase has an id beyond it and
+	// occurs in no rule.
+	occ [][]occurrence
 	// baseSet is the set of database facts (by factKey), built lazily by
 	// the first InsertBase so duplicate base asserts are detected against
 	// the database rather than the derived store (delta.go).
@@ -151,8 +158,8 @@ type Evaluator struct {
 	// scratch set suffices).
 	maxSlots int
 	en       env
-	headBuf  []string
-	keyBuf   []byte
+	headBuf  []uint32
+	keyBuf   []uint32
 }
 
 // New compiles and validates a program/database pair. The program must be
@@ -188,13 +195,16 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 		}
 		// Slot-compile the arguments: data variables become integer slots
 		// in the binding environment (the temporal variable lives in
-		// env.time and never appears as a data argument slot).
+		// env.time and never appears as a data argument slot), constants
+		// and predicates their interned ids. Interning a rule constant does
+		// not put it in the active domain; only a fact that mentions it
+		// does (Store.Constants).
 		slots := make(map[string]int)
 		compile := func(args []ast.Symbol) []carg {
 			out := make([]carg, len(args))
 			for i, sym := range args {
 				if !sym.IsVar {
-					out[i] = carg{slot: -1, name: sym.Name}
+					out[i] = carg{slot: -1, id: e.store.intern(sym.Name)}
 					continue
 				}
 				sl, ok := slots[sym.Name]
@@ -207,10 +217,14 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 			return out
 		}
 		c.bodyC = make([][]carg, len(c.body))
+		c.bodyP = make([]uint32, len(c.body))
 		for i := range c.body {
-			c.bodyC[i] = compile(c.body[i].Args)
+			a := &c.body[i]
+			c.bodyC[i] = compile(a.Args)
+			c.bodyP[i] = e.store.internPred(a.Pred, len(a.Args), a.Time != nil)
 		}
 		c.headC = compile(c.head.Args)
+		c.headP = e.store.internPred(c.head.Pred, len(c.head.Args), c.head.Time != nil)
 		c.nslots = len(slots)
 		if c.nslots > e.maxSlots {
 			e.maxSlots = c.nslots
@@ -222,8 +236,12 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 		e.derived[e.rules[i].head.Pred] = true
 	}
 	e.stats.Rules = make([]RuleStat, len(e.rules))
+	e.occ = make([][]occurrence, len(e.store.rels))
 	for i := range e.rules {
 		e.stats.Rules[i].Rule = e.rules[i].src.String()
+		for li, p := range e.rules[i].bodyP {
+			e.occ[p] = append(e.occ[p], occurrence{rule: i, lit: li})
+		}
 	}
 	for _, f := range db.Facts {
 		e.store.Insert(f)
@@ -277,9 +295,9 @@ func (e *Evaluator) EnsureWindow(m int) {
 	if m <= e.evaluated {
 		return
 	}
+	e.planJoins()
 	e.prof.lock()
 	defer e.prof.unlock()
-	e.planJoins()
 	sp := e.tr.Begin("fixpoint")
 	from := e.evaluated
 	f0, d0, s0 := e.stats.Firings, e.stats.Derived, e.stats.Sweeps
@@ -387,38 +405,40 @@ func (e *Evaluator) evalNonTemporalRules(m int) int {
 }
 
 // env is a mutable binding environment with an undo trail. vals is
-// indexed by slot; "" means unbound (constants are never empty — the
-// parser cannot produce an empty constant and InsertBase rejects empty
-// arguments).
+// indexed by slot and holds symbol ids; 0 means unbound (the symbol table
+// never hands out id 0).
 type env struct {
 	time  int // binding of the rule's temporal variable
-	vals  []string
+	vals  []uint32
 	trail []int
+	// cell and work serve the profiler (Profile.enter/exit): the profile
+	// cell of the rule being fired, for the stratum of time, and the rows
+	// the invocation has scanned and matched so far.
+	cell *ruleCell
+	work int64
 }
 
 func (en *env) undo(mark int) {
 	for len(en.trail) > mark {
 		sl := en.trail[len(en.trail)-1]
 		en.trail = en.trail[:len(en.trail)-1]
-		en.vals[sl] = ""
+		en.vals[sl] = 0
 	}
 }
 
-// matchCompiled unifies the compiled pattern against the tuple, extending
+// matchCompiled unifies the compiled pattern against the row, extending
 // en (recording new bindings on the trail). Returns false on mismatch;
-// the caller undoes to its mark either way.
-func matchCompiled(pat []carg, tup []string, en *env) bool {
-	if len(pat) != len(tup) {
-		return false
-	}
+// the caller undoes to its mark either way. The row has the pattern's
+// arity: predicates are interned by signature.
+func matchCompiled(pat []carg, tup []uint32, en *env) bool {
 	for i, c := range pat {
 		if c.slot < 0 {
-			if c.name != tup[i] {
+			if c.id != tup[i] {
 				return false
 			}
 			continue
 		}
-		if v := en.vals[c.slot]; v != "" {
+		if v := en.vals[c.slot]; v != 0 {
 			if v != tup[i] {
 				return false
 			}
@@ -430,20 +450,19 @@ func matchCompiled(pat []carg, tup []string, en *env) bool {
 	return true
 }
 
-// appendEnvMaskKey builds the index-bucket key for the masked columns of
-// the compiled pattern under the current bindings. Every masked column is
-// a constant or a bound slot by plan construction.
-func appendEnvMaskKey(dst []byte, pat []carg, mask uint32, en *env) []byte {
+// boundKey packs the index-probe key for the masked columns of the
+// compiled pattern under the current bindings, in column order. Every
+// masked column is a constant or a bound slot by plan construction.
+func boundKey(dst []uint32, pat []carg, mask uint32, en *env) []uint32 {
 	for i := 0; i < len(pat); i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
 		if c := pat[i]; c.slot < 0 {
-			dst = append(dst, c.name...)
+			dst = append(dst, c.id)
 		} else {
-			dst = append(dst, en.vals[c.slot]...)
+			dst = append(dst, en.vals[c.slot])
 		}
-		dst = append(dst, 0)
 	}
 	return dst
 }
@@ -459,21 +478,19 @@ func (e *Evaluator) fireRule(r *crule, T int) int {
 		e.join(r, &e.plans[r.idx], 0, en, -1, nil, &added)
 		return added
 	}
-	start := obs.ClockNS()
+	e.prof.enter(r, en)
 	e.join(r, &e.plans[r.idx], 0, en, -1, nil, &added)
-	c := e.prof.buf.rec(r).ruleCell(stratumOf(T))
-	c.calls++
-	c.ns += obs.ClockNS() - start
+	e.prof.exit(r, en)
 	return added
 }
 
 // join matches the body literals in plan order from step si onward, and
 // on a complete match emits the head. Each step streams the matching
-// index bucket (or, with mask 0, the full relation list) of its literal;
-// a negative capm disables the head-time cap (delta propagation caps at
-// the window, leaving deeper facts to EnsureWindow). When out is non-nil
+// index group (or, with mask 0, the whole relation) of its literal; a
+// negative capm disables the head-time cap (delta propagation caps at the
+// window, leaving deeper facts to EnsureWindow). When out is non-nil
 // newly derived facts are appended to it (the delta frontier).
-func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, out *[]ast.Fact, added *int) {
+func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, out *[]dfact, added *int) {
 	if si == len(plan.steps) {
 		if capm >= 0 && r.head.Time != nil && en.time+r.head.Time.Depth > capm {
 			return
@@ -490,47 +507,56 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 	a := &r.body[st.lit]
 	var rs *relset
 	if a.Time != nil {
-		rs = e.store.at(a.Pred, en.time+a.Time.Depth)
+		rs = e.store.at(r.bodyP[st.lit], en.time+a.Time.Depth)
 	} else {
-		rs = e.store.nt(a.Pred)
+		rs = e.store.nt(r.bodyP[st.lit])
 	}
 	if rs == nil {
 		return
 	}
 	*st.ctr++
 	pat := r.bodyC[st.lit]
-	var tuples [][]string
+	var sp rowSpan
 	if st.mask != 0 {
-		e.keyBuf = appendEnvMaskKey(e.keyBuf[:0], pat, st.mask, en)
-		tuples = rs.bucket(st.mask, e.keyBuf)
+		e.keyBuf = boundKey(e.keyBuf[:0], pat, st.mask, en)
+		sp = rs.bucket(st.mask, e.keyBuf)
 	} else {
-		tuples = rs.list
+		sp = rs.scan()
 	}
+	if !sp.ok {
+		return
+	}
+	// The span and the row slice are taken once: rows are immutable and
+	// row numbers stable, so an emit further down that appends to this
+	// very shard (or materializes a private copy of it) leaves what is
+	// enumerated here untouched.
+	rows, arity := rs.rows, rs.arity
 	// The profiled and unprofiled loops are kept separate so the
-	// uninstrumented hot path carries no per-tuple branches, and the
-	// profiled one pays only a local register increment per match:
-	// scanned is exactly len(tuples) (every tuple is visited), and
-	// matched flushes to the stratum cell once per scan. The cell
-	// pointer stays valid across the recursion because each step binds
-	// a distinct body literal, so deeper steps grow other lit slices.
+	// uninstrumented hot path carries no per-row profiling branches, and
+	// the profiled one pays only local register increments per row,
+	// flushed to the literal's stratum cell once per scan.
 	if e.prof != nil {
-		lc := e.prof.buf.rec(r).litCell(st.lit, stratumOf(en.time))
-		lc.scanned += int64(len(tuples))
-		matched := int64(0)
-		for _, tup := range tuples {
+		lc := &en.cell.lits[st.lit]
+		scanned, matched := int64(0), int64(0)
+		for more := true; more; more = sp.advance() {
+			scanned++
+			off := int(sp.cur) * arity
 			mark := len(en.trail)
-			if matchCompiled(pat, tup, en) {
+			if matchCompiled(pat, rows[off:off+arity], en) {
 				matched++
 				e.join(r, plan, si+1, en, capm, out, added)
 			}
 			en.undo(mark)
 		}
+		lc.scanned += scanned
 		lc.matched += matched
+		en.work += scanned + matched
 		return
 	}
-	for _, tup := range tuples {
+	for more := true; more; more = sp.advance() {
+		off := int(sp.cur) * arity
 		mark := len(en.trail)
-		if matchCompiled(pat, tup, en) {
+		if matchCompiled(pat, rows[off:off+arity], en) {
 			e.join(r, plan, si+1, en, capm, out, added)
 		}
 		en.undo(mark)
@@ -538,59 +564,48 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 }
 
 // emit fires rule r under the complete binding en: it instantiates the
-// head and inserts it, maintaining the work counters and (when enabled)
-// provenance. It reports the head fact and whether it was new. The
-// duplicate case — the overwhelmingly common one at fixpoint — allocates
-// nothing: the head is built into a scratch buffer and membership is
-// probed with a byte-slice key.
-func (e *Evaluator) emit(r *crule, en *env) (ast.Fact, bool) {
+// head row and inserts it, maintaining the work counters and (when
+// enabled) provenance. It reports where the head fact landed and whether
+// it was new. Membership test and insertion are one hashed probe
+// (Store.insertRow); the duplicate case — the overwhelmingly common one
+// at fixpoint — allocates nothing, and a new fact only grows its shard.
+func (e *Evaluator) emit(r *crule, en *env) (dfact, bool) {
 	e.stats.Firings++
 	e.stats.Rules[r.idx].Firings++
 	hb := e.headBuf[:0]
 	for _, c := range r.headC {
-		if c.slot < 0 {
-			hb = append(hb, c.name)
-			continue
-		}
-		v := en.vals[c.slot]
-		if v == "" {
-			panic(fmt.Sprintf("engine: unbound head variable in %s", r.src))
+		v := c.id
+		if c.slot >= 0 {
+			if v = en.vals[c.slot]; v == 0 {
+				panic(fmt.Sprintf("engine: unbound head variable in %s", r.src))
+			}
 		}
 		hb = append(hb, v)
 	}
 	e.headBuf = hb
-	temporal := r.head.Time != nil
-	t := 0
-	var rs *relset
-	if temporal {
-		t = en.time + r.head.Time.Depth
-		rs = e.store.at(r.head.Pred, t)
-	} else {
-		rs = e.store.nt(r.head.Pred)
+	f := dfact{pred: r.headP, time: -1}
+	if r.head.Time != nil {
+		f.time = en.time + r.head.Time.Depth
 	}
-	if rs != nil {
-		e.keyBuf = appendTupleKey(e.keyBuf[:0], hb)
-		if rs.hasKey(e.keyBuf) {
-			return ast.Fact{}, false
-		}
+	var added bool
+	if f.row, added = e.store.insertRow(f.pred, f.time, hb); !added {
+		return dfact{}, false
 	}
-	f := ast.Fact{Pred: r.head.Pred, Temporal: temporal, Time: t, Args: append([]string(nil), hb...)}
-	e.store.Insert(f)
 	e.stats.Derived++
 	e.stats.Rules[r.idx].Derived++
 	if e.prov != nil {
 		body := make([]ast.Fact, len(r.body))
 		for j := range r.body {
-			body[j] = factFor(&r.body[j], r.bodyC[j], en)
+			body[j] = e.factFor(&r.body[j], r.bodyC[j], en)
 		}
-		e.prov[factKey(f)] = &Derivation{Rule: r.src, Time: en.time, Body: body}
+		e.prov[factKey(e.factFor(&r.head, r.headC, en))] = &Derivation{Rule: r.src, Time: en.time, Body: body}
 	}
 	return f, true
 }
 
 // factFor builds the ground fact of one rule atom under en (head or body;
 // every variable must be bound — the rule is range-restricted).
-func factFor(a *ast.Atom, pat []carg, en *env) ast.Fact {
+func (e *Evaluator) factFor(a *ast.Atom, pat []carg, en *env) ast.Fact {
 	f := ast.Fact{Pred: a.Pred}
 	if a.Time != nil {
 		f.Temporal = true
@@ -598,15 +613,13 @@ func factFor(a *ast.Atom, pat []carg, en *env) ast.Fact {
 	}
 	f.Args = make([]string, len(pat))
 	for i, c := range pat {
-		if c.slot < 0 {
-			f.Args[i] = c.name
-			continue
+		v := c.id
+		if c.slot >= 0 {
+			if v = en.vals[c.slot]; v == 0 {
+				panic(fmt.Sprintf("engine: unbound variable in %s", a))
+			}
 		}
-		v := en.vals[c.slot]
-		if v == "" {
-			panic(fmt.Sprintf("engine: unbound variable in %s", a))
-		}
-		f.Args[i] = v
+		f.Args[i] = e.store.syms.names[v]
 	}
 	return f
 }

@@ -170,7 +170,8 @@ edge(a, b). edge(b, c). edge(c, d).
 	if e.Store().Has(ntfact("tc", "b", "a")) {
 		t.Error("tc(b, a) wrongly derived")
 	}
-	if got := e.Store().nt("tc").size(); got != len(want) {
+	tc := e.Store().syms.predIDs[predKey{name: "tc", arity: 2}]
+	if got := e.Store().nt(tc).size(); got != len(want) {
 		t.Errorf("|tc| = %d, want %d", got, len(want))
 	}
 }
@@ -289,8 +290,14 @@ func TestStoreStateKey(t *testing.T) {
 	if s.StateKey(2) != s.StateKey(4) {
 		t.Error("states 2 and 4 should be equal")
 	}
-	if s.StateHash(3) != s.StateHash(5) {
-		t.Error("hashes of equal states differ")
+	if s.StateFingerprint(3) != s.StateFingerprint(5) {
+		t.Error("fingerprints of equal states differ")
+	}
+	if s.StateFingerprint(2) == s.StateFingerprint(3) {
+		t.Error("fingerprints of the even and odd states collide")
+	}
+	if !s.StateEqual(2, 4) || s.StateEqual(2, 3) || s.StateEqual(0, 1) {
+		t.Error("StateEqual disagrees with StateKey")
 	}
 	if s.StateKey(2) == s.StateKey(3) {
 		t.Error("even and odd states equal")

@@ -80,7 +80,7 @@ func (e *Evaluator) planJoins() {
 		e.stats.Index = make(map[string]*IndexStat)
 	}
 	if len(e.en.vals) < e.maxSlots {
-		e.en.vals = make([]string, e.maxSlots)
+		e.en.vals = make([]uint32, e.maxSlots)
 	}
 	e.plans = make([]joinPlan, len(e.rules))
 	e.deltaPlans = make([][]joinPlan, len(e.rules))
@@ -199,7 +199,7 @@ func firstColMask(pat []carg, bound []bool) uint32 {
 // membership probe), an unbound one costs the full base.
 func (e *Evaluator) estCost(r *crule, li int, bound []bool) uint64 {
 	a := &r.body[li]
-	facts, states := e.store.card(a.Pred)
+	facts, states := e.store.card(r.bodyP[li])
 	base := facts
 	if a.Time != nil && states > 0 {
 		base = (facts + states - 1) / states

@@ -13,12 +13,20 @@ package engine
 // The design follows obs's nil-receiver discipline: a nil *Profile is
 // fully inert and every engine hook costs one nil check when profiling
 // is disabled. When enabled, the per-tuple cost is one counter
-// increment on a cell pointer resolved once per literal scan; the clock
-// is read once per rule invocation (fireRule / fireDelta), never per
-// tuple, and per-literal times are attributed from the rule's measured
-// time proportionally to scan volume. That attribution keeps the
-// enabled profiler inside its 5% budget (E17) while the per-literal
-// sums still reconcile with the measured fixpoint phase.
+// increment on a cell pointer resolved once per rule invocation, and an
+// invocation (fireRule / fireDelta) costs a few more adds: on interned
+// rows an invocation is a few hundred nanoseconds — delta propagation
+// fires one per derived fact — so reading the clock around each, as the
+// profiler did when a firing built strings, would cost more than the
+// join it times. The clock is read once per lapEvery invocations (and
+// at both ends of a fixpoint entry) and the measured interval is split
+// over the invocations in it by the work each did (rows scanned plus
+// bindings matched); per-literal times are then attributed from the
+// rule's time proportionally to scan volume, as before. Everything
+// between lock and unlock is charged to some rule, so the rule times
+// add up to the fixpoint entry. That keeps the enabled profiler inside
+// its 5% budget (E17) while the per-literal sums still reconcile with
+// the measured fixpoint phase.
 //
 // Concurrency: counters are written only while the profile's mutex is
 // held. The engine takes the lock once per fixpoint entry (EnsureWindow /
@@ -34,6 +42,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"tdd/internal/obs"
 )
 
 // stratumOf buckets a timestamp into its power-of-two stratum: t=0 is
@@ -56,13 +66,6 @@ func stratumBounds(b int) (lo, hi int) {
 	return 1 << (b - 1), 1<<b - 1
 }
 
-// ruleCell accumulates one rule's invocations and join wall time within
-// one stratum.
-type ruleCell struct {
-	calls int64
-	ns    int64
-}
-
 // litCell accumulates one body literal's scan counters within one
 // stratum.
 type litCell struct {
@@ -70,11 +73,21 @@ type litCell struct {
 	matched int64 // visits that unified with the pattern
 }
 
-// ruleRec is one rule's counter block: per-stratum rule cells plus a
-// per-literal slice of per-stratum literal cells.
+// ruleCell accumulates, within one stratum, one rule's invocations and
+// join wall time and its body literals' scan counters (lits is parallel
+// to the rule body). pending is the work done since the last clock
+// reading, not yet converted to time (see Profile.flush).
+type ruleCell struct {
+	calls   int64
+	ns      int64
+	pending int64
+	lits    []litCell
+}
+
+// ruleRec is one rule's counter block: one cell per stratum.
 type ruleRec struct {
+	nlits  int
 	strata []ruleCell
-	lits   [][]litCell
 }
 
 // profBuf is the counter block inside a Profile, written under its
@@ -89,26 +102,19 @@ func newProfBuf(n int) *profBuf { return &profBuf{rules: make([]*ruleRec, n)} }
 func (b *profBuf) rec(r *crule) *ruleRec {
 	rec := b.rules[r.idx]
 	if rec == nil {
-		rec = &ruleRec{lits: make([][]litCell, len(r.body))}
+		rec = &ruleRec{nlits: len(r.body)}
 		b.rules[r.idx] = rec
 	}
 	return rec
 }
 
-func (rec *ruleRec) ruleCell(bucket int) *ruleCell {
+// cell returns (growing the record on first touch) the stratum's cell.
+// Growing moves the cells: a pointer is good until the next call.
+func (rec *ruleRec) cell(bucket int) *ruleCell {
 	for len(rec.strata) <= bucket {
-		rec.strata = append(rec.strata, ruleCell{})
+		rec.strata = append(rec.strata, ruleCell{lits: make([]litCell, rec.nlits)})
 	}
 	return &rec.strata[bucket]
-}
-
-func (rec *ruleRec) litCell(i, bucket int) *litCell {
-	s := rec.lits[i]
-	for len(s) <= bucket {
-		s = append(s, litCell{})
-	}
-	rec.lits[i] = s
-	return &s[bucket]
 }
 
 // Profile is the engine-side join profiler. A nil *Profile is inert;
@@ -118,19 +124,83 @@ func (rec *ruleRec) litCell(i, bucket int) *litCell {
 type Profile struct {
 	mu  sync.Mutex
 	buf *profBuf
+	// The lap state, under mu: the clock at the previous reading, the
+	// invocations left until the next one, and the cells (by rule record
+	// and stratum — cell addresses move when a record grows) holding
+	// pending work, whose sum is work.
+	last int64
+	due  int
+	work int64
+	open []openCell
 }
 
-// lock/unlock bracket one fixpoint entry; nil-safe.
+type openCell struct {
+	rec    *ruleRec
+	bucket int
+}
+
+// lapEvery is the number of rule invocations per clock reading.
+const lapEvery = 256
+
+// lock/unlock bracket one fixpoint entry; nil-safe. lock starts the lap
+// clock, unlock charges what is pending.
 func (p *Profile) lock() {
 	if p != nil {
 		p.mu.Lock()
+		p.last, p.due = obs.ClockNS(), lapEvery
 	}
 }
 
 func (p *Profile) unlock() {
 	if p != nil {
+		p.flush()
 		p.mu.Unlock()
 	}
+}
+
+// enter starts one invocation of rule r at the binding en.time: the
+// join steps count into en.cell, the rule's cell for that stratum (good
+// for the invocation: a record only grows here).
+func (p *Profile) enter(r *crule, en *env) {
+	en.cell = p.buf.rec(r).cell(stratumOf(en.time))
+	en.work = 0
+}
+
+// exit ends the invocation: it counts the call and books its work (one
+// unit plus the rows it scanned and matched) against the next clock
+// reading.
+func (p *Profile) exit(r *crule, en *env) {
+	c := en.cell
+	c.calls++
+	if c.pending == 0 {
+		p.open = append(p.open, openCell{p.buf.rules[r.idx], stratumOf(en.time)})
+	}
+	c.pending += 1 + en.work
+	p.work += 1 + en.work
+	if p.due--; p.due <= 0 {
+		p.flush()
+	}
+}
+
+// flush reads the clock and splits the time since the previous reading
+// over the cells with pending work, in proportion to it (the last cell
+// takes the rounding remainder, so nothing is lost).
+func (p *Profile) flush() {
+	now := obs.ClockNS()
+	rest := now - p.last
+	elapsed := rest
+	p.last, p.due = now, lapEvery
+	for i, oc := range p.open {
+		c := &oc.rec.strata[oc.bucket]
+		share := rest
+		if i < len(p.open)-1 {
+			share = elapsed * c.pending / p.work
+		}
+		c.ns += share
+		rest -= share
+		c.pending = 0
+	}
+	p.open, p.work = p.open[:0], 0
 }
 
 // EnableProfile attaches a fresh join profiler to the evaluator. A
@@ -253,9 +323,10 @@ func (e *Evaluator) ProfileSnapshot() *ProfileJSON {
 			rp.Strata = append(rp.Strata, RuleStratumJSON{Lo: lo, Hi: hi, Calls: c.calls, Us: c.ns / 1e3})
 		}
 		var totalScanned int64
-		for li := range rec.lits {
+		for li := range r.body {
 			lp := LiteralProfileJSON{Pos: li, Literal: r.body[li].String()}
-			for bu, c := range rec.lits[li] {
+			for bu := range rec.strata {
+				c := rec.strata[bu].lits[li]
 				if c.scanned == 0 && c.matched == 0 {
 					continue
 				}
@@ -322,14 +393,24 @@ func (e *Evaluator) ProfileSnapshot() *ProfileJSON {
 // still walks the time shards.
 func (e *Evaluator) cardinalities() []PredCardJSON {
 	var out []PredCardJSON
-	for pred, states := range e.store.temporal {
-		facts, nstates := e.store.card(pred)
-		pc := PredCardJSON{Pred: pred, Temporal: true, Facts: int64(facts), States: nstates}
+	for i := range e.store.rels {
+		pr := &e.store.rels[i]
+		sig := e.store.syms.preds[i]
+		if !sig.temporal {
+			if pr.nt != nil {
+				out = append(out, PredCardJSON{Pred: sig.name, Facts: int64(pr.facts)})
+			}
+			continue
+		}
+		if pr.states == 0 {
+			continue
+		}
+		pc := PredCardJSON{Pred: sig.name, Temporal: true, Facts: int64(pr.facts), States: pr.states}
 		var strata []CardStratumJSON
-		for t, rs := range states {
+		pr.each(func(t int, rs *relset) {
 			n := rs.size()
 			if n == 0 {
-				continue
+				return
 			}
 			if t > pc.MaxT {
 				pc.MaxT = t
@@ -340,17 +421,13 @@ func (e *Evaluator) cardinalities() []PredCardJSON {
 				strata = append(strata, CardStratumJSON{Lo: lo, Hi: hi})
 			}
 			strata[bu].Facts += int64(n)
-		}
+		})
 		for _, s := range strata {
 			if s.Facts > 0 {
 				pc.Strata = append(pc.Strata, s)
 			}
 		}
 		out = append(out, pc)
-	}
-	for pred := range e.store.nonTemporal {
-		facts, _ := e.store.card(pred)
-		out = append(out, PredCardJSON{Pred: pred, Facts: int64(facts)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pred < out[j].Pred })
 	return out

@@ -21,7 +21,7 @@ func factKey(f ast.Fact) string {
 	if f.Temporal {
 		k += fmt.Sprintf("%d", f.Time)
 	}
-	return k + "\x01" + tupleKey(f.Args)
+	return k + "\x01" + strings.Join(f.Args, "\x00")
 }
 
 // EnableProvenance turns on derivation recording. It must be called before

@@ -11,10 +11,16 @@
 // a local fixpoint per state (for rules whose body touches the state being
 // built) and an outer fixpoint for derived non-temporal facts (which can
 // feed back into any state).
+//
+// Facts are stored as rows of interned integers (store.go, symtab.go): a
+// constant is a dense uint32 symbol id, a tuple a fixed-arity run of ids in
+// one flat slice per (predicate, time) shard, membership and bound-column
+// indexes are open-addressed integer tables over row numbers, and every
+// temporal shard carries a commutative 128-bit fingerprint of its fact set
+// so "is state t equal to state t'" is a constant-time comparison.
 package engine
 
 import (
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -22,87 +28,215 @@ import (
 	"tdd/internal/ast"
 )
 
-// tupleKey builds a canonical map key for a tuple. \x00 cannot occur in
-// parsed constants, and the engine rejects empty constants on ingestion
-// (InsertBase), so keys are unambiguous.
-func tupleKey(args []string) string { return strings.Join(args, "\x00") }
-
-// appendTupleKey is tupleKey into a reusable buffer: membership probes on
-// the hot join/emit path look up r.m[string(buf)], which the compiler
-// performs without allocating.
-func appendTupleKey(dst []byte, args []string) []byte {
-	for i, a := range args {
-		if i > 0 {
-			dst = append(dst, 0)
-		}
-		dst = append(dst, a...)
+// hashVals hashes a run of symbol ids for the open-addressed tables. Both
+// the membership table (all columns of a row) and the bound-column indexes
+// (the masked columns, in column order) use it, so a probe key packed from
+// the binding environment hashes exactly like the stored row it matches.
+func hashVals(vals []uint32) uint32 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range vals {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
 	}
-	return dst
+	return uint32(h >> 32)
 }
 
-// appendMaskKey builds the bound-column index key of a tuple: the values
-// of the masked columns, in ascending position order, each terminated by
-// \x00 (a terminator rather than a separator, so ("a","") and ("","a")
-// masks cannot collide).
-func appendMaskKey(dst []byte, mask uint32, tup []string) []byte {
-	for i := 0; i < len(tup); i++ {
+// hashMasked is hashVals over the masked columns of a stored row.
+func hashMasked(row []uint32, mask uint32) uint32 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for i, v := range row {
 		if mask&(1<<uint(i)) != 0 {
-			dst = append(dst, tup[i]...)
-			dst = append(dst, 0)
+			h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
 		}
 	}
-	return dst
+	return uint32(h >> 32)
 }
 
-// idxEntry is one bound-column hash index over a relation: the tuples
-// grouped by the values of the masked argument positions, each group in
-// insertion order.
-type idxEntry struct {
-	mask    uint32
-	buckets map[string][][]string
+// maskedEqual reports whether the masked columns of row equal key (the
+// masked values packed in column order).
+func maskedEqual(row []uint32, mask uint32, key []uint32) bool {
+	k := 0
+	for i, v := range row {
+		if mask&(1<<uint(i)) != 0 {
+			if v != key[k] {
+				return false
+			}
+			k++
+		}
+	}
+	return true
+}
+
+// sameMasked reports whether two rows agree on the masked columns.
+func sameMasked(a, b []uint32, mask uint32) bool {
+	for i, v := range a {
+		if mask&(1<<uint(i)) != 0 && v != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// rowsEqual compares two rows of the same arity.
+func rowsEqual(a, b []uint32) bool {
+	for i, v := range a {
+		if v != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// grownTable returns an empty open-addressed table with room for n
+// entries at a load factor of at most 3/4 (a power of two, at least 8).
+func grownTable(n int) []uint32 {
+	size := 8
+	for size*3 < n*4 {
+		size *= 2
+	}
+	return make([]uint32, size)
+}
+
+// colIndex is one bound-column hash index over a relation: the rows
+// grouped by the values of the masked argument positions, each group a
+// linked list through next in insertion order. Groups are found through
+// an open-addressed table keyed by the masked values of each group's
+// first row, so neither a probe nor an insert builds a key.
+type colIndex struct {
+	mask  uint32
+	tab   []uint32 // open-addressed: group number + 1, 0 = empty
+	first []uint32 // per group: first row (list head and key representative)
+	last  []uint32 // per group: last row
+	next  []uint32 // per row: the next row of its group (unset for a group's last row)
+}
+
+// group returns the group whose masked columns equal key.
+func (ix *colIndex) group(rs *relset, key []uint32, h uint32) (uint32, bool) {
+	m := uint32(len(ix.tab) - 1)
+	for i := h & m; ; i = (i + 1) & m {
+		g := ix.tab[i]
+		if g == 0 {
+			return 0, false
+		}
+		if maskedEqual(rs.row(ix.first[g-1]), ix.mask, key) {
+			return g - 1, true
+		}
+	}
+}
+
+// add links row n of rs (already appended to rs.rows) into its group,
+// opening a new group for an unseen key.
+func (ix *colIndex) add(rs *relset, n uint32) {
+	ix.next = append(ix.next, 0)
+	row := rs.row(n)
+	if (len(ix.first)+1)*4 > len(ix.tab)*3 {
+		ix.tab = grownTable(2 * (len(ix.first) + 1))
+		m := uint32(len(ix.tab) - 1)
+		for g, f := range ix.first {
+			i := hashMasked(rs.row(f), ix.mask) & m
+			for ix.tab[i] != 0 {
+				i = (i + 1) & m
+			}
+			ix.tab[i] = uint32(g) + 1
+		}
+	}
+	m := uint32(len(ix.tab) - 1)
+	for i := hashMasked(row, ix.mask) & m; ; i = (i + 1) & m {
+		g := ix.tab[i]
+		if g == 0 {
+			ix.tab[i] = uint32(len(ix.first)) + 1
+			ix.first = append(ix.first, n)
+			ix.last = append(ix.last, n)
+			return
+		}
+		if sameMasked(row, rs.row(ix.first[g-1]), ix.mask) {
+			ix.next[ix.last[g-1]] = n
+			ix.last[g-1] = n
+			return
+		}
+	}
+}
+
+// clone deep-copies the index (for a materialized shard).
+func (ix *colIndex) clone() *colIndex {
+	return &colIndex{
+		mask:  ix.mask,
+		tab:   append([]uint32(nil), ix.tab...),
+		first: append([]uint32(nil), ix.first...),
+		last:  append([]uint32(nil), ix.last...),
+		next:  append(make([]uint32, 0, len(ix.next)+len(ix.next)/8+4), ix.next...),
+	}
 }
 
 // idxTable is the set of indexes built so far for one relset. The table
 // value is immutable — building an index for a new mask installs a new
-// table via compare-and-swap — while the bucket maps inside it are
-// mutated in place by insert, which only runs on a private shard of a
-// single-writer evaluator. A shared shard (see relset.shared) is frozen
-// but may be joined against by several clone lineages at once; their
-// read-side builds race only on the CAS: both builders derive the same
-// index from the same frozen tuple list, so the loser's work is discarded
-// without any effect on results.
+// table via compare-and-swap — while the indexes inside it are mutated in
+// place by insert, which only runs on a private shard of a single-writer
+// evaluator. A shared shard (see relset.shared) is frozen but may be
+// joined against by several clone lineages at once; their read-side
+// builds race only on the CAS: both builders derive the same index from
+// the same frozen rows, so the loser's work is discarded without any
+// effect on results.
 type idxTable struct {
-	entries []idxEntry
+	entries []*colIndex
 }
 
 // withMask returns a new table extending t (nil allowed) with an index
-// for mask, built from the given tuple list in insertion order.
-func (t *idxTable) withMask(mask uint32, list [][]string) *idxTable {
+// for mask over the rows of rs, in insertion order.
+func (t *idxTable) withMask(mask uint32, rs *relset) *idxTable {
 	n := &idxTable{}
 	if t != nil {
 		n.entries = append(n.entries, t.entries...)
 	}
-	buckets := make(map[string][][]string)
-	var kb []byte
-	for _, tup := range list {
-		kb = appendMaskKey(kb[:0], mask, tup)
-		k := string(kb)
-		buckets[k] = append(buckets[k], tup)
+	ix := &colIndex{mask: mask, next: make([]uint32, 0, rs.n)}
+	for row := 0; row < rs.n; row++ {
+		ix.add(rs, uint32(row))
 	}
-	n.entries = append(n.entries, idxEntry{mask: mask, buckets: buckets})
+	n.entries = append(n.entries, ix)
 	return n
 }
 
-// relset is a set of tuples with lazily built bound-column hash indexes
-// for joins. It is one shard of the store (one predicate at one time
-// point, or one non-temporal predicate), the unit of copy-on-write
-// sharing between store clones.
+// rowSpan is a run of rows to enumerate: a whole relation (next == nil,
+// rows cur..last consecutively) or one index group (a linked list from
+// cur to last through next). It is a snapshot: rows inserted after the
+// span was taken — by an emit further down the same join — are not
+// visited, exactly like ranging over a slice captured before the loop.
+type rowSpan struct {
+	cur, last uint32
+	next      []uint32
+	ok        bool // false: empty span
+}
+
+// advance moves cur to the next row of a non-empty span, reporting false
+// once the last row has been visited.
+func (sp *rowSpan) advance() bool {
+	if sp.cur == sp.last {
+		return false
+	}
+	if sp.next != nil {
+		sp.cur = sp.next[sp.cur]
+	} else {
+		sp.cur++
+	}
+	return true
+}
+
+// relset is a set of fixed-arity rows with lazily built bound-column
+// hash indexes for joins. It is one shard of the store (one predicate at
+// one time point, or one non-temporal predicate), the unit of
+// copy-on-write sharing between store clones.
 type relset struct {
-	m    map[string]struct{} // membership by tuple key
-	list [][]string          // tuples in insertion order (see all)
+	arity int
+	n     int      // number of rows
+	rows  []uint32 // n*arity symbol ids, rows in insertion order
+	tab   []uint32 // open-addressed membership: row number + 1, 0 = empty
+	// fp is the commutative fingerprint of the shard's fact set (temporal
+	// shards only; see Store.StateFingerprint).
+	fp Fingerprint
 	// idx holds the bound-column indexes built so far; see idxTable for
-	// the concurrency discipline. Indexes are dropped (not copied) when a
-	// shared shard is materialized for writing and rebuilt on demand.
+	// the concurrency discipline. Materializing a shared shard copies
+	// them along with the rows.
 	idx atomic.Pointer[idxTable]
 	// shared marks a shard referenced by more than one store (set by
 	// Store.Clone). A shared shard is immutable: writers materialize a
@@ -112,335 +246,513 @@ type relset struct {
 	shared bool
 }
 
-func newRelset() *relset {
-	return &relset{m: make(map[string]struct{})}
+func newRelset(arity int) *relset { return &relset{arity: arity} }
+
+// row returns row number n. Rows are immutable once inserted.
+func (r *relset) row(n uint32) []uint32 {
+	i := int(n) * r.arity
+	return r.rows[i : i+r.arity : i+r.arity]
 }
 
-// insert adds the tuple, reporting whether it was new. The caller must
-// hold a private (non-shared) shard; see Store.Insert. Every index built
-// so far is maintained, so a lookup after an insert sees the new tuple
-// exactly when a linear scan would.
-func (r *relset) insert(args []string) bool {
-	k := tupleKey(args)
-	if _, ok := r.m[k]; ok {
-		return false
+// find returns the row number of the tuple; h is hashVals(tup).
+func (r *relset) find(tup []uint32, h uint32) (uint32, bool) {
+	if r == nil || len(r.tab) == 0 {
+		return 0, false
 	}
-	stored := append([]string(nil), args...)
-	r.m[k] = struct{}{}
-	r.list = append(r.list, stored)
-	if tbl := r.idx.Load(); tbl != nil {
-		var kb []byte
-		for i := range tbl.entries {
-			kb = appendMaskKey(kb[:0], tbl.entries[i].mask, stored)
-			bk := string(kb)
-			tbl.entries[i].buckets[bk] = append(tbl.entries[i].buckets[bk], stored)
+	m := uint32(len(r.tab) - 1)
+	for i := h & m; ; i = (i + 1) & m {
+		e := r.tab[i]
+		if e == 0 {
+			return 0, false
+		}
+		if rowsEqual(r.row(e-1), tup) {
+			return e - 1, true
 		}
 	}
-	return true
 }
 
-func (r *relset) has(args []string) bool {
-	if r == nil {
-		return false
+// insert adds the tuple (h is hashVals(tup)), returning its row number
+// and whether it was new: one probe sequence serves both the membership
+// test and the insertion. The caller must hold a private (non-shared)
+// shard; see Store.insertRow. Every index built so far is maintained, so
+// a lookup after an insert sees the new row exactly when a linear scan
+// would. A duplicate allocates nothing; a new row costs amortized slice
+// growth only.
+func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
+	if (r.n+1)*4 > len(r.tab)*3 {
+		r.tab = grownTable(2 * (r.n + 1))
+		m := uint32(len(r.tab) - 1)
+		for n := 0; n < r.n; n++ {
+			i := hashVals(r.row(uint32(n))) & m
+			for r.tab[i] != 0 {
+				i = (i + 1) & m
+			}
+			r.tab[i] = uint32(n) + 1
+		}
 	}
-	_, ok := r.m[tupleKey(args)]
-	return ok
-}
-
-// hasKey is has with a caller-built tupleKey buffer; the membership probe
-// does not allocate.
-func (r *relset) hasKey(key []byte) bool {
-	if r == nil {
-		return false
+	m := uint32(len(r.tab) - 1)
+	i := h & m
+	for ; r.tab[i] != 0; i = (i + 1) & m {
+		if e := r.tab[i]; rowsEqual(r.row(e-1), tup) {
+			return e - 1, false
+		}
 	}
-	_, ok := r.m[string(key)]
-	return ok
+	n := uint32(r.n)
+	r.tab[i] = n + 1
+	r.rows = append(r.rows, tup...)
+	r.n++
+	if tbl := r.idx.Load(); tbl != nil {
+		for _, ix := range tbl.entries {
+			ix.add(r, n)
+		}
+	}
+	return n, true
 }
 
 func (r *relset) size() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.m)
+	return r.n
 }
 
-// bucket returns the tuples whose masked columns equal key, in insertion
-// order, building the mask's index on first use. A nil receiver and an
-// empty bucket both return nil. Safe for concurrent readers: the build
-// installs an immutable table via CAS and retries on contention.
-func (r *relset) bucket(mask uint32, key []byte) [][]string {
-	if r == nil {
-		return nil
+// scan returns the span of every row present now, in insertion order.
+func (r *relset) scan() rowSpan {
+	if r == nil || r.n == 0 {
+		return rowSpan{}
+	}
+	return rowSpan{last: uint32(r.n - 1), ok: true}
+}
+
+// bucket returns the span of the rows whose masked columns equal key (the
+// masked values packed in column order), in insertion order, building the
+// mask's index on first use. Safe for concurrent readers: the build
+// installs an immutable table via CAS and retries on contention. Neither
+// a hit nor a miss allocates once the index exists.
+func (r *relset) bucket(mask uint32, key []uint32) rowSpan {
+	if r == nil || r.n == 0 {
+		return rowSpan{}
 	}
 	for {
 		tbl := r.idx.Load()
 		if tbl != nil {
-			for i := range tbl.entries {
-				if tbl.entries[i].mask == mask {
-					return tbl.entries[i].buckets[string(key)]
+			for _, ix := range tbl.entries {
+				if ix.mask != mask {
+					continue
 				}
+				g, ok := ix.group(r, key, hashVals(key))
+				if !ok {
+					return rowSpan{}
+				}
+				return rowSpan{cur: ix.first[g], last: ix.last[g], next: ix.next, ok: true}
 			}
 		}
-		// Not built yet: derive a new table from the current tuple list.
-		// On CAS failure another goroutine installed a table first — loop
-		// and look again (it may even have built this very mask).
-		r.idx.CompareAndSwap(tbl, tbl.withMask(mask, r.list))
+		// Not built yet: derive a new table from the current rows. On CAS
+		// failure another goroutine installed a table first — loop and
+		// look again (it may even have built this very mask).
+		r.idx.CompareAndSwap(tbl, tbl.withMask(mask, r))
 	}
 }
 
-// all iterates every tuple in insertion order. Iterating the list rather
-// than the membership map keeps every downstream order — join
-// enumeration, provenance ("first derivation"), answer rendering —
-// deterministic between runs; map order would reshuffle them.
-func (r *relset) all(f func([]string) bool) {
-	if r == nil {
-		return
-	}
-	for _, tup := range r.list {
-		if !f(tup) {
-			return
-		}
-	}
-}
-
-// materialize deep-copies a shared shard so the caller can write to it.
-// Tuples are immutable after insert and stay shared. Indexes are not
-// copied: the private copy rebuilds them lazily on first lookup, so a
-// clone that never joins against the shard never pays for them.
+// materialize deep-copies a shared shard so the caller can write to it:
+// rows, membership table, fingerprint and every index built so far, all
+// flat copies, so the private copy is as warm as the shard it came from.
+// The slices the pending write will append to get a little headroom.
 func (r *relset) materialize() *relset {
 	c := &relset{
-		m:    make(map[string]struct{}, len(r.m)),
-		list: append(make([][]string, 0, len(r.list)), r.list...),
+		arity: r.arity,
+		n:     r.n,
+		rows:  append(make([]uint32, 0, len(r.rows)+len(r.rows)/8+4*r.arity), r.rows...),
+		tab:   append([]uint32(nil), r.tab...),
+		fp:    r.fp,
 	}
-	for k := range r.m {
-		c.m[k] = struct{}{}
+	if tbl := r.idx.Load(); tbl != nil {
+		ct := &idxTable{entries: make([]*colIndex, len(tbl.entries))}
+		for i, ix := range tbl.entries {
+			ct.entries[i] = ix.clone()
+		}
+		c.idx.Store(ct)
 	}
 	return c
 }
 
-// predCard is the store-maintained cardinality summary of one predicate:
-// total facts and, for temporal predicates, the number of occupied time
-// points. Maintained in O(1) per insert, it is the cost-model seed the
-// join-order planner reads (see plan.go) and the totals behind the
-// profiler's per-predicate cardinality tables.
-type predCard struct {
-	temporal bool
-	facts    int
-	states   int
+// denseSlack bounds how far past (twice) the dense prefix of a predicate's
+// time axis a shard may land and still extend the prefix (see
+// predRel.set): generous enough that the facts of an ordinary database —
+// asserted in any order — and rule heads a lookback ahead of the window
+// all land in the prefix, at 8 KB of empty slots for a lone stray fact.
+const denseSlack = 1024
+
+// predRel holds the shards and cardinality counters of one predicate.
+// Temporal shards are indexed by time point: a dense prefix (the
+// evaluated window grows it one state at a time) and, for a database
+// fact far beyond it, a sparse overflow map — a unit file may name any
+// time point, and a dense slot per time point up to it would let one
+// fact allocate the address space.
+type predRel struct {
+	byTime []*relset
+	far    map[int]*relset // time points beyond the dense prefix (or negative); nil when empty
+	nt     *relset         // the relation of a non-temporal predicate
+	// facts and states are the incrementally maintained cardinality
+	// summary: total facts and, for temporal predicates, occupied time
+	// points. They are the cost-model seed the join-order planner reads
+	// (plan.go) and the totals behind the profiler's cardinality tables.
+	facts  int
+	states int
+}
+
+func (pr *predRel) get(t int) *relset {
+	if uint(t) < uint(len(pr.byTime)) {
+		return pr.byTime[t]
+	}
+	return pr.far[t]
+}
+
+func (pr *predRel) set(t int, rs *relset) {
+	if uint(t) >= uint(len(pr.byTime)) {
+		if t < 0 || t > 2*len(pr.byTime)+denseSlack {
+			if pr.far == nil {
+				pr.far = make(map[int]*relset)
+			}
+			pr.far[t] = rs
+			return
+		}
+		for i := len(pr.byTime); i <= t; i++ {
+			pr.byTime = append(pr.byTime, pr.far[i])
+			if len(pr.far) > 0 {
+				delete(pr.far, i)
+			}
+		}
+	}
+	pr.byTime[t] = rs
+}
+
+// each calls f for every temporal shard of the predicate. Dense shards
+// come in time order; overflow shards follow in map order, so f must not
+// depend on the order.
+func (pr *predRel) each(f func(t int, rs *relset)) {
+	for t, rs := range pr.byTime {
+		if rs != nil {
+			f(t, rs)
+		}
+	}
+	for t, rs := range pr.far {
+		f(t, rs)
+	}
 }
 
 // Store holds the facts derived so far: temporal relations indexed by
-// predicate and time point, and non-temporal relations by predicate.
+// predicate and time point, and non-temporal relations by predicate, as
+// rows of symbol ids over the store's symbol table.
 type Store struct {
-	temporal    map[string]map[int]*relset
-	nonTemporal map[string]*relset
-	count       int
-	// cards holds the per-predicate cardinality counters (see predCard).
-	cards map[string]*predCard
-	// keys caches StateKey per time point; an insert at time t drops the
-	// entry for t. Incremental maintenance re-certifies the period after a
-	// delta, and the cache confines the rehash to the states the delta
-	// actually touched.
-	keys map[int]string
+	// syms is the symbol and predicate table, shared copy-on-write with
+	// clones (see symtab).
+	syms *symtab
+	// rels is indexed by predicate id; len(rels) == len(syms.preds).
+	rels  []predRel
+	count int
+	// occ marks (one bit per symbol id) the symbols that occur in some
+	// stored fact: the active domain. Rule constants are interned at
+	// compile time but join the domain only when a fact mentions them.
+	occ []uint64
+	// consts caches the sorted active domain; a new occurrence drops it.
+	// An atomic pointer because readers of a published snapshot fill it
+	// lazily and concurrently (they all compute the same slice).
+	consts atomic.Pointer[[]string]
+	// rowBuf is Insert's scratch row (the store is single-writer).
+	rowBuf []uint32
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{
-		temporal:    make(map[string]map[int]*relset),
-		nonTemporal: make(map[string]*relset),
-		cards:       make(map[string]*predCard),
-	}
-}
+func NewStore() *Store { return &Store{syms: newSymtab()} }
 
 // Clone returns an independent copy of the store: inserts into the clone
 // are invisible to the original and vice versa. The copy is
 // copy-on-write at shard (predicate×timestamp) granularity: both stores
-// share every relset until one of them writes into it, so a clone costs
-// O(shards) pointer copies — independent of the number of facts — and a
-// subsequent write deep-copies only the shards it touches. Clone must be
-// externally serialized against writes to s (the evaluator's single-
-// writer discipline); afterwards the two stores may be written from
-// different goroutines.
+// share every relset — rows, membership table, indexes, fingerprint —
+// until one of them writes into it, so a clone costs O(shards) pointer
+// copies — independent of the number of facts — and a subsequent write
+// deep-copies only the shards it touches. The symbol table is shared the
+// same way until one side interns a new name. Clone must be externally
+// serialized against writes to s (the evaluator's single-writer
+// discipline); afterwards the two stores may be written from different
+// goroutines.
+//
+//tddlint:resets rowBuf
 func (s *Store) Clone() *Store {
+	// The flags below are written only when they change: a table or shard
+	// that is already shared may be in use by another lineage's writer,
+	// which reads them.
+	if !s.syms.shared {
+		s.syms.shared = true
+	}
 	c := &Store{
-		temporal:    make(map[string]map[int]*relset, len(s.temporal)),
-		nonTemporal: make(map[string]*relset, len(s.nonTemporal)),
-		count:       s.count,
-		cards:       make(map[string]*predCard, len(s.cards)),
+		syms:  s.syms,
+		rels:  make([]predRel, len(s.rels)),
+		count: s.count,
+		occ:   append([]uint64(nil), s.occ...),
 	}
-	for pred, byTime := range s.temporal {
-		bt := make(map[int]*relset, len(byTime))
-		for t, rs := range byTime {
+	c.consts.Store(s.consts.Load())
+	share := func(_ int, rs *relset) {
+		if !rs.shared {
 			rs.shared = true
-			bt[t] = rs
 		}
-		c.temporal[pred] = bt
 	}
-	for pred, rs := range s.nonTemporal {
-		rs.shared = true
-		c.nonTemporal[pred] = rs
-	}
-	for pred, pc := range s.cards {
-		cp := *pc
-		c.cards[pred] = &cp
-	}
-	if s.keys != nil {
-		c.keys = make(map[int]string, len(s.keys))
-		for t, k := range s.keys {
-			c.keys[t] = k
+	for i := range s.rels {
+		pr := &s.rels[i]
+		pr.each(share)
+		cp := predRel{nt: pr.nt, facts: pr.facts, states: pr.states}
+		if pr.nt != nil {
+			share(0, pr.nt)
 		}
+		if len(pr.byTime) > 0 {
+			cp.byTime = append([]*relset(nil), pr.byTime...)
+		}
+		if len(pr.far) > 0 {
+			cp.far = make(map[int]*relset, len(pr.far))
+			for t, rs := range pr.far {
+				cp.far[t] = rs
+			}
+		}
+		c.rels[i] = cp
 	}
 	return c
+}
+
+// intern returns the symbol id of a constant, adding it to the table
+// (forking a shared table first) when it is new. Write path only.
+func (s *Store) intern(name string) uint32 {
+	if id, ok := s.syms.ids[name]; ok {
+		return id
+	}
+	if s.syms.shared {
+		s.syms = s.syms.fork()
+	}
+	return s.syms.addSymbol(name)
+}
+
+// internPred returns the predicate id of a signature, adding it when it
+// is new. Write path only.
+func (s *Store) internPred(name string, arity int, temporal bool) uint32 {
+	k := predKey{name: name, arity: arity, temporal: temporal}
+	if id, ok := s.syms.predIDs[k]; ok {
+		return id
+	}
+	if s.syms.shared {
+		s.syms = s.syms.fork()
+	}
+	s.rels = append(s.rels, predRel{})
+	return s.syms.addPred(k)
+}
+
+// locate finds a stored fact — predicate id, time point (-1 for a
+// non-temporal fact) and row number — without interning anything: a name
+// the table has never seen means the fact cannot be present. Neither a
+// hit nor a miss allocates (up to arity 8).
+func (s *Store) locate(f ast.Fact) (dfact, bool) {
+	pred, ok := s.syms.predIDs[predKey{name: f.Pred, arity: len(f.Args), temporal: f.Temporal}]
+	if !ok {
+		return dfact{}, false
+	}
+	var buf [8]uint32
+	row := buf[:0]
+	for _, a := range f.Args {
+		id, ok := s.syms.ids[a]
+		if !ok {
+			return dfact{}, false
+		}
+		row = append(row, id)
+	}
+	d := dfact{pred: pred, time: -1}
+	if f.Temporal {
+		d.time = f.Time
+	}
+	d.row, ok = s.shard(pred, d.time).find(row, hashVals(row))
+	return d, ok
+}
+
+// shard returns the relation holding the facts of pred at time t (t is
+// ignored for a non-temporal predicate); nil if empty.
+func (s *Store) shard(pred uint32, t int) *relset {
+	if s.syms.preds[pred].temporal {
+		return s.rels[pred].get(t)
+	}
+	return s.rels[pred].nt
 }
 
 // Insert adds a fact, reporting whether it was new. Inserting into a
 // shard shared with a clone first materializes a private copy
 // (copy-on-write); duplicate inserts never copy.
 func (s *Store) Insert(f ast.Fact) bool {
-	var added bool
-	if f.Temporal {
-		byTime, ok := s.temporal[f.Pred]
-		if !ok {
-			byTime = make(map[int]*relset)
-			s.temporal[f.Pred] = byTime
-		}
-		rs, ok := byTime[f.Time]
-		switch {
-		case !ok:
-			rs = newRelset()
-			byTime[f.Time] = rs
-			s.cardFor(f.Pred, true).states++
-		case rs.shared:
-			if rs.has(f.Args) {
-				return false
-			}
-			rs = rs.materialize()
-			byTime[f.Time] = rs
-		}
-		added = rs.insert(f.Args)
-		if added {
-			delete(s.keys, f.Time)
-		}
-	} else {
-		rs, ok := s.nonTemporal[f.Pred]
-		switch {
-		case !ok:
-			rs = newRelset()
-			s.nonTemporal[f.Pred] = rs
-		case rs.shared:
-			if rs.has(f.Args) {
-				return false
-			}
-			rs = rs.materialize()
-			s.nonTemporal[f.Pred] = rs
-		}
-		added = rs.insert(f.Args)
+	pred := s.internPred(f.Pred, len(f.Args), f.Temporal)
+	row := s.rowBuf[:0]
+	for _, a := range f.Args {
+		row = append(row, s.intern(a))
 	}
-	if added {
-		s.count++
-		s.cardFor(f.Pred, f.Temporal).facts++
-	}
+	s.rowBuf = row
+	_, added := s.insertRow(pred, f.Time, row)
 	return added
 }
 
-// cardFor returns (allocating on first touch) the predicate's counter.
-func (s *Store) cardFor(pred string, temporal bool) *predCard {
-	pc := s.cards[pred]
-	if pc == nil {
-		pc = &predCard{temporal: temporal}
-		s.cards[pred] = pc
+// insertRow is Insert on interned ids — the evaluator's emit path. It
+// returns the fact's row number in its shard and whether it was new.
+func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
+	pr := &s.rels[pred]
+	temporal := s.syms.preds[pred].temporal
+	rs := pr.nt
+	if temporal {
+		rs = pr.get(t)
 	}
-	return pc
+	h := hashVals(row)
+	if rs == nil || rs.shared {
+		if rs == nil {
+			rs = newRelset(len(row))
+			if temporal {
+				pr.states++
+			}
+		} else {
+			if n, ok := rs.find(row, h); ok {
+				return n, false
+			}
+			rs = rs.materialize()
+		}
+		if temporal {
+			pr.set(t, rs)
+		} else {
+			pr.nt = rs
+		}
+	}
+	n, added := rs.insert(row, h)
+	if !added {
+		return n, false
+	}
+	s.count++
+	pr.facts++
+	if temporal {
+		rs.fp.add(s.syms.factFingerprint(pred, row))
+	}
+	for _, id := range row {
+		w, b := int(id>>6), uint64(1)<<(id&63)
+		for w >= len(s.occ) {
+			s.occ = append(s.occ, 0)
+		}
+		if s.occ[w]&b == 0 {
+			s.occ[w] |= b
+			s.consts.Store(nil)
+		}
+	}
+	return n, true
 }
 
 // card returns the predicate's incremental cardinality summary: total
-// facts and, for temporal predicates, occupied time points. Zero values
-// for unknown predicates.
-func (s *Store) card(pred string) (facts, states int) {
-	if pc := s.cards[pred]; pc != nil {
-		return pc.facts, pc.states
-	}
-	return 0, 0
+// facts and, for temporal predicates, occupied time points.
+func (s *Store) card(pred uint32) (facts, states int) {
+	return s.rels[pred].facts, s.rels[pred].states
 }
 
-// Has reports whether the fact is present.
+// Has reports whether the fact is present. It never interns: asking
+// about a name the store has never seen answers false without growing
+// the (possibly shared) symbol table, and allocates nothing.
 func (s *Store) Has(f ast.Fact) bool {
-	if f.Temporal {
-		return s.temporal[f.Pred][f.Time].has(f.Args)
-	}
-	return s.nonTemporal[f.Pred].has(f.Args)
+	_, ok := s.locate(f)
+	return ok
 }
 
 // Len returns the total number of stored facts.
 func (s *Store) Len() int { return s.count }
 
 // at returns the temporal relation of pred at time t (nil if empty).
-func (s *Store) at(pred string, t int) *relset { return s.temporal[pred][t] }
+func (s *Store) at(pred uint32, t int) *relset { return s.rels[pred].get(t) }
 
 // nt returns the non-temporal relation of pred (nil if empty).
-func (s *Store) nt(pred string) *relset { return s.nonTemporal[pred] }
+func (s *Store) nt(pred uint32) *relset { return s.rels[pred].nt }
 
 // StateSize returns the number of temporal tuples at time t.
 func (s *Store) StateSize(t int) int {
 	n := 0
-	for _, byTime := range s.temporal {
-		n += byTime[t].size()
+	for i := range s.rels {
+		n += s.rels[i].get(t).size()
 	}
 	return n
 }
 
-// StateKey returns a canonical representation of the state L[t]: the set of
-// atoms P(x̄) with P(t, x̄) in the store, rendered deterministically. Two
-// time points have equal states iff their StateKeys are equal. Keys are
-// cached per time point; inserts at t invalidate the entry for t.
-func (s *Store) StateKey(t int) string {
-	if k, ok := s.keys[t]; ok {
-		return k
+// StateFingerprint returns the fingerprint of the state L[t]: the sum of
+// the fingerprints of its shards, each maintained on insert, so reading
+// it costs one addition per predicate and no pass over the facts. Equal
+// states have equal fingerprints — in any store, whatever the insertion
+// or interning order; see Fingerprint for the converse.
+func (s *Store) StateFingerprint(t int) Fingerprint {
+	var fp Fingerprint
+	for i := range s.rels {
+		if rs := s.rels[i].get(t); rs != nil {
+			fp.add(rs.fp)
+		}
 	}
-	k := s.stateKey(t)
-	if s.keys == nil {
-		s.keys = make(map[int]string)
-	}
-	s.keys[t] = k
-	return k
+	return fp
 }
 
-func (s *Store) stateKey(t int) string {
-	var lines []string
-	for pred, byTime := range s.temporal {
-		rs := byTime[t]
-		if rs == nil {
-			continue
+// StateEqual reports whether L[t1] and L[t2] are the same set of atoms,
+// by exact comparison: per predicate, equal sizes and every row of one
+// shard present in the other. It allocates nothing.
+func (s *Store) StateEqual(t1, t2 int) bool {
+	for i := range s.rels {
+		a, b := s.rels[i].get(t1), s.rels[i].get(t2)
+		if a.size() != b.size() {
+			return false
 		}
-		for k := range rs.m {
-			lines = append(lines, pred+"\x01"+k)
+		for n := 0; n < a.size(); n++ {
+			row := a.row(uint32(n))
+			if _, ok := b.find(row, hashVals(row)); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// StateKey returns a canonical rendering of the state L[t]: the set of
+// atoms P(x̄) with P(t, x̄) in the store, as sorted text. Two time points
+// — of one store or of two — have equal states iff their StateKeys are
+// equal. It is rebuilt on every call and exists for the differential
+// oracles that compare stores; everything on a hot path compares
+// StateFingerprint (and confirms with StateEqual).
+func (s *Store) StateKey(t int) string {
+	var lines []string
+	for i := range s.rels {
+		rs := s.rels[i].get(t)
+		for n := 0; n < rs.size(); n++ {
+			lines = append(lines, s.syms.preds[i].name+"\x01"+strings.Join(s.args(rs, uint32(n)), "\x00"))
 		}
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\x02")
 }
 
-// StateHash returns a 64-bit fingerprint of StateKey(t). Period detection
-// compares hashes first and confirms candidate matches with full keys.
-func (s *Store) StateHash(t int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s.StateKey(t)))
-	return h.Sum64()
+// args renders row n of rs as constants.
+func (s *Store) args(rs *relset, n uint32) []string {
+	row := rs.row(n)
+	out := make([]string, len(row))
+	for i, id := range row {
+		out[i] = s.syms.names[id]
+	}
+	return out
+}
+
+// appendFacts renders the rows of one shard of predicate pred as facts
+// without a temporal argument.
+func (s *Store) appendFacts(out []ast.Fact, pred int, rs *relset) []ast.Fact {
+	for n := 0; n < rs.size(); n++ {
+		out = append(out, ast.Fact{Pred: s.syms.preds[pred].name, Args: s.args(rs, uint32(n))})
+	}
+	return out
 }
 
 // State returns the state L[t] as sorted facts with the temporal argument
 // projected out (the paper's M[t]).
 func (s *Store) State(t int) []ast.Fact {
 	var out []ast.Fact
-	for pred, byTime := range s.temporal {
-		rs := byTime[t]
-		if rs == nil {
-			continue
-		}
-		for _, tup := range rs.list {
-			out = append(out, ast.Fact{Pred: pred, Args: append([]string(nil), tup...)})
-		}
+	for i := range s.rels {
+		out = s.appendFacts(out, i, s.rels[i].get(t))
 	}
 	ast.SortFacts(out)
 	return out
@@ -449,27 +761,18 @@ func (s *Store) State(t int) []ast.Fact {
 // Snapshot returns the snapshot L(t) as sorted temporal facts (the paper's
 // M(t): tuples with their temporal argument).
 func (s *Store) Snapshot(t int) []ast.Fact {
-	var out []ast.Fact
-	for pred, byTime := range s.temporal {
-		rs := byTime[t]
-		if rs == nil {
-			continue
-		}
-		for _, tup := range rs.list {
-			out = append(out, ast.Fact{Pred: pred, Temporal: true, Time: t, Args: append([]string(nil), tup...)})
-		}
+	out := s.State(t)
+	for i := range out {
+		out[i].Temporal, out[i].Time = true, t
 	}
-	ast.SortFacts(out)
 	return out
 }
 
 // NonTemporalFacts returns the non-temporal part L_nt as sorted facts.
 func (s *Store) NonTemporalFacts() []ast.Fact {
 	var out []ast.Fact
-	for pred, rs := range s.nonTemporal {
-		for _, tup := range rs.list {
-			out = append(out, ast.Fact{Pred: pred, Args: append([]string(nil), tup...)})
-		}
+	for i := range s.rels {
+		out = s.appendFacts(out, i, s.rels[i].nt)
 	}
 	ast.SortFacts(out)
 	return out
@@ -478,34 +781,30 @@ func (s *Store) NonTemporalFacts() []ast.Fact {
 // NonTemporalCount returns |L_nt|.
 func (s *Store) NonTemporalCount() int {
 	n := 0
-	for _, rs := range s.nonTemporal {
-		n += rs.size()
+	for i := range s.rels {
+		n += s.rels[i].nt.size()
 	}
 	return n
 }
 
 // Constants returns all non-temporal constants occurring in the store,
 // sorted. This is the active domain used for non-temporal quantification.
+// It is served from the symbol table's occurrence marks and cached until
+// a fact brings a new constant in; the returned slice is shared and must
+// not be modified.
 func (s *Store) Constants() []string {
-	set := make(map[string]bool)
-	add := func(tup []string) bool {
-		for _, c := range tup {
-			set[c] = true
+	if c := s.consts.Load(); c != nil {
+		return *c
+	}
+	out := make([]string, 0, len(s.syms.names))
+	for w, bits := range s.occ {
+		for b := 0; bits != 0; b, bits = b+1, bits>>1 {
+			if bits&1 != 0 {
+				out = append(out, s.syms.names[w<<6|b])
+			}
 		}
-		return true
-	}
-	for _, rs := range s.nonTemporal {
-		rs.all(add)
-	}
-	for _, byTime := range s.temporal {
-		for _, rs := range byTime {
-			rs.all(add)
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
 	}
 	sort.Strings(out)
+	s.consts.Store(&out)
 	return out
 }

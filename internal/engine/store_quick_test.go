@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -67,8 +68,9 @@ func TestStoreIsAnExactSet(t *testing.T) {
 	}
 }
 
-// Property: StateKey is permutation-invariant — the canonical state
-// depends only on the set of facts at a time point, not insertion order.
+// Property: StateKey and StateFingerprint are permutation-invariant — the
+// canonical state depends only on the set of facts at a time point, not
+// on insertion order nor on the order constants were interned in.
 func TestStateKeyPermutationInvariant(t *testing.T) {
 	f := func(perm []uint8) bool {
 		facts := []ast.Fact{
@@ -82,6 +84,8 @@ func TestStateKeyPermutationInvariant(t *testing.T) {
 			s1.Insert(fa)
 		}
 		s2 := NewStore()
+		// Other symbol ids for the same names.
+		s2.Insert(ntfact("warmup", "b", "zz", "a"))
 		// Insert in an order driven by the random permutation seed.
 		order := []int{0, 1, 2, 3}
 		for i, p := range perm {
@@ -92,49 +96,269 @@ func TestStateKeyPermutationInvariant(t *testing.T) {
 		for _, i := range order {
 			s2.Insert(facts[i])
 		}
-		return s1.StateKey(3) == s2.StateKey(3) && s1.StateHash(3) == s2.StateHash(3)
+		return s1.StateKey(3) == s2.StateKey(3) && s1.StateFingerprint(3) == s2.StateFingerprint(3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
+// Property: over random stores, two time points have equal fingerprints
+// exactly when their StateKeys are equal, and StateEqual agrees — within
+// one store and across two stores built independently.
+func TestFingerprintAgreesWithStateKey(t *testing.T) {
+	type ins struct{ Pred, Time, A, B uint8 }
+	build := func(bag []ins) *Store {
+		s := NewStore()
+		for _, p := range bag {
+			f := tfact(fmt.Sprintf("p%d", p.Pred%3), int(p.Time%6), fmt.Sprintf("a%d", p.A%3))
+			if p.Pred%2 == 0 {
+				f.Args = append(f.Args, fmt.Sprintf("a%d", p.B%3))
+			}
+			s.Insert(f)
+		}
+		return s
+	}
+	f := func(bag1, bag2 []ins) bool {
+		s1, s2 := build(bag1), build(append(bag2, bag1...))
+		for t1 := 0; t1 < 6; t1++ {
+			for t2 := 0; t2 < 6; t2++ {
+				same := s1.StateKey(t1) == s1.StateKey(t2)
+				if (s1.StateFingerprint(t1) == s1.StateFingerprint(t2)) != same || s1.StateEqual(t1, t2) != same {
+					return false
+				}
+				if (s1.StateFingerprint(t1) == s2.StateFingerprint(t2)) != (s1.StateKey(t1) == s2.StateKey(t2)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// storedRows renders a shard's rows in enumeration order.
+func storedRows(s *Store, rs *relset) [][]string {
+	var got [][]string
+	for _, n := range spanRows(rs.scan()) {
+		got = append(got, s.args(rs, n))
+	}
+	return got
+}
+
 // TestStoreIterationOrderDeterministic is the regression test for the
-// map-order bug: relset iteration (all, bucket, State, Snapshot) must
+// map-order bug: relset iteration (scan, bucket, State, Snapshot) must
 // follow insertion order, including after a copy-on-write materialize,
 // so join enumeration and answer rendering cannot reshuffle between
 // runs.
 func TestStoreIterationOrderDeterministic(t *testing.T) {
 	ins := [][]string{{"c", "1"}, {"a", "2"}, {"b", "3"}, {"a", "1"}, {"z", "0"}}
-	collect := func(rs *relset) [][]string {
-		var got [][]string
-		rs.all(func(tup []string) bool { got = append(got, tup); return true })
-		return got
-	}
-
-	rs := newRelset()
-	for _, tup := range ins {
-		rs.insert(tup)
-	}
-	if got := collect(rs); !reflect.DeepEqual(got, ins) {
-		t.Fatalf("all() order = %v, want insertion order %v", got, ins)
-	}
-	if got := collect(rs.materialize()); !reflect.DeepEqual(got, ins) {
-		t.Fatalf("materialized all() order = %v, want insertion order %v", got, ins)
-	}
-
 	s := NewStore()
 	for _, tup := range ins {
 		s.Insert(ast.Fact{Pred: "e", Args: tup})
 	}
+	e := s.syms.predIDs[predKey{name: "e", arity: 2}]
+	if got := storedRows(s, s.nt(e)); !reflect.DeepEqual(got, ins) {
+		t.Fatalf("scan order = %v, want insertion order %v", got, ins)
+	}
+	if got := storedRows(s, s.nt(e).materialize()); !reflect.DeepEqual(got, ins) {
+		t.Fatalf("materialized scan order = %v, want insertion order %v", got, ins)
+	}
+
 	// Writing through a clone materializes the shared shard; the order
-	// must survive.
+	// must survive, and the original must not see the write.
 	c := s.Clone()
 	c.Insert(ast.Fact{Pred: "e", Args: []string{"m", "9"}})
-	var got [][]string
-	c.nt("e").all(func(tup []string) bool { got = append(got, tup); return true })
 	want := append(append([][]string{}, ins...), []string{"m", "9"})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-COW all() order = %v, want %v", got, want)
+	if got := storedRows(c, c.nt(e)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-COW scan order = %v, want %v", got, want)
+	}
+	if got := storedRows(s, s.nt(e)); !reflect.DeepEqual(got, ins) {
+		t.Fatalf("original after clone write = %v, want %v", got, ins)
+	}
+}
+
+// TestMaterializeCarriesIndexes: a copy-on-write materialization copies
+// the indexes the shared shard had built — the private copy answers
+// lookups without a rebuild, keeps maintaining them on insert, and the
+// frozen original is untouched.
+func TestMaterializeCarriesIndexes(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 40; i++ {
+		s.Insert(tfact("p", 2, fmt.Sprintf("a%d", i%5), fmt.Sprintf("b%d", i)))
+	}
+	p := s.syms.predIDs[predKey{name: "p", arity: 2, temporal: true}]
+	orig := s.at(p, 2)
+	a3 := s.syms.ids["a3"]
+	if got := len(spanRows(orig.bucket(1, []uint32{a3}))); got != 8 {
+		t.Fatalf("bucket(a3) = %d rows, want 8", got)
+	}
+	c := s.Clone()
+	c.Insert(tfact("p", 2, "a3", "fresh"))
+	priv := c.at(p, 2)
+	if priv == orig {
+		t.Fatal("write through the clone did not materialize the shared shard")
+	}
+	tbl := priv.idx.Load()
+	if tbl == nil || len(tbl.entries) != 1 || tbl.entries[0].mask != 1 {
+		t.Fatalf("materialized shard carries indexes %+v, want the mask-1 index", tbl)
+	}
+	if got := len(spanRows(priv.bucket(1, []uint32{a3}))); got != 9 {
+		t.Errorf("carried index after insert: bucket(a3) = %d rows, want 9", got)
+	}
+	if got := len(spanRows(orig.bucket(1, []uint32{a3}))); got != 8 {
+		t.Errorf("frozen original: bucket(a3) = %d rows, want 8", got)
+	}
+	for _, st := range []*Store{s, c} {
+		if err := checkStoreIndexes(st); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestSparseTimePoints: a fact far beyond the dense prefix of its
+// predicate's time axis lands in the overflow map — it must not allocate a
+// slot per time point up to it — and moves into the prefix when the
+// evaluated window reaches it.
+func TestSparseTimePoints(t *testing.T) {
+	s := NewStore()
+	far, mid := 1<<40, denseSlack+300
+	s.Insert(tfact("p", 0, "a"))
+	s.Insert(tfact("p", far, "a"))
+	s.Insert(tfact("p", mid, "b"))
+	p := s.syms.predIDs[predKey{name: "p", arity: 1, temporal: true}]
+	if n := len(s.rels[p].byTime); n > denseSlack+2 {
+		t.Fatalf("dense prefix grew to %d slots for three facts", n)
+	}
+	c := s.Clone()
+	for tm := 1; tm <= mid+100; tm++ {
+		c.Insert(tfact("p", tm, "a"))
+	}
+	for _, st := range []*Store{s, c} {
+		if !st.Has(tfact("p", far, "a")) || !st.Has(tfact("p", mid, "b")) || st.Has(tfact("p", far-1, "a")) || st.Has(tfact("p", -1, "a")) {
+			t.Error("membership wrong around sparse time points")
+		}
+		if got := st.StateSize(far); got != 1 {
+			t.Errorf("StateSize(far) = %d, want 1", got)
+		}
+	}
+	if got := c.Snapshot(mid); len(got) != 2 {
+		t.Errorf("Snapshot(mid) = %v, want both facts after the prefix grew over the overflow entry", got)
+	}
+	if len(c.rels[p].far) != 1 || len(s.rels[p].far) != 2 {
+		t.Errorf("overflow entries: clone %d (want 1), original %d (want 2)", len(c.rels[p].far), len(s.rels[p].far))
+	}
+	if f, st := c.card(p); f != mid+103 || st != mid+102 {
+		t.Errorf("card = (%d, %d), want (%d, %d)", f, st, mid+103, mid+102)
+	}
+	if err := checkStoreIndexes(s); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestConstantsIsTheActiveDomain: Constants is served from occurrence
+// marks — a rule constant that appears in no fact stays out of the
+// domain until a derivation or a base fact brings it in — and the cached
+// slice is dropped by exactly those events, in every clone separately.
+func TestConstantsIsTheActiveDomain(t *testing.T) {
+	e := mustEval(t, `
+tag(T+1, late) :- tick(T), marked(never).
+tag(T+1, early) :- tick(T).
+tick(T+1) :- tick(T).
+tick(0).
+label(x).
+`)
+	want := func(ev *Evaluator, consts ...string) {
+		t.Helper()
+		if got := ev.Store().Constants(); !reflect.DeepEqual(got, consts) {
+			t.Errorf("Constants = %v, want %v", got, consts)
+		}
+	}
+	// "late", "never" and "early" are interned by New but occur nowhere yet.
+	want(e, "x")
+	if _, ok := e.store.syms.ids["never"]; !ok {
+		t.Fatal("rule constant was not interned at compile time")
+	}
+	e.EnsureWindow(3)
+	want(e, "early", "x")
+	c := e.Clone()
+	want(c, "early", "x")
+	if _, err := c.InsertBase(ntfact("marked", "never")); err != nil {
+		t.Fatal(err)
+	}
+	c.PropagateDelta([]ast.Fact{ntfact("marked", "never")})
+	want(c, "early", "late", "never", "x")
+	want(e, "early", "x")
+	// Served from the cache until the next new occurrence.
+	if a, b := c.Store().Constants(), c.Store().Constants(); &a[0] != &b[0] {
+		t.Error("Constants rebuilt without a new occurrence")
+	}
+}
+
+// TestReadsNeverIntern: readers ask a published snapshot about constants
+// and predicates nobody has ever named while a writer asserts new facts —
+// with new constants — on forks of it. The asks answer false, the
+// snapshot's symbol table does not grow, and (under -race) no read touches
+// anything the writer's lineage mutates: the fork that interns a name
+// takes a private copy of the table first.
+func TestReadsNeverIntern(t *testing.T) {
+	snap := mustEval(t, `
+plane(T+2, X) :- plane(T, X), resort(X).
+served(X) :- plane(T, X).
+resort(r0). resort(r1).
+plane(0, r0). plane(1, r1).
+`)
+	snap.EnsureWindow(16)
+	table, syms, preds := snap.store.syms, len(snap.store.syms.names), len(snap.store.syms.preds)
+	domain := len(snap.store.Constants())
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				stranger := fmt.Sprintf("stranger-%d-%d", g, i)
+				if snap.Holds(tfact("plane", i%16, stranger)) || snap.Holds(ntfact("resort", stranger)) ||
+					snap.Holds(ntfact(stranger, "r0")) || snap.Holds(tfact("plane", i%16, "r0", "r1")) {
+					t.Errorf("snapshot holds a fact about %s", stranger)
+				}
+				if !snap.Holds(tfact("plane", 2*(i%8), "r0")) {
+					t.Errorf("snapshot lost plane(%d, r0)", 2*(i%8))
+				}
+				if got := len(snap.store.Constants()); got != domain {
+					t.Errorf("snapshot domain has %d constants, want %d", got, domain)
+				}
+			}
+		}(g)
+	}
+	fork := snap.Clone()
+	for i := 0; i < 50; i++ {
+		fresh := fmt.Sprintf("r-new-%d", i)
+		batch := []ast.Fact{ntfact("resort", fresh), tfact("plane", i%5, fresh), ntfact(fmt.Sprintf("tag%d", i), fresh)}
+		for _, f := range batch {
+			if ok, err := fork.InsertBase(f); err != nil || !ok {
+				t.Fatalf("InsertBase(%s) = %v, %v", f, ok, err)
+			}
+		}
+		fork.PropagateDelta(batch)
+		if !fork.Holds(ntfact("served", fresh)) {
+			t.Fatalf("fork did not derive served(%s)", fresh)
+		}
+		fork = fork.Clone() // the next tick forks the tick before, as Assert does
+	}
+	wg.Wait()
+
+	if snap.store.syms != table || len(table.names) != syms || len(table.preds) != preds {
+		t.Errorf("published snapshot's symbol table changed: %d -> %d symbols, %d -> %d predicates",
+			syms, len(snap.store.syms.names), preds, len(snap.store.syms.preds))
+	}
+	if got := len(fork.store.syms.names); got != syms+50 {
+		t.Errorf("fork interned %d symbols, want %d", got-syms, 50)
+	}
+	if err := checkStoreIndexes(fork.store); err != nil {
+		t.Error(err)
 	}
 }

@@ -23,7 +23,7 @@ func NewStore() *Store {
 	}
 }
 
-func tupleKey(args []string) string {
+func argsKey(args []string) string {
 	out := ""
 	for i, a := range args {
 		if i > 0 {
@@ -47,7 +47,7 @@ func (s *Store) Insert(f Fact) bool {
 			rel = make(map[string][]string)
 			byWord[f.Word] = rel
 		}
-		k := tupleKey(f.Args)
+		k := argsKey(f.Args)
 		if _, dup := rel[k]; dup {
 			return false
 		}
@@ -60,7 +60,7 @@ func (s *Store) Insert(f Fact) bool {
 		rel = make(map[string][]string)
 		s.plain[f.Pred] = rel
 	}
-	k := tupleKey(f.Args)
+	k := argsKey(f.Args)
 	if _, dup := rel[k]; dup {
 		return false
 	}
@@ -72,10 +72,10 @@ func (s *Store) Insert(f Fact) bool {
 // Has reports membership.
 func (s *Store) Has(f Fact) bool {
 	if f.Functional {
-		_, ok := s.fun[f.Pred][f.Word][tupleKey(f.Args)]
+		_, ok := s.fun[f.Pred][f.Word][argsKey(f.Args)]
 		return ok
 	}
-	_, ok := s.plain[f.Pred][tupleKey(f.Args)]
+	_, ok := s.plain[f.Pred][argsKey(f.Args)]
 	return ok
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // DetFix bans wall-clock time and randomness in the evaluation and
-// ingestion pipeline: the "time", "math/rand", and "math/rand/v2"
-// imports are forbidden in internal/engine, internal/core, internal/inc,
+// ingestion pipeline: the "time", "math/rand", "math/rand/v2", and
+// "hash/maphash" imports are forbidden in internal/engine, internal/core, internal/inc,
 // internal/wal, and internal/progan (whose analysis reports, slices, and
 // bounds must be pure functions of the AST — they feed fingerprints and
 // the planner). The engine's results, Stats, and derivation order
@@ -16,7 +16,11 @@ import (
 // output depend on the machine, which the differential tests could only
 // catch probabilistically. Banning the import bans every use. (Timing
 // belongs in internal/obs and the server layer, which are free to import
-// time.)
+// time.) hash/maphash is randomness by another name: its seeds are drawn
+// per process, so a state fingerprint built on it would differ between
+// two runs, between a leader and its follower, and between a WAL written
+// yesterday and the process replaying it — the store's fingerprints are
+// fixed functions of the hashed text instead (engine/symtab.go).
 //
 // internal/wal carries one scoped exemption, recorded in
 // detFixWallClockAllowed rather than as inline suppressions: its
@@ -28,7 +32,7 @@ import (
 // stop.
 var DetFix = &Analyzer{
 	Name: "detfix",
-	Doc:  "forbid time and math/rand imports in fixpoint packages (determinism contract)",
+	Doc:  "forbid time, math/rand and hash/maphash imports in fixpoint packages (determinism contract)",
 	AppliesTo: func(path string) bool {
 		return underTDD(path, "tdd/internal/engine", "tdd/internal/core", "tdd/internal/inc", "tdd/internal/wal", "tdd/internal/progan")
 	},
@@ -39,6 +43,7 @@ var detFixBanned = map[string]string{
 	"time":         "wall-clock time",
 	"math/rand":    "randomness",
 	"math/rand/v2": "randomness",
+	"hash/maphash": "a per-process hash seed",
 }
 
 // detFixWallClockAllowed lists packages exempt from the "time" ban (and

@@ -130,6 +130,24 @@ func pick() int { return rand.Int() }
 	}
 }
 
+func TestDetFixBansPerProcessHashSeeds(t *testing.T) {
+	// A fingerprint seeded per process differs between runs and between a
+	// leader and its follower.
+	src := `package engine
+import "hash/maphash"
+var seed = maphash.MakeSeed()
+func hash(s string) uint64 { return maphash.String(seed, s) }
+`
+	diags := lintFixture(t, "tdd/internal/engine", src)
+	if len(diags) != 1 || diags[0].Analyzer != "detfix" || !strings.Contains(diags[0].Message, "hash/maphash") {
+		t.Fatalf("diagnostics = %v, want one detfix finding on the hash/maphash import", diags)
+	}
+	// Outside the fixpoint packages the import is nobody's business.
+	if out := lintFixture(t, "tdd/internal/server", strings.Replace(src, "package engine", "package server", 1)); len(out) != 0 {
+		t.Fatalf("server may import hash/maphash, got %v", out)
+	}
+}
+
 func TestDetFixCoversIncrementalPipeline(t *testing.T) {
 	// internal/inc sits on the ingestion path; it inherits the full ban.
 	diags := lintFixture(t, "tdd/internal/inc", `package inc

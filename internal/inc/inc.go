@@ -11,8 +11,9 @@
 // fact-for-fact identical to a from-scratch evaluation of the fact union —
 // the semi-naive completeness argument — re-certification returns exactly
 // the specification a cold start would, while touching only the states the
-// delta changed (state keys are cached per time point and invalidated by
-// insertion).
+// delta changed: every state carries an incrementally maintained
+// fingerprint (engine.Store.StateFingerprint), so re-certification reads
+// the states it did not touch at no cost per fact.
 //
 // The evaluator's join mode flows through unchanged: delta propagation
 // re-fires pinned rules through the evaluator's own join plans
@@ -90,7 +91,9 @@ func Apply(e *engine.Evaluator, old *spec.Spec, maxWindow int, facts []ast.Fact)
 	// is exactly the minimal specification of the fact union — a changed
 	// state below the old base can shrink the minimal period as well as
 	// grow it, which is why no shortcut reuses the old certificate. The
-	// per-state key cache confines the rehash to states the delta touched.
+	// store's per-state fingerprints are maintained on insert, so the
+	// re-scan hashes nothing: only states the delta touched were rehashed,
+	// one fact at a time, as it touched them.
 	s, err := spec.Compute(e, maxWindow)
 	if err != nil {
 		return nil, res, err

@@ -40,21 +40,22 @@ func BenchmarkDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkScan isolates the period-scanning pass from evaluation: keys
+// BenchmarkScan isolates the period-scanning pass from evaluation: states
 // for a long window with a known repeating suffix.
 func BenchmarkScan(b *testing.B) {
 	for _, m := range []int{1 << 10, 1 << 14} {
-		keys := make([]string, m+1)
+		keys := make([]int, m+1)
 		for t := range keys {
 			if t < 37 {
-				keys[t] = fmt.Sprintf("transient-%d", t)
+				keys[t] = -t
 				continue
 			}
-			keys[t] = fmt.Sprintf("cycle-%d", (t-37)%12)
+			keys[t] = (t - 37) % 12
 		}
+		eq := func(t1, t2 int) bool { return keys[t1] == keys[t2] }
 		b.Run(fmt.Sprintf("window=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p, ok := scan(keys, 0, 3, 0)
+				p, ok := scan(m, 0, 3, 0, eq)
 				if !ok || p.P != 12 {
 					b.Fatalf("scan = %v, %v", p, ok)
 				}

@@ -41,6 +41,10 @@ func (p Period) Canonical(t int) int {
 type Stats struct {
 	Window int // final window size used
 	Grown  int // number of window growth steps
+	// ExactFallbacks counts the windows whose fingerprint-level winner
+	// failed exact confirmation and were re-scanned exactly: fingerprint
+	// collisions, expected to stay 0 for the lifetime of the universe.
+	ExactFallbacks int
 }
 
 // ErrWindowExceeded is returned when no period was certified within the
@@ -90,6 +94,11 @@ func MaxHeadDepth(prog *ast.Program) int {
 //
 // Minimality: among all verified periods, the one with the smallest p and,
 // for that p, the smallest base is returned.
+//
+// States are compared by the store's incrementally maintained 128-bit
+// fingerprints — reading one costs nothing per fact — and the winning
+// certificate is confirmed by exact set comparison (see certify), so the
+// result is exactly what comparing full states everywhere would give.
 func Detect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
 	c := e.Database().MaxDepth()
 	G := Lookback(e.Program())
@@ -108,11 +117,16 @@ func Detect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
 		}
 		e.EnsureWindow(m)
 		stats.Window = m
-		keys := make([]string, m+1)
-		for t := 0; t <= m; t++ {
-			keys[t] = e.Store().StateKey(t)
+		st := e.Store()
+		fps := make([]engine.Fingerprint, m+1)
+		for t := range fps {
+			fps[t] = st.StateFingerprint(t)
 		}
-		if p, ok := scan(keys, c, G, hmax); ok {
+		p, ok, fellBack := certify(m, c, G, hmax, func(t1, t2 int) bool { return fps[t1] == fps[t2] }, st.StateEqual)
+		if fellBack {
+			stats.ExactFallbacks++
+		}
+		if ok {
 			return p, stats, nil
 		}
 		if m >= maxWindow {
@@ -123,32 +137,61 @@ func Detect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
 	}
 }
 
-// scan searches keys[0..m] for the minimal certified period. keys[t] is
-// the canonical state at time t; c is the database's maximum temporal
-// depth; G the certificate width; hmax the maximum rule head depth.
+// certify finds the minimal certified period of the window 0..m under
+// the exact state equality, paying for it only where it matters: the
+// scan runs on approx, an equality that may also hold for unequal states
+// (fingerprints: equal states always have equal fingerprints) but never
+// fails for equal ones, and the G certificate states of its winner are
+// then compared exactly. fellBack reports that this confirmation failed
+// and the scan was repeated on exact.
 //
-// A pair (b, p) is certified when b > c, keys[t] == keys[t+p] for every
-// t in [b, m-p], the evidence window is wide enough (b + p + G <= m), and
-// the observed matches cover every instant at which a rule can still
-// become enabled (m - p + 1 >= hmax): beyond the window the continuation
+// Why confirming the winner suffices. approx holds wherever exact does,
+// so for every p the run of matches the scan walks down from m-p is at
+// least as long under approx: the approx winner (p', b') has p' <= p and,
+// at equal p, b' <= b of the exact winner — and no winner under approx
+// means none under exact. If the certificate states of (b', p') are
+// truly equal, the continuation argument makes M[t] = M[t+p'] for every
+// t >= b', so the exact scan succeeds at p' with a base <= b' (hence
+// p = p'), and its run cannot extend below b' either: the approx run
+// stopped there on a mismatch, which is a true one. The two winners
+// coincide.
+func certify(m, c, G, hmax int, approx, exact func(t1, t2 int) bool) (p Period, ok, fellBack bool) {
+	p, ok = scan(m, c, G, hmax, approx)
+	if !ok {
+		return Period{}, false, false
+	}
+	for t := p.Base; t < p.Base+G; t++ {
+		if !exact(t, t+p.P) {
+			p, ok = scan(m, c, G, hmax, exact)
+			return p, ok, true
+		}
+	}
+	return p, true, false
+}
+
+// scan searches the states 0..m for the minimal certified period. eq
+// reports whether the states at two time points are equal; c is the
+// database's maximum temporal depth; G the certificate width; hmax the
+// maximum rule head depth.
+//
+// A pair (b, p) is certified when b > c, eq(t, t+p) for every t in
+// [b, m-p], the evidence window is wide enough (b + p + G <= m), and the
+// observed matches cover every instant at which a rule can still become
+// enabled (m - p + 1 >= hmax): beyond the window the continuation
 // induction computes state t from the G previous states, and the
 // state-transition function is the same at t and t+p exactly when both
 // are beyond the database horizon and every rule's enabling time.
-func scan(keys []string, c, G, hmax int) (Period, bool) {
-	m := len(keys) - 1
-	best := Period{}
-	found := false
+func scan(m, c, G, hmax int, eq func(t1, t2 int) bool) (Period, bool) {
 	for p := 1; c+1+p+G <= m; p++ {
 		if m-p+1 < hmax {
 			// A rule with head depth hmax could first fire beyond the
 			// observed matches; no certificate possible at this p.
 			break
 		}
-		// Find the minimal b >= c+1 with keys[t] == keys[t+p] for all
-		// t in [b, m-p].
+		// Find the minimal b >= c+1 with eq(t, t+p) for all t in [b, m-p].
 		b := -1
 		for t := m - p; t >= c+1; t-- {
-			if keys[t] != keys[t+p] {
+			if !eq(t, t+p) {
 				break
 			}
 			b = t
@@ -159,12 +202,7 @@ func scan(keys []string, c, G, hmax int) (Period, bool) {
 		if b+p+G > m {
 			continue // not enough observed evidence
 		}
-		best = Period{Base: b, P: p}
-		found = true
-		break
+		return Period{Base: b, P: p}, true
 	}
-	if !found {
-		return Period{}, false
-	}
-	return best, true
+	return Period{}, false
 }

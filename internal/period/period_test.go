@@ -2,11 +2,16 @@ package period
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"tdd/internal/ast"
 	"tdd/internal/engine"
 	"tdd/internal/parser"
+	"tdd/internal/randgen"
+	"tdd/internal/workload"
 )
 
 func mustEval(t *testing.T, src string) *engine.Evaluator {
@@ -164,14 +169,19 @@ q(T+1) :- q(T).
 	}
 }
 
+// scanKeys runs scan over explicit state keys.
+func scanKeys(keys []string, c, G, hmax int) (Period, bool) {
+	return scan(len(keys)-1, c, G, hmax, func(t1, t2 int) bool { return keys[t1] == keys[t2] })
+}
+
 func TestScanNoFalsePositiveOnShortEvidence(t *testing.T) {
 	// keys: a b c c c — the c-run is too short to certify with G=3.
 	keys := []string{"a", "b", "c", "c", "c"}
-	if _, ok := scan(keys, 0, 3, 0); ok {
+	if _, ok := scanKeys(keys, 0, 3, 0); ok {
 		t.Error("scan certified a period without enough evidence")
 	}
 	keys = []string{"a", "b", "c", "c", "c", "c", "c"}
-	p, ok := scan(keys, 0, 3, 0)
+	p, ok := scanKeys(keys, 0, 3, 0)
 	if !ok || p.P != 1 || p.Base != 2 {
 		t.Errorf("scan = %v, %v; want (b=2, p=1)", p, ok)
 	}
@@ -180,13 +190,13 @@ func TestScanNoFalsePositiveOnShortEvidence(t *testing.T) {
 func TestScanMinimalPeriodFirst(t *testing.T) {
 	// Period 2 from index 1: x a b a b a b a b
 	keys := []string{"x", "a", "b", "a", "b", "a", "b", "a", "b"}
-	p, ok := scan(keys, 0, 1, 0)
+	p, ok := scanKeys(keys, 0, 1, 0)
 	if !ok || p.P != 2 || p.Base != 1 {
 		t.Errorf("scan = %v, %v; want (b=1, p=2)", p, ok)
 	}
 	// A constant sequence has period 1 even though 2 also fits.
 	keys = []string{"x", "a", "a", "a", "a", "a"}
-	p, ok = scan(keys, 0, 1, 0)
+	p, ok = scanKeys(keys, 0, 1, 0)
 	if !ok || p.P != 1 {
 		t.Errorf("scan = %v, want p=1", p)
 	}
@@ -226,5 +236,173 @@ func TestCanonicalEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleScan is the string-key scan Detect ran before states carried
+// fingerprints, kept verbatim as the reference: keys[t] is the canonical
+// rendering of state t.
+func oracleScan(keys []string, c, G, hmax int) (Period, bool) {
+	m := len(keys) - 1
+	for p := 1; c+1+p+G <= m; p++ {
+		if m-p+1 < hmax {
+			break
+		}
+		b := -1
+		for t := m - p; t >= c+1; t-- {
+			if keys[t] != keys[t+p] {
+				break
+			}
+			b = t
+		}
+		if b < 0 {
+			continue
+		}
+		if b+p+G > m {
+			continue
+		}
+		return Period{Base: b, P: p}, true
+	}
+	return Period{}, false
+}
+
+// oracleDetect is Detect's window loop over oracleScan and Store.StateKey.
+func oracleDetect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
+	c := e.Database().MaxDepth()
+	G := Lookback(e.Program())
+	hmax := MaxHeadDepth(e.Program())
+	var stats Stats
+	m := 2*c + 4*G + 4
+	if min := 2*hmax + 4; m < min {
+		m = min
+	}
+	if m < 16 {
+		m = 16
+	}
+	for {
+		if m > maxWindow {
+			m = maxWindow
+		}
+		e.EnsureWindow(m)
+		stats.Window = m
+		keys := make([]string, m+1)
+		for t := range keys {
+			keys[t] = e.Store().StateKey(t)
+		}
+		if p, ok := oracleScan(keys, c, G, hmax); ok {
+			return p, stats, nil
+		}
+		if m >= maxWindow {
+			return Period{}, stats, ErrWindowExceeded
+		}
+		m *= 2
+		stats.Grown++
+	}
+}
+
+// checkDetectMatchesOracle runs both detectors on fresh evaluators of the
+// same program and requires identical results, errors included.
+func checkDetectMatchesOracle(t *testing.T, name string, prog *ast.Program, db *ast.Database, maxWindow int) (certified bool) {
+	t.Helper()
+	fresh := func() *engine.Evaluator {
+		e, err := engine.New(prog, db)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return e
+	}
+	wantP, wantSt, wantErr := oracleDetect(fresh(), maxWindow)
+	gotP, gotSt, gotErr := Detect(fresh(), maxWindow)
+	if errors.Is(gotErr, ErrWindowExceeded) != errors.Is(wantErr, ErrWindowExceeded) || (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: Detect error %v, oracle error %v", name, gotErr, wantErr)
+	}
+	if gotP != wantP || gotSt != wantSt {
+		t.Fatalf("%s: Detect = %v %+v, oracle = %v %+v", name, gotP, gotSt, wantP, wantSt)
+	}
+	return gotErr == nil
+}
+
+// TestDetectMatchesStringOracle: fingerprint-based detection returns the
+// identical (Period, Stats) — and fails identically — as the string scan
+// over the 60-program random corpus and the exponential-period counter
+// family, under generous and under starved window budgets.
+func TestDetectMatchesStringOracle(t *testing.T) {
+	certified, exceeded := 0, 0
+	check := func(name string, prog *ast.Program, db *ast.Database, budget int) {
+		if checkDetectMatchesOracle(t, name, prog, db, budget) {
+			certified++
+		} else {
+			exceeded++
+		}
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randgen.New(rng, randgen.Default())
+		prog, err := g.Program(rng)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		db, err := g.Database(rng)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, budget := range []int{1 << 12, 10} {
+			check(fmt.Sprintf("seed %d budget %d", seed, budget), prog, db, budget)
+		}
+	}
+	for bits := 1; bits <= 6; bits++ {
+		rules, facts := workload.Counter(bits)
+		prog, db, err := parser.ParseUnit(rules + facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int{1 << 16, 24} {
+			check(fmt.Sprintf("counter bits %d budget %d", bits, budget), prog, db, budget)
+		}
+	}
+	t.Logf("%d certified, %d exceeded the budget", certified, exceeded)
+	// Both outcomes must be exercised, or the comparison proves little.
+	if certified < 60 || exceeded < 5 {
+		t.Errorf("corpus too one-sided: %d certified, %d exceeded the budget", certified, exceeded)
+	}
+}
+
+// TestCertifyFallsBackOnCollision forces fingerprint collisions — an
+// approximate equality that also holds for unequal states — and requires
+// the exact fallback to return the true minimal (b, p) every time.
+func TestCertifyFallsBackOnCollision(t *testing.T) {
+	// Transient x y, then period 3 from t=2.
+	keys := []string{"x", "y", "a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "c"}
+	m := len(keys) - 1
+	exact := func(t1, t2 int) bool { return keys[t1] == keys[t2] }
+	want, ok := oracleScan(keys, 0, 2, 0)
+	if !ok || want != (Period{Base: 2, P: 3}) {
+		t.Fatalf("oracle = %v, %v; want (b=2, p=3)", want, ok)
+	}
+	for name, approx := range map[string]func(t1, t2 int) bool{
+		// Everything collides: the approximate winner is (b=1, p=1).
+		"all-equal": func(t1, t2 int) bool { return true },
+		// The cycle's states collide with one another: (b=2, p=1) wins.
+		"cycle-collapsed": func(t1, t2 int) bool { return keys[t1] == keys[t2] || (t1 >= 2 && t2 >= 2) },
+		// Collisions only in the transient extend the run below the true base.
+		"transient": func(t1, t2 int) bool { return keys[t1] == keys[t2] || t1 < 2 },
+	} {
+		got, ok, fellBack := certify(m, 0, 2, 0, approx, exact)
+		if !ok || got != want {
+			t.Errorf("%s: certify = %v, %v; want %v", name, got, ok, want)
+		}
+		if !fellBack {
+			t.Errorf("%s: lying equality was not caught by exact confirmation", name)
+		}
+	}
+	// An honest approximation confirms without a second scan.
+	got, ok, fellBack := certify(m, 0, 2, 0, exact, exact)
+	if !ok || got != want || fellBack {
+		t.Errorf("honest: certify = %v, %v, fellBack=%v; want %v, true, false", got, ok, fellBack, want)
+	}
+	// No certificate under the approximation means none at all.
+	short := []string{"a", "b", "c", "d", "e", "f"}
+	if _, ok, _ := certify(len(short)-1, 0, 2, 0, func(t1, t2 int) bool { return short[t1] == short[t2] }, exact); ok {
+		t.Error("certify found a period in an aperiodic window")
 	}
 }

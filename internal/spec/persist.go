@@ -3,7 +3,6 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"tdd/internal/ast"
 	"tdd/internal/engine"
@@ -50,7 +49,6 @@ type Loaded struct {
 	preds  map[string]ast.PredInfo
 	w      *rewrite.System
 	store  *engine.Store
-	consts []string
 }
 
 // Import deserializes a specification exported by Export.
@@ -75,20 +73,12 @@ func Import(data []byte) (*Loaded, error) {
 		w:      w,
 		store:  engine.NewStore(),
 	}
-	constSet := make(map[string]bool)
 	for _, f := range p.Facts {
 		if f.Temporal && f.Time >= p.Base+p.Period {
 			return nil, fmt.Errorf("spec: fact %s beyond the representatives", f)
 		}
 		l.store.Insert(f)
-		for _, c := range f.Args {
-			constSet[c] = true
-		}
 	}
-	for c := range constSet {
-		l.consts = append(l.consts, c)
-	}
-	sort.Strings(l.consts)
 	return l, nil
 }
 
@@ -113,4 +103,4 @@ func (l *Loaded) TemporalDomain() []int {
 }
 
 // ConstantDomain implements query.Structure.
-func (l *Loaded) ConstantDomain() []string { return l.consts }
+func (l *Loaded) ConstantDomain() []string { return l.store.Constants() }

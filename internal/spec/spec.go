@@ -55,6 +55,7 @@ func Compute(e *engine.Evaluator, maxWindow int) (*Spec, error) {
 	}
 	sp.Add("window", int64(st.Window))
 	sp.Add("grown", int64(st.Grown))
+	sp.Add("exact_fallback", int64(st.ExactFallbacks))
 	sp.Add("base", int64(p.Base))
 	sp.Add("p", int64(p.P))
 	sp.End()

@@ -50,21 +50,24 @@ echo "==> bench smoke (1 iteration)"
 # both with and without a live trace) without measuring anything.
 go test -run '^$' -bench '^BenchmarkTraceOverhead$' -benchtime 1x .
 
-echo "==> profiler overhead gate (enabled <= 1.05x disabled, min of 3)"
+echo "==> profiler overhead gate (enabled <= 1.05x disabled, paired, min of 3)"
 # The E17 acceptance bound: the join profiler, fully enabled, must stay
-# within 5% of the uninstrumented pipeline. Single 25x runs are +-5%
-# noisy on shared runners, so each variant takes the minimum of three
-# runs before comparing — the minimum estimates the true cost, the rest
-# is scheduler noise.
-go test -run '^$' -bench '^BenchmarkProfileOverhead$' -benchtime 25x -count 3 . \
+# within 5% of the uninstrumented pipeline. The pipeline takes ~2 ms on
+# the interned store and a shared runner drifts by tens of per cent for
+# seconds at a time, so the two variants are not timed in separate runs:
+# the paired sub-benchmark runs them back to back 300 times, order
+# alternating, and reports the median per-pair time ratio. A slow phase
+# of the machine inflates the ratio, never deflates it, so the gate
+# takes the minimum of three such medians.
+go test -run '^$' -bench '^BenchmarkProfileOverhead$/^paired$' -benchtime 300x -count 3 . \
     | awk '
-        /BenchmarkProfileOverhead\/disabled/ { if (!d || $3 < d) d = $3 }
-        /BenchmarkProfileOverhead\/profiled/ { if (!p || $3 < p) p = $3 }
+        /BenchmarkProfileOverhead\/paired/ {
+            for (i = 2; i < NF; i++) if ($(i+1) == "profiled/disabled") { if (!r || $i < r) r = $i }
+        }
         END {
-            if (!d || !p) { print "profiler gate: benchmark produced no samples"; exit 1 }
-            ratio = p / d
-            printf "profiler overhead: disabled %d ns/op, profiled %d ns/op, ratio %.3f\n", d, p, ratio
-            if (ratio > 1.05) { print "profiler gate: enabled overhead exceeds 5%"; exit 1 }
+            if (!r) { print "profiler gate: benchmark produced no samples"; exit 1 }
+            printf "profiler overhead: profiled/disabled ratio %.3f\n", r
+            if (r > 1.05) { print "profiler gate: enabled overhead exceeds 5%"; exit 1 }
         }'
 
 echo "==> indexed-join gate (indexed <= 0.5x nested per family, min of 3)"
@@ -99,6 +102,19 @@ go test -run '^$' -bench '^BenchmarkIndexedJoin$' -benchtime 1x -count 3 ./inter
             if (nfam == 0) { print "indexed-join gate: benchmark produced no samples"; exit 1 }
             if (bad) exit 1
         }'
+
+echo "==> store allocation budgets"
+# The interned store's claims, pinned without a clock: a duplicate emit,
+# a Store.Has and an index probe allocate nothing, and N new facts in one
+# shard cost O(log N) allocations. go test ./... above already runs them;
+# naming them here keeps the gate visible, and the -list check fails
+# loudly if one is ever renamed away.
+for budget in TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts; do
+    go test -list "^${budget}\$" ./internal/engine/ \
+        | grep -q "^${budget}\$" \
+        || { echo "allocation budget gate: ${budget} missing" >&2; exit 1; }
+done
+go test -count=1 -run '^TestAllocBudget' ./internal/engine/
 
 echo "==> sliced-vs-full differential battery"
 # The slice theorem in executable form: for 60 random programs and every
