@@ -19,6 +19,7 @@ import (
 	"tdd/internal/fddb"
 	"tdd/internal/parser"
 	"tdd/internal/period"
+	"tdd/internal/progan"
 	"tdd/internal/spec"
 	"tdd/internal/workload"
 )
@@ -377,8 +378,15 @@ func BenchmarkE9Pruning(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("pruned/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pp := core.PruneForQuery(prog, q)
-				pdb := core.PruneDatabase(pp, q, db)
+				sl := progan.Analyze(prog, db).Slice(progan.QueryPreds(q))
+				pp, err := sl.Program()
+				if err != nil {
+					b.Fatal(err)
+				}
+				pdb, err := sl.Database(db)
+				if err != nil {
+					b.Fatal(err)
+				}
 				bt, err := core.New(pp, pdb)
 				if err != nil {
 					b.Fatal(err)

@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tdd/internal/ast"
 	"tdd/internal/classify"
@@ -42,9 +43,9 @@ const DefaultMaxWindow = 1 << 20
 // mutation after construction is the lazy, adaptive-window computation of
 // the relational specification (period certification grows the evaluator's
 // window and fact store); mu serializes it. Once the specification is
-// certified the evaluator is never mutated again, so every query path is a
-// read-only traversal of immutable structure — queries on a warm BT
-// contend only on one uncontended mutex acquisition.
+// certified it is published through an atomic pointer and the evaluator is
+// never mutated again, so every query path on a warm BT is a read-only
+// traversal of immutable structure that takes no lock at all.
 type BT struct {
 	eval      *engine.Evaluator
 	maxWindow int
@@ -54,10 +55,13 @@ type BT struct {
 	// spans are recorded under mu, so one trace per BT is safe.
 	tr *obs.Trace
 
-	// mu guards spec and every mutation of eval (window growth, store
-	// inserts, stats, provenance) performed while computing it.
-	mu   sync.Mutex
-	spec *spec.Spec // guarded-by: mu (computed lazily)
+	// mu serializes the computation of spec and every mutation of eval
+	// (window growth, store inserts, stats, provenance) performed during it.
+	mu sync.Mutex
+	// spec is nil until certified. It is stored exactly once, with mu held
+	// (or before the BT is shared, in Assert), and loaded without it: a
+	// non-nil load is the warm fast path of every query.
+	spec atomic.Pointer[spec.Spec]
 }
 
 // Option configures a BT processor.
@@ -118,12 +122,16 @@ func (b *BT) Preds() map[string]ast.PredInfo { return b.preds }
 func (b *BT) Evaluator() *engine.Evaluator { return b.eval }
 
 // Specification computes (and caches) the relational specification
-// S = (T, B, W) of the least model. Concurrent callers are serialized;
-// exactly one performs the computation. Failures (period not certifiable
-// within the window budget) are not cached, so a later call with more
-// luck — there is none; the computation is deterministic — simply fails
-// again without corrupting state.
+// S = (T, B, W) of the least model. Cold callers are serialized on mu and
+// exactly one performs the computation; once it is published, callers
+// return it without locking. Failures (period not certifiable within the
+// window budget) are not cached, so a later call with more luck — there
+// is none; the computation is deterministic — simply fails again without
+// corrupting state.
 func (b *BT) Specification() (*spec.Spec, error) {
+	if s := b.spec.Load(); s != nil {
+		return s, nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.specification()
@@ -133,8 +141,8 @@ func (b *BT) Specification() (*spec.Spec, error) {
 //
 //tddlint:holds mu
 func (b *BT) specification() (*spec.Spec, error) {
-	if b.spec != nil {
-		return b.spec, nil
+	if s := b.spec.Load(); s != nil {
+		return s, nil
 	}
 	// The classification phase exists for the trace (it annotates the
 	// phase tree with the tractable-class verdict driving the expected
@@ -153,7 +161,7 @@ func (b *BT) specification() (*spec.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.spec = s
+	b.spec.Store(s)
 	return s, nil
 }
 
@@ -260,7 +268,8 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 		nb.preds[k] = v
 	}
 	var res inc.Result
-	if b.spec == nil {
+	cur := b.spec.Load()
+	if cur == nil {
 		for _, f := range facts {
 			ok, err := e2.InsertBase(f)
 			if err != nil {
@@ -273,12 +282,12 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 			}
 		}
 	} else {
-		s, r, err := inc.Apply(e2, b.spec, b.maxWindow, facts)
+		s, r, err := inc.Apply(e2, cur, b.maxWindow, facts)
 		res = r
 		if err != nil {
 			return nil, res, err
 		}
-		nb.spec = s
+		nb.spec.Store(s)
 	}
 	// InsertBase admits new predicates; refresh the signature map queries
 	// are typed against.

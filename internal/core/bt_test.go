@@ -3,10 +3,13 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"tdd/internal/ast"
+	"tdd/internal/obs"
 	"tdd/internal/parser"
 	"tdd/internal/period"
+	"tdd/internal/spec"
 )
 
 func mustBT(t *testing.T, src string, opts ...Option) *BT {
@@ -206,4 +209,84 @@ func TestExplainThroughBT(t *testing.T) {
 	if b.Evaluator() == nil {
 		t.Error("Evaluator accessor nil")
 	}
+}
+
+// TestWarmReadsTakeNoLock pins the lock-free warm path: once the
+// specification is published, Specification, Ask and Period complete
+// while another goroutine holds mu.
+func TestWarmReadsTakeNoLock(t *testing.T) {
+	b := mustBT(t, skiSrc)
+	want, err := b.Specification()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := b.mustQuery(t, "plane(1000002, hunter)")
+
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if s, err := b.Specification(); err != nil || s != want {
+			t.Errorf("warm Specification = (%p, %v), want (%p, nil)", s, err, want)
+		}
+		if ok, err := b.Ask(q); err != nil || !ok {
+			t.Errorf("warm Ask = (%v, %v), want (true, nil)", ok, err)
+		}
+		if p, err := b.Period(); err != nil || p != want.Period {
+			t.Errorf("warm Period = (%v, %v), want (%v, nil)", p, err, want.Period)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("warm reads blocked on mu")
+	}
+}
+
+// TestColdCertifiesOnce: cold callers still serialise on mu — none gets
+// past it while it is held — and of 16 concurrent ones exactly one
+// certifies; all share the published specification.
+func TestColdCertifiesOnce(t *testing.T) {
+	tr := obs.New()
+	b := mustBT(t, skiSrc, WithTrace(tr))
+	const callers = 16
+	specs := make(chan *spec.Spec, callers)
+	b.mu.Lock()
+	for i := 0; i < callers; i++ {
+		go func() {
+			s, err := b.Specification()
+			if err != nil {
+				t.Error(err)
+			}
+			specs <- s
+		}()
+	}
+	select {
+	case <-specs:
+		b.mu.Unlock()
+		t.Fatal("cold Specification returned while mu was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	b.mu.Unlock()
+	first := <-specs
+	for i := 1; i < callers; i++ {
+		if s := <-specs; s != first {
+			t.Fatalf("caller %d got specification %p, want the shared %p", i, s, first)
+		}
+	}
+	if n := countSpans(tr.Snapshot().Phases, "certify-period"); n != 1 {
+		t.Fatalf("certified %d times under %d concurrent cold callers, want 1", n, callers)
+	}
+}
+
+func countSpans(spans []obs.SpanJSON, name string) int {
+	n := 0
+	for _, sp := range spans {
+		if sp.Name == name {
+			n++
+		}
+		n += countSpans(sp.Children, name)
+	}
+	return n
 }

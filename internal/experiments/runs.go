@@ -12,6 +12,7 @@ import (
 	"tdd/internal/fddb"
 	"tdd/internal/parser"
 	"tdd/internal/period"
+	"tdd/internal/progan"
 	"tdd/internal/spec"
 	"tdd/internal/workload"
 )
@@ -445,8 +446,15 @@ func E9(quick bool) (*Table, error) {
 		fullTime := time.Since(start)
 
 		start = time.Now()
-		pp := core.PruneForQuery(prog, q)
-		pdb := core.PruneDatabase(pp, q, db)
+		sl := progan.Analyze(prog, db).Slice(progan.QueryPreds(q))
+		pp, err := sl.Program()
+		if err != nil {
+			return nil, err
+		}
+		pdb, err := sl.Database(db)
+		if err != nil {
+			return nil, err
+		}
 		slim, err := core.New(pp, pdb)
 		if err != nil {
 			return nil, err

@@ -249,7 +249,7 @@ func (s *Server) handleDebugGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := debugGraphResponse{
 		ID:       id,
-		Slicing:  ent.slicing,
+		Slicing:  s.reg.slicing,
 		Graph:    ent.db.GraphJSON(),
 		Rendered: ent.db.Graph(),
 	}

@@ -253,6 +253,34 @@ func TestSnapshotRestartDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The snapshot's spec member is exported at snapshot time from the
+	// fork being published: it imports stand-alone and carries the period
+	// of the model as of the snapshot's last batch.
+	var snap wal.Snapshot
+	data, err := os.ReadFile(filepath.Join(dir, "programs", id, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := tdd.ImportSpec(snap.Spec)
+	if err != nil {
+		t.Fatalf("snapshot spec does not import: %v", err)
+	}
+	at, err := tdd.OpenUnit(evenUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:snap.Seq] {
+		if _, err := at.Assert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if per, err := at.Period(); err != nil || sdb.Period() != per {
+		t.Fatalf("snapshot spec at seq %d has period %v, oracle %v (err %v)", snap.Seq, sdb.Period(), per, err)
+	}
+
 	reg2 := durableRegistry(t, dir, wal.FsyncOff, 0)
 	if _, _, err := reg2.RecoverFromWAL(true); err != nil {
 		t.Fatal(err)

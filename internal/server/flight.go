@@ -47,10 +47,15 @@ type flight struct {
 	joiners atomic.Int64
 
 	// Written by the leader before close(done), read-only afterwards.
+	evaluation
+}
+
+// evaluation is what one ask or answers evaluation produced: the entry it
+// ran against and the route's result, or the error that prevented one.
+type evaluation struct {
 	ent    *entry
-	result bool
-	ans    []tdd.Answer
-	engine string
+	result bool         // ask
+	ans    []tdd.Answer // answers
 	err    error
 }
 

@@ -78,7 +78,7 @@ type askRequest struct {
 
 type askResponse struct {
 	Result    bool   `json:"result"`
-	Engine    string `json:"engine"` // "spec" (cache fast path) or "bt" (fallback)
+	Engine    string `json:"engine"` // "spec", or "sliced" on a server run with -slice
 	ElapsedUs int64  `json:"elapsed_us"`
 	// Coalesced marks a response served by joining an identical in-flight
 	// evaluation rather than running its own.
@@ -247,6 +247,22 @@ func (s *Server) dispatchTo(r *http.Request, id string, fn func()) error {
 	return s.pool.TryDo(ctx, fn)
 }
 
+// run dispatches fn for id (see dispatchTo) and reports whether it ran and
+// succeeded; otherwise the error response has been written.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, route, id string, fn func() error) bool {
+	var err error
+	if derr := s.dispatchTo(r, id, func() { err = fn() }); derr != nil {
+		// The abandoned closure may still write err: report derr alone.
+		s.fail(w, route, derr)
+		return false
+	}
+	if err != nil {
+		s.fail(w, route, err)
+		return false
+	}
+	return true
+}
+
 // awaitFlight blocks a coalesced request until its flight leader's
 // evaluation resolves, honoring the joiner's own deadline. Joiners hold
 // no worker, no queue slot, and no shard capacity — that is the point.
@@ -299,19 +315,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var (
 		ent      *entry
 		existing bool
-		err      error
 	)
 	// The content hash is the registry handle AND the shard key, so the
 	// admission gate can be consulted before any compile work happens.
 	id := hashSource(req.Unit, req.Rules, req.Facts)
-	if derr := s.dispatchTo(r, id, func() {
+	if !s.run(w, r, "register", id, func() (err error) {
 		ent, existing, err = s.reg.Register(req.Unit, req.Rules, req.Facts)
-	}); derr != nil {
-		s.fail(w, "register", derr)
-		return
-	}
-	if err != nil {
-		s.fail(w, "register", err)
+		return err
+	}) {
 		return
 	}
 	status := http.StatusCreated
@@ -327,7 +338,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Facts:           ent.facts,
 		LintWarnings:    ent.lint.Warnings(),
 	}
-	if lintWanted(r) {
+	if optedIn(r, "lint") {
 		res := ent.Lint()
 		resp.Lint = &res
 	}
@@ -360,18 +371,13 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	var (
 		ent *entry
 		res tdd.AssertResult
-		err error
 	)
 	id := r.PathValue("id")
 	start := time.Now()
-	if derr := s.dispatchTo(r, id, func() {
+	if !s.run(w, r, "facts", id, func() (err error) {
 		ent, res, err = s.reg.Ingest(id, req.Facts)
-	}); derr != nil {
-		s.fail(w, "facts", derr)
-		return
-	}
-	if err != nil {
-		s.fail(w, "facts", err)
+		return err
+	}) {
 		return
 	}
 	resp := factsResponse{
@@ -388,31 +394,21 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		LintWarnings:    ent.lint.Warnings(),
 		ElapsedUs:       time.Since(start).Microseconds(),
 	}
-	if lintWanted(r) {
+	if optedIn(r, "lint") {
 		lres := ent.Lint()
 		resp.Lint = &lres
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// traceWanted reports whether the request opted into an inline phase
-// tree via ?trace=1.
-func traceWanted(r *http.Request) bool {
-	v := r.URL.Query().Get("trace")
-	return v == "1" || v == "true"
-}
-
-// lintWanted reports whether the request opted into the full diagnostic
-// list via ?lint=1 (the warning count is always present).
-func lintWanted(r *http.Request) bool {
-	v := r.URL.Query().Get("lint")
-	return v == "1" || v == "true"
-}
-
-// profileWanted reports whether the request opted into the inline
-// EXPLAIN ANALYZE join-cost profile via ?profile=1.
-func profileWanted(r *http.Request) bool {
-	v := r.URL.Query().Get("profile")
+// optedIn reports whether the request carries ?name=1: "trace" for the
+// inline phase tree, "lint" for the full diagnostic list (the warning count
+// is always present), "profile" for the EXPLAIN ANALYZE join-cost profile.
+func optedIn(r *http.Request, name string) bool {
+	if r.URL.RawQuery == "" {
+		return false // the common case: skip parsing (and allocating) an empty query
+	}
+	v := r.URL.Query().Get(name)
 	return v == "1" || v == "true"
 }
 
@@ -443,43 +439,34 @@ func (s *Server) maybeLogSlow(route, id, q string, elapsed time.Duration, tr *ob
 	)
 }
 
-// POST /programs/{id}/ask
-func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
-	var req askRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.fail(w, "ask", err)
-		return
-	}
-	var (
-		resp askResponse
-		ent  *entry
-		tr   *obs.Trace
-		err  error
-	)
+// evaluate is the scaffold shared by ask and answers: it resolves key.id's
+// warm entry and runs body against it on the worker pool, coalescing
+// identical concurrent requests onto one evaluation. body stores its
+// result in the handler's out (whose ent is set here); a joiner gets a copy
+// of its flight leader's. tr is the request's own trace, nil unless
+// ?trace=1 or the slow-query log wants one. ok=false means the error
+// response has already been written.
+func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, route string, key flightKey,
+	out *evaluation, body func(*entry, *obs.Trace) error) (_ *obs.Trace, coalesced, ok bool) {
 	// Capture request-derived values before dispatch: on timeout the
-	// worker may still run the closure after this handler has returned,
+	// worker may still run the closure after the handler has returned,
 	// when r is no longer safe to touch.
-	id := r.PathValue("id")
-	wantTrace := traceWanted(r)
-	// The profile is program-lifetime state read at response-assembly
-	// time, so unlike a trace it does not force the request out of the
-	// coalescing path.
-	wantProfile := profileWanted(r)
-	traceOn := wantTrace || s.cfg.SlowQueryLog > 0
+	traceOn := optedIn(r, "trace") || s.cfg.SlowQueryLog > 0
 	tid := obs.IDFrom(r.Context())
-	start := time.Now()
 	// The revision read is one shard map lookup; it doubles as the 404
-	// fast path and pins the coalescing key — identical asks coalesce
+	// fast path and pins the coalescing key — identical requests coalesce
 	// only within one content revision, so an ingest that moves the
 	// program immediately stops answers from riding the stale flight.
-	_, rev, known := s.reg.SeqRev(id)
-	if !known {
-		s.fail(w, "ask", ErrNotFound)
-		return
+	var known bool
+	if _, key.rev, known = s.reg.SeqRev(key.id); !known {
+		s.fail(w, route, ErrNotFound)
+		return nil, false, false
 	}
+	// tr and *out belong to the dispatched closure until dispatch succeeds:
+	// after a failed one it may still be running, so neither is read.
+	var tr *obs.Trace
 	eval := func() {
-		ent, err = s.reg.Lookup(id)
-		if err != nil {
+		if out.ent, out.err = s.reg.Lookup(key.id); out.err != nil {
 			return
 		}
 		// The trace starts inside the dispatched closure so queue wait
@@ -487,58 +474,80 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		if traceOn {
 			tr = obs.NewWithID(tid)
 		}
-		resp.Result, resp.Engine, err = ent.ask(req.Query, s.metrics, tr)
+		out.err = body(out.ent, tr)
 	}
-	switch {
-	case traceOn:
+	var derr error
+	if traceOn {
 		// A trace documents one evaluation, so a traced request owns one:
 		// it never joins, and nothing joins it (its result is never
 		// published to the flight group).
-		if derr := s.dispatchTo(r, id, eval); derr != nil {
-			s.fail(w, "ask", derr)
-			return
-		}
-	default:
-		key := flightKey{id: id, rev: rev, query: req.Query}
-		f, leader := s.reg.flights.join(key)
-		if leader {
-			s.metrics.FlightLeaders.Add(1)
-			derr := s.dispatchTo(r, id, eval)
-			if derr != nil {
-				// The closure may still be running on an abandoned worker
-				// slot; publish only the dispatch error, never its fields.
-				f.err = derr
-			} else {
-				f.ent, f.result, f.engine, f.err = ent, resp.Result, resp.Engine, err
-			}
-			s.reg.flights.finish(key, f)
-			if derr != nil {
-				s.fail(w, "ask", derr)
-				return
-			}
+		derr = s.dispatchTo(r, key.id, eval)
+	} else if f, leader := s.reg.flights.join(key); leader {
+		s.metrics.FlightLeaders.Add(1)
+		if derr = s.dispatchTo(r, key.id, eval); derr != nil {
+			// Publish only the dispatch error, never the closure's fields.
+			f.err = derr
 		} else {
-			s.metrics.Coalesced.Add(1)
-			if jerr := s.awaitFlight(r, f); jerr != nil {
-				s.fail(w, "ask", jerr)
-				return
-			}
-			ent, resp.Result, resp.Engine, err = f.ent, f.result, f.engine, f.err
-			resp.Coalesced = true
+			f.evaluation = *out
+		}
+		s.reg.flights.finish(key, f)
+	} else {
+		s.metrics.Coalesced.Add(1)
+		if derr = s.awaitFlight(r, f); derr == nil {
+			*out, coalesced = f.evaluation, true
 		}
 	}
-	if err != nil {
+	if derr == nil {
+		derr = out.err
+	}
+	if derr != nil {
+		s.fail(w, route, derr)
+		return nil, false, false
+	}
+	return tr, coalesced, true
+}
+
+// diagnostics builds the opt-in response blocks: the merged phase tree
+// (?trace=1) and the join-cost profile (?profile=1). The profile is
+// program-lifetime state read at response-assembly time, so unlike a
+// trace it does not force the request out of the coalescing path.
+func diagnostics(r *http.Request, ent *entry, tr *obs.Trace) (trace *traceJSON, profile *tdd.ProfileReport) {
+	if optedIn(r, "trace") {
+		trace = mergedTrace(ent.CompileTrace(), tr.Snapshot(), ent.db.EngineDetail().Rules)
+	}
+	if optedIn(r, "profile") {
+		profile = ent.db.ProfileReport()
+	}
+	return trace, profile
+}
+
+// POST /programs/{id}/ask
+func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
+	var req askRequest
+	if err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, "ask", err)
 		return
 	}
+	id := r.PathValue("id")
+	start := time.Now()
+	var out evaluation
+	tr, coalesced, ok := s.evaluate(w, r, "ask", flightKey{id: id, query: req.Query}, &out,
+		func(ent *entry, tr *obs.Trace) (err error) {
+			out.result, err = ent.db.AskTrace(req.Query, tr)
+			return err
+		})
+	if !ok {
+		return
+	}
 	elapsed := time.Since(start)
-	resp.ElapsedUs = elapsed.Microseconds()
-	resp.TraceID = tid
-	if wantTrace {
-		resp.Trace = mergedTrace(ent.CompileTrace(), tr.Snapshot(), ent.db.EngineDetail().Rules)
+	resp := askResponse{
+		Result:    out.result,
+		Engine:    s.reg.askEngine(),
+		ElapsedUs: elapsed.Microseconds(),
+		Coalesced: coalesced,
+		TraceID:   obs.IDFrom(r.Context()),
 	}
-	if wantProfile {
-		resp.Profile = ent.db.ProfileReport()
-	}
+	resp.Trace, resp.Profile = diagnostics(r, out.ent, tr)
 	s.maybeLogSlow("ask", id, req.Query, elapsed, tr)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -554,90 +563,33 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "answers", errors.New("limit must be >= 0"))
 		return
 	}
-	var (
-		ans       []tdd.Answer
-		engine    string
-		ent       *entry
-		tr        *obs.Trace
-		err       error
-		coalesced bool
-	)
 	id := r.PathValue("id")
-	wantTrace := traceWanted(r)
-	wantProfile := profileWanted(r)
-	traceOn := wantTrace || s.cfg.SlowQueryLog > 0
-	tid := obs.IDFrom(r.Context())
 	start := time.Now()
-	_, rev, known := s.reg.SeqRev(id)
-	if !known {
-		s.fail(w, "answers", ErrNotFound)
-		return
-	}
-	eval := func() {
-		ent, err = s.reg.Lookup(id)
-		if err != nil {
-			return
-		}
-		if traceOn {
-			tr = obs.NewWithID(tid)
-		}
-		ans, engine, err = ent.answers(req.Query, req.Limit, s.metrics, tr)
-	}
-	switch {
-	case traceOn:
-		if derr := s.dispatchTo(r, id, eval); derr != nil {
-			s.fail(w, "answers", derr)
-			return
-		}
-	default:
-		// The limit participates in the key: answers with different limits
-		// are different result sets and must not share a flight.
-		key := flightKey{id: id, rev: rev, query: req.Query, answers: true, limit: req.Limit}
-		f, leader := s.reg.flights.join(key)
-		if leader {
-			s.metrics.FlightLeaders.Add(1)
-			derr := s.dispatchTo(r, id, eval)
-			if derr != nil {
-				f.err = derr
-			} else {
-				f.ent, f.ans, f.engine, f.err = ent, ans, engine, err
-			}
-			s.reg.flights.finish(key, f)
-			if derr != nil {
-				s.fail(w, "answers", derr)
-				return
-			}
-		} else {
-			s.metrics.Coalesced.Add(1)
-			if jerr := s.awaitFlight(r, f); jerr != nil {
-				s.fail(w, "answers", jerr)
-				return
-			}
-			ent, ans, engine, err = f.ent, f.ans, f.engine, f.err
-			coalesced = true
-		}
-	}
-	if err != nil {
-		s.fail(w, "answers", err)
+	var out evaluation
+	// The limit participates in the key: answers with different limits
+	// are different result sets and must not share a flight.
+	key := flightKey{id: id, query: req.Query, answers: true, limit: req.Limit}
+	tr, coalesced, ok := s.evaluate(w, r, "answers", key, &out,
+		func(ent *entry, tr *obs.Trace) (err error) {
+			out.ans, err = ent.db.AnswersLimitTrace(req.Query, req.Limit, tr)
+			return err
+		})
+	if !ok {
 		return
 	}
 	elapsed := time.Since(start)
+	per := out.ent.period
 	resp := answersResponse{
-		Answers:   make([]answerJSON, 0, len(ans)),
-		Count:     len(ans),
-		Rewrite:   fmt.Sprintf("%d -> %d", ent.period.Base+ent.period.P, ent.period.Base),
-		Engine:    engine,
+		Answers:   make([]answerJSON, 0, len(out.ans)),
+		Count:     len(out.ans),
+		Rewrite:   fmt.Sprintf("%d -> %d", per.Base+per.P, per.Base),
+		Engine:    "spec",
 		ElapsedUs: elapsed.Microseconds(),
 		Coalesced: coalesced,
-		TraceID:   tid,
+		TraceID:   obs.IDFrom(r.Context()),
 	}
-	if wantTrace {
-		resp.Trace = mergedTrace(ent.CompileTrace(), tr.Snapshot(), ent.db.EngineDetail().Rules)
-	}
-	if wantProfile {
-		resp.Profile = ent.db.ProfileReport()
-	}
-	for _, a := range ans {
+	resp.Trace, resp.Profile = diagnostics(r, out.ent, tr)
+	for _, a := range out.ans {
 		resp.Answers = append(resp.Answers, answerJSON{Temporal: a.Temporal, NonTemporal: a.NonTemporal})
 	}
 	s.maybeLogSlow("answers", id, req.Query, elapsed, tr)
@@ -646,46 +598,36 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 
 // GET /programs/{id}/period
 func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
-	var (
-		ent *entry
-		err error
-	)
+	var ent *entry
 	id := r.PathValue("id")
-	if derr := s.dispatchTo(r, id, func() {
+	if !s.run(w, r, "period", id, func() (err error) {
 		ent, err = s.reg.Lookup(id)
-	}); derr != nil {
-		s.fail(w, "period", derr)
-		return
-	}
-	if err != nil {
-		s.fail(w, "period", err)
+		return err
+	}) {
 		return
 	}
 	writeJSON(w, http.StatusOK, periodJSON{Base: ent.period.Base, P: ent.period.P})
 }
 
-// GET /programs/{id}/spec — the exported relational specification, the
-// exact JSON tdd.ImportSpec accepts, so clients can serve queries
-// locally without the rules or the server.
+// GET /programs/{id}/spec — the relational specification, exported on
+// demand from the snapshot the entry serves, in the stand-alone JSON form
+// of the tdd facade, so clients can serve queries locally without the
+// rules or the server.
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	var (
-		ent *entry
-		err error
-	)
+	var data []byte
 	id := r.PathValue("id")
-	if derr := s.dispatchTo(r, id, func() {
-		ent, err = s.reg.Lookup(id)
-	}); derr != nil {
-		s.fail(w, "spec", derr)
-		return
-	}
-	if err != nil {
-		s.fail(w, "spec", err)
+	if !s.run(w, r, "spec", id, func() error {
+		ent, err := s.reg.Lookup(id)
+		if err == nil {
+			data, err = ent.db.ExportSpec()
+		}
+		return err
+	}) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(ent.specJSON) //nolint:errcheck
+	w.Write(data) //nolint:errcheck
 }
 
 // GET /programs/{id}/wal — the replication feed: the batch history past
@@ -703,19 +645,12 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	var (
-		feed WalFeed
-		err  error
-	)
+	var feed WalFeed
 	id := r.PathValue("id")
-	if derr := s.dispatchTo(r, id, func() {
+	if !s.run(w, r, "wal", id, func() (err error) {
 		feed, err = s.reg.Feed(id, from)
-	}); derr != nil {
-		s.fail(w, "wal", derr)
-		return
-	}
-	if err != nil {
-		s.fail(w, "wal", err)
+		return err
+	}) {
 		return
 	}
 	writeJSON(w, http.StatusOK, feed)

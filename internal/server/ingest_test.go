@@ -243,7 +243,7 @@ func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
 	if want := nextRev(id, "even(100).\n"); cur.Rev() != want {
 		t.Fatalf("served rev %s, want %s — cache clobbered by stale registration", cur.Rev(), want)
 	}
-	got, _, err := cur.ask("even(100)", reg.metrics, nil)
+	got, err := cur.db.Ask("even(100)")
 	if err != nil || !got {
 		t.Fatalf("ingested fact lost after duplicate registration: %v %v", got, err)
 	}

@@ -110,7 +110,6 @@ type Metrics struct {
 	CacheHits   atomic.Int64 // spec-cache lookups answered warm
 	CacheMisses atomic.Int64 // spec-cache lookups that had to (re)compile
 	CacheEvict  atomic.Int64 // entries displaced by the LRU policy
-	Fallbacks   atomic.Int64 // queries the spec path failed and BT answered
 
 	// Admission and coalescing counters (see shard.go, flight.go).
 	Shed          atomic.Int64 // requests rejected by admission instead of queued
@@ -242,7 +241,6 @@ type MetricsSnapshot struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	CacheEvict  int64 `json:"cache_evictions"`
-	Fallbacks   int64 `json:"bt_fallbacks"`
 	Asserts     int64 `json:"asserts"`
 	Ingested    int64 `json:"facts_ingested"`
 	// Admission and coalescing: shed requests were rejected fast instead
@@ -315,7 +313,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CacheHits:     m.CacheHits.Load(),
 		CacheMisses:   m.CacheMisses.Load(),
 		CacheEvict:    m.CacheEvict.Load(),
-		Fallbacks:     m.Fallbacks.Load(),
 		Asserts:       m.Asserts.Load(),
 		Ingested:      m.FactsIngested.Load(),
 		Shed:          m.Shed.Load(),

@@ -37,8 +37,6 @@ var promScalars = []promMetric{
 		func(m *Metrics) int64 { return m.CacheMisses.Load() }},
 	{"tddserve_spec_cache_evictions_total", "counter", "Warm entries displaced by the LRU policy.",
 		func(m *Metrics) int64 { return m.CacheEvict.Load() }},
-	{"tddserve_bt_fallbacks_total", "counter", "Queries the spec path failed and the BT engine answered.",
-		func(m *Metrics) int64 { return m.Fallbacks.Load() }},
 	{"tddserve_asserts_total", "counter", "Successful fact-ingestion batches.",
 		func(m *Metrics) int64 { return m.Asserts.Load() }},
 	{"tddserve_facts_ingested_total", "counter", "Facts new to a database across all ingestions.",

@@ -10,10 +10,10 @@
 //     stable handle (the content hash), so registration is idempotent and
 //     cacheable across clients;
 //   - an LRU specification cache: each registered program is compiled and
-//     preprocessed (period certified, specification exported and
-//     re-imported as an immutable tdd.SpecDB) at most once while resident;
-//     queries hit the warm SpecDB — the E7 fast path — and fall back to
-//     the BT engine when the spec path cannot answer;
+//     its period certified at most once while resident. A warm entry holds
+//     one model — the tdd.DB snapshot — and every query is answered from
+//     its certified specification (the E7 fast path) without taking a
+//     lock; there is no second copy and no fallback engine;
 //   - a bounded worker pool with per-request deadlines, so overload
 //     degrades into prompt errors rather than unbounded concurrency;
 //   - an observability layer: request/error counters, latency histograms,
@@ -66,22 +66,17 @@ func (s *programSource) lintSource() string {
 	return s.rules
 }
 
-// entry is a warm program: the compiled BT engine plus the preprocessed
-// specification. specDB answers every query the spec path supports from
-// immutable structure with no locking; db is the fallback engine and the
-// source of the exported specification.
+// entry is a warm program: one certified tdd.DB snapshot. ask, answers and
+// period are served from it directly — a warm tdd.DB answers from its
+// published specification with no locking — and the /spec route and WAL
+// snapshots export it on demand. Entries are immutable once published; an
+// ingest builds a successor on a fork of db and swaps it in.
 type entry struct {
-	src      *programSource
-	db       *tdd.DB
-	specDB   *tdd.SpecDB
-	specJSON []byte
-	period   tdd.Period
-	reps     int // |T|, representative terms
-	facts    int // |B|, primary-database facts
-	// slicing records whether db was opened with query-directed slicing;
-	// ask then prefers the slicing-enabled processor over the full
-	// specification cache.
-	slicing bool
+	src    *programSource
+	db     *tdd.DB
+	period tdd.Period
+	reps   int // |T|, representative terms
+	facts  int // |B|, primary-database facts
 	// lint is the Tier-A analysis of the compiled program, computed once
 	// per compile/ingest while the entry is built — never on the query
 	// path. Served in registration/ingestion responses (?lint=1 for the
@@ -89,10 +84,30 @@ type entry struct {
 	lint tdd.LintResult
 	// tr is the program's lifetime trace: the compile pipeline (parse,
 	// validate, classify, certify-period with fixpoint sweeps,
-	// spec-construct, preprocess, import) plus every ingest since.
-	// ?trace=1 responses merge a snapshot of it with the request's own
-	// trace so warm queries still show where the preprocessing time went.
+	// spec-construct, lint) plus every ingest since. ?trace=1 responses
+	// merge a snapshot of it with the request's own trace so warm queries
+	// still show where the certification time went.
 	tr *obs.Trace
+}
+
+// newEntry certifies db (a no-op when it is already warm, as a fork that
+// asserted into a warm snapshot is) and lints it against the certified
+// model, so everything a response or a warm query reads is in place
+// before the entry is published.
+func newEntry(src *programSource, db *tdd.DB, tr *obs.Trace) (*entry, error) {
+	per, err := db.Period()
+	if err != nil {
+		return nil, fmt.Errorf("certifying: %w", err)
+	}
+	reps, facts, err := db.SpecificationSize()
+	if err != nil {
+		return nil, err
+	}
+	sp := tr.Begin("lint")
+	lintRes := db.Lint(src.lintSource())
+	sp.Add("warnings", int64(lintRes.Warnings()))
+	sp.End()
+	return &entry{src: src, db: db, period: per, reps: reps, facts: facts, lint: lintRes, tr: tr}, nil
 }
 
 // CompileTrace snapshots the program's lifetime trace.
@@ -167,8 +182,7 @@ type Registry struct {
 	snapshotEvery int
 
 	// slicing opens every compiled program with query-directed relevance
-	// slicing (tdd.WithSlicing) and flips ask to prefer the sliced path.
-	// Set once before serving (EnableSlicing).
+	// slicing (tdd.WithSlicing). Set once before serving (EnableSlicing).
 	slicing bool
 
 	shards  []*shard
@@ -220,9 +234,8 @@ func nextRev(rev, batch string) string {
 	return wal.NextRev(rev, batch)
 }
 
-// compile builds a warm entry: parse and validate, certify the period,
-// export the relational specification, and re-import it as the immutable
-// serving structure.
+// compile builds a warm entry: parse and validate, replay the ingestion
+// history, certify the period, and lint.
 func (r *Registry) compile(src *programSource) (*entry, error) {
 	tr := obs.New()
 	// The join profiler is always on, like the lifetime trace: certification
@@ -256,44 +269,7 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 			return nil, fmt.Errorf("replaying ingested facts: %w", err)
 		}
 	}
-	// The export triggers the whole certification pipeline, so its phases
-	// (classify, certify-period with fixpoint sweeps, spec-construct) nest
-	// under preprocess in the trace.
-	sp := tr.Begin("preprocess")
-	specJSON, err := db.ExportSpec()
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("preprocessing: %w", err)
-	}
-	sp = tr.Begin("import")
-	specDB, err := tdd.ImportSpec(specJSON)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("reloading specification: %w", err)
-	}
-	reps, facts, err := db.SpecificationSize()
-	if err != nil {
-		return nil, err
-	}
-	// Lint after the export: the specification is already certified, so
-	// the linter's semantic probe reuses it and re-evaluates nothing. The
-	// cost lands on compile, keeping the query path untouched.
-	sp = tr.Begin("lint")
-	lintRes := db.Lint(src.lintSource())
-	sp.Add("warnings", int64(lintRes.Warnings()))
-	sp.End()
-	return &entry{
-		src:      src,
-		db:       db,
-		specDB:   specDB,
-		specJSON: specJSON,
-		period:   specDB.Period(),
-		reps:     reps,
-		facts:    facts,
-		lint:     lintRes,
-		slicing:  r.slicing,
-		tr:       tr,
-	}, nil
+	return newEntry(src, db, tr)
 }
 
 // Register registers (or re-registers) a program and returns its warm
@@ -435,18 +411,6 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 	if err != nil {
 		return nil, res, err
 	}
-	specJSON, err := fork.ExportSpec()
-	if err != nil {
-		return nil, res, fmt.Errorf("re-preprocessing: %w", err)
-	}
-	specDB, err := tdd.ImportSpec(specJSON)
-	if err != nil {
-		return nil, res, fmt.Errorf("reloading specification: %w", err)
-	}
-	reps, nfacts, err := fork.SpecificationSize()
-	if err != nil {
-		return nil, res, err
-	}
 	nsrc := &programSource{
 		id:    id,
 		unit:  src.unit,
@@ -458,16 +422,9 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 	// The fork's BT carries ent's lifetime trace, so the Assert above
 	// recorded its ingest/delta spans into it; the successor entry keeps
 	// the same trace.
-	ne := &entry{
-		src:      nsrc,
-		db:       fork,
-		specDB:   specDB,
-		specJSON: specJSON,
-		period:   specDB.Period(),
-		reps:     reps,
-		facts:    nfacts,
-		lint:     fork.Lint(nsrc.lintSource()),
-		tr:       ent.tr,
+	ne, err := newEntry(nsrc, fork, ent.tr)
+	if err != nil {
+		return nil, res, err
 	}
 	// Log-before-publish: the batch reaches the WAL (and, under
 	// fsync=always, stable storage) before any reader can observe it. A
@@ -484,17 +441,21 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 		}
 		r.metrics.WalAppends.Add(1)
 		if r.snapshotEvery > 0 && lg.SinceSnapshot() >= uint64(r.snapshotEvery) {
-			// The snapshot reuses the spec the ingest just exported — a
-			// spec snapshot costs no re-evaluation. Failure is tolerable:
-			// the batch itself is already in the log.
+			// The specification is exported here, from the fork about to be
+			// published, and only at snapshot cadence — no other ingest
+			// serializes the model. Failure is tolerable: the batch itself
+			// is already in the log.
 			snap := wal.Snapshot{
 				Seq:     rec.Seq,
 				Rev:     nsrc.rev,
 				Base:    wal.Base{ID: id, Unit: nsrc.unit, Rules: nsrc.rules, Facts: nsrc.facts},
 				Records: chainRecords(nsrc),
-				Spec:    specJSON,
 			}
-			if err := lg.WriteSnapshot(snap); err != nil {
+			var err error
+			if snap.Spec, err = fork.ExportSpec(); err == nil {
+				err = lg.WriteSnapshot(snap)
+			}
+			if err != nil {
 				r.metrics.SnapshotErrors.Add(1)
 			} else {
 				r.metrics.Snapshots.Add(1)
@@ -534,10 +495,22 @@ func (r *Registry) EnableDurability(store *wal.Store, snapshotEvery int) {
 }
 
 // EnableSlicing opens every subsequently compiled program with
-// query-directed relevance slicing and flips ask to prefer the sliced
-// path (see entry.ask). Call once, before serving: already-warm entries
-// keep their compile-time setting until recompiled.
+// query-directed relevance slicing: a closed query is then answered from
+// its relevance slice, certified on its own, whose period (and hence
+// quantifier domains) can be far smaller than the full model's; the DB
+// uses the full specification itself when the slice is the whole program.
+// Call once, before serving.
 func (r *Registry) EnableSlicing() { r.slicing = true }
+
+// askEngine is the "engine" field of ask responses: "sliced" when programs
+// are opened with slicing, "spec" otherwise. Open queries are always
+// answered from the full specification, so answers responses say "spec".
+func (r *Registry) askEngine() string {
+	if r.slicing {
+		return "sliced"
+	}
+	return "spec"
+}
 
 // RecoverFromWAL reconstructs the registry from the attached store:
 // every program's base sources and verified batch history become a
@@ -763,61 +736,4 @@ func (r *Registry) CachedLen() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// ask answers a closed query for this entry: the cached specification
-// first (the E7 fast path), the BT engine as fallback. engine reports
-// which path answered. tr (may be nil) receives the request's phase
-// spans; a fallback records a second parse-query/answer pair.
-//
-// With slicing enabled the order flips: the slicing-enabled processor
-// answers first — it evaluates only the query's relevance slice, whose
-// certified period (and hence quantifier domains) can be far smaller
-// than the full specification's — and the full specification cache is
-// the fallback. "sliced" labels that processor's answers; it itself
-// falls back to full evaluation internally when the query's slice is
-// the whole program.
-func (e *entry) ask(q string, m *Metrics, tr *obs.Trace) (result bool, engine string, err error) {
-	if e.slicing {
-		result, err = e.db.AskTrace(q, tr)
-		if err == nil {
-			return result, "sliced", nil
-		}
-		btErr := err
-		result, err = e.specDB.AskTrace(q, tr)
-		if err != nil {
-			return false, "", btErr
-		}
-		m.Fallbacks.Add(1)
-		return result, "spec", nil
-	}
-	result, err = e.specDB.AskTrace(q, tr)
-	if err == nil {
-		return result, "spec", nil
-	}
-	specErr := err
-	result, err = e.db.AskTrace(q, tr)
-	if err != nil {
-		// Both failed — report the spec error; the paths share a parser,
-		// so this is almost always a malformed query.
-		return false, "", specErr
-	}
-	m.Fallbacks.Add(1)
-	return result, "bt", nil
-}
-
-// answers enumerates (up to limit) answers for this entry, spec path
-// first with BT fallback; see ask.
-func (e *entry) answers(q string, limit int, m *Metrics, tr *obs.Trace) (ans []tdd.Answer, engine string, err error) {
-	ans, err = e.specDB.AnswersLimitTrace(q, limit, tr)
-	if err == nil {
-		return ans, "spec", nil
-	}
-	specErr := err
-	ans, err = e.db.AnswersLimitTrace(q, limit, tr)
-	if err != nil {
-		return nil, "", specErr
-	}
-	m.Fallbacks.Add(1)
-	return ans, "bt", nil
 }

@@ -248,21 +248,53 @@ func TestBadQuery(t *testing.T) {
 }
 
 // TestServedSpecRoundTrip downloads the exported specification and
-// answers queries from it locally — the offline-client workflow.
+// answers queries from it locally — the offline-client workflow. The
+// route exports on demand from the snapshot the entry serves: its bytes
+// are tdd.DB.ExportSpec of the same sources, and after an ingest it
+// carries the new revision's model, not the registration's.
 func TestServedSpecRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := register(t, ts.URL, evenUnit)
-	resp, body := getJSON(t, ts.URL+"/programs/"+id+"/spec")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("spec: status %d", resp.StatusCode)
+	fetch := func() (*tdd.SpecDB, []byte) {
+		t.Helper()
+		resp, body := getJSON(t, ts.URL+"/programs/"+id+"/spec")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("spec: status %d", resp.StatusCode)
+		}
+		sdb, err := tdd.ImportSpec(body)
+		if err != nil {
+			t.Fatalf("importing served spec: %v", err)
+		}
+		return sdb, body
 	}
-	sdb, err := tdd.ImportSpec(body)
-	if err != nil {
-		t.Fatalf("importing served spec: %v", err)
-	}
+	sdb, body := fetch()
 	yes, err := sdb.Ask("even(123456)")
 	if err != nil || !yes {
 		t.Errorf("local ask over served spec = (%v, %v), want (true, nil)", yes, err)
+	}
+	db, err := tdd.OpenUnit(evenUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := db.ExportSpec(); err != nil || !bytes.Equal(body, want) {
+		t.Errorf("served spec differs from DB.ExportSpec of the same sources (err %v)", err)
+	}
+
+	// An odd time point holds only once the batch has seeded the odd chain.
+	const odd = "even(123457)"
+	if yes, err := sdb.Ask(odd); err != nil || yes {
+		t.Fatalf("%s before the batch = (%v, %v), want (false, nil)", odd, yes, err)
+	}
+	if fr := ingest(t, ts.URL, id, "even(7).\n"); fr.Rev == id {
+		t.Fatal("rev did not advance")
+	}
+	sdb, _ = fetch()
+	yes, err = sdb.Ask(odd)
+	if err != nil || !yes {
+		t.Errorf("%s over the spec fetched after the batch = (%v, %v), want (true, nil)", odd, yes, err)
+	}
+	if served := askServed(t, ts.URL, id, odd); served != yes {
+		t.Errorf("served ask %v disagrees with the served spec %v at the new rev", served, yes)
 	}
 }
 

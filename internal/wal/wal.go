@@ -473,10 +473,13 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Snapshot is the compaction unit: the base sources, every record up to
-// Seq, and the relational specification at that revision. It makes
-// recovery a single JSON read plus the live tail, and lets the live log
-// be truncated.
+// Snapshot is the compaction unit: the base sources and every record up
+// to Seq, which is what lets the live log be truncated — recovery
+// re-opens Base, verifies the chain and replays Records plus the live
+// tail. Spec is the relational specification at Rev in the stand-alone
+// form tdd.ImportSpec reads; Recover never looks at it — it is durable
+// state for an operator (the model at the snapshot, queryable offline
+// without replaying anything).
 type Snapshot struct {
 	Seq     uint64          `json:"seq"`
 	Rev     string          `json:"rev"`

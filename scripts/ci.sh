@@ -103,30 +103,30 @@ go test -run '^$' -bench '^BenchmarkIndexedJoin$' -benchtime 1x -count 3 ./inter
             if (bad) exit 1
         }'
 
+# require_test pkg name... — go test ./... above already ran these; naming
+# them keeps each gate visible, and -list fails loudly on a renamed one.
+require_test() {
+    pkg=$1; shift
+    for name in "$@"; do
+        go test -list "^${name}\$" "$pkg" | grep -q "^${name}\$" || { echo "gate: ${name} missing from ${pkg}" >&2; exit 1; }
+    done
+    go test -count=1 -run "^($(IFS='|'; echo "$*"))\$" "$pkg"
+}
+
 echo "==> store allocation budgets"
 # The interned store's claims, pinned without a clock: a duplicate emit,
 # a Store.Has and an index probe allocate nothing, and N new facts in one
-# shard cost O(log N) allocations. go test ./... above already runs them;
-# naming them here keeps the gate visible, and the -list check fails
-# loudly if one is ever renamed away.
-for budget in TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts; do
-    go test -list "^${budget}\$" ./internal/engine/ \
-        | grep -q "^${budget}\$" \
-        || { echo "allocation budget gate: ${budget} missing" >&2; exit 1; }
-done
-go test -count=1 -run '^TestAllocBudget' ./internal/engine/
+# shard cost O(log N) allocations.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts
 
 echo "==> sliced-vs-full differential battery"
-# The slice theorem in executable form: for 60 random programs and every
-# derivable query head, the sliced evaluator must agree with the full one
-# on answers, certified period, and model fingerprint. go test ./... above
-# already runs it; this explicit invocation keeps the gate visible on its
-# own line and the -list check fails loudly if the battery is ever renamed
-# away.
-go test -list '^TestSlicedAskMatchesFull$' . \
-    | grep -q '^TestSlicedAskMatchesFull$' \
-    || { echo "sliced differential gate: battery test missing" >&2; exit 1; }
-go test -run '^TestSlicedAskMatchesFull$' .
+# The slice theorem in executable form: 60 random programs, every derivable
+# query head; sliced and full agree on answers, period and fingerprint.
+require_test . TestSlicedAskMatchesFull
+
+echo "==> one resident model per served program (lock-free warm reads, entry heap <= 1.3x a bare DB)"
+require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
+require_test ./internal/server/ TestWarmEntryRetainsOneModel
 
 echo "==> sliced-ask gate (sliced <= 0.6x full, min of 3)"
 # The E19 acceptance bound: on the Distractor workload (period-2 relevant

@@ -34,7 +34,6 @@ import (
 	"tdd/internal/ast"
 	"tdd/internal/core"
 	"tdd/internal/obs"
-	"tdd/internal/parser"
 	"tdd/internal/progan"
 	"tdd/internal/query"
 )
@@ -254,7 +253,7 @@ type SliceInfo struct {
 // predicates select, without evaluating anything.
 func (d *DB) SliceFor(q string) (SliceInfo, error) {
 	st := d.state()
-	parsed, err := parser.ParseQuery(q, st.bt.Preds())
+	parsed, err := parseQuery(st.bt.Preds(), q, nil)
 	if err != nil {
 		return SliceInfo{}, err
 	}
