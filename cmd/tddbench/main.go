@@ -1,7 +1,7 @@
-// Command tddbench runs the reproduction experiments E1–E8 and prints the
-// tables recorded in EXPERIMENTS.md. Each experiment validates one of the
-// paper's measurable claims; the runners fail loudly if a claim's shape
-// does not hold (wrong period, pipeline disagreement, ...).
+// Command tddbench runs the reproduction experiments E1–E10 and E18 and
+// prints the tables recorded in EXPERIMENTS.md. Each experiment validates
+// one of the paper's measurable claims; the runners fail loudly if a
+// claim's shape does not hold (wrong period, pipeline disagreement, ...).
 //
 // Usage:
 //

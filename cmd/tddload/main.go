@@ -4,10 +4,9 @@
 // latency percentiles and throughput, and reads the server's own
 // /metrics counters before and after the run to report coalesce and
 // shed rates. It is the measurement half of the serving core: the
-// sharded registry, the singleflight ask path, and the fast-fail
-// admission control are all invisible in unit tests' microseconds —
-// this tool makes them visible as p99s, 429s, and coalesce ratios
-// under sustained concurrency.
+// singleflight ask path and the fast-fail admission control are
+// invisible in unit tests' microseconds — this tool makes them visible
+// as p99s, 503s, and coalesce ratios under sustained concurrency.
 //
 // Usage:
 //
@@ -32,12 +31,12 @@
 //
 // Self-hosted server tuning (ignored with -url):
 //
-//	-shards n -shed p -workers n -queue n -shard-queue n
+//	-workers n -queue n
 //
 // The closed loop is the honest shape for a backpressure benchmark:
 // each client has at most one request outstanding, so offered load
 // adapts to the server instead of building an unbounded client-side
-// queue, and a shed (429/503) is visible as a fast small response
+// queue, and a shed (503) is visible as a fast small response
 // rather than a timeout. Percentiles are computed over every request's
 // wall time, sheds included — Retry-After'd rejections are answers too.
 package main
@@ -113,11 +112,8 @@ func run() error {
 	out := flag.String("out", "", "write results JSON to this file")
 	appendOut := flag.Bool("append", false, "merge this scenario into -out")
 
-	shards := flag.Int("shards", 0, "self-hosted: registry lock domains (0 = default)")
-	shed := flag.String("shed", "", `self-hosted: admission policy "shed" or "block"`)
 	workers := flag.Int("workers", 0, "self-hosted: concurrent evaluations (0 = NumCPU)")
 	queue := flag.Int("queue", 0, "self-hosted: worker queue bound (0 = default)")
-	shardQueue := flag.Int("shard-queue", 0, "self-hosted: per-shard in-flight bound (0 = auto)")
 	flag.Parse()
 
 	if (*url == "") == !*self {
@@ -136,13 +132,7 @@ func run() error {
 
 	base := *url
 	if *self {
-		srv, err := server.New(server.Config{
-			Shards:     *shards,
-			Shed:       *shed,
-			Workers:    *workers,
-			Queue:      *queue,
-			ShardQueue: *shardQueue,
-		})
+		srv, err := server.New(server.Config{Workers: *workers, Queue: *queue})
 		if err != nil {
 			return err
 		}
@@ -163,10 +153,9 @@ func run() error {
 	}}
 
 	// Register the program fleet: scaled ski workloads with distinct
-	// seeds, so every program is a different content hash (and therefore
-	// a different shard) while staying cheap to compile. Program 0 — the
-	// hot-key target — is a full-size year so its enumerations do real
-	// work; the rest stay small.
+	// seeds, so every program is a different content hash while staying
+	// cheap to compile. Program 0 — the hot-key target — is a full-size
+	// year so its enumerations do real work; the rest stay small.
 	ids := make([]string, *programs)
 	for i := range ids {
 		p := workload.SkiParams{YearLen: 40, Resorts: 4, Planes: 6, Holidays: 3, Seed: *seed + int64(i)}
@@ -308,10 +297,7 @@ func run() error {
 
 	rep := summarize(*scenario, base, elapsed, *clients, *rate, *programs, *mixSpec, *hot, results, before, after)
 	if *self {
-		rep.Self = &selfConfig{
-			Shards: *shards, Shed: *shed, Workers: *workers,
-			Queue: *queue, ShardQueue: *shardQueue,
-		}
+		rep.Self = &selfConfig{Workers: *workers, Queue: *queue}
 	}
 	printReport(os.Stderr, rep)
 	if *out != "" {
@@ -443,11 +429,8 @@ func scrapeMetrics(c *http.Client, base string) (metricsSnap, error) {
 
 // selfConfig records the self-hosted server's tuning in the report.
 type selfConfig struct {
-	Shards     int    `json:"shards"`
-	Shed       string `json:"shed,omitempty"`
-	Workers    int    `json:"workers"`
-	Queue      int    `json:"queue"`
-	ShardQueue int    `json:"shard_queue"`
+	Workers int `json:"workers"`
+	Queue   int `json:"queue"`
 }
 
 // opReport is the per-operation latency/throughput section.
@@ -460,7 +443,7 @@ type opReport struct {
 	MaxUs    int64 `json:"max_us"`
 }
 
-// report is one scenario's result block in BENCH_serve.json.
+// report is one scenario's result block in the -out file.
 type report struct {
 	URL             string  `json:"url"`
 	DurationSec     float64 `json:"duration_sec"`
@@ -471,7 +454,6 @@ type report struct {
 	Hot             float64 `json:"hot,omitempty"`
 	Requests        int     `json:"requests"`
 	OK              int     `json:"ok"`
-	Shed429         int     `json:"shed_429"`
 	Shed503         int     `json:"shed_503"`
 	OtherErrors     int     `json:"other_errors"`
 	TransportErrors int     `json:"transport_errors"`
@@ -480,7 +462,7 @@ type report struct {
 	P95Us           int64   `json:"p95_us"`
 	P99Us           int64   `json:"p99_us"`
 	MaxUs           int64   `json:"max_us"`
-	// Shed latency percentiles cover only 429/503 responses: the promise
+	// Shed latency percentiles cover only 503 responses: the promise
 	// is that a rejection is fast, and this is where that is checked.
 	ShedP99Us int64 `json:"shed_p99_us,omitempty"`
 	// Server-side deltas over the run, from /metrics.
@@ -520,9 +502,6 @@ func summarize(scenario, base string, elapsed time.Duration, clients, rate, prog
 			switch {
 			case s.status == -1:
 				rep.TransportErrors++
-			case s.status == http.StatusTooManyRequests:
-				rep.Shed429++
-				shedLat = append(shedLat, s.us)
 			case s.status == http.StatusServiceUnavailable:
 				rep.Shed503++
 				shedLat = append(shedLat, s.us)
@@ -570,23 +549,21 @@ func summarize(scenario, base string, elapsed time.Duration, clients, rate, prog
 	}
 	rep.ServerShed = after.Shed - before.Shed
 	if rep.Requests > 0 {
-		rep.ShedRate = float64(rep.Shed429+rep.Shed503) / float64(rep.Requests)
+		rep.ShedRate = float64(rep.Shed503) / float64(rep.Requests)
 	}
 	_ = scenario
 	return rep
 }
 
 func printReport(w io.Writer, r report) {
-	fmt.Fprintf(w, "tddload: %d requests in %.2fs — %.0f ok/s, %d ok, %d shed (429 %d / 503 %d), %d errors\n",
-		r.Requests, r.DurationSec, r.ThroughputRPS, r.OK, r.Shed429+r.Shed503, r.Shed429, r.Shed503,
-		r.OtherErrors+r.TransportErrors)
+	fmt.Fprintf(w, "tddload: %d requests in %.2fs — %.0f ok/s, %d ok, %d shed (503), %d errors\n",
+		r.Requests, r.DurationSec, r.ThroughputRPS, r.OK, r.Shed503, r.OtherErrors+r.TransportErrors)
 	fmt.Fprintf(w, "tddload: latency p50 %dus  p95 %dus  p99 %dus  max %dus\n", r.P50Us, r.P95Us, r.P99Us, r.MaxUs)
 	fmt.Fprintf(w, "tddload: coalesce rate %.1f%% (%d joined / %d leaders), shed rate %.1f%%\n",
 		r.CoalesceRate*100, r.Coalesced, r.FlightLeaders, r.ShedRate*100)
 }
 
-// benchFile is the BENCH_serve.json shape: named scenarios plus
-// provenance.
+// benchFile is the -out file's shape: named scenarios plus provenance.
 type benchFile struct {
 	GeneratedBy string            `json:"generated_by"`
 	Scenarios   map[string]report `json:"scenarios"`

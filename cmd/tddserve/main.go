@@ -15,13 +15,10 @@
 //
 //	-addr a     listen address (default 127.0.0.1:8080; port 0 picks a free port)
 //	-workers n  concurrent query evaluations (default: number of CPUs)
-//	-queue n    additional requests allowed to wait for a worker (default 4×workers, min 64)
-//	-cache n    warm specifications kept resident, LRU (default 64)
-//	-shards n   registry/cache lock domains keyed by program content hash (default 8)
-//	-shed p     admission policy: "shed" fast-fails overload with 429/503 +
-//	            Retry-After, "block" waits until the request deadline (default shed)
-//	-shard-queue n  in-flight requests admitted per shard under -shed shed
-//	            (default: workers+queue spread over shards, min 16)
+//	-queue n    additional requests allowed to wait for a worker (default
+//	            4×workers, min 64); beyond it requests fast-fail with 503 +
+//	            Retry-After
+//	-cache n    warm specifications kept resident, one LRU (default 64)
 //	-timeout d  per-request deadline (default 30s; negative disables)
 //	-window n   period-certification window budget per program (0 = engine default)
 //	-slice      answer closed asks from the query's relevance slice: the
@@ -51,12 +48,10 @@
 //	GET  /healthz                liveness
 //	GET  /metrics                counters, latency histograms, cache stats (JSON)
 //	GET  /metrics.prom           the same counters in Prometheus text exposition
-//	GET  /debug/flights          in-flight requests (age, shard, trace id) and
+//	GET  /debug/flights          in-flight requests (age, trace id) and
 //	                             coalescable evaluations with joiner counts
 //	GET  /debug/slow             ring buffer of the last -slow-keep slow queries
 //	                             with their full phase trees
-//	GET  /debug/shards           per-shard heatmap: programs, warm specs,
-//	                             admission in-flight/capacity, sheds
 //	GET  /debug/graph            ?id=PROGRAM: predicate dependency SCC
 //	                             condensation; &q=QUERY adds the query's
 //	                             relevance slice
@@ -101,9 +96,6 @@ func run() error {
 	workers := flag.Int("workers", 0, "concurrent query evaluations (0 = number of CPUs)")
 	queue := flag.Int("queue", 0, "waiting requests beyond the running ones (0 = 4x workers)")
 	cache := flag.Int("cache", 64, "warm specifications kept resident (LRU)")
-	shards := flag.Int("shards", 0, "registry/cache lock domains (0 = default 8; 1 = single global lock)")
-	shed := flag.String("shed", "", `admission policy: "shed" (fast-fail overload, default) or "block"`)
-	shardQueue := flag.Int("shard-queue", 0, "in-flight requests admitted per shard under shedding (0 = auto)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (negative disables)")
 	window := flag.Int("window", 0, "period-certification window budget (0 = default)")
 	slice := flag.Bool("slice", false, "answer closed asks from the query's relevance slice")
@@ -124,9 +116,6 @@ func run() error {
 		Workers:        *workers,
 		Queue:          *queue,
 		CacheSize:      *cache,
-		Shards:         *shards,
-		Shed:           *shed,
-		ShardQueue:     *shardQueue,
 		RequestTimeout: *timeout,
 		MaxWindow:      *window,
 		Slicing:        *slice,

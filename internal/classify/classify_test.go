@@ -8,6 +8,7 @@ import (
 	"tdd/internal/ast"
 	"tdd/internal/parser"
 	"tdd/internal/period"
+	"tdd/internal/progan"
 )
 
 func mustProg(t *testing.T, src string) *ast.Program {
@@ -41,18 +42,10 @@ b(X) :- a(X).
 c(X) :- d(X).
 c(X) :- c(X).
 `)
-	g := BuildDepGraph(p)
-	if !reflect.DeepEqual(g.Succ["a"], []string{"b", "c"}) {
-		t.Errorf("succ(a) = %v", g.Succ["a"])
+	if succ := progan.Analyze(p, nil).Pred("a").Uses; !reflect.DeepEqual(succ, []string{"b", "c"}) {
+		t.Errorf("succ(a) = %v", succ)
 	}
-	sccs := g.SCCs()
-	var big [][]string
-	for _, comp := range sccs {
-		if len(comp) > 1 {
-			big = append(big, comp)
-		}
-	}
-	if len(big) != 1 || !reflect.DeepEqual(big[0], []string{"a", "b"}) {
+	if big := MutualSCCs(p); len(big) != 1 || !reflect.DeepEqual(big[0], []string{"a", "b"}) {
 		t.Errorf("big SCCs = %v", big)
 	}
 	if MutualRecursionFree(p) {
@@ -70,8 +63,8 @@ b(X) :- c(X).
 c(X) :- d(X).
 `)
 	pos := map[string]int{}
-	for i, comp := range BuildDepGraph(p).SCCs() {
-		pos[comp[0]] = i
+	for i, comp := range progan.Analyze(p, nil).SCCs {
+		pos[comp.Preds[0]] = i
 	}
 	if !(pos["d"] < pos["c"] && pos["c"] < pos["b"] && pos["b"] < pos["a"]) {
 		t.Errorf("SCC order not callees-first: %v", pos)

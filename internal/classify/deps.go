@@ -16,111 +16,25 @@ import (
 	"sort"
 
 	"tdd/internal/ast"
+	"tdd/internal/progan"
 )
 
-// DepGraph is the predicate dependency graph of a program: an edge
-// P -> Q for every rule with head predicate P and body predicate Q.
-type DepGraph struct {
-	Succ map[string][]string
+// The dependency graph (an edge P -> Q for every rule with head predicate
+// P and body predicate Q) and its condensation are progan's; the notions
+// below read its report.
+
+// MutualSCCs returns the mutually recursive components of the dependency
+// graph — two or more predicates on one cycle — callees before callers,
+// each sorted.
+func MutualSCCs(p *ast.Program) [][]string {
+	return mutualSCCs(progan.Analyze(p, nil))
 }
 
-// BuildDepGraph constructs the dependency graph.
-func BuildDepGraph(p *ast.Program) *DepGraph {
-	succ := make(map[string]map[string]bool)
-	ensure := func(n string) {
-		if succ[n] == nil {
-			succ[n] = make(map[string]bool)
-		}
-	}
-	for _, r := range p.Rules {
-		ensure(r.Head.Pred)
-		for _, a := range r.Body {
-			ensure(a.Pred)
-			succ[r.Head.Pred][a.Pred] = true
-		}
-	}
-	g := &DepGraph{Succ: make(map[string][]string, len(succ))}
-	for n, set := range succ {
-		out := make([]string, 0, len(set))
-		for m := range set {
-			out = append(out, m)
-		}
-		sort.Strings(out)
-		g.Succ[n] = out
-	}
-	return g
-}
-
-// SCCs returns the strongly connected components of the graph in reverse
-// topological order (callees before callers), each sorted internally.
-// Tarjan's algorithm, iterative to stay safe on deep programs.
-func (g *DepGraph) SCCs() [][]string {
-	nodes := make([]string, 0, len(g.Succ))
-	for n := range g.Succ {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-
-	index := make(map[string]int, len(nodes))
-	low := make(map[string]int, len(nodes))
-	onStack := make(map[string]bool, len(nodes))
-	var stack []string
+func mutualSCCs(g *progan.Report) [][]string {
 	var out [][]string
-	next := 0
-
-	type frame struct {
-		node string
-		succ []string
-		i    int
-	}
-	for _, root := range nodes {
-		if _, seen := index[root]; seen {
-			continue
-		}
-		frames := []frame{{node: root, succ: g.Succ[root]}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(f.succ) {
-				w := f.succ[f.i]
-				f.i++
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w, succ: g.Succ[w]})
-				} else if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
-				}
-				continue
-			}
-			// Pop the frame.
-			v := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[v] < low[parent.node] {
-					low[parent.node] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sort.Strings(comp)
-				out = append(out, comp)
-			}
+	for _, c := range g.SCCs {
+		if c.Recursion == progan.MutualRecursive {
+			out = append(out, c.Preds)
 		}
 	}
 	return out
@@ -130,36 +44,17 @@ func (g *DepGraph) SCCs() [][]string {
 // every strongly connected component of the dependency graph is a single
 // predicate (self-loops — plain recursion — are allowed).
 func MutualRecursionFree(p *ast.Program) bool {
-	for _, comp := range BuildDepGraph(p).SCCs() {
-		if len(comp) > 1 {
-			return false
-		}
-	}
-	return true
+	return len(MutualSCCs(p)) == 0
 }
 
 // RecursivePreds returns the predicates that depend on themselves (directly
 // or through a cycle), sorted.
 func RecursivePreds(p *ast.Program) []string {
-	g := BuildDepGraph(p)
-	set := make(map[string]bool)
-	for _, comp := range g.SCCs() {
-		if len(comp) > 1 {
-			for _, n := range comp {
-				set[n] = true
-			}
-			continue
+	out := []string{}
+	for _, c := range progan.Analyze(p, nil).SCCs {
+		if c.Recursion != progan.NonRecursive {
+			out = append(out, c.Preds...)
 		}
-		n := comp[0]
-		for _, m := range g.Succ[n] {
-			if m == n {
-				set[n] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
@@ -171,29 +66,27 @@ func RecursivePreds(p *ast.Program) []string {
 // the Theorem 6.5 induction. Returns ok=false if the program has mutual
 // recursion.
 func Levels(p *ast.Program) (map[string]int, bool) {
-	if !MutualRecursionFree(p) {
-		return nil, false
-	}
-	g := BuildDepGraph(p)
-	derived := p.DerivedSet()
-	levels := make(map[string]int, len(g.Succ))
+	return levels(progan.Analyze(p, nil))
+}
+
+func levels(g *progan.Report) (map[string]int, bool) {
+	out := make(map[string]int, len(g.Preds))
 	// SCCs come callees-first, so one pass suffices.
-	for _, comp := range g.SCCs() {
-		n := comp[0]
-		if !derived[n] {
-			levels[n] = 0
-			continue
+	for _, c := range g.SCCs {
+		if c.Recursion == progan.MutualRecursive {
+			return nil, false
 		}
-		lvl := 1
-		for _, m := range g.Succ[n] {
-			if m == n {
-				continue
-			}
-			if l := levels[m] + 1; l > lvl {
-				lvl = l
+		n := g.Pred(c.Preds[0])
+		lvl := 0
+		if n.Derived {
+			lvl = 1
+			for _, m := range n.Uses {
+				if m != n.Name && out[m] >= lvl {
+					lvl = out[m] + 1
+				}
 			}
 		}
-		levels[n] = lvl
+		out[n.Name] = lvl
 	}
-	return levels, true
+	return out, true
 }

@@ -6,6 +6,7 @@ import (
 
 	"tdd/internal/ast"
 	"tdd/internal/period"
+	"tdd/internal/progan"
 )
 
 // Report summarizes every classification the library can make about a rule
@@ -53,10 +54,8 @@ func Analyze(p *ast.Program, opts AnalyzeOptions) Report {
 			break
 		}
 	}
-	rep.MutualRecursionFree = MutualRecursionFree(p)
-	if levels, ok := Levels(p); ok {
-		rep.Levels = levels
-	}
+	g := progan.Analyze(p, nil)
+	rep.Levels, rep.MutualRecursionFree = levels(g)
 	infl, witness, err := InflationaryWitness(p)
 	if err != nil {
 		rep.InflationaryErr = err.Error()
@@ -64,8 +63,10 @@ func Analyze(p *ast.Program, opts AnalyzeOptions) Report {
 		rep.Inflationary = infl
 		rep.Witness = witness
 	}
-	rep.MultiSeparable, rep.SeparableNote = MultiSeparable(p)
-	rep.Separable, _ = Separable(p)
+	rep.MultiSeparable, rep.SeparableNote = multiSeparable(p, mutualSCCs(g))
+	if rep.MultiSeparable {
+		rep.Separable, _ = singleTemporalLiterals(p)
+	}
 	if opts.ComputeIPeriod && rep.MultiSeparable {
 		ip, err := IPeriod(p, opts.IPeriodOpts)
 		if err != nil {

@@ -60,12 +60,14 @@ func KindOf(r ast.Rule) RuleKind {
 // multi-separability (it introduces mutual recursion through delay
 // predicates), so the check is applied to the semi-normal form.
 func MultiSeparable(p *ast.Program) (ok bool, reason string) {
-	if !MutualRecursionFree(p) {
-		for _, comp := range BuildDepGraph(p).SCCs() {
-			if len(comp) > 1 {
-				return false, fmt.Sprintf("mutual recursion among %v", comp)
-			}
-		}
+	return multiSeparable(p, MutualSCCs(p))
+}
+
+// multiSeparable is MultiSeparable given the program's mutually recursive
+// components.
+func multiSeparable(p *ast.Program, mutual [][]string) (ok bool, reason string) {
+	if len(mutual) > 0 {
+		return false, fmt.Sprintf("mutual recursion among %v", mutual[0])
 	}
 	for _, r := range p.Rules {
 		if k := KindOf(r); k == KindOther {
@@ -94,6 +96,12 @@ func Separable(p *ast.Program) (ok bool, reason string) {
 	if ok, reason := MultiSeparable(p); !ok {
 		return false, reason
 	}
+	return singleTemporalLiterals(p)
+}
+
+// singleTemporalLiterals is the condition Separable adds to
+// MultiSeparable.
+func singleTemporalLiterals(p *ast.Program) (ok bool, reason string) {
 	for _, r := range p.Rules {
 		if KindOf(r) != KindTimeOnly {
 			continue

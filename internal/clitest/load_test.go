@@ -1,7 +1,7 @@
 package clitest
 
 // End-to-end coverage of the serving-core admission surface through the
-// real binaries: the sharded/admission metric families on both metrics
+// real binaries: the admission metric families on both metrics
 // surfaces of tddserve, and a short closed-loop tddload run against a
 // live server producing a well-formed scenario report.
 
@@ -17,7 +17,7 @@ import (
 )
 
 func TestServeAdmissionProm(t *testing.T) {
-	base := startServe(t, "-shards", "4")
+	base := startServe(t)
 
 	status, body := postStatus(t, base+"/programs", map[string]string{"unit": evenUnit})
 	if status != http.StatusCreated {
@@ -35,37 +35,19 @@ func TestServeAdmissionProm(t *testing.T) {
 		t.Fatalf("ask: status %d: %s", status, body)
 	}
 
-	// JSON surface: queue bound, per-shard breakdown, flight counters.
+	// JSON surface: queue bound, flight counters.
 	var snap struct {
 		QueueDepth    int64 `json:"queue_depth"`
 		QueueCapacity int64 `json:"queue_capacity"`
 		Shed          int64 `json:"shed_requests"`
 		Coalesced     int64 `json:"coalesced_requests"`
 		FlightLeaders int64 `json:"flight_leaders"`
-		Shards        []struct {
-			Programs int   `json:"programs"`
-			Warm     int   `json:"warm"`
-			Capacity int64 `json:"capacity"`
-		} `json:"shards"`
 	}
 	if code := getJSON(t, base+"/metrics", &snap); code != http.StatusOK {
 		t.Fatalf("/metrics: status %d", code)
 	}
 	if snap.QueueCapacity <= 0 {
 		t.Errorf("queue_capacity = %d, want > 0", snap.QueueCapacity)
-	}
-	if len(snap.Shards) != 4 {
-		t.Fatalf("shards = %d snapshots, want 4 (-shards 4)", len(snap.Shards))
-	}
-	progs := 0
-	for i, sh := range snap.Shards {
-		progs += sh.Programs
-		if sh.Capacity <= 0 {
-			t.Errorf("shard %d capacity = %d, want > 0", i, sh.Capacity)
-		}
-	}
-	if progs != 1 {
-		t.Errorf("programs across shards = %d, want 1", progs)
 	}
 	if snap.FlightLeaders < 1 {
 		t.Errorf("flight_leaders = %d, want >= 1 after a coalescable ask", snap.FlightLeaders)
@@ -75,8 +57,7 @@ func TestServeAdmissionProm(t *testing.T) {
 	}
 
 	// Prometheus surface: every admission family present, with the
-	// per-shard gauges labeled for all four shards and the per-route
-	// shed/timeout counters labeled per route.
+	// per-route shed/timeout counters labeled per route.
 	resp, err := http.Get(base + "/metrics.prom")
 	if err != nil {
 		t.Fatal(err)
@@ -92,11 +73,6 @@ func TestServeAdmissionProm(t *testing.T) {
 		"tddserve_flight_leaders_total",
 		"tddserve_queue_depth",
 		"tddserve_queue_capacity",
-		"tddserve_shard_inflight",
-		"tddserve_shard_capacity",
-		"tddserve_shard_sheds_total",
-		"tddserve_shard_programs",
-		"tddserve_shard_warm",
 		"tddserve_route_sheds_total",
 		"tddserve_route_timeouts_total",
 	} {
@@ -108,8 +84,6 @@ func TestServeAdmissionProm(t *testing.T) {
 		"tddserve_shed_total 0",
 		"tddserve_flight_leaders_total 1",
 		"tddserve_queue_depth 0",
-		`tddserve_shard_inflight{shard="0"}`,
-		`tddserve_shard_inflight{shard="3"}`,
 		`tddserve_route_sheds_total{route="ask"} 0`,
 		`tddserve_route_timeouts_total{route="ask"} 0`,
 	} {
@@ -120,7 +94,7 @@ func TestServeAdmissionProm(t *testing.T) {
 }
 
 func TestLoadSmoke(t *testing.T) {
-	base := startServe(t, "-shards", "4")
+	base := startServe(t)
 	out := filepath.Join(t.TempDir(), "bench.json")
 
 	cmd := exec.Command(filepath.Join(binaries(t), "tddload"),

@@ -159,10 +159,10 @@ func TestServeProfileParam(t *testing.T) {
 
 // TestServeDebugFlights drives load through a 1-slot cache so every ask
 // recompiles its program, and polls GET /debug/flights until it observes
-// the ask both as an in-flight request (age, shard, trace id) and as an
+// the ask both as an in-flight request (age, trace id) and as an
 // in-flight coalescable evaluation.
 func TestServeDebugFlights(t *testing.T) {
-	base := startServe(t, "-shards", "1", "-cache", "1")
+	base := startServe(t, "-cache", "1")
 	skiID := register(t, base, skiUnit)
 	evenID := register(t, base, evenUnit)
 
@@ -207,7 +207,6 @@ func TestServeDebugFlights(t *testing.T) {
 		Requests []struct {
 			Route   string `json:"route"`
 			Program string `json:"program"`
-			Shard   int    `json:"shard"`
 			TraceID string `json:"trace_id"`
 			AgeUs   int64  `json:"age_us"`
 		} `json:"requests"`
@@ -215,7 +214,6 @@ func TestServeDebugFlights(t *testing.T) {
 			Program string `json:"program"`
 			Query   string `json:"query"`
 			Kind    string `json:"kind"`
-			Shard   int    `json:"shard"`
 			AgeUs   int64  `json:"age_us"`
 		} `json:"flights"`
 	}
@@ -233,9 +231,6 @@ func TestServeDebugFlights(t *testing.T) {
 		resp.Body.Close()
 		for _, r := range fr.Requests {
 			if r.Route == "ask" && (r.Program == skiID || r.Program == evenID) {
-				if r.Shard != 0 {
-					t.Errorf("single-shard server reported shard %d", r.Shard)
-				}
 				if r.TraceID == "" {
 					t.Error("in-flight request has no trace id")
 				}
@@ -262,12 +257,11 @@ func TestServeDebugFlights(t *testing.T) {
 	}
 }
 
-// TestServeDebugSlowAndShards checks the other two /debug endpoints: a
-// nanosecond slow-query threshold makes every ask slow, so /debug/slow
-// retains its full phase tree; /debug/shards reports the per-shard
-// heatmap sized by -shards.
+// TestServeDebugSlowAndShards checks /debug/slow — a nanosecond slow-query
+// threshold makes every ask slow, so the ring retains its full phase tree —
+// and that /debug/shards went with the registry's lock split (E16).
 func TestServeDebugSlowAndShards(t *testing.T) {
-	base := startServe(t, "-shards", "4", "-slowquery", "1ns", "-slow-keep", "8")
+	base := startServe(t, "-slowquery", "1ns", "-slow-keep", "8")
 	id := register(t, base, evenUnit)
 
 	resp, err := http.Post(base+"/programs/"+id+"/ask", "application/json",
@@ -317,30 +311,9 @@ func TestServeDebugSlowAndShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards struct {
-		Shards []struct {
-			Programs int   `json:"programs"`
-			Warm     int   `json:"warm"`
-			Capacity int64 `json:"capacity"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&shards); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if len(shards.Shards) != 4 {
-		t.Fatalf("shard heatmap has %d entries, want 4", len(shards.Shards))
-	}
-	var progs, warm int
-	for _, sh := range shards.Shards {
-		progs += sh.Programs
-		warm += sh.Warm
-		if sh.Capacity <= 0 {
-			t.Errorf("shard capacity %d", sh.Capacity)
-		}
-	}
-	if progs != 1 || warm != 1 {
-		t.Errorf("heatmap totals: programs=%d warm=%d, want 1/1", progs, warm)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/shards: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -274,3 +274,26 @@ func TestServeRejectsRemovedParallelFlag(t *testing.T) {
 		t.Errorf("missing unknown-flag usage error:\n%s", out)
 	}
 }
+
+// TestServeFlagSurface pins tddserve's flag names, so a new knob shows up
+// as a reviewed diff of this list.
+func TestServeFlagSurface(t *testing.T) {
+	out, err := exec.Command(filepath.Join(binaries(t), "tddserve"), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("tddserve -h: %v\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	want := []string{
+		"addr", "cache", "data", "follow", "follow-interval", "fsync", "fsync-interval",
+		"pprof", "queue", "quiet", "slice", "slow-keep", "slowquery", "snapshot-every",
+		"timeout", "window", "workers",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("tddserve flags:\n got %v\nwant %v", got, want)
+	}
+}

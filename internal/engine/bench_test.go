@@ -230,8 +230,8 @@ func BenchmarkCloneThenWrite(b *testing.B) {
 }
 
 // BenchmarkIndexedJoin is the regression benchmark behind the ci.sh
-// indexed-join gate and the small-instance rows of BENCH_eval.json
-// (scripts/bench_eval.sh runs the large instances). Both families are
+// indexed-join gate, on the small instances of E18 (`tddbench E18` runs
+// the large ones). Both families are
 // generated in "generate-then-filter" body order — the writing a join
 // planner exists for: the indexed engine recovers the selective order
 // from cardinalities and probes through multi-column indexes, while the

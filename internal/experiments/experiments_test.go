@@ -121,7 +121,7 @@ func TestTableRendering(t *testing.T) {
 // E18's quick instances are small, but the planner's advantage must
 // already show: the indexed engine should never lose to the nested-loop
 // baseline on the order-scrambled workloads (the full >=10x large-database
-// bound is recorded by scripts/bench_eval.sh, not asserted at test scale).
+// bound is what a full `tddbench E18` run prints, not asserted at test scale).
 func TestE18IndexedBeatsNestedLoop(t *testing.T) {
 	tab, err := E18(true)
 	if err != nil {

@@ -538,8 +538,8 @@ func E10(quick bool) (*Table, error) {
 
 // EvalBenchCase is one instance of the indexed-join evaluation benchmark:
 // an order-scrambled E1/E8 family workload evaluated to a fixed window.
-// Shared by E18, cmd/tddevalbench (BENCH_eval.json), and — for the small
-// instances — mirrored by BenchmarkIndexedJoin behind the ci.sh gate.
+// E18's instances; the small ones are mirrored by BenchmarkIndexedJoin
+// behind the ci.sh gate.
 type EvalBenchCase struct {
 	Name   string // e.g. "E1_ski" / "E8_reach_large"
 	Params string // human-readable instance parameters
@@ -622,6 +622,6 @@ func E18(quick bool) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"bodies are written generate-then-filter; the nested-loop baseline (source order, first-column index) is the pre-planner engine",
-		"quick runs skip the *_large instances; scripts/bench_eval.sh records them in BENCH_eval.json")
+		"quick runs skip the *_large instances; a full `tddbench E18` runs them")
 	return t, nil
 }

@@ -47,6 +47,7 @@ import (
 	"strings"
 
 	"tdd/internal/ast"
+	"tdd/internal/progan"
 	"tdd/internal/spec"
 )
 
@@ -228,7 +229,8 @@ func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
 	if prog != nil {
 		valid := true
 		ds = append(ds, checkValidity(prog, &valid)...)
-		ds = append(ds, checkReach(prog, db)...)
+		rep := progan.Analyze(prog, db)
+		ds = append(ds, checkReach(rep, db)...)
 		ds = append(ds, checkDuplicates(prog)...)
 		ds = append(ds, checkShiftable(prog)...)
 		if valid {
@@ -242,7 +244,7 @@ func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
 			}
 			ds = append(ds, checkNeverFires(prog, db, opts, skip)...)
 			ds = append(ds, checkNearMiss(prog)...)
-			ds = append(ds, checkRelevance(prog, db, opts.Source)...)
+			ds = append(ds, checkRelevance(rep, opts.Source)...)
 		}
 		guardDeleteSafety(prog, ds)
 	}

@@ -25,10 +25,7 @@ func checkNearMiss(prog *ast.Program) []Diagnostic {
 	// TDL012: mutual recursion (one finding per offending SCC) — the
 	// structural obstacle to multi-separability.
 	if !rep.MutualRecursionFree {
-		for _, comp := range classify.BuildDepGraph(prog).SCCs() {
-			if len(comp) <= 1 {
-				continue
-			}
+		for _, comp := range classify.MutualSCCs(prog) {
 			pos := firstRulePos(prog, comp)
 			ds = append(ds, Diagnostic{
 				Code:     "TDL012",

@@ -5,46 +5,33 @@ import (
 	"sort"
 
 	"tdd/internal/ast"
+	"tdd/internal/progan"
 )
 
 // checkReach is the derivability dataflow pass over the rule dependency
 // graph: TDL001 (undefined predicate), TDL002 (unused database predicate),
 // and TDL003 (unreachable rule).
 //
-// The pass computes an over-approximation of "predicate is non-empty in
+// The pass reads progan's over-approximation of "predicate is non-empty in
 // the least model": a predicate is *populated* if the database holds facts
 // for it, or some rule with an all-populated body derives it. The
 // approximation ignores join and temporal constraints, so populated=false
 // is definitive — the predicate is empty in the least model, and any rule
 // reading it can never fire. That one-sided guarantee is what makes the
 // TDL003 delete-safety claim sound.
-func checkReach(prog *ast.Program, db *ast.Database) []Diagnostic {
-	derived := prog.DerivedSet()
-	populated := make(map[string]bool)
-	if db != nil {
-		for pred := range db.Preds {
-			populated[pred] = true
-		}
-	} else {
-		// Without a database the EDB contents are unknowable; assume every
-		// extensional predicate could hold facts.
-		for name := range prog.Preds {
-			if !derived[name] {
-				populated[name] = true
-			}
-		}
-	}
-
+func checkReach(rep *progan.Report, db *ast.Database) []Diagnostic {
+	prog := rep.Program()
 	var ds []Diagnostic
 
 	// TDL001: a body predicate nothing derives and nothing asserts. Only
-	// meaningful with a database in hand; one finding per predicate, at
-	// its first occurrence.
+	// meaningful with a database in hand (without one every extensional
+	// predicate is assumed populated); one finding per predicate, at its
+	// first occurrence.
 	if db != nil {
 		reported := make(map[string]bool)
 		for _, r := range prog.Rules {
 			for _, a := range r.Body {
-				if derived[a.Pred] || populated[a.Pred] || reported[a.Pred] {
+				if n := rep.Pred(a.Pred); n.Derived || n.Populated || reported[a.Pred] {
 					continue
 				}
 				reported[a.Pred] = true
@@ -62,35 +49,10 @@ func checkReach(prog *ast.Program, db *ast.Database) []Diagnostic {
 		}
 	}
 
-	// Reachability fixpoint: a rule can fire only if every body predicate
-	// is populated; a firing populates the head.
-	canFire := make([]bool, len(prog.Rules))
-	for changed := true; changed; {
-		changed = false
-		for i, r := range prog.Rules {
-			if canFire[i] {
-				continue
-			}
-			ok := true
-			for _, a := range r.Body {
-				if !populated[a.Pred] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			canFire[i] = true
-			changed = true
-			populated[r.Head.Pred] = true
-		}
-	}
-
 	// TDL003: rules outside the fixpoint have no derivation path from the
 	// EDB and never fire in the least model; deleting them changes nothing.
 	for i, r := range prog.Rules {
-		if canFire[i] {
+		if rep.CanFire[i] {
 			continue
 		}
 		ds = append(ds, Diagnostic{
@@ -98,7 +60,7 @@ func checkReach(prog *ast.Program, db *ast.Database) []Diagnostic {
 			Severity:   Warning,
 			Line:       r.Pos.Line,
 			Col:        r.Pos.Col,
-			Message:    fmt.Sprintf("unreachable rule: no derivation path from the database reaches its body (%s)", emptyBodyPreds(r, populated)),
+			Message:    fmt.Sprintf("unreachable rule: no derivation path from the database reaches its body (%s)", emptyBodyPreds(r, rep)),
 			Rule:       r.String(),
 			RuleIdx:    i,
 			Theorem:    "least-model semantics: a rule over empty predicates never fires",
@@ -109,19 +71,9 @@ func checkReach(prog *ast.Program, db *ast.Database) []Diagnostic {
 	// TDL002: database predicates no rule reads. Skipped for rule-less
 	// programs (a bare database consumes nothing by construction).
 	if db != nil && len(prog.Rules) > 0 {
-		used := make(map[string]bool)
-		for _, r := range prog.Rules {
-			for _, a := range r.Body {
-				used[a.Pred] = true
-			}
-		}
-		names := make([]string, 0, len(db.Preds))
-		for pred := range db.Preds {
-			names = append(names, pred)
-		}
-		sort.Strings(names)
-		for _, pred := range names {
-			if used[pred] {
+		for _, n := range rep.Preds { // sorted by name
+			pred := n.Name
+			if _, asserted := db.Preds[pred]; !asserted || len(n.UsedBy) > 0 {
 				continue
 			}
 			ds = append(ds, Diagnostic{
@@ -138,11 +90,11 @@ func checkReach(prog *ast.Program, db *ast.Database) []Diagnostic {
 
 // emptyBodyPreds names the body predicates that block the rule, for the
 // TDL003 message.
-func emptyBodyPreds(r ast.Rule, populated map[string]bool) string {
+func emptyBodyPreds(r ast.Rule, rep *progan.Report) string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, a := range r.Body {
-		if !populated[a.Pred] && !seen[a.Pred] {
+		if !rep.Pred(a.Pred).Populated && !seen[a.Pred] {
 			seen[a.Pred] = true
 			out = append(out, a.Pred)
 		}

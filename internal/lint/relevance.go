@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 
-	"tdd/internal/ast"
 	"tdd/internal/progan"
 )
 
@@ -60,8 +59,8 @@ func exportDirectives(src string) []string {
 	return out
 }
 
-func checkRelevance(prog *ast.Program, db *ast.Database, source string) []Diagnostic {
-	r := progan.Analyze(prog, db)
+func checkRelevance(r *progan.Report, source string) []Diagnostic {
+	prog := r.Program()
 	var ds []Diagnostic
 
 	// TDL202: one finding per base-unreachable component with rules. The

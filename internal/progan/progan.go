@@ -113,10 +113,23 @@ func Analyze(prog *ast.Program, db *ast.Database) *Report {
 	r := &Report{prog: prog, predIdx: make(map[string]int)}
 
 	// Predicate universe: program signatures plus database-only predicates.
+	// Rule atoms are noted too, so a hand-built program whose Preds table
+	// is missing (the linter accepts those) still gets a total report.
 	derived := prog.DerivedSet()
 	seen := make(map[string]ast.PredInfo)
 	for name, info := range prog.Preds {
 		seen[name] = info
+	}
+	sig := func(a ast.Atom) {
+		if _, ok := seen[a.Pred]; !ok {
+			seen[a.Pred] = ast.PredInfo{Name: a.Pred, Temporal: a.Time != nil, Arity: len(a.Args)}
+		}
+	}
+	for _, rule := range prog.Rules {
+		sig(rule.Head)
+		for _, a := range rule.Body {
+			sig(a)
+		}
 	}
 	if db != nil {
 		for name, info := range db.Preds {

@@ -105,7 +105,7 @@ func BenchmarkLintOffHotPath(b *testing.B) {
 // (and each fsync policy) adds on top of the incremental ingest itself.
 func BenchmarkDurableIngest(b *testing.B) {
 	run := func(b *testing.B, attach func(b *testing.B, reg *Registry)) {
-		reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
+		reg := NewRegistry(8, 0, newMetrics(routeNames))
 		if attach != nil {
 			attach(b, reg)
 		}

@@ -3,15 +3,13 @@ package server
 // Live introspection: the /debug endpoint group. Unlike /metrics (counter
 // aggregates) these report the server's *current* working set —
 //
-//   GET /debug/flights  every in-flight HTTP request (age, shard, trace
-//                       id) and every in-flight coalescable evaluation
-//                       with its joiner count
+//   GET /debug/flights  every in-flight HTTP request (age, trace id) and
+//                       every in-flight coalescable evaluation with its
+//                       joiner count
 //   GET /debug/slow     a ring buffer of the last SlowQueryKeep slow
 //                       queries with their full phase trees, so a slow
 //                       spike can be diagnosed after the fact without
 //                       grepping logs
-//   GET /debug/shards   the per-shard heatmap: registered programs, warm
-//                       specs, admission in-flight/capacity, shed counts
 //   GET /debug/graph    a program's predicate dependency condensation
 //                       (SCCs, recursion classes, temporal depths,
 //                       base-reachability) and, with ?q=, the relevance
@@ -37,7 +35,6 @@ type inflightReq struct {
 	method  string
 	path    string
 	program string // "" on routes without a program id
-	shard   int    // -1 without a program id
 	traceID string
 	started time.Time
 }
@@ -76,7 +73,6 @@ type InflightSnapshot struct {
 	Method  string `json:"method"`
 	Path    string `json:"path"`
 	Program string `json:"program,omitempty"`
-	Shard   int    `json:"shard"` // -1 on routes without a program id
 	TraceID string `json:"trace_id"`
 	AgeUs   int64  `json:"age_us"`
 }
@@ -93,7 +89,6 @@ func (t *inflightTable) snapshot() []InflightSnapshot {
 			Method:  r.method,
 			Path:    r.path,
 			Program: r.program,
-			Shard:   r.shard,
 			TraceID: r.traceID,
 			AgeUs:   now.Sub(r.started).Microseconds(),
 		})
@@ -173,13 +168,9 @@ type debugFlightsResponse struct {
 
 // GET /debug/flights
 func (s *Server) handleDebugFlights(w http.ResponseWriter, _ *http.Request) {
-	flights := s.reg.flights.snapshot()
-	for i := range flights {
-		flights[i].Shard = s.reg.shardIndex(flights[i].Program)
-	}
 	writeJSON(w, http.StatusOK, debugFlightsResponse{
 		Requests: s.inflight.snapshot(),
-		Flights:  flights,
+		Flights:  s.reg.flights.snapshot(),
 	})
 }
 
@@ -206,15 +197,6 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
 		Total:       total,
 		Slow:        entries,
 	})
-}
-
-type debugShardsResponse struct {
-	Shards []ShardSnapshot `json:"shards"`
-}
-
-// GET /debug/shards
-func (s *Server) handleDebugShards(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, debugShardsResponse{Shards: s.reg.ShardStats()})
 }
 
 type debugGraphResponse struct {

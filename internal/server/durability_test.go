@@ -72,7 +72,7 @@ func copyDir(t *testing.T, src string) string {
 // and snapshot cadence.
 func durableRegistry(t *testing.T, dir string, pol wal.Policy, snapshotEvery int) *Registry {
 	t.Helper()
-	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
+	reg := NewRegistry(8, 0, newMetrics(routeNames))
 	store, err := wal.Open(dir, wal.Options{Policy: pol})
 	if err != nil {
 		t.Fatal(err)

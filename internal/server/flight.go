@@ -4,12 +4,12 @@ package server
 // asks — same program, same content revision, same query text (and for
 // the answers endpoint, the same limit) — coalesce into one evaluation.
 // The first request becomes the flight leader and goes through the
-// ordinary admission path (shard gate, worker pool); every later
-// arrival joins the in-flight evaluation and just waits for the
-// leader's result, consuming no worker, no queue slot, and no shard
-// capacity. The revision is part of the key, so an ingest that moves
-// the program immediately stops coalescing against the stale model:
-// the next ask for the new revision starts a fresh flight.
+// ordinary admission path (the worker pool); every later arrival joins
+// the in-flight evaluation and just waits for the leader's result,
+// consuming no worker and no queue slot. The revision is part of the
+// key, so an ingest that moves the program immediately stops coalescing
+// against the stale model: the next ask for the new revision starts a
+// fresh flight.
 //
 // Results are shared by pointer: entries and answer slices are
 // immutable once published, and error values are never mutated, so a
@@ -112,8 +112,6 @@ type FlightSnapshot struct {
 	Limit   int    `json:"limit,omitempty"`
 	Joiners int64  `json:"joiners"`
 	AgeUs   int64  `json:"age_us"`
-	// Shard is the program's lock domain, filled in by the debug handler.
-	Shard int `json:"shard"`
 }
 
 // snapshot reports every in-flight evaluation, oldest first.

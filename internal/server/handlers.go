@@ -177,24 +177,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // fail maps an error to a JSON error response and books it against the
-// route's counters. Shed verdicts are the explicit-backpressure surface:
-// a saturated shard is 429 (this program family is hot — back off), a
-// full worker queue 503 (the whole server is hot — retry elsewhere),
-// both with Retry-After so well-behaved clients and load balancers pace
-// themselves. Timeouts become 503; unknown programs 404; everything
-// else is a client error 400.
+// route's counters. The shed verdict is the explicit-backpressure surface:
+// a full worker queue is 503 with Retry-After, so well-behaved clients and
+// load balancers pace themselves. Timeouts become 503; unknown programs
+// 404; everything else is a client error 400.
 func (s *Server) fail(w http.ResponseWriter, route string, err error) {
 	rm := s.metrics.route(route)
 	status := http.StatusBadRequest
 	switch {
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrShardSaturated):
-		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
-		s.metrics.Shed.Add(1)
-		rm.Sheds.Add(1)
-		err = fmt.Errorf("overloaded, retry later: %w", err)
 	case errors.Is(err, ErrQueueFull):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
@@ -223,35 +215,24 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// dispatchTo runs fn on the worker pool under the per-request deadline,
-// admitting it through id's shard gate first when shedding is enabled.
-// Under "shed" both admission steps fast-fail — a saturated shard or a
-// full queue rejects in microseconds instead of blocking the connection
-// until its deadline; under "block" the legacy wait-for-a-slot
-// semantics apply.
-func (s *Server) dispatchTo(r *http.Request, id string, fn func()) error {
+// dispatch runs fn on the worker pool under the per-request deadline. A
+// full queue rejects in microseconds (ErrQueueFull) instead of blocking
+// the connection until its deadline.
+func (s *Server) dispatch(r *http.Request, fn func()) error {
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	if s.cfg.Shed != "shed" {
-		return s.pool.Do(ctx, fn)
-	}
-	sh := s.reg.shardFor(id)
-	if !sh.tryAcquire() {
-		return ErrShardSaturated
-	}
-	defer sh.release()
 	return s.pool.TryDo(ctx, fn)
 }
 
-// run dispatches fn for id (see dispatchTo) and reports whether it ran and
-// succeeded; otherwise the error response has been written.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, route, id string, fn func() error) bool {
+// run dispatches fn and reports whether it ran and succeeded; otherwise
+// the error response has been written.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, route string, fn func() error) bool {
 	var err error
-	if derr := s.dispatchTo(r, id, func() { err = fn() }); derr != nil {
+	if derr := s.dispatch(r, func() { err = fn() }); derr != nil {
 		// The abandoned closure may still write err: report derr alone.
 		s.fail(w, route, derr)
 		return false
@@ -265,7 +246,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, route, id string, f
 
 // awaitFlight blocks a coalesced request until its flight leader's
 // evaluation resolves, honoring the joiner's own deadline. Joiners hold
-// no worker, no queue slot, and no shard capacity — that is the point.
+// no worker and no queue slot — that is the point.
 func (s *Server) awaitFlight(r *http.Request, f *flight) error {
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
@@ -316,10 +297,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		ent      *entry
 		existing bool
 	)
-	// The content hash is the registry handle AND the shard key, so the
-	// admission gate can be consulted before any compile work happens.
-	id := hashSource(req.Unit, req.Rules, req.Facts)
-	if !s.run(w, r, "register", id, func() (err error) {
+	if !s.run(w, r, "register", func() (err error) {
 		ent, existing, err = s.reg.Register(req.Unit, req.Rules, req.Facts)
 		return err
 	}) {
@@ -374,7 +352,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	)
 	id := r.PathValue("id")
 	start := time.Now()
-	if !s.run(w, r, "facts", id, func() (err error) {
+	if !s.run(w, r, "facts", func() (err error) {
 		ent, res, err = s.reg.Ingest(id, req.Facts)
 		return err
 	}) {
@@ -453,7 +431,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, route string, 
 	// when r is no longer safe to touch.
 	traceOn := optedIn(r, "trace") || s.cfg.SlowQueryLog > 0
 	tid := obs.IDFrom(r.Context())
-	// The revision read is one shard map lookup; it doubles as the 404
+	// The revision read is one map lookup; it doubles as the 404
 	// fast path and pins the coalescing key — identical requests coalesce
 	// only within one content revision, so an ingest that moves the
 	// program immediately stops answers from riding the stale flight.
@@ -481,10 +459,10 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, route string, 
 		// A trace documents one evaluation, so a traced request owns one:
 		// it never joins, and nothing joins it (its result is never
 		// published to the flight group).
-		derr = s.dispatchTo(r, key.id, eval)
+		derr = s.dispatch(r, eval)
 	} else if f, leader := s.reg.flights.join(key); leader {
 		s.metrics.FlightLeaders.Add(1)
-		if derr = s.dispatchTo(r, key.id, eval); derr != nil {
+		if derr = s.dispatch(r, eval); derr != nil {
 			// Publish only the dispatch error, never the closure's fields.
 			f.err = derr
 		} else {
@@ -600,7 +578,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 	var ent *entry
 	id := r.PathValue("id")
-	if !s.run(w, r, "period", id, func() (err error) {
+	if !s.run(w, r, "period", func() (err error) {
 		ent, err = s.reg.Lookup(id)
 		return err
 	}) {
@@ -616,7 +594,7 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	var data []byte
 	id := r.PathValue("id")
-	if !s.run(w, r, "spec", id, func() error {
+	if !s.run(w, r, "spec", func() error {
 		ent, err := s.reg.Lookup(id)
 		if err == nil {
 			data, err = ent.db.ExportSpec()
@@ -647,7 +625,7 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	var feed WalFeed
 	id := r.PathValue("id")
-	if !s.run(w, r, "wal", id, func() (err error) {
+	if !s.run(w, r, "wal", func() (err error) {
 		feed, err = s.reg.Feed(id, from)
 		return err
 	}) {
@@ -707,7 +685,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	snap.QueueDepth = int64(s.pool.Depth())
 	snap.QueueCapacity = int64(s.pool.Capacity())
-	snap.Shards = s.reg.ShardStats()
 	snap.Durability = s.durabilityStats()
 	snap.Follower = s.followerSnapshot()
 	writeJSON(w, http.StatusOK, snap)
@@ -718,5 +695,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.writePrometheus(w, s.reg.WarmStats(), s.durabilityStats(),
-		s.pool.Depth(), s.pool.Capacity(), s.reg.ShardStats())
+		s.pool.Depth(), s.pool.Capacity())
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tdd/internal/wal"
+	"tdd/internal/workload"
 )
 
 // ingest posts one fact batch and decodes the response.
@@ -97,9 +98,7 @@ func TestIngestErrors(t *testing.T) {
 // the next lookup recompiles it from base + replayed batches and answers
 // identically.
 func TestIngestSurvivesEviction(t *testing.T) {
-	// Shards: 1 so the single-entry LRU is one global cache (see
-	// TestCacheEviction).
-	s, ts := newTestServer(t, Config{CacheSize: 1, Shards: 1})
+	s, ts := newTestServer(t, Config{CacheSize: 1})
 	id := register(t, ts.URL, skiUnit)
 	ingest(t, ts.URL, id, "resort(whistler).\nplane(1, whistler).\n")
 
@@ -213,7 +212,7 @@ func TestIngestMetrics(t *testing.T) {
 // not overwrite the cache with its stale base-only entry. publish is the
 // exact critical section both racing Registers funnel through.
 func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
-	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
+	reg := NewRegistry(8, 0, newMetrics(routeNames))
 	ent, _, err := reg.Register(evenUnit, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +258,7 @@ func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
 // before anything is ingested or published — a diverged model is never
 // served, not even transiently.
 func TestApplyReplicatedRejectsDivergentRecordPrePublish(t *testing.T) {
-	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
+	reg := NewRegistry(8, 0, newMetrics(routeNames))
 	ent, _, err := reg.Register(evenUnit, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -291,5 +290,157 @@ func TestApplyReplicatedRejectsDivergentRecordPrePublish(t *testing.T) {
 	}
 	if seq, rev, _ := reg.SeqRev(id); seq != 1 || rev != good.Rev {
 		t.Fatalf("good record left state at (%d, %s), want (1, %s)", seq, rev, good.Rev)
+	}
+}
+
+// TestIngestWhileQuerying runs concurrent writers and readers over several
+// programs, then checks every batch landed and the final state matches a
+// second server given the same batches sequentially. Run under -race via
+// scripts/ci.sh.
+func TestIngestWhileQuerying(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, tsSeq := newTestServer(t, Config{})
+
+	const programs, writers, perWriter = 3, 3, 4
+	ids := make([]string, programs)
+	for i := range ids {
+		rules, facts := workload.Ski(workload.SkiParams{
+			YearLen: 20, Resorts: 3, Planes: 4, Holidays: 2, Seed: int64(200 + i),
+		})
+		unit := rules + facts
+		ids[i] = register(t, ts.URL, unit)
+		if got := register(t, tsSeq.URL, unit); got != ids[i] {
+			t.Fatalf("id mismatch: %s != %s", got, ids[i])
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, programs*(writers+2)*perWriter)
+	for p := 0; p < programs; p++ {
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(p, w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					facts := fmt.Sprintf("resort(p%dw%dr%d).\nplane(%d, p%dw%dr%d).\n", p, w, i, (w+i)%10, p, w, i)
+					resp, body := postJSON(t, ts.URL+"/programs/"+ids[p]+"/facts", factsRequest{Facts: facts})
+					if resp.StatusCode != http.StatusOK {
+						errs <- fmt.Errorf("writer p%dw%d: status %d: %s", p, w, resp.StatusCode, body)
+						return
+					}
+				}
+			}(p, w)
+		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < writers*perWriter; i++ {
+				resp, body := postJSON(t, ts.URL+"/programs/"+ids[p]+"/ask", askRequest{Query: "plane(0, r0)"})
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("reader p%d: status %d: %s", p, resp.StatusCode, body)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	// Replay the same batches sequentially into the second server (order
+	// within a program does not matter for the model: batches commute as
+	// sets of facts, and revs are order-dependent so only the model-level
+	// observables are compared).
+	for p := 0; p < programs; p++ {
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				facts := fmt.Sprintf("resort(p%dw%dr%d).\nplane(%d, p%dw%dr%d).\n", p, w, i, (w+i)%10, p, w, i)
+				resp, body := postJSON(t, tsSeq.URL+"/programs/"+ids[p]+"/facts", factsRequest{Facts: facts})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("replay: status %d: %s", resp.StatusCode, body)
+				}
+			}
+		}
+	}
+	for p := 0; p < programs; p++ {
+		_, got := getJSON(t, ts.URL+"/programs/"+ids[p]+"/period")
+		_, want := getJSON(t, tsSeq.URL+"/programs/"+ids[p]+"/period")
+		if string(got) != string(want) {
+			t.Fatalf("program %d: period diverged under concurrency: %s != %s", p, got, want)
+		}
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				q := fmt.Sprintf("exists T plane(T, p%dw%dr%d)", p, w, i)
+				if !askServed(t, ts.URL, ids[p], q) {
+					t.Fatalf("batch p%dw%dr%d lost under concurrent ingest", p, w, i)
+				}
+			}
+		}
+	}
+}
+
+// TestIngestInvalidatesFlightKey checks the revision in the flight key:
+// after an ingest moves the program, a new ask must evaluate fresh (new
+// flight, not a stale joined answer).
+func TestIngestInvalidatesFlightKey(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	id := register(t, ts.URL, skiUnit)
+
+	if askServed(t, ts.URL, id, "exists T plane(T, stowe)") {
+		t.Fatal("stowe served before ingest")
+	}
+	leaders := s.metrics.FlightLeaders.Load()
+	resp, body := postJSON(t, ts.URL+"/programs/"+id+"/facts",
+		factsRequest{Facts: "resort(stowe).\nplane(1, stowe).\n"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", resp.StatusCode, body)
+	}
+	if !askServed(t, ts.URL, id, "exists T plane(T, stowe)") {
+		t.Fatal("stowe not served after ingest — stale flight answer?")
+	}
+	if got := s.metrics.FlightLeaders.Load(); got != leaders+1 {
+		t.Fatalf("flight leaders advanced by %d, want 1 (fresh evaluation on new rev)", got-leaders)
+	}
+}
+
+// TestWriterLockLifetime is the regression test for the unbounded
+// writer-lock map: after any mix of sequential and concurrent ingests
+// across programs, no per-program mutex may remain in the writing table.
+func TestWriterLockLifetime(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const programs = 5
+	ids := make([]string, programs)
+	for i := range ids {
+		rules, facts := workload.Ski(workload.SkiParams{
+			YearLen: 15, Resorts: 2, Planes: 3, Holidays: 1, Seed: int64(300 + i),
+		})
+		ids[i] = register(t, ts.URL, rules+facts)
+	}
+
+	var wg sync.WaitGroup
+	for p := 0; p < programs; p++ {
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(p, w int) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					facts := fmt.Sprintf("resort(l%dw%di%d).\n", p, w, i)
+					resp, body := postJSON(t, ts.URL+"/programs/"+ids[p]+"/facts", factsRequest{Facts: facts})
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("ingest: status %d: %s", resp.StatusCode, body)
+					}
+				}
+			}(p, w)
+		}
+	}
+	wg.Wait()
+
+	if got := s.reg.WritingLen(); got != 0 {
+		t.Fatalf("%d writer locks still live after all ingests finished (leak)", got)
 	}
 }

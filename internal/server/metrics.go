@@ -84,7 +84,7 @@ func (h *histogram) cumulative() (buckets [len(bucketBoundsMicros) + 1]int64, co
 type routeMetrics struct {
 	Requests atomic.Int64
 	Errors   atomic.Int64
-	Sheds    atomic.Int64 // requests rejected by admission (shard gate or full queue)
+	Sheds    atomic.Int64 // requests rejected by admission (full queue)
 	Timeouts atomic.Int64 // requests that hit the per-request deadline
 	latency  histogram
 }
@@ -111,7 +111,7 @@ type Metrics struct {
 	CacheMisses atomic.Int64 // spec-cache lookups that had to (re)compile
 	CacheEvict  atomic.Int64 // entries displaced by the LRU policy
 
-	// Admission and coalescing counters (see shard.go, flight.go).
+	// Admission and coalescing counters (see pool.go, flight.go).
 	Shed          atomic.Int64 // requests rejected by admission instead of queued
 	Coalesced     atomic.Int64 // asks that joined an in-flight identical evaluation
 	FlightLeaders atomic.Int64 // coalescable evaluations actually run
@@ -249,12 +249,10 @@ type MetricsSnapshot struct {
 	Shed          int64 `json:"shed_requests"`
 	Coalesced     int64 `json:"coalesced_requests"`
 	FlightLeaders int64 `json:"flight_leaders"`
-	// QueueDepth/QueueCapacity gauge the shared worker-pool queue;
-	// Shards carries each lock domain's tables and admission gate. All
-	// filled in by the metrics handler.
-	QueueDepth    int64           `json:"queue_depth"`
-	QueueCapacity int64           `json:"queue_capacity"`
-	Shards        []ShardSnapshot `json:"shards,omitempty"`
+	// QueueDepth/QueueCapacity gauge the worker-pool queue; filled in by
+	// the metrics handler.
+	QueueDepth    int64 `json:"queue_depth"`
+	QueueCapacity int64 `json:"queue_capacity"`
 	// LintWarnings gauges lint findings at warning severity or above,
 	// summed over the warm programs; filled in by the metrics handler
 	// alongside Programs.

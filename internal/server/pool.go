@@ -8,15 +8,11 @@ import (
 
 // Pool errors.
 var (
-	// ErrPoolClosed is returned by Do once Close has been called.
+	// ErrPoolClosed is returned by TryDo once Close has been called.
 	ErrPoolClosed = errors.New("server: worker pool closed")
 	// ErrQueueFull is returned by TryDo when every worker is busy and the
 	// queue is at capacity — the fast-fail admission verdict.
 	ErrQueueFull = errors.New("server: request queue full")
-	// ErrShardSaturated is returned by the per-shard admission gate when
-	// the program's shard has no in-flight capacity left (see shard.go).
-	// It is declared here with its sibling admission errors.
-	ErrShardSaturated = errors.New("server: shard at capacity")
 )
 
 // task is one unit of submitted work. done is closed by the worker after
@@ -31,9 +27,9 @@ type task struct {
 // Pool is a bounded worker pool: a fixed set of goroutines draining a
 // bounded queue. It is the server's admission controller — at most
 // `workers` query evaluations run at once, at most `queue` more wait, and
-// beyond that submitters block until their per-request deadline expires.
-// That turns overload into prompt 503s instead of a goroutine pile-up,
-// and caps the memory the evaluation engine can pin concurrently.
+// beyond that submitters are turned away at once (ErrQueueFull). That
+// turns overload into prompt 503s instead of a goroutine pile-up, and
+// caps the memory the evaluation engine can pin concurrently.
 type Pool struct {
 	tasks  chan task
 	closed chan struct{}
@@ -78,36 +74,15 @@ func (p *Pool) worker() {
 	}
 }
 
-// Do runs fn on a pool worker and returns once it has completed. It
-// returns ctx.Err() if the task could not be queued or did not finish
-// before the context was done (the worker may still run fn to completion
-// in the background; the caller must not read fn's results after a
-// non-nil return), and ErrPoolClosed during shutdown.
-func (p *Pool) Do(ctx context.Context, fn func()) error {
-	t := task{ctx: ctx, fn: fn, done: make(chan struct{})}
-	select {
-	case p.tasks <- t:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.closed:
-		return ErrPoolClosed
-	}
-	select {
-	case <-t.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.closed:
-		return ErrPoolClosed
-	}
-}
-
-// TryDo is Do with fast-fail admission: if the task cannot be queued
-// RIGHT NOW — every worker busy, queue full — it returns ErrQueueFull
-// immediately instead of blocking until the deadline. Once admitted the
-// semantics match Do exactly. This is the load-shedding entry point:
-// under overload the caller turns the error into a prompt 429/503 with
-// Retry-After rather than holding the connection open to time out.
+// TryDo runs fn on a pool worker and returns once it has completed. If
+// the task cannot be queued RIGHT NOW — every worker busy, queue full — it
+// returns ErrQueueFull immediately instead of blocking until the deadline:
+// under overload the caller turns that into a prompt 503 with Retry-After
+// rather than holding the connection open to time out. Once admitted, it
+// returns ctx.Err() if fn did not finish before the context was done (the
+// worker may still run fn to completion in the background; the caller
+// must not read fn's results after a non-nil return), and ErrPoolClosed
+// during shutdown.
 func (p *Pool) TryDo(ctx context.Context, fn func()) error {
 	t := task{ctx: ctx, fn: fn, done: make(chan struct{})}
 	select {

@@ -72,12 +72,12 @@ func promLe(us int64) string {
 }
 
 // writePrometheus renders the whole exposition: the scalar families, the
-// worker-queue and per-shard admission gauges, the per-route
+// worker-queue gauges, the per-route
 // request/error/shed/timeout counters and latency histograms, and
 // per-warm-program engine gauges. Route and program names are emitted
 // sorted so the output is deterministic (and testable line-for-line).
 func (m *Metrics) writePrometheus(w io.Writer, programs map[string]ProgramStats, durability map[string]DurabilityStats,
-	queueDepth, queueCapacity int, shards []ShardSnapshot) {
+	queueDepth, queueCapacity int) {
 	bi := binaryBuildInfo()
 	fmt.Fprintf(w, "# HELP tddserve_build_info Build identity (info-style: value is always 1).\n# TYPE tddserve_build_info gauge\ntddserve_build_info{go_version=%q,version=%q,revision=%q} 1\n",
 		bi.GoVersion, bi.Version, bi.Revision)
@@ -97,28 +97,6 @@ func (m *Metrics) writePrometheus(w io.Writer, programs map[string]ProgramStats,
 
 	fmt.Fprintf(w, "# HELP tddserve_queue_depth Admitted tasks waiting for a worker in the shared pool queue.\n# TYPE tddserve_queue_depth gauge\ntddserve_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "# HELP tddserve_queue_capacity Bound of the shared worker-pool queue.\n# TYPE tddserve_queue_capacity gauge\ntddserve_queue_capacity %d\n", queueCapacity)
-
-	shardGauges := []struct {
-		name, typ, help string
-		load            func(ShardSnapshot) int64
-	}{
-		{"tddserve_shard_inflight", "gauge", "Requests currently admitted through a shard's gate.",
-			func(s ShardSnapshot) int64 { return s.InFlight }},
-		{"tddserve_shard_capacity", "gauge", "In-flight bound of a shard's admission gate.",
-			func(s ShardSnapshot) int64 { return s.Capacity }},
-		{"tddserve_shard_sheds_total", "counter", "Requests rejected at a shard's admission gate.",
-			func(s ShardSnapshot) int64 { return s.Sheds }},
-		{"tddserve_shard_programs", "gauge", "Programs registered in a shard.",
-			func(s ShardSnapshot) int64 { return int64(s.Programs) }},
-		{"tddserve_shard_warm", "gauge", "Warm (cached) specifications in a shard.",
-			func(s ShardSnapshot) int64 { return int64(s.Warm) }},
-	}
-	for _, g := range shardGauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", g.name, g.help, g.name, g.typ)
-		for i, sn := range shards {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", g.name, i, g.load(sn))
-		}
-	}
 
 	fmt.Fprintf(w, "# HELP tddserve_fsync_duration_seconds WAL fsync latency across all program logs.\n# TYPE tddserve_fsync_duration_seconds histogram\n")
 	{

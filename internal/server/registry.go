@@ -164,10 +164,11 @@ func resolvedFuture(e *entry) *future {
 // Registry stores registered program sources (unbounded — sources are
 // tiny) and a bounded LRU cache of their preprocessed specifications
 // (bounded — a warm entry pins the whole evaluated window). It is safe
-// for concurrent use. The tables are split by program-content-hash into
-// independent lock domains (see shard.go), so traffic on different
-// programs contends only within a shard, never globally; the flight
-// group coalesces identical concurrent asks into one evaluation.
+// for concurrent use. One mutex guards the three tables: its critical
+// sections are a map read and an LRU recency update — nanoseconds inside a
+// served request — and compiles, ingests and queries all run outside it
+// (E16). The flight group coalesces identical concurrent asks into one
+// evaluation.
 type Registry struct {
 	maxWindow int
 	metrics   *Metrics
@@ -185,37 +186,74 @@ type Registry struct {
 	// slicing (tdd.WithSlicing). Set once before serving (EnableSlicing).
 	slicing bool
 
-	shards  []*shard
+	mu    sync.Mutex
+	progs map[string]*programSource // guarded-by: mu
+	cache *lru[*future]             // guarded-by: mu
+	// writing holds the per-program writer locks for programs currently
+	// being ingested. Entries are refcounted: created on demand by the
+	// first waiting writer and deleted when the last one releases, so
+	// the map holds only in-flight writers — a churn workload that
+	// touches millions of programs leaves it empty, not leaking one
+	// mutex per program forever.
+	writing map[string]*writerLock // guarded-by: mu
+
 	flights flightGroup
 }
 
-// NewRegistry builds a registry split into shardCount lock domains
-// (forced to at least 1) whose spec caches hold at most cacheSize warm
-// programs in total; maxWindow (0 = default) bounds period
+// writerLock serializes writers on one program. refs counts holders and
+// waiters (under Registry.mu) so the map entry can be dropped at zero.
+type writerLock struct {
+	mu   sync.Mutex
+	refs int
+}
+
+// NewRegistry builds a registry whose spec cache holds at most cacheSize
+// warm programs (at least 1); maxWindow (0 = default) bounds period
 // certification.
-func NewRegistry(shardCount, cacheSize, maxWindow int, m *Metrics) *Registry {
-	if shardCount < 1 {
-		shardCount = 1
-	}
-	r := &Registry{
+func NewRegistry(cacheSize, maxWindow int, m *Metrics) *Registry {
+	return &Registry{
 		maxWindow: maxWindow,
 		metrics:   m,
-		shards:    make([]*shard, shardCount),
+		progs:     make(map[string]*programSource),
+		cache:     newLRU[*future](cacheSize, func(string, *future) { m.CacheEvict.Add(1) }),
+		writing:   make(map[string]*writerLock),
 	}
-	// The cache budget is divided across shards (at least one slot each):
-	// eviction pressure is local to a shard, which is what keeps the
-	// recency-list update — the hot-path mutation under the lock — out of
-	// cross-program contention.
-	perShard := cacheSize / shardCount
-	if perShard < 1 {
-		perShard = 1
+}
+
+// lockWriter takes the program's writer lock, creating the refcounted
+// entry on first use. Every lockWriter must be paired with unlockWriter.
+func (r *Registry) lockWriter(id string) *writerLock {
+	r.mu.Lock()
+	wl := r.writing[id]
+	if wl == nil {
+		wl = &writerLock{}
+		r.writing[id] = wl
 	}
-	for i := range r.shards {
-		r.shards[i] = newShard(perShard, func(string, *future) {
-			m.CacheEvict.Add(1)
-		})
+	wl.refs++
+	r.mu.Unlock()
+	wl.mu.Lock()
+	return wl
+}
+
+// unlockWriter releases the writer lock and drops the map entry when no
+// other writer holds or awaits it — the regression guard for the
+// one-mutex-per-program-forever leak.
+func (r *Registry) unlockWriter(id string, wl *writerLock) {
+	wl.mu.Unlock()
+	r.mu.Lock()
+	wl.refs--
+	if wl.refs <= 0 {
+		delete(r.writing, id)
 	}
-	return r
+	r.mu.Unlock()
+}
+
+// WritingLen reports how many per-program writer locks are live (test
+// hook: must return to 0 when no ingest is in flight).
+func (r *Registry) WritingLen() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.writing)
 }
 
 // hashSource derives the registry handle: a content hash, so registering
@@ -278,14 +316,13 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 // and uncertifiable periods at registration time, not on first query.
 func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool, err error) {
 	id := hashSource(unit, rules, facts)
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.progs[id]; ok {
-		sh.mu.Unlock()
+	r.mu.Lock()
+	_, known := r.progs[id]
+	r.mu.Unlock()
+	if known {
 		e, err = r.Lookup(id)
 		return e, true, err
 	}
-	sh.mu.Unlock()
 
 	// Compile outside the lock; registration of distinct programs
 	// proceeds in parallel. Two racing registrations of the same program
@@ -323,14 +360,13 @@ func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool,
 // batches, so the caller's base-only entry is potentially stale and must
 // be discarded, never cached.
 func (r *Registry) publish(src *programSource, ent *entry) bool {
-	sh := r.shardFor(src.id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.progs[src.id]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.progs[src.id]; ok {
 		return false
 	}
-	sh.progs[src.id] = src
-	sh.cache.put(src.id, resolvedFuture(ent))
+	r.progs[src.id] = src
+	r.cache.put(src.id, resolvedFuture(ent))
 	return true
 }
 
@@ -338,19 +374,18 @@ func (r *Registry) publish(src *programSource, ent *entry) bool {
 // cache miss (counted in the metrics). Concurrent misses on one id share
 // a single compilation.
 func (r *Registry) Lookup(id string) (*entry, error) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	src, ok := sh.progs[id]
+	r.mu.Lock()
+	src, ok := r.progs[id]
 	if !ok {
-		sh.mu.Unlock()
+		r.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	f, hit := sh.cache.get(id)
+	f, hit := r.cache.get(id)
 	if !hit {
 		f = &future{}
-		sh.cache.put(id, f)
+		r.cache.put(id, f)
 	}
-	sh.mu.Unlock()
+	r.mu.Unlock()
 
 	if hit {
 		r.metrics.CacheHits.Add(1)
@@ -360,11 +395,11 @@ func (r *Registry) Lookup(id string) (*entry, error) {
 	e, err := f.resolve(func() (*entry, error) { return r.compile(src) })
 	if err != nil {
 		// Do not cache failures; drop the slot so a later lookup retries.
-		sh.mu.Lock()
-		if cur, ok := sh.cache.get(id); ok && cur == f {
-			sh.cache.remove(id)
+		r.mu.Lock()
+		if cur, ok := r.cache.get(id); ok && cur == f {
+			r.cache.remove(id)
 		}
-		sh.mu.Unlock()
+		r.mu.Unlock()
 		return nil, err
 	}
 	return e, nil
@@ -379,25 +414,19 @@ func (r *Registry) Lookup(id string) (*entry, error) {
 // (parse failure, signature conflict, uncertifiable period) nothing is
 // published and the program is unchanged.
 func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.progs[id]; !ok {
-		sh.mu.Unlock()
+	if r.source(id) == nil {
 		return nil, tdd.AssertResult{}, ErrNotFound
 	}
-	sh.mu.Unlock()
 
 	// The writer lock is refcounted: it exists only while a writer holds
 	// or awaits it, so the writing table stays bounded by in-flight
 	// ingests rather than growing with every program ever written.
-	wl := sh.lockWriter(id)
-	defer sh.unlockWriter(id, wl)
+	wl := r.lockWriter(id)
+	defer r.unlockWriter(id, wl)
 
-	// Re-read the source under the shard lock: an ingest that held the
-	// writer lock before us may have advanced it.
-	sh.mu.Lock()
-	src := sh.progs[id]
-	sh.mu.Unlock()
+	// Re-read the source now that the writer lock is held: an ingest that
+	// held it before us may have advanced it.
+	src := r.source(id)
 	if src == nil {
 		return nil, tdd.AssertResult{}, ErrNotFound
 	}
@@ -462,10 +491,10 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 			}
 		}
 	}
-	sh.mu.Lock()
-	sh.progs[id] = nsrc
-	sh.cache.put(id, resolvedFuture(ne))
-	sh.mu.Unlock()
+	r.mu.Lock()
+	r.progs[id] = nsrc
+	r.cache.put(id, resolvedFuture(ne))
+	r.mu.Unlock()
 	r.metrics.Asserts.Add(1)
 	r.metrics.FactsIngested.Add(int64(res.NewFacts))
 	return ne, res, nil
@@ -539,10 +568,9 @@ func (r *Registry) RecoverFromWAL(warm bool) (programs, batches int, err error) 
 			rev:   rec.Rev,
 			extra: extra,
 		}
-		sh := r.shardFor(src.id)
-		sh.mu.Lock()
-		sh.progs[src.id] = src
-		sh.mu.Unlock()
+		r.mu.Lock()
+		r.progs[src.id] = src
+		r.mu.Unlock()
 		programs++
 		batches += len(rec.Records)
 	}
@@ -575,23 +603,19 @@ func (r *Registry) DurabilityStats() map[string]wal.LogStats {
 	return r.wal.Stats()
 }
 
-// source returns the registered program's source state, or nil (test
-// hook; callers must not mutate the result outside the shard's lock).
+// source returns the registered program's source state, or nil.
+// programSource values are immutable once published.
 func (r *Registry) source(id string) *programSource {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.progs[id]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.progs[id]
 }
 
 // SeqRev reports a registered program's batch count and current content
 // revision (the follower's replication cursor).
 func (r *Registry) SeqRev(id string) (seq uint64, rev string, ok bool) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	src, ok := sh.progs[id]
-	if !ok {
+	src := r.source(id)
+	if src == nil {
 		return 0, "", false
 	}
 	return uint64(len(src.extra)), src.rev, true
@@ -613,11 +637,8 @@ type WalFeed struct {
 // leader can serve followers. from is the number of batches the caller
 // already has.
 func (r *Registry) Feed(id string, from uint64) (WalFeed, error) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	src, ok := sh.progs[id]
-	sh.mu.Unlock()
-	if !ok {
+	src := r.source(id)
+	if src == nil {
 		return WalFeed{}, ErrNotFound
 	}
 	recs := chainRecords(src)
@@ -689,51 +710,43 @@ type PeriodInfo struct {
 // resolved) program. In-flight compiles are skipped rather than awaited.
 func (r *Registry) WarmStats() map[string]ProgramStats {
 	out := make(map[string]ProgramStats)
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		sh.cache.each(func(id string, f *future) {
-			e := f.peek()
-			if e == nil {
-				return
-			}
-			derived, firings, sweeps := e.db.EngineStats()
-			out[id] = ProgramStats{
-				Rev:             e.src.rev,
-				Period:          PeriodInfo{Base: e.period.Base, P: e.period.P},
-				Derived:         derived,
-				Firings:         firings,
-				Sweeps:          sweeps,
-				Representatives: e.reps,
-				Facts:           e.facts,
-				LintWarnings:    e.lint.Warnings(),
-			}
-		})
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cache.each(func(id string, f *future) {
+		e := f.peek()
+		if e == nil {
+			return
+		}
+		derived, firings, sweeps := e.db.EngineStats()
+		out[id] = ProgramStats{
+			Rev:             e.src.rev,
+			Period:          PeriodInfo{Base: e.period.Base, P: e.period.P},
+			Derived:         derived,
+			Firings:         firings,
+			Sweeps:          sweeps,
+			Representatives: e.reps,
+			Facts:           e.facts,
+			LintWarnings:    e.lint.Warnings(),
+		}
+	})
 	return out
 }
 
 // IDs returns the registered program ids, sorted.
 func (r *Registry) IDs() []string {
 	var out []string
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for id := range sh.progs {
-			out = append(out, id)
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	for id := range r.progs {
+		out = append(out, id)
 	}
+	r.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
 
 // CachedLen reports how many programs are currently warm (test hook).
 func (r *Registry) CachedLen() int {
-	n := 0
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		n += sh.cache.len()
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.cache.len()
 }

@@ -46,7 +46,7 @@ func TestWarmEntryRetainsOneModel(t *testing.T) {
 		t.Fatalf("model retains %.0f bytes; the test needs megabytes to be meaningful", bare)
 	}
 	served := retainedBy(t, func() any {
-		reg := NewRegistry(1, 8, 0, newMetrics(routeNames))
+		reg := NewRegistry(8, 0, newMetrics(routeNames))
 		if _, _, err := reg.Register("", rules, facts); err != nil {
 			t.Fatal(err)
 		}

@@ -22,32 +22,13 @@ type Config struct {
 	Workers int
 	// Queue is how many requests may wait for a worker beyond the ones
 	// running (default: 4×Workers, at least 64 — backpressure should bite
-	// under real overload, not at a burst a few cores can absorb). Under
-	// "shed" further requests fast-fail with 503; under "block" they wait
-	// until their deadline.
+	// under real overload, not at a burst a few cores can absorb). Further
+	// requests fast-fail with 503 + Retry-After instead of waiting out
+	// their deadline.
 	Queue int
 	// CacheSize bounds the number of warm specifications resident at
-	// once (default 64). The budget is split evenly across shards.
+	// once (default 64): one LRU over all programs.
 	CacheSize int
-	// Shards splits the program registry, spec cache, and writer locks
-	// into this many independent lock domains keyed by program content
-	// hash (default 8). Sharding never changes answers — only which
-	// mutex a program's table entries live under; 1 restores the single
-	// global lock domain.
-	Shards int
-	// Shed picks the admission policy. "shed" (the default) fast-fails
-	// requests when the program's shard is at capacity (429 Retry-After)
-	// or the worker queue is full (503 Retry-After) instead of letting
-	// them block until the request deadline. "block" restores the old
-	// block-until-deadline admission.
-	Shed string
-	// ShardQueue bounds in-flight requests per shard under "shed". The
-	// default is Workers+Queue — the full admission capacity, so the
-	// gate never rejects a burst the server could absorb globally.
-	// Setting it lower partitions capacity between program families: one
-	// hot family then exhausts only its own shard's slots (429) while
-	// the other shards keep admitting.
-	ShardQueue int
 	// RequestTimeout is the per-request deadline covering queueing and
 	// evaluation (default 30s; <0 disables).
 	RequestTimeout time.Duration
@@ -115,15 +96,6 @@ func DefaultConfig(c Config) Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
 	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	if c.Shed == "" {
-		c.Shed = "shed"
-	}
-	if c.ShardQueue <= 0 {
-		c.ShardQueue = c.Workers + c.Queue
-	}
 	if c.SlowQueryKeep == 0 {
 		c.SlowQueryKeep = 64
 	}
@@ -157,7 +129,7 @@ func DefaultConfig(c Config) Config {
 // routeNames label metrics slots; they match the mux patterns below.
 var routeNames = []string{
 	"register", "list", "facts", "ask", "answers", "period", "spec", "wal", "healthz", "metrics", "metrics_prom",
-	"debug_flights", "debug_slow", "debug_shards", "debug_graph",
+	"debug_flights", "debug_slow", "debug_graph",
 }
 
 // Server is the tddserve HTTP service: registry + spec cache + worker
@@ -187,20 +159,16 @@ type Server struct {
 // when a leader is configured, and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	cfg = DefaultConfig(cfg)
-	if cfg.Shed != "shed" && cfg.Shed != "block" {
-		return nil, fmt.Errorf("server: unknown admission policy %q (want \"shed\" or \"block\")", cfg.Shed)
-	}
 	m := newMetrics(routeNames)
 	s := &Server{
 		cfg:      cfg,
 		metrics:  m,
-		reg:      NewRegistry(cfg.Shards, cfg.CacheSize, cfg.MaxWindow, m),
+		reg:      NewRegistry(cfg.CacheSize, cfg.MaxWindow, m),
 		pool:     NewPool(cfg.Workers, cfg.Queue),
 		mux:      http.NewServeMux(),
 		inflight: newInflightTable(),
 		slow:     newSlowRing(cfg.SlowQueryKeep),
 	}
-	s.reg.setShardCapacity(cfg.ShardQueue)
 	if cfg.Slicing {
 		s.reg.EnableSlicing()
 	}
@@ -247,7 +215,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /metrics.prom", "metrics_prom", s.handleMetricsProm)
 	s.route("GET /debug/flights", "debug_flights", s.handleDebugFlights)
 	s.route("GET /debug/slow", "debug_slow", s.handleDebugSlow)
-	s.route("GET /debug/shards", "debug_shards", s.handleDebugShards)
 	s.route("GET /debug/graph", "debug_graph", s.handleDebugGraph)
 	if cfg.EnablePprof {
 		// Raw stdlib handlers, outside the instrumentation middleware:
@@ -310,17 +277,11 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 			tid = obs.NewID()
 		}
 		rec.Header().Set("X-Trace-Id", tid)
-		program := r.PathValue("id")
-		shardIdx := -1
-		if program != "" {
-			shardIdx = s.reg.shardIndex(program)
-		}
 		token := s.inflight.add(&inflightReq{
 			route:   name,
 			method:  r.Method,
 			path:    r.URL.Path,
-			program: program,
-			shard:   shardIdx,
+			program: r.PathValue("id"),
 			traceID: tid,
 			started: start,
 		})

@@ -366,9 +366,7 @@ func TestConcurrentQueries(t *testing.T) {
 // TestCacheEviction runs a capacity-1 cache over two programs: every
 // alternation evicts and recompiles, queries stay correct throughout.
 func TestCacheEviction(t *testing.T) {
-	// Shards: 1 so the single-entry LRU is one global cache; with the
-	// default shard count each shard gets its own slot and nothing evicts.
-	s, ts := newTestServer(t, Config{CacheSize: 1, Shards: 1})
+	s, ts := newTestServer(t, Config{CacheSize: 1})
 	evenID := register(t, ts.URL, evenUnit)
 	skiID := register(t, ts.URL, skiUnit)
 
@@ -389,6 +387,22 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if got := s.Registry().CachedLen(); got > 1 {
 		t.Errorf("cache holds %d entries, capacity 1", got)
+	}
+}
+
+// TestCacheSizeIsGlobal pins CacheSize as the number of warm programs: six
+// registrations under a budget of two keep exactly two resident and evict
+// the other four.
+func TestCacheSizeIsGlobal(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheSize: 2})
+	for i := 0; i < 6; i++ {
+		register(t, ts.URL, fmt.Sprintf("%sresort(extra%d).\n", skiUnit, i))
+	}
+	if got := s.Registry().CachedLen(); got != 2 {
+		t.Errorf("cache holds %d programs, want CacheSize = 2", got)
+	}
+	if got := s.Metrics().Snapshot().CacheEvict; got != 4 {
+		t.Errorf("cache evictions = %d, want 4", got)
 	}
 }
 
@@ -451,7 +465,7 @@ func TestShutdownRejects(t *testing.T) {
 }
 
 func TestPool(t *testing.T) {
-	p := NewPool(2, 2)
+	p := NewPool(2, 20) // queue holds every submission: none is shed
 	defer p.Close()
 	var mu sync.Mutex
 	n := 0
@@ -460,7 +474,7 @@ func TestPool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := p.Do(t.Context(), func() {
+			err := p.TryDo(t.Context(), func() {
 				mu.Lock()
 				n++
 				mu.Unlock()
@@ -499,5 +513,162 @@ func TestLRU(t *testing.T) {
 	c.remove("a")
 	if c.len() != 1 {
 		t.Errorf("len = %d, want 1", c.len())
+	}
+}
+
+// TestAskCoalesce pins the singleflight contract: with the lone pool
+// worker held hostage, N identical concurrent asks form one flight —
+// exactly one evaluation runs when the worker frees up, every other
+// request reports Coalesced, and all N answers agree.
+func TestAskCoalesce(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	id := register(t, ts.URL, skiUnit)
+
+	// Occupy the single worker so the flight leader's evaluation cannot
+	// start until released — the join window stays open deterministically.
+	gate := make(chan struct{})
+	occupied := make(chan struct{})
+	go s.pool.TryDo(t.Context(), func() { close(occupied); <-gate }) //nolint:errcheck
+	<-occupied
+
+	const n = 8
+	var wg sync.WaitGroup
+	results := make([]askResponse, n)
+	errCh := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, body := postJSON(t, ts.URL+"/programs/"+id+"/ask", askRequest{Query: "plane(0, hunter)"})
+			if resp.StatusCode != http.StatusOK {
+				errCh <- fmt.Errorf("ask %d: status %d: %s", i, resp.StatusCode, body)
+				return
+			}
+			if err := json.Unmarshal(body, &results[i]); err != nil {
+				errCh <- err
+			}
+		}(i)
+	}
+
+	// Wait until all N are inside the flight: 1 leader + n-1 joiners.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.metrics.Coalesced.Load() < n-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d joiners after 5s, want %d", s.metrics.Coalesced.Load(), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+
+	if got := s.metrics.FlightLeaders.Load(); got != 1 {
+		t.Fatalf("flight leaders = %d, want exactly 1 evaluation", got)
+	}
+	if got := s.metrics.Coalesced.Load(); got != n-1 {
+		t.Fatalf("coalesced = %d, want %d", got, n-1)
+	}
+	coalesced := 0
+	for i, r := range results {
+		if !r.Result {
+			t.Fatalf("ask %d: result false, want true", i)
+		}
+		if r.Coalesced {
+			coalesced++
+		}
+	}
+	if coalesced != n-1 {
+		t.Fatalf("%d responses marked coalesced, want %d", coalesced, n-1)
+	}
+	if got := s.reg.flights.size(); got != 0 {
+		t.Fatalf("%d flights still open after completion", got)
+	}
+}
+
+// TestQueueShedsFast holds the lone worker on one evaluation and fills the
+// one-deep queue behind it, then requires the overflow request to be
+// rejected promptly — a 503 with Retry-After, not a wait for the 30 s
+// deadline — with the shed counters bumped.
+func TestQueueShedsFast(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Queue: 1, RequestTimeout: 30 * time.Second})
+	id := register(t, ts.URL, skiUnit)
+
+	gate := make(chan struct{})
+	occupied := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(2)
+	go func() {
+		defer held.Done()
+		s.pool.TryDo(t.Context(), func() { close(occupied); <-gate }) //nolint:errcheck
+	}()
+	<-occupied
+	go func() {
+		defer held.Done()
+		s.pool.TryDo(t.Context(), func() {}) //nolint:errcheck
+	}()
+	release := sync.OnceFunc(func() { close(gate); held.Wait() })
+	defer release()
+	for s.pool.Depth() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// A full queue is one failed channel send, so a shed costs an HTTP
+	// round trip; a loaded CI box can stall any single one, so the prompt
+	// rejection is the best of a few attempts — each of which must shed.
+	const attempts = 5
+	var sheds int64
+	best := time.Hour
+	for sheds < attempts && best >= 50*time.Millisecond {
+		start := time.Now()
+		resp, body := postJSON(t, ts.URL+"/programs/"+id+"/ask", askRequest{Query: "plane(0, hunter)"})
+		best = min(best, time.Since(start))
+		sheds++
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("shed response missing Retry-After")
+		}
+	}
+	release()
+	if best >= 50*time.Millisecond {
+		t.Fatalf("fastest of %d sheds took %v, want prompt rejection", attempts, best)
+	}
+	if got := s.metrics.Shed.Load(); got != sheds {
+		t.Fatalf("shed counter = %d, want %d", got, sheds)
+	}
+	if got := s.metrics.route("ask").Sheds.Load(); got != sheds {
+		t.Fatalf("ask route sheds = %d, want %d", got, sheds)
+	}
+
+	// The queue drained: the same request is admitted again.
+	if !askServed(t, ts.URL, id, "plane(0, hunter)") {
+		t.Fatal("ask after the queue drained returned false")
+	}
+}
+
+// TestMetricsAdmissionFields checks the /metrics JSON carries the queue
+// and coalescing observability.
+func TestMetricsAdmissionFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := register(t, ts.URL, skiUnit)
+	askServed(t, ts.URL, id, "plane(0, hunter)")
+
+	resp, body := getJSON(t, ts.URL+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d", resp.StatusCode)
+	}
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.QueueCapacity <= 0 {
+		t.Fatalf("queue_capacity = %d, want positive", snap.QueueCapacity)
+	}
+	if snap.FlightLeaders < 1 {
+		t.Fatalf("flight_leaders = %d after a coalescable ask, want >= 1", snap.FlightLeaders)
 	}
 }

@@ -74,8 +74,8 @@ echo "==> indexed-join gate (indexed <= 0.5x nested per family, min of 3)"
 # The PR-9 acceptance bound: on the order-scrambled E1/E8 benchmark
 # instances the indexed engine (cardinality-ordered plans + multi-column
 # hash indexes) must stay at least 2x faster than the nested-loop
-# baseline — the committed BENCH_eval.json records ~5-15x here, so a
-# ratio above 0.5 means the planner or the indexes regressed. Min of
+# baseline — EXPERIMENTS.md E18 records ~5-15x here, so a ratio above
+# 0.5 means the planner or the indexes regressed. Min of
 # three runs per sub-benchmark, same noise rationale as the profiler
 # gate above.
 go test -run '^$' -bench '^BenchmarkIndexedJoin$' -benchtime 1x -count 3 ./internal/engine/ \
@@ -132,8 +132,8 @@ echo "==> sliced-ask gate (sliced <= 0.6x full, min of 3)"
 # The E19 acceptance bound: on the Distractor workload (period-2 relevant
 # chain drowned in period-210 distractor cycles) a warm existential ask
 # through the sliced path must be at least 1.67x faster than the full
-# path — the committed BENCH_eval.json records ~4x, so a ratio above 0.6
-# means slicing stopped being applied or its cache regressed. Min of
+# path — EXPERIMENTS.md E19 records ~4x, so a ratio above 0.6 means
+# slicing stopped being applied or its cache regressed. Min of
 # three runs per variant, same noise rationale as the profiler gate.
 go test -run '^$' -bench '^BenchmarkSlicedAsk$' -benchtime 50x -count 3 ./internal/server/ \
     | awk '
@@ -147,19 +147,17 @@ go test -run '^$' -bench '^BenchmarkSlicedAsk$' -benchtime 50x -count 3 ./intern
         }'
 
 echo "==> serving contention battery under GOMAXPROCS=4 -race"
-# The singleflight, shard gates, and writer-lock refcounting only see
+# The singleflight, queue shedding, and writer-lock refcounting only see
 # real interleavings when the runtime can run handlers concurrently;
 # a 1-CPU box pins GOMAXPROCS=1 by default, which would serialize them.
-GOMAXPROCS=4 go test -race -run 'Shard|Coalesc|Shed|WriterLock|Flight' ./internal/server/
+GOMAXPROCS=4 go test -race -run 'Coalesc|Shed|WriterLock|Flight|IngestWhileQuerying' ./internal/server/
 
 echo "==> tddload smoke (2s self-hosted)"
 # A short closed-loop run against an ephemeral in-process server: the
 # generator exits nonzero on any transport error, so this catches
 # connection resets, panics, and malformed responses end to end.
-loadtmp=$(mktemp -d)
 GOMAXPROCS=4 go run ./cmd/tddload -self -duration 2s -clients 8 \
-    -mix ask=85,answers=5,ingest=5,wal=5 -scenario ci_smoke -out "$loadtmp/bench.json"
-rm -rf "$loadtmp"
+    -mix ask=85,answers=5,ingest=5,wal=5
 
 echo "==> parser fuzz smoke (5s)"
 go test ./internal/parser/ -run '^$' -fuzz '^FuzzParseUnit$' -fuzztime 5s
