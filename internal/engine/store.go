@@ -545,19 +545,47 @@ func (s *Store) internPred(name string, arity int, temporal bool) uint32 {
 	return s.syms.addPred(k)
 }
 
+// NoSymbol is the symbol id no stored row contains (the table reserves it
+// for "unbound"): a reader that has to stand in for a constant the store
+// has never seen uses it, and every probe with it misses.
+const NoSymbol uint32 = 0
+
+// PredID resolves a predicate signature to its id without interning: a
+// signature the store has never seen has no facts. Together with SymbolID
+// and HasRow it is the read surface of a reader that resolves names once
+// and then probes on ids (internal/query).
+func (s *Store) PredID(name string, arity int, temporal bool) (uint32, bool) {
+	id, ok := s.syms.predIDs[predKey{name: name, arity: arity, temporal: temporal}]
+	return id, ok
+}
+
+// SymbolID resolves a constant to its symbol id without interning.
+func (s *Store) SymbolID(name string) (uint32, bool) {
+	id, ok := s.syms.ids[name]
+	return id, ok
+}
+
+// HasRow reports whether the fact pred(t, row) is present (t is ignored
+// for a non-temporal predicate). pred must come from PredID and row must
+// have the arity it was resolved with. It allocates nothing.
+func (s *Store) HasRow(pred uint32, t int, row []uint32) bool {
+	_, ok := s.shard(pred, t).find(row, hashVals(row))
+	return ok
+}
+
 // locate finds a stored fact — predicate id, time point (-1 for a
 // non-temporal fact) and row number — without interning anything: a name
 // the table has never seen means the fact cannot be present. Neither a
 // hit nor a miss allocates (up to arity 8).
 func (s *Store) locate(f ast.Fact) (dfact, bool) {
-	pred, ok := s.syms.predIDs[predKey{name: f.Pred, arity: len(f.Args), temporal: f.Temporal}]
+	pred, ok := s.PredID(f.Pred, len(f.Args), f.Temporal)
 	if !ok {
 		return dfact{}, false
 	}
 	var buf [8]uint32
 	row := buf[:0]
 	for _, a := range f.Args {
-		id, ok := s.syms.ids[a]
+		id, ok := s.SymbolID(a)
 		if !ok {
 			return dfact{}, false
 		}

@@ -1,0 +1,98 @@
+package query
+
+import (
+	"testing"
+
+	"tdd/internal/ast"
+	"tdd/internal/parser"
+)
+
+// fuzzSeeds are the benchmark's eight warm_query texts (over this
+// package's one-resort ski model) and the handwritten oracle queries.
+var fuzzSeeds = []string{
+	"plane(1000003, hunter)",
+	"exists T (plane(T, hunter) & winter(T))",
+	"exists T plane(T, nowhere)",
+	"forall X (!resort(X) | exists T plane(T, X))",
+	"exists X (resort(X) & !exists T plane(T, X))",
+	"forall T (winter(T) | offseason(T))",
+	"plane(T, hunter)",
+	"plane(T, X)",
+	"forall T (winter(T) | holiday(T) | offseason(T))",
+	"!(winter(3) & holiday(3))",
+	"exists X (resort(X) & !plane(1, X))",
+	"forall T exists X (plane(T, X) | !plane(T, X))",
+	"exists T (holiday(T) & (exists T (plane(T, hunter) & offseason(T))) & plane(T, hunter))",
+	"exists X (resort(X) & forall X (resort(X) | !plane(0, X)))",
+	"!nosuch(3, hunter)",
+	"forall X (resort(X) | !exists T plane(T+1, X))",
+	"resort(X) & !plane(0, X)",
+	"winter(T) & exists T (holiday(T) & plane(T, X))",
+}
+
+// FuzzQueryEval: whatever parser.ParseQuery accepts compiles and
+// evaluates without panicking, and agrees with the bottom-up oracle — as
+// a truth value when closed, as an answer set when open.
+func FuzzQueryEval(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	fx := setup(f, skiSrc)
+	st := structures(f, fx)["sliced"]
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 256 {
+			t.Skip("oversized input")
+		}
+		q, err := parser.ParseQuery(src, fx.preds)
+		if err != nil {
+			return
+		}
+		// The oracle materializes every assignment of a subformula's free
+		// variables: keep |domain|^variables small.
+		tv, nv := ast.FreeVars(q)
+		if binders(q)+len(tv)+len(nv) > 3 {
+			t.Skip("too many variables for the oracle")
+		}
+		want := oracle(st, q)
+		if ast.Closed(q) {
+			got, err := Eval(st, q)
+			if err != nil {
+				t.Fatalf("%q: %v", src, err)
+			}
+			if got != (len(want.rows) == 1) {
+				t.Fatalf("%q: eval=%v oracle=%v", src, got, !got)
+			}
+			return
+		}
+		ans, err := Answers(st, q)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		got := answerKeys(want.vars, ans)
+		if len(got) != len(ans) || len(got) != len(want.rows) {
+			t.Fatalf("%q: %d answers (%d distinct), oracle %d", src, len(ans), len(got), len(want.rows))
+		}
+		for k := range got {
+			if !want.rows[k] {
+				t.Fatalf("%q: answer %q not in the oracle's set", src, k)
+			}
+		}
+	})
+}
+
+// binders counts the quantifiers of q.
+func binders(q ast.Query) int {
+	switch q := q.(type) {
+	case ast.QNot:
+		return binders(q.Sub)
+	case ast.QAnd:
+		return binders(q.Left) + binders(q.Right)
+	case ast.QOr:
+		return binders(q.Left) + binders(q.Right)
+	case ast.QExists:
+		return 1 + binders(q.Sub)
+	case ast.QForall:
+		return 1 + binders(q.Sub)
+	}
+	return 0
+}

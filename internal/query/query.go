@@ -5,8 +5,14 @@
 //
 // Negative subqueries are evaluated under the Closed World Assumption.
 // Quantifiers are two-sorted: temporal quantifiers range over the
-// structure's temporal domain (representative terms for specifications),
+// structure's time points (representative terms for specifications),
 // non-temporal quantifiers over the active constant domain.
+//
+// A query is compiled once per call (compile.go): variables become slots,
+// atoms become (predicate, time, argument) templates. Evaluating it binds
+// the templates to the structure's store — names resolved to ids once —
+// and from then on touches only integers: a probe fills a uint32 row from
+// the slots and asks the store for it.
 package query
 
 import (
@@ -17,15 +23,23 @@ import (
 	"tdd/internal/engine"
 )
 
-// Structure is a finite structure a temporal query can be evaluated in.
+// Structure is a finite structure a temporal query can be evaluated in:
+// a fact store plus the three things its implementers differ in.
 type Structure interface {
-	// HoldsFact answers a ground atomic query (rewriting the temporal
-	// argument to a representative where applicable).
-	HoldsFact(f ast.Fact) bool
-	// TemporalDomain is the range of temporal quantifiers and of free
-	// temporal variables in open queries.
-	TemporalDomain() []int
-	// ConstantDomain is the active domain of non-temporal constants.
+	// Store returns the facts probes are answered from. It is called once
+	// per evaluation, before the other methods, so a structure that
+	// materializes its facts on demand does so here.
+	Store() *engine.Store
+	// TimePoints returns n: temporal quantifiers and free temporal
+	// variables range over the time points 0..n-1.
+	TimePoints() int
+	// NormalizeTime maps a ground temporal term to the time point of the
+	// store that answers for it; ok is false when no fact holds at t. It
+	// must be the identity on 0..n-1.
+	NormalizeTime(t int) (rep int, ok bool)
+	// ConstantDomain is the active domain of non-temporal constants,
+	// sorted. It may name constants the store has never seen: such a
+	// constant satisfies no atom but still counts under ∀ and ¬.
 	ConstantDomain() []string
 }
 
@@ -34,18 +48,18 @@ var ErrOpenQuery = errors.New("query: open query; use Answers")
 
 // Eval evaluates a closed query.
 func Eval(s Structure, q ast.Query) (bool, error) {
-	if !ast.Closed(q) {
-		tv, nv := ast.FreeVars(q)
-		return false, fmt.Errorf("%w (free: %v %v)", ErrOpenQuery, tv, nv)
+	c, err := Compile(q)
+	if err != nil {
+		return false, err
 	}
-	ev := evaluator{s: s, times: make(map[string]int), consts: make(map[string]string)}
-	return ev.eval(q), nil
+	return c.Eval(s)
 }
 
 // Answer is one answer substitution to an open query. For specification
 // structures a temporal binding represents the infinite family obtained by
 // unrolling the rewrite rule (Section 3.3: "the rewrite rules themselves
-// should be a part of the query answer").
+// should be a part of the query answer"). A map is nil when the query has
+// no free variable of its sort.
 type Answer struct {
 	Temporal    map[string]int
 	NonTemporal map[string]string
@@ -54,7 +68,7 @@ type Answer struct {
 func (a Answer) String() string { return ast.FormatAnswer(a.Temporal, a.NonTemporal) }
 
 // Answers enumerates the answer substitutions of an open query: every
-// assignment of the free variables (temporal over the temporal domain,
+// assignment of the free variables (temporal over the time points,
 // non-temporal over the constant domain) under which the query holds.
 // Closed queries yield one empty answer if true, none if false.
 func Answers(s Structure, q ast.Query) ([]Answer, error) {
@@ -66,150 +80,264 @@ func Answers(s Structure, q ast.Query) ([]Answer, error) {
 // reached, so the cost is proportional to the answers actually produced
 // plus the failed assignments tried before them.
 func AnswersLimit(s Structure, q ast.Query, max int) ([]Answer, error) {
-	tv, nv := ast.FreeVars(q)
-	ev := evaluator{s: s, times: make(map[string]int), consts: make(map[string]string)}
-	var out []Answer
-	tdom := s.TemporalDomain()
-	cdom := s.ConstantDomain()
-	full := func() bool { return max > 0 && len(out) >= max }
-
-	var assignNT func(i int)
-	var assignT func(i int)
-	assignNT = func(i int) {
-		if full() {
-			return
-		}
-		if i == len(nv) {
-			if ev.eval(q) {
-				ans := Answer{Temporal: make(map[string]int, len(tv)), NonTemporal: make(map[string]string, len(nv))}
-				for _, v := range tv {
-					ans.Temporal[v] = ev.times[v]
-				}
-				for _, v := range nv {
-					ans.NonTemporal[v] = ev.consts[v]
-				}
-				out = append(out, ans)
-			}
-			return
-		}
-		for _, c := range cdom {
-			if full() {
-				break
-			}
-			ev.consts[nv[i]] = c
-			assignNT(i + 1)
-		}
-		delete(ev.consts, nv[i])
+	c, err := Compile(q)
+	if err != nil {
+		return nil, err
 	}
-	assignT = func(i int) {
-		if i == len(tv) {
-			assignNT(0)
-			return
-		}
-		for _, t := range tdom {
-			if full() {
-				break
-			}
-			ev.times[tv[i]] = t
-			assignT(i + 1)
-		}
-		delete(ev.times, tv[i])
-	}
-	assignT(0)
-	return out, nil
+	return c.Answers(s, max), nil
 }
 
-type evaluator struct {
+// Eval evaluates the compiled query in s; an open query is ErrOpenQuery.
+func (c Compiled) Eval(s Structure) (bool, error) {
+	if c.prog == nil {
+		return holdsGround(s, c.q.(ast.QAtom).Atom), nil
+	}
+	if !c.Closed() {
+		tv, nv := c.FreeVars()
+		return false, fmt.Errorf("%w (free: %v %v)", ErrOpenQuery, tv, nv)
+	}
+	r := c.prog.bind(s)
+	return r.eval(c.prog.root), nil
+}
+
+// Answers enumerates up to max (0: all) answer substitutions in s. The
+// order is part of the contract — a limited call returns a prefix of the
+// unlimited one: free temporal variables are the outer loops, in name
+// order, each ascending over 0..n-1; free non-temporal variables the
+// inner loops, in name order, each over the sorted constant domain.
+func (c Compiled) Answers(s Structure, max int) []Answer {
+	if c.prog == nil {
+		if !holdsGround(s, c.q.(ast.QAtom).Atom) {
+			return nil
+		}
+		return []Answer{{}}
+	}
+	r := c.prog.bind(s)
+	r.max = max
+	r.pick = make([]uint32, len(c.prog.freeN))
+	r.enumerate(0)
+	return r.answers()
+}
+
+// holdsGround answers a ground atom without compiling anything.
+func holdsGround(s Structure, a ast.Atom) bool {
+	st := s.Store()
+	pred, ok := st.PredID(a.Pred, len(a.Args), a.Time != nil)
+	if !ok {
+		return false
+	}
+	t := 0
+	if a.Time != nil {
+		if t, ok = s.NormalizeTime(a.Time.Depth); !ok {
+			return false
+		}
+	}
+	var buf [8]uint32
+	row := buf[:0]
+	for _, g := range a.Args {
+		id, ok := st.SymbolID(g.Name)
+		if !ok {
+			return false
+		}
+		row = append(row, id)
+	}
+	return st.HasRow(pred, t, row)
+}
+
+// run is one evaluation of a program in a structure: the program's atoms
+// bound to the structure's store, and the variable slots. It is private
+// to the call that made it, so any number of evaluations can share a
+// structure (and a Compiled) without synchronization.
+type run struct {
+	p      *program
 	s      Structure
-	times  map[string]int
-	consts map[string]string
+	store  *engine.Store
+	n      int      // time points
+	times  []int    // temporal slots
+	consts []uint32 // non-temporal slots: symbol ids
+	bound  []boundAtom
+	// cdom is the constant domain and cids its symbol ids (NoSymbol for a
+	// constant the store has never seen); both nil for a program without
+	// non-temporal variables.
+	cdom []string
+	cids []uint32
+
+	// enumeration state (Answers only): pick[i] is the cdom index of the
+	// i-th free non-temporal variable; hits holds, per assignment the query
+	// held under, the free temporal values then the picks, so the answers
+	// are allocated once, at their final count. Both are uint32 like the
+	// store's rows: a time point or a domain index names something the
+	// store holds in memory.
+	max   int
+	pick  []uint32
+	hits  []uint32
+	found int
 }
 
-func (ev *evaluator) eval(q ast.Query) bool {
-	switch q := q.(type) {
-	case ast.QAtom:
-		return ev.atom(q.Atom)
-	case ast.QNot:
-		return !ev.eval(q.Sub)
-	case ast.QAnd:
-		return ev.eval(q.Left) && ev.eval(q.Right)
-	case ast.QOr:
-		return ev.eval(q.Left) || ev.eval(q.Right)
-	case ast.QExists:
-		return ev.quant(q.Var, q.Sort, q.Sub, false)
-	case ast.QForall:
-		return ev.quant(q.Var, q.Sort, q.Sub, true)
+// boundAtom is an atom template resolved against one store.
+type boundAtom struct {
+	dead bool     // unknown predicate or constant, or a ground time no fact holds at
+	pred uint32   // predicate id
+	time int      // the normalized ground time (unused when the template has a time slot)
+	row  []uint32 // constants filled in; variable columns are filled per probe
+}
+
+func (p *program) bind(s Structure) *run {
+	st := s.Store()
+	r := &run{
+		p: p, s: s, store: st, n: s.TimePoints(),
+		times:  make([]int, p.ntimes),
+		consts: make([]uint32, p.nconsts),
+		bound:  make([]boundAtom, len(p.atoms)),
 	}
-	panic(fmt.Sprintf("query: unknown node %T", q))
+	rows := make([]uint32, p.nargs)
+	for i := range p.atoms {
+		a, b := &p.atoms[i], &r.bound[i]
+		b.row, rows = rows[:len(a.args):len(a.args)], rows[len(a.args):]
+		var ok bool
+		if b.pred, ok = st.PredID(a.pred, len(a.args), a.temporal); !ok {
+			b.dead = true
+			continue
+		}
+		if a.temporal && a.tslot < 0 {
+			if b.time, ok = s.NormalizeTime(a.depth); !ok {
+				b.dead = true
+				continue
+			}
+		}
+		for col, g := range a.args {
+			if g.slot >= 0 {
+				continue
+			}
+			if b.row[col], ok = st.SymbolID(g.name); !ok {
+				b.dead = true
+				break
+			}
+		}
+	}
+	if p.nconsts > 0 {
+		r.cdom = s.ConstantDomain()
+		r.cids = make([]uint32, len(r.cdom))
+		for i, c := range r.cdom {
+			id, ok := st.SymbolID(c)
+			if !ok {
+				id = engine.NoSymbol
+			}
+			r.cids[i] = id
+		}
+	}
+	return r
 }
 
-// quant evaluates a quantifier; forall=true for universal.
-func (ev *evaluator) quant(v string, sort ast.Sort, sub ast.Query, forall bool) bool {
-	if sort == ast.SortTemporal {
-		old, had := ev.times[v]
-		defer ev.restoreTime(v, old, had)
-		for _, t := range ev.s.TemporalDomain() {
-			ev.times[v] = t
-			if ev.eval(sub) != forall {
+func (r *run) eval(i int32) bool {
+	nd := &r.p.nodes[i]
+	switch nd.op {
+	case opAtom:
+		return r.atom(nd.a)
+	case opNot:
+		return !r.eval(nd.a)
+	case opAnd:
+		return r.eval(nd.a) && r.eval(nd.b)
+	case opOr:
+		return r.eval(nd.a) || r.eval(nd.b)
+	}
+	// A quantifier: ∃ stops at the first witness, ∀ at the first
+	// counterexample.
+	forall := nd.op == opForall
+	if nd.temporal {
+		for t := 0; t < r.n; t++ {
+			r.times[nd.slot] = t
+			if r.eval(nd.a) != forall {
 				return !forall
 			}
 		}
 		return forall
 	}
-	old, had := ev.consts[v]
-	defer ev.restoreConst(v, old, had)
-	for _, c := range ev.s.ConstantDomain() {
-		ev.consts[v] = c
-		if ev.eval(sub) != forall {
+	for _, id := range r.cids {
+		r.consts[nd.slot] = id
+		if r.eval(nd.a) != forall {
 			return !forall
 		}
 	}
 	return forall
 }
 
-func (ev *evaluator) restoreTime(v string, old int, had bool) {
-	if had {
-		ev.times[v] = old
-	} else {
-		delete(ev.times, v)
+func (r *run) atom(i int32) bool {
+	b := &r.bound[i]
+	if b.dead {
+		return false
 	}
-}
-
-func (ev *evaluator) restoreConst(v, old string, had bool) {
-	if had {
-		ev.consts[v] = old
-	} else {
-		delete(ev.consts, v)
-	}
-}
-
-func (ev *evaluator) atom(a ast.Atom) bool {
-	f := ast.Fact{Pred: a.Pred}
-	if a.Time != nil {
-		f.Temporal = true
-		if a.Time.Ground() {
-			f.Time = a.Time.Depth
-		} else {
-			t, ok := ev.times[a.Time.Var]
-			if !ok {
-				panic(fmt.Sprintf("query: unbound temporal variable %s", a.Time.Var))
+	a := &r.p.atoms[i]
+	t := b.time
+	if a.tslot >= 0 {
+		t = r.times[a.tslot] + a.depth
+		if t >= r.n {
+			var ok bool
+			if t, ok = r.s.NormalizeTime(t); !ok {
+				return false
 			}
-			f.Time = t + a.Time.Depth
 		}
 	}
-	f.Args = make([]string, len(a.Args))
-	for i, s := range a.Args {
-		if !s.IsVar {
-			f.Args[i] = s.Name
-			continue
+	for col, g := range a.args {
+		if g.slot >= 0 {
+			b.row[col] = r.consts[g.slot]
 		}
-		c, ok := ev.consts[s.Name]
-		if !ok {
-			panic(fmt.Sprintf("query: unbound variable %s", s.Name))
-		}
-		f.Args[i] = c
 	}
-	return ev.s.HoldsFact(f)
+	return r.store.HasRow(b.pred, t, b.row)
+}
+
+// enumerate assigns free variable k and those after it (temporal ones
+// first), appending an answer for every assignment the query holds under.
+func (r *run) enumerate(k int) {
+	p := r.p
+	switch {
+	case k < len(p.freeT):
+		for t := 0; t < r.n && !r.full(); t++ {
+			r.times[p.freeT[k].slot] = t
+			r.enumerate(k + 1)
+		}
+	case k < len(p.freeT)+len(p.freeN):
+		k -= len(p.freeT)
+		for i := 0; i < len(r.cids) && !r.full(); i++ {
+			r.consts[p.freeN[k].slot] = r.cids[i]
+			r.pick[k] = uint32(i)
+			r.enumerate(len(p.freeT) + k + 1)
+		}
+	case !r.full() && r.eval(p.root):
+		for _, v := range p.freeT {
+			r.hits = append(r.hits, uint32(r.times[v.slot]))
+		}
+		r.hits = append(r.hits, r.pick...)
+		r.found++
+	}
+}
+
+func (r *run) full() bool { return r.max > 0 && r.found >= r.max }
+
+// answers builds the answers enumerate recorded. A sort without free
+// variables gets no map: the answers of an open query are most of what a
+// warm call allocates, and an empty map is a third of an answer's objects.
+func (r *run) answers() []Answer {
+	if r.found == 0 {
+		return nil
+	}
+	p, hits := r.p, r.hits
+	out := make([]Answer, r.found)
+	for i := range out {
+		if len(p.freeT) > 0 {
+			out[i].Temporal = make(map[string]int, len(p.freeT))
+			for _, v := range p.freeT {
+				out[i].Temporal[v.name], hits = int(hits[0]), hits[1:]
+			}
+		}
+		if len(p.freeN) > 0 {
+			out[i].NonTemporal = make(map[string]string, len(p.freeN))
+			for _, v := range p.freeN {
+				out[i].NonTemporal[v.name], hits = r.cdom[hits[0]], hits[1:]
+			}
+		}
+	}
+	return out
 }
 
 // Window is the baseline structure: the least model restricted to 0..M
@@ -224,26 +352,18 @@ type Window struct {
 	M    int
 }
 
-// HoldsFact implements Structure; the window is extended on demand.
-func (w Window) HoldsFact(f ast.Fact) bool {
-	if f.Temporal && f.Time > w.M {
-		return false
-	}
+// Store implements Structure; the window is extended on demand, once per
+// evaluation.
+func (w Window) Store() *engine.Store {
 	w.Eval.EnsureWindow(w.M)
-	return w.Eval.Holds(f)
+	return w.Eval.Store()
 }
 
-// TemporalDomain implements Structure.
-func (w Window) TemporalDomain() []int {
-	out := make([]int, w.M+1)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// TimePoints implements Structure: 0..M.
+func (w Window) TimePoints() int { return w.M + 1 }
+
+// NormalizeTime implements Structure: the identity, cut off at M.
+func (w Window) NormalizeTime(t int) (int, bool) { return t, t <= w.M }
 
 // ConstantDomain implements Structure.
-func (w Window) ConstantDomain() []string {
-	w.Eval.EnsureWindow(w.M)
-	return w.Eval.Store().Constants()
-}
+func (w Window) ConstantDomain() []string { return w.Store().Constants() }

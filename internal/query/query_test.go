@@ -30,7 +30,7 @@ type fixture struct {
 	eval  *engine.Evaluator
 }
 
-func setup(t *testing.T, src string) fixture {
+func setup(t testing.TB, src string) fixture {
 	t.Helper()
 	prog, db, err := parser.ParseUnit(src)
 	if err != nil {
@@ -54,7 +54,7 @@ func setup(t *testing.T, src string) fixture {
 	return fixture{s: s, preds: preds, eval: e}
 }
 
-func (f fixture) query(t *testing.T, src string) ast.Query {
+func (f fixture) query(t testing.TB, src string) ast.Query {
 	t.Helper()
 	q, err := parser.ParseQuery(src, f.preds)
 	if err != nil {
@@ -227,8 +227,14 @@ func TestWindowGroundAtoms(t *testing.T) {
 func TestWindowDomains(t *testing.T) {
 	f := setup(t, skiSrc)
 	w := Window{Eval: f.eval, M: 5}
-	if len(w.TemporalDomain()) != 6 {
-		t.Errorf("TemporalDomain = %v", w.TemporalDomain())
+	if w.TimePoints() != 6 {
+		t.Errorf("TimePoints = %d", w.TimePoints())
+	}
+	if rep, ok := w.NormalizeTime(5); rep != 5 || !ok {
+		t.Errorf("NormalizeTime(5) = %d, %v", rep, ok)
+	}
+	if _, ok := w.NormalizeTime(6); ok {
+		t.Error("NormalizeTime(6) inside a window of 0..5")
 	}
 	cd := w.ConstantDomain()
 	if len(cd) != 1 || cd[0] != "hunter" {

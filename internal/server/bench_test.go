@@ -140,31 +140,28 @@ func BenchmarkDurableIngest(b *testing.B) {
 	b.Run("fsync-always", func(b *testing.B) { run(b, durable(wal.FsyncAlways)) })
 }
 
-// BenchmarkSlicedAsk is the E19 pair: the same warm existential ask on
-// the Distractor workload with and without query-directed slicing. The
-// relevant chain has period 2; the distractor cycles blow the full
-// model's period up to 210 and fill every state with irrelevant facts.
-// The ask probes the witness-free constant c1, so the existential cannot
-// short-circuit: the full path scans its whole 210-state temporal domain
-// while the sliced path scans a handful of states. The ci.sh perf gate
-// holds the sliced/full ratio at <= 0.6 (min of 3).
+// BenchmarkSlicedAsk is the E19 pair: a cold existential ask — OpenUnit
+// plus the first Ask, which certifies — on the Distractor workload with
+// and without query-directed slicing. The relevant chain has period 2;
+// the distractor cycles blow the full model's period up to 210 and fill
+// every state with irrelevant facts, so the full path certifies 210
+// states where the sliced path certifies a handful. That evaluation is
+// what slicing saves: a warm ask is a scan of integer probes either way
+// (E19 records both ratios), so the pair is measured cold. The ci.sh
+// perf gate holds the sliced/full ratio at <= 0.6 (min of 3).
 func BenchmarkSlicedAsk(b *testing.B) {
 	rules, facts := workload.Distractor([]int{3, 5, 7}, 40)
 	unit := rules + facts
+	// c1 has no witness, so the existential cannot short-circuit.
 	const query = "exists T q(T, c1)"
 	run := func(b *testing.B, opts ...tdd.Option) {
-		db, err := tdd.OpenUnit(unit, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ok, err := db.Ask(query)
-		if err != nil || ok {
-			b.Fatalf("warm-up ask: ok=%v err=%v (want a witness-free no)", ok, err)
-		}
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			db, err := tdd.OpenUnit(unit, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if ok, err := db.Ask(query); err != nil || ok {
-				b.Fatalf("ask: ok=%v err=%v", ok, err)
+				b.Fatalf("ask: ok=%v err=%v (want a witness-free no)", ok, err)
 			}
 		}
 	}

@@ -85,7 +85,7 @@ func Import(data []byte) (*Loaded, error) {
 // Preds returns the predicate signatures for query typing.
 func (l *Loaded) Preds() map[string]ast.PredInfo { return l.preds }
 
-// HoldsFact implements query.Structure: rewrite, then look up in B.
+// HoldsFact answers a ground atomic query: rewrite, then look up in B.
 func (l *Loaded) HoldsFact(f ast.Fact) bool {
 	if f.Temporal {
 		f.Time = l.w.Normalize(f.Time)
@@ -93,14 +93,15 @@ func (l *Loaded) HoldsFact(f ast.Fact) bool {
 	return l.store.Has(f)
 }
 
-// TemporalDomain implements query.Structure: the representative terms.
-func (l *Loaded) TemporalDomain() []int {
-	out := make([]int, l.Period.Base+l.Period.P)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// Store, TimePoints, NormalizeTime and ConstantDomain implement
+// query.Structure exactly as Spec does, over the imported B.
+func (l *Loaded) Store() *engine.Store { return l.store }
 
-// ConstantDomain implements query.Structure.
+// TimePoints returns |T| = b + p.
+func (l *Loaded) TimePoints() int { return l.Period.Base + l.Period.P }
+
+// NormalizeTime rewrites t to its representative.
+func (l *Loaded) NormalizeTime(t int) (int, bool) { return l.w.Normalize(t), true }
+
+// ConstantDomain returns the active domain of non-temporal constants.
 func (l *Loaded) ConstantDomain() []string { return l.store.Constants() }

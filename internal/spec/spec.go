@@ -98,10 +98,18 @@ func (s *Spec) HoldsFact(f ast.Fact) bool {
 	return s.eval.Holds(f)
 }
 
-// TemporalDomain returns the representatives; temporal quantifiers in
-// queries range over it (Section 3.3 interprets temporal quantifiers over
-// representative terms).
-func (s *Spec) TemporalDomain() []int { return s.Representatives() }
+// Store, TimePoints, NormalizeTime and ConstantDomain make the
+// specification a query.Structure: the facts are the evaluator's store
+// (the window already covers the representatives), temporal quantifiers
+// range over the representatives (Section 3.3), and a ground temporal
+// term is answered at its normal form under W.
+func (s *Spec) Store() *engine.Store { return s.eval.Store() }
+
+// TimePoints returns |T|; see Store.
+func (s *Spec) TimePoints() int { return s.NumRepresentatives() }
+
+// NormalizeTime rewrites t to its representative; see Store.
+func (s *Spec) NormalizeTime(t int) (int, bool) { return s.w.Normalize(t), true }
 
 // ConstantDomain returns the active domain of non-temporal constants.
 func (s *Spec) ConstantDomain() []string { return s.eval.Store().Constants() }

@@ -118,6 +118,10 @@ echo "==> store allocation budgets"
 # a Store.Has and an index probe allocate nothing, and N new facts in one
 # shard cost O(log N) allocations.
 require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts
+# The compiled query evaluator's: a closed ask allocates its compiled form
+# and one evaluation's scratch whatever |T| is, a ground ask nothing, an
+# open one two objects per answer.
+require_test ./internal/query/ TestAllocBudgetClosedQuery TestAllocBudgetOpenQuery
 
 echo "==> sliced-vs-full differential battery"
 # The slice theorem in executable form: 60 random programs, every derivable
@@ -128,12 +132,14 @@ echo "==> one resident model per served program (lock-free warm reads, entry hea
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
 require_test ./internal/server/ TestWarmEntryRetainsOneModel
 
-echo "==> sliced-ask gate (sliced <= 0.6x full, min of 3)"
+echo "==> sliced-ask gate (cold sliced <= 0.6x cold full, min of 3)"
 # The E19 acceptance bound: on the Distractor workload (period-2 relevant
-# chain drowned in period-210 distractor cycles) a warm existential ask
-# through the sliced path must be at least 1.67x faster than the full
-# path — EXPERIMENTS.md E19 records ~4x, so a ratio above 0.6 means
-# slicing stopped being applied or its cache regressed. Min of
+# chain drowned in period-210 distractor cycles) a cold existential ask —
+# OpenUnit plus the certifying first Ask — through the sliced path must be
+# at least 1.67x faster than the full path. EXPERIMENTS.md E19 records
+# ~4x, so a ratio above 0.6 means slicing stopped being applied or its
+# certification regressed. (The gate was on the warm ask until PR 24 made
+# a probe cost nanoseconds on either path; E19 has both ratios.) Min of
 # three runs per variant, same noise rationale as the profiler gate.
 go test -run '^$' -bench '^BenchmarkSlicedAsk$' -benchtime 50x -count 3 ./internal/server/ \
     | awk '
@@ -161,6 +167,11 @@ GOMAXPROCS=4 go run ./cmd/tddload -self -duration 2s -clients 8 \
 
 echo "==> parser fuzz smoke (5s)"
 go test ./internal/parser/ -run '^$' -fuzz '^FuzzParseUnit$' -fuzztime 5s
+
+echo "==> FO query evaluator fuzz smoke (5s)"
+# Whatever the query parser accepts must compile and evaluate without
+# panicking, and agree with the bottom-up oracle.
+go test ./internal/query/ -run '^$' -fuzz '^FuzzQueryEval$' -fuzztime 5s
 
 echo "==> WAL decoder fuzz smoke (5s)"
 # The WAL decoder is the trust boundary of crash recovery: arbitrary

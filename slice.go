@@ -105,27 +105,6 @@ func headConstantsCovered(prog *ast.Program, consts []string) bool {
 	return true
 }
 
-// queryNeedsConstants reports whether evaluating q reads the constant
-// domain: any quantifier over the non-temporal sort does (the query is
-// closed, so free variables cannot).
-func queryNeedsConstants(q ast.Query) bool {
-	switch q := q.(type) {
-	case ast.QAtom:
-		return false
-	case ast.QNot:
-		return queryNeedsConstants(q.Sub)
-	case ast.QAnd:
-		return queryNeedsConstants(q.Left) || queryNeedsConstants(q.Right)
-	case ast.QOr:
-		return queryNeedsConstants(q.Left) || queryNeedsConstants(q.Right)
-	case ast.QExists:
-		return q.Sort == ast.SortNonTemporal || queryNeedsConstants(q.Sub)
-	case ast.QForall:
-		return q.Sort == ast.SortNonTemporal || queryNeedsConstants(q.Sub)
-	}
-	return true
-}
-
 // slicedStructure evaluates against the sliced specification but
 // quantifies constants over the full database domain (see the
 // eligibility argument above).
@@ -140,15 +119,15 @@ func (s slicedStructure) ConstantDomain() []string { return s.consts }
 // applies. answered=false means "use the full path" — either slicing is
 // off, the slice is not proper, eligibility fails for this query, or
 // the sliced build failed (the full path then reports any real error).
-func (st *dbState) askSliced(parsed ast.Query, tr *obs.Trace) (result, answered bool) {
+func (st *dbState) askSliced(c query.Compiled, tr *obs.Trace) (result, answered bool) {
 	if !st.cfg.slicing {
 		return false, false
 	}
 	an := st.analyze()
-	if !an.eligible && queryNeedsConstants(parsed) {
+	if !an.eligible && c.UsesConstantDomain() {
 		return false, false
 	}
-	goals := progan.QueryPreds(parsed)
+	goals := progan.QueryPreds(c.Query())
 	if len(goals) == 0 {
 		return false, false
 	}
@@ -168,7 +147,7 @@ func (st *dbState) askSliced(parsed ast.Query, tr *obs.Trace) (result, answered 
 	if err != nil {
 		return false, false
 	}
-	ok, err := query.Eval(slicedStructure{Structure: s, consts: an.consts}, parsed)
+	ok, err := c.Eval(slicedStructure{Structure: s, consts: an.consts})
 	if err != nil {
 		return false, false
 	}

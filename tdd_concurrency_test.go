@@ -162,3 +162,63 @@ func TestSpecDBConcurrentReaders(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConcurrentCompiledAsks runs the benchmark's eight warm_query texts
+// from 8 goroutines against one published snapshot. Each ask compiles
+// its query and binds it to the snapshot's store in scratch of its own,
+// so under -race this pins that warm evaluation shares nothing writable.
+func TestConcurrentCompiledAsks(t *testing.T) {
+	db, err := tdd.OpenUnit(concurrentSkiUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := []string{
+		"plane(1000003, hunter)",
+		"exists T (plane(T, hunter) & winter(T))",
+		"exists T plane(T, nowhere)",
+		"forall X (!resort(X) | exists T plane(T, X))",
+		"exists X (resort(X) & !exists T plane(T, X))",
+		"forall T (winter(T) | offseason(T))",
+	}
+	open := []struct {
+		q     string
+		limit int
+	}{{"plane(T, hunter)", 0}, {"plane(T, X)", 16}}
+	// Sequential ground truth; the first ask certifies and publishes.
+	wantBool := make([]bool, len(closed))
+	for i, q := range closed {
+		if wantBool[i], err = db.Ask(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantAns := make([]string, len(open))
+	for i, o := range open {
+		ans, err := db.AnswersLimit(o.q, o.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAns[i] = tdd.FormatAnswers(ans)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 5; iter++ {
+				for i, q := range closed {
+					if got, err := db.Ask(q); err != nil || got != wantBool[i] {
+						t.Errorf("Ask(%q) = %v, %v; want %v", q, got, err, wantBool[i])
+					}
+				}
+				for i, o := range open {
+					ans, err := db.AnswersLimit(o.q, o.limit)
+					if err != nil || tdd.FormatAnswers(ans) != wantAns[i] {
+						t.Errorf("AnswersLimit(%q, %d) = %d answers, %v; differs from the sequential run", o.q, o.limit, len(ans), err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
