@@ -21,9 +21,6 @@
 //	-cache n    warm specifications kept resident, one LRU (default 64)
 //	-timeout d  per-request deadline (default 30s; negative disables)
 //	-window n   period-certification window budget per program (0 = engine default)
-//	-slice      answer closed asks from the query's relevance slice: the
-//	            backward-reachable rule subset, certified separately
-//	            (identical answers; the response engine field says "sliced")
 //	-quiet      suppress per-request logs
 //	-slowquery d  log the full phase trace of requests slower than d (0 disables)
 //	-slow-keep n  slow queries retained with full traces for GET /debug/slow
@@ -98,7 +95,6 @@ func run() error {
 	cache := flag.Int("cache", 64, "warm specifications kept resident (LRU)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (negative disables)")
 	window := flag.Int("window", 0, "period-certification window budget (0 = default)")
-	slice := flag.Bool("slice", false, "answer closed asks from the query's relevance slice")
 	quiet := flag.Bool("quiet", false, "suppress per-request logs")
 	slowQuery := flag.Duration("slowquery", 0, "log full phase traces of requests slower than this (0 disables)")
 	slowKeep := flag.Int("slow-keep", 0, "slow queries retained for GET /debug/slow (0 = default 64; negative disables)")
@@ -118,7 +114,6 @@ func run() error {
 		CacheSize:      *cache,
 		RequestTimeout: *timeout,
 		MaxWindow:      *window,
-		Slicing:        *slice,
 		SlowQueryLog:   *slowQuery,
 		SlowQueryKeep:  *slowKeep,
 		EnablePprof:    *pprofFlag,

@@ -137,6 +137,11 @@ func (b *BT) Specification() (*spec.Spec, error) {
 	return b.specification()
 }
 
+// Certified reports whether the specification has been computed: every
+// query on a certified BT is a lock-free read, and nothing it could skip
+// evaluating is left.
+func (b *BT) Certified() bool { return b.spec.Load() != nil }
+
 // specification is Specification with mu held.
 //
 //tddlint:holds mu
@@ -199,29 +204,14 @@ func (b *BT) Period() (period.Period, error) {
 	return s.Period, nil
 }
 
-// AskFact answers a yes-no ground atomic query. Queries whose temporal
-// depth lies within the already-evaluated window are answered directly;
-// deeper queries are answered through the relational specification (one
-// rewrite plus a lookup), so the temporal depth h contributes O(1) work —
-// the heart of the tractability argument.
+// AskFact answers a yes-no ground atomic query through the relational
+// specification: one rewrite plus a lookup, so the temporal depth h
+// contributes O(1) work — the heart of the tractability argument.
 func (b *BT) AskFact(f ast.Fact) (bool, error) {
-	// The window only grows while the specification is being computed, so
-	// certifying it first (under mu) freezes the evaluator; the reads below
-	// then race with nothing. Before the first certification the window is
-	// -1, so no query was ever answerable from the direct path anyway.
-	b.mu.Lock()
-	s, err := b.specification()
-	w := b.eval.Window()
-	b.mu.Unlock()
+	s, err := b.Specification()
 	if err != nil {
 		return false, err
 	}
-	if f.Temporal && f.Time <= w {
-		return b.eval.Holds(f), nil
-	}
-	// Deeper temporal queries are answered through the specification (one
-	// rewrite plus a lookup); non-temporal consequences accumulate over the
-	// whole model, and only the specification window is guaranteed complete.
 	return s.HoldsFact(f), nil
 }
 
@@ -354,8 +344,9 @@ func (b *BT) Work() (WorkSummary, error) {
 // representative instance, which by periodicity is the same up to a time
 // shift.
 func (b *BT) Explain(f ast.Fact, maxDepth int) (string, error) {
-	// Certify the specification first so the evaluator (including the
-	// provenance map) is frozen before it is read; see AskFact.
+	// The window only grows while the specification is being computed, so
+	// certifying it first (under mu) freezes the evaluator, provenance map
+	// included; the reads below then race with nothing.
 	b.mu.Lock()
 	s, serr := b.specification()
 	w := b.eval.Window()

@@ -212,8 +212,8 @@ func TestExplainThroughBT(t *testing.T) {
 }
 
 // TestWarmReadsTakeNoLock pins the lock-free warm path: once the
-// specification is published, Specification, Ask and Period complete
-// while another goroutine holds mu.
+// specification is published, Specification, Ask, AskFact and Period
+// complete while another goroutine holds mu.
 func TestWarmReadsTakeNoLock(t *testing.T) {
 	b := mustBT(t, skiSrc)
 	want, err := b.Specification()
@@ -232,6 +232,10 @@ func TestWarmReadsTakeNoLock(t *testing.T) {
 		}
 		if ok, err := b.Ask(q); err != nil || !ok {
 			t.Errorf("warm Ask = (%v, %v), want (true, nil)", ok, err)
+		}
+		f := ast.Fact{Pred: "plane", Temporal: true, Time: 1000002, Args: []string{"hunter"}}
+		if ok, err := b.AskFact(f); err != nil || !ok {
+			t.Errorf("warm AskFact = (%v, %v), want (true, nil)", ok, err)
 		}
 		if p, err := b.Period(); err != nil || p != want.Period {
 			t.Errorf("warm Period = (%v, %v), want (%v, nil)", p, err, want.Period)

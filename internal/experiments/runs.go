@@ -446,7 +446,7 @@ func E9(quick bool) (*Table, error) {
 		fullTime := time.Since(start)
 
 		start = time.Now()
-		sl := progan.Analyze(prog, db).Slice(progan.QueryPreds(q))
+		sl := progan.SliceOf(prog, progan.QueryPreds(q))
 		pp, err := sl.Program()
 		if err != nil {
 			return nil, err

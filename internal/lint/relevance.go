@@ -110,7 +110,7 @@ func checkRelevance(r *progan.Report, source string) []Diagnostic {
 	if len(exports) == 0 {
 		return ds
 	}
-	sl := r.Slice(exports)
+	sl := progan.SliceOf(r.Program(), exports)
 	if !sl.Proper() {
 		return ds
 	}

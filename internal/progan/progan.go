@@ -89,10 +89,8 @@ type Report struct {
 
 	prog    *ast.Program
 	predIdx map[string]int
-	// uses is the adjacency Pred -> body preds used during slicing.
+	// uses is the adjacency Pred -> body preds.
 	uses map[string][]string
-	// ruleHead caches each rule's head predicate.
-	ruleHead []string
 }
 
 // Program returns the analyzed program (shared, treat as read-only).
@@ -153,9 +151,7 @@ func Analyze(prog *ast.Program, db *ast.Database) *Report {
 		}
 		m[from][to] = true
 	}
-	r.ruleHead = make([]string, len(prog.Rules))
-	for i, rule := range prog.Rules {
-		r.ruleHead[i] = rule.Head.Pred
+	for _, rule := range prog.Rules {
 		for _, a := range rule.Body {
 			note(usesSet, rule.Head.Pred, a.Pred)
 			note(usedBySet, a.Pred, rule.Head.Pred)

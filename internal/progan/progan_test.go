@@ -96,7 +96,7 @@ func TestAnalyzeStructure(t *testing.T) {
 func TestSliceClosure(t *testing.T) {
 	r := analyzeUnit(t, layeredSrc)
 
-	sl := r.Slice([]string{"top"})
+	sl := progan.SliceOf(r.Program(), []string{"top"})
 	wantPreds := []string{"mid", "q", "rel", "top"}
 	if !reflect.DeepEqual(sl.Preds, wantPreds) {
 		t.Fatalf("top slice preds %v, want %v", sl.Preds, wantPreds)
@@ -121,7 +121,7 @@ func TestSliceClosure(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = full
-	whole := r.Slice([]string{"top", "even", "ghost"})
+	whole := progan.SliceOf(r.Program(), []string{"top", "even", "ghost"})
 	if whole.Proper() {
 		t.Fatalf("goal set covering every rule head should not be proper: %v", whole.Preds)
 	}
@@ -156,7 +156,7 @@ func TestSliceMonotonic(t *testing.T) {
 				}
 			}
 		}
-		small, big := r.Slice(sub), r.Slice(super)
+		small, big := progan.SliceOf(r.Program(), sub), progan.SliceOf(r.Program(), super)
 		for _, p := range small.Preds {
 			if !big.Contains(p) {
 				t.Fatalf("trial %d: pred %s in slice(%v) but not slice(%v)", trial, p, sub, super)
@@ -198,7 +198,7 @@ func TestAnalysisDeterministic(t *testing.T) {
 		if len(r0.Preds) > 2 {
 			goals = append(goals, r0.Preds[2].Name)
 		}
-		fp := r0.Slice(goals).Fingerprint()
+		fp := progan.SliceOf(prog, goals).Fingerprint()
 		b0, err := json.Marshal(progan.ComputeBounds(prog, db))
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestAnalysisDeterministic(t *testing.T) {
 			if string(got) != string(base) {
 				t.Fatalf("trial %d run %d: report differs\n%s\nvs\n%s", trial, run, base, got)
 			}
-			if f := r.Slice(goals).Fingerprint(); f != fp {
+			if f := progan.SliceOf(p, goals).Fingerprint(); f != fp {
 				t.Fatalf("trial %d run %d: slice fingerprint %s vs %s", trial, run, f, fp)
 			}
 			b, err := json.Marshal(progan.ComputeBounds(p, d))

@@ -27,38 +27,42 @@ type Slice struct {
 	// Total is the full program's rule count.
 	Total int
 
-	report  *Report
+	prog    *ast.Program
 	predSet map[string]bool
 }
 
-// Slice computes the backward-reachable slice for the goal predicates.
-func (r *Report) Slice(goals []string) *Slice {
+// SliceOf computes the backward-reachable slice of prog for the goal
+// predicates. It reads the rules alone — no database, no Report — so a
+// caller can decide whether a slice is proper before paying for anything
+// else.
+func SliceOf(prog *ast.Program, goals []string) *Slice {
 	s := &Slice{
 		Goals:   append([]string(nil), goals...),
-		Total:   len(r.prog.Rules),
-		report:  r,
+		Total:   len(prog.Rules),
+		prog:    prog,
 		predSet: make(map[string]bool),
 	}
 	sort.Strings(s.Goals)
-	queue := make([]string, 0, len(goals))
 	for _, g := range s.Goals {
-		if !s.predSet[g] {
-			s.predSet[g] = true
-			queue = append(queue, g)
-		}
+		s.predSet[g] = true
 	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, q := range r.uses[p] {
-			if !s.predSet[q] {
-				s.predSet[q] = true
-				queue = append(queue, q)
+	// Sweep the rules until no head joins the closure: a rule is taken
+	// once, when its head is first reached, and brings its body along.
+	in := make([]bool, len(prog.Rules))
+	for changed := true; changed; {
+		changed = false
+		for i, rule := range prog.Rules {
+			if in[i] || !s.predSet[rule.Head.Pred] {
+				continue
+			}
+			in[i], changed = true, true
+			for _, a := range rule.Body {
+				s.predSet[a.Pred] = true
 			}
 		}
 	}
-	for i, head := range r.ruleHead {
-		if s.predSet[head] {
+	for i, taken := range in {
+		if taken {
 			s.Rules = append(s.Rules, i)
 		}
 	}
@@ -88,9 +92,8 @@ func (s *Slice) Contains(pred string) bool { return s.predSet[pred] }
 func (s *Slice) Proper() bool { return len(s.Rules) < s.Total }
 
 // Fingerprint is a digest of the slice's identity: the goal set and the
-// predicate closure. Together with the program revision it keys the
-// sliced-specification cache — two queries over the same heads share one
-// sliced evaluation.
+// predicate closure. Tools print it (tddcheck graph -q, /debug/graph) so
+// two queries can be seen to select the same slice.
 func (s *Slice) Fingerprint() string {
 	h := sha256.New()
 	h.Write([]byte(strings.Join(s.Goals, "\x00")))
@@ -106,7 +109,7 @@ func (s *Slice) Fingerprint() string {
 func (s *Slice) Program() (*ast.Program, error) {
 	rules := make([]ast.Rule, 0, len(s.Rules))
 	for _, i := range s.Rules {
-		rules = append(rules, s.report.prog.Rules[i].Clone())
+		rules = append(rules, s.prog.Rules[i].Clone())
 	}
 	return ast.NewProgram(rules)
 }

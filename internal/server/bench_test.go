@@ -10,7 +10,6 @@ import (
 
 	"tdd"
 	"tdd/internal/wal"
-	"tdd/internal/workload"
 )
 
 // BenchmarkServedWarmAsk measures one served closed query on a warm spec
@@ -138,35 +137,6 @@ func BenchmarkDurableIngest(b *testing.B) {
 	b.Run("fsync-off", func(b *testing.B) { run(b, durable(wal.FsyncOff)) })
 	b.Run("fsync-interval", func(b *testing.B) { run(b, durable(wal.FsyncInterval)) })
 	b.Run("fsync-always", func(b *testing.B) { run(b, durable(wal.FsyncAlways)) })
-}
-
-// BenchmarkSlicedAsk is the E19 pair: a cold existential ask — OpenUnit
-// plus the first Ask, which certifies — on the Distractor workload with
-// and without query-directed slicing. The relevant chain has period 2;
-// the distractor cycles blow the full model's period up to 210 and fill
-// every state with irrelevant facts, so the full path certifies 210
-// states where the sliced path certifies a handful. That evaluation is
-// what slicing saves: a warm ask is a scan of integer probes either way
-// (E19 records both ratios), so the pair is measured cold. The ci.sh
-// perf gate holds the sliced/full ratio at <= 0.6 (min of 3).
-func BenchmarkSlicedAsk(b *testing.B) {
-	rules, facts := workload.Distractor([]int{3, 5, 7}, 40)
-	unit := rules + facts
-	// c1 has no witness, so the existential cannot short-circuit.
-	const query = "exists T q(T, c1)"
-	run := func(b *testing.B, opts ...tdd.Option) {
-		for i := 0; i < b.N; i++ {
-			db, err := tdd.OpenUnit(unit, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ok, err := db.Ask(query); err != nil || ok {
-				b.Fatalf("ask: ok=%v err=%v (want a witness-free no)", ok, err)
-			}
-		}
-	}
-	b.Run("full", func(b *testing.B) { run(b) })
-	b.Run("sliced", func(b *testing.B) { run(b, tdd.WithSlicing()) })
 }
 
 // BenchmarkServedWarmAskParallel drives the warm path from many client

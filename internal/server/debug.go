@@ -201,9 +201,6 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
 
 type debugGraphResponse struct {
 	ID string `json:"id"`
-	// Slicing reports whether the registry answers asks on this program
-	// through the sliced path.
-	Slicing bool `json:"slicing"`
 	// Graph is the whole-program dependency report: predicates with SCC
 	// assignments, the SCC condensation with per-component recursion
 	// class / temporal depth / base-reachability, and the rule table.
@@ -231,7 +228,6 @@ func (s *Server) handleDebugGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := debugGraphResponse{
 		ID:       id,
-		Slicing:  s.reg.slicing,
 		Graph:    ent.db.GraphJSON(),
 		Rendered: ent.db.Graph(),
 	}

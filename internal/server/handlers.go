@@ -78,7 +78,7 @@ type askRequest struct {
 
 type askResponse struct {
 	Result    bool   `json:"result"`
-	Engine    string `json:"engine"` // "spec", or "sliced" on a server run with -slice
+	Engine    string `json:"engine"` // always "spec": a served program is certified at registration
 	ElapsedUs int64  `json:"elapsed_us"`
 	// Coalesced marks a response served by joining an identical in-flight
 	// evaluation rather than running its own.
@@ -520,7 +520,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	resp := askResponse{
 		Result:    out.result,
-		Engine:    s.reg.askEngine(),
+		Engine:    "spec",
 		ElapsedUs: elapsed.Microseconds(),
 		Coalesced: coalesced,
 		TraceID:   obs.IDFrom(r.Context()),

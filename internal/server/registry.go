@@ -182,10 +182,6 @@ type Registry struct {
 	wal           *wal.Store
 	snapshotEvery int
 
-	// slicing opens every compiled program with query-directed relevance
-	// slicing (tdd.WithSlicing). Set once before serving (EnableSlicing).
-	slicing bool
-
 	mu    sync.Mutex
 	progs map[string]*programSource // guarded-by: mu
 	cache *lru[*future]             // guarded-by: mu
@@ -283,9 +279,6 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 	opts := []tdd.Option{tdd.WithTrace(tr), tdd.WithProfile()}
 	if r.maxWindow > 0 {
 		opts = append(opts, tdd.WithMaxWindow(r.maxWindow))
-	}
-	if r.slicing {
-		opts = append(opts, tdd.WithSlicing())
 	}
 	var (
 		db  *tdd.DB
@@ -521,24 +514,6 @@ func chainRecords(src *programSource) []wal.Record {
 func (r *Registry) EnableDurability(store *wal.Store, snapshotEvery int) {
 	r.wal = store
 	r.snapshotEvery = snapshotEvery
-}
-
-// EnableSlicing opens every subsequently compiled program with
-// query-directed relevance slicing: a closed query is then answered from
-// its relevance slice, certified on its own, whose period (and hence
-// quantifier domains) can be far smaller than the full model's; the DB
-// uses the full specification itself when the slice is the whole program.
-// Call once, before serving.
-func (r *Registry) EnableSlicing() { r.slicing = true }
-
-// askEngine is the "engine" field of ask responses: "sliced" when programs
-// are opened with slicing, "spec" otherwise. Open queries are always
-// answered from the full specification, so answers responses say "spec".
-func (r *Registry) askEngine() string {
-	if r.slicing {
-		return "sliced"
-	}
-	return "spec"
 }
 
 // RecoverFromWAL reconstructs the registry from the attached store:

@@ -35,12 +35,6 @@ type Config struct {
 	// MaxWindow bounds period certification per program (0 = engine
 	// default).
 	MaxWindow int
-	// Slicing opens every program with query-directed relevance slicing
-	// (tdd.WithSlicing): a closed ask whose predicates depend only on
-	// part of the program is answered from that part's (much smaller)
-	// certified slice. Answers are identical either way; the ask
-	// response's engine field reports "sliced" when the path is active.
-	Slicing bool
 	// Logger receives structured request logs (default: discard).
 	Logger *slog.Logger
 	// SlowQueryLog, when positive, logs the full phase trace of any ask,
@@ -168,9 +162,6 @@ func New(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		inflight: newInflightTable(),
 		slow:     newSlowRing(cfg.SlowQueryKeep),
-	}
-	if cfg.Slicing {
-		s.reg.EnableSlicing()
 	}
 	if cfg.DataDir != "" {
 		pol, err := wal.ParsePolicy(cfg.Fsync)

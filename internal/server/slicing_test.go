@@ -17,49 +17,10 @@ func distractorUnit() string {
 	return rules + facts
 }
 
-// TestSlicedServingMatchesFull drives the same query set through a
-// slicing server and a plain one: every answer must agree, and the
-// slicing server must label its asks with the "sliced" engine.
-func TestSlicedServingMatchesFull(t *testing.T) {
-	_, sliced := newTestServer(t, Config{Slicing: true})
-	_, plain := newTestServer(t, Config{})
-	unit := distractorUnit()
-	sid := register(t, sliced.URL, unit)
-	pid := register(t, plain.URL, unit)
-
-	queries := []string{
-		"q(1000000, c0)",     // even depth: yes
-		"q(1000001, c0)",     // odd depth: no
-		"exists T q(T, c0)",  // witnessed
-		"exists T q(T, c1)",  // relevant but witness-free
-		"exists T d0(T, j0)", // distractor-only goal
-		"!q(3, c0)",          // negation
-		"forall X !q(5, X)",  // constant quantifier (eligibility path)
-	}
-	for _, q := range queries {
-		if got, want := askServed(t, sliced.URL, sid, q), askServed(t, plain.URL, pid, q); got != want {
-			t.Errorf("ask %q: sliced server %v, plain server %v", q, got, want)
-		}
-	}
-
-	// The slicing server reports the sliced engine on its ask responses.
-	resp, body := postJSON(t, sliced.URL+"/programs/"+sid+"/ask", askRequest{Query: "q(1000000, c0)"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ask: status %d: %s", resp.StatusCode, body)
-	}
-	var ar askResponse
-	if err := json.Unmarshal(body, &ar); err != nil {
-		t.Fatal(err)
-	}
-	if ar.Engine != "sliced" {
-		t.Errorf("engine = %q, want sliced", ar.Engine)
-	}
-}
-
 // TestDebugGraph covers the introspection endpoint: the dependency
 // graph for a registered program, optionally with a query's slice.
 func TestDebugGraph(t *testing.T) {
-	_, ts := newTestServer(t, Config{Slicing: true})
+	_, ts := newTestServer(t, Config{})
 	id := register(t, ts.URL, distractorUnit())
 
 	resp, body := getJSON(t, ts.URL+"/debug/graph?id="+id)
@@ -69,9 +30,6 @@ func TestDebugGraph(t *testing.T) {
 	var out debugGraphResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
-	}
-	if !out.Slicing {
-		t.Error("slicing flag not reported")
 	}
 	if len(out.Graph.Preds) == 0 || len(out.Graph.SCCs) == 0 {
 		t.Fatalf("empty graph report: %s", body)

@@ -7,7 +7,6 @@ import (
 	"tdd/internal/ast"
 	"tdd/internal/engine"
 	"tdd/internal/period"
-	"tdd/internal/rewrite"
 )
 
 // Portable is the serialized form of a relational specification: the
@@ -47,7 +46,6 @@ func (s *Spec) Export(preds map[string]ast.PredInfo) ([]byte, error) {
 type Loaded struct {
 	Period period.Period
 	preds  map[string]ast.PredInfo
-	w      *rewrite.System
 	store  *engine.Store
 }
 
@@ -63,14 +61,9 @@ func Import(data []byte) (*Loaded, error) {
 	if p.Period < 1 || p.Base < 0 {
 		return nil, fmt.Errorf("spec: malformed period (b=%d, p=%d)", p.Base, p.Period)
 	}
-	w, err := rewrite.New(rewrite.Rule{LHS: p.Base + p.Period, RHS: p.Base})
-	if err != nil {
-		return nil, err
-	}
 	l := &Loaded{
 		Period: period.Period{Base: p.Base, P: p.Period},
 		preds:  p.Preds,
-		w:      w,
 		store:  engine.NewStore(),
 	}
 	for _, f := range p.Facts {
@@ -88,7 +81,7 @@ func (l *Loaded) Preds() map[string]ast.PredInfo { return l.preds }
 // HoldsFact answers a ground atomic query: rewrite, then look up in B.
 func (l *Loaded) HoldsFact(f ast.Fact) bool {
 	if f.Temporal {
-		f.Time = l.w.Normalize(f.Time)
+		f.Time = l.Period.Canonical(f.Time)
 	}
 	return l.store.Has(f)
 }
@@ -101,7 +94,7 @@ func (l *Loaded) Store() *engine.Store { return l.store }
 func (l *Loaded) TimePoints() int { return l.Period.Base + l.Period.P }
 
 // NormalizeTime rewrites t to its representative.
-func (l *Loaded) NormalizeTime(t int) (int, bool) { return l.w.Normalize(t), true }
+func (l *Loaded) NormalizeTime(t int) (int, bool) { return l.Period.Canonical(t), true }
 
 // ConstantDomain returns the active domain of non-temporal constants.
 func (l *Loaded) ConstantDomain() []string { return l.store.Constants() }

@@ -28,7 +28,6 @@ import (
 	"tdd/internal/ast"
 	"tdd/internal/engine"
 	"tdd/internal/period"
-	"tdd/internal/rewrite"
 )
 
 // Spec is a computed relational specification.
@@ -36,7 +35,6 @@ type Spec struct {
 	// Period is the verified period (b, p); the rewrite system W contains
 	// the single rule Base+P -> Base.
 	Period period.Period
-	w      *rewrite.System
 	eval   *engine.Evaluator
 }
 
@@ -61,20 +59,13 @@ func Compute(e *engine.Evaluator, maxWindow int) (*Spec, error) {
 	sp.End()
 	sp = tr.Begin("spec-construct")
 	defer sp.End()
-	w, err := rewrite.New(rewrite.Rule{LHS: p.Base + p.P, RHS: p.Base})
-	if err != nil {
-		return nil, err
-	}
 	sp.Add("representatives", int64(p.Base+p.P))
-	return &Spec{Period: p, w: w, eval: e}, nil
+	return &Spec{Period: p, eval: e}, nil
 }
 
 // Rewrite returns the canonical representative of the ground temporal term
 // t: W is applied until no rewriting is applicable.
-func (s *Spec) Rewrite(t int) int { return s.w.Normalize(t) }
-
-// RewriteSystem returns W, the specification's ground rewrite system.
-func (s *Spec) RewriteSystem() *rewrite.System { return s.w }
+func (s *Spec) Rewrite(t int) int { return s.Period.Canonical(t) }
 
 // Representatives returns T, the representative terms 0..b+p-1.
 func (s *Spec) Representatives() []int {
@@ -109,7 +100,7 @@ func (s *Spec) Store() *engine.Store { return s.eval.Store() }
 func (s *Spec) TimePoints() int { return s.NumRepresentatives() }
 
 // NormalizeTime rewrites t to its representative; see Store.
-func (s *Spec) NormalizeTime(t int) (int, bool) { return s.w.Normalize(t), true }
+func (s *Spec) NormalizeTime(t int) (int, bool) { return s.Period.Canonical(t), true }
 
 // ConstantDomain returns the active domain of non-temporal constants.
 func (s *Spec) ConstantDomain() []string { return s.eval.Store().Constants() }
@@ -141,7 +132,7 @@ func (s *Spec) String() string {
 	var b strings.Builder
 	reps, facts := s.Size()
 	fmt.Fprintf(&b, "T = {0..%d}  (%d representative terms)\n", reps-1, reps)
-	fmt.Fprintf(&b, "W = %s\n", s.w)
+	fmt.Fprintf(&b, "W = {%d -> %d}\n", reps, s.Period.Base)
 	fmt.Fprintf(&b, "B = (%d facts)\n", facts)
 	for _, f := range s.PrimaryDatabase() {
 		fmt.Fprintf(&b, "  %s.\n", f)

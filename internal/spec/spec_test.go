@@ -139,19 +139,3 @@ plane(5, aspen).
 		}
 	}
 }
-
-func TestRewriteSystemMatchesPeriodCanonical(t *testing.T) {
-	s := mustSpec(t, "even(T+2) :- even(T).\neven(0).\nodd(T+2) :- odd(T).\nodd(1).")
-	w := s.RewriteSystem()
-	if len(w.Rules()) != 1 {
-		t.Fatalf("W = %v, want a single rule", w)
-	}
-	for tm := 0; tm < 500; tm++ {
-		if w.Normalize(tm) != s.Period.Canonical(tm) {
-			t.Fatalf("W and period canonicalization disagree at %d", tm)
-		}
-	}
-	if !w.ConfluentUpTo(200) {
-		t.Error("single-rule W must be confluent")
-	}
-}

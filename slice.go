@@ -1,15 +1,30 @@
 package tdd
 
-// Query-directed relevance slicing (the tddslice layer). With
-// WithSlicing enabled, a closed query over predicates that only depend
-// on part of the program is answered from a *sliced* processor: the
-// backward-reachable rules plus the facts over their predicates,
-// certified independently. The slice theorem (see internal/progan and
-// DESIGN.md ablation 9) makes this exact: the least model of the sliced
-// program over the sliced database equals the full least model
-// restricted to the slice's predicates, so any query mentioning only
-// those predicates answers identically — while the sliced certification
-// window, period, and quantifier domains can be far smaller.
+// Query-directed relevance slicing (the tddslice layer). A closed query
+// over predicates that only depend on part of the program can be answered
+// from a *sliced* processor: the backward-reachable rules plus the facts
+// over their predicates, certified independently. The slice theorem (see
+// internal/progan and DESIGN.md ablation 9) makes this exact: the least
+// model of the sliced program over the sliced database equals the full
+// least model restricted to the slice's predicates, so any query
+// mentioning only those predicates answers identically — while the sliced
+// certification window, period, and quantifier domains can be far smaller.
+//
+// What a slice saves is the evaluation it skips, and that only exists
+// while the snapshot's full specification is uncertified: over a certified
+// model either path is a handful of integer probes. So the code picks the
+// path from what it can observe (structureFor): a slice is used iff the
+// snapshot is still cold, nobody attached a trace, profile or provenance
+// hook at Open (the sliced processor never carries them — a caller who
+// asked to observe gets the processor being observed), and the slice is
+// proper. A certified snapshot — every Assert successor of one, every
+// program tddserve holds — returns before any of this runs.
+//
+// A snapshot holds at most one sliced processor. The first proper goal
+// set asked on a cold snapshot is answered from its slice, and so is any
+// later query inside that slice's closure; a query outside it certifies
+// the full model, after which the slot is released. Total work is
+// bounded by slice + full, and a warm snapshot keeps one model resident.
 //
 // Two guard rails keep the path conservative:
 //
@@ -18,10 +33,10 @@ package tdd
 //     therefore substitutes the full database's constant domain — exact
 //     whenever every rule-head constant already occurs in the database
 //     (the eligibility check below); otherwise queries that quantify
-//     over constants fall back to the full path.
-//   - Any failure on the sliced path (uncertifiable slice, cache
-//     pressure) silently falls back to the full evaluation; slicing is
-//     an accelerator, never a semantics switch.
+//     over constants take the full path.
+//   - Any failure on the sliced path (an uncertifiable slice) falls back
+//     to the full evaluation, which then reports any real error; slicing
+//     is an accelerator, never a semantics switch.
 //
 // Open queries always use the full path: their temporal answers are
 // representative terms of the specification's period, and the sliced
@@ -38,50 +53,104 @@ import (
 	"tdd/internal/query"
 )
 
-// maxCachedSlices bounds the per-snapshot sliced-processor cache; the
-// key space is goal sets actually queried, so the cap exists only to
-// keep adversarial query streams from accumulating evaluations.
-const maxCachedSlices = 128
+// slicedModel is a snapshot's one sliced processor. Concurrent asks
+// inside its closure share a single build (and its lazy certification).
+type slicedModel struct {
+	sl *progan.Slice
 
-// WithSlicing enables query-directed relevance slicing: closed queries
-// whose predicates depend only on part of the program are answered by
-// evaluating just that part. Results are identical with and without
-// slicing; sliced evaluations are cached per database snapshot keyed by
-// the slice's predicate closure, and every Assert starts a fresh cache.
-func WithSlicing() Option { return func(c *config) { c.slicing = true } }
-
-// analysis is the per-snapshot static analysis state: the progan report,
-// the slicing eligibility verdict, and the sliced-processor cache. It is
-// built lazily by the first sliced ask and shared by all readers of the
-// snapshot; Assert installs a new snapshot with a fresh analysis.
-type analysis struct {
 	once     sync.Once
-	report   *progan.Report
+	bt       *core.BT
 	consts   []string // full database constant domain, sorted
 	eligible bool     // every rule-head constant occurs in the database
-
-	mu     sync.Mutex
-	slices map[string]*sliceEntry
+	err      error
 }
 
-// sliceEntry caches one sliced processor; concurrent asks over the same
-// goal set share a single build (and its lazy certification).
-type sliceEntry struct {
-	once sync.Once
-	bt   *core.BT
-	err  error
+// structureFor picks the structure a compiled query is evaluated in: the
+// snapshot's full specification, or, for a closed query on a snapshot
+// that has not certified it yet, the relevance slice when one applies.
+func (st *dbState) structureFor(c query.Compiled, tr *obs.Trace) (query.Structure, error) {
+	if !st.bt.Certified() && c.Closed() && st.cfg.trace == nil && !st.cfg.profile && !st.cfg.provenance {
+		if s := st.sliceFor(c, tr); s != nil {
+			return s, nil
+		}
+	}
+	s, err := st.bt.Specification()
+	if err != nil {
+		return nil, err
+	}
+	// The full model is resident, whoever certified it: a slice has no
+	// evaluation left to save, so the first query to see that drops it.
+	if st.sliced.Load() != nil {
+		st.sliced.Store(nil)
+	}
+	return s, nil
 }
 
-// analyze builds (once) and returns the snapshot's analysis.
-func (st *dbState) analyze() *analysis {
-	an := st.an
-	an.once.Do(func() {
-		an.report = progan.Analyze(st.prog, st.facts)
-		an.consts = st.facts.Constants()
-		an.eligible = headConstantsCovered(st.prog, an.consts)
-		an.slices = make(map[string]*sliceEntry)
-	})
-	return an
+// sliceFor returns the sliced structure answering c, or nil for "use the
+// full path": the slice is not proper, the snapshot's slot holds a slice
+// that does not cover the query, eligibility fails for this query, or the
+// sliced build failed.
+func (st *dbState) sliceFor(c query.Compiled, tr *obs.Trace) query.Structure {
+	goals := progan.QueryPreds(c.Query())
+	m := st.sliced.Load()
+	if m == nil {
+		// Properness is a property of the rules alone; nothing reads the
+		// database unless a rule is actually dropped.
+		sl := progan.SliceOf(st.prog, goals)
+		if !sl.Proper() {
+			return nil
+		}
+		m = &slicedModel{sl: sl}
+		if !st.sliced.CompareAndSwap(nil, m) {
+			m = st.sliced.Load()
+		}
+	}
+	if m == nil || !m.covers(goals) {
+		return nil
+	}
+	sp := tr.Begin("slice")
+	defer sp.End()
+	sp.Add("rules", int64(len(m.sl.Rules)))
+	sp.Add("rules_total", int64(m.sl.Total))
+	m.once.Do(func() { m.build(st) })
+	if m.err != nil || (!m.eligible && c.UsesConstantDomain()) {
+		return nil
+	}
+	s, err := m.bt.Specification()
+	if err != nil {
+		return nil
+	}
+	return slicedStructure{Structure: s, consts: m.consts}
+}
+
+// covers reports whether every goal predicate lies in the slice's
+// closure — the condition under which the slice theorem applies.
+func (m *slicedModel) covers(goals []string) bool {
+	for _, g := range goals {
+		if !m.sl.Contains(g) {
+			return false
+		}
+	}
+	return true
+}
+
+// build compiles the sliced processor over st's database. It inherits
+// the window budget and nothing else: a snapshot with observability hooks
+// never gets here.
+func (m *slicedModel) build(st *dbState) {
+	m.consts = st.facts.Constants()
+	m.eligible = headConstantsCovered(st.prog, m.consts)
+	prog, err := m.sl.Program()
+	if err != nil {
+		m.err = err
+		return
+	}
+	facts, err := m.sl.Database(st.facts)
+	if err != nil {
+		m.err = err
+		return
+	}
+	m.bt, m.err = core.New(prog, facts, core.WithMaxWindow(st.cfg.maxWindow))
 }
 
 // headConstantsCovered reports whether every constant in a rule head
@@ -115,87 +184,6 @@ type slicedStructure struct {
 
 func (s slicedStructure) ConstantDomain() []string { return s.consts }
 
-// askSliced answers a closed query through the sliced path when it
-// applies. answered=false means "use the full path" — either slicing is
-// off, the slice is not proper, eligibility fails for this query, or
-// the sliced build failed (the full path then reports any real error).
-func (st *dbState) askSliced(c query.Compiled, tr *obs.Trace) (result, answered bool) {
-	if !st.cfg.slicing {
-		return false, false
-	}
-	an := st.analyze()
-	if !an.eligible && c.UsesConstantDomain() {
-		return false, false
-	}
-	goals := progan.QueryPreds(c.Query())
-	if len(goals) == 0 {
-		return false, false
-	}
-	sl := an.report.Slice(goals)
-	if !sl.Proper() {
-		return false, false
-	}
-	sp := tr.Begin("slice")
-	defer sp.End()
-	sp.Add("rules", int64(len(sl.Rules)))
-	sp.Add("rules_total", int64(sl.Total))
-	bt, err := an.slicedBT(st, sl)
-	if err != nil {
-		return false, false
-	}
-	s, err := bt.Specification()
-	if err != nil {
-		return false, false
-	}
-	ok, err := c.Eval(slicedStructure{Structure: s, consts: an.consts})
-	if err != nil {
-		return false, false
-	}
-	return ok, true
-}
-
-// slicedBT returns (building and caching on first use) the processor
-// for one slice of this snapshot. The cache key is the slice
-// fingerprint — program revision is implicit, since the cache lives on
-// the snapshot.
-func (an *analysis) slicedBT(st *dbState, sl *progan.Slice) (*core.BT, error) {
-	key := sl.Fingerprint()
-	an.mu.Lock()
-	e := an.slices[key]
-	if e == nil {
-		if len(an.slices) >= maxCachedSlices {
-			an.mu.Unlock()
-			return nil, errSliceCacheFull
-		}
-		e = &sliceEntry{}
-		an.slices[key] = e
-	}
-	an.mu.Unlock()
-	e.once.Do(func() {
-		prog, err := sl.Program()
-		if err != nil {
-			e.err = err
-			return
-		}
-		facts, err := sl.Database(st.facts)
-		if err != nil {
-			e.err = err
-			return
-		}
-		// The sliced processor inherits the window budget but never the
-		// observability hooks: traces, profiles, and provenance stay
-		// attached to the full processor the caller owns.
-		e.bt, e.err = core.New(prog, facts, core.WithMaxWindow(st.cfg.maxWindow))
-	})
-	return e.bt, e.err
-}
-
-type sliceCacheFullError struct{}
-
-func (sliceCacheFullError) Error() string { return "tdd: slice cache full" }
-
-var errSliceCacheFull = sliceCacheFullError{}
-
 // GraphReport is the wire form of the whole-program dependency report:
 // predicates with their SCC assignments, the SCC condensation with
 // per-component metadata, and the rule table.
@@ -205,13 +193,15 @@ type GraphReport = progan.ReportJSON
 // in topological order (dependencies first) with recursion class,
 // temporal depth bounds, and base-reachability.
 func (d *DB) Graph() string {
-	return d.state().analyze().report.Render()
+	st := d.state()
+	return progan.Analyze(st.prog, st.facts).Render()
 }
 
 // GraphJSON returns the dependency report in wire form (tddserve's
 // /debug/graph payload).
 func (d *DB) GraphJSON() GraphReport {
-	return d.state().analyze().report.JSON()
+	st := d.state()
+	return progan.Analyze(st.prog, st.facts).JSON()
 }
 
 // SliceInfo describes the slice a query's predicates select.
@@ -224,7 +214,7 @@ type SliceInfo struct {
 	Rules  int  `json:"rules"`
 	Total  int  `json:"total"`
 	Proper bool `json:"proper"`
-	// Fingerprint keys the sliced-specification cache.
+	// Fingerprint identifies the slice: its goal set and closure.
 	Fingerprint string `json:"fingerprint"`
 }
 
@@ -236,8 +226,7 @@ func (d *DB) SliceFor(q string) (SliceInfo, error) {
 	if err != nil {
 		return SliceInfo{}, err
 	}
-	an := st.analyze()
-	sl := an.report.Slice(progan.QueryPreds(parsed))
+	sl := progan.SliceOf(st.prog, progan.QueryPreds(parsed))
 	return SliceInfo{
 		Goals:       sl.Goals,
 		Preds:       sl.Preds,

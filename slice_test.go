@@ -1,8 +1,9 @@
 package tdd_test
 
-// The slicing differential battery: on random programs, a DB opened
-// WithSlicing must be indistinguishable from a plain one — closed asks
-// (the sliced production path) for every derivable query head, open
+// The slicing differential battery: on random programs, a cold DB — whose
+// closed asks the facade answers from the query's relevance slice — must
+// be indistinguishable from one certified first, which answers everything
+// from the full model: closed asks for every derivable query head, open
 // answers, the certified period, and the model fingerprint all agree.
 
 import (
@@ -36,21 +37,20 @@ func genUnit(t *testing.T, seed int64) (string, *ast.Program) {
 	return prog.String() + db.String(), prog
 }
 
-// headQueries builds the battery's closed queries for one program: for
-// every derivable head predicate, ground atoms across the horizon,
+// headQueries builds the battery's closed queries for one program: per
+// derivable head predicate (sorted), ground atoms across the horizon,
 // negated atoms, and temporal/constant quantifications.
-func headQueries(prog *ast.Program, horizon int) []string {
-	heads := make(map[string]bool)
+func headQueries(prog *ast.Program, horizon int) (heads []string, queries map[string][]string) {
+	queries = make(map[string][]string)
 	for _, r := range prog.Rules {
-		heads[r.Head.Pred] = true
+		queries[r.Head.Pred] = nil
 	}
-	names := make([]string, 0, len(heads))
-	for h := range heads {
-		names = append(names, h)
+	for h := range queries {
+		heads = append(heads, h)
 	}
-	sort.Strings(names)
-	var qs []string
-	for _, name := range names {
+	sort.Strings(heads)
+	for _, name := range heads {
+		var qs []string
 		info := prog.Preds[name]
 		tuples := [][]string{{}}
 		if info.Arity == 1 {
@@ -77,13 +77,17 @@ func headQueries(prog *ast.Program, horizon int) []string {
 		case 2:
 			qs = append(qs, fmt.Sprintf("exists T exists X exists Y %s(T, X, Y)", name))
 		}
+		queries[name] = qs
 	}
-	return qs
+	return heads, queries
 }
 
-// TestSlicedAskMatchesFull is the battery proper: sliced ≡ full on every
-// query, plus period / fingerprint / open answers.
+// TestSlicedAskMatchesFull is the battery proper. Per (program, head) a
+// fresh DB is opened and asked cold, so every head whose slice is proper
+// goes down the sliced path; the reference is the same program certified
+// first via Period, the full path by construction.
 func TestSlicedAskMatchesFull(t *testing.T) {
+	proper := 0
 	for seed := int64(0); seed < sliceTrials; seed++ {
 		unit, prog := genUnit(t, seed)
 		full, err := tdd.OpenUnit(unit, tdd.WithMaxWindow(1<<14))
@@ -99,64 +103,75 @@ func TestSlicedAskMatchesFull(t *testing.T) {
 		if horizon > 64 {
 			horizon = 64
 		}
-		queries := headQueries(prog, horizon)
 		fullFP, err := full.ModelFingerprint()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sliced, err := tdd.OpenUnit(unit, tdd.WithMaxWindow(1<<14), tdd.WithSlicing())
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, q := range queries {
-			want, err := full.Ask(q)
+		heads, queries := headQueries(prog, horizon)
+		for _, head := range heads {
+			cold, err := tdd.OpenUnit(unit, tdd.WithMaxWindow(1<<14))
 			if err != nil {
-				t.Fatalf("seed %d full %q: %v", seed, q, err)
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			got, err := sliced.Ask(q)
-			if err != nil {
-				t.Fatalf("seed %d sliced %q: %v", seed, q, err)
+			if info, err := cold.SliceFor(queries[head][0]); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			} else if info.Proper {
+				proper++
 			}
-			if got != want {
-				info, _ := sliced.SliceFor(q)
-				t.Fatalf("seed %d: %q sliced=%v full=%v (slice %+v)\nunit:\n%s",
-					seed, q, got, want, info, unit)
+			for _, q := range queries[head] {
+				want, err := full.Ask(q)
+				if err != nil {
+					t.Fatalf("seed %d full %q: %v", seed, q, err)
+				}
+				got, err := cold.Ask(q)
+				if err != nil {
+					t.Fatalf("seed %d cold %q: %v", seed, q, err)
+				}
+				if got != want {
+					info, _ := cold.SliceFor(q)
+					t.Fatalf("seed %d: %q cold=%v full=%v (slice %+v)\nunit:\n%s",
+						seed, q, got, want, info, unit)
+				}
 			}
-		}
-		// Period and fingerprint come off the full processor the slicing
-		// DB still owns — they must be untouched by the sliced asks.
-		sp, err := sliced.Period()
-		if err != nil || sp != per {
-			t.Fatalf("seed %d: period %v/%v, full %v", seed, sp, err, per)
-		}
-		fp, err := sliced.ModelFingerprint()
-		if err != nil || fp != fullFP {
-			t.Fatalf("seed %d: fingerprint %s/%v, full %s", seed, fp, err, fullFP)
-		}
-		// One open query per head predicate: Answers always takes the
-		// full path, so this checks slicing never leaked into it.
-		for _, r := range prog.Rules[:1] {
-			name := r.Head.Pred
-			q := name + "(T)"
-			if a := prog.Preds[name].Arity; a == 1 {
-				q = name + "(T, X)"
-			} else if a >= 2 {
-				q = name + "(T, X, Y)"
+			// One open query per program, on its first head's DB: Answers
+			// takes the full path, so this checks slicing never leaked
+			// into it.
+			if head == heads[0] {
+				q := head + "(T)"
+				if a := prog.Preds[head].Arity; a == 1 {
+					q = head + "(T, X)"
+				} else if a >= 2 {
+					q = head + "(T, X, Y)"
+				}
+				wa, err := full.Answers(q)
+				if err != nil {
+					t.Fatalf("seed %d answers %q: %v", seed, q, err)
+				}
+				ga, err := cold.Answers(q)
+				if err != nil {
+					t.Fatalf("seed %d answers %q: %v", seed, q, err)
+				}
+				if tdd.FormatAnswers(ga) != tdd.FormatAnswers(wa) {
+					t.Fatalf("seed %d: answers to %q differ\ncold:\n%s\nfull:\n%s",
+						seed, q, tdd.FormatAnswers(ga), tdd.FormatAnswers(wa))
+				}
 			}
-			wa, err := full.Answers(q)
-			if err != nil {
-				t.Fatalf("seed %d answers %q: %v", seed, q, err)
+			// Period and fingerprint come off the full processor, which
+			// the sliced asks must have left untouched.
+			cp, err := cold.Period()
+			if err != nil || cp != per {
+				t.Fatalf("seed %d head %s: period %v/%v, full %v", seed, head, cp, err, per)
 			}
-			ga, err := sliced.Answers(q)
-			if err != nil {
-				t.Fatalf("seed %d answers %q: %v", seed, q, err)
-			}
-			if tdd.FormatAnswers(ga) != tdd.FormatAnswers(wa) {
-				t.Fatalf("seed %d: answers to %q differ\nsliced:\n%s\nfull:\n%s",
-					seed, q, tdd.FormatAnswers(ga), tdd.FormatAnswers(wa))
+			fp, err := cold.ModelFingerprint()
+			if err != nil || fp != fullFP {
+				t.Fatalf("seed %d head %s: fingerprint %s/%v, full %s", seed, head, fp, err, fullFP)
 			}
 		}
 	}
+	if proper == 0 {
+		t.Fatal("no (program, head) pair had a proper slice: the battery never left the full path")
+	}
+	t.Logf("%d (program, head) pairs asked through a proper slice", proper)
 }
 
 // TestSliceForReportsProperSlices spot-checks the public slice report on
@@ -167,7 +182,7 @@ a(T+1) :- a(T).
 b(T+2) :- b(T), a(T).
 c(T+3) :- c(T).
 a(0). b(0). c(0).
-`, tdd.WithSlicing())
+`)
 	if err != nil {
 		t.Fatal(err)
 	}

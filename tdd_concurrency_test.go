@@ -222,3 +222,125 @@ func TestConcurrentCompiledAsks(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestModelFingerprintUnderAsserts: ModelFingerprint hashes one snapshot.
+// Readers fingerprint continuously while a writer applies batches that
+// each change the model; every fingerprint taken must be the fingerprint
+// of the model after some whole number of batches, never a period from
+// one snapshot over states from another.
+func TestModelFingerprintUnderAsserts(t *testing.T) {
+	const batches = 24
+	batch := func(i int) string {
+		return fmt.Sprintf("resort(r%d). plane(%d, r%d).", i, i%5, i)
+	}
+	// Reference fingerprints from a sequentially used copy.
+	seq, err := tdd.OpenUnit(concurrentSkiUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := make(map[string]int, batches+1)
+	for i := 0; ; i++ {
+		fp, err := seq.ModelFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid[fp] = i
+		if i == batches {
+			break
+		}
+		if _, err := seq.Assert(batch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(valid) != batches+1 {
+		t.Fatalf("%d distinct reference fingerprints for %d models: batches must each change the model", len(valid), batches+1)
+	}
+
+	db, err := tdd.OpenUnit(concurrentSkiUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Period(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				fp, err := db.ModelFingerprint()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok := valid[fp]; !ok {
+					t.Errorf("fingerprint %s matches no whole-batch model", fp)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < batches; i++ {
+		if _, err := db.Assert(batch(i)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestConcurrentColdAsksShareOneSlot races goal sets for a cold snapshot's
+// one sliced slot: three independent chains, every goroutine's first ask
+// on a different one, so some are answered from the slice, the others
+// certify the full model and release it mid-flight. Every answer must be
+// the sequential one; under -race this pins the slot's hand-offs.
+func TestConcurrentColdAsksShareOneSlot(t *testing.T) {
+	const unit = `
+a(T+2) :- a(T).
+b(T+3) :- b(T).
+c(T+5) :- c(T).
+a(0). b(0). c(0).
+`
+	queries := []string{"a(1000)", "a(1001)", "b(999)", "b(1000)", "c(1000)", "c(1001)", "exists T (a(T) & b(T+1))"}
+	seq, err := tdd.OpenUnit(unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seq.Period(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]bool, len(queries))
+	for i, q := range queries {
+		if want[i], err = seq.Ask(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		db, err := tdd.OpenUnit(unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range queries {
+					j := (i + 2*g) % len(queries)
+					if got, err := db.Ask(queries[j]); err != nil || got != want[j] {
+						t.Errorf("round %d: Ask(%q) = %v, %v; want %v", round, queries[j], got, err, want[j])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
