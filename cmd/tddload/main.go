@@ -86,17 +86,6 @@ type sample struct {
 	us     int64
 }
 
-// metricsSnap is the subset of GET /metrics tddload reads to compute
-// server-side rates (field names must track server.MetricsSnapshot).
-type metricsSnap struct {
-	Requests      int64 `json:"requests"`
-	Errors        int64 `json:"errors"`
-	Shed          int64 `json:"shed_requests"`
-	Coalesced     int64 `json:"coalesced_requests"`
-	FlightLeaders int64 `json:"flight_leaders"`
-	CacheHits     int64 `json:"cache_hits"`
-}
-
 func run() error {
 	url := flag.String("url", "", "target server base URL (empty with -self)")
 	self := flag.Bool("self", false, "host an ephemeral in-process server")
@@ -413,8 +402,10 @@ func get(c *http.Client, url string) (int, error) {
 	return resp.StatusCode, nil
 }
 
-func scrapeMetrics(c *http.Client, base string) (metricsSnap, error) {
-	var snap metricsSnap
+// scrapeMetrics decodes GET /metrics; summarize reads the server-side
+// counters out of it by the keys the server's metric table declares.
+func scrapeMetrics(c *http.Client, base string) (map[string]any, error) {
+	var snap map[string]any
 	resp, err := c.Get(base + "/metrics")
 	if err != nil {
 		return snap, err
@@ -485,7 +476,7 @@ func percentile(sorted []int64, q float64) int64 {
 }
 
 func summarize(scenario, base string, elapsed time.Duration, clients, rate, programs int,
-	mix string, hot float64, results [][]sample, before, after metricsSnap) report {
+	mix string, hot float64, results [][]sample, before, after map[string]any) report {
 	rep := report{
 		URL: base, DurationSec: elapsed.Seconds(), Clients: clients,
 		RateTarget: rate, Programs: programs, Mix: mix, Hot: hot,
@@ -542,12 +533,17 @@ func summarize(scenario, base string, elapsed time.Duration, clients, rate, prog
 			MaxUs:    lat[len(lat)-1],
 		}
 	}
-	rep.Coalesced = after.Coalesced - before.Coalesced
-	rep.FlightLeaders = after.FlightLeaders - before.FlightLeaders
+	delta := func(key string) int64 {
+		a, _ := after[key].(float64)
+		b, _ := before[key].(float64)
+		return int64(a - b)
+	}
+	rep.Coalesced = delta(server.KeyCoalesced)
+	rep.FlightLeaders = delta(server.KeyFlightLeaders)
 	if evals := rep.Coalesced + rep.FlightLeaders; evals > 0 {
 		rep.CoalesceRate = float64(rep.Coalesced) / float64(evals)
 	}
-	rep.ServerShed = after.Shed - before.Shed
+	rep.ServerShed = delta(server.KeyShed)
 	if rep.Requests > 0 {
 		rep.ShedRate = float64(rep.Shed503) / float64(rep.Requests)
 	}

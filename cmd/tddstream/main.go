@@ -157,9 +157,12 @@ func tail(db *tdd.DB, tr *tdd.Trace, sess *session, in io.Reader, out io.Writer)
 			}
 			fmt.Fprintf(out, "period %v\n", p)
 		case line == ":stats":
-			derived, firings, sweeps := db.EngineStats()
-			fmt.Fprintf(out, "trace=%s derived=%d firings=%d sweeps=%d batches=%d\n",
-				tr.ID(), derived, firings, sweeps, len(batches))
+			w, err := db.Work()
+			if err != nil {
+				fmt.Fprintln(out, "error:", err)
+				break
+			}
+			fmt.Fprintf(out, "trace=%s %v batches=%d\n", tr.ID(), w, len(batches))
 			for i, b := range batches {
 				fmt.Fprintf(out, "  batch %d: new=%d dup=%d delta=%d recertified=%t\n",
 					i+1, b.NewFacts, b.Duplicates, b.Derived, b.Recertified)

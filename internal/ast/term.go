@@ -97,6 +97,9 @@ func quoteConst(name string) string {
 	}
 	if c := name[0]; c >= 'A' && c <= 'Z' || c == '_' {
 		plain = false
+	} else if c >= '0' && c <= '9' && strings.Trim(name, "0123456789") != "" {
+		// A leading digit scans as a number: only all-digit names may stay bare.
+		plain = false
 	}
 	if plain {
 		return name

@@ -287,8 +287,8 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 	return nb, res, nil
 }
 
-// EngineStats returns the engine's work counters (derived facts, rule
-// firings, window sweeps) accumulated so far.
+// EngineStats returns the engine's full work breakdown accumulated so
+// far: the aggregate counters plus the per-rule and per-index tables.
 func (b *BT) EngineStats() engine.Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -303,38 +303,38 @@ func (b *BT) ProfileSnapshot() *engine.ProfileJSON {
 	return b.eval.ProfileSnapshot()
 }
 
-// WorkSummary describes the polynomial-cost certificate of a processed
-// database: the window BT needed, the period it certified, and the fact
-// counts. Used by the experiment harness.
-type WorkSummary struct {
-	Window  int
-	Period  period.Period
-	Derived int
-	Firings int
-	Facts   int
+// Certificate is the polynomial-cost certificate of a processed database
+// (Theorem 4.1): the window BT evaluated, the period it certified, the
+// engine work that took, and the size of the resulting specification.
+// Every surface that reports a TDD's cost — tddquery -work, tddstream
+// :stats, the server's per-program metrics — reports this struct.
+type Certificate struct {
+	Window          int           // largest time point evaluated
+	Period          period.Period // certified (b, p)
+	Derived         int           // distinct facts derived beyond the database
+	Firings         int           // successful rule-body instantiations
+	Sweeps          int           // full-window re-sweeps of the outer fixpoint
+	Representatives int           // |T|
+	Facts           int           // |B|
 }
 
-func (w WorkSummary) String() string {
-	return fmt.Sprintf("window=%d period=%v derived=%d firings=%d facts=%d",
-		w.Window, w.Period, w.Derived, w.Firings, w.Facts)
+func (c Certificate) String() string {
+	return fmt.Sprintf("window=%d period=%v derived=%d firings=%d sweeps=%d reps=%d facts=%d",
+		c.Window, c.Period, c.Derived, c.Firings, c.Sweeps, c.Representatives, c.Facts)
 }
 
 // Work computes the specification (if needed) and reports the work done.
-func (b *BT) Work() (WorkSummary, error) {
+func (b *BT) Work() (Certificate, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s, err := b.specification()
 	if err != nil {
-		return WorkSummary{}, err
+		return Certificate{}, err
 	}
 	st := b.eval.Stats()
-	return WorkSummary{
-		Window:  b.eval.Window(),
-		Period:  s.Period,
-		Derived: st.Derived,
-		Firings: st.Firings,
-		Facts:   b.eval.Store().Len(),
-	}, nil
+	c := Certificate{Window: b.eval.Window(), Period: s.Period, Derived: st.Derived, Firings: st.Firings, Sweeps: st.Sweeps}
+	c.Representatives, c.Facts = s.Size()
+	return c, nil
 }
 
 // Explain renders the derivation tree of a ground atomic fact. Provenance

@@ -178,12 +178,6 @@ func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 				}
 			}
 		}
-		for _, f := range next {
-			if e.stats.DeltaByTime == nil {
-				e.stats.DeltaByTime = make(map[int]int)
-			}
-			e.stats.DeltaByTime[f.time]++
-		}
 		total += len(next)
 		delta = next
 	}

@@ -17,11 +17,11 @@ type RuleStat struct {
 	Derived int    `json:"derived"`
 }
 
-// Stats accumulates work counters for experiments, tests, and telemetry.
-// The aggregate counters (Derived, Firings, Sweeps) are the historical
-// core; the per-rule, per-sweep, per-timestamp extensions feed the
-// tracing layer (?trace=1 firing tables, tddstream :stats) without any
-// package-local side channel.
+// Stats accumulates work counters for experiments, tests, and telemetry:
+// the aggregate counters, the per-rule table behind ?trace=1, and the
+// join-side index counters. Per-sweep, per-extension and per-timestamp
+// detail is carried by the sweep, fixpoint and delta-propagate spans of an
+// attached trace, not here.
 type Stats struct {
 	// Derived counts facts added beyond the database.
 	Derived int
@@ -34,16 +34,6 @@ type Stats struct {
 	// Rules holds per-rule firing and derivation counts, parallel to the
 	// program's rule order.
 	Rules []RuleStat
-	// SweepSizes records the number of facts each full-window re-sweep
-	// added, in sweep order (len(SweepSizes) == Sweeps).
-	SweepSizes []int
-	// DeltaByTime records, per timestamp, how many facts semi-naive delta
-	// propagation (PropagateDelta) derived there; key -1 collects derived
-	// non-temporal facts.
-	DeltaByTime map[int]int
-	// StoreGrowth records the total store size after each window
-	// extension (EnsureWindow call that did work), oldest first.
-	StoreGrowth []int
 	// Index counts join-side relation accesses per body predicate: index
 	// bucket probes vs full scans (see IndexStat, plan.go). Like every
 	// other counter it is bit-identical across repeated runs.
@@ -58,14 +48,6 @@ type Stats struct {
 func (s Stats) Clone() Stats {
 	c := s
 	c.Rules = append([]RuleStat(nil), s.Rules...)
-	c.SweepSizes = append([]int(nil), s.SweepSizes...)
-	c.StoreGrowth = append([]int(nil), s.StoreGrowth...)
-	if s.DeltaByTime != nil {
-		c.DeltaByTime = make(map[int]int, len(s.DeltaByTime))
-		for k, v := range s.DeltaByTime {
-			c.DeltaByTime[k] = v
-		}
-	}
 	if s.Index != nil {
 		c.Index = make(map[string]*IndexStat, len(s.Index))
 		for k, v := range s.Index {
@@ -253,7 +235,7 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 func (e *Evaluator) Store() *Store { return e.store }
 
 // Stats returns a snapshot of the accumulated work counters (the
-// extension slices and index cells are deep-copied; the evaluator keeps
+// per-rule table and index cells are deep-copied; the evaluator keeps
 // counting).
 func (e *Evaluator) Stats() Stats { return e.stats.Clone() }
 
@@ -324,7 +306,6 @@ func (e *Evaluator) EnsureWindow(m int) {
 			for t := 0; t <= m; t++ {
 				added += e.evalState(t, m)
 			}
-			e.stats.SweepSizes = append(e.stats.SweepSizes, added)
 			ssp.Add("added", int64(added))
 			ssp.Add("firings", int64(e.stats.Firings-sf0))
 			ssp.End()
@@ -333,7 +314,6 @@ func (e *Evaluator) EnsureWindow(m int) {
 			}
 		}
 	}
-	e.stats.StoreGrowth = append(e.stats.StoreGrowth, e.store.Len())
 	sp.Add("window", int64(m))
 	sp.Add("firings", int64(e.stats.Firings-f0))
 	sp.Add("derived", int64(e.stats.Derived-d0))

@@ -21,8 +21,27 @@ func buildEval(t *testing.T, src string) *Evaluator {
 	return e
 }
 
-// TestStatsExtension checks that per-rule, per-sweep, and store-growth
-// counters reconcile with the aggregate counters.
+// spans collects every span named name, anywhere in the trace, in start
+// order.
+func spans(tr *obs.Trace, name string) []obs.SpanJSON {
+	var out []obs.SpanJSON
+	var walk func([]obs.SpanJSON)
+	walk = func(ps []obs.SpanJSON) {
+		for _, p := range ps {
+			if p.Name == name {
+				out = append(out, p)
+			}
+			walk(p.Children)
+		}
+	}
+	walk(tr.Snapshot().Phases)
+	return out
+}
+
+// TestStatsExtension checks that the per-rule counters reconcile with the
+// aggregate counters, and that the per-sweep and store-size detail the
+// spans carry reconciles with both: one sweep span (with its added count)
+// per counted sweep, and a fixpoint store_len equal to the store's size.
 func TestStatsExtension(t *testing.T) {
 	e := buildEval(t, `
 even(T+2) :- even(T).
@@ -30,6 +49,8 @@ mark(X) :- even(T), tag(X).
 even(0).
 tag(a).
 `)
+	tr := obs.New()
+	e.SetTrace(tr)
 	e.EnsureWindow(10)
 	st := e.Stats()
 	if len(st.Rules) != 2 {
@@ -49,16 +70,24 @@ tag(a).
 	if derived != st.Derived {
 		t.Errorf("per-rule derived sum %d != aggregate %d", derived, st.Derived)
 	}
-	if len(st.SweepSizes) != st.Sweeps {
-		t.Errorf("SweepSizes has %d entries, Sweeps = %d", len(st.SweepSizes), st.Sweeps)
+	sweeps := spans(tr, "sweep")
+	if st.Sweeps == 0 || len(sweeps) != st.Sweeps {
+		t.Errorf("%d sweep spans, Sweeps = %d (want equal and positive)", len(sweeps), st.Sweeps)
 	}
-	if len(st.StoreGrowth) == 0 || st.StoreGrowth[len(st.StoreGrowth)-1] != e.Store().Len() {
-		t.Errorf("StoreGrowth %v should end at store size %d", st.StoreGrowth, e.Store().Len())
+	for i, sw := range sweeps {
+		if _, ok := sw.Counters["added"]; !ok {
+			t.Errorf("sweep span %d has no added counter: %v", i, sw.Counters)
+		}
+	}
+	fx := spans(tr, "fixpoint")
+	if len(fx) != 1 || fx[0].Counters["store_len"] != int64(e.Store().Len()) {
+		t.Errorf("fixpoint spans %+v should be one span ending at store size %d", fx, e.Store().Len())
 	}
 }
 
 // TestStatsSnapshotIsolated checks the Stats getter deep-copies: the
-// evaluator keeps counting without mutating earlier snapshots.
+// evaluator keeps counting without mutating earlier snapshots, and a
+// clone's work is not booked against the original.
 func TestStatsSnapshotIsolated(t *testing.T) {
 	e := buildEval(t, "even(T+2) :- even(T).\neven(0).\n")
 	e.EnsureWindow(4)
@@ -68,39 +97,41 @@ func TestStatsSnapshotIsolated(t *testing.T) {
 	if before.Rules[0].Firings != ruleFirings {
 		t.Error("snapshot mutated by later evaluation")
 	}
+	orig := e.Stats()
 	clone := e.Clone()
 	if _, err := clone.InsertBase(ast.Fact{Pred: "even", Temporal: true, Time: 1}); err != nil {
 		t.Fatal(err)
 	}
-	clone.PropagateDelta([]ast.Fact{{Pred: "even", Temporal: true, Time: 1}})
-	if got := e.Stats().DeltaByTime; len(got) != 0 {
-		t.Errorf("clone's delta stats leaked into the original: %v", got)
+	if clone.PropagateDelta([]ast.Fact{{Pred: "even", Temporal: true, Time: 1}}) == 0 {
+		t.Fatal("delta propagation derived nothing")
+	}
+	if got := e.Stats(); got.Derived != orig.Derived || got.Rules[0] != orig.Rules[0] {
+		t.Errorf("clone's delta work leaked into the original: %+v, was %+v", got, orig)
 	}
 }
 
-// TestDeltaByTime checks PropagateDelta records per-timestamp delta
-// sizes.
-func TestDeltaByTime(t *testing.T) {
+// TestDeltaSpanDerived checks the delta-propagate span reports what
+// PropagateDelta returned, and that the aggregate counter moved by it.
+func TestDeltaSpanDerived(t *testing.T) {
 	e := buildEval(t, "even(T+2) :- even(T).\neven(0).\n")
 	e.EnsureWindow(6)
 	f := ast.Fact{Pred: "even", Temporal: true, Time: 1}
 	if _, err := e.InsertBase(f); err != nil {
 		t.Fatal(err)
 	}
+	tr := obs.New()
+	e.SetTrace(tr)
+	before := e.Stats().Derived
 	n := e.PropagateDelta([]ast.Fact{f})
 	if n == 0 {
 		t.Fatal("delta propagation derived nothing")
 	}
-	st := e.Stats()
-	total := 0
-	for tm, c := range st.DeltaByTime {
-		if tm < 0 {
-			t.Errorf("unexpected non-temporal delta bucket: %v", st.DeltaByTime)
-		}
-		total += c
+	dp := spans(tr, "delta-propagate")
+	if len(dp) != 1 || dp[0].Counters["derived"] != int64(n) {
+		t.Errorf("delta-propagate spans %+v, PropagateDelta returned %d", dp, n)
 	}
-	if total != n {
-		t.Errorf("DeltaByTime sums to %d, PropagateDelta returned %d", total, n)
+	if got := e.Stats().Derived - before; got != n {
+		t.Errorf("Derived moved by %d, PropagateDelta returned %d", got, n)
 	}
 }
 

@@ -441,25 +441,25 @@ func (p *ProfileJSON) Tree() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "profile  window=%d join=%s rules=%d\n", p.Window, profUs(p.JoinUs), len(p.Rules))
+	fmt.Fprintf(&b, "profile  window=%d join=%s rules=%d\n", p.Window, obs.FormatUs(p.JoinUs), len(p.Rules))
 	if p.Dominant != nil {
 		fmt.Fprintf(&b, "dominant join: [%d] %s in %s  (%s, scanned=%d)\n",
-			p.Dominant.Pos, p.Dominant.Literal, p.Dominant.Rule, profUs(p.Dominant.Us), p.Dominant.Scanned)
+			p.Dominant.Pos, p.Dominant.Literal, p.Dominant.Rule, obs.FormatUs(p.Dominant.Us), p.Dominant.Scanned)
 	}
 	for _, r := range p.Rules {
 		share := ""
 		if p.JoinUs > 0 {
 			share = fmt.Sprintf(" (%.1f%%)", 100*float64(r.Us)/float64(p.JoinUs))
 		}
-		fmt.Fprintf(&b, "  %s  calls=%d time=%s%s\n", r.Rule, r.Calls, profUs(r.Us), share)
+		fmt.Fprintf(&b, "  %s  calls=%d time=%s%s\n", r.Rule, r.Calls, obs.FormatUs(r.Us), share)
 		for _, l := range r.Literals {
 			fmt.Fprintf(&b, "    [%d] %-24s scanned=%d matched=%d sel=%.1f%% time=%s\n",
-				l.Pos, l.Literal, l.Scanned, l.Matched, 100*l.Selectivity, profUs(l.Us))
+				l.Pos, l.Literal, l.Scanned, l.Matched, 100*l.Selectivity, obs.FormatUs(l.Us))
 		}
 		if len(r.Strata) > 1 {
 			parts := make([]string, 0, len(r.Strata))
 			for _, s := range r.Strata {
-				parts = append(parts, fmt.Sprintf("t∈[%d,%d] calls=%d time=%s", s.Lo, s.Hi, s.Calls, profUs(s.Us)))
+				parts = append(parts, fmt.Sprintf("t∈[%d,%d] calls=%d time=%s", s.Lo, s.Hi, s.Calls, obs.FormatUs(s.Us)))
 			}
 			fmt.Fprintf(&b, "    strata: %s\n", strings.Join(parts, "; "))
 		}
@@ -475,16 +475,4 @@ func (p *ProfileJSON) Tree() string {
 		}
 	}
 	return b.String()
-}
-
-// profUs formats a microsecond count, mirroring obs's span durations.
-func profUs(us int64) string {
-	switch {
-	case us >= 1e6:
-		return fmt.Sprintf("%.2fs", float64(us)/1e6)
-	case us >= 1e3:
-		return fmt.Sprintf("%.1fms", float64(us)/1e3)
-	default:
-		return fmt.Sprintf("%dµs", us)
-	}
 }

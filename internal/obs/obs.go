@@ -235,7 +235,7 @@ func (t *Trace) Tree() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s  total=%s\n", snap.TraceID, usString(snap.TotalUs))
+	fmt.Fprintf(&b, "trace %s  total=%s\n", snap.TraceID, FormatUs(snap.TotalUs))
 	for _, p := range snap.Phases {
 		writeSpanTree(&b, p, 1)
 	}
@@ -246,7 +246,7 @@ func (t *Trace) Tree() string {
 }
 
 func writeSpanTree(b *strings.Builder, s SpanJSON, depth int) {
-	fmt.Fprintf(b, "%s%-*s %10s", strings.Repeat("  ", depth), 24-2*depth, s.Name, usString(s.Us))
+	fmt.Fprintf(b, "%s%-*s %10s", strings.Repeat("  ", depth), 24-2*depth, s.Name, FormatUs(s.Us))
 	if len(s.Counters) > 0 {
 		keys := make([]string, 0, len(s.Counters))
 		for k := range s.Counters {
@@ -263,7 +263,9 @@ func writeSpanTree(b *strings.Builder, s SpanJSON, depth int) {
 	}
 }
 
-func usString(us int64) string {
+// FormatUs renders a microsecond count the way every phase tree and
+// EXPLAIN ANALYZE report prints a duration.
+func FormatUs(us int64) string {
 	return (time.Duration(us) * time.Microsecond).String()
 }
 

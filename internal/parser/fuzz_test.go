@@ -81,6 +81,8 @@ var fuzzSeeds = []string{
 	"p(-1).",
 	"@bogus p.\n",
 	"p(T+2) :- q(T), p(T, T).",
+	// A quoted constant with a leading digit must print quoted again.
+	"a('0000A','0000').\n",
 }
 
 // FuzzParseUnit asserts two properties on arbitrary unit sources:

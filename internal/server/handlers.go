@@ -311,9 +311,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		ID:              ent.src.id,
 		Rev:             ent.src.rev,
 		Existing:        existing,
-		Period:          periodJSON{Base: ent.period.Base, P: ent.period.P},
-		Representatives: ent.reps,
-		Facts:           ent.facts,
+		Period:          periodJSON(ent.cert.Period),
+		Representatives: ent.cert.Representatives,
+		Facts:           ent.cert.Facts,
 		LintWarnings:    ent.lint.Warnings(),
 	}
 	if optedIn(r, "lint") {
@@ -366,9 +366,9 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		Derived:         res.Derived,
 		Recertified:     res.Recertified,
 		PeriodChanged:   res.PeriodChanged,
-		Period:          periodJSON{Base: ent.period.Base, P: ent.period.P},
-		Representatives: ent.reps,
-		Facts:           ent.facts,
+		Period:          periodJSON(ent.cert.Period),
+		Representatives: ent.cert.Representatives,
+		Facts:           ent.cert.Facts,
 		LintWarnings:    ent.lint.Warnings(),
 		ElapsedUs:       time.Since(start).Microseconds(),
 	}
@@ -556,7 +556,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := time.Since(start)
-	per := out.ent.period
+	per := out.ent.cert.Period
 	resp := answersResponse{
 		Answers:   make([]answerJSON, 0, len(out.ans)),
 		Count:     len(out.ans),
@@ -584,7 +584,7 @@ func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	writeJSON(w, http.StatusOK, periodJSON{Base: ent.period.Base, P: ent.period.P})
+	writeJSON(w, http.StatusOK, periodJSON(ent.cert.Period))
 }
 
 // GET /programs/{id}/spec — the relational specification, exported on
@@ -637,63 +637,4 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 // GET /healthz
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// durabilityStats converts the store's per-program state to the metrics
-// wire form (nil without a data directory).
-func (s *Server) durabilityStats() map[string]DurabilityStats {
-	stats := s.reg.DurabilityStats()
-	if stats == nil {
-		return nil
-	}
-	out := make(map[string]DurabilityStats, len(stats))
-	for id, st := range stats {
-		out[id] = DurabilityStats{
-			Seq:            st.Seq,
-			Rev:            st.Rev,
-			DurableSeq:     st.DurableSeq,
-			DurableRev:     st.DurableRev,
-			SnapshotSeq:    st.SnapshotSeq,
-			SnapshotAgeSec: st.SnapshotAge.Seconds(),
-			WalBytes:       st.Bytes,
-		}
-	}
-	return out
-}
-
-// followerSnapshot reports the replication section (nil unless
-// following).
-func (s *Server) followerSnapshot() *FollowerSnapshot {
-	if s.follower == nil {
-		return nil
-	}
-	return &FollowerSnapshot{
-		Leader:  s.cfg.Follow,
-		Polls:   s.metrics.FollowerPolls.Load(),
-		Records: s.metrics.FollowerRecords.Load(),
-		Errors:  s.metrics.FollowerErrors.Load(),
-		Lag:     s.metrics.FollowerLag.Load(),
-	}
-}
-
-// GET /metrics
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.metrics.Snapshot()
-	snap.Programs = s.reg.WarmStats()
-	for _, p := range snap.Programs {
-		snap.LintWarnings += int64(p.LintWarnings)
-	}
-	snap.QueueDepth = int64(s.pool.Depth())
-	snap.QueueCapacity = int64(s.pool.Capacity())
-	snap.Durability = s.durabilityStats()
-	snap.Follower = s.followerSnapshot()
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// GET /metrics.prom — the same counters in Prometheus text exposition,
-// for scrape-based monitoring.
-func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writePrometheus(w, s.reg.WarmStats(), s.durabilityStats(),
-		s.pool.Depth(), s.pool.Capacity())
 }

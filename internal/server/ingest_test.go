@@ -180,28 +180,21 @@ func TestIngestMetrics(t *testing.T) {
 	id := register(t, ts.URL, skiUnit)
 	fr := ingest(t, ts.URL, id, "resort(whistler).\nplane(1, whistler).\n")
 
-	resp, body := getJSON(t, ts.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: status %d", resp.StatusCode)
+	snap := scrapeJSON(t, ts.URL)
+	if a, n := snap.num(t, "asserts"), snap.num(t, "facts_ingested"); a != 1 || n != 2 {
+		t.Fatalf("asserts=%v ingested=%v, want 1 and 2", a, n)
 	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Asserts != 1 || snap.Ingested != 2 {
-		t.Fatalf("asserts=%d ingested=%d, want 1 and 2", snap.Asserts, snap.Ingested)
-	}
-	ps, ok := snap.Programs[id]
+	ps, ok := snap["programs"].(map[string]any)[id].(map[string]any)
 	if !ok {
-		t.Fatalf("program %s missing from metrics: %s", id, body)
+		t.Fatalf("program %s missing from metrics: %v", id, snap)
 	}
-	if ps.Rev != fr.Rev {
-		t.Fatalf("metrics rev %s, response rev %s", ps.Rev, fr.Rev)
+	if ps["rev"] != fr.Rev {
+		t.Fatalf("metrics rev %v, response rev %s", ps["rev"], fr.Rev)
 	}
-	if ps.Derived <= 0 || ps.Firings <= 0 {
+	if snap.num(t, "programs", id, "derived") <= 0 || snap.num(t, "programs", id, "firings") <= 0 {
 		t.Fatalf("engine counters not wired: %+v", ps)
 	}
-	if ps.Period.P == 0 {
+	if snap.num(t, "programs", id, "period", "p") == 0 {
 		t.Fatalf("period not reported: %+v", ps)
 	}
 }

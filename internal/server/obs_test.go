@@ -35,24 +35,37 @@ func TestHistogramBoundaries(t *testing.T) {
 		t.Errorf("+Inf bucket = %d, want 1", got)
 	}
 
+	// One reading, two renderings: the JSON form keys the non-empty
+	// buckets by bound, the Prometheus form accumulates them.
 	snap := h.snapshot()
-	if snap.Count != 4 {
-		t.Errorf("count = %d, want 4", snap.Count)
+	if snap.count != 4 {
+		t.Errorf("count = %d, want 4", snap.count)
 	}
-	if snap.Buckets["+Inf"] != 1 {
-		t.Errorf("snapshot +Inf = %d, want 1", snap.Buckets["+Inf"])
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	cum, count, _ := h.cumulative()
-	if count != 4 {
-		t.Errorf("cumulative count = %d, want 4", count)
+	var got struct {
+		Count   int64            `json:"count"`
+		Buckets map[string]int64 `json:"buckets"`
 	}
-	if cum[len(cum)-1] != 4 {
-		t.Errorf("final cumulative bucket = %d, want total 4", cum[len(cum)-1])
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(cum); i++ {
-		if cum[i] < cum[i-1] {
-			t.Fatalf("cumulative buckets not monotone at %d: %v", i, cum)
+	if got.Count != 4 || got.Buckets["+Inf"] != 1 || got.Buckets["le_100µs"] != 2 {
+		t.Errorf("JSON form = %s, want count 4, +Inf 1, le_100µs 2", raw)
+	}
+	var prom strings.Builder
+	snap.writeProm(&prom, "h", `route="x"`)
+	for _, want := range []string{
+		`h_bucket{route="x",le="5e-05"} 1`,
+		`h_bucket{route="x",le="0.0001"} 3`,
+		`h_bucket{route="x",le="5"} 3`,
+		`h_bucket{route="x",le="+Inf"} 4`,
+		`h_count{route="x"} 4`,
+	} {
+		if !strings.Contains(prom.String(), want+"\n") {
+			t.Errorf("Prometheus form missing %q:\n%s", want, prom.String())
 		}
 	}
 }

@@ -72,11 +72,13 @@ func (s *programSource) lintSource() string {
 // snapshots export it on demand. Entries are immutable once published; an
 // ingest builds a successor on a fork of db and swaps it in.
 type entry struct {
-	src    *programSource
-	db     *tdd.DB
-	period tdd.Period
-	reps   int // |T|, representative terms
-	facts  int // |B|, primary-database facts
+	src *programSource
+	db  *tdd.DB
+	// cert is the model's work certificate — window, period (b, p), engine
+	// counters, |T| and |B| — captured once when the entry is built: a
+	// published model never changes, so responses and metrics scrapes read
+	// these plain fields and never touch db's locks.
+	cert tdd.Certificate
 	// lint is the Tier-A analysis of the compiled program, computed once
 	// per compile/ingest while the entry is built — never on the query
 	// path. Served in registration/ingestion responses (?lint=1 for the
@@ -95,19 +97,15 @@ type entry struct {
 // model, so everything a response or a warm query reads is in place
 // before the entry is published.
 func newEntry(src *programSource, db *tdd.DB, tr *obs.Trace) (*entry, error) {
-	per, err := db.Period()
+	cert, err := db.Work()
 	if err != nil {
 		return nil, fmt.Errorf("certifying: %w", err)
-	}
-	reps, facts, err := db.SpecificationSize()
-	if err != nil {
-		return nil, err
 	}
 	sp := tr.Begin("lint")
 	lintRes := db.Lint(src.lintSource())
 	sp.Add("warnings", int64(lintRes.Warnings()))
 	sp.End()
-	return &entry{src: src, db: db, period: per, reps: reps, facts: facts, lint: lintRes, tr: tr}, nil
+	return &entry{src: src, db: db, cert: cert, lint: lintRes, tr: tr}, nil
 }
 
 // CompileTrace snapshots the program's lifetime trace.
@@ -121,7 +119,7 @@ func (e *entry) ID() string { return e.src.id }
 func (e *entry) Rev() string { return e.src.rev }
 
 // Period returns the certified minimal period.
-func (e *entry) Period() tdd.Period { return e.period }
+func (e *entry) Period() tdd.Period { return e.cert.Period }
 
 // Lint returns the Tier-A analysis computed when the entry was built.
 func (e *entry) Lint() tdd.LintResult { return e.lint }
@@ -660,48 +658,17 @@ func (r *Registry) ApplyReplicated(id string, rec wal.Record) error {
 	return nil
 }
 
-// ProgramStats is the per-program engine section of the metrics snapshot:
-// the revision and the work counters of one warm program.
-type ProgramStats struct {
-	Rev             string     `json:"rev"`
-	Period          PeriodInfo `json:"period"`
-	Derived         int        `json:"derived"`
-	Firings         int        `json:"firings"`
-	Sweeps          int        `json:"sweeps"`
-	Representatives int        `json:"representatives"`
-	Facts           int        `json:"facts"`
-	// LintWarnings counts this program's lint findings at warning
-	// severity or above (errors cannot occur on a program that compiled).
-	LintWarnings int `json:"lint_warnings"`
-}
-
-// PeriodInfo is the JSON form of a period in metrics.
-type PeriodInfo struct {
-	Base int `json:"base"`
-	P    int `json:"p"`
-}
-
-// WarmStats reports engine work counters for every warm (resident and
-// resolved) program. In-flight compiles are skipped rather than awaited.
-func (r *Registry) WarmStats() map[string]ProgramStats {
-	out := make(map[string]ProgramStats)
+// Warm returns every warm (resident and resolved) program's entry by id.
+// In-flight compiles are skipped rather than awaited, and the registry
+// mutex covers only the walk: entries are immutable, so the caller reads
+// them with no lock at all.
+func (r *Registry) Warm() map[string]*entry {
+	out := make(map[string]*entry)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cache.each(func(id string, f *future) {
-		e := f.peek()
-		if e == nil {
-			return
-		}
-		derived, firings, sweeps := e.db.EngineStats()
-		out[id] = ProgramStats{
-			Rev:             e.src.rev,
-			Period:          PeriodInfo{Base: e.period.Base, P: e.period.P},
-			Derived:         derived,
-			Firings:         firings,
-			Sweeps:          sweeps,
-			Representatives: e.reps,
-			Facts:           e.facts,
-			LintWarnings:    e.lint.Warnings(),
+		if e := f.peek(); e != nil {
+			out[id] = e
 		}
 	})
 	return out

@@ -378,12 +378,12 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal("ski query wrong after eviction")
 		}
 	}
-	m := s.Metrics().Snapshot()
-	if m.CacheEvict < 2 {
-		t.Errorf("cache evictions = %d, want >= 2 with capacity 1 and two programs", m.CacheEvict)
+	m := s.Metrics()
+	if got := m.CacheEvict.Load(); got < 2 {
+		t.Errorf("cache evictions = %d, want >= 2 with capacity 1 and two programs", got)
 	}
-	if m.CacheMisses < 3 {
-		t.Errorf("cache misses = %d, want >= 3", m.CacheMisses)
+	if got := m.CacheMisses.Load(); got < 3 {
+		t.Errorf("cache misses = %d, want >= 3", got)
 	}
 	if got := s.Registry().CachedLen(); got > 1 {
 		t.Errorf("cache holds %d entries, capacity 1", got)
@@ -401,7 +401,7 @@ func TestCacheSizeIsGlobal(t *testing.T) {
 	if got := s.Registry().CachedLen(); got != 2 {
 		t.Errorf("cache holds %d programs, want CacheSize = 2", got)
 	}
-	if got := s.Metrics().Snapshot().CacheEvict; got != 4 {
+	if got := s.Metrics().CacheEvict.Load(); got != 4 {
 		t.Errorf("cache evictions = %d, want 4", got)
 	}
 }
@@ -412,26 +412,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	askServed(t, ts.URL, id, "even(4)")
 	askServed(t, ts.URL, id, "even(6)")
 
-	resp, body := getJSON(t, ts.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: status %d", resp.StatusCode)
+	m := scrapeJSON(t, ts.URL)
+	if got := m.num(t, "requests"); got < 3 {
+		t.Errorf("requests = %v, want >= 3", got)
 	}
-	var m MetricsSnapshot
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
+	if got := m.num(t, "cache_hits"); got < 2 {
+		t.Errorf("cache hits = %v, want >= 2 (warm asks)", got)
 	}
-	if m.Requests < 3 {
-		t.Errorf("requests = %d, want >= 3", m.Requests)
-	}
-	if m.CacheHits < 2 {
-		t.Errorf("cache hits = %d, want >= 2 (warm asks)", m.CacheHits)
-	}
-	ask, ok := m.Routes["ask"]
-	if !ok {
-		t.Fatal("no ask route metrics")
-	}
-	if ask.Requests != 2 || ask.Latency.Count != 2 {
-		t.Errorf("ask route: requests=%d latency.count=%d, want 2/2", ask.Requests, ask.Latency.Count)
+	if reqs, n := m.num(t, "routes", "ask", "requests"), m.num(t, "routes", "ask", "latency", "count"); reqs != 2 || n != 2 {
+		t.Errorf("ask route: requests=%v latency.count=%v, want 2/2", reqs, n)
 	}
 }
 
@@ -657,18 +646,11 @@ func TestMetricsAdmissionFields(t *testing.T) {
 	id := register(t, ts.URL, skiUnit)
 	askServed(t, ts.URL, id, "plane(0, hunter)")
 
-	resp, body := getJSON(t, ts.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: status %d", resp.StatusCode)
+	snap := scrapeJSON(t, ts.URL)
+	if got := snap.num(t, "queue_capacity"); got <= 0 {
+		t.Fatalf("queue_capacity = %v, want positive", got)
 	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.QueueCapacity <= 0 {
-		t.Fatalf("queue_capacity = %d, want positive", snap.QueueCapacity)
-	}
-	if snap.FlightLeaders < 1 {
-		t.Fatalf("flight_leaders = %d after a coalescable ask, want >= 1", snap.FlightLeaders)
+	if got := snap.num(t, "flight_leaders"); got < 1 {
+		t.Fatalf("flight_leaders = %v after a coalescable ask, want >= 1", got)
 	}
 }

@@ -133,6 +133,9 @@ echo "==> one resident model per served program (lock-free warm reads, entry hea
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
 require_test ./internal/server/ TestWarmEntryRetainsOneModel
 
+echo "==> one metric table (both expositions agree, a scrape takes no program lock)"
+require_test ./internal/server/ TestExpositionsAgree TestScrapeTakesNoProgramLock
+
 echo "==> sliced-ask gate (cold <= 0.6x certified-first, min of 3)"
 # The E19 acceptance bound: on the Distractor workload (period-2 relevant
 # chain drowned in period-210 distractor cycles) OpenUnit plus a cold

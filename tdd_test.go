@@ -122,12 +122,9 @@ func TestPeriodSpecificationWork(t *testing.T) {
 	if !strings.Contains(specStr, "W = {") {
 		t.Errorf("specification missing rewrite rule:\n%s", specStr)
 	}
-	reps, facts, err := db.SpecificationSize()
-	if err != nil || reps == 0 || facts == 0 {
-		t.Errorf("size = (%d, %d), %v", reps, facts, err)
-	}
 	work, err := db.Work()
-	if err != nil || !strings.Contains(work, "period=") {
+	if err != nil || work.Representatives == 0 || work.Facts == 0 || work.Period != p ||
+		!strings.Contains(work.String(), "period=") {
 		t.Errorf("work = %q, %v", work, err)
 	}
 }
