@@ -1,8 +1,8 @@
 package tdd
 
 // One benchmark family per experiment in EXPERIMENTS.md. The experiment
-// tables themselves are produced by cmd/tddbench; the benchmarks here give
-// per-configuration timings with allocation counts
+// tables themselves are produced by `tdd experiments`; the benchmarks here
+// give per-configuration timings with allocation counts
 // (go test -bench=. -benchmem).
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // Report summarizes every classification the library can make about a rule
-// set. Produced by Analyze; rendered by cmd/tddcheck.
+// set. Produced by Analyze; rendered by `tdd check`.
 type Report struct {
 	Valid      bool   // range-restricted, semi-normal, forward
 	ValidError string // why not, when !Valid

@@ -25,7 +25,7 @@ func binaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		cmd := exec.Command("go", "build", "-o", binDir, "tdd/cmd/tddquery", "tdd/cmd/tddcheck", "tdd/cmd/tddbench", "tdd/cmd/tddserve", "tdd/cmd/tddload", "tdd/cmd/tddlint")
+		cmd := exec.Command("go", "build", "-o", binDir, "tdd/cmd/tdd", "tdd/cmd/tddserve", "tdd/cmd/tddload")
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			buildErr = err
@@ -47,7 +47,14 @@ func (b *buildFailure) Error() string { return b.err.Error() + "\n" + b.out }
 
 func run(t *testing.T, tool string, args ...string) (string, error) {
 	t.Helper()
+	return runStdin(t, "", tool, args...)
+}
+
+// runStdin is run with the tool's stdin fed from a string.
+func runStdin(t *testing.T, stdin, tool string, args ...string) (string, error) {
+	t.Helper()
 	cmd := exec.Command(filepath.Join(binaries(t), tool), args...)
+	cmd.Stdin = strings.NewReader(stdin)
 	out, err := cmd.CombinedOutput()
 	return string(out), err
 }
@@ -76,7 +83,7 @@ plane(0, hunter).
 
 func TestQueryYesNo(t *testing.T) {
 	file := writeFile(t, "even.tdd", evenUnit)
-	out, err := run(t, "tddquery", file, "even(1000000)", "even(3)")
+	out, err := run(t, "tdd", "query", file, "even(1000000)", "even(3)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -90,7 +97,7 @@ func TestQueryYesNo(t *testing.T) {
 
 func TestQueryOpenAnswers(t *testing.T) {
 	file := writeFile(t, "even.tdd", evenUnit)
-	out, err := run(t, "tddquery", file, "even(T)")
+	out, err := run(t, "tdd", "query", file, "even(T)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -101,7 +108,7 @@ func TestQueryOpenAnswers(t *testing.T) {
 
 func TestQuerySpecPeriodStateWork(t *testing.T) {
 	file := writeFile(t, "even.tdd", evenUnit)
-	out, err := run(t, "tddquery", "-spec", "-period", "-state", "4", "-work", file)
+	out, err := run(t, "tdd", "query", "-spec", "-period", "-state", "4", "-work", file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -115,7 +122,7 @@ func TestQuerySpecPeriodStateWork(t *testing.T) {
 func TestQuerySeparateRulesAndFacts(t *testing.T) {
 	rules := writeFile(t, "rules.tdd", "even(T+2) :- even(T).\n")
 	facts := writeFile(t, "facts.tdd", "even(0).\n")
-	out, err := run(t, "tddquery", "-rules", rules, "-facts", facts, "even(8)")
+	out, err := run(t, "tdd", "query", "-rules", rules, "-facts", facts, "even(8)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -125,22 +132,22 @@ func TestQuerySeparateRulesAndFacts(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	if out, err := run(t, "tddquery", "/nonexistent/file.tdd"); err == nil {
+	if out, err := run(t, "tdd", "query", "/nonexistent/file.tdd"); err == nil {
 		t.Errorf("missing file accepted:\n%s", out)
 	}
 	file := writeFile(t, "bad.tdd", "p(")
-	if out, err := run(t, "tddquery", file); err == nil {
+	if out, err := run(t, "tdd", "query", file); err == nil {
 		t.Errorf("syntax error accepted:\n%s", out)
 	}
 	good := writeFile(t, "even.tdd", evenUnit)
-	if out, err := run(t, "tddquery", good, "even("); err == nil {
+	if out, err := run(t, "tdd", "query", good, "even("); err == nil {
 		t.Errorf("bad query accepted:\n%s", out)
 	}
 }
 
 func TestCheckSki(t *testing.T) {
 	file := writeFile(t, "ski.tdd", skiUnit)
-	out, err := run(t, "tddcheck", file)
+	out, err := run(t, "tdd", "check", file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -156,7 +163,7 @@ func TestCheckSki(t *testing.T) {
 
 func TestCheckIPeriod(t *testing.T) {
 	file := writeFile(t, "even.tdd", "even(T+2) :- even(T).\n")
-	out, err := run(t, "tddcheck", "-iperiod", file)
+	out, err := run(t, "tdd", "check", "-iperiod", file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -168,7 +175,7 @@ func TestCheckIPeriod(t *testing.T) {
 func TestCheckLintSection(t *testing.T) {
 	// Clean program: the lint section says so explicitly.
 	clean := writeFile(t, "even.tdd", evenUnit)
-	out, err := run(t, "tddcheck", clean)
+	out, err := run(t, "tdd", "check", clean)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -178,7 +185,7 @@ func TestCheckLintSection(t *testing.T) {
 
 	// Dirty program: findings are listed with their codes and positions.
 	dirty := writeFile(t, "dirty.tdd", "p(T+1) :- p(T), q(T).\np(0).\ne(a).\n")
-	out, err = run(t, "tddcheck", dirty)
+	out, err = run(t, "tdd", "check", dirty)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -190,7 +197,7 @@ func TestCheckLintSection(t *testing.T) {
 }
 
 func TestBenchQuick(t *testing.T) {
-	out, err := run(t, "tddbench", "-quick", "E3", "E4")
+	out, err := run(t, "tdd", "experiments", "-quick", "E3", "E4")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -202,21 +209,15 @@ func TestBenchQuick(t *testing.T) {
 }
 
 func TestBenchUnknownExperiment(t *testing.T) {
-	out, err := run(t, "tddbench", "E99")
+	out, err := run(t, "tdd", "experiments", "E99")
 	if err == nil {
 		t.Errorf("unknown experiment accepted:\n%s", out)
 	}
 }
 
 func TestReplSession(t *testing.T) {
-	// Rebuild including tddrepl (not in the shared build set).
-	bin := filepath.Join(t.TempDir(), "tddrepl")
-	if out, err := exec.Command("go", "build", "-o", bin, "tdd/cmd/tddrepl").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
 	file := writeFile(t, "even.tdd", evenUnit)
-	cmd := exec.Command(bin, file)
-	cmd.Stdin = strings.NewReader(`
+	out, err := runStdin(t, `
 even(4)
 even(3)
 even(T)
@@ -227,28 +228,24 @@ even(T)
 :nonsense
 bad query(
 :quit
-`)
-	out, err := cmd.CombinedOutput()
+`, "tdd", "repl", file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	s := string(out)
 	for _, want := range []string{"yes", "no", "T=0", "T=2", "period (b=1, p=2)", "M[2]:", "clean (no findings)", "unknown command", "error:", "commands:"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("missing %q in session:\n%s", want, s)
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in session:\n%s", want, out)
 		}
+	}
+	// Piped stdin is not a terminal: no prompt is written.
+	if strings.Contains(out, "tdd> ") {
+		t.Errorf("prompt written to a pipe:\n%s", out)
 	}
 }
 
 func TestStreamSession(t *testing.T) {
-	// Rebuild including tddstream (not in the shared build set).
-	bin := filepath.Join(t.TempDir(), "tddstream")
-	if out, err := exec.Command("go", "build", "-o", bin, "tdd/cmd/tddstream").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
 	file := writeFile(t, "ski.tdd", skiUnit)
-	cmd := exec.Command(bin, file)
-	cmd.Stdin = strings.NewReader(`
+	s, err := runStdin(t, `
 % whistler is not in the database yet.
 ? exists T plane(T, whistler)
 ?? plane(1000002, W)
@@ -258,12 +255,10 @@ plane(0, whistler).
 :stats
 plane(whoops
 :quit
-`)
-	out, err := cmd.CombinedOutput()
+`, "tdd", "repl", file)
 	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+		t.Fatalf("%v\n%s", err, s)
 	}
-	s := string(out)
 	for _, want := range []string{
 		"?- exists T plane(T, whistler)\nno", // before the stream lands
 		"+1 new, 0 dup",                      // each asserted fact reported
@@ -277,6 +272,26 @@ plane(whoops
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("missing %q in session:\n%s", want, s)
+		}
+	}
+}
+
+// TestReplDurableResume: under -data an acknowledged batch survives the
+// process; a second session on the same unit and directory replays it.
+func TestReplDurableResume(t *testing.T) {
+	file := writeFile(t, "even.tdd", evenUnit)
+	dir := t.TempDir()
+	out, err := runStdin(t, "even(1).\n", "tdd", "repl", "-data", dir, file)
+	if err != nil || !strings.Contains(out, "+1 new, 0 dup") {
+		t.Fatalf("first session: %v\n%s", err, out)
+	}
+	out, err = runStdin(t, "even(7)\n", "tdd", "repl", "-data", dir, file)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, want := range []string{"resumed 1 logged batch(es)", "?- even(7)\nyes"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in resumed session:\n%s", want, out)
 		}
 	}
 }
@@ -313,7 +328,7 @@ func TestExamplesEndToEnd(t *testing.T) {
 
 func TestQueryExplain(t *testing.T) {
 	file := writeFile(t, "even.tdd", evenUnit)
-	out, err := run(t, "tddquery", "-explain", file, "even(6)")
+	out, err := run(t, "tdd", "query", "-explain", file, "even(6)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -323,7 +338,7 @@ func TestQueryExplain(t *testing.T) {
 		}
 	}
 	// Open queries still answer, with a note instead of a tree.
-	out, err = run(t, "tddquery", "-explain", file, "even(T)")
+	out, err = run(t, "tdd", "query", "-explain", file, "even(T)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -335,14 +350,14 @@ func TestQueryExplain(t *testing.T) {
 func TestSpecSaveLoad(t *testing.T) {
 	file := writeFile(t, "ski.tdd", skiUnit)
 	specFile := filepath.Join(t.TempDir(), "ski.spec")
-	out, err := run(t, "tddquery", "-savespec", specFile, file)
+	out, err := run(t, "tdd", "query", "-savespec", specFile, file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	if !strings.Contains(out, "specification written") {
 		t.Errorf("missing confirmation:\n%s", out)
 	}
-	out, err = run(t, "tddquery", "-fromspec", specFile, "-period", "plane(1000002, hunter)", "plane(T, hunter)")
+	out, err = run(t, "tdd", "query", "-fromspec", specFile, "-period", "plane(1000002, hunter)", "plane(T, hunter)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -351,30 +366,7 @@ func TestSpecSaveLoad(t *testing.T) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
 	}
-	if out, err := run(t, "tddquery", "-fromspec", "/nonexistent.spec", "p(0)"); err == nil {
+	if out, err := run(t, "tdd", "query", "-fromspec", "/nonexistent.spec", "p(0)"); err == nil {
 		t.Errorf("missing spec file accepted:\n%s", out)
-	}
-}
-
-func TestFddbTool(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "tddfddb")
-	if out, err := exec.Command("go", "build", "-o", bin, "tdd/cmd/tddfddb").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	file := writeFile(t, "reach.fdb", "reach(f(V)) :- reach(V).\nreach(g(V)) :- reach(V).\nreach(0).\n")
-	cmd := exec.Command(bin, "-depth", "4", file, "reach(f(g(0)))", "reach(f(f(f(0))))")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{`alphabet: "fg"`, "4              16", "?- reach(f(g(0)))\ntrue", "?- reach(f(f(f(0))))\ntrue"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-	// Syntax error path.
-	bad := writeFile(t, "bad.fdb", "p(ff(V)) :- p(V).\n")
-	if out, err := exec.Command(bin, bad).CombinedOutput(); err == nil {
-		t.Errorf("bad file accepted:\n%s", out)
 	}
 }

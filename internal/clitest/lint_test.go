@@ -21,7 +21,7 @@ flight(0, jfk).
 // paths code-scanning consumers dereference.
 func TestLintSARIFShape(t *testing.T) {
 	file := writeFile(t, "dirty.tdd", dirtyUnit)
-	out, err := run(t, "tddlint", "-format", "sarif", file)
+	out, err := run(t, "tdd", "lint", "-format", "sarif", file)
 	if err != nil {
 		t.Fatalf("tddlint exited nonzero (warnings should not fail without -werror): %v\n%s", err, out)
 	}
@@ -123,12 +123,12 @@ func TestLintSARIFShape(t *testing.T) {
 // fail fast, and -json stays a working alias for -format json.
 func TestLintFormatFlag(t *testing.T) {
 	file := writeFile(t, "even.tdd", evenUnit)
-	if out, err := run(t, "tddlint", "-format", "yaml", file); err == nil {
+	if out, err := run(t, "tdd", "lint", "-format", "yaml", file); err == nil {
 		t.Errorf("unknown format accepted:\n%s", out)
 	} else if !strings.Contains(out, "unknown format") {
 		t.Errorf("missing unknown-format message:\n%s", out)
 	}
-	out, err := run(t, "tddlint", "-json", file)
+	out, err := run(t, "tdd", "lint", "-json", file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -142,7 +142,7 @@ func TestLintFormatFlag(t *testing.T) {
 // graph names every predicate, and -q reports the query's slice.
 func TestCheckGraph(t *testing.T) {
 	file := writeFile(t, "dirty.tdd", dirtyUnit)
-	out, err := run(t, "tddcheck", "graph", file)
+	out, err := run(t, "tdd", "graph", file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -151,7 +151,7 @@ func TestCheckGraph(t *testing.T) {
 			t.Errorf("graph output missing %q:\n%s", want, out)
 		}
 	}
-	out, err = run(t, "tddcheck", "graph", "-q", "flight(4, jfk)", file)
+	out, err = run(t, "tdd", "graph", "-q", "flight(4, jfk)", file)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}

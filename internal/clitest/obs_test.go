@@ -10,13 +10,13 @@ import (
 	"testing"
 )
 
-// TestQueryTraceFlag drives tddquery -trace and checks the EXPLAIN-style
+// TestQueryTraceFlag drives tdd query -trace and checks the EXPLAIN-style
 // phase tree covers the whole pipeline: parse, validation, classify,
 // period certification with the engine's fixpoint inside, spec
 // construction, and the per-query answer phase.
 func TestQueryTraceFlag(t *testing.T) {
 	file := writeFile(t, "even.tdd", evenUnit)
-	out, err := run(t, "tddquery", "-trace", file, "even(1000000)")
+	out, err := run(t, "tdd", "query", "-trace", file, "even(1000000)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}

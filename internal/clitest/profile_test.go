@@ -11,12 +11,12 @@ import (
 	"time"
 )
 
-// TestQueryProfileFlag drives tddquery -profile and checks the EXPLAIN
+// TestQueryProfileFlag drives tdd query -profile and checks the EXPLAIN
 // ANALYZE tree: the header, the dominant join, per-literal scan/match
 // rows with selectivity and time, and the cardinality tables.
 func TestQueryProfileFlag(t *testing.T) {
 	file := writeFile(t, "ski.tdd", skiUnit)
-	out, err := run(t, "tddquery", "-profile", file, "exists T plane(T, hunter)")
+	out, err := run(t, "tdd", "query", "-profile", file, "exists T plane(T, hunter)")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -39,10 +39,10 @@ func TestQueryProfileFlag(t *testing.T) {
 func TestQueryProfileRejectsFromSpec(t *testing.T) {
 	file := writeFile(t, "even.tdd", evenUnit)
 	spec := writeFile(t, "even.spec.json", "")
-	if out, err := run(t, "tddquery", "-savespec", spec, file); err != nil {
+	if out, err := run(t, "tdd", "query", "-savespec", spec, file); err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	out, err := run(t, "tddquery", "-profile", "-fromspec", spec, "even(4)")
+	out, err := run(t, "tdd", "query", "-profile", "-fromspec", spec, "even(4)")
 	if err == nil {
 		t.Fatalf("-profile -fromspec should fail:\n%s", out)
 	}

@@ -288,10 +288,15 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 }
 
 // EngineStats returns the engine's full work breakdown accumulated so
-// far: the aggregate counters plus the per-rule and per-index tables.
+// far: the aggregate counters plus the per-rule and per-index tables. A
+// certified BT's evaluator is never mutated again (Assert clones it), so
+// the read takes no lock then: ?trace=1 on a warm program does not wait
+// for an ingest, which holds mu on the parent for the whole of inc.Apply.
 func (b *BT) EngineStats() engine.Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	if !b.Certified() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+	}
 	return b.eval.Stats()
 }
 
@@ -306,7 +311,7 @@ func (b *BT) ProfileSnapshot() *engine.ProfileJSON {
 // Certificate is the polynomial-cost certificate of a processed database
 // (Theorem 4.1): the window BT evaluated, the period it certified, the
 // engine work that took, and the size of the resulting specification.
-// Every surface that reports a TDD's cost — tddquery -work, tddstream
+// Every surface that reports a TDD's cost — tdd query -work, tdd repl
 // :stats, the server's per-program metrics — reports this struct.
 type Certificate struct {
 	Window          int           // largest time point evaluated

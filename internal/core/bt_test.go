@@ -212,8 +212,8 @@ func TestExplainThroughBT(t *testing.T) {
 }
 
 // TestWarmReadsTakeNoLock pins the lock-free warm path: once the
-// specification is published, Specification, Ask, AskFact and Period
-// complete while another goroutine holds mu.
+// specification is published, Specification, Ask, AskFact, Period and
+// EngineStats complete while another goroutine holds mu.
 func TestWarmReadsTakeNoLock(t *testing.T) {
 	b := mustBT(t, skiSrc)
 	want, err := b.Specification()
@@ -240,12 +240,42 @@ func TestWarmReadsTakeNoLock(t *testing.T) {
 		if p, err := b.Period(); err != nil || p != want.Period {
 			t.Errorf("warm Period = (%v, %v), want (%v, nil)", p, err, want.Period)
 		}
+		if st := b.EngineStats(); st.Derived == 0 || len(st.Rules) == 0 {
+			t.Errorf("warm EngineStats = %+v, want the certification's counters and rule table", st)
+		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("warm reads blocked on mu")
 	}
+}
+
+// TestEngineStatsDuringAssert is the race detector's view of the claim
+// EngineStats rests on: an ingest on a certified BT writes only to the
+// clone it returns, so unlocked reads of the parent's counters are safe.
+func TestEngineStatsDuringAssert(t *testing.T) {
+	b := mustBT(t, skiSrc)
+	if _, err := b.Specification(); err != nil {
+		t.Fatal(err)
+	}
+	want := b.EngineStats().Derived
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 8; i++ {
+			f := ast.Fact{Pred: "plane", Temporal: true, Time: i, Args: []string{"hunter"}}
+			if _, _, err := b.Assert([]ast.Fact{f}); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 64; i++ {
+		if got := b.EngineStats().Derived; got != want {
+			t.Fatalf("parent's derived count moved under an ingest: %d, then %d", want, got)
+		}
+	}
+	<-done
 }
 
 // TestColdCertifiesOnce: cold callers still serialise on mu — none gets

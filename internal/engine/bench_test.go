@@ -230,9 +230,8 @@ func BenchmarkCloneThenWrite(b *testing.B) {
 }
 
 // BenchmarkIndexedJoin is the regression benchmark behind the ci.sh
-// indexed-join gate, on the small instances of E18 (`tddbench E18` runs
-// the large ones). Both families are
-// generated in "generate-then-filter" body order — the writing a join
+// indexed-join gate: the measurement behind EXPERIMENTS.md E18. Both
+// families are generated in "generate-then-filter" body order — the writing a join
 // planner exists for: the indexed engine recovers the selective order
 // from cardinalities and probes through multi-column indexes, while the
 // nested-loop mode (the pre-planner engine: source order, first-column

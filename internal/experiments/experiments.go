@@ -5,7 +5,7 @@
 // Each experiment builds a workload family, runs the relevant pipeline
 // (engine, period detection, specification, classification, baselines),
 // and renders a table. The quick flag shrinks the sweeps for use in tests;
-// cmd/tddbench runs the full sweeps.
+// `tdd experiments` runs the full sweeps.
 package experiments
 
 import (
@@ -85,10 +85,9 @@ var All = map[string]Runner{
 	"E8":  E8,
 	"E9":  E9,
 	"E10": E10,
-	"E18": E18,
 }
 
-// IDs returns the experiment ids in numeric order (E1, E2, ..., E18).
+// IDs returns the experiment ids in numeric order (E1, E2, ..., E10).
 func IDs() []string {
 	out := make([]string, 0, len(All))
 	for id := range All {

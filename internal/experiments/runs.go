@@ -535,93 +535,3 @@ func E10(quick bool) (*Table, error) {
 	}
 	return t, nil
 }
-
-// EvalBenchCase is one instance of the indexed-join evaluation benchmark:
-// an order-scrambled E1/E8 family workload evaluated to a fixed window.
-// E18's instances; the small ones are mirrored by BenchmarkIndexedJoin
-// behind the ci.sh gate.
-type EvalBenchCase struct {
-	Name   string // e.g. "E1_ski" / "E8_reach_large"
-	Params string // human-readable instance parameters
-	Rules  string
-	Facts  string
-	Window int
-	Large  bool // skipped in quick runs (the nested baseline takes ~40s+)
-}
-
-// EvalBenchCases returns the benchmark instances. Both families are
-// emitted in "generate-then-filter" body order (workload.SkiParams.
-// ResortFirst / workload.ReachParams.PathFirst): the model is unchanged,
-// but a source-order evaluator enumerates every resort per rule per sweep
-// (E1) or scans every edge per path tuple (E8), while the join-order
-// planner recovers the selective order from the store's cardinality
-// counters.
-func EvalBenchCases() []EvalBenchCase {
-	var out []EvalBenchCase
-	add := func(name, params, rules, facts string, window int, large bool) {
-		out = append(out, EvalBenchCase{Name: name, Params: params, Rules: rules, Facts: facts, Window: window, Large: large})
-	}
-	r, f := workload.Ski(workload.SkiParams{YearLen: 40, Resorts: 1024, Planes: 32, Holidays: 4, ResortFirst: true, Seed: 42})
-	add("E1_ski", "year=40 resorts=1024 planes=32", r, f, 120, false)
-	r, f = workload.Ski(workload.SkiParams{YearLen: 50, Resorts: 4096, Planes: 64, Holidays: 5, ResortFirst: true, Seed: 42})
-	add("E1_ski_large", "year=50 resorts=4096 planes=64", r, f, 200, true)
-	r, f = workload.Reachability(workload.ReachParams{Nodes: 192, Edges: 288, PathFirst: true, Seed: 13})
-	add("E8_reach", "nodes=192 edges=288", r, f, 24, false)
-	r, f = workload.Reachability(workload.ReachParams{Nodes: 1024, Edges: 1536, PathFirst: true, Seed: 13})
-	add("E8_reach_large", "nodes=1024 edges=1536", r, f, 16, true)
-	return out
-}
-
-// E18 — Extension: the indexed join engine. On order-scrambled E1/E8
-// instances, the planner + multi-column hash indexes must (a) derive a
-// bit-identical model to the nested-loop baseline and (b) beat it by a
-// widening factor as the database grows.
-func E18(quick bool) (*Table, error) {
-	t := &Table{
-		ID:     "E18",
-		Title:  "Indexed joins vs nested-loop evaluation (order-scrambled E1/E8)",
-		Claim:  "extension: hash-indexed joins with cardinality-ordered plans remove the source-order sensitivity of bottom-up evaluation",
-		Expect: "identical derived facts and states; speedup grows with database size (>=10x on the large instances)",
-		Header: []string{"instance", "params", "window", "derived", "nested_ms", "indexed_ms", "speedup"},
-	}
-	for _, c := range EvalBenchCases() {
-		if quick && c.Large {
-			continue
-		}
-		runMode := func(mode engine.JoinMode) (*engine.Evaluator, time.Duration, error) {
-			e, _, _, err := build(c.Rules, c.Facts)
-			if err != nil {
-				return nil, 0, err
-			}
-			e.SetJoinMode(mode)
-			start := time.Now()
-			e.EnsureWindow(c.Window)
-			return e, time.Since(start), nil
-		}
-		idx, idxTime, err := runMode(engine.JoinIndexed)
-		if err != nil {
-			return nil, err
-		}
-		nst, nstTime, err := runMode(engine.JoinNestedLoop)
-		if err != nil {
-			return nil, err
-		}
-		if di, dn := idx.Stats().Derived, nst.Stats().Derived; di != dn {
-			return nil, fmt.Errorf("E18: %s: join modes disagree on derived facts: indexed %d, nested %d", c.Name, di, dn)
-		}
-		for tt := 0; tt <= c.Window; tt++ {
-			if idx.Store().StateKey(tt) != nst.Store().StateKey(tt) {
-				return nil, fmt.Errorf("E18: %s: join modes disagree on state %d", c.Name, tt)
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			c.Name, c.Params, itoa(c.Window), itoa(idx.Stats().Derived),
-			ms(nstTime), ms(idxTime),
-			fmt.Sprintf("%.1fx", float64(nstTime)/float64(idxTime)),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"bodies are written generate-then-filter; the nested-loop baseline (source order, first-column index) is the pre-planner engine",
-		"quick runs skip the *_large instances; a full `tddbench E18` runs them")
-	return t, nil
-}

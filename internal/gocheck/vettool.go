@@ -28,7 +28,7 @@ import (
 // exits 2, which go vet reports per package. Exit 0 means clean.
 //
 // VetMain returns the process exit code; it is the entire main of
-// cmd/tddlint when invoked by go vet (detected by the caller via the
+// cmd/tdd when invoked by go vet (detected by the caller via the
 // -flags/-V=/\*.cfg argument shapes).
 func VetMain(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 {
@@ -97,8 +97,8 @@ type vetConfig struct {
 }
 
 // IsVetInvocation reports whether the argument list looks like a go vet
-// callback rather than a tddlint CLI use, so cmd/tddlint can serve both
-// from one binary.
+// callback rather than a subcommand, so cmd/tdd can serve both from one
+// binary.
 func IsVetInvocation(args []string) bool {
 	if len(args) == 1 && (args[0] == "-flags" || strings.HasPrefix(args[0], "-V=")) {
 		return true

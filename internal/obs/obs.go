@@ -2,7 +2,7 @@
 // pipeline: a Trace is a tree of named, timed phases (parse, classify,
 // certify-period, fixpoint sweeps, answer, ...) with integer counters
 // attached. Traces power the server's ?trace=1 phase trees, the
-// slow-query log, and tddquery's offline -trace EXPLAIN output.
+// slow-query log, and tdd query's offline -trace EXPLAIN output.
 //
 // Tracing is opt-in per computation. A nil *Trace (and the nil *Span
 // every method of a nil trace returns) is the disabled state: every

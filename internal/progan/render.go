@@ -6,7 +6,7 @@ import (
 )
 
 // ReportJSON is the wire form of a report, served by tddserve's
-// /debug/graph and printed by `tddcheck graph -json`.
+// /debug/graph and printed by `tdd graph -json`.
 type ReportJSON struct {
 	Preds []PredNode `json:"preds"`
 	SCCs  []SCC      `json:"sccs"`

@@ -92,7 +92,7 @@ func (s *Slice) Contains(pred string) bool { return s.predSet[pred] }
 func (s *Slice) Proper() bool { return len(s.Rules) < s.Total }
 
 // Fingerprint is a digest of the slice's identity: the goal set and the
-// predicate closure. Tools print it (tddcheck graph -q, /debug/graph) so
+// predicate closure. Tools print it (tdd graph -q, /debug/graph) so
 // two queries can be seen to select the same slice.
 func (s *Slice) Fingerprint() string {
 	h := sha256.New()

@@ -205,7 +205,7 @@ type debugGraphResponse struct {
 	// assignments, the SCC condensation with per-component recursion
 	// class / temporal depth / base-reachability, and the rule table.
 	Graph tdd.GraphReport `json:"graph"`
-	// Rendered is the same condensation as tddcheck graph prints it.
+	// Rendered is the same condensation as tdd graph prints it.
 	Rendered string `json:"rendered"`
 	// Slice, present when ?q= names a query, is the relevance slice that
 	// query's predicates select.

@@ -180,11 +180,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // route's counters. The shed verdict is the explicit-backpressure surface:
 // a full worker queue is 503 with Retry-After, so well-behaved clients and
 // load balancers pace themselves. Timeouts become 503; unknown programs
-// 404; everything else is a client error 400.
+// 404; a panic the pool recovered 500, with its stack in the server's
+// log; everything else is a client error 400.
 func (s *Server) fail(w http.ResponseWriter, route string, err error) {
 	rm := s.metrics.route(route)
 	status := http.StatusBadRequest
+	var panicked *PanicError
 	switch {
+	case errors.As(err, &panicked):
+		status = http.StatusInternalServerError
+		s.metrics.Panics.Add(1)
+		s.cfg.Logger.Error("request panicked", "route", route, "panic", panicked.Value, "stack", string(panicked.Stack))
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):

@@ -125,6 +125,7 @@ type routeMetrics struct {
 // in the help text of its metricTable row.
 type Metrics struct {
 	Requests, Errors, InFlight, Timeouts atomic.Int64
+	Panics                               atomic.Int64
 	CacheHits, CacheMisses, CacheEvict   atomic.Int64
 	// Admission and coalescing (pool.go, flight.go).
 	Shed, Coalesced, FlightLeaders atomic.Int64
@@ -264,6 +265,8 @@ var metricTable = []metric{
 		func(s *scrape, _ string) any { return s.m.InFlight.Load() }},
 	{perServer, "timeouts", "tddserve_timeouts_total", counter, "Requests that hit the per-request deadline.",
 		func(s *scrape, _ string) any { return s.m.Timeouts.Load() }},
+	{perServer, "panics", "tddserve_panics_total", counter, "Requests whose evaluation panicked; the worker recovered and the client got a 500.",
+		func(s *scrape, _ string) any { return s.m.Panics.Load() }},
 	{perServer, "cache_hits", "tddserve_spec_cache_hits_total", counter, "Spec-cache lookups answered warm.",
 		func(s *scrape, _ string) any { return s.m.CacheHits.Load() }},
 	{perServer, "cache_misses", "tddserve_spec_cache_misses_total", counter, "Spec-cache lookups that had to (re)compile.",

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -15,13 +17,24 @@ var (
 	ErrQueueFull = errors.New("server: request queue full")
 )
 
-// task is one unit of submitted work. done is closed by the worker after
-// fn returns, establishing the happens-before edge that lets the
-// submitter read anything fn wrote.
+// PanicError is returned by TryDo when fn panicked. The worker recovered
+// and keeps serving: a bug reached through one request costs that
+// request, not the process. Stack is for the server's log, not the client.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("server: request panicked: %v", e.Value) }
+
+// task is one unit of submitted work. The worker sends on done after fn
+// returns (nil) or panics (a *PanicError), establishing the happens-before
+// edge that lets the submitter read anything fn wrote. done has room for
+// that one send, so a worker never waits on a submitter that gave up.
 type task struct {
 	ctx  context.Context
 	fn   func()
-	done chan struct{}
+	done chan error
 }
 
 // Pool is a bounded worker pool: a fixed set of goroutines draining a
@@ -64,14 +77,24 @@ func (p *Pool) worker() {
 		case <-p.closed:
 			return
 		case t := <-p.tasks:
-			// Skip tasks whose submitter already gave up; their response
-			// has been written.
-			if t.ctx.Err() == nil {
-				t.fn()
-			}
-			close(t.done)
+			t.done <- t.run()
 		}
 	}
+}
+
+// run calls fn, turning a panic into a *PanicError. Tasks whose submitter
+// already gave up are skipped; their response has been written.
+func (t task) run() (err error) {
+	if t.ctx.Err() != nil {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	t.fn()
+	return nil
 }
 
 // TryDo runs fn on a pool worker and returns once it has completed. If
@@ -81,10 +104,10 @@ func (p *Pool) worker() {
 // rather than holding the connection open to time out. Once admitted, it
 // returns ctx.Err() if fn did not finish before the context was done (the
 // worker may still run fn to completion in the background; the caller
-// must not read fn's results after a non-nil return), and ErrPoolClosed
-// during shutdown.
+// must not read fn's results after a non-nil return), a *PanicError if fn
+// panicked, and ErrPoolClosed during shutdown.
 func (p *Pool) TryDo(ctx context.Context, fn func()) error {
-	t := task{ctx: ctx, fn: fn, done: make(chan struct{})}
+	t := task{ctx: ctx, fn: fn, done: make(chan error, 1)}
 	select {
 	case p.tasks <- t:
 	case <-p.closed:
@@ -93,8 +116,8 @@ func (p *Pool) TryDo(ctx context.Context, fn func()) error {
 		return ErrQueueFull
 	}
 	select {
-	case <-t.done:
-		return nil
+	case err := <-t.done:
+		return err
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-p.closed:

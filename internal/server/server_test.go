@@ -481,6 +481,35 @@ func TestPool(t *testing.T) {
 	}
 }
 
+// TestPanicIsolated: a panic on the only worker costs its request a 500
+// (panic value in the body, stack kept out of it) and one count in both
+// expositions; the worker survives to serve the next request.
+func TestPanicIsolated(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	id := register(t, ts.URL, evenUnit)
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/programs/"+id+"/ask", nil)
+	if s.run(rec, req, "ask", func() error { panic("boom") }) {
+		t.Fatal("a panicking task reported success")
+	}
+	if body := rec.Body.String(); rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(body, "boom") || strings.Contains(body, "goroutine") {
+		t.Errorf("panicking task: status %d, body %s; want a 500 naming the panic without its stack", rec.Code, body)
+	}
+
+	if !askServed(t, ts.URL, id, "even(4)") {
+		t.Error("even(4) = false after a recovered panic")
+	}
+	if got := scrapeJSON(t, ts.URL).num(t, "panics"); got != 1 {
+		t.Errorf("panics = %v, want 1", got)
+	}
+	_, prom := getJSON(t, ts.URL+"/metrics.prom")
+	if !strings.Contains(string(prom), "\ntddserve_panics_total 1\n") {
+		t.Errorf("tddserve_panics_total 1 missing from /metrics.prom")
+	}
+}
+
 func TestLRU(t *testing.T) {
 	var evicted []string
 	c := newLRU[int](2, func(k string, _ int) { evicted = append(evicted, k) })

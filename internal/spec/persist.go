@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"tdd/internal/ast"
 	"tdd/internal/engine"
@@ -58,7 +59,7 @@ func Import(data []byte) (*Loaded, error) {
 	if p.Version != portableVersion {
 		return nil, fmt.Errorf("spec: unsupported specification version %d (want %d)", p.Version, portableVersion)
 	}
-	if p.Period < 1 || p.Base < 0 {
+	if p.Period < 1 || p.Base < 0 || p.Base > math.MaxInt-p.Period {
 		return nil, fmt.Errorf("spec: malformed period (b=%d, p=%d)", p.Base, p.Period)
 	}
 	l := &Loaded{
@@ -66,13 +67,39 @@ func Import(data []byte) (*Loaded, error) {
 		preds:  p.Preds,
 		store:  engine.NewStore(),
 	}
-	for _, f := range p.Facts {
-		if f.Temporal && f.Time >= p.Base+p.Period {
-			return nil, fmt.Errorf("spec: fact %s beyond the representatives", f)
+	for i, f := range p.Facts {
+		if err := checkFact(f, &p); err != nil {
+			return nil, fmt.Errorf("spec: fact %d (%s): %w", i, f, err)
 		}
 		l.store.Insert(f)
 	}
 	return l, nil
+}
+
+// checkFact rejects a fact that Export cannot have written. Import is a
+// trust boundary (a file named on a command line, a body fetched from
+// another server), and each of these would silently change answers: a
+// time outside the representatives is never reached by the rewrite, and
+// an undeclared predicate's constants would join the domain quantifiers
+// range over.
+func checkFact(f ast.Fact, p *Portable) error {
+	info, ok := p.Preds[f.Pred]
+	switch {
+	case !ok:
+		return fmt.Errorf("predicate %q is not declared in preds", f.Pred)
+	case f.Temporal != info.Temporal || len(f.Args) != info.Arity:
+		return fmt.Errorf("contradicts the declared signature %s", info)
+	case f.Temporal && f.Time < 0:
+		return fmt.Errorf("negative time %d", f.Time)
+	case f.Temporal && f.Time >= p.Base+p.Period:
+		return fmt.Errorf("time %d beyond the %d representatives", f.Time, p.Base+p.Period)
+	}
+	for j, a := range f.Args {
+		if a == "" {
+			return fmt.Errorf("argument %d is the empty constant", j+1)
+		}
+	}
+	return nil
 }
 
 // Preds returns the predicate signatures for query typing.

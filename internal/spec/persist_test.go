@@ -20,24 +20,28 @@ resort(hunter).
 plane(0, hunter).
 `
 
-func exportImport(t *testing.T, src string) (*Spec, *Loaded) {
+// export computes the specification of a unit and serializes it with the
+// unit's signatures (program and database).
+func export(t testing.TB, src string) (*Spec, []byte) {
 	t.Helper()
 	s := mustSpec(t, src)
-	prog, db, err := parser.ParseUnit(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	preds := make(map[string]ast.PredInfo)
-	for k, v := range prog.Preds {
+	for k, v := range s.Evaluator().Program().Preds {
 		preds[k] = v
 	}
-	for k, v := range db.Preds {
+	for k, v := range s.Evaluator().Database().Preds {
 		preds[k] = v
 	}
 	data, err := s.Export(preds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, data
+}
+
+func exportImport(t *testing.T, src string) (*Spec, *Loaded) {
+	t.Helper()
+	s, data := export(t, src)
 	l, err := Import(data)
 	if err != nil {
 		t.Fatal(err)
@@ -100,16 +104,36 @@ func TestLoadedAnswersQueries(t *testing.T) {
 }
 
 func TestImportRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":        "{",
-		"bad version":     `{"version": 99, "base": 1, "period": 2}`,
-		"zero period":     `{"version": 1, "base": 1, "period": 0}`,
-		"negative base":   `{"version": 1, "base": -1, "period": 2}`,
-		"fact beyond |T|": `{"version": 1, "base": 1, "period": 2, "facts": [{"Pred": "p", "Temporal": true, "Time": 9}]}`,
+	// with wraps one fact in an otherwise well-formed specification that
+	// declares p/1 temporal and r/1 non-temporal.
+	with := func(fact string) string {
+		return `{"version": 1, "base": 1, "period": 2, "preds": {
+			"p": {"Name": "p", "Temporal": true, "Arity": 1},
+			"r": {"Name": "r", "Temporal": false, "Arity": 1}},
+			"facts": [{"Pred": "r", "Args": ["a"]}, ` + fact + `]}`
 	}
-	for name, data := range cases {
-		if _, err := Import([]byte(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+	if _, err := Import([]byte(with(`{"Pred": "p", "Temporal": true, "Time": 2, "Args": ["a"]}`))); err != nil {
+		t.Fatalf("well-formed specification rejected: %v", err)
+	}
+	cases := []struct{ name, data, want string }{
+		{"not json", "{", ""},
+		{"bad version", `{"version": 99, "base": 1, "period": 2}`, "version"},
+		{"zero period", `{"version": 1, "base": 1, "period": 0}`, "malformed period"},
+		{"negative base", `{"version": 1, "base": -1, "period": 2}`, "malformed period"},
+		{"overflowing period", `{"version": 1, "base": 9223372036854775807, "period": 2}`, "malformed period"},
+		{"fact beyond |T|", with(`{"Pred": "p", "Temporal": true, "Time": 9, "Args": ["a"]}`), "fact 1 (p(9, a)): time 9 beyond"},
+		{"negative time", with(`{"Pred": "p", "Temporal": true, "Time": -1, "Args": ["a"]}`), "fact 1 (p(-1, a)): negative time"},
+		{"undeclared predicate", with(`{"Pred": "q", "Args": ["zzz"]}`), `fact 1 (q(zzz)): predicate "q" is not declared`},
+		{"wrong arity", with(`{"Pred": "p", "Temporal": true, "Time": 0, "Args": ["a", "b"]}`), "fact 1 (p(0, a, b)): contradicts the declared signature p/1 (temporal)"},
+		{"wrong sort", with(`{"Pred": "r", "Temporal": true, "Time": 0, "Args": ["a"]}`), "fact 1 (r(0, a)): contradicts the declared signature r/1 (non-temporal)"},
+		{"empty constant", with(`{"Pred": "r", "Args": [""]}`), "argument 1 is the empty constant"},
+	}
+	for _, c := range cases {
+		_, err := Import([]byte(c.data))
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"tdd/internal/parser"
 )
 
-func mustSpec(t *testing.T, src string) *Spec {
+func mustSpec(t testing.TB, src string) *Spec {
 	t.Helper()
 	prog, db, err := parser.ParseUnit(src)
 	if err != nil {

@@ -23,20 +23,15 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> tddlint Tier B (engine-invariant vettool)"
-# The same binary that lints unit files speaks the go vet wire protocol;
-# this gate keeps map-range ordering, fixpoint determinism, and
-# guarded-by locking violations out of the tree.
-vettmp=$(mktemp -d)
-trap 'rm -rf "$vettmp"' EXIT
-go build -o "$vettmp/tddlint" ./cmd/tddlint
-go vet -vettool="$vettmp/tddlint" ./...
-
-echo "==> tddlint Tier A (examples corpus lint-clean)"
-# Every shipped unit file must be free of warning-or-worse findings;
-# infos (e.g. "not multi-separable" on deliberately intractable
-# examples) are allowed.
-go run ./cmd/tddlint -werror examples/units/*.tdd
+echo "==> tdd as vettool (Tier B: engine invariants) and tdd lint (Tier A: shipped units)"
+# One binary, built once. As a vettool it keeps map-range ordering, fixpoint
+# determinism and guarded-by locking violations out of the tree; its lint
+# subcommand must find no warning or error (infos are allowed) in a shipped unit.
+tddbin=$(mktemp -d)
+trap 'rm -rf "$tddbin"' EXIT
+go build -o "$tddbin/tdd" ./cmd/tdd
+go vet -vettool="$tddbin/tdd" ./...
+"$tddbin/tdd" lint -werror examples/units/*.tdd
 
 echo "==> go test ./..."
 go test ./...
@@ -181,5 +176,9 @@ echo "==> WAL decoder fuzz smoke (5s)"
 # bytes must never panic it, and every failure must come back as a
 # positioned, checksum-aware torn/corrupt classification.
 go test ./internal/wal/ -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 5s
+
+echo "==> specification import fuzz smoke (5s)"
+# The -fromspec trust boundary: never a panic; what it accepts round-trips.
+go test ./internal/spec/ -run '^$' -fuzz '^FuzzSpecImport$' -fuzztime 5s
 
 echo "ci: all checks passed"
