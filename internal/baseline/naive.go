@@ -1,15 +1,20 @@
-// Package baseline implements the unoptimized comparison points of the
-// experiment harness:
+// Package baseline holds the references the rest of the repository is
+// checked against — unoptimized, and independent of the algorithms they
+// check (they share only the fact store):
 //
 //   - NaiveTP — algorithm BT exactly as printed in Figure 1 of the paper:
 //     repeat L' := T_{Z∧D}(L), re-deriving every fact from scratch each
 //     iteration, until the window segment and the non-temporal part
 //     stabilize. The production engine (internal/engine) replaces this
 //     with a time-stratified sweep; experiment E8 measures the gap.
+//   - Scan and Detect — the string-key period scan on period.Detect's
+//     window schedule, which the fingerprint detector must reproduce.
+//   - Answers — a bottom-up, set-at-a-time evaluator of temporal
+//     first-order queries, which the compiled evaluator must reproduce.
 //
-//   - Direct window evaluation of deep ground queries (answering P(h, x̄)
-//     by materializing the model out to h) lives in query.Window and is
-//     exercised against specification-based answering in experiment E7.
+// Together they are the reference of the model-based test (FuzzModel in
+// internal/server): naive states, their certified period, and every
+// answer over the resulting finite specification.
 package baseline
 
 import (
@@ -69,11 +74,13 @@ func NaiveTP(prog *ast.Program, db *ast.Database, m int) (*engine.Store, Stats, 
 		cur.Insert(f)
 	}
 	var stats Stats
+	bindings := make(map[string]string, 8)
 	for {
 		stats.Iterations++
 		// L' := T_{Z∧D}(L): read from the previous iterate, derive into a
 		// fresh store seeded with D. Derivations within one iteration do
 		// not see each other — that is what makes this the naive baseline.
+		src := snapshot(cur, m)
 		next := engine.NewStore()
 		for _, f := range db.Facts {
 			next.Insert(f)
@@ -87,7 +94,7 @@ func NaiveTP(prog *ast.Program, db *ast.Database, m int) (*engine.Store, Stats, 
 				}
 			}
 			for T := 0; T <= tmax; T++ {
-				fire(cur, next, r.head, r.body, T, &stats)
+				fire(src, next, r.head, r.body, T, bindings, &stats)
 			}
 		}
 		// T_P is monotone and the iterates increase from D, so equal
@@ -100,12 +107,34 @@ func NaiveTP(prog *ast.Program, db *ast.Database, m int) (*engine.Store, Stats, 
 	}
 }
 
+// relations is one iterate read back by predicate: the argument rows of
+// every state 0..m and of the non-temporal part. An iterate is read-only
+// while the next one is derived, so it is rendered once per iteration.
+type relations struct {
+	states []map[string][][]string
+	nt     map[string][][]string
+}
+
+func snapshot(s *engine.Store, m int) relations {
+	group := func(fs []ast.Fact) map[string][][]string {
+		out := make(map[string][][]string)
+		for _, f := range fs {
+			out[f.Pred] = append(out[f.Pred], f.Args)
+		}
+		return out
+	}
+	r := relations{states: make([]map[string][][]string, m+1), nt: group(s.NonTemporalFacts())}
+	for t := range r.states {
+		r.states[t] = group(s.State(t))
+	}
+	return r
+}
+
 // fire joins the body left to right against src under the binding of the
 // temporal variable to T and inserts derivable heads into dst.
-// Deliberately unindexed beyond what the store provides: this is the naive
+// Deliberately unindexed beyond grouping by predicate: this is the naive
 // baseline.
-func fire(src, dst *engine.Store, head ast.Atom, body []ast.Atom, T int, stats *Stats) {
-	bindings := make(map[string]string, 8)
+func fire(src relations, dst *engine.Store, head ast.Atom, body []ast.Atom, T int, bindings map[string]string, stats *Stats) {
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(body) {
@@ -114,34 +143,32 @@ func fire(src, dst *engine.Store, head ast.Atom, body []ast.Atom, T int, stats *
 			return
 		}
 		a := body[i]
-		var candidates []ast.Fact
+		rel := src.nt
 		if a.Time != nil {
-			candidates = src.Snapshot(T + a.Time.Depth)
-		} else {
-			candidates = src.NonTemporalFacts()
+			rel = src.states[T+a.Time.Depth]
 		}
-		for _, f := range candidates {
-			if f.Pred != a.Pred || len(f.Args) != len(a.Args) {
+		for _, args := range rel[a.Pred] {
+			if len(args) != len(a.Args) {
 				continue
 			}
 			var bound []string
 			ok := true
 			for j, s := range a.Args {
 				if !s.IsVar {
-					if s.Name != f.Args[j] {
+					if s.Name != args[j] {
 						ok = false
 						break
 					}
 					continue
 				}
 				if v, have := bindings[s.Name]; have {
-					if v != f.Args[j] {
+					if v != args[j] {
 						ok = false
 						break
 					}
 					continue
 				}
-				bindings[s.Name] = f.Args[j]
+				bindings[s.Name] = args[j]
 				bound = append(bound, s.Name)
 			}
 			if ok {

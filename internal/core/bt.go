@@ -247,8 +247,9 @@ func (b *BT) Answers(q ast.Query) ([]query.Answer, error) {
 // If the receiver has already certified its specification, the batch is
 // propagated semi-naively through the evaluated window and the period is
 // re-certified incrementally (inc.Apply); the new BT starts out warm.
-// Otherwise the facts are merely recorded and the first query pays the
-// usual cold certification.
+// Otherwise the facts are recorded — and propagated through whatever
+// window a failed certification left evaluated — and the first query pays
+// the usual cold certification.
 func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -260,17 +261,23 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 	var res inc.Result
 	cur := b.spec.Load()
 	if cur == nil {
+		var seed []ast.Fact
 		for _, f := range facts {
 			ok, err := e2.InsertBase(f)
 			if err != nil {
 				return nil, res, err
 			}
 			if ok {
+				seed = append(seed, f)
 				res.NewBase++
 			} else {
 				res.Duplicates++
 			}
 		}
+		// A certification that failed (over budget) left its window
+		// evaluated; the new facts must reach it, or the next certification
+		// would not re-derive them. A no-op on a never-evaluated window.
+		res.Derived = e2.PropagateDelta(seed)
 	} else {
 		s, r, err := inc.Apply(e2, cur, b.maxWindow, facts)
 		res = r

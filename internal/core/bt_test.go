@@ -152,6 +152,20 @@ a(0). b(0). c(0). d(0).
 	if p.P != 210 {
 		t.Errorf("period = %v, want p=210", p)
 	}
+	// A failed certification leaves its window evaluated; an Assert on the
+	// still-cold processor must propagate through it. Here p(1) turns
+	// period 2, one state over the budget, into period 1, within it.
+	c := mustBT(t, "p(T+2) :- p(T).\np(0).\nz(11).", WithMaxWindow(15))
+	if _, err := c.Period(); err == nil {
+		t.Fatal("expected window-budget error")
+	}
+	c2, _, err := c.Assert([]ast.Fact{tfact("p", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := c2.Period(); err != nil || p != (period.Period{Base: 12, P: 1}) {
+		t.Errorf("after Assert: %v, %v; a fresh open certifies (b=12, p=1)", p, err)
+	}
 }
 
 func TestSpecificationCached(t *testing.T) {

@@ -1,7 +1,6 @@
 package parser
 
 import (
-	"sort"
 	"strings"
 	"testing"
 )
@@ -89,10 +88,9 @@ var fuzzSeeds = []string{
 //
 //  1. ParseUnit never panics and never allocates unboundedly (the
 //     interval-expansion cap): it either errors or returns a unit.
-//  2. Accepted units round-trip: re-rendering the parsed rules and facts
-//     with explicit @temporal/@nontemporal directives — so the second
-//     parse cannot depend on sort inference — reparses to the same
-//     clause counts and the same predicate signatures.
+//  2. Accepted units round-trip: Render, which pins with a directive
+//     every sort the plain text would re-infer differently, reparses to
+//     the same clause counts and the same predicate signatures.
 func FuzzParseUnit(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -105,41 +103,13 @@ func FuzzParseUnit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sorts := make(map[string]bool)
-		for name, pi := range prog.Preds {
-			sorts[name] = pi.Temporal
-		}
-		for name, pi := range db.Preds {
-			sorts[name] = pi.Temporal
-		}
-		names := make([]string, 0, len(sorts))
-		for name := range sorts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var b strings.Builder
-		for _, name := range names {
-			if sorts[name] {
-				b.WriteString("@temporal " + name + ".\n")
-			} else {
-				b.WriteString("@nontemporal " + name + ".\n")
-			}
-		}
-		for _, r := range prog.Rules {
-			b.WriteString(r.String() + "\n")
-		}
-		for _, fa := range db.Facts {
-			b.WriteString(fa.String() + ".\n")
-		}
-		prog2, db2, err := ParseUnit(b.String())
+		out := Render(prog, db)
+		prog2, db2, err := ParseUnit(out)
 		if err != nil {
-			t.Fatalf("round-trip rejected:\n%s\nerror: %v\noriginal:\n%s", b.String(), err, src)
+			t.Fatalf("round-trip rejected:\n%s\nerror: %v\noriginal:\n%s", out, err, src)
 		}
-		if len(prog2.Rules) != len(prog.Rules) {
-			t.Fatalf("round-trip rules %d -> %d:\n%s", len(prog.Rules), len(prog2.Rules), b.String())
-		}
-		if len(db2.Facts) != len(db.Facts) {
-			t.Fatalf("round-trip facts %d -> %d:\n%s", len(db.Facts), len(db2.Facts), b.String())
+		if len(prog2.Rules) != len(prog.Rules) || len(db2.Facts) != len(db.Facts) {
+			t.Fatalf("round-trip %d rules, %d facts -> %d, %d:\n%s", len(prog.Rules), len(db.Facts), len(prog2.Rules), len(db2.Facts), out)
 		}
 		for name, pi := range prog.Preds {
 			pi2, ok := prog2.Preds[name]

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"tdd/internal/ast"
+	"tdd/internal/baseline"
 	"tdd/internal/engine"
 	"tdd/internal/parser"
 	"tdd/internal/randgen"
@@ -239,65 +240,22 @@ func TestCanonicalEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// oracleScan is the string-key scan Detect ran before states carried
-// fingerprints, kept verbatim as the reference: keys[t] is the canonical
-// rendering of state t.
-func oracleScan(keys []string, c, G, hmax int) (Period, bool) {
-	m := len(keys) - 1
-	for p := 1; c+1+p+G <= m; p++ {
-		if m-p+1 < hmax {
-			break
-		}
-		b := -1
-		for t := m - p; t >= c+1; t-- {
-			if keys[t] != keys[t+p] {
-				break
-			}
-			b = t
-		}
-		if b < 0 {
-			continue
-		}
-		if b+p+G > m {
-			continue
-		}
-		return Period{Base: b, P: p}, true
-	}
-	return Period{}, false
-}
-
-// oracleDetect is Detect's window loop over oracleScan and Store.StateKey.
+// oracleDetect is baseline.Detect — the string-key scan on Detect's window
+// schedule — over Store.StateKey.
 func oracleDetect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
-	c := e.Database().MaxDepth()
-	G := Lookback(e.Program())
-	hmax := MaxHeadDepth(e.Program())
-	var stats Stats
-	m := 2*c + 4*G + 4
-	if min := 2*hmax + 4; m < min {
-		m = min
-	}
-	if m < 16 {
-		m = 16
-	}
-	for {
-		if m > maxWindow {
-			m = maxWindow
-		}
+	d := baseline.Detect(func(m int) []string {
 		e.EnsureWindow(m)
-		stats.Window = m
 		keys := make([]string, m+1)
 		for t := range keys {
 			keys[t] = e.Store().StateKey(t)
 		}
-		if p, ok := oracleScan(keys, c, G, hmax); ok {
-			return p, stats, nil
-		}
-		if m >= maxWindow {
-			return Period{}, stats, ErrWindowExceeded
-		}
-		m *= 2
-		stats.Grown++
+		return keys
+	}, e.Database().MaxDepth(), Lookback(e.Program()), MaxHeadDepth(e.Program()), maxWindow)
+	st := Stats{Window: d.Window, Grown: d.Grown}
+	if !d.OK {
+		return Period{}, st, ErrWindowExceeded
 	}
+	return Period{Base: d.Base, P: d.P}, st, nil
 }
 
 // checkDetectMatchesOracle runs both detectors on fresh evaluators of the
@@ -375,7 +333,8 @@ func TestCertifyFallsBackOnCollision(t *testing.T) {
 	keys := []string{"x", "y", "a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "c"}
 	m := len(keys) - 1
 	exact := func(t1, t2 int) bool { return keys[t1] == keys[t2] }
-	want, ok := oracleScan(keys, 0, 2, 0)
+	base, p, ok := baseline.Scan(keys, 0, 2, 0)
+	want := Period{Base: base, P: p}
 	if !ok || want != (Period{Base: 2, P: 3}) {
 		t.Fatalf("oracle = %v, %v; want (b=2, p=3)", want, ok)
 	}

@@ -13,6 +13,7 @@ import (
 	"tdd/internal/ast"
 	"tdd/internal/baseline"
 	"tdd/internal/engine"
+	"tdd/internal/inc"
 	"tdd/internal/obs"
 	"tdd/internal/parser"
 	"tdd/internal/period"
@@ -63,10 +64,14 @@ func sweepStructure(tr *obs.Trace) string {
 	return b.String()
 }
 
-func generate(t *testing.T, seed int64) (*ast.Program, *ast.Database) {
+// shapes are the generator's two program shapes: temporal heads only,
+// and heads drawn from every predicate.
+var shapes = []Options{Default(), func() Options { o := Default(); o.NonTemporalHeads = true; return o }()}
+
+func generate(t *testing.T, seed int64, opts Options) (*ast.Program, *ast.Database) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := New(rng, Default())
+	g := New(rng, opts)
 	prog, err := g.Program(rng)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -83,7 +88,7 @@ func generate(t *testing.T, seed int64) (*ast.Program, *ast.Database) {
 func TestEngineMatchesNaiveTPOnRandomPrograms(t *testing.T) {
 	const m = 12
 	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed)
+		prog, db := generate(t, seed, Default())
 		e, err := engine.New(prog, db)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -106,7 +111,7 @@ func TestEngineMatchesNaiveTPOnRandomPrograms(t *testing.T) {
 // when the window is extended well beyond the certificate.
 func TestPeriodCertificateSurvivesExtension(t *testing.T) {
 	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed)
+		prog, db := generate(t, seed, Default())
 		e, err := engine.New(prog, db)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -131,7 +136,7 @@ func TestPeriodCertificateSurvivesExtension(t *testing.T) {
 // directly evaluated model at every time point and for every predicate.
 func TestSpecAnswersMatchDirectOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed)
+		prog, db := generate(t, seed, Default())
 		e, err := engine.New(prog, db)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -176,11 +181,15 @@ func TestSpecAnswersMatchDirectOnRandomPrograms(t *testing.T) {
 // and on the whole model (every state of base+period); the
 // mode-invariant Stats (Derived, Sweeps, per-rule Derived) and the span
 // sequence (per-sweep added counts, per-fixpoint store sizes) are
-// bit-identical between the two engines.
+// bit-identical between the two engines. The incremental lane ingests
+// half the facts batch by batch under each join mode (inc.Apply) and must
+// end on the from-scratch specification. This is the one test that runs
+// the nested-loop engine against the others; the index structures it
+// shares with the indexed mode are walked by the engine's lineage tests.
 func TestThreeWayDifferentialBattery(t *testing.T) {
 	const m = 12
 	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed)
+		prog, db := generate(t, seed, Default())
 		naive, _, err := baseline.NaiveTP(prog, db, m)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -247,19 +256,59 @@ func TestThreeWayDifferentialBattery(t *testing.T) {
 				t.Fatalf("seed %d: certified models differ at t=%d\nprogram:\n%sdb:\n%s", seed, tm, prog, db)
 			}
 		}
+		want := fmt.Sprint(si.PrimaryDatabase())
+		var lens []int
+		for _, mode := range []engine.JoinMode{engine.JoinNestedLoop, engine.JoinIndexed} {
+			k := len(db.Facts) / 2
+			half, err := ast.NewDatabase(append([]ast.Fact(nil), db.Facts[:k]...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := engine.New(prog.Clone(), half)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetJoinMode(mode)
+			s, _ := spec.Compute(e, 1<<14) // nil when the half is over budget: Apply certifies afresh
+			for rest := db.Facts[k:]; len(rest) > 0; {
+				n := 1 + len(rest)/3
+				if s, _, err = inc.Apply(e, s, 1<<14, rest[:n]); err != nil {
+					t.Fatalf("seed %d mode %d: %v", seed, mode, err)
+				}
+				rest = rest[n:]
+			}
+			if got := fmt.Sprint(s.PrimaryDatabase()); s.Period != si.Period || got != want {
+				t.Fatalf("seed %d mode %d: incremental %v %s, from scratch %v %s", seed, mode, s.Period, got, si.Period, want)
+			}
+			lens = append(lens, e.Store().Len())
+		}
+		if lens[0] != lens[1] {
+			t.Fatalf("seed %d: incremental stores hold %d (nested-loop) and %d (indexed) facts", seed, lens[0], lens[1])
+		}
 	}
 }
 
 // Property: the generator only produces valid programs (meta-test).
 func TestGeneratorAlwaysValid(t *testing.T) {
-	for seed := int64(100); seed < 100+trials; seed++ {
-		prog, db := generate(t, seed)
-		if err := ast.ValidateProgram(prog); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	nonTemporalHeads := 0
+	for _, opts := range shapes {
+		for seed := int64(100); seed < 100+trials; seed++ {
+			prog, db := generate(t, seed, opts)
+			if err := ast.ValidateProgram(prog); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if err := db.CheckAgainst(prog); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			for _, r := range prog.Rules {
+				if r.Head.Time == nil {
+					nonTemporalHeads++
+				}
+			}
 		}
-		if err := db.CheckAgainst(prog); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+	}
+	if nonTemporalHeads < trials {
+		t.Errorf("only %d rules with a non-temporal head", nonTemporalHeads)
 	}
 }
 
@@ -318,24 +367,35 @@ func TestNormalizePreservesModelOnRandomPrograms(t *testing.T) {
 	}
 }
 
-// Property: pretty-printing a generated program and re-parsing it is the
-// identity (parser/printer agreement on the whole generated space).
+// Property: rendering a generated program and database and re-parsing
+// them is the identity on clauses and predicate signatures — split (as
+// DB.Rules and DB.Facts render them) or as one unit — in both shapes.
 func TestPrintParseRoundTripOnRandomPrograms(t *testing.T) {
-	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed)
-		prog2, err := parser.ParseProgram(prog.String())
-		if err != nil {
-			t.Fatalf("seed %d: reparse rules: %v\n%s", seed, err, prog)
-		}
-		if prog.String() != prog2.String() {
-			t.Fatalf("seed %d: rule round trip drifted:\n%s\nvs\n%s", seed, prog, prog2)
-		}
-		db2, err := parser.ParseDatabase(db.String())
-		if err != nil {
-			t.Fatalf("seed %d: reparse facts: %v\n%s", seed, err, db)
-		}
-		if db.String() != db2.String() {
-			t.Fatalf("seed %d: fact round trip drifted:\n%s\nvs\n%s", seed, db, db2)
+	for _, opts := range shapes {
+		for seed := int64(0); seed < trials; seed++ {
+			prog, db := generate(t, seed, opts)
+			rules, err := parser.ParseProgram(parser.Render(prog, nil))
+			if err != nil {
+				t.Fatalf("seed %d: reparse rules: %v\n%s", seed, err, parser.Render(prog, nil))
+			}
+			facts, err := parser.ParseDatabase(parser.Render(nil, db))
+			if err != nil {
+				t.Fatalf("seed %d: reparse facts: %v\n%s", seed, err, parser.Render(nil, db))
+			}
+			uprog, udb, err := parser.ParseUnit(parser.Render(prog, db))
+			if err != nil {
+				t.Fatalf("seed %d: reparse unit: %v\n%s", seed, err, parser.Render(prog, db))
+			}
+			for _, p := range []*ast.Program{rules, uprog} {
+				if p.String() != prog.String() || fmt.Sprint(p.Preds) != fmt.Sprint(prog.Preds) {
+					t.Fatalf("seed %d: rules drifted:\n%s%v\nvs\n%s%v", seed, prog, prog.Preds, p, p.Preds)
+				}
+			}
+			for _, d := range []*ast.Database{facts, udb} {
+				if d.String() != db.String() || fmt.Sprint(d.Preds) != fmt.Sprint(db.Preds) {
+					t.Fatalf("seed %d: facts drifted:\n%s%v\nvs\n%s%v", seed, db, db.Preds, d, d.Preds)
+				}
+			}
 		}
 	}
 }

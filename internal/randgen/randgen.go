@@ -1,8 +1,7 @@
 // Package randgen generates random — but always valid (range-restricted,
 // semi-normal, forward) — temporal deductive databases for property-based
-// and differential testing: the engine against the naive T_P baseline,
-// specification answers against direct evaluation, and period certificates
-// against extended windows.
+// and differential testing: FuzzModel in internal/server checks every
+// evaluation path against internal/baseline on them.
 package randgen
 
 import (
@@ -27,6 +26,10 @@ type Options struct {
 	// body literal at depth 0 — the condition under which ast.Normalize
 	// is exact.
 	Anchored bool
+	// NonTemporalHeads draws rule heads from every predicate, so rules
+	// also derive non-temporal facts (plain Datalog bodies included) that
+	// feed back into the temporal ones.
+	NonTemporalHeads bool
 }
 
 // Default returns options that generate small, densely interacting TDDs.
@@ -71,14 +74,20 @@ func New(rng *rand.Rand, opts Options) *Gen {
 var varNames = []string{"X", "Y", "Z", "W", "V", "U"}
 
 // Program generates a valid program: every rule has a temporal head at a
-// random depth with body literals at depths up to the head's (forward),
-// one shared temporal variable, and head variables drawn from body
-// variables (range restriction).
+// random depth (or, under NonTemporalHeads, possibly a non-temporal one)
+// with body literals at depths up to the head's (forward), one shared
+// temporal variable, and head variables drawn from body variables (range
+// restriction).
 func (g *Gen) Program(rng *rand.Rand) (*ast.Program, error) {
 	var rules []ast.Rule
 	temporalPreds := g.temporal()
 	for len(rules) < g.opts.Rules {
-		head := temporalPreds[rng.Intn(len(temporalPreds))]
+		var head sig
+		if g.opts.NonTemporalHeads {
+			head = g.preds[rng.Intn(len(g.preds))]
+		} else {
+			head = temporalPreds[rng.Intn(len(temporalPreds))]
+		}
 		h := rng.Intn(g.opts.MaxDepth + 1)
 		nbody := 1 + rng.Intn(g.opts.MaxBody)
 		var body []ast.Atom
@@ -101,7 +110,7 @@ func (g *Gen) Program(rng *rand.Rand) (*ast.Program, error) {
 				body = append(body, ast.NonTemporalAtom(p.name, args...))
 			}
 		}
-		if !hasTemporalBody {
+		if !hasTemporalBody && head.temporal {
 			// The head's temporal variable must occur in the body.
 			p := temporalPreds[rng.Intn(len(temporalPreds))]
 			args := make([]ast.Symbol, p.arity)
@@ -138,10 +147,11 @@ func (g *Gen) Program(rng *rand.Rand) (*ast.Program, error) {
 		for j := range headArgs {
 			headArgs[j] = ast.Var(pool[rng.Intn(len(pool))])
 		}
-		rules = append(rules, ast.Rule{
-			Head: ast.TemporalAtom(head.name, ast.TemporalTerm{Var: "T", Depth: h}, headArgs...),
-			Body: body,
-		})
+		r := ast.Rule{Head: ast.NonTemporalAtom(head.name, headArgs...), Body: body}
+		if head.temporal {
+			r.Head = ast.TemporalAtom(head.name, ast.TemporalTerm{Var: "T", Depth: h}, headArgs...)
+		}
+		rules = append(rules, r)
 	}
 	prog, err := ast.NewProgram(rules)
 	if err != nil {

@@ -1,14 +1,9 @@
 package server
 
-// The kill-and-recover differential battery: for random programs, random
-// batch schedules, and every crash point — each record boundary and a
-// random mid-record offset — a registry recovered from the (truncated)
-// data directory must be indistinguishable from an engine that ingested
-// the durable prefix and never crashed: same rev chain, same certified
-// period, same model at every time point (ModelFingerprint hashes the
-// full periodic state sequence). Plus the shutdown-ordering regression
-// test: ingests racing a graceful shutdown are either fully logged or
-// rejected, never torn.
+// Snapshot restart against a never-crashed engine, and the
+// shutdown-ordering regression test: ingests racing a graceful shutdown
+// are either fully logged or rejected, never torn. (Recovery of every
+// crash point is FuzzModel's crash step, model_test.go.)
 
 import (
 	"bytes"
@@ -16,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -26,18 +20,8 @@ import (
 	"time"
 
 	"tdd"
-	"tdd/internal/ast"
-	"tdd/internal/randgen"
 	"tdd/internal/wal"
 )
-
-func renderFacts(fs []ast.Fact) string {
-	var b bytes.Buffer
-	for _, f := range fs {
-		fmt.Fprintf(&b, "%s.\n", f.String())
-	}
-	return b.String()
-}
 
 // copyDir clones a data directory so a crash point can be simulated
 // destructively without disturbing the original.
@@ -80,153 +64,6 @@ func durableRegistry(t *testing.T, dir string, pol wal.Policy, snapshotEvery int
 	t.Cleanup(func() { store.Close() })
 	reg.EnableDurability(store, snapshotEvery)
 	return reg
-}
-
-// oracleFingerprint builds a never-crashed engine — base program plus
-// the given batches through the ordinary Assert path — and fingerprints
-// its model.
-func oracleFingerprint(t *testing.T, rules, facts string, batches []string) string {
-	t.Helper()
-	db, err := tdd.Open(rules, facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		if _, err := db.Assert(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fp, err := db.ModelFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fp
-}
-
-// recoverAndCompare recovers dir into a fresh registry and checks the
-// recovered program against the oracle for the expected durable prefix.
-func recoverAndCompare(t *testing.T, dir, id, rules, facts string, batches []string) {
-	t.Helper()
-	reg := durableRegistry(t, dir, wal.FsyncOff, 0)
-	progs, gotBatches, err := reg.RecoverFromWAL(true)
-	if err != nil {
-		t.Fatalf("recovering with %d durable batches: %v", len(batches), err)
-	}
-	if progs != 1 || gotBatches != len(batches) {
-		t.Fatalf("recovered %d programs / %d batches, want 1 / %d", progs, gotBatches, len(batches))
-	}
-	seq, rev, ok := reg.SeqRev(id)
-	if !ok {
-		t.Fatalf("program %s not recovered", id)
-	}
-	wantRev := id
-	for _, b := range batches {
-		wantRev = nextRev(wantRev, b)
-	}
-	if seq != uint64(len(batches)) || rev != wantRev {
-		t.Fatalf("recovered cursor (%d, %s), want (%d, %s)", seq, rev, len(batches), wantRev)
-	}
-	ent, err := reg.Lookup(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := ent.db.ModelFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oracleFingerprint(t, rules, facts, batches); fp != want {
-		t.Fatalf("recovered model fingerprint %s != never-crashed %s after %d batches", fp, want, len(batches))
-	}
-}
-
-// TestKillAndRecoverDifferential is the battery. fsync=always with
-// snapshots disabled keeps the full history in wal.log, so truncating
-// the file at an offset simulates a crash with exactly that durable
-// prefix; recovery of every prefix must reproduce the never-crashed
-// engine bit for bit (torn mid-record tails are repaired, boundary cuts
-// are exact).
-func TestKillAndRecoverDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential battery is slow")
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			g := randgen.New(rng, randgen.Default())
-			prog, err := g.Program(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := g.Database(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rules := prog.String()
-			facts := append([]ast.Fact(nil), full.Facts...)
-			rng.Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
-			k := rng.Intn(len(facts) + 1)
-			base := renderFacts(facts[:k])
-
-			// Leader: register, then ingest the rest in random batches.
-			leaderDir := t.TempDir()
-			reg := durableRegistry(t, leaderDir, wal.FsyncAlways, 0)
-			ent, _, err := reg.Register("", rules, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			id := ent.ID()
-			var batches []string
-			rest := facts[k:]
-			for len(rest) > 0 {
-				n := 1 + rng.Intn(len(rest))
-				batch := renderFacts(rest[:n])
-				if _, _, err := reg.Ingest(id, batch); err != nil {
-					t.Fatal(err)
-				}
-				batches = append(batches, batch)
-				rest = rest[n:]
-			}
-
-			// Record boundaries: the log is the concatenation of the
-			// canonical encodings, so re-encoding the chain reproduces
-			// every record's on-disk extent.
-			logPath := filepath.Join(leaderDir, "programs", id, "wal.log")
-			boundaries := []int64{0}
-			for _, rec := range chainRecords(reg.source(id)) {
-				b, err := wal.EncodeRecord(rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				boundaries = append(boundaries, boundaries[len(boundaries)-1]+int64(len(b)))
-			}
-			if data, err := os.ReadFile(logPath); err != nil || int64(len(data)) != boundaries[len(boundaries)-1] {
-				t.Fatalf("log is %d bytes (err %v), boundary math says %d", len(data), err, boundaries[len(boundaries)-1])
-			}
-
-			for i := 0; i <= len(batches); i++ {
-				// Clean crash at the record boundary: exactly i batches durable.
-				dir := copyDir(t, leaderDir)
-				if err := os.Truncate(filepath.Join(dir, "programs", id, "wal.log"), boundaries[i]); err != nil {
-					t.Fatal(err)
-				}
-				recoverAndCompare(t, dir, id, rules, base, batches[:i])
-
-				// Torn crash mid-append of batch i+1: the incomplete record
-				// must be discarded, leaving the same i durable batches.
-				if i < len(batches) {
-					recLen := boundaries[i+1] - boundaries[i]
-					cut := boundaries[i] + 1 + rng.Int63n(recLen-1)
-					dir := copyDir(t, leaderDir)
-					if err := os.Truncate(filepath.Join(dir, "programs", id, "wal.log"), cut); err != nil {
-						t.Fatal(err)
-					}
-					recoverAndCompare(t, dir, id, rules, base, batches[:i])
-				}
-			}
-		})
-	}
 }
 
 // TestSnapshotRestartDifferential restarts a registry whose history has

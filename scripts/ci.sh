@@ -3,8 +3,9 @@
 # locally; the tier-1 subset (build + test) is the hard floor, vet and
 # the race detector guard the concurrent serving paths (internal/server,
 # the tdd facade locking, the streaming Assert path), gofmt keeps the
-# tree canonical, and a short fuzz smoke keeps the parser honest on
-# adversarial unit sources.
+# tree canonical, and short fuzz smokes keep the trust boundaries honest
+# and the model test (FuzzModel) searching for a path that disagrees with
+# naive T_P.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -118,11 +119,13 @@ require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas 
 # open one two objects per answer.
 require_test ./internal/query/ TestAllocBudgetClosedQuery TestAllocBudgetOpenQuery
 
-echo "==> sliced-vs-full differential battery, and the rule that picks the path"
-# The slice theorem in executable form: 60 random programs, every derivable
-# query head; a cold (sliced) DB and a certified-first (full) one agree on
-# answers, period and fingerprint. The rest pin when a slice is used at all.
-require_test . TestSlicedAskMatchesFull TestCertifiedSnapshotBuildsNoAnalysis TestObservedDBAsksFullProcessor TestOneSlicedSlot
+echo "==> the model test, and the rule that picks the sliced path"
+# One oracle for every path: random step scripts on a DB, a durable leader
+# registry and its follower, each checked after every step against naive
+# T_P (internal/baseline) — period, every state on [0, b+p), every answer.
+# Its cold-ask step is the sliced path; the rest pin when a slice is used.
+require_test ./internal/server/ FuzzModel
+require_test . TestCertifiedSnapshotBuildsNoAnalysis TestObservedDBAsksFullProcessor TestOneSlicedSlot
 
 echo "==> one resident model per served program (lock-free warm reads, entry heap <= 1.3x a bare DB)"
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
@@ -163,22 +166,13 @@ echo "==> tddload smoke (2s self-hosted)"
 GOMAXPROCS=4 go run ./cmd/tddload -self -duration 2s -clients 8 \
     -mix ask=85,answers=5,ingest=5,wal=5
 
-echo "==> parser fuzz smoke (5s)"
-go test ./internal/parser/ -run '^$' -fuzz '^FuzzParseUnit$' -fuzztime 5s
-
-echo "==> FO query evaluator fuzz smoke (5s)"
-# Whatever the query parser accepts must compile and evaluate without
-# panicking, and agree with the bottom-up oracle.
-go test ./internal/query/ -run '^$' -fuzz '^FuzzQueryEval$' -fuzztime 5s
-
-echo "==> WAL decoder fuzz smoke (5s)"
-# The WAL decoder is the trust boundary of crash recovery: arbitrary
-# bytes must never panic it, and every failure must come back as a
-# positioned, checksum-aware torn/corrupt classification.
-go test ./internal/wal/ -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 5s
-
-echo "==> specification import fuzz smoke (5s)"
-# The -fromspec trust boundary: never a panic; what it accepts round-trips.
-go test ./internal/spec/ -run '^$' -fuzz '^FuzzSpecImport$' -fuzztime 5s
+echo "==> fuzz smokes (5s each)"
+# The trust boundaries — unit parser, query evaluator (against the bottom-up
+# reference), WAL decoder, specification import — must never panic and
+# must round-trip what they accept; the model test must find no path
+# that disagrees with the reference.
+for target in parser:FuzzParseUnit query:FuzzQueryEval wal:FuzzWALDecode spec:FuzzSpecImport server:FuzzModel; do
+    go test "./internal/${target%%:*}/" -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s
+done
 
 echo "ci: all checks passed"

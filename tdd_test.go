@@ -174,19 +174,36 @@ func TestClassifyMethodsAndFunction(t *testing.T) {
 	}
 }
 
+// TestRulesFactsRoundTrip: Rules and Facts reopen the same model, split or
+// as one unit — including sorts the text alone would re-infer otherwise.
 func TestRulesFactsRoundTrip(t *testing.T) {
-	db, err := OpenUnit(skiUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(db.Rules(), db.Facts())
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
-	a, _ := db.Ask("plane(11, hunter)")
-	b, _ := db2.Ask("plane(11, hunter)")
-	if a != b {
-		t.Error("round-tripped database answers differently")
+	for _, unit := range []string{
+		skiUnit,
+		"r(T) :- p(T). p(3).",
+		"@nontemporal score. best(J) :- score(10, J). score(10, john).",
+		"alert(T+1, S) :- alert(T, S), fragile(S).\n@nontemporal score.\nalert(0, api). fragile(api). score(10, alice).",
+	} {
+		db, err := OpenUnit(unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.ModelFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, err := Open(db.Rules(), db.Facts())
+		if err != nil {
+			t.Fatalf("%q: Open(Rules, Facts): %v", unit, err)
+		}
+		joined, err := OpenUnit(db.Rules() + db.Facts())
+		if err != nil {
+			t.Fatalf("%q: OpenUnit(Rules+Facts): %v", unit, err)
+		}
+		for _, re := range []*DB{split, joined} {
+			if got, err := re.ModelFingerprint(); err != nil || got != want {
+				t.Errorf("%q: reopened model %s (%v), want %s\n%s%s", unit, got, err, want, db.Rules(), db.Facts())
+			}
+		}
 	}
 }
 
