@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"tdd/internal/ast"
-	"tdd/internal/classify"
 	"tdd/internal/engine"
 	"tdd/internal/inc"
 	"tdd/internal/lint"
@@ -54,6 +53,11 @@ type BT struct {
 	// certify-period with nested fixpoint sweeps, spec-construct). All
 	// spans are recorded under mu, so one trace per BT is safe.
 	tr *obs.Trace
+	// rules returns the program's rule analysis — the classification
+	// report the classify span reads and the rules-only lint passes —
+	// built on the first call and shared with every BT that Assert
+	// derives from this one: the rule set never changes.
+	rules func() *lint.Rules
 
 	// mu serializes the computation of spec and every mutation of eval
 	// (window growth, store inserts, stats, provenance) performed during it.
@@ -62,7 +66,15 @@ type BT struct {
 	// (or before the BT is shared, in Assert), and loaded without it: a
 	// non-nil load is the warm fast path of every query.
 	spec atomic.Pointer[spec.Spec]
+	// fired marks the rules Lint's never-fires probe saw fire in this
+	// BT's model or an ancestor's; Assert hands it on, because the least
+	// model is monotone in the database. Never modified in place.
+	fired []bool // guarded-by: mu
 }
+
+// analyzeRules builds a program's rule analysis; a variable so tests can
+// count how often it runs.
+var analyzeRules = lint.AnalyzeRules
 
 // Option configures a BT processor.
 type Option func(*BT)
@@ -75,9 +87,9 @@ func WithMaxWindow(m int) Option {
 
 // WithTrace attaches a trace: the specification pipeline records its
 // phases (classify, certify-period, fixpoint, spec-construct) and
-// incremental ingestion its delta spans into it. The classification
-// phase only runs when a trace is attached, so disabled tracing adds no
-// work at all.
+// incremental ingestion its delta spans into it. The classify span reads
+// the program's rule analysis, which is built once per program and
+// shared with Lint, so a trace adds no second classification.
 func WithTrace(tr *obs.Trace) Option {
 	return func(b *BT) {
 		b.tr = tr
@@ -102,6 +114,7 @@ func New(prog *ast.Program, db *ast.Database, opts ...Option) (*BT, error) {
 		return nil, err
 	}
 	b := &BT{eval: e, maxWindow: DefaultMaxWindow, preds: make(map[string]ast.PredInfo)}
+	b.rules = sync.OnceValue(func() *lint.Rules { return analyzeRules(e.Program()) })
 	for k, v := range prog.Preds {
 		b.preds[k] = v
 	}
@@ -149,13 +162,13 @@ func (b *BT) specification() (*spec.Spec, error) {
 	if s := b.spec.Load(); s != nil {
 		return s, nil
 	}
-	// The classification phase exists for the trace (it annotates the
-	// phase tree with the tractable-class verdict driving the expected
-	// cost of what follows); without a trace it would be pure overhead,
-	// so it is skipped entirely.
+	// The classify span annotates the phase tree with the tractable-class
+	// verdict driving the expected cost of what follows. It reads the
+	// program's rule analysis, which Lint shares, so without a trace
+	// nothing is classified here.
 	if b.tr != nil {
 		sp := b.tr.Begin("classify")
-		rep := classify.Analyze(b.eval.Program().Clone(), classify.AnalyzeOptions{})
+		rep := b.rules().Report()
 		sp.Add("valid", b2i(rep.Valid))
 		sp.Add("inflationary", b2i(rep.Inflationary))
 		sp.Add("multi_separable", b2i(rep.MultiSeparable))
@@ -178,21 +191,28 @@ func b2i(v bool) int64 {
 }
 
 // Lint runs the Tier-A static analyzer over the processor's program and
-// database. It runs under mu: the never-fires probe joins rule bodies
+// database. The rules-only passes come from the program's rule analysis,
+// computed once per program; only the passes that read the database run
+// here. Lint runs under mu: the never-fires probe joins rule bodies
 // against the certified model and may grow the evaluated window, which
-// must not race concurrent queries. The certified specification is reused
-// when available (or certifiable), so on a warm BT linting adds no
+// must not race concurrent queries. The probe skips the rules this BT or
+// an ancestor already saw fire, so a fork whose rules all fire builds no
+// prober and grows nothing. The certified specification is reused when
+// available (or certifiable), so on a warm BT linting adds no
 // re-evaluation; when certification fails the semantic probe is skipped
 // and the structural passes still run. source, when non-empty, is the raw
 // unit text inline "tddlint:ignore" suppressions are read from.
 func (b *BT) Lint(source string) lint.Result {
+	rules := b.rules()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	opts := lint.Options{Source: source, MaxWindow: b.maxWindow}
 	if s, err := b.specification(); err == nil {
 		opts.Spec = s
 	}
-	return lint.Run(b.eval.Program(), b.eval.Database(), opts)
+	res, fired := lint.Check(rules, b.eval.Database(), b.fired, opts)
+	b.fired = fired
+	return res
 }
 
 // Period returns the certified minimal period of the least model.
@@ -254,7 +274,7 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e2 := b.eval.Clone()
-	nb := &BT{eval: e2, maxWindow: b.maxWindow, preds: make(map[string]ast.PredInfo, len(b.preds)), tr: b.tr}
+	nb := &BT{eval: e2, maxWindow: b.maxWindow, preds: make(map[string]ast.PredInfo, len(b.preds)), tr: b.tr, rules: b.rules, fired: b.fired}
 	for k, v := range b.preds {
 		nb.preds[k] = v
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tdd/internal/ast"
+	"tdd/internal/lint"
 	"tdd/internal/obs"
 	"tdd/internal/parser"
 	"tdd/internal/period"
@@ -337,4 +339,87 @@ func countSpans(spans []obs.SpanJSON, name string) int {
 		n += countSpans(sp.Children, name)
 	}
 	return n
+}
+
+// TestForkReusesRuleAnalysis pins the per-program rule analysis: every BT
+// that Assert derives shares its parent's by pointer; a traced
+// registration plus N linted ingests classifies the rules once; and a
+// fork whose parent saw every rule fire lints without probing the model,
+// so its evaluated window does not move.
+func TestForkReusesRuleAnalysis(t *testing.T) {
+	calls := 0
+	defer func(f func(*ast.Program) *lint.Rules) { analyzeRules = f }(analyzeRules)
+	analyzeRules = func(p *ast.Program) *lint.Rules {
+		calls++
+		return lint.AnalyzeRules(p)
+	}
+	b := mustBT(t, skiSrc, WithTrace(obs.New()))
+	if _, err := b.Specification(); err != nil {
+		t.Fatal(err)
+	}
+	if res := b.Lint(skiSrc); res.Warnings() != 0 {
+		t.Fatalf("the ski model lints with warnings:\n%s", res.Format(""))
+	}
+	for _, fired := range b.fired {
+		if !fired {
+			t.Fatalf("registration saw rules %v fire, want all %d", b.fired, len(b.eval.Program().Rules))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		nb, _, err := b.Assert([]ast.Fact{tfact("holiday", 13+2*i), tfact("plane", 5+i, "hunter")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nb.rules() != b.rules() {
+			t.Fatalf("ingest %d: the fork has its own rule analysis", i)
+		}
+		w := nb.Evaluator().Window()
+		if res := nb.Lint(skiSrc); res.Warnings() != 0 {
+			t.Fatalf("ingest %d: lint warnings:\n%s", i, res.Format(""))
+		}
+		if got := nb.Evaluator().Window(); got != w {
+			t.Fatalf("ingest %d: linting a fork whose rules all fire grew the window %d -> %d", i, w, got)
+		}
+		if &nb.fired[0] != &b.fired[0] {
+			t.Fatalf("ingest %d: the fork probed rules its parent had seen fire", i)
+		}
+		b = nb
+	}
+	if calls != 1 {
+		t.Fatalf("one registration and 4 ingests analyzed the rules %d times, want 1", calls)
+	}
+}
+
+// TestForksLintConcurrently lints a BT and its forks from several
+// goroutines at once. They share one rule analysis, built by whichever
+// gets there first, and hand on fired sets nobody writes in place; run
+// with -race.
+func TestForksLintConcurrently(t *testing.T) {
+	b := mustBT(t, skiSrc)
+	forks := make([]*BT, 8)
+	var wg sync.WaitGroup
+	for i := range forks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			nb, _, err := b.Assert([]ast.Fact{tfact("holiday", 13+2*i)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res := nb.Lint(""); res.Warnings() != 0 {
+				t.Errorf("fork %d: lint warnings:\n%s", i, res.Format(""))
+			}
+			if res := b.Lint(""); res.Warnings() != 0 {
+				t.Errorf("parent: lint warnings:\n%s", res.Format(""))
+			}
+			forks[i] = nb
+		}(i)
+	}
+	wg.Wait()
+	for i, nb := range forks {
+		if nb != nil && nb.rules() != b.rules() {
+			t.Errorf("fork %d has its own rule analysis", i)
+		}
+	}
 }

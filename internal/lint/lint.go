@@ -47,6 +47,7 @@ import (
 	"strings"
 
 	"tdd/internal/ast"
+	"tdd/internal/classify"
 	"tdd/internal/progan"
 	"tdd/internal/spec"
 )
@@ -214,11 +215,59 @@ const (
 	defaultProbeBudget = 4096
 )
 
+// Rules is the half of a lint run that reads the rule set alone: the
+// classification report (Theorems 5.2 and 6.3–6.5) and the findings of
+// the validity, duplicate, shiftable and near-miss passes. None of it
+// depends on the database, so a program computes it once (AnalyzeRules)
+// and every snapshot of the program shares it; Check adds the passes
+// that read the database. A Rules is immutable and safe to share.
+type Rules struct {
+	prog   *ast.Program
+	report classify.Report
+	// valid gates the passes that need a well-formed program.
+	valid bool
+	diags []Diagnostic
+}
+
+// AnalyzeRules runs the rules-only passes over prog (nil lints nothing).
+func AnalyzeRules(prog *ast.Program) *Rules {
+	r := &Rules{prog: prog, valid: true}
+	if prog == nil {
+		return r
+	}
+	r.diags = checkValidity(prog, &r.valid)
+	r.diags = append(r.diags, checkDuplicates(prog)...)
+	r.diags = append(r.diags, checkShiftable(prog)...)
+	r.report = classify.Analyze(prog.Clone(), classify.AnalyzeOptions{})
+	if r.valid {
+		r.diags = append(r.diags, checkNearMiss(prog, r.report)...)
+	}
+	return r
+}
+
+// Report is the rule set's classification: inflationary, multi-separable,
+// tractable.
+func (r *Rules) Report() classify.Report { return r.report }
+
 // Run lints a program against an optional database. It never fails: every
 // problem it can detect becomes a diagnostic, and passes whose
 // preconditions are missing (no database, no certifiable period) are
 // skipped silently. Diagnostics come back sorted by position, then code.
 func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
+	res, _ := Check(AnalyzeRules(prog), db, nil, opts)
+	return res
+}
+
+// Check lints one snapshot of a program: the passes that read the
+// database (reach, never-fires, relevance) run on db, and their findings
+// join the precomputed rule analysis. fired lists the rules the model of
+// an ancestor snapshot — one whose facts db contains — was seen to fire
+// (nil for none). The least model is monotone in the database, so those
+// rules fire here too and the never-fires probe skips them. Check returns
+// the set grown by the rules this run saw fire: fired itself when nothing
+// was added, a new slice otherwise, and never modified afterwards, so
+// snapshots may share it.
+func Check(rules *Rules, db *ast.Database, fired []bool, opts Options) (Result, []bool) {
 	if opts.MaxWindow <= 0 {
 		opts.MaxWindow = defaultMaxWindow
 	}
@@ -226,24 +275,23 @@ func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
 		opts.ProbeBudget = defaultProbeBudget
 	}
 	var ds []Diagnostic
-	if prog != nil {
-		valid := true
-		ds = append(ds, checkValidity(prog, &valid)...)
+	if prog := rules.prog; prog != nil {
+		ds = append(ds, rules.diags...)
 		rep := progan.Analyze(prog, db)
-		ds = append(ds, checkReach(rep, db)...)
-		ds = append(ds, checkDuplicates(prog)...)
-		ds = append(ds, checkShiftable(prog)...)
-		if valid {
+		reach := checkReach(rep, db)
+		ds = append(ds, reach...)
+		if rules.valid {
 			// Rules the structural pass already proved unreachable are
 			// skipped by the semantic probe: one finding per dead rule.
 			skip := make(map[int]bool)
-			for _, d := range ds {
+			for _, d := range reach {
 				if d.Code == "TDL003" {
 					skip[d.RuleIdx] = true
 				}
 			}
-			ds = append(ds, checkNeverFires(prog, db, opts, skip)...)
-			ds = append(ds, checkNearMiss(prog)...)
+			var never []Diagnostic
+			never, fired = checkNeverFires(prog, db, opts, skip, fired)
+			ds = append(ds, never...)
 			ds = append(ds, checkRelevance(rep, opts.Source)...)
 		}
 		guardDeleteSafety(prog, ds)
@@ -256,7 +304,7 @@ func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
 	if res.Diagnostics == nil {
 		res.Diagnostics = []Diagnostic{}
 	}
-	return res
+	return res, fired
 }
 
 // sortDiagnostics orders findings by source position, then code, then
@@ -295,6 +343,7 @@ func guardDeleteSafety(prog *ast.Program, ds []Diagnostic) {
 	if len(drop) == 0 {
 		return
 	}
+	g, h := lookbackOf(prog.Rules), maxHeadDepthOf(prog.Rules)
 	for {
 		kept := make([]ast.Rule, 0, len(prog.Rules))
 		for i, r := range prog.Rules {
@@ -302,15 +351,19 @@ func guardDeleteSafety(prog *ast.Program, ds []Diagnostic) {
 				kept = append(kept, r)
 			}
 		}
-		if lookbackOf(kept) == lookbackOf(prog.Rules) && maxHeadDepthOf(kept) == maxHeadDepthOf(prog.Rules) {
+		if lookbackOf(kept) == g && maxHeadDepthOf(kept) == h {
 			break
 		}
 		// Un-drop the flagged rule with the deepest head until the
 		// parameters are restored; its warning stands, only the
-		// delete-safety claim is withdrawn.
+		// delete-safety claim is withdrawn. Ties go to the lowest rule
+		// index, so the flags are the same on every run.
 		worst, worstDepth := -1, -1
-		for i := range drop {
-			if d := headDepthOf(prog.Rules[i]); d > worstDepth {
+		for i, r := range prog.Rules {
+			if !drop[i] {
+				continue
+			}
+			if d := headDepthOf(r); d > worstDepth {
 				worst, worstDepth = i, d
 			}
 		}

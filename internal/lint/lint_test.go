@@ -2,10 +2,13 @@ package lint
 
 import (
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tdd/internal/ast"
+	"tdd/internal/randgen"
 )
 
 // TestSortConflictCode covers TDL105, which no textual program can reach
@@ -151,5 +154,33 @@ func TestLintNeverErrorsOnEmpty(t *testing.T) {
 	}
 	if got := Run(nil, nil, Options{}); len(got.Diagnostics) != 0 {
 		t.Errorf("nil program: %v", got.Diagnostics)
+	}
+}
+
+// TestLintDeterministic lints each of 300 random programs eight times and
+// demands identical results. The delete-safety guard picks which flagged
+// rule to withdraw among equally deep heads; picking by map order made
+// the DeleteSafe flags of a third of these programs change between runs.
+func TestLintDeterministic(t *testing.T) {
+	opts := randgen.Default()
+	opts.Facts = 2
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randgen.New(rng, opts)
+		prog, err := g.Program(rng)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		db, err := g.Database(rng)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		first := Run(prog, db, Options{})
+		for i := 1; i < 8; i++ {
+			if got := Run(prog, db, Options{}); !reflect.DeepEqual(got, first) {
+				t.Fatalf("seed %d: run %d differs from run 0 (delete-safe rules %v, then %v):\n%s\nvs\n%s\nprogram:\n%s",
+					seed, i, first.DeleteSafeRules(), got.DeleteSafeRules(), got.Format(""), first.Format(""), prog)
+			}
+		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 // multi-separable (Theorems 6.3–6.5) — because a program inside either
 // has guaranteed polynomial periodicity and there is nothing to warn
 // about. They are informational: an intractable-looking program is still
-// evaluable, it just loses the polynomial certificate.
-func checkNearMiss(prog *ast.Program) []Diagnostic {
-	rep := classify.Analyze(prog.Clone(), classify.AnalyzeOptions{})
+// evaluable, it just loses the polynomial certificate. rep is the rule
+// set's classification.
+func checkNearMiss(prog *ast.Program, rep classify.Report) []Diagnostic {
 	if !rep.Valid || rep.Tractable() {
 		return nil
 	}

@@ -20,22 +20,36 @@ import (
 // Preconditions: a database with facts and a certifiable period within
 // opts.MaxWindow; the probe is skipped (no findings) otherwise, and also
 // when base+period plus the rule depth span exceeds opts.ProbeBudget.
-func checkNeverFires(prog *ast.Program, db *ast.Database, opts Options, skip map[int]bool) []Diagnostic {
+//
+// Rules in skip, and rules fired marks as seen firing in a smaller model,
+// are not probed; when that leaves nothing to probe, no model is built or
+// grown. The returned set is fired plus the rules the probe saw fire (see
+// Check).
+func checkNeverFires(prog *ast.Program, db *ast.Database, opts Options, skip map[int]bool, fired []bool) ([]Diagnostic, []bool) {
 	if db == nil || len(db.Facts) == 0 {
-		return nil
+		return nil, fired
+	}
+	var probe []int
+	for i, r := range prog.Rules {
+		if !skip[i] && len(r.Body) > 0 && (i >= len(fired) || !fired[i]) {
+			probe = append(probe, i)
+		}
+	}
+	if len(probe) == 0 {
+		return nil, fired
 	}
 	s := opts.Spec
 	if s == nil {
 		if db.CheckAgainst(prog) != nil {
-			return nil
+			return nil, fired
 		}
 		e, err := engine.New(prog.Clone(), db.Clone())
 		if err != nil {
-			return nil
+			return nil, fired
 		}
 		s, err = spec.Compute(e, opts.MaxWindow)
 		if err != nil {
-			return nil
+			return nil, fired
 		}
 	}
 	limit := s.Period.Base + s.Period.P
@@ -46,15 +60,22 @@ func checkNeverFires(prog *ast.Program, db *ast.Database, opts Options, skip map
 		}
 	}
 	if limit+span > opts.ProbeBudget {
-		return nil
+		return nil, fired
 	}
 	ev := s.Evaluator()
 	ev.EnsureWindow(limit + span)
 	p := newProber(ev.Store())
 
 	var ds []Diagnostic
-	for i, r := range prog.Rules {
-		if skip[i] || len(r.Body) == 0 || p.canFire(r, limit) {
+	var grown []bool // fired plus this probe's firings, copied on the first
+	for _, i := range probe {
+		r := prog.Rules[i]
+		if p.canFire(r, limit) {
+			if grown == nil {
+				grown = make([]bool, len(prog.Rules))
+				copy(grown, fired)
+			}
+			grown[i] = true
 			continue
 		}
 		ds = append(ds, Diagnostic{
@@ -69,7 +90,10 @@ func checkNeverFires(prog *ast.Program, db *ast.Database, opts Options, skip map
 			DeleteSafe: true,
 		})
 	}
-	return ds
+	if grown != nil {
+		fired = grown
+	}
+	return ds, fired
 }
 
 // prober joins rule bodies against a model store, with lazy per-state

@@ -216,7 +216,7 @@ func ParseUnit(src string) (*ast.Program, *ast.Database, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return resolveUnit(u)
+	return resolveUnit(u, nil)
 }
 
 // ParseProgram parses rules only. Ground unit clauses are rejected with a
@@ -233,8 +233,24 @@ func ParseProgram(src string) (*ast.Program, error) {
 }
 
 // ParseDatabase parses ground facts only.
-func ParseDatabase(src string) (*ast.Database, error) {
-	prog, db, err := ParseUnit(src)
+func ParseDatabase(src string) (*ast.Database, error) { return ParseFacts(src, nil) }
+
+// ParseFacts parses a fact batch against known predicate signatures, as
+// ParseQuery types a query against them: a known predicate keeps its sort
+// whatever the batch looks like — best(10) stays a non-temporal fact of a
+// non-temporal best, a @temporal directive for it is overridden, and
+// best(0..2) abbreviates best(0), best(1), best(2) — while a predicate
+// the batch introduces gets the sort ParseDatabase would infer for it.
+func ParseFacts(src string, preds map[string]ast.PredInfo) (*ast.Database, error) {
+	p, err := newParser(src)
+	if err != nil {
+		return nil, err
+	}
+	u, err := p.parseUnit()
+	if err != nil {
+		return nil, err
+	}
+	prog, db, err := resolveUnit(u, preds)
 	if err != nil {
 		return nil, err
 	}

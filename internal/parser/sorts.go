@@ -26,7 +26,11 @@ import (
 type sorter struct {
 	temporal map[string]bool // pred -> temporal
 	forced   map[string]bool // pred -> forced value (from directives)
-	clauses  []rawClause
+	// known holds signatures fixed before the unit was read (a fact
+	// batch's database). A known sort overrides the unit's directives and
+	// evidence alike.
+	known   map[string]ast.PredInfo
+	clauses []rawClause
 	// tempVars[i] is the set of temporal variables of clause i.
 	tempVars []map[string]bool
 }
@@ -53,9 +57,28 @@ func newSorter(u *rawUnit) (*sorter, error) {
 	return s, nil
 }
 
+// forcedSort reports the sort a known signature or a directive fixes for
+// pred, if any.
+func (s *sorter) forcedSort(pred string) (temporal, ok bool) {
+	if pi, ok := s.known[pred]; ok {
+		return pi.Temporal, true
+	}
+	temporal, ok = s.forced[pred]
+	return temporal, ok
+}
+
+// isTemporal reports whether pred is temporal: by its known signature, or
+// else by the directives and evidence inferred so far.
+func (s *sorter) isTemporal(pred string) bool {
+	if pi, ok := s.known[pred]; ok {
+		return pi.Temporal
+	}
+	return s.temporal[pred]
+}
+
 // markTemporal records pred as temporal, checking directives.
 func (s *sorter) markTemporal(pred string, line, col int) error {
-	if v, ok := s.forced[pred]; ok && !v {
+	if v, ok := s.forcedSort(pred); ok && !v {
 		return errAt(line, col, "predicate %s is declared @nontemporal but used with a temporal first argument", pred)
 	}
 	s.temporal[pred] = true
@@ -79,7 +102,7 @@ func (s *sorter) infer() error {
 			if first.kind == rawInt || first.kind == rawRange {
 				// Integer or interval first argument is temporal evidence
 				// unless the predicate is forced non-temporal.
-				if v, ok := s.forced[a.pred]; !ok || v {
+				if v, ok := s.forcedSort(a.pred); !ok || v {
 					s.temporal[a.pred] = true
 				}
 			}
@@ -105,11 +128,11 @@ func (s *sorter) infer() error {
 				if first.kind != rawVar {
 					continue
 				}
-				if s.temporal[a.pred] && !s.tempVars[ci][first.name] {
+				if s.isTemporal(a.pred) && !s.tempVars[ci][first.name] {
 					s.tempVars[ci][first.name] = true
 					changed = true
 				}
-				if s.tempVars[ci][first.name] && !s.temporal[a.pred] {
+				if s.tempVars[ci][first.name] && !s.isTemporal(a.pred) {
 					if err := s.markTemporal(a.pred, a.line, a.col); err != nil {
 						return err
 					}
@@ -123,7 +146,7 @@ func (s *sorter) infer() error {
 
 // buildAtom converts a raw atom of clause ci to a typed atom.
 func (s *sorter) buildAtom(ci int, a rawAtom) (ast.Atom, error) {
-	if s.temporal[a.pred] {
+	if s.isTemporal(a.pred) {
 		if len(a.args) == 0 {
 			return ast.Atom{}, errAt(a.line, a.col, "temporal predicate %s needs a temporal first argument", a.pred)
 		}
@@ -204,12 +227,15 @@ func itoa(n int) string {
 const maxIntervalPoints = 1 << 20
 
 // resolveUnit runs sort inference and splits a raw unit into a program and
-// a database.
-func resolveUnit(u *rawUnit) (*ast.Program, *ast.Database, error) {
+// a database. known, when non-nil, fixes the sorts of predicates whose
+// signatures are already known: the unit's directives and evidence sort
+// only the predicates it introduces.
+func resolveUnit(u *rawUnit, known map[string]ast.PredInfo) (*ast.Program, *ast.Database, error) {
 	s, err := newSorter(u)
 	if err != nil {
 		return nil, nil, err
 	}
+	s.known = known
 	if err := s.infer(); err != nil {
 		return nil, nil, err
 	}
@@ -219,8 +245,10 @@ func resolveUnit(u *rawUnit) (*ast.Program, *ast.Database, error) {
 	for ci, c := range u.clauses {
 		// Interval facts like winter(0..90). expand to one fact per day
 		// (the paper's footnote 1: "we could provide an abbreviation for
-		// intervals").
-		if c.fact() && len(c.head.args) > 0 && c.head.args[0].kind == rawRange && s.temporal[c.head.pred] {
+		// intervals"); of a known non-temporal predicate, to one fact per
+		// integer constant.
+		_, isKnown := known[c.head.pred]
+		if c.fact() && len(c.head.args) > 0 && c.head.args[0].kind == rawRange && (isKnown || s.isTemporal(c.head.pred)) {
 			r := c.head.args[0]
 			points += r.hi - r.num + 1
 			if points > maxIntervalPoints {

@@ -15,11 +15,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"tdd"
+	"tdd/internal/core"
+	"tdd/internal/parser"
 	"tdd/internal/wal"
 )
 
@@ -68,7 +71,7 @@ func durableRegistry(t *testing.T, dir string, pol wal.Policy, snapshotEvery int
 
 // TestSnapshotRestartDifferential restarts a registry whose history has
 // been folded into snapshots (log truncated): the recovered model must
-// still match the never-crashed oracle over the full batch sequence.
+// still match naive T_P (internal/baseline) over the full batch sequence.
 func TestSnapshotRestartDifferential(t *testing.T) {
 	dir := t.TempDir()
 	reg := durableRegistry(t, dir, wal.FsyncAlways, 2)
@@ -90,34 +93,6 @@ func TestSnapshotRestartDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The snapshot's spec member is exported at snapshot time from the
-	// fork being published: it imports stand-alone and carries the period
-	// of the model as of the snapshot's last batch.
-	var snap wal.Snapshot
-	data, err := os.ReadFile(filepath.Join(dir, "programs", id, "snapshot.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := tdd.ImportSpec(snap.Spec)
-	if err != nil {
-		t.Fatalf("snapshot spec does not import: %v", err)
-	}
-	at, err := tdd.OpenUnit(evenUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches[:snap.Seq] {
-		if _, err := at.Assert(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if per, err := at.Period(); err != nil || sdb.Period() != per {
-		t.Fatalf("snapshot spec at seq %d has period %v, oracle %v (err %v)", snap.Seq, sdb.Period(), per, err)
-	}
-
 	reg2 := durableRegistry(t, dir, wal.FsyncOff, 0)
 	if _, _, err := reg2.RecoverFromWAL(true); err != nil {
 		t.Fatal(err)
@@ -130,25 +105,64 @@ func TestSnapshotRestartDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := ent2.db.ModelFingerprint()
+	// The judge is naive T_P over the whole batch history.
+	prog, db, err := parser.ParseUnit(evenUnit + strings.Join(batches, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := tdd.OpenUnit(evenUnit)
-	if err != nil {
-		t.Fatal(err)
+	ref, err := naiveModel(prog, db, core.DefaultMaxWindow)
+	if err != nil || !ref.det.OK {
+		t.Fatalf("reference: %v (certified %v)", err, ref.det.OK)
 	}
-	for _, b := range batches {
-		if _, err := db.Assert(b); err != nil {
-			t.Fatal(err)
+	if per, err := ent2.db.Period(); err != nil || per != ref.period() {
+		t.Fatalf("snapshot-recovered period %v (%v), reference %v", per, err, ref.period())
+	}
+	for at := 0; at < ref.det.Base+ref.det.P; at++ {
+		got, err := ent2.db.StateAt(at)
+		var want []string
+		for _, f := range ref.store.State(at) {
+			want = append(want, f.String())
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("snapshot-recovered state %d = %v (%v), reference %v", at, got, err, want)
 		}
 	}
-	want, err := db.ModelFingerprint()
+}
+
+// TestRecoverBatchesOfKnownSorts recovers a log whose batches read
+// differently on their own than against the program's signatures: best is
+// non-temporal, yet best(10) alone, a @temporal directive and an interval
+// would make it temporal. Replay parses each batch against the known
+// signatures, as its ingestion did, so every batch loads again.
+func TestRecoverBatchesOfKnownSorts(t *testing.T) {
+	dir := t.TempDir()
+	reg := durableRegistry(t, dir, wal.FsyncAlways, 0)
+	ent, _, err := reg.Register("@nontemporal best.\ntop(X) :- best(X).\nbest(7).\n", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp != want {
-		t.Fatalf("snapshot-recovered fingerprint %s != oracle %s", fp, want)
+	id := ent.ID()
+	for _, b := range []string{"best(10). best(n1).\n", "@temporal best.\nbest(3).\n", "best(20..21).\n"} {
+		if _, _, err := reg.Ingest(id, b); err != nil {
+			t.Fatalf("ingest %q: %v", b, err)
+		}
+	}
+	if err := reg.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2 := durableRegistry(t, dir, wal.FsyncOff, 0)
+	if _, _, err := reg2.RecoverFromWAL(true); err != nil {
+		t.Fatal(err)
+	}
+	ent2, err := reg2.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"7", "10", "n1", "3", "20", "21"} {
+		if ok, err := ent2.db.Holds("top", c); err != nil || !ok {
+			t.Errorf("recovered top(%s) = %v, %v; want true", c, ok, err)
+		}
 	}
 }
 

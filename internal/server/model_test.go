@@ -13,18 +13,21 @@ package server
 // after every step each of them is checked against the reference computed
 // from its own fact history: the same (b, p) or the same
 // ErrWindowExceeded, every state on [0, b+p), the non-temporal part, and
-// every ask and answer set the step made. FuzzModel's input bytes are the
-// script (see decodeScript), so Go's fuzz minimizer shrinks a failure by
-// dropping steps and rules.
+// every ask and answer set the step made. After a step that asserts, each
+// system's lint must also equal that of a DB opened fresh, the same way,
+// on its facts. Every system opens the program from the script's unit, or
+// from separate rules and facts sources when the script says so.
+// FuzzModel's input bytes are the script (see decodeScript), so Go's fuzz
+// minimizer shrinks a failure by dropping steps and rules.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -104,7 +107,7 @@ var fixedUnits = func() (units []string) {
 func seedScripts() [][]byte {
 	var out [][]byte
 	for p := 0; p < len(fixedUnits)+48; p++ {
-		data := []byte{byte(p), 0xff, byte(p%2)<<4 | byte(p%4)<<2 | []byte{0, 2, 3}[p%3]}
+		data := []byte{byte(p), 0xff, byte(p/4%2)<<5 | byte(p%2)<<4 | byte(p%4)<<2 | []byte{0, 2, 3}[p%3]}
 		for i, op := range []byte{opAsk, opAssert, opAsk, opAnswers, opFork, opAssert, opExport, opCrash,
 			opFollow, opAssert, opFollow, opOpen, opAsk, opAssert, opCrash, opPeriod} {
 			data = append(data, op, byte(p*7+i))
@@ -144,7 +147,9 @@ func TestKillAndRecoverDifferential(t *testing.T) {
 // seed past them), a rule-keep mask (bit i keeps rule i; rules past the
 // eighth are always kept), a configuration byte (budget in bits 0–1,
 // snapshot cadence in bits 2–3, NonTemporalHeads in bit 4), then two
-// bytes per step: the operation and the seed of its random choices.
+// bytes per step: the operation and the seed of its random choices. Bit 5
+// of the configuration byte opens the program from separate rules and
+// facts sources instead of one unit.
 func decodeScript(t *testing.T, data []byte) (*ast.Program, *ast.Database, byte, [][2]byte) {
 	at := func(i int, def byte) byte {
 		if i < len(data) {
@@ -234,17 +239,22 @@ type model struct {
 	name  string
 	db    *tdd.DB
 	facts history
+	ent   *entry // the registry entry serving db; nil for the tdd.DB
+	unit  bool   // opened from h.unit rather than from h.rules and facts
 }
 
 type harness struct {
 	t      *testing.T
 	prog   *ast.Program
+	rules  string         // prog's source; the systems' lint source in the split form
+	unit   string         // rules then the facts: what the systems open; "" in the split form
 	preds  []ast.PredInfo // every predicate, by name
 	sigs   map[string]ast.PredInfo
 	consts []string // query and fact constants: the unit's, two fresh ones, one never asserted
 	c      int      // the unit's database depth
 	budget int
 	refs   map[string]*reference
+	lints  map[string]tdd.LintResult // a fresh DB's lint, by fact source
 
 	a       model // the tdd.DB
 	opts    []tdd.Option
@@ -263,7 +273,7 @@ type harness struct {
 
 func runModel(t *testing.T, data []byte) {
 	prog, db, cfg, steps := decodeScript(t, data)
-	h := &harness{t: t, prog: prog, sigs: map[string]ast.PredInfo{}, budget: budgets[cfg&3], refs: map[string]*reference{}, at: "start"}
+	h := &harness{t: t, prog: prog, sigs: map[string]ast.PredInfo{}, budget: budgets[cfg&3], refs: map[string]*reference{}, lints: map[string]tdd.LintResult{}, at: "start"}
 	h.snap = []int{-1, 1, 2, 3}[cfg>>2&3]
 	for _, m := range []map[string]ast.PredInfo{prog.Preds, db.Preds} {
 		for name, pi := range m {
@@ -278,16 +288,31 @@ func runModel(t *testing.T, data []byte) {
 	h.c = db.MaxDepth()
 	h.consts = append(db.Constants(), "n0", "n1", "zz")
 	h.opts = []tdd.Option{tdd.WithMaxWindow(h.budget)}
-	unit := parser.Render(prog, db)
-	adb, err := tdd.OpenUnit(unit, h.opts...)
-	if err != nil {
-		t.Fatalf("open: %v\n%s", err, unit)
+	h.rules = parser.Render(prog, nil)
+	facts := source(base)
+	var (
+		adb *tdd.DB
+		err error
+	)
+	if cfg&0x20 == 0 {
+		h.unit = h.rules + facts
+		adb, err = tdd.OpenUnit(h.unit, h.opts...)
+	} else {
+		adb, err = tdd.Open(h.rules, facts, h.opts...)
 	}
-	h.a = model{name: "db", db: adb, facts: base}
+	if err != nil {
+		t.Fatalf("open: %v\n%s%s", err, h.rules, facts)
+	}
+	h.a = model{name: "db", db: adb, facts: base, unit: h.unit != ""}
 
 	h.dir = t.TempDir()
 	h.startLeader(h.dir)
-	ent, _, err := h.leader.Registry().Register(unit, "", "")
+	var ent *entry
+	if h.unit != "" {
+		ent, _, err = h.leader.Registry().Register(h.unit, "", "")
+	} else {
+		ent, _, err = h.leader.Registry().Register("", h.rules, facts)
+	}
 	if err != nil {
 		h.overBudget("register", err, base)
 	} else {
@@ -298,6 +323,9 @@ func runModel(t *testing.T, data []byte) {
 		h.at = fmt.Sprintf("step %d (%s, arg %d)", i, opNames[s[0]], s[1])
 		h.step(s[0], rand.New(rand.NewSource(int64(s[0])<<8|int64(s[1]))))
 		h.checkAll()
+		if s[0] == opAssert || s[0] == opFork {
+			h.checkLint()
+		}
 	}
 }
 
@@ -327,7 +355,7 @@ func (h *harness) cold() {
 	if err != nil {
 		h.t.Fatalf("reopening from Rules and Facts: %v\n%s%s", err, h.a.db.Rules(), h.a.db.Facts())
 	}
-	h.a.db = db
+	h.a.db, h.a.unit = db, false
 }
 
 func (h *harness) step(op byte, rng *rand.Rand) {
@@ -377,7 +405,7 @@ func (h *harness) step(op byte, rng *rand.Rand) {
 			h.checkAnswers(m.name, q, limit, m.facts, got, err)
 		}
 	case opFork:
-		other := &model{name: "fork", db: h.a.db.Fork(), facts: h.a.facts}
+		other := &model{name: "fork", db: h.a.db.Fork(), facts: h.a.facts, unit: h.a.unit}
 		if rng.Intn(2) == 0 {
 			other.db, h.a.db = h.a.db, other.db
 		}
@@ -467,24 +495,8 @@ func (h *harness) crash(rng *rand.Rand) {
 	h.dir = dir
 	h.startLeader(dir)
 	h.batches = h.batches[:len(h.batches)-len(recs)+kept]
-	// A snapshot's spec member imports stand-alone as the model at its seq.
-	if raw, err := os.ReadFile(filepath.Join(dir, "programs", h.id, "snapshot.json")); err == nil {
-		var snap wal.Snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			h.t.Fatal(err)
-		}
-		facts := h.base
-		for _, b := range h.batches[:snap.Seq] {
-			facts = facts.with(b)
-		}
-		s, err := tdd.ImportSpec(snap.Spec)
-		if err != nil {
-			h.fatalf(facts, "snapshot at seq %d: %v", snap.Seq, err)
-		}
-		if want := h.ref(h.prog, facts).period(); s.Period() != want {
-			h.fatalf(facts, "snapshot at seq %d: period %v, reference %v", snap.Seq, s.Period(), want)
-		}
-	}
+	// The check after the step compares the recovered leader's model with
+	// the reference of the durable prefix.
 	seq, _, ok := h.leader.Registry().SeqRev(h.id)
 	if !ok || seq != uint64(len(h.batches)) {
 		h.fatalf(h.leaderFacts(), "recovered %d batches (known %v), %d are durable", seq, ok, len(h.batches))
@@ -508,7 +520,7 @@ func (h *harness) models() []*model {
 		if err != nil {
 			h.t.Fatalf("%s: lookup: %v", s.name, err)
 		}
-		out = append(out, &model{name: s.name, db: ent.db, facts: s.facts})
+		out = append(out, &model{name: s.name, db: ent.db, facts: s.facts, ent: ent, unit: h.unit != ""})
 	}
 	return out
 }
@@ -522,6 +534,54 @@ func (h *harness) checkAll() {
 	}
 	for _, m := range ms {
 		h.check(m)
+	}
+}
+
+// checkLint compares each system's lint — the DB's, and the lint the
+// leader's and the follower's entries computed when they were built —
+// with the lint of a DB opened fresh on the same facts, DeleteSafe flags
+// included. A snapshot that reuses its program's rule analysis and skips
+// the rules its ancestors saw fire must report exactly what linting its
+// history from scratch does. A system opened from the unit is compared
+// with a fresh unit of the same rules followed by its facts, so rule
+// positions agree.
+func (h *harness) checkLint() {
+	h.t.Helper()
+	for _, m := range h.models() {
+		var got tdd.LintResult
+		switch {
+		case m.ent != nil:
+			got = m.ent.Lint()
+		case m.unit:
+			got = m.db.Lint(h.unit)
+		default:
+			got = m.db.Lint(h.rules)
+		}
+		facts := source(m.facts)
+		key := fmt.Sprintf("%v\x00%s", m.unit, facts)
+		want, ok := h.lints[key]
+		if !ok {
+			var (
+				db  *tdd.DB
+				err error
+			)
+			if m.unit {
+				unit := h.rules + facts
+				if db, err = tdd.OpenUnit(unit, tdd.WithMaxWindow(h.budget)); err == nil {
+					want = db.Lint(unit)
+				}
+			} else if db, err = tdd.Open(h.rules, facts, tdd.WithMaxWindow(h.budget)); err == nil {
+				want = db.Lint(h.rules)
+			}
+			if err != nil {
+				h.fatalf(m.facts, "%s: reopening: %v", m.name, err)
+			}
+			h.lints[key] = want
+		}
+		if !reflect.DeepEqual(got, want) {
+			h.fatalf(m.facts, "%s: lint (delete-safe rules %v)\n%sfresh DB on the same facts (delete-safe rules %v)\n%s",
+				m.name, got.DeleteSafeRules(), got.Format(""), want.DeleteSafeRules(), want.Format(""))
+		}
 	}
 }
 
@@ -591,22 +651,36 @@ func (h *harness) ref(prog *ast.Program, facts history) *reference {
 		h.t.Fatal(err)
 	}
 	key := prog.String() + "\x00" + db.String()
-	if r := h.refs[key]; r != nil {
+	r := h.refs[key]
+	if r != nil {
 		return r
 	}
+	if r, err = naiveModel(prog, db, h.budget); err != nil {
+		h.t.Fatal(err)
+	}
+	h.refs[key] = r
+	return r
+}
+
+// naiveModel is the reference model of prog over db: naive T_P over
+// period.Detect's window schedule, certified within budget.
+func naiveModel(prog *ast.Program, db *ast.Database, budget int) (*reference, error) {
 	r := &reference{}
+	var err error
 	r.det = baseline.Detect(func(m int) []string {
-		if r.store, _, err = baseline.NaiveTP(prog, db, m); err != nil {
-			h.t.Fatal(err)
-		}
 		keys := make([]string, m+1)
+		if err != nil {
+			return keys
+		}
+		if r.store, _, err = baseline.NaiveTP(prog, db, m); err != nil {
+			return keys
+		}
 		for t := range keys {
 			keys[t] = r.store.StateKey(t)
 		}
 		return keys
-	}, db.MaxDepth(), period.Lookback(prog), period.MaxHeadDepth(prog), h.budget)
-	h.refs[key] = r
-	return r
+	}, db.MaxDepth(), period.Lookback(prog), period.MaxHeadDepth(prog), budget)
+	return r, err
 }
 
 func (h *harness) parse(q string) ast.Query {

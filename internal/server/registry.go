@@ -290,9 +290,10 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replay the ingestion history batch by batch: each Assert coerces
-	// against the predicates known at that point, exactly as the original
-	// ingestions did, so an evicted-and-recompiled entry is identical.
+	// Replay the ingestion history batch by batch: each Assert parses its
+	// batch against the signatures known at that point, exactly as the
+	// original ingestion did, so an evicted-and-recompiled entry is
+	// identical.
 	for _, batch := range src.extra {
 		if _, err := db.Assert(batch); err != nil {
 			return nil, fmt.Errorf("replaying ingested facts: %w", err)
@@ -461,21 +462,14 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 		}
 		r.metrics.WalAppends.Add(1)
 		if r.snapshotEvery > 0 && lg.SinceSnapshot() >= uint64(r.snapshotEvery) {
-			// The specification is exported here, from the fork about to be
-			// published, and only at snapshot cadence — no other ingest
-			// serializes the model. Failure is tolerable: the batch itself
-			// is already in the log.
+			// Failure is tolerable: the batch itself is already in the log.
 			snap := wal.Snapshot{
 				Seq:     rec.Seq,
 				Rev:     nsrc.rev,
 				Base:    wal.Base{ID: id, Unit: nsrc.unit, Rules: nsrc.rules, Facts: nsrc.facts},
 				Records: chainRecords(nsrc),
 			}
-			var err error
-			if snap.Spec, err = fork.ExportSpec(); err == nil {
-				err = lg.WriteSnapshot(snap)
-			}
-			if err != nil {
+			if err := lg.WriteSnapshot(snap); err != nil {
 				r.metrics.SnapshotErrors.Add(1)
 			} else {
 				r.metrics.Snapshots.Add(1)

@@ -476,16 +476,12 @@ func (l *Log) syncLocked() error {
 // Snapshot is the compaction unit: the base sources and every record up
 // to Seq, which is what lets the live log be truncated — recovery
 // re-opens Base, verifies the chain and replays Records plus the live
-// tail. Spec is the relational specification at Rev in the stand-alone
-// form tdd.ImportSpec reads; Recover never looks at it — it is durable
-// state for an operator (the model at the snapshot, queryable offline
-// without replaying anything).
+// tail.
 type Snapshot struct {
-	Seq     uint64          `json:"seq"`
-	Rev     string          `json:"rev"`
-	Base    Base            `json:"base"`
-	Records []Record        `json:"records"`
-	Spec    json.RawMessage `json:"spec,omitempty"`
+	Seq     uint64   `json:"seq"`
+	Rev     string   `json:"rev"`
+	Base    Base     `json:"base"`
+	Records []Record `json:"records"`
 }
 
 // SinceSnapshot reports how many appended batches the last snapshot does

@@ -228,7 +228,7 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	if got := l.SinceSnapshot(); got != 3 {
 		t.Fatalf("SinceSnapshot = %d, want 3", got)
 	}
-	snap := Snapshot{Seq: 3, Rev: recs[2].Rev, Base: base, Records: recs[:3], Spec: []byte(`{"x":1}`)}
+	snap := Snapshot{Seq: 3, Rev: recs[2].Rev, Base: base, Records: recs[:3]}
 	if err := l.WriteSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}

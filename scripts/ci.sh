@@ -127,6 +127,13 @@ echo "==> the model test, and the rule that picks the sliced path"
 require_test ./internal/server/ FuzzModel
 require_test . TestCertifiedSnapshotBuildsNoAnalysis TestObservedDBAsksFullProcessor TestOneSlicedSlot
 
+echo "==> rules analyzed once per program, lint deterministic"
+# An ingest re-lints only what its facts can change: every fork shares its
+# program's rule analysis and skips the rules its ancestors saw fire, and
+# lint output (DeleteSafe flags included) is the same on every run.
+require_test ./internal/core/ TestForkReusesRuleAnalysis
+require_test ./internal/lint/ TestLintDeterministic
+
 echo "==> one resident model per served program (lock-free warm reads, entry heap <= 1.3x a bare DB)"
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
 require_test ./internal/server/ TestWarmEntryRetainsOneModel

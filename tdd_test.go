@@ -229,6 +229,45 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// TestAssertParsesAgainstKnownSorts asserts batches whose text alone
+// would infer a different sort than the database already knows: best(10)
+// reads as temporal on its own, and best(n1) then has a constant in the
+// temporal position. Parsed against the known signatures, both are plain
+// facts of the non-temporal best, and a known temporal predicate still
+// refuses a fact without a time point. A sort directive or an interval in
+// the batch leaves a known sort as it is, as the fact path always has.
+func TestAssertParsesAgainstKnownSorts(t *testing.T) {
+	db, err := OpenUnit("@nontemporal best.\ntop(X) :- best(X).\nbest(7).\nseen(0, a).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Assert("best(10). best(n1).")
+	if err != nil {
+		t.Fatalf("Assert: %v", err)
+	}
+	if res.NewFacts != 2 {
+		t.Errorf("NewFacts = %d, want 2", res.NewFacts)
+	}
+	for _, c := range []string{"10", "n1", "7"} {
+		if ok, err := db.Holds("top", c); err != nil || !ok {
+			t.Errorf("top(%s) = %v, %v; want true", c, ok, err)
+		}
+	}
+	if _, err := db.Assert("seen(b)."); err == nil {
+		t.Error("a fact of the temporal seen without a time point was accepted")
+	}
+	// A batch's directive or interval does not re-sort a known predicate:
+	// the batch reads as facts of the non-temporal best, as it always has.
+	if _, err := db.Assert("@temporal best.\nbest(3).\nbest(20..21)."); err != nil {
+		t.Fatalf("Assert: %v", err)
+	}
+	for _, c := range []string{"3", "20", "21"} {
+		if ok, err := db.Holds("top", c); err != nil || !ok {
+			t.Errorf("top(%s) = %v, %v; want true", c, ok, err)
+		}
+	}
+}
+
 func TestAnswersLimitPublic(t *testing.T) {
 	db, err := OpenUnit(skiUnit)
 	if err != nil {
