@@ -16,7 +16,6 @@ import (
 	"tdd/internal/classify"
 	"tdd/internal/core"
 	"tdd/internal/engine"
-	"tdd/internal/fddb"
 	"tdd/internal/parser"
 	"tdd/internal/period"
 	"tdd/internal/progan"
@@ -431,32 +430,4 @@ func BenchmarkSlicedAsk(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) { run(b, false) })
 	b.Run("certified-first", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkE10Functional: depth-stratified evaluation of the functional
-// generalization — alphabet size is the blow-up knob.
-func BenchmarkE10Functional(b *testing.B) {
-	for _, alphabet := range []string{"f", "fg", "fgh"} {
-		prog := &fddb.Program{Alphabet: alphabet}
-		for _, sym := range alphabet {
-			prog.Rules = append(prog.Rules, fddb.Rule{
-				Head: fddb.Atom{Pred: "reach", Fun: &fddb.Term{Prefix: string(sym), HasVar: true}},
-				Body: []fddb.Atom{{Pred: "reach", Fun: &fddb.Term{HasVar: true}}},
-			})
-		}
-		fdb := &fddb.Database{Facts: []fddb.Fact{{Pred: "reach", Functional: true}}}
-		depth := 10
-		if len(alphabet) == 3 {
-			depth = 7
-		}
-		b.Run(fmt.Sprintf("alphabet=%s/depth=%d", alphabet, depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e, err := fddb.NewEvaluator(prog, fdb)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.EnsureDepth(depth)
-			}
-		})
-	}
 }

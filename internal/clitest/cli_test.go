@@ -306,7 +306,6 @@ func TestExamplesEndToEnd(t *testing.T) {
 		{"reachability", []string{"inflationary: true", "path(10^6, a, d)? true", "shortest path a -> e: length 2"}},
 		{"counter", []string{"tractable=false", "1024"}},
 		{"monitoring", []string{"alert(1000000, ingest)? true", "alice", "bob"}},
-		{"functional", []string{"2047", `p("fgfg")? true`, `p("fgf" )? false`}},
 		{"itinerary", []string{"p=210", "earliest day at port  : 3", "at(100000, port)? true"}},
 	}
 	for _, c := range cases {

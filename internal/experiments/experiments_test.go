@@ -117,3 +117,37 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestE10ClosedForm pins the Section 7 counting argument: over an
+// alphabet of k symbols the depth-m model has k^m facts at depth m and
+// Σ_{i≤m} k^i in all, and the one-symbol row — the one the runner also
+// checks on the TDD engine — is the linear 1 and m+1.
+func TestE10ClosedForm(t *testing.T) {
+	tab, err := E10(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 3 {
+		t.Fatalf("%d rows, want one per alphabet f, fg, fgh", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		k := len(row[0])
+		depth, err1 := strconv.Atoi(row[1])
+		total, err2 := strconv.Atoi(row[2])
+		atDepth, err3 := strconv.Atoi(row[3])
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatalf("unparsable row %v", row)
+		}
+		pow, sum := 1, 1
+		for i := 0; i < depth; i++ {
+			pow *= k
+			sum += pow
+		}
+		if atDepth != pow || total != sum {
+			t.Errorf("alphabet %s depth %d: %d facts, %d at depth; want %d, %d", row[0], depth, total, atDepth, sum, pow)
+		}
+		if row[0] == "f" && (total != 9 || atDepth != 1) {
+			t.Errorf("one-symbol row %v, want 9 facts and 1 at depth", row)
+		}
+	}
+}

@@ -68,7 +68,7 @@ var fuzzSeeds = []string{
 	`,
 	// Sort directives and numeric non-temporal columns.
 	"@nontemporal score.\n@temporal up.\nscore(10, john).\nup(3).\nbest(J) :- score(10, J).\n",
-	// Quoted constants (examples/functional works over strings).
+	// Quoted constants, with a space, a doubled quote and a backslash.
 	"p('fg fg').\nq('it''s', 'a\\\\b').\nr(X) :- q(X, Y).\n",
 	// Zero-arity predicates and facts.
 	"go :- ready.\nready.\n",

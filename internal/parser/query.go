@@ -189,13 +189,7 @@ func resolveQuery(rq *rawQuery, preds map[string]ast.PredInfo) (ast.Query, error
 	if err != nil {
 		return nil, err
 	}
-	for name, info := range preds {
-		if info.Temporal {
-			s.temporal[name] = true
-		} else {
-			s.forced[name] = false
-		}
-	}
+	s.known = preds
 	if err := s.infer(); err != nil {
 		return nil, err
 	}
@@ -206,7 +200,7 @@ func resolveQuery(rq *rawQuery, preds map[string]ast.PredInfo) (ast.Query, error
 			continue
 		}
 		want := len(a.args)
-		if s.temporal[a.pred] {
+		if s.isTemporal(a.pred) {
 			want--
 		}
 		if want != info.Arity {

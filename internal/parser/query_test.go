@@ -143,6 +143,7 @@ func TestParseQueryErrors(t *testing.T) {
 		{"exists Y plane(0, hunter)", "does not occur"},
 		{"(plane(0, hunter)", "expected ')'"},
 		{"plane(0, hunter) plane(1, hunter)", "unexpected"},
+		{"exists T resort(T+1)", "declared @nontemporal"},
 	}
 	for _, c := range cases {
 		_, err := ParseQuery(c.src, preds)

@@ -134,6 +134,11 @@ echo "==> rules analyzed once per program, lint deterministic"
 require_test ./internal/core/ TestForkReusesRuleAnalysis
 require_test ./internal/lint/ TestLintDeterministic
 
+echo "==> Section 7 counted on the one engine"
+# E10's closed form: k^m facts at depth m and the sum over levels in all,
+# with the one-symbol row run on the TDD engine (no second evaluator).
+require_test ./internal/experiments/ TestE10ClosedForm
+
 echo "==> one resident model per served program (lock-free warm reads, entry heap <= 1.3x a bare DB)"
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
 require_test ./internal/server/ TestWarmEntryRetainsOneModel
