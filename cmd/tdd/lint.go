@@ -9,10 +9,9 @@ import (
 	"tdd/internal/lint"
 )
 
-// runLint implements `tdd lint`, Tier A of the repository's two-tier
-// static analyzer: it lints TDD unit files — object-language programs and
-// databases. (Tier B, the go vet mode of this binary, is described in
-// main.go.)
+// runLint implements `tdd lint`: it lints TDD unit files —
+// object-language programs and databases. (The checks over this
+// repository's own Go sources are tests in internal/gocheck.)
 //
 //	tdd lint [-format text|json|sarif] [-werror] [-max-window n] file.tdd ...
 //

@@ -6,39 +6,20 @@
 //	tdd repl [-data DIR] file.tdd             interactive / streaming session on stdin
 //	tdd check [-iperiod] rules.tdd            classify a rule set along the paper's axes
 //	tdd graph [-json] [-q query] unit.tdd     dependency condensation and relevance slices
-//	tdd lint [flags] file.tdd ...             Tier-A static analysis of unit files
+//	tdd lint [flags] file.tdd ...             static analysis of unit files
 //	tdd experiments [-quick] [E1 E3 ...]      the reproduction experiments E1–E10
 //
 // Each subcommand's flags are documented above its run function and by
 // `tdd <subcommand> -h`.
-//
-// The same binary is the repository's Tier-B Go analyzer: it speaks the
-// go vet wire protocol, auto-detected from the argument shapes go vet
-// uses (-flags, -V=full, a *.cfg path), so
-//
-//	go build -o /tmp/tdd ./cmd/tdd
-//	go vet -vettool=/tmp/tdd ./...
-//
-// checks this repository's Go sources for engine-invariant violations
-// (unsorted map iteration on response paths, wall-clock or randomness in
-// fixpoint code, unlocked access to guarded fields; see internal/gocheck).
 package main
 
 import (
 	"fmt"
 	"io"
 	"os"
-
-	"tdd/internal/gocheck"
 )
 
-func main() {
-	args := os.Args[1:]
-	if gocheck.IsVetInvocation(args) {
-		os.Exit(gocheck.VetMain(args, os.Stdout, os.Stderr))
-	}
-	os.Exit(run(args))
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage: tdd <subcommand> [flags] [arguments]

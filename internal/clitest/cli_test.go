@@ -82,16 +82,20 @@ plane(0, hunter).
 `
 
 func TestQueryYesNo(t *testing.T) {
-	file := writeFile(t, "even.tdd", evenUnit)
-	out, err := run(t, "tdd", "query", file, "even(1000000)", "even(3)")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(out, "?- even(1000000)\nyes") {
-		t.Errorf("missing yes answer:\n%s", out)
-	}
-	if !strings.Contains(out, "?- even(3)\nno") {
-		t.Errorf("missing no answer:\n%s", out)
+	// The unit's file name carries no meaning: a *.cfg unit is queried
+	// like a *.tdd one.
+	for _, name := range []string{"even.tdd", "even.cfg"} {
+		file := writeFile(t, name, evenUnit)
+		out, err := run(t, "tdd", "query", file, "even(1000000)", "even(3)")
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, out)
+		}
+		if !strings.Contains(out, "?- even(1000000)\nyes") {
+			t.Errorf("%s: missing yes answer:\n%s", name, out)
+		}
+		if !strings.Contains(out, "?- even(3)\nno") {
+			t.Errorf("%s: missing no answer:\n%s", name, out)
+		}
 	}
 }
 

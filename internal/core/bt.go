@@ -156,8 +156,6 @@ func (b *BT) Specification() (*spec.Spec, error) {
 func (b *BT) Certified() bool { return b.spec.Load() != nil }
 
 // specification is Specification with mu held.
-//
-//tddlint:holds mu
 func (b *BT) specification() (*spec.Spec, error) {
 	if s := b.spec.Load(); s != nil {
 		return s, nil

@@ -14,8 +14,8 @@ package engine
 // from-scratch build of the same snapshot — choose the same orders, derive
 // facts in the same order, and report bit-identical Stats/profile counters.
 // The cost model is integer arithmetic only (no floats, no clock, no
-// randomness; see the detfix analyzer, which bans wall-clock reads in this
-// package).
+// randomness; internal/gocheck's TestFixpointImports bans the clock and
+// random imports in this package).
 
 import (
 	"crypto/sha256"

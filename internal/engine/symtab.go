@@ -4,10 +4,10 @@ package engine
 // integer ids, plus the hashes the state fingerprints are built from.
 //
 // Determinism: every hash below is a fixed function of the hashed text —
-// no per-process seed (hash/maphash is banned in this package by the
-// detfix analyzer) — so fingerprints agree between runs, between a leader
-// and a follower, and between two stores that interned the same names in
-// different orders.
+// no per-process seed (internal/gocheck's TestFixpointImports bans
+// hash/maphash in this package) — so fingerprints agree between runs,
+// between a leader and a follower, and between two stores that interned
+// the same names in different orders.
 
 // predKey is a predicate signature. Interning by (name, arity, sort)
 // gives every relation a fixed row width; a validated program has one

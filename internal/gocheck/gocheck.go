@@ -1,19 +1,18 @@
-// Package gocheck is the Tier-B static analyzer: project-specific
-// checkers for the Go sources of this repository, enforcing the engine's
-// determinism contract at compile time (bit-identical derived-fact
-// order, Stats, and traces across runs and clone lineages; these
-// checks catch the two classic ways to break that — unsorted map
-// iteration and wall-clock/randomness in fixpoint code — plus unlocked
-// access to mutex-guarded fields).
+// Package gocheck holds the syntactic checks over this repository's own
+// Go sources that no dynamic test replaces: maprange (map iteration
+// feeding an unsorted ordered output) and clonecheck (a Clone or Snapshot
+// method that ignores a map or slice field). Both guard the engine's
+// determinism and copy-on-write contracts, and both caught seeded bugs
+// that every test, the race detector and the model oracle missed
+// (EXPERIMENTS.md E27). TestTree runs them over the module on every
+// go test; the import ban on clocks and randomness in fixpoint code is
+// TestFixpointImports.
 //
-// The framework is deliberately go/analysis-shaped (Analyzer, Pass,
-// Report) but built on the standard library's go/ast and go/parser only:
-// this module has no dependencies, and golang.org/x/tools is not
-// available in the build environment. Analysis is therefore syntactic —
-// one package at a time, no type checker — and each checker documents the
-// approximations it makes. The vettool entry point in vettool.go speaks
-// `go vet -vettool` wire protocol so the checkers run under the standard
-// vet driver in ci.sh.
+// The framework is go/analysis-shaped (Analyzer, Pass, Report) but built
+// on the standard library's go/ast and go/parser only: this module has
+// no dependencies. Analysis is therefore syntactic, one package at a
+// time, with no type checker, and each checker documents the
+// approximations it makes.
 package gocheck
 
 import (
@@ -56,7 +55,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// Diagnostic is one Tier-B finding, formatted file:line:col like vet.
+// Diagnostic is one finding, formatted file:line:col like vet.
 type Diagnostic struct {
 	Analyzer string
 	File     string
@@ -70,7 +69,7 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzers is the check suite, in reporting order.
-var Analyzers = []*Analyzer{MapRange, DetFix, GuardedBy, CloneCheck}
+var Analyzers = []*Analyzer{MapRange, CloneCheck}
 
 // underTDD reports whether path is this module or a package under it.
 func underTDD(path string, subs ...string) bool {

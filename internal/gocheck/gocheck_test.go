@@ -1,23 +1,165 @@
 package gocheck
 
 import (
-	"encoding/json"
+	"errors"
+	"go/build"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// moduleRoot is the repository root, relative to this package.
+const moduleRoot = "../.."
+
+// TestTree runs the analyzers over every package of the module, with the
+// files go build would compile (build tags honoured), and fails on any
+// finding. go test re-runs it when a source it read changes.
+func TestTree(t *testing.T) {
+	err := filepath.WalkDir(moduleRoot, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != moduleRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		pkg, err := build.ImportDir(dir, 0)
+		if errors.As(err, new(*build.NoGoError)) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(moduleRoot, dir)
+		if err != nil {
+			return err
+		}
+		var files []string
+		for _, f := range pkg.GoFiles {
+			files = append(files, filepath.Join(dir, f))
+		}
+		diags, err := RunFiles(path.Join("tdd", filepath.ToSlash(rel)), files)
+		for _, d := range diags {
+			t.Error(d)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fixpointPackages are the packages under internal/ whose output must be
+// a pure function of program and database: derived-fact order, Stats and
+// fingerprints are compared across runs, clone lineages, and a leader and
+// its follower. Only wal may read the clock, for its fsync ticker and
+// snapshot ages; no model-visible value derives from it.
+var fixpointPackages = []string{"engine", "core", "inc", "progan", "wal"}
+
+// detfix returns the imports of the package in dir that would make it
+// nondeterministic as internal/pkg: wall-clock time, randomness, and
+// hash/maphash, whose seed is drawn per process. Banning the import bans
+// every use. Other packages may import anything.
+func detfix(t *testing.T, pkg, dir string) (bad []string) {
+	t.Helper()
+	p, err := build.ImportDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range p.Imports {
+		if slices.Contains(fixpointPackages, pkg) && slices.Contains([]string{"time", "math/rand", "math/rand/v2", "hash/maphash"}, imp) && !(imp == "time" && pkg == "wal") {
+			bad = append(bad, imp)
+		}
+	}
+	return bad
+}
+
+// detfixFixture runs detfix on a one-file package internal/pkg that
+// imports imports.
+func detfixFixture(t *testing.T, pkg, imports string) []string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte("package "+pkg+"\nimport ("+imports+")\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return detfix(t, pkg, dir)
+}
+
+// TestFixpointImports runs detfix on the fixpoint packages of this tree.
+func TestFixpointImports(t *testing.T) {
+	for _, pkg := range fixpointPackages {
+		if bad := detfix(t, pkg, filepath.Join(moduleRoot, "internal", pkg)); len(bad) != 0 {
+			t.Errorf("internal/%s imports %q: fixpoint code must be deterministic", pkg, bad)
+		}
+	}
+}
+
+func TestDetFixBansTimeImportInFixpointCode(t *testing.T) {
+	if bad := detfixFixture(t, "engine", `"time"`); !slices.Equal(bad, []string{"time"}) {
+		t.Fatalf("findings = %v, want the time import", bad)
+	}
+	if bad := detfixFixture(t, "obs", `"time"`); len(bad) != 0 {
+		t.Fatalf("obs may import time, got %v", bad)
+	}
+}
+
+func TestDetFixBansMathRand(t *testing.T) {
+	if bad := detfixFixture(t, "core", `"math/rand"; "math/rand/v2"`); !slices.Equal(bad, []string{"math/rand", "math/rand/v2"}) {
+		t.Fatalf("findings = %v, want both rand imports", bad)
+	}
+}
+
+// A fingerprint seeded per process differs between runs and between a
+// leader and its follower.
+func TestDetFixBansPerProcessHashSeeds(t *testing.T) {
+	if bad := detfixFixture(t, "engine", `"hash/maphash"`); !slices.Equal(bad, []string{"hash/maphash"}) {
+		t.Fatalf("findings = %v, want the hash/maphash import", bad)
+	}
+	if bad := detfixFixture(t, "server", `"hash/maphash"`); len(bad) != 0 {
+		t.Fatalf("server may import hash/maphash, got %v", bad)
+	}
+}
+
+// internal/inc sits on the ingestion path; it inherits the full ban.
+func TestDetFixCoversIncrementalPipeline(t *testing.T) {
+	if bad := detfixFixture(t, "inc", `"time"`); len(bad) == 0 {
+		t.Fatal("internal/inc must be in detfix scope")
+	}
+}
+
+// The wal allowlist covers "time" only: randomness stays banned there.
+func TestDetFixWALWallClockAllowlist(t *testing.T) {
+	if bad := detfixFixture(t, "wal", `"time"; "math/rand"`); !slices.Equal(bad, []string{"math/rand"}) {
+		t.Fatalf("findings = %v, want only the math/rand import", bad)
+	}
+}
+
+// The join-order planner must be a pure function of the compiled rules and
+// the store's cardinality counters: one that timed candidate orders would
+// pick different plans run to run and break PlanFingerprint. detfix covers
+// it as long as plan.go lives in internal/engine.
+func TestDetFixBansWallClockInJoinPlanner(t *testing.T) {
+	pkg, err := build.ImportDir(filepath.Join(moduleRoot, "internal", "engine"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(pkg.GoFiles, "plan.go") || len(detfixFixture(t, "engine", `"time"`)) == 0 {
+		t.Fatalf("the planner (engine files %v) must be in detfix scope", pkg.GoFiles)
+	}
+}
+
 // lintFixture writes src as a one-file package in a temp dir, runs the
-// suite against importPath, and returns the findings' analyzer names.
+// suite against importPath, and returns the findings.
 func lintFixture(t *testing.T, importPath, src string) []Diagnostic {
 	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "fixture.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+	file := filepath.Join(dir, "fixture.go")
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunFiles(importPath, []string{path})
+	diags, err := RunFiles(importPath, []string{file})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +174,8 @@ func analyzers(diags []Diagnostic) []string {
 	return out
 }
 
-func TestMapRangeFlagsUnsortedAppend(t *testing.T) {
-	diags := lintFixture(t, "tdd/internal/engine", `package engine
+// unsortedCollect returns a map's keys in map order.
+const unsortedCollect = `package engine
 func collect(m map[string]int) []string {
 	var out []string
 	for k := range m {
@@ -41,7 +183,10 @@ func collect(m map[string]int) []string {
 	}
 	return out
 }
-`)
+`
+
+func TestMapRangeFlagsUnsortedAppend(t *testing.T) {
+	diags := lintFixture(t, "tdd/internal/engine", unsortedCollect)
 	if got := analyzers(diags); len(got) != 1 || got[0] != "maprange" {
 		t.Fatalf("diagnostics = %v, want one maprange finding", diags)
 	}
@@ -81,278 +226,23 @@ func collect(m map[string]int) []string {
 }
 
 func TestMapRangeScopedToResponsePackages(t *testing.T) {
-	diags := lintFixture(t, "tdd/internal/obs", `package obs
-func collect(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`)
+	diags := lintFixture(t, "tdd/internal/obs", strings.Replace(unsortedCollect, "package engine", "package obs", 1))
 	if len(diags) != 0 {
 		t.Fatalf("out-of-scope package flagged: %v", diags)
 	}
 }
 
-func TestDetFixBansTimeImportInFixpointCode(t *testing.T) {
-	src := `package engine
-import "time"
-func now() time.Time { return time.Now() }
-`
-	diags := lintFixture(t, "tdd/internal/engine", src)
-	if len(diags) < 2 {
-		t.Fatalf("diagnostics = %v, want import + time.Now findings", diags)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "detfix" {
-			t.Errorf("unexpected analyzer %q", d.Analyzer)
-		}
-	}
-	// The same file is fine outside the fixpoint packages.
-	if out := lintFixture(t, "tdd/internal/obs", strings.Replace(src, "package engine", "package obs", 1)); len(out) != 0 {
-		t.Fatalf("obs may import time, got %v", out)
-	}
-}
-
-func TestDetFixBansMathRand(t *testing.T) {
-	diags := lintFixture(t, "tdd/internal/core", `package core
-import "math/rand"
-func pick() int { return rand.Int() }
-`)
-	if len(diags) < 2 {
-		t.Fatalf("diagnostics = %v, want import + rand.Int findings", diags)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "detfix" {
-			t.Errorf("unexpected analyzer %q", d.Analyzer)
-		}
-	}
-}
-
-func TestDetFixBansPerProcessHashSeeds(t *testing.T) {
-	// A fingerprint seeded per process differs between runs and between a
-	// leader and its follower.
-	src := `package engine
-import "hash/maphash"
-var seed = maphash.MakeSeed()
-func hash(s string) uint64 { return maphash.String(seed, s) }
-`
-	diags := lintFixture(t, "tdd/internal/engine", src)
-	if len(diags) != 1 || diags[0].Analyzer != "detfix" || !strings.Contains(diags[0].Message, "hash/maphash") {
-		t.Fatalf("diagnostics = %v, want one detfix finding on the hash/maphash import", diags)
-	}
-	// Outside the fixpoint packages the import is nobody's business.
-	if out := lintFixture(t, "tdd/internal/server", strings.Replace(src, "package engine", "package server", 1)); len(out) != 0 {
-		t.Fatalf("server may import hash/maphash, got %v", out)
-	}
-}
-
-func TestDetFixCoversIncrementalPipeline(t *testing.T) {
-	// internal/inc sits on the ingestion path; it inherits the full ban.
-	diags := lintFixture(t, "tdd/internal/inc", `package inc
-import "time"
-func now() time.Time { return time.Now() }
-`)
-	if len(diags) == 0 {
-		t.Fatal("internal/inc must be in detfix scope")
-	}
-}
-
-func TestDetFixWALWallClockAllowlist(t *testing.T) {
-	// internal/wal is on the explicit wall-clock allowlist: its fsync
-	// ticker and snapshot ages need the clock, and nothing model-visible
-	// derives from it.
-	clock := `package wal
-import "time"
-func tick() time.Time { return time.Now() }
-`
-	if diags := lintFixture(t, "tdd/internal/wal", clock); len(diags) != 0 {
-		t.Fatalf("wal wall clock should be allowlisted, got %v", diags)
-	}
-	// The allowlist covers "time" only — randomness stays banned in wal.
-	diags := lintFixture(t, "tdd/internal/wal", `package wal
-import "math/rand"
-func pick() int { return rand.Int() }
-`)
-	if len(diags) < 2 {
-		t.Fatalf("wal math/rand must stay banned (import + selector), got %v", diags)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "detfix" {
-			t.Errorf("unexpected analyzer %q", d.Analyzer)
-		}
-	}
-	// The selector belt-and-braces must also survive the allowlist: a
-	// rand use routed through a wrapper import (no banned import line to
-	// flag) stays caught even in the clock-exempt package.
-	diags = lintFixture(t, "tdd/internal/wal", `package wal
-import "tdd/internal/fakewrap/rand"
-func pick() int { return rand.Int() }
-`)
-	if got := analyzers(diags); len(got) != 1 || got[0] != "detfix" {
-		t.Fatalf("wrapper-routed rand selector in wal must be flagged, got %v", diags)
-	}
-}
-
-const guardedStruct = `package core
-import "sync"
-type box struct {
-	mu  sync.Mutex
-	val int // guarded-by: mu
-}
-`
-
-func TestGuardedByFlagsUnlockedAccess(t *testing.T) {
-	diags := lintFixture(t, "tdd/internal/core", guardedStruct+`
-func (b *box) peek() int { return b.val }
-`)
-	if got := analyzers(diags); len(got) != 1 || got[0] != "guardedby" {
-		t.Fatalf("diagnostics = %v, want one guardedby finding", diags)
-	}
-}
-
-func TestGuardedByAcceptsLockAndHoldsAnnotation(t *testing.T) {
-	diags := lintFixture(t, "tdd/internal/core", guardedStruct+`
-func (b *box) get() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.val
-}
-
-// getLocked returns the value.
-//
-//tddlint:holds mu
-func (b *box) getLocked() int { return b.val }
-`)
-	if len(diags) != 0 {
-		t.Fatalf("locked/annotated access flagged: %v", diags)
-	}
-}
-
-func TestVetMainProtocol(t *testing.T) {
-	var out, errOut strings.Builder
-
-	if code := VetMain([]string{"-flags"}, &out, &errOut); code != 0 || strings.TrimSpace(out.String()) != "[]" {
-		t.Fatalf("-flags: code %d out %q", code, out.String())
-	}
-	out.Reset()
-	if code := VetMain([]string{"-V=full"}, &out, &errOut); code != 0 || !strings.HasPrefix(out.String(), "tddlint version ") {
-		t.Fatalf("-V=full: code %d out %q", code, out.String())
-	}
-
-	// A VetxOnly dependency package: must create the facts file and stay
-	// silent even if its sources would trip a checker.
-	dir := t.TempDir()
-	src := filepath.Join(dir, "dep.go")
-	if err := os.WriteFile(src, []byte("package dep\nimport _ \"time\"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	vetx := filepath.Join(dir, "dep.vetx")
-	cfg := filepath.Join(dir, "vet.cfg")
-	writeCfg := func(importPath string, vetxOnly bool) {
-		b, err := json.Marshal(map[string]any{
-			"ImportPath": importPath,
-			"GoFiles":    []string{src},
-			"VetxOnly":   vetxOnly,
-			"VetxOutput": vetx,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(cfg, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	writeCfg("tdd/internal/engine", true)
-	errOut.Reset()
-	if code := VetMain([]string{cfg}, &out, &errOut); code != 0 {
-		t.Fatalf("VetxOnly pass: code %d stderr %q", code, errOut.String())
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("facts file not created: %v", err)
-	}
-
-	// The same package analyzed for real: detfix fires, exit 2, finding on
-	// stderr.
-	os.Remove(vetx)
-	writeCfg("tdd/internal/engine", false)
-	errOut.Reset()
-	if code := VetMain([]string{cfg}, &out, &errOut); code != 2 {
-		t.Fatalf("analysis pass: code %d stderr %q", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "detfix") {
-		t.Fatalf("stderr %q does not name detfix", errOut.String())
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("facts file not created on diagnostic exit: %v", err)
-	}
-
-	// Foreign packages are skipped entirely.
-	writeCfg("example.com/other", false)
-	errOut.Reset()
-	if code := VetMain([]string{cfg}, &out, &errOut); code != 0 {
-		t.Fatalf("foreign package: code %d stderr %q", code, errOut.String())
-	}
-}
-
-func TestIsVetInvocation(t *testing.T) {
-	for _, args := range [][]string{{"-flags"}, {"-V=full"}, {"/tmp/x/vet.cfg"}} {
-		if !IsVetInvocation(args) {
-			t.Errorf("IsVetInvocation(%v) = false", args)
-		}
-	}
-	for _, args := range [][]string{{}, {"file.tdd"}, {"-json", "file.tdd"}} {
-		if IsVetInvocation(args) {
-			t.Errorf("IsVetInvocation(%v) = true", args)
-		}
-	}
-}
-
 func TestRunFilesSkipsTestFiles(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fixture_test.go")
-	if err := os.WriteFile(path, []byte("package engine\nimport _ \"time\"\n"), 0o644); err != nil {
+	file := filepath.Join(t.TempDir(), "fixture_test.go")
+	if err := os.WriteFile(file, []byte(unsortedCollect), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunFiles("tdd/internal/engine", []string{path})
+	diags, err := RunFiles("tdd/internal/engine", []string{file})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 0 {
 		t.Fatalf("test file analyzed: %v", diags)
-	}
-}
-
-// The join-order planner (engine/plan.go) must be a pure function of the
-// compiled rules and the store's cardinality counters: a planner that
-// consulted the wall clock (say, to time candidate orders) would pick
-// different plans run to run and break the PlanFingerprint determinism
-// contract. detfix covers it because it lives in internal/engine.
-func TestDetFixBansWallClockInJoinPlanner(t *testing.T) {
-	diags := lintFixture(t, "tdd/internal/engine", `package engine
-import "time"
-type planStepX struct{ lit int }
-func planRuleX(costs []int) []planStepX {
-	deadline := time.Now().Add(time.Millisecond)
-	var out []planStepX
-	for i := range costs {
-		if time.Now().After(deadline) {
-			break
-		}
-		out = append(out, planStepX{lit: i})
-	}
-	return out
-}
-`)
-	if len(diags) < 2 {
-		t.Fatalf("diagnostics = %v, want import + time.Now findings in planner code", diags)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "detfix" {
-			t.Errorf("unexpected analyzer %q", d.Analyzer)
-		}
 	}
 }
 

@@ -39,7 +39,7 @@ const maxSpans = 1 << 12
 var clockBase = time.Now()
 
 // ClockNS returns monotonic nanoseconds since process start. It exists
-// so packages under the detfix determinism ban (internal/engine,
+// so packages under the clock import ban (internal/engine,
 // internal/core) can measure durations for observability without
 // importing "time": the reading feeds profiler/trace output only, never
 // a model-visible value.

@@ -6,8 +6,8 @@
 // planner (bounds.go).
 //
 // Everything in this package is a pure function of the AST: no clocks, no
-// randomness, no global state (the detfix analyzer enforces the first
-// two). Two calls over equal programs and databases produce structurally
+// randomness, no global state (internal/gocheck's TestFixpointImports
+// enforces the first two). Two calls over equal programs and databases produce structurally
 // identical reports, slices, and bounds — the property the slicing layer
 // and the planner's determinism contract lean on.
 package progan

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -195,6 +197,31 @@ func TestRegisterIdempotent(t *testing.T) {
 	}
 	if got := len(s.Registry().IDs()); got != 1 {
 		t.Errorf("registry holds %d programs, want 1", got)
+	}
+}
+
+// The program list is a response built from a map: every GET must return
+// it sorted, and so the same on every call.
+func TestListProgramsSorted(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for i := 0; i < 8; i++ {
+		register(t, ts.URL, fmt.Sprintf("even(T+2) :- even(T).\neven(%d).\n", i))
+	}
+	var first []string
+	for i := 0; i < 10; i++ {
+		_, body := getJSON(t, ts.URL+"/programs")
+		var list listResponse
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Programs) != 8 || !sort.StringsAreSorted(list.Programs) {
+			t.Fatalf("GET /programs = %v, want 8 sorted ids", list.Programs)
+		}
+		if i == 0 {
+			first = list.Programs
+		} else if !slices.Equal(list.Programs, first) {
+			t.Fatalf("GET /programs = %v, then %v", first, list.Programs)
+		}
 	}
 }
 

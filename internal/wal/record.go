@@ -22,8 +22,8 @@
 //	programs/<id>/wal.log        records appended since the snapshot
 //
 // This package deliberately uses wall-clock time (fsync interval timers,
-// snapshot ages); the Tier-B detfix checker carries an explicit allowlist
-// entry for it — determinism of the recovered model is enforced by the
+// snapshot ages); internal/gocheck's TestFixpointImports lets this package
+// alone import "time" — determinism of the recovered model is enforced by the
 // rev hash chain, not by time-independence.
 package wal
 

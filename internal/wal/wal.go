@@ -456,7 +456,7 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-//tddlint:holds mu
+// syncLocked is Sync with mu held.
 func (l *Log) syncLocked() error {
 	if !l.dirty {
 		return nil

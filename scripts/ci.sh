@@ -24,15 +24,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> tdd as vettool (Tier B: engine invariants) and tdd lint (Tier A: shipped units)"
-# One binary, built once. As a vettool it keeps map-range ordering, fixpoint
-# determinism and guarded-by locking violations out of the tree; its lint
-# subcommand must find no warning or error (infos are allowed) in a shipped unit.
-tddbin=$(mktemp -d)
-trap 'rm -rf "$tddbin"' EXIT
-go build -o "$tddbin/tdd" ./cmd/tdd
-go vet -vettool="$tddbin/tdd" ./...
-"$tddbin/tdd" lint -werror examples/units/*.tdd
+echo "==> tdd lint (shipped units)"
+# A shipped unit must lint with no warning or error (infos are allowed).
+go run ./cmd/tdd lint -werror examples/units/*.tdd
 
 echo "==> go test ./..."
 go test ./...
@@ -133,6 +127,11 @@ echo "==> rules analyzed once per program, lint deterministic"
 # lint output (DeleteSafe flags included) is the same on every run.
 require_test ./internal/core/ TestForkReusesRuleAnalysis
 require_test ./internal/lint/ TestLintDeterministic
+
+echo "==> engine invariants over the Go sources"
+# maprange and clonecheck over every package of the module, and no clock,
+# randomness or per-process hash seed imported by fixpoint code.
+require_test ./internal/gocheck/ TestTree TestFixpointImports
 
 echo "==> Section 7 counted on the one engine"
 # E10's closed form: k^m facts at depth m and the sum over levels in all,

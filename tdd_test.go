@@ -324,6 +324,30 @@ func TestExplainPublic(t *testing.T) {
 	}
 }
 
+// An Assert clones the engine; the clone keeps recording derivations
+// whether the batch is propagated through a certified model or left for
+// the next query to certify.
+func TestExplainAfterAssert(t *testing.T) {
+	for _, certified := range []bool{true, false} {
+		db, err := OpenUnit(skiUnit, WithProvenance())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if certified {
+			if _, err := db.Period(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.Assert("resort(thredbo). plane(0, thredbo)."); err != nil {
+			t.Fatal(err)
+		}
+		out, err := db.Explain("plane(2, thredbo)", 0)
+		if err != nil || !strings.Contains(out, "plane(0, thredbo)   [database fact]") {
+			t.Errorf("certified=%v: Explain after Assert = %v\n%s", certified, err, out)
+		}
+	}
+}
+
 func TestExportImportSpecPublic(t *testing.T) {
 	db, err := OpenUnit(skiUnit)
 	if err != nil {
