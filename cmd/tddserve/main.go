@@ -26,10 +26,9 @@
 //	-slow-keep n  slow queries retained with full traces for GET /debug/slow
 //	            (default 64; negative disables retention)
 //	-pprof      mount net/http/pprof under /debug/pprof/
-//	-data DIR   durable mode: WAL + snapshots under DIR, warm recovery on restart
+//	-data DIR   durable mode: base sources + WAL under DIR, warm recovery on restart
 //	-fsync p    WAL fsync policy: always | interval | off (default interval)
 //	-fsync-interval d  background fsync cadence under -fsync interval (default 100ms)
-//	-snapshot-every n  snapshot + truncate a program's log every n batches (default 64)
 //	-follow URL read-only follower: tail the leader's WAL feed, reject writes
 //	-follow-interval d leader poll cadence (default 500ms)
 //
@@ -99,10 +98,9 @@ func run() error {
 	slowQuery := flag.Duration("slowquery", 0, "log full phase traces of requests slower than this (0 disables)")
 	slowKeep := flag.Int("slow-keep", 0, "slow queries retained for GET /debug/slow (0 = default 64; negative disables)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	dataDir := flag.String("data", "", "data directory for durable programs (WAL + snapshots); empty = in-memory only")
+	dataDir := flag.String("data", "", "data directory for durable programs (base sources + WAL); empty = in-memory only")
 	fsync := flag.String("fsync", "interval", `WAL fsync policy: "always", "interval", or "off"`)
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence under -fsync interval")
-	snapshotEvery := flag.Int("snapshot-every", 64, "snapshot + truncate a program's log every n batches (negative disables)")
 	follow := flag.String("follow", "", "leader base URL; run as a read-only follower tailing its WAL feed")
 	followInterval := flag.Duration("follow-interval", 500*time.Millisecond, "leader poll cadence under -follow")
 	flag.Parse()
@@ -120,7 +118,6 @@ func run() error {
 		DataDir:        *dataDir,
 		Fsync:          *fsync,
 		FsyncInterval:  *fsyncInterval,
-		SnapshotEvery:  *snapshotEvery,
 		Follow:         *follow,
 		FollowInterval: *followInterval,
 	}

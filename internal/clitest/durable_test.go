@@ -246,11 +246,9 @@ func TestServeDurabilityProm(t *testing.T) {
 	for _, family := range []string{
 		"tddserve_wal_appends_total",
 		"tddserve_wal_fsyncs_total",
-		"tddserve_wal_snapshots_total",
 		"tddserve_follower_lag_records",
 		"tddserve_fsync_duration_seconds",
 		"tddserve_program_durable_seq",
-		"tddserve_program_snapshot_age_seconds",
 		"tddserve_program_durable_rev",
 	} {
 		if !strings.Contains(text, "# HELP "+family+" ") || !strings.Contains(text, "# TYPE "+family+" ") {

@@ -290,7 +290,7 @@ func TestServeFlagSurface(t *testing.T) {
 	}
 	want := []string{
 		"addr", "cache", "data", "follow", "follow-interval", "fsync", "fsync-interval",
-		"pprof", "queue", "quiet", "slow-keep", "slowquery", "snapshot-every",
+		"pprof", "queue", "quiet", "slow-keep", "slowquery",
 		"timeout", "window", "workers",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {

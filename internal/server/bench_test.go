@@ -130,7 +130,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			reg.EnableDurability(store, 0)
+			reg.EnableDurability(store)
 		}
 	}
 	b.Run("memory", func(b *testing.B) { run(b, nil) })

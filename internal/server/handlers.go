@@ -315,7 +315,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := registerResponse{
 		ID:              ent.src.id,
-		Rev:             ent.src.rev,
+		Rev:             ent.Rev(),
 		Existing:        existing,
 		Period:          periodJSON(ent.cert.Period),
 		Representatives: ent.cert.Representatives,
@@ -366,7 +366,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := factsResponse{
 		ID:              ent.src.id,
-		Rev:             ent.src.rev,
+		Rev:             ent.Rev(),
 		NewFacts:        res.NewFacts,
 		Duplicates:      res.Duplicates,
 		Derived:         res.Derived,

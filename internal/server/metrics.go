@@ -131,7 +131,7 @@ type Metrics struct {
 	Shed, Coalesced, FlightLeaders atomic.Int64
 	Asserts, FactsIngested         atomic.Int64
 	// Durability: all zero without a data directory.
-	WalAppends, WalFsyncs, Snapshots, SnapshotErrors atomic.Int64
+	WalAppends, WalFsyncs atomic.Int64
 	// Replication: all zero unless following. FollowerLag is a gauge.
 	FollowerPolls, FollowerRecords, FollowerErrors, FollowerLag atomic.Int64
 
@@ -281,10 +281,6 @@ var metricTable = []metric{
 		func(s *scrape, _ string) any { return s.m.WalAppends.Load() }},
 	{perServer, "wal_fsyncs", "tddserve_wal_fsyncs_total", counter, "Fsync calls across all program logs.",
 		func(s *scrape, _ string) any { return s.m.WalFsyncs.Load() }},
-	{perServer, "wal_snapshots", "tddserve_wal_snapshots_total", counter, "Snapshot + log-truncation cycles completed.",
-		func(s *scrape, _ string) any { return s.m.Snapshots.Load() }},
-	{perServer, "wal_snapshot_errors", "tddserve_wal_snapshot_errors_total", counter, "Snapshot attempts that failed (the batch stayed logged).",
-		func(s *scrape, _ string) any { return s.m.SnapshotErrors.Load() }},
 	{perServer, "wal_fsync_latency", "tddserve_fsync_duration_seconds", histo, "WAL fsync latency across all program logs.",
 		func(s *scrape, _ string) any { return s.m.fsyncLatency.snapshot() }},
 	// The follower rows read zero (and an empty leader) on a server that
@@ -331,7 +327,7 @@ var metricTable = []metric{
 	// A warm program's row is its revision, its work certificate
 	// (core.Certificate, captured when the entry was built) and its lint
 	// count.
-	{perProgram, "rev", "", "", "", func(s *scrape, id string) any { return s.programs[id].src.rev }},
+	{perProgram, "rev", "", "", "", func(s *scrape, id string) any { return s.programs[id].Rev() }},
 	{perProgram, "window", "tddserve_program_window", gauge, "Largest time point algorithm BT evaluated for a warm program.",
 		func(s *scrape, id string) any { return s.programs[id].cert.Window }},
 	{perProgram, "period.base", "tddserve_program_period_base", gauge, "Base b of a warm program's certified period: states repeat from time b on.",
@@ -360,11 +356,7 @@ var metricTable = []metric{
 	// constant-1 gauge with the rev as a label.
 	{perLog, "durable_rev", "tddserve_program_durable_rev", gauge, "Last durable revision per program (info-style: value is always 1).",
 		func(s *scrape, id string) any { return []label{{"rev", s.logs[id].DurableRev}} }},
-	{perLog, "snapshot_seq", "tddserve_program_snapshot_seq", gauge, "Batch sequence covered by the program's latest snapshot.",
-		func(s *scrape, id string) any { return s.logs[id].SnapshotSeq }},
-	{perLog, "snapshot_age_sec", "tddserve_program_snapshot_age_seconds", gauge, "Seconds since the program's latest snapshot (0 before any snapshot).",
-		func(s *scrape, id string) any { return s.logs[id].SnapshotAge.Seconds() }},
-	{perLog, "wal_bytes", "tddserve_program_wal_bytes", gauge, "Live WAL segment size in bytes for a program.",
+	{perLog, "wal_bytes", "tddserve_program_wal_bytes", gauge, "Size in bytes of a program's WAL.",
 		func(s *scrape, id string) any { return s.logs[id].Bytes }},
 }
 

@@ -107,13 +107,14 @@ func promSamples(t *testing.T, body string) (samples map[string]float64, familie
 // parentJSONKeys and parentPromFamilies are the wire names the parent of
 // the one-table change exported (a durable leader and a follower of it,
 // after a registration, an ask and an ingest), captured by running that
-// commit — plus snapshot_age_sec, which it exported once a snapshot
-// existed: nothing on either list may disappear.
+// commit, less the snapshot counters and gauges that went with the
+// snapshot writer (deletedJSONKeys, deletedPromFamilies): nothing on
+// either list may disappear.
 var parentJSONKeys = []string{
 	"asserts", "build.go_version", "build.revision", "build.version",
 	"cache_evictions", "cache_hits", "cache_misses", "coalesced_requests",
 	"durability.*.durable_rev", "durability.*.durable_seq", "durability.*.rev", "durability.*.seq",
-	"durability.*.snapshot_age_sec", "durability.*.snapshot_seq", "durability.*.wal_bytes",
+	"durability.*.wal_bytes",
 	"errors", "facts_ingested", "flight_leaders",
 	"follower.errors", "follower.lag_records", "follower.leader", "follower.polls", "follower.records_applied",
 	"in_flight", "lint_warnings",
@@ -126,7 +127,6 @@ var parentJSONKeys = []string{
 	"runtime.heap_alloc_bytes", "runtime.heap_sys_bytes",
 	"shed_requests", "timeouts", "uptime_sec",
 	"wal_appends", "wal_fsync_latency.count", "wal_fsync_latency.mean_us", "wal_fsyncs",
-	"wal_snapshot_errors", "wal_snapshots",
 }
 
 var parentPromFamilies = []string{
@@ -139,8 +139,7 @@ var parentPromFamilies = []string{
 	"tddserve_heap_sys_bytes gauge", "tddserve_in_flight_requests gauge", "tddserve_lint_warnings gauge",
 	"tddserve_program_derived_facts gauge", "tddserve_program_durable_rev gauge", "tddserve_program_durable_seq gauge",
 	"tddserve_program_lint_warnings gauge", "tddserve_program_representatives gauge",
-	"tddserve_program_rule_firings gauge", "tddserve_program_snapshot_age_seconds gauge",
-	"tddserve_program_snapshot_seq gauge", "tddserve_program_spec_facts gauge", "tddserve_program_sweeps gauge",
+	"tddserve_program_rule_firings gauge", "tddserve_program_spec_facts gauge", "tddserve_program_sweeps gauge",
 	"tddserve_program_wal_bytes gauge", "tddserve_program_wal_seq gauge", "tddserve_queue_capacity gauge",
 	"tddserve_queue_depth gauge", "tddserve_request_duration_seconds histogram", "tddserve_requests_total counter",
 	"tddserve_route_errors_total counter", "tddserve_route_requests_total counter",
@@ -148,17 +147,28 @@ var parentPromFamilies = []string{
 	"tddserve_spec_cache_evictions_total counter", "tddserve_spec_cache_hits_total counter",
 	"tddserve_spec_cache_misses_total counter", "tddserve_timeouts_total counter", "tddserve_uptime_seconds gauge",
 	"tddserve_wal_appends_total counter", "tddserve_wal_fsyncs_total counter",
-	"tddserve_wal_snapshot_errors_total counter", "tddserve_wal_snapshots_total counter",
 }
+
+// deletedJSONKeys and deletedPromFamilies were exported only for the
+// snapshot writer, which is gone; nothing may export them again.
+var (
+	deletedJSONKeys = []string{
+		"durability.*.snapshot_age_sec", "durability.*.snapshot_seq", "wal_snapshot_errors", "wal_snapshots",
+	}
+	deletedPromFamilies = []string{
+		"tddserve_program_snapshot_age_seconds", "tddserve_program_snapshot_seq",
+		"tddserve_wal_snapshot_errors_total", "tddserve_wal_snapshots_total",
+	}
+)
 
 // TestExpositionsAgree is the one-table contract: after a registration,
 // an ask and an ingest on a durable server, every row of metricTable
 // appears in the JSON walk, every row with a family appears in the
 // Prometheus walk, and the two carry the same value (one scrape, rendered
 // twice); the live endpoints still parse; and every wire name the parent
-// commit exported is still exported.
+// commit exported is still exported, save the deleted snapshot rows.
 func TestExpositionsAgree(t *testing.T) {
-	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), SnapshotEvery: 1})
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir()})
 	id := register(t, ts.URL, skiUnit)
 	askServed(t, ts.URL, id, "plane(0, hunter)")
 	ingest(t, ts.URL, id, "resort(whistler).\nplane(1, whistler).\n")
@@ -259,6 +269,11 @@ func TestExpositionsAgree(t *testing.T) {
 			t.Errorf("/metrics no longer exports %s", k)
 		}
 	}
+	for _, k := range deletedJSONKeys {
+		if keys[k] {
+			t.Errorf("/metrics still exports the deleted %s", k)
+		}
+	}
 	resp, err := http.Get(ts.URL + "/metrics.prom")
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +289,11 @@ func TestExpositionsAgree(t *testing.T) {
 		name, kind, _ := strings.Cut(f, " ")
 		if liveFamilies[name] != kind {
 			t.Errorf("/metrics.prom no longer exports %s as a %s (got %q)", name, kind, liveFamilies[name])
+		}
+	}
+	for _, name := range deletedPromFamilies {
+		if liveFamilies[name] != "" {
+			t.Errorf("/metrics.prom still exports the deleted %s", name)
 		}
 	}
 	// The exposition-drift rows: the certified period and the last GC

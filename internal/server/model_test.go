@@ -103,11 +103,11 @@ var fixedUnits = func() (units []string) {
 
 // seedScripts is the seed corpus: every fixed unit and 48 random programs
 // of both shapes, each driven through every step kind under the budgets
-// 64, 32 and 16 and every snapshot cadence, then past failures.
+// 64, 32 and 16, then past failures.
 func seedScripts() [][]byte {
 	var out [][]byte
 	for p := 0; p < len(fixedUnits)+48; p++ {
-		data := []byte{byte(p), 0xff, byte(p/4%2)<<5 | byte(p%2)<<4 | byte(p%4)<<2 | []byte{0, 2, 3}[p%3]}
+		data := []byte{byte(p), 0xff, byte(p/4%2)<<5 | byte(p%2)<<4 | []byte{0, 2, 3}[p%3]}
 		for i, op := range []byte{opAsk, opAssert, opAsk, opAnswers, opFork, opAssert, opExport, opCrash,
 			opFollow, opAssert, opFollow, opOpen, opAsk, opAssert, opCrash, opPeriod} {
 			data = append(data, op, byte(p*7+i))
@@ -128,13 +128,13 @@ func FuzzModel(f *testing.F) {
 }
 
 // TestKillAndRecoverDifferential drives crash-heavy scripts: batches, and
-// a crash at a random record boundary or mid-record after each, with and
-// without snapshots.
+// a crash at a random record boundary or mid-record of the log, which
+// holds the program's whole history, after each.
 func TestKillAndRecoverDifferential(t *testing.T) {
 	for seed := 0; seed < 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			data := []byte{byte(len(fixedUnits) + seed), 0xff, byte(seed%4) << 2}
+			data := []byte{byte(len(fixedUnits) + seed), 0xff, 0}
 			for i := 0; i < 5; i++ {
 				data = append(data, opAssert, byte(seed*5+i), opAssert, byte(i), opCrash, byte(seed+i), opFollow, 0)
 			}
@@ -146,10 +146,11 @@ func TestKillAndRecoverDifferential(t *testing.T) {
 // decodeScript reads a script: the program (a fixed unit, or a random
 // seed past them), a rule-keep mask (bit i keeps rule i; rules past the
 // eighth are always kept), a configuration byte (budget in bits 0–1,
-// snapshot cadence in bits 2–3, NonTemporalHeads in bit 4), then two
-// bytes per step: the operation and the seed of its random choices. Bit 5
-// of the configuration byte opens the program from separate rules and
-// facts sources instead of one unit.
+// NonTemporalHeads in bit 4), then two bytes per step: the operation and
+// the seed of its random choices. Bit 5 of the configuration byte opens
+// the program from separate rules and facts sources instead of one unit.
+// Bits 2–3 are reserved and ignored: corpus entries that set them decode
+// to the same budget, shape and steps as ones that do not.
 func decodeScript(t *testing.T, data []byte) (*ast.Program, *ast.Database, byte, [][2]byte) {
 	at := func(i int, def byte) byte {
 		if i < len(data) {
@@ -264,7 +265,6 @@ type harness struct {
 	id      string    // the leader's program; "" when registration failed
 	base    history   // its registered facts
 	batches []history // and its ingested batches
-	snap    int       // Config.SnapshotEvery
 	fol     *Server   // nil until the first follow
 	folSeen history   // the follower's facts
 	ghost   *model    // the dropped branch of a fork, checked once
@@ -274,7 +274,6 @@ type harness struct {
 func runModel(t *testing.T, data []byte) {
 	prog, db, cfg, steps := decodeScript(t, data)
 	h := &harness{t: t, prog: prog, sigs: map[string]ast.PredInfo{}, budget: budgets[cfg&3], refs: map[string]*reference{}, lints: map[string]tdd.LintResult{}, at: "start"}
-	h.snap = []int{-1, 1, 2, 3}[cfg>>2&3]
 	for _, m := range []map[string]ast.PredInfo{prog.Preds, db.Preds} {
 		for name, pi := range m {
 			h.sigs[name] = pi
@@ -331,7 +330,7 @@ func runModel(t *testing.T, data []byte) {
 
 func (h *harness) startLeader(dir string) {
 	var err error
-	h.leader, err = New(Config{DataDir: dir, Fsync: "off", SnapshotEvery: h.snap, MaxWindow: h.budget, Workers: 1})
+	h.leader, err = New(Config{DataDir: dir, Fsync: "off", MaxWindow: h.budget, Workers: 1})
 	if err != nil {
 		h.t.Fatalf("leader over %s: %v", dir, err)
 	}
@@ -456,10 +455,11 @@ func (h *harness) step(op byte, rng *rand.Rand) {
 	}
 }
 
-// crash kills the leader: its WAL directory is copied, wal.log cut at a
-// random record boundary or inside a record, and a new leader recovers
-// from the copy. The durable prefix is what the new leader must hold; the
-// follower, now ahead of its leader, is dropped.
+// crash kills the leader: its WAL directory is copied, wal.log — the
+// whole batch history — cut at a random record boundary or inside a
+// record, and a new leader recovers from the copy. The durable prefix is
+// what the new leader must hold; the follower, now ahead of its leader,
+// is dropped.
 func (h *harness) crash(rng *rand.Rand) {
 	if h.id == "" {
 		return

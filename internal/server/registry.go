@@ -37,23 +37,39 @@ import (
 var ErrNotFound = errors.New("server: unknown program id")
 
 // programSource is the registered, never-evicted form of a program: its
-// base sources, the stream of fact batches ingested since registration,
-// and the content hashes. Recompiling from it after an eviction is
-// deterministic — the base is opened and the batches are re-asserted in
-// order — so the cache can always be refilled.
+// base sources and the record of every fact batch ingested since
+// registration. Recompiling from it after an eviction is deterministic —
+// the base is opened and the batches are re-asserted in order — so the
+// cache can always be refilled. A programSource is immutable once
+// published; an ingest publishes a successor.
 type programSource struct {
 	id    string
 	unit  string // mixed rules+facts source ("" when rules/facts are split)
 	rules string
 	facts string
-	// rev is the content hash of the program *including* every ingested
-	// batch: it starts equal to id and advances with each ingestion, so
-	// clients can detect that the database behind a stable id has moved.
-	rev string
-	// extra is the ordered fact batches ingested via Ingest. Replaying
-	// them batch-by-batch reproduces the incremental sort coercion
-	// exactly (coercion depends on the predicates known at assert time).
-	extra []string
+	// records is the program's one copy of its batch history, in
+	// ingestion order: the batches replayed on recompile, the WAL records
+	// appended to the log and the replication feed. Replaying the batches
+	// one by one reproduces the incremental sort coercion exactly
+	// (coercion depends on the predicates known at assert time). A
+	// successor shares the backing array and appends past this source's
+	// length, which no reader of this source looks at.
+	records []wal.Record
+	// writer serializes ingests on the program. It is created at
+	// registration and carried by every successor, so all writers of one
+	// id contend on the same mutex for the registry's lifetime.
+	writer *sync.Mutex
+}
+
+// rev is the content hash of the program *including* every ingested
+// batch: equal to id until the first ingestion, then advanced by each
+// batch, so clients can detect that the database behind a stable id has
+// moved.
+func (s *programSource) rev() string {
+	if n := len(s.records); n > 0 {
+		return s.records[n-1].Rev
+	}
+	return s.id
 }
 
 // lintSource is the raw text inline "tddlint:ignore" suppressions are
@@ -68,9 +84,9 @@ func (s *programSource) lintSource() string {
 
 // entry is a warm program: one certified tdd.DB snapshot. ask, answers and
 // period are served from it directly — a warm tdd.DB answers from its
-// published specification with no locking — and the /spec route and WAL
-// snapshots export it on demand. Entries are immutable once published; an
-// ingest builds a successor on a fork of db and swaps it in.
+// published specification with no locking — and the /spec route exports
+// it on demand. Entries are immutable once published; an ingest builds a
+// successor on a fork of db and swaps it in.
 type entry struct {
 	src *programSource
 	db  *tdd.DB
@@ -116,7 +132,7 @@ func (e *entry) ID() string { return e.src.id }
 
 // Rev returns the content revision: equal to ID until facts are ingested,
 // then advanced by every batch.
-func (e *entry) Rev() string { return e.src.rev }
+func (e *entry) Rev() string { return e.src.rev() }
 
 // Period returns the certified minimal period.
 func (e *entry) Period() tdd.Period { return e.cert.Period }
@@ -162,7 +178,7 @@ func resolvedFuture(e *entry) *future {
 // Registry stores registered program sources (unbounded — sources are
 // tiny) and a bounded LRU cache of their preprocessed specifications
 // (bounded — a warm entry pins the whole evaluated window). It is safe
-// for concurrent use. One mutex guards the three tables: its critical
+// for concurrent use. One mutex guards both tables: its critical
 // sections are a map read and an LRU recency update — nanoseconds inside a
 // served request — and compiles, ingests and queries all run outside it
 // (E16). The flight group coalesces identical concurrent asks into one
@@ -172,33 +188,17 @@ type Registry struct {
 	metrics   *Metrics
 
 	// wal, when non-nil, makes the registry durable: registrations write
-	// base.json, every ingested batch is appended to the program's log
-	// before it is published (log-before-publish: an acknowledged batch
-	// is always recoverable, a failed append is never visible), and
-	// every snapshotEvery batches the history is folded into a snapshot
-	// and the live log truncated. Set once before serving (EnableDurability).
-	wal           *wal.Store
-	snapshotEvery int
+	// base.json, and every ingested batch is appended to the program's
+	// log before it is published (log-before-publish: an acknowledged
+	// batch is always recoverable, a failed append is never visible). Set
+	// once before serving (EnableDurability).
+	wal *wal.Store
 
 	mu    sync.Mutex
 	progs map[string]*programSource // guarded-by: mu
 	cache *lru[*future]             // guarded-by: mu
-	// writing holds the per-program writer locks for programs currently
-	// being ingested. Entries are refcounted: created on demand by the
-	// first waiting writer and deleted when the last one releases, so
-	// the map holds only in-flight writers — a churn workload that
-	// touches millions of programs leaves it empty, not leaking one
-	// mutex per program forever.
-	writing map[string]*writerLock // guarded-by: mu
 
 	flights flightGroup
-}
-
-// writerLock serializes writers on one program. refs counts holders and
-// waiters (under Registry.mu) so the map entry can be dropped at zero.
-type writerLock struct {
-	mu   sync.Mutex
-	refs int
 }
 
 // NewRegistry builds a registry whose spec cache holds at most cacheSize
@@ -210,60 +210,7 @@ func NewRegistry(cacheSize, maxWindow int, m *Metrics) *Registry {
 		metrics:   m,
 		progs:     make(map[string]*programSource),
 		cache:     newLRU[*future](cacheSize, func(string, *future) { m.CacheEvict.Add(1) }),
-		writing:   make(map[string]*writerLock),
 	}
-}
-
-// lockWriter takes the program's writer lock, creating the refcounted
-// entry on first use. Every lockWriter must be paired with unlockWriter.
-func (r *Registry) lockWriter(id string) *writerLock {
-	r.mu.Lock()
-	wl := r.writing[id]
-	if wl == nil {
-		wl = &writerLock{}
-		r.writing[id] = wl
-	}
-	wl.refs++
-	r.mu.Unlock()
-	wl.mu.Lock()
-	return wl
-}
-
-// unlockWriter releases the writer lock and drops the map entry when no
-// other writer holds or awaits it — the regression guard for the
-// one-mutex-per-program-forever leak.
-func (r *Registry) unlockWriter(id string, wl *writerLock) {
-	wl.mu.Unlock()
-	r.mu.Lock()
-	wl.refs--
-	if wl.refs <= 0 {
-		delete(r.writing, id)
-	}
-	r.mu.Unlock()
-}
-
-// WritingLen reports how many per-program writer locks are live (test
-// hook: must return to 0 when no ingest is in flight).
-func (r *Registry) WritingLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.writing)
-}
-
-// hashSource derives the registry handle: a content hash, so registering
-// the same program twice — from any client — yields the same id. The
-// hash lives in internal/wal because it roots every program's on-disk
-// rev chain; leaders and followers must agree on it byte for byte.
-func hashSource(unit, rules, facts string) string {
-	return wal.HashSource(unit, rules, facts)
-}
-
-// nextRev advances the content revision by one ingested batch: a hash
-// chain, so the revision commits to the base program and the entire
-// ingestion history in order. Shared with internal/wal, which verifies
-// the same chain on disk during recovery.
-func nextRev(rev, batch string) string {
-	return wal.NextRev(rev, batch)
 }
 
 // compile builds a warm entry: parse and validate, replay the ingestion
@@ -294,8 +241,8 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 	// batch against the signatures known at that point, exactly as the
 	// original ingestion did, so an evicted-and-recompiled entry is
 	// identical.
-	for _, batch := range src.extra {
-		if _, err := db.Assert(batch); err != nil {
+	for _, rec := range src.records {
+		if _, err := db.Assert(rec.Batch); err != nil {
 			return nil, fmt.Errorf("replaying ingested facts: %w", err)
 		}
 	}
@@ -307,7 +254,7 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 // Registration compiles eagerly so clients learn about invalid programs
 // and uncertifiable periods at registration time, not on first query.
 func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool, err error) {
-	id := hashSource(unit, rules, facts)
+	id := wal.HashSource(unit, rules, facts)
 	r.mu.Lock()
 	_, known := r.progs[id]
 	r.mu.Unlock()
@@ -320,7 +267,7 @@ func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool,
 	// proceeds in parallel. Two racing registrations of the same program
 	// both compile — idempotent; the loser's entry is discarded by
 	// publish below.
-	src := &programSource{id: id, unit: unit, rules: rules, facts: facts, rev: id}
+	src := &programSource{id: id, unit: unit, rules: rules, facts: facts, writer: new(sync.Mutex)}
 	ent, err := r.compile(src)
 	if err != nil {
 		return nil, false, err
@@ -406,22 +353,15 @@ func (r *Registry) Lookup(id string) (*entry, error) {
 // (parse failure, signature conflict, uncertifiable period) nothing is
 // published and the program is unchanged.
 func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
-	if r.source(id) == nil {
-		return nil, tdd.AssertResult{}, ErrNotFound
-	}
-
-	// The writer lock is refcounted: it exists only while a writer holds
-	// or awaits it, so the writing table stays bounded by in-flight
-	// ingests rather than growing with every program ever written.
-	wl := r.lockWriter(id)
-	defer r.unlockWriter(id, wl)
-
-	// Re-read the source now that the writer lock is held: an ingest that
-	// held it before us may have advanced it.
 	src := r.source(id)
 	if src == nil {
 		return nil, tdd.AssertResult{}, ErrNotFound
 	}
+	src.writer.Lock()
+	defer src.writer.Unlock()
+	// Re-read the source now that the writer lock is held: an ingest that
+	// held it before us may have advanced it.
+	src = r.source(id)
 
 	ent, err := r.Lookup(id)
 	if err != nil {
@@ -432,18 +372,14 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 	if err != nil {
 		return nil, res, err
 	}
-	nsrc := &programSource{
-		id:    id,
-		unit:  src.unit,
-		rules: src.rules,
-		facts: src.facts,
-		rev:   nextRev(src.rev, facts),
-		extra: append(append([]string(nil), src.extra...), facts),
-	}
+	prev := src.rev()
+	rec := wal.Record{Seq: uint64(len(src.records)) + 1, Prev: prev, Rev: wal.NextRev(prev, facts), Batch: facts}
+	nsrc := *src
+	nsrc.records = append(src.records, rec)
 	// The fork's BT carries ent's lifetime trace, so the Assert above
 	// recorded its ingest/delta spans into it; the successor entry keeps
 	// the same trace.
-	ne, err := newEntry(nsrc, fork, ent.tr)
+	ne, err := newEntry(&nsrc, fork, ent.tr)
 	if err != nil {
 		return nil, res, err
 	}
@@ -456,28 +392,13 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 		if lg == nil {
 			return nil, res, fmt.Errorf("wal: program %s has no log (registered before durability was enabled?)", id)
 		}
-		rec := wal.Record{Seq: uint64(len(nsrc.extra)), Prev: src.rev, Rev: nsrc.rev, Batch: facts}
 		if err := lg.Append(rec); err != nil {
 			return nil, res, fmt.Errorf("wal append: %w", err)
 		}
 		r.metrics.WalAppends.Add(1)
-		if r.snapshotEvery > 0 && lg.SinceSnapshot() >= uint64(r.snapshotEvery) {
-			// Failure is tolerable: the batch itself is already in the log.
-			snap := wal.Snapshot{
-				Seq:     rec.Seq,
-				Rev:     nsrc.rev,
-				Base:    wal.Base{ID: id, Unit: nsrc.unit, Rules: nsrc.rules, Facts: nsrc.facts},
-				Records: chainRecords(nsrc),
-			}
-			if err := lg.WriteSnapshot(snap); err != nil {
-				r.metrics.SnapshotErrors.Add(1)
-			} else {
-				r.metrics.Snapshots.Add(1)
-			}
-		}
 	}
 	r.mu.Lock()
-	r.progs[id] = nsrc
+	r.progs[id] = &nsrc
 	r.cache.put(id, resolvedFuture(ne))
 	r.mu.Unlock()
 	r.metrics.Asserts.Add(1)
@@ -485,27 +406,11 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 	return ne, res, nil
 }
 
-// chainRecords rebuilds the WAL record history of a source from its
-// batch list by re-walking the rev hash chain from the id. programSource
-// values are immutable once published, so this needs no lock.
-func chainRecords(src *programSource) []wal.Record {
-	recs := make([]wal.Record, 0, len(src.extra))
-	rev := src.id
-	for i, batch := range src.extra {
-		next := nextRev(rev, batch)
-		recs = append(recs, wal.Record{Seq: uint64(i + 1), Prev: rev, Rev: next, Batch: batch})
-		rev = next
-	}
-	return recs
-}
-
 // EnableDurability attaches a WAL store: registrations and ingests
-// persist through it, and snapshotEvery batches per program trigger a
-// snapshot + log truncation (<= 0 disables snapshotting). Call once,
-// before serving, typically followed by RecoverFromWAL.
-func (r *Registry) EnableDurability(store *wal.Store, snapshotEvery int) {
+// persist through it. Call once, before serving, typically followed by
+// RecoverFromWAL.
+func (r *Registry) EnableDurability(store *wal.Store) {
 	r.wal = store
-	r.snapshotEvery = snapshotEvery
 }
 
 // RecoverFromWAL reconstructs the registry from the attached store:
@@ -523,17 +428,13 @@ func (r *Registry) RecoverFromWAL(warm bool) (programs, batches int, err error) 
 		return 0, 0, err
 	}
 	for _, rec := range recovered {
-		extra := make([]string, 0, len(rec.Records))
-		for _, wr := range rec.Records {
-			extra = append(extra, wr.Batch)
-		}
 		src := &programSource{
-			id:    rec.Base.ID,
-			unit:  rec.Base.Unit,
-			rules: rec.Base.Rules,
-			facts: rec.Base.Facts,
-			rev:   rec.Rev,
-			extra: extra,
+			id:      rec.Base.ID,
+			unit:    rec.Base.Unit,
+			rules:   rec.Base.Rules,
+			facts:   rec.Base.Facts,
+			records: rec.Records,
+			writer:  new(sync.Mutex),
 		}
 		r.mu.Lock()
 		r.progs[src.id] = src
@@ -585,7 +486,7 @@ func (r *Registry) SeqRev(id string) (seq uint64, rev string, ok bool) {
 	if src == nil {
 		return 0, "", false
 	}
-	return uint64(len(src.extra)), src.rev, true
+	return uint64(len(src.records)), src.rev(), true
 }
 
 // WalFeed is the GET /programs/{id}/wal response: the record history
@@ -608,10 +509,9 @@ func (r *Registry) Feed(id string, from uint64) (WalFeed, error) {
 	if src == nil {
 		return WalFeed{}, ErrNotFound
 	}
-	recs := chainRecords(src)
-	feed := WalFeed{ID: id, Seq: uint64(len(recs)), Rev: src.rev, Records: []wal.Record{}}
+	feed := WalFeed{ID: id, Seq: uint64(len(src.records)), Rev: src.rev(), Records: []wal.Record{}}
 	if from < feed.Seq {
-		feed.Records = recs[from:]
+		feed.Records = src.records[from:]
 	}
 	if from == 0 {
 		feed.Base = &wal.Base{ID: id, Unit: src.unit, Rules: src.rules, Facts: src.facts}
@@ -635,7 +535,7 @@ func (r *Registry) ApplyReplicated(id string, rec wal.Record) error {
 		return fmt.Errorf("server: replication divergence on %s: leader record (seq %d, prev %s) does not continue local state (seq %d, rev %s)",
 			id, rec.Seq, rec.Prev, seq, rev)
 	}
-	if got := nextRev(rec.Prev, rec.Batch); got != rec.Rev {
+	if got := wal.NextRev(rec.Prev, rec.Batch); got != rec.Rev {
 		return fmt.Errorf("server: replication divergence on %s: batch %d hashes to %s, leader says %s",
 			id, rec.Seq, got, rec.Rev)
 	}
@@ -645,9 +545,9 @@ func (r *Registry) ApplyReplicated(id string, rec wal.Record) error {
 	}
 	// Unreachable unless a local writer raced the replication loop —
 	// followers are read-only, so this is belt and braces.
-	if ent.src.rev != rec.Rev {
+	if ent.Rev() != rec.Rev {
 		return fmt.Errorf("server: replication divergence on %s: applied batch %d yields rev %s, leader says %s",
-			id, rec.Seq, ent.src.rev, rec.Rev)
+			id, rec.Seq, ent.Rev(), rec.Rev)
 	}
 	return nil
 }

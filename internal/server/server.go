@@ -51,8 +51,8 @@ type Config struct {
 	EnablePprof bool
 
 	// DataDir, when set, makes the server durable: every program lives
-	// under DataDir/programs/<id>/ as base sources, a periodic spec
-	// snapshot, and a write-ahead log of fact batches. On startup the
+	// under DataDir/programs/<id>/ as base sources and a write-ahead log
+	// of fact batches. On startup the
 	// directory is recovered and every program recompiled, so a restarted
 	// server answers warm.
 	DataDir string
@@ -63,10 +63,6 @@ type Config struct {
 	// FsyncInterval is the background fsync cadence under Fsync
 	// "interval" (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery folds a program's history into a snapshot and
-	// truncates its log every this many batches (default 64; <0
-	// disables snapshotting).
-	SnapshotEvery int
 	// Follow, when set to a leader's base URL, runs the server as a
 	// read-only follower: it tails the leader's WAL feed, applies every
 	// batch through the ordinary ingest path, and rejects writes with
@@ -110,9 +106,6 @@ func DefaultConfig(c Config) Config {
 	}
 	if c.FsyncInterval <= 0 {
 		c.FsyncInterval = 100 * time.Millisecond
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 64
 	}
 	if c.FollowInterval <= 0 {
 		c.FollowInterval = 500 * time.Millisecond
@@ -179,11 +172,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opening data directory: %w", err)
 		}
-		snapEvery := cfg.SnapshotEvery
-		if snapEvery < 0 {
-			snapEvery = 0
-		}
-		s.reg.EnableDurability(store, snapEvery)
+		s.reg.EnableDurability(store)
 		// Recover warm: every program recompiled now, so the first query
 		// after a restart hits the same fast path as before the crash.
 		progs, batches, err := s.reg.RecoverFromWAL(true)

@@ -1,28 +1,28 @@
 // Package wal is the durability subsystem behind tddserve -data: a
-// per-program append-only write-ahead log of ingested fact batches,
-// periodic source/spec snapshots with log truncation, and a recovery
-// path that reconstructs the server's program registry after a restart.
+// per-program append-only write-ahead log of ingested fact batches and a
+// recovery path that reconstructs the server's program registry after a
+// restart.
 //
 // The persistence unit is the paper's own artifact. A program's infinite
 // temporal model is finitely represented by its relational specification,
 // and that specification is a deterministic function of the base sources
 // plus the ordered ingestion history — so durability never stores the
 // model, only the tiny inputs that regenerate it: the registered sources
-// (base.json), one WAL record per ingested batch (wal.log), and a
-// snapshot (snapshot.json) that folds the history into a single file so
-// the live log stays short. Recovery is replay-plus-recertify: the
-// already-tested eviction-safe batch replay rebuilds the engine, and the
-// rev hash chain carried by every record proves on disk that the
-// recovered history is exactly the one the clients were acknowledged.
+// (base.json) and one WAL record per ingested batch (wal.log). Recovery is
+// replay-plus-recertify: the already-tested eviction-safe batch replay
+// rebuilds the engine, and the rev hash chain carried by every record
+// proves on disk that the recovered history is exactly the one the
+// clients were acknowledged.
 //
 // On-disk layout under the data directory:
 //
 //	programs/<id>/base.json      registered sources (written once)
-//	programs/<id>/snapshot.json  latest snapshot: sources + records + spec
-//	programs/<id>/wal.log        records appended since the snapshot
+//	programs/<id>/wal.log        every ingested batch, in order
+//	programs/<id>/snapshot.json  read, never written: the batches an older
+//	                             layout folded out of wal.log
 //
-// This package deliberately uses wall-clock time (fsync interval timers,
-// snapshot ages); internal/gocheck's TestFixpointImports lets this package
+// This package deliberately uses wall-clock time (fsync interval timers
+// and latencies); internal/gocheck's TestFixpointImports lets this package
 // alone import "time" — determinism of the recovered model is enforced by the
 // rev hash chain, not by time-independence.
 package wal
@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 )
@@ -68,7 +69,7 @@ func HashSource(unit, rules, facts string) string {
 	h.Write([]byte(rules))
 	h.Write([]byte{0})
 	h.Write([]byte(facts))
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	return shortHex(h)
 }
 
 // NextRev advances a content revision by one ingested batch: a hash
@@ -79,7 +80,14 @@ func NextRev(rev, batch string) string {
 	h.Write([]byte(rev))
 	h.Write([]byte{0})
 	h.Write([]byte(batch))
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	return shortHex(h)
+}
+
+// shortHex is the first 8 bytes of h's sum in hex. Encoding only those
+// bytes, rather than slicing the full 64-character encoding, keeps the
+// other 48 bytes from being retained by every stored id and rev.
+func shortHex(h hash.Hash) string {
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // VerifyChain checks that records continue the chain rooted at rev (the

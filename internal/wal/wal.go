@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -123,10 +122,10 @@ func (s *Store) snapshotLogs() []*Log {
 }
 
 // Recovered is one program reconstructed from disk: its base sources and
-// the full verified record history (snapshot records plus the live log
-// tail). TornTail reports that an incomplete final record — a crash
-// mid-append — was dropped and the log truncated back to the last good
-// boundary.
+// the full verified record history (an old snapshot.json's records, if
+// the directory has one, then the log's). TornTail reports that an
+// incomplete final record — a crash mid-append — was dropped and the log
+// truncated back to the last good boundary.
 type Recovered struct {
 	Base     Base
 	Records  []Record
@@ -177,10 +176,7 @@ func (s *Store) recoverProgram(id string) (Recovered, error) {
 
 	rec := Recovered{Base: base, Rev: id}
 	var snap Snapshot
-	snapPath := filepath.Join(dir, "snapshot.json")
-	haveSnap := false
-	if err := readJSON(snapPath, &snap); err == nil {
-		haveSnap = true
+	if err := readJSON(filepath.Join(dir, "snapshot.json"), &snap); err == nil {
 		seq, rev, err := VerifyChain(0, id, snap.Records)
 		if err != nil {
 			return Recovered{}, fmt.Errorf("snapshot: %w", err)
@@ -214,8 +210,9 @@ func (s *Store) recoverProgram(id string) (Recovered, error) {
 		}
 		rec.TornTail = true
 	}
-	// A crash between snapshot rename and log truncation leaves records
-	// the snapshot already folded in; skip them rather than double-apply.
+	// A crash between a snapshot's rename and the log's truncation left
+	// records the snapshot already holds; skip them rather than
+	// double-apply.
 	for len(tail) > 0 && tail[0].Seq <= rec.Seq {
 		tail = tail[1:]
 	}
@@ -236,16 +233,10 @@ func (s *Store) recoverProgram(id string) (Recovered, error) {
 		return Recovered{}, err
 	}
 	l := &Log{
-		store: s, id: id, dir: dir, f: f,
+		store: s, f: f,
 		seq: rec.Seq, rev: rec.Rev,
 		syncedSeq: rec.Seq, syncedRev: rec.Rev,
 		bytes: st.Size(),
-	}
-	if haveSnap {
-		l.snapSeq = snap.Seq
-		if t, err := os.Stat(snapPath); err == nil {
-			l.snapTime = t.ModTime()
-		}
 	}
 	s.mu.Lock()
 	s.logs[id] = l
@@ -280,7 +271,7 @@ func (s *Store) Create(base Base) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{store: s, id: base.ID, dir: dir, f: f, rev: base.ID, syncedRev: base.ID}
+	l := &Log{store: s, f: f, rev: base.ID, syncedRev: base.ID}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -344,10 +335,6 @@ type LogStats struct {
 	// otherwise.
 	DurableSeq uint64 `json:"durable_seq"`
 	DurableRev string `json:"durable_rev"`
-	// SnapshotSeq is the last batch folded into snapshot.json (0 =
-	// never snapshotted); SnapshotAge is how long ago that was.
-	SnapshotSeq uint64        `json:"snapshot_seq"`
-	SnapshotAge time.Duration `json:"-"`
 	// Bytes is the live wal.log size.
 	Bytes int64 `json:"wal_bytes"`
 }
@@ -367,13 +354,11 @@ func (s *Store) Stats() map[string]LogStats {
 	return out
 }
 
-// Log is one program's append-only record log plus its snapshot state.
-// Appends are serialized by the registry's per-program writer lock and
-// additionally by mu (the interval sync loop shares the file).
+// Log is one program's append-only record log. Appends are serialized by
+// the registry's per-program writer lock and additionally by mu (the
+// interval sync loop shares the file).
 type Log struct {
 	store *Store
-	id    string
-	dir   string
 
 	mu        sync.Mutex
 	f         *os.File // guarded-by: mu
@@ -382,10 +367,8 @@ type Log struct {
 	syncedSeq uint64   // guarded-by: mu — last fsynced
 	syncedRev string   // guarded-by: mu
 	dirty     bool     // guarded-by: mu
-	snapSeq   uint64   // guarded-by: mu
-	snapTime  time.Time
-	bytes     int64 // guarded-by: mu
-	closed    bool  // guarded-by: mu
+	bytes     int64    // guarded-by: mu
+	closed    bool     // guarded-by: mu
 	// failed is set when a partial append could not be truncated away:
 	// the file ends in torn bytes, and writing anything after them would
 	// turn a repairable torn tail into fatal mid-log corruption. All
@@ -473,10 +456,10 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Snapshot is the compaction unit: the base sources and every record up
-// to Seq, which is what lets the live log be truncated — recovery
-// re-opens Base, verifies the chain and replays Records plus the live
-// tail.
+// Snapshot is snapshot.json: the base sources and every record up to
+// Seq. Nothing writes it any more — the log holds the whole history —
+// but a data directory written when the log was periodically folded
+// into it and truncated still recovers, so recovery reads it first.
 type Snapshot struct {
 	Seq     uint64   `json:"seq"`
 	Rev     string   `json:"rev"`
@@ -484,74 +467,14 @@ type Snapshot struct {
 	Records []Record `json:"records"`
 }
 
-// SinceSnapshot reports how many appended batches the last snapshot does
-// not cover — the trigger for the next one.
-func (l *Log) SinceSnapshot() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq - l.snapSeq
-}
-
-// WriteSnapshot durably writes snap (tmp + fsync + rename) and then
-// truncates the live log. The ordering is the recovery invariant: the
-// snapshot is on disk before any record it covers disappears, and a
-// crash between rename and truncation merely leaves duplicate records
-// that recovery skips by sequence number.
-func (l *Log) WriteSnapshot(snap Snapshot) error {
-	if snap.Seq == 0 || len(snap.Records) == 0 {
-		return fmt.Errorf("wal: refusing an empty snapshot")
-	}
-	if _, _, err := VerifyChain(0, snap.Base.ID, snap.Records); err != nil {
-		return fmt.Errorf("wal: snapshot does not verify: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.failed != nil {
-		return l.failed
-	}
-	if snap.Seq > l.seq {
-		return fmt.Errorf("wal: snapshot at seq %d beyond the log's %d", snap.Seq, l.seq)
-	}
-	// The covered records must be synced before they may be dropped from
-	// the live log.
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if err := writeFileDurable(filepath.Join(l.dir, "snapshot.json"), mustJSON(snap)); err != nil {
-		return err
-	}
-	if snap.Seq == l.seq {
-		// Common case: snapshotting right after an append — the whole
-		// live log is covered, truncate it to empty.
-		if err := l.f.Truncate(0); err != nil {
-			return err
-		}
-		if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		l.bytes = 0
-	}
-	l.snapSeq = snap.Seq
-	l.snapTime = time.Now()
-	return nil
-}
-
 func (l *Log) stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := LogStats{
+	return LogStats{
 		Seq: l.seq, Rev: l.rev,
 		DurableSeq: l.syncedSeq, DurableRev: l.syncedRev,
-		SnapshotSeq: l.snapSeq,
-		Bytes:       l.bytes,
+		Bytes: l.bytes,
 	}
-	if !l.snapTime.IsZero() {
-		st.SnapshotAge = time.Since(l.snapTime)
-	}
-	return st
 }
 
 func (l *Log) close() error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -210,50 +211,45 @@ func TestStoreRejectsMidLogCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotTruncatesAndRecovers recovers the layout an older writer
+// left behind: records 1–3 folded into snapshot.json and wal.log
+// truncated to empty. Recovery must start from the snapshot, and appends
+// must continue its chain in wal.log.
 func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	base := testBase()
-	recs := chain(0, base.ID, "odd(1).", "odd(3).", "odd(5).", "odd(7).")
+	recs := chain(0, base.ID, "odd(1).", "odd(3).", "odd(5).", "odd(7).", "odd(9).")
 
 	s := openStore(t, dir, Options{Policy: FsyncAlways})
-	l, err := s.Create(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs[:3] {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := l.SinceSnapshot(); got != 3 {
-		t.Fatalf("SinceSnapshot = %d, want 3", got)
-	}
-	snap := Snapshot{Seq: 3, Rev: recs[2].Rev, Base: base, Records: recs[:3]}
-	if err := l.WriteSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.SinceSnapshot(); got != 0 {
-		t.Fatalf("SinceSnapshot after snapshot = %d, want 0", got)
-	}
-	st := l.stats()
-	if st.Bytes != 0 || st.SnapshotSeq != 3 || st.SnapshotAge < 0 || st.SnapshotAge > time.Minute {
-		t.Fatalf("stats after snapshot: %+v", st)
-	}
-	// One more record into the fresh live log.
-	if err := l.Append(recs[3]); err != nil {
+	if _, err := s.Create(base); err != nil {
 		t.Fatal(err)
 	}
 	s.Close() //nolint:errcheck
-
-	s2 := openStore(t, dir, Options{})
-	rec, err := s2.Recover()
-	if err != nil {
+	snap := Snapshot{Seq: 3, Rev: recs[2].Rev, Base: base, Records: recs[:3]}
+	if err := writeFileDurable(filepath.Join(dir, "programs", base.ID, "snapshot.json"), mustJSON(snap)); err != nil {
 		t.Fatal(err)
 	}
-	r := rec[0]
-	if r.Seq != 4 || r.Rev != recs[3].Rev || len(r.Records) != 4 {
-		t.Fatalf("recovered (seq %d, %d records), want the full 4-record history", r.Seq, len(r.Records))
+
+	// recoverAppend recovers dir, checks the history is recs[:n], and
+	// appends recs[n] to the reopened log.
+	recoverAppend := func(n int) {
+		t.Helper()
+		s := openStore(t, dir, Options{Policy: FsyncAlways})
+		rec, err := s.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rec[0]
+		if r.Seq != uint64(n) || r.Rev != recs[n-1].Rev || !slices.Equal(r.Records, recs[:n]) {
+			t.Fatalf("recovered (seq %d, %d records), want the %d-record history", r.Seq, len(r.Records), n)
+		}
+		if err := s.Log(base.ID).Append(recs[n]); err != nil {
+			t.Fatalf("append at seq %d: %v", n+1, err)
+		}
+		s.Close() //nolint:errcheck
 	}
+	recoverAppend(3)
+	recoverAppend(4)
 }
 
 // TestSnapshotCrashBeforeTruncate simulates a crash between the

@@ -142,6 +142,13 @@ echo "==> one resident model per served program (lock-free warm reads, entry hea
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
 require_test ./internal/server/ TestWarmEntryRetainsOneModel
 
+echo "==> a data directory in the older snapshot layout still recovers"
+# Nothing writes snapshot.json any more and FuzzModel never makes one, so
+# these hand-written parent-layout directories (snapshot plus truncated
+# log, and a crash before the truncation) are the read path's only guard.
+require_test ./internal/wal/ TestSnapshotTruncatesAndRecovers TestSnapshotCrashBeforeTruncate
+require_test ./internal/server/ TestSnapshotRestartDifferential
+
 echo "==> one metric table (both expositions agree, a scrape takes no program lock)"
 require_test ./internal/server/ TestExpositionsAgree TestScrapeTakesNoProgramLock
 
@@ -165,7 +172,7 @@ go test -run '^$' -bench '^BenchmarkSlicedAsk$' -benchtime 50x -count 3 . \
         }'
 
 echo "==> serving contention battery under GOMAXPROCS=4 -race"
-# The singleflight, queue shedding, and writer-lock refcounting only see
+# The singleflight, queue shedding, and the per-program writer lock only see
 # real interleavings when the runtime can run handlers concurrently;
 # a 1-CPU box pins GOMAXPROCS=1 by default, which would serialize them.
 GOMAXPROCS=4 go test -race -run 'Coalesc|Shed|WriterLock|Flight|IngestWhileQuerying' ./internal/server/
