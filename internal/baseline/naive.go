@@ -27,6 +27,8 @@ type Stats struct {
 	Iterations int // applications of T_P until fixpoint
 	Firings    int // rule-body instantiations across all iterations
 	Derived    int // facts beyond the database
+	// Rules splits Firings by rule, parallel to the program's rule order.
+	Rules []int
 }
 
 // NaiveTP computes the least model of prog ∧ db restricted to times 0..m
@@ -73,7 +75,7 @@ func NaiveTP(prog *ast.Program, db *ast.Database, m int) (*engine.Store, Stats, 
 	for _, f := range db.Facts {
 		cur.Insert(f)
 	}
-	var stats Stats
+	stats := Stats{Rules: make([]int, len(rules))}
 	bindings := make(map[string]string, 8)
 	for {
 		stats.Iterations++
@@ -85,7 +87,7 @@ func NaiveTP(prog *ast.Program, db *ast.Database, m int) (*engine.Store, Stats, 
 		for _, f := range db.Facts {
 			next.Insert(f)
 		}
-		for _, r := range rules {
+		for i, r := range rules {
 			tmax := 0
 			if r.hasTimeVar {
 				tmax = m - r.maxBodyDepth
@@ -93,9 +95,11 @@ func NaiveTP(prog *ast.Program, db *ast.Database, m int) (*engine.Store, Stats, 
 					tmax = m - r.headDepth
 				}
 			}
+			f0 := stats.Firings
 			for T := 0; T <= tmax; T++ {
 				fire(src, next, r.head, r.body, T, bindings, &stats)
 			}
+			stats.Rules[i] += stats.Firings - f0
 		}
 		// T_P is monotone and the iterates increase from D, so equal
 		// cardinality means the fixpoint is reached.

@@ -66,10 +66,6 @@ type BT struct {
 	// (or before the BT is shared, in Assert), and loaded without it: a
 	// non-nil load is the warm fast path of every query.
 	spec atomic.Pointer[spec.Spec]
-	// fired marks the rules Lint's never-fires probe saw fire in this
-	// BT's model or an ancestor's; Assert hands it on, because the least
-	// model is monotone in the database. Never modified in place.
-	fired []bool // guarded-by: mu
 }
 
 // analyzeRules builds a program's rule analysis; a variable so tests can
@@ -191,15 +187,17 @@ func b2i(v bool) int64 {
 // Lint runs the Tier-A static analyzer over the processor's program and
 // database. The rules-only passes come from the program's rule analysis,
 // computed once per program; only the passes that read the database run
-// here. Lint runs under mu: the never-fires probe joins rule bodies
-// against the certified model and may grow the evaluated window, which
-// must not race concurrent queries. The probe skips the rules this BT or
-// an ancestor already saw fire, so a fork whose rules all fire builds no
-// prober and grows nothing. The certified specification is reused when
-// available (or certifiable), so on a warm BT linting adds no
-// re-evaluation; when certification fails the semantic probe is skipped
-// and the structural passes still run. source, when non-empty, is the raw
-// unit text inline "tddlint:ignore" suppressions are read from.
+// here. Never-fires reads the evaluator's per-rule firing counts, which
+// a fork inherits from its parent through Clone, so a fork whose rules
+// have all fired grows nothing. When some rule has not fired yet, the
+// check closes the window to base+period plus the rules' depth span
+// first; Lint runs under mu, which serializes that growth with
+// certification and with Assert's clone of the evaluator. The certified
+// specification is reused when available (or certifiable), so on a warm
+// BT linting adds no re-evaluation; when certification fails
+// never-fires is skipped and the structural passes still run. source,
+// when non-empty, is the raw unit text inline "tddlint:ignore"
+// suppressions are read from.
 func (b *BT) Lint(source string) lint.Result {
 	rules := b.rules()
 	b.mu.Lock()
@@ -208,9 +206,7 @@ func (b *BT) Lint(source string) lint.Result {
 	if s, err := b.specification(); err == nil {
 		opts.Spec = s
 	}
-	res, fired := lint.Check(rules, b.eval.Database(), b.fired, opts)
-	b.fired = fired
-	return res
+	return lint.Check(rules, b.eval.Database(), opts)
 }
 
 // Period returns the certified minimal period of the least model.
@@ -272,7 +268,7 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e2 := b.eval.Clone()
-	nb := &BT{eval: e2, maxWindow: b.maxWindow, preds: make(map[string]ast.PredInfo, len(b.preds)), tr: b.tr, rules: b.rules, fired: b.fired}
+	nb := &BT{eval: e2, maxWindow: b.maxWindow, preds: make(map[string]ast.PredInfo, len(b.preds)), tr: b.tr, rules: b.rules}
 	for k, v := range b.preds {
 		nb.preds[k] = v
 	}

@@ -344,8 +344,8 @@ func countSpans(spans []obs.SpanJSON, name string) int {
 // TestForkReusesRuleAnalysis pins the per-program rule analysis: every BT
 // that Assert derives shares its parent's by pointer; a traced
 // registration plus N linted ingests classifies the rules once; and a
-// fork whose parent saw every rule fire lints without probing the model,
-// so its evaluated window does not move.
+// fork, whose evaluator inherits its parent's firing counts, sees every
+// rule fired already, so linting it does not move its evaluated window.
 func TestForkReusesRuleAnalysis(t *testing.T) {
 	calls := 0
 	defer func(f func(*ast.Program) *lint.Rules) { analyzeRules = f }(analyzeRules)
@@ -360,10 +360,16 @@ func TestForkReusesRuleAnalysis(t *testing.T) {
 	if res := b.Lint(skiSrc); res.Warnings() != 0 {
 		t.Fatalf("the ski model lints with warnings:\n%s", res.Format(""))
 	}
-	for _, fired := range b.fired {
-		if !fired {
-			t.Fatalf("registration saw rules %v fire, want all %d", b.fired, len(b.eval.Program().Rules))
+	allFired := func(b *BT) bool {
+		for i := range b.eval.Program().Rules {
+			if b.eval.RuleFirings(i) == 0 {
+				return false
+			}
 		}
+		return true
+	}
+	if !allFired(b) {
+		t.Fatalf("registration left rules unfired: %+v", b.eval.Stats().Rules)
 	}
 	for i := 0; i < 4; i++ {
 		nb, _, err := b.Assert([]ast.Fact{tfact("holiday", 13+2*i), tfact("plane", 5+i, "hunter")})
@@ -373,15 +379,15 @@ func TestForkReusesRuleAnalysis(t *testing.T) {
 		if nb.rules() != b.rules() {
 			t.Fatalf("ingest %d: the fork has its own rule analysis", i)
 		}
+		if !allFired(nb) {
+			t.Fatalf("ingest %d: the fork lost its parent's firing counts: %+v", i, nb.eval.Stats().Rules)
+		}
 		w := nb.Evaluator().Window()
 		if res := nb.Lint(skiSrc); res.Warnings() != 0 {
 			t.Fatalf("ingest %d: lint warnings:\n%s", i, res.Format(""))
 		}
 		if got := nb.Evaluator().Window(); got != w {
 			t.Fatalf("ingest %d: linting a fork whose rules all fire grew the window %d -> %d", i, w, got)
-		}
-		if &nb.fired[0] != &b.fired[0] {
-			t.Fatalf("ingest %d: the fork probed rules its parent had seen fire", i)
 		}
 		b = nb
 	}
@@ -392,8 +398,9 @@ func TestForkReusesRuleAnalysis(t *testing.T) {
 
 // TestForksLintConcurrently lints a BT and its forks from several
 // goroutines at once. They share one rule analysis, built by whichever
-// gets there first, and hand on fired sets nobody writes in place; run
-// with -race.
+// gets there first, and each reads the firing counts of its own
+// evaluator, which Assert cloned under the parent's lock; run with
+// -race.
 func TestForksLintConcurrently(t *testing.T) {
 	b := mustBT(t, skiSrc)
 	forks := make([]*BT, 8)

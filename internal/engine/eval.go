@@ -239,6 +239,11 @@ func (e *Evaluator) Store() *Store { return e.store }
 // counting).
 func (e *Evaluator) Stats() Stats { return e.stats.Clone() }
 
+// RuleFirings returns rule i's successful body instantiations so far,
+// read in place: the counter behind Stats().Rules[i].Firings, without the
+// snapshot's copy.
+func (e *Evaluator) RuleFirings(i int) int { return e.stats.Rules[i].Firings }
+
 // SetJoinMode selects the join strategy (see plan.go): JoinIndexed — the
 // default — plans the body order and probes multi-column hash indexes;
 // JoinNestedLoop is the historical source-order nested-loop engine, kept

@@ -48,6 +48,7 @@ import (
 
 	"tdd/internal/ast"
 	"tdd/internal/classify"
+	"tdd/internal/period"
 	"tdd/internal/progan"
 	"tdd/internal/spec"
 )
@@ -195,25 +196,18 @@ type Options struct {
 	// own or the following line.
 	Source string
 
-	// Spec is an already-certified specification of (program, database) to
-	// reuse for the never-fires probe; when nil and a database is present,
-	// Run certifies one itself (bounded by MaxWindow).
+	// Spec is an already-certified specification of (program, database)
+	// whose evaluator's firing counts decide never-fires; when nil and a
+	// database is present, Run certifies one itself (bounded by
+	// MaxWindow).
 	Spec *spec.Spec
 
 	// MaxWindow bounds the certification window when Run computes its own
 	// specification. 0 means a default of 1024 states.
 	MaxWindow int
-
-	// ProbeBudget bounds the time points the never-fires probe examines
-	// (base + period of the certified model, plus the rule's depth span).
-	// The probe is skipped for models beyond the budget. 0 means 4096.
-	ProbeBudget int
 }
 
-const (
-	defaultMaxWindow   = 1024
-	defaultProbeBudget = 4096
-)
+const defaultMaxWindow = 1024
 
 // Rules is the half of a lint run that reads the rule set alone: the
 // classification report (Theorems 5.2 and 6.3–6.5) and the findings of
@@ -254,25 +248,18 @@ func (r *Rules) Report() classify.Report { return r.report }
 // preconditions are missing (no database, no certifiable period) are
 // skipped silently. Diagnostics come back sorted by position, then code.
 func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
-	res, _ := Check(AnalyzeRules(prog), db, nil, opts)
-	return res
+	return Check(AnalyzeRules(prog), db, opts)
 }
 
 // Check lints one snapshot of a program: the passes that read the
 // database (reach, never-fires, relevance) run on db, and their findings
-// join the precomputed rule analysis. fired lists the rules the model of
-// an ancestor snapshot — one whose facts db contains — was seen to fire
-// (nil for none). The least model is monotone in the database, so those
-// rules fire here too and the never-fires probe skips them. Check returns
-// the set grown by the rules this run saw fire: fired itself when nothing
-// was added, a new slice otherwise, and never modified afterwards, so
-// snapshots may share it.
-func Check(rules *Rules, db *ast.Database, fired []bool, opts Options) (Result, []bool) {
+// join the precomputed rule analysis. Never-fires reads the per-rule
+// firing counts of opts.Spec's evaluator, and may grow its window when
+// some rule has not fired yet; the caller serializes that with other
+// users of the evaluator.
+func Check(rules *Rules, db *ast.Database, opts Options) Result {
 	if opts.MaxWindow <= 0 {
 		opts.MaxWindow = defaultMaxWindow
-	}
-	if opts.ProbeBudget <= 0 {
-		opts.ProbeBudget = defaultProbeBudget
 	}
 	var ds []Diagnostic
 	if prog := rules.prog; prog != nil {
@@ -282,16 +269,14 @@ func Check(rules *Rules, db *ast.Database, fired []bool, opts Options) (Result, 
 		ds = append(ds, reach...)
 		if rules.valid {
 			// Rules the structural pass already proved unreachable are
-			// skipped by the semantic probe: one finding per dead rule.
+			// skipped by the semantic check: one finding per dead rule.
 			skip := make(map[int]bool)
 			for _, d := range reach {
 				if d.Code == "TDL003" {
 					skip[d.RuleIdx] = true
 				}
 			}
-			var never []Diagnostic
-			never, fired = checkNeverFires(prog, db, opts, skip, fired)
-			ds = append(ds, never...)
+			ds = append(ds, checkNeverFires(prog, db, opts, skip)...)
 			ds = append(ds, checkRelevance(rep, opts.Source)...)
 		}
 		guardDeleteSafety(prog, ds)
@@ -304,7 +289,7 @@ func Check(rules *Rules, db *ast.Database, fired []bool, opts Options) (Result, 
 	if res.Diagnostics == nil {
 		res.Diagnostics = []Diagnostic{}
 	}
-	return res, fired
+	return res
 }
 
 // sortDiagnostics orders findings by source position, then code, then
@@ -343,15 +328,15 @@ func guardDeleteSafety(prog *ast.Program, ds []Diagnostic) {
 	if len(drop) == 0 {
 		return
 	}
-	g, h := lookbackOf(prog.Rules), maxHeadDepthOf(prog.Rules)
+	g, h := period.Lookback(prog), period.MaxHeadDepth(prog)
 	for {
-		kept := make([]ast.Rule, 0, len(prog.Rules))
+		kept := &ast.Program{Rules: make([]ast.Rule, 0, len(prog.Rules))}
 		for i, r := range prog.Rules {
 			if !drop[i] {
-				kept = append(kept, r)
+				kept.Rules = append(kept.Rules, r)
 			}
 		}
-		if lookbackOf(kept) == g && maxHeadDepthOf(kept) == h {
+		if period.Lookback(kept) == g && period.MaxHeadDepth(kept) == h {
 			break
 		}
 		// Un-drop the flagged rule with the deepest head until the
@@ -390,48 +375,4 @@ func headDepthOf(r ast.Rule) int {
 		return 0
 	}
 	return s.Head.Time.Depth
-}
-
-// lookbackOf mirrors period.Lookback for a plain rule slice: the maximum
-// of temporal-head lookback and the body spread of non-temporal-head
-// rules, at least 1.
-func lookbackOf(rules []ast.Rule) int {
-	g, temporal := 0, false
-	for _, r := range rules {
-		if r.MinDepth() < 0 {
-			continue
-		}
-		temporal = true
-		if d := headDepthOf(r); d > g {
-			g = d
-		}
-	}
-	if temporal && g < 1 {
-		g = 1
-	}
-	for _, r := range rules {
-		if r.Head.Time != nil {
-			continue
-		}
-		s := r.ShiftNormalize()
-		if d := s.MaxDepth(); d > g {
-			g = d
-		}
-	}
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
-// maxHeadDepthOf is the maximum un-normalized head depth, the other input
-// to period detection.
-func maxHeadDepthOf(rules []ast.Rule) int {
-	h := 0
-	for _, r := range rules {
-		if r.Head.Time != nil && !r.Head.Time.Ground() && r.Head.Time.Depth > h {
-			h = r.Head.Time.Depth
-		}
-	}
-	return h
 }

@@ -29,25 +29,16 @@ import (
 // exportMarker introduces an export directive inside a TDD comment.
 const exportMarker = "tddlint:export"
 
-// exportDirectives scans raw source for export markers (same comment
-// discipline as tddlint:ignore: the marker counts only after '%' or
-// "//"). Names accumulate across directives, deduplicated and sorted.
+// exportDirectives scans raw source for export markers (see directives).
+// Every word names a predicate; names accumulate across directives,
+// deduplicated and sorted.
 func exportDirectives(src string) []string {
 	set := make(map[string]bool)
-	for _, line := range strings.Split(src, "\n") {
-		idx := strings.Index(line, exportMarker)
-		if idx < 0 {
-			continue
-		}
-		pct := strings.Index(line, "%")
-		slash := strings.Index(line, "//")
-		if (pct < 0 || pct > idx) && (slash < 0 || slash > idx) {
-			continue
-		}
-		for _, f := range strings.FieldsFunc(line[idx+len(exportMarker):], func(r rune) bool { return r == ' ' || r == '\t' || r == ',' }) {
+	directives(src, exportMarker, func(_ int, words []string) {
+		for _, f := range words {
 			set[f] = true
 		}
-	}
+	})
 	if len(set) == 0 {
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"tdd/internal/ast"
 	"tdd/internal/engine"
 	"tdd/internal/parser"
+	"tdd/internal/period"
 	"tdd/internal/randgen"
 	"tdd/internal/spec"
 )
@@ -120,7 +121,7 @@ func checkDeleteSafety(t *testing.T, prog *ast.Program, db *ast.Database) bool {
 		t.Fatalf("period changed: full %v, reduced %v\nprogram:\n%sdb:\n%sdeleted: %v",
 			full.Period, red.Period, prog, db, dels)
 	}
-	limit := full.Period.Base + full.Period.P + lookbackOf(prog.Rules) + 2
+	limit := full.Period.Base + full.Period.P + period.Lookback(prog) + 2
 	fe, re := full.Evaluator(), red.Evaluator()
 	fe.EnsureWindow(limit)
 	re.EnsureWindow(limit)

@@ -90,14 +90,15 @@ type suppression struct {
 
 func (s suppression) covers(code string) bool { return s.all || s.codes[code] }
 
-// suppressions scans raw source text for marker comments. The lexer
-// strips comments before the parser sees them, so this is a plain text
-// scan: the marker counts only when a comment token ('%' or "//")
-// precedes it on the line.
-func suppressions(src string) map[int]suppression {
-	var out map[int]suppression
+// directives scans raw source text for comment directives introduced by
+// mark (marker, exportMarker). The lexer strips comments before the
+// parser sees them, so this is a plain text scan: the marker counts only
+// when a comment token ('%' or "//") precedes it on the line. fn gets the
+// 1-indexed line and the words after the marker, split on space, tab and
+// comma.
+func directives(src, mark string, fn func(line int, words []string)) {
 	for lineNo, line := range strings.Split(src, "\n") {
-		idx := strings.Index(line, marker)
+		idx := strings.Index(line, mark)
 		if idx < 0 {
 			continue
 		}
@@ -106,8 +107,17 @@ func suppressions(src string) map[int]suppression {
 		if (pct < 0 || pct > idx) && (slash < 0 || slash > idx) {
 			continue
 		}
+		fn(lineNo+1, strings.FieldsFunc(line[idx+len(mark):], func(r rune) bool { return r == ' ' || r == '\t' || r == ',' }))
+	}
+}
+
+// suppressions reads the marker comments of src by line. The codes are
+// the leading TDL-prefixed words; prose after them is ignored.
+func suppressions(src string) map[int]suppression {
+	var out map[int]suppression
+	directives(src, marker, func(line int, words []string) {
 		s := suppression{codes: make(map[string]bool)}
-		for _, f := range strings.FieldsFunc(line[idx+len(marker):], func(r rune) bool { return r == ' ' || r == '\t' || r == ',' }) {
+		for _, f := range words {
 			if !strings.HasPrefix(f, "TDL") {
 				break
 			}
@@ -119,7 +129,7 @@ func suppressions(src string) map[int]suppression {
 		if out == nil {
 			out = make(map[int]suppression)
 		}
-		out[lineNo+1] = s
-	}
+		out[line] = s
+	})
 	return out
 }

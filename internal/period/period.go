@@ -54,16 +54,22 @@ type Stats struct {
 var ErrWindowExceeded = errors.New("period: no period certified within the window budget")
 
 // Lookback returns G, the certificate width for the program: the maximum
-// over (a) the temporal lookback of temporal-head rules and (b) the body
-// spread of non-temporal-head rules, and at least 1.
+// over (a) the temporal lookback of temporal-head rules and (b) the
+// deepest body literal of non-temporal-head rules, unshifted, and at
+// least 1. (b) keeps a certificate from missing non-temporal facts: such
+// a rule is instantiated at every T >= 0 whose deepest literal lies in
+// the window, and by periodicity its instantiations at T in [0, b+p)
+// are all it has, so the window must reach b+p-1 plus that depth, which
+// the evidence condition b+p+G <= m guarantees. Its shift-normalized
+// spread is not enough: flag(X) :- q(T+9, X) spreads over one state but
+// reads q from 9 on.
 func Lookback(prog *ast.Program) int {
 	g := prog.Lookback()
 	for _, r := range prog.Rules {
 		if r.Head.Time != nil {
 			continue
 		}
-		s := r.ShiftNormalize()
-		if d := s.MaxDepth(); d > g {
+		if d := r.MaxDepth(); d > g {
 			g = d
 		}
 	}

@@ -365,3 +365,42 @@ func TestCertifyFallsBackOnCollision(t *testing.T) {
 		t.Error("certify found a period in an aperiodic window")
 	}
 }
+
+// TestDeepNonTemporalBodyCertified pins the certificate width for a
+// non-temporal-head rule whose body reads the model only from depth 9:
+// q cycles through c0..c13 (b=1, p=14), and flag(c8) first follows from
+// q(22, c8). Its shift-normalized spread is one state; were the width
+// that, a window of 16 would certify before flag(c8) is derived. The
+// certified model's non-temporal facts must be naive T_P's.
+func TestDeepNonTemporalBodyCertified(t *testing.T) {
+	src := "q(T+1, Y) :- q(T, X), next(X, Y).\nflag(X) :- q(T+9, X), special(X).\nq(0, c0).\nspecial(c1).\nspecial(c8).\n"
+	for i := 0; i < 14; i++ {
+		src += fmt.Sprintf("next(c%d, c%d).\n", i, (i+1)%14)
+	}
+	prog, db, err := parser.ParseUnit(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := Lookback(prog); g != 9 {
+		t.Errorf("Lookback = %d, want 9 (flag's deepest body literal)", g)
+	}
+	e := mustEval(t, src)
+	p, _, err := Detect(e, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != (Period{Base: 1, P: 14}) {
+		t.Errorf("period = %v, want (b=1, p=14)", p)
+	}
+	ref, _, err := baseline.NaiveTP(prog, db, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := fmt.Sprint(e.Store().NonTemporalFacts()), fmt.Sprint(ref.NonTemporalFacts())
+	if got != want {
+		t.Errorf("certified non-temporal facts\n%s\nnaive T_P\n%s", got, want)
+	}
+	if !e.Holds(ast.Fact{Pred: "flag", Args: []string{"c8"}}) {
+		t.Error("flag(c8) does not hold in the certified model")
+	}
+}

@@ -540,9 +540,10 @@ func (h *harness) checkAll() {
 // checkLint compares each system's lint — the DB's, and the lint the
 // leader's and the follower's entries computed when they were built —
 // with the lint of a DB opened fresh on the same facts, DeleteSafe flags
-// included. A snapshot that reuses its program's rule analysis and skips
-// the rules its ancestors saw fire must report exactly what linting its
-// history from scratch does. A system opened from the unit is compared
+// included. A snapshot that reuses its program's rule analysis and
+// decides never-fires from firing counts its evaluator inherited from
+// its ancestors must report exactly what linting its history from
+// scratch does. A system opened from the unit is compared
 // with a fresh unit of the same rules followed by its facts, so rule
 // positions agree.
 func (h *harness) checkLint() {

@@ -15,6 +15,9 @@ import (
 	"time"
 
 	"tdd"
+	"tdd/internal/ast"
+	"tdd/internal/baseline"
+	"tdd/internal/parser"
 )
 
 const evenUnit = "even(T+2) :- even(T).\neven(0).\n"
@@ -154,6 +157,40 @@ func TestRegisterAskAnswersPeriod(t *testing.T) {
 	}
 	if p.Base != 1 || p.P != 2 {
 		t.Errorf("period = (b=%d, p=%d), want (b=1, p=2)", p.Base, p.P)
+	}
+}
+
+// TestRegisterDeepNonTemporalBody asks a served registration about a
+// rule whose body reads the model only from depth 9: flag(c1) follows at
+// T=6, flag(c8) only at T=13, past the window a one-state certificate
+// would stop at. Registration lints, and lint grows the window only
+// while some rule has not fired — flag has, for c1 — so the answers rest
+// on certification alone. Each must be naive T_P's.
+func TestRegisterDeepNonTemporalBody(t *testing.T) {
+	var unit strings.Builder
+	unit.WriteString("q(T+1, Y) :- q(T, X), next(X, Y).\nflag(X) :- q(T+9, X), special(X).\nq(0, c0).\nspecial(c1).\nspecial(c8).\n")
+	for i := 0; i < 14; i++ {
+		fmt.Fprintf(&unit, "next(c%d, c%d).\n", i, (i+1)%14)
+	}
+	prog, db, err := parser.ParseUnit(unit.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := baseline.NaiveTP(prog, db, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Has(ast.Fact{Pred: "flag", Args: []string{"c8"}}) {
+		t.Fatal("naive T_P lacks flag(c8)")
+	}
+	_, ts := newTestServer(t, Config{})
+	id := register(t, ts.URL, unit.String())
+	for i := 0; i < 14; i++ {
+		c := fmt.Sprintf("c%d", i)
+		want := ref.Has(ast.Fact{Pred: "flag", Args: []string{c}})
+		if got := askServed(t, ts.URL, id, "flag("+c+")"); got != want {
+			t.Errorf("flag(%s): served %v, naive T_P %v", c, got, want)
+		}
 	}
 }
 

@@ -121,11 +121,20 @@ echo "==> the model test, and the rule that picks the sliced path"
 require_test ./internal/server/ FuzzModel
 require_test . TestCertifiedSnapshotBuildsNoAnalysis TestObservedDBAsksFullProcessor TestOneSlicedSlot
 
+echo "==> the certificate reaches deep non-temporal bodies"
+# A non-temporal-head rule whose body reads the model only from depth 9:
+# the certified model, and a served registration's answers, hold every
+# non-temporal fact naive T_P derives.
+require_test ./internal/period/ TestDeepNonTemporalBodyCertified
+require_test ./internal/server/ TestRegisterDeepNonTemporalBody
+
 echo "==> rules analyzed once per program, lint deterministic"
 # An ingest re-lints only what its facts can change: every fork shares its
-# program's rule analysis and skips the rules its ancestors saw fire, and
-# lint output (DeleteSafe flags included) is the same on every run.
-require_test ./internal/core/ TestForkReusesRuleAnalysis
+# program's rule analysis and decides never-fires from the firing counts
+# its evaluator inherited, TDL004 equals the rules naive T_P never
+# instantiates (fresh and along Assert lineages), and lint output
+# (DeleteSafe flags included) is the same on every run.
+require_test ./internal/core/ TestForkReusesRuleAnalysis TestNeverFiresExact TestNeverFiresLineage
 require_test ./internal/lint/ TestLintDeterministic
 
 echo "==> engine invariants over the Go sources"
