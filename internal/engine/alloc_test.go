@@ -8,6 +8,7 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"tdd/internal/ast"
@@ -96,10 +97,10 @@ func TestAllocBudgetIndexProbe(t *testing.T) {
 	miss := []uint32{s.syms.ids["a7"], s.syms.ids["b8"]}
 	rs.bucket(3, hit) // build
 	n := testing.AllocsPerRun(100, func() {
-		if got := spanLen(rs.bucket(3, hit)); got != 5 {
-			t.Fatalf("bucket hit = %d rows, want 5", got)
+		if sp, _ := rs.bucket(3, hit); spanLen(sp) != 5 {
+			t.Fatalf("bucket hit = %d rows, want 5", spanLen(sp))
 		}
-		if rs.bucket(3, miss).ok {
+		if sp, _ := rs.bucket(3, miss); sp.ok {
 			t.Fatal("bucket miss returned rows")
 		}
 	})
@@ -150,5 +151,56 @@ func TestAllocBudgetInserts(t *testing.T) {
 	const N = side * side
 	if budget := float64(16 * bits.Len(N)); n > budget {
 		t.Errorf("%d inserts allocate %.0f times, budget %.0f (16·log2 N)", N, n, budget)
+	}
+}
+
+// TestAllocBudgetForkWrite: a clone plus one new row into a shared shard
+// that has built two indexes — the copy-on-write step of every ingest —
+// allocates the same few objects and under 1 KB at N = 256 and at
+// N = 16 384 rows: the write forks an overlay over the frozen shard
+// instead of copying its rows, membership table and indexes.
+func TestAllocBudgetForkWrite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var objects []float64
+	for _, side := range []int{16, 128} { // N = side*side
+		s := NewStore()
+		ids := make([]uint32, side)
+		for i := range ids {
+			ids[i] = s.intern(fmt.Sprintf("c%d", i))
+		}
+		p := s.internPred("p", 2, true)
+		row := make([]uint32, 2)
+		for _, a := range ids {
+			for _, b := range ids {
+				row[0], row[1] = a, b
+				s.insertRow(p, 0, row)
+			}
+		}
+		s.at(p, 0).bucket(1, ids[:1])
+		s.at(p, 0).bucket(2, ids[:1])
+		fresh := s.intern("fresh")
+		write := func() {
+			c := s.Clone()
+			row[0], row[1] = ids[0], fresh
+			if _, added := c.insertRow(p, 0, row); !added {
+				t.Fatal("insert into the fork was a duplicate")
+			}
+		}
+		objects = append(objects, testing.AllocsPerRun(100, write))
+		const runs = 100
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			write()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+		t.Logf("N = %d: %.0f objects, %.0f bytes", side*side, objects[len(objects)-1], bytes)
+		if bytes >= 1024 {
+			t.Errorf("N = %d: clone and fork write allocate %.0f bytes, budget 1 KB", side*side, bytes)
+		}
+	}
+	if objects[0] != objects[1] || objects[1] > 8 {
+		t.Errorf("clone and fork write allocate %.0f objects at N = 256 and %.0f at N = 16 384, want the same few", objects[0], objects[1])
 	}
 }

@@ -202,7 +202,7 @@ func BenchmarkStateFingerprint(b *testing.B) {
 
 // BenchmarkCloneThenWrite is one ingestion step seen from the store: fork
 // a model of 64 states × 256 facts, insert one new fact into one state
-// (materializing that shard with its index), drop the fork.
+// (forking an overlay of that shard), drop the fork.
 func BenchmarkCloneThenWrite(b *testing.B) {
 	s := NewStore()
 	ids := benchRows(s, 16)

@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 
 	"tdd/internal/ast"
 )
@@ -24,28 +25,41 @@ type occurrence struct {
 
 // dfact locates one stored fact for the delta frontier: predicate id,
 // time point (-1 for a non-temporal fact) and row number in its shard.
-// Row numbers are stable — shards are append-only and a copy-on-write
-// materialization keeps the order — so a frontier entry stays valid while
-// propagation keeps inserting.
+// Row numbers are stable — shards are append-only, and a copy-on-write
+// fork or flatten keeps the numbering — so a frontier entry stays valid
+// while propagation keeps inserting.
 type dfact struct {
 	pred uint32
 	time int
 	row  uint32
 }
 
-// ensureBaseSet builds the database-membership set used to deduplicate
+// ensureDBFacts builds the database-membership store used to deduplicate
 // base inserts against the database (a fact already *derived* must still
 // be recorded as a database fact, or the database's temporal depth — and
 // with it the period certificate — would diverge from a from-scratch
 // evaluation of the union).
-func (e *Evaluator) ensureBaseSet() {
-	if e.baseSet != nil {
+func (e *Evaluator) ensureDBFacts() {
+	if e.dbFacts != nil {
 		return
 	}
-	e.baseSet = make(map[string]bool, len(e.db.Facts))
+	e.dbFacts = NewStore()
 	for _, f := range e.db.Facts {
-		e.baseSet[factKey(f)] = true
+		e.dbFacts.Insert(dbFact(f))
 	}
+}
+
+// dbFact is a database fact as dbFacts holds it: a temporal fact p(t, x̄)
+// becomes the non-temporal p(t, x̄), its time point a constant, so the
+// store has one shard per predicate rather than one per time point — it
+// only answers membership, and a shard per time point retains more than
+// the fact (EXPERIMENTS.md E29). The two cannot meet: a predicate has one
+// signature in a program and its database (InsertBase, CheckAgainst).
+func dbFact(f ast.Fact) ast.Fact {
+	if !f.Temporal {
+		return f
+	}
+	return ast.Fact{Pred: f.Pred, Args: append([]string{strconv.Itoa(f.Time)}, f.Args...)}
 }
 
 // Clone returns an independent evaluator over the same program: a
@@ -57,10 +71,11 @@ func (e *Evaluator) ensureBaseSet() {
 // NOT copied: their step counters point into the parent's Stats.Index
 // cells, so the clone re-plans at its next fixpoint entry and binds fresh
 // counters of its own (stats.Clone deep-copies the cells). The scratch
-// buffers and lazy caches below likewise start empty in the clone and
-// are rebuilt on first use (ensureBaseSet, planJoins).
+// buffers and the join plans likewise start empty in the clone and are
+// rebuilt on first use (planJoins); the database-membership store, once
+// built, is shared copy-on-write like the fact store.
 //
-//tddlint:resets plans deltaPlans baseSet headBuf keyBuf
+//tddlint:resets plans deltaPlans headBuf keyBuf
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		prog:      e.prog,
@@ -79,6 +94,9 @@ func (e *Evaluator) Clone() *Evaluator {
 		// fact count, so the clone shares them until its database grows.
 		bounds:      e.bounds,
 		boundsFacts: e.boundsFacts,
+	}
+	if e.dbFacts != nil {
+		c.dbFacts = e.dbFacts.Clone()
 	}
 	if e.prov != nil {
 		c.prov = make(map[string]*Derivation, len(e.prov))
@@ -111,12 +129,10 @@ func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
 	if prev, ok := e.db.Preds[f.Pred]; ok && prev != info {
 		return false, fmt.Errorf("engine: fact %s conflicts with database signature %v", f, prev)
 	}
-	e.ensureBaseSet()
-	k := factKey(f)
-	if e.baseSet[k] {
+	e.ensureDBFacts()
+	if !e.dbFacts.Insert(dbFact(f)) {
 		return false, nil
 	}
-	e.baseSet[k] = true
 	e.db.Facts = append(e.db.Facts, f)
 	e.db.Preds[f.Pred] = info
 	e.store.Insert(f)

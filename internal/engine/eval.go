@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tdd/internal/ast"
 	"tdd/internal/obs"
@@ -106,10 +107,11 @@ type Evaluator struct {
 	// predicate admitted later by InsertBase has an id beyond it and
 	// occurs in no rule.
 	occ [][]occurrence
-	// baseSet is the set of database facts (by factKey), built lazily by
-	// the first InsertBase so duplicate base asserts are detected against
-	// the database rather than the derived store (delta.go).
-	baseSet map[string]bool
+	// dbFacts holds the database facts, built lazily by the first
+	// InsertBase so duplicate base asserts are detected against the
+	// database rather than the derived store (delta.go). Clones share it
+	// copy-on-write (Store.Clone).
+	dbFacts *Store
 	// tr, when non-nil, receives fixpoint/sweep/delta spans; nil tracing
 	// costs one pointer comparison per EnsureWindow/PropagateDelta call.
 	tr *obs.Trace
@@ -502,20 +504,24 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 	*st.ctr++
 	pat := r.bodyC[st.lit]
 	var sp rowSpan
+	var tail uint64
 	if st.mask != 0 {
 		e.keyBuf = boundKey(e.keyBuf[:0], pat, st.mask, en)
-		sp = rs.bucket(st.mask, e.keyBuf)
+		sp, tail = rs.bucket(st.mask, e.keyBuf)
 	} else {
-		sp = rs.scan()
+		sp, tail = rs.scan()
+	}
+	if rs.base != nil {
+		e.joinOverlay(r, plan, si, en, capm, out, added, rs, sp, tail)
+		return
 	}
 	if !sp.ok {
 		return
 	}
 	// The span and the row slice are taken once: rows are immutable and
 	// row numbers stable, so an emit further down that appends to this
-	// very shard (or materializes a private copy of it) leaves what is
-	// enumerated here untouched.
-	rows, arity := rs.rows, rs.arity
+	// very shard (or forks it) leaves what is enumerated here untouched.
+	rows, arity := rs.rows, int(rs.arity)
 	// The profiled and unprofiled loops are kept separate so the
 	// uninstrumented hot path carries no per-row profiling branches, and
 	// the profiled one pays only local register increments per row,
@@ -545,6 +551,47 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 			e.join(r, plan, si+1, en, capm, out, added)
 		}
 		en.undo(mark)
+	}
+}
+
+// joinOverlay is join's enumeration of an overlay: the base rows of the
+// span sp, then the tail rows named by the bit set tail (bit i is tail
+// row i), as bucket or scan returned them. It visits and profiles exactly
+// the rows a flat copy's index group or scan would, in the same order, so
+// results and counters do not depend on the shard's form. The base and
+// tail slices are taken before the first emit, which may append to the
+// tail or flatten the overlay in place.
+func (e *Evaluator) joinOverlay(r *crule, plan *joinPlan, si int, en *env, capm int, out *[]dfact, added *int, rs *relset, sp rowSpan, tail uint64) {
+	lit := plan.steps[si].lit
+	pat := r.bodyC[lit]
+	arity := len(pat)
+	base, tailRows := rs.base.rows, rs.rows
+	scanned, matched := int64(0), int64(0)
+	for more := sp.ok; more; more = sp.advance() {
+		scanned++
+		off := int(sp.cur) * arity
+		mark := len(en.trail)
+		if matchCompiled(pat, base[off:off+arity], en) {
+			matched++
+			e.join(r, plan, si+1, en, capm, out, added)
+		}
+		en.undo(mark)
+	}
+	for ; tail != 0; tail &= tail - 1 {
+		scanned++
+		off := bits.TrailingZeros64(tail) * arity
+		mark := len(en.trail)
+		if matchCompiled(pat, tailRows[off:off+arity], en) {
+			matched++
+			e.join(r, plan, si+1, en, capm, out, added)
+		}
+		en.undo(mark)
+	}
+	if e.prof != nil {
+		lc := &en.cell.lits[lit]
+		lc.scanned += scanned
+		lc.matched += matched
+		en.work += scanned + matched
 	}
 }
 

@@ -26,6 +26,22 @@ func spanRows(sp rowSpan) []uint32 {
 	return out
 }
 
+// bucketRows collects the row numbers rs.bucket(mask, key) enumerates —
+// rs.scan() for mask 0 — in order: the span, then an overlay's tail rows.
+func bucketRows(rs *relset, mask uint32, key []uint32) []uint32 {
+	sp, tail := rs.scan()
+	if mask != 0 {
+		sp, tail = rs.bucket(mask, key)
+	}
+	out := spanRows(sp)
+	for i := 0; tail != 0; i, tail = i+1, tail>>1 {
+		if tail&1 != 0 {
+			out = append(out, uint32(rs.base.n+i))
+		}
+	}
+	return out
+}
+
 // maskedKey packs the masked columns of a row, in column order.
 func maskedKey(row []uint32, mask uint32) []uint32 {
 	var key []uint32
@@ -37,19 +53,56 @@ func maskedKey(row []uint32, mask uint32) []uint32 {
 	return key
 }
 
-// checkShard verifies one shard against the linear-scan oracle: the
-// membership table finds exactly the stored rows; for every column mask
-// up to three columns every index lookup returns the rows a scan would,
-// in insertion order; every index the shard already carries (built by a
-// join, maintained by inserts, copied by a copy-on-write
-// materialization) equals one rebuilt from the rows; and the maintained
-// fingerprint equals a recomputation.
+// checkForm verifies the shape of a shard: a flat one holds all its rows;
+// an overlay sits one level over a flat shared base of more than
+// tinyShard rows, with a tail shorter than tailCap and no tables of its
+// own.
+func checkForm(where string, rs *relset) error {
+	b := rs.base
+	if b == nil {
+		if len(rs.rows) != rs.n*int(rs.arity) {
+			return fmt.Errorf("%s: %d ids for %d rows of arity %d", where, len(rs.rows), rs.n, rs.arity)
+		}
+		return nil
+	}
+	if b.base != nil || !b.shared || b.n <= tinyShard || rs.tab != nil || rs.idx.Load() != nil {
+		return fmt.Errorf("%s: overlay over a base that is flat %v, shared %v, %d rows; own tables %v %v",
+			where, b.base == nil, b.shared, b.n, rs.tab != nil, rs.idx.Load() != nil)
+	}
+	if tail := rs.n - b.n; tail < 1 || tail >= tailCap || len(rs.rows) != tail*int(rs.arity) {
+		return fmt.Errorf("%s: overlay tail of %d rows in %d ids of arity %d (cap %d)", where, tail, len(rs.rows), rs.arity, tailCap)
+	}
+	return nil
+}
+
+// checkShard verifies one shard against the linear-scan oracle: its
+// shape (checkForm), and an overlay's base passes these checks itself;
+// the membership probe finds exactly the stored rows; a scan visits every row
+// in insertion order; for every column mask up to three columns every
+// index lookup returns the rows a scan would, in insertion order; every
+// index a flat shard already carries (built by a join, maintained by
+// inserts, copied by a flatten) equals one rebuilt from the rows; and the
+// maintained fingerprint equals a recomputation.
 func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 	if rs == nil || rs.n == 0 {
 		return nil
 	}
-	if len(rs.rows) != rs.n*rs.arity {
-		return fmt.Errorf("%s: %d ids for %d rows of arity %d", where, len(rs.rows), rs.n, rs.arity)
+	if err := checkForm(where, rs); err != nil {
+		return err
+	}
+	if rs.base != nil {
+		if err := checkShard(s, where+" base", pred, rs.base); err != nil {
+			return err
+		}
+	}
+	scan := bucketRows(rs, 0, nil)
+	for i, n := range scan {
+		if n != uint32(i) {
+			return fmt.Errorf("%s: scan visits rows %v, want 0..%d in order", where, scan, rs.n-1)
+		}
+	}
+	if len(scan) != rs.n {
+		return fmt.Errorf("%s: scan visits %d of %d rows", where, len(scan), rs.n)
 	}
 	var fp Fingerprint
 	for n := 0; n < rs.n; n++ {
@@ -83,7 +136,7 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 			}
 		}
 	}
-	arity := rs.arity
+	arity := int(rs.arity)
 	if arity > 3 {
 		arity = 3
 	}
@@ -102,7 +155,7 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 					want = append(want, uint32(c))
 				}
 			}
-			if got := spanRows(rs.bucket(mask, key)); !slices.Equal(got, want) {
+			if got := bucketRows(rs, mask, key); !slices.Equal(got, want) {
 				return fmt.Errorf("%s mask %x key %v: index rows %v, linear scan %v (order must match insertion)",
 					where, mask, key, got, want)
 			}
@@ -111,7 +164,7 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 		for i := range absent {
 			absent[i] = uint32(len(s.syms.names)) + 7 // an id no symbol has
 		}
-		if got := spanRows(rs.bucket(mask, absent)); len(got) != 0 {
+		if got := bucketRows(rs, mask, absent); len(got) != 0 {
 			return fmt.Errorf("%s mask %x: lookup of absent key returned %d rows", where, mask, len(got))
 		}
 	}
@@ -165,11 +218,12 @@ func checkStoreIndexes(s *Store) error {
 }
 
 // Property: after any interleaving of EnsureWindow / Clone / InsertBase /
-// PropagateDelta — across the whole clone lineage, so shared COW shards,
-// materialized copies (with the indexes they carried over), and
-// delta-inserted tuples are all exercised — every index lookup equals a
-// linear scan of the same relation, every carried index equals a rebuilt
-// one, and every maintained fingerprint equals a recomputed one.
+// PropagateDelta — across a tree of clones, each step and each clone
+// taken on any earlier evaluator, so shared COW shards, sibling overlays
+// of one shard, and delta-inserted tuples are all exercised — every index
+// lookup equals a linear scan of the same relation, every carried index
+// equals a rebuilt one, and every maintained fingerprint equals a
+// recomputed one.
 func TestIndexConsistencyUnderInterleavings(t *testing.T) {
 	const src = `
 p(T+1, X, Y) :- p(T, X, Z), e(Z, Y).
@@ -181,13 +235,15 @@ e(a1, a0).
 n(a0).
 `
 	name := func(i uint8) string { return fmt.Sprintf("a%d", i%4) }
-	type op struct{ Kind, A, B, T uint8 }
+	type op struct{ Kind, A, B, T, Who uint8 }
 	f := func(ops []op) bool {
 		e := mustEval(t, src)
 		e.EnsureWindow(4)
 		evs := []*Evaluator{e}
 		for _, o := range ops {
-			cur := evs[len(evs)-1]
+			// Any earlier evaluator steps or forks, so siblings write into
+			// the shards they share.
+			cur := evs[int(o.Who)%len(evs)]
 			switch o.Kind % 4 {
 			case 0:
 				if w := cur.Window(); w < 24 {
@@ -248,5 +304,137 @@ e(a2, a0).
 		if err := checkStoreIndexes(e.store); err != nil {
 			t.Errorf("%s: %v", cfg.name, err)
 		}
+	}
+}
+
+// Property: along any tree of store clones — each clone taken from any
+// earlier store, so sibling forks write one shared shard, with runs of
+// writes long enough to pass tailCap and index builds on shards that are
+// about to be forked or flattened — after every step each shard of the
+// stepped store equals a flat rebuild of the rows its lineage inserted,
+// in insertion order: the same rows under the same numbers, the same
+// scan, the same rows from every bucket (every mask of the three columns,
+// present and absent keys) and from find, and the same fingerprint.
+func TestOverlayLineages(t *testing.T) {
+	root := NewStore()
+	preds := []uint32{root.internPred("p", 3, true), root.internPred("q", 3, false)}
+	var syms [3][]uint32 // column -> the constants it draws from
+	for col, n := range []int{6, 6, 4} {
+		for i := 0; i < n; i++ {
+			syms[col] = append(syms[col], root.intern(fmt.Sprintf("%c%d", 'a'+col, i)))
+		}
+	}
+	// Shards 0..2 are p at times 0..2, shard 3 the non-temporal q.
+	locate := func(k int) (uint32, int) {
+		if k < 3 {
+			return preds[0], k
+		}
+		return preds[1], -1
+	}
+	type lineage struct {
+		s    *Store
+		rows [4][][]uint32 // per shard, in insertion order
+	}
+	check := func(l *lineage) error {
+		for k, want := range l.rows {
+			pred, tm := locate(k)
+			rs := l.s.shard(pred, tm)
+			where := fmt.Sprintf("shard %d", k)
+			if rs.size() != len(want) {
+				return fmt.Errorf("%s: %d rows, lineage inserted %d", where, rs.size(), len(want))
+			}
+			if rs == nil {
+				continue
+			}
+			if err := checkForm(where, rs); err != nil {
+				return err
+			}
+			flat := newRelset(3)
+			var fp Fingerprint
+			for i, row := range want {
+				flat.insert(row, hashVals(row))
+				if got := rs.row(uint32(i)); !slices.Equal(got, row) {
+					return fmt.Errorf("%s: row %d = %v, inserted %v", where, i, got, row)
+				}
+				if n, ok := rs.find(row, hashVals(row)); !ok || n != uint32(i) {
+					return fmt.Errorf("%s: find(row %d) = %d, %v", where, i, n, ok)
+				}
+				fp.add(l.s.syms.factFingerprint(pred, row))
+			}
+			absent := []uint32{NoSymbol, NoSymbol, NoSymbol}
+			if _, ok := rs.find(absent, hashVals(absent)); ok {
+				return fmt.Errorf("%s: find of an absent row succeeded", where)
+			}
+			if tm >= 0 && fp != rs.fp {
+				return fmt.Errorf("%s: fingerprint %x, rebuilt %x", where, rs.fp, fp)
+			}
+			if got, want := bucketRows(rs, 0, nil), bucketRows(flat, 0, nil); !slices.Equal(got, want) {
+				return fmt.Errorf("%s: scan %v, flat rebuild %v", where, got, want)
+			}
+			for mask := uint32(1); mask < 8; mask++ {
+				for _, row := range slices.Concat(want, [][]uint32{absent}) {
+					key := maskedKey(row, mask)
+					if got, want := bucketRows(rs, mask, key), bucketRows(flat, mask, key); !slices.Equal(got, want) {
+						return fmt.Errorf("%s mask %x key %v: bucket %v, flat rebuild %v", where, mask, key, got, want)
+					}
+				}
+			}
+		}
+		return nil
+	}
+
+	type op struct{ Kind, From, Shard, Seed, N uint8 }
+	f := func(ops []op) bool {
+		lins := []*lineage{{s: root.Clone()}}
+		for step, o := range ops {
+			l := lins[int(o.From)%len(lins)]
+			k := int(o.Shard) % 4
+			pred, tm := locate(k)
+			switch o.Kind % 4 {
+			case 0:
+				c := &lineage{s: l.s.Clone()}
+				for i, rows := range l.rows {
+					c.rows[i] = slices.Clip(rows)
+				}
+				lins = append(lins, c)
+				l = c
+			case 1, 2:
+				for i := 0; i < int(o.N)%48+1; i++ {
+					h := hashVals([]uint32{uint32(o.Seed), uint32(i)})
+					row := []uint32{syms[0][h%6], syms[1][h/6%6], syms[2][h/36%4]}
+					fresh := !slices.ContainsFunc(l.rows[k], func(r []uint32) bool { return slices.Equal(r, row) })
+					if _, added := l.s.insertRow(pred, tm, row); added != fresh {
+						t.Logf("step %d: insert of %v reported new = %v, lineage says %v", step, row, added, fresh)
+						return false
+					}
+					if fresh {
+						l.rows[k] = append(l.rows[k], row)
+					}
+				}
+			case 3:
+				if rs := l.s.shard(pred, tm); rs != nil {
+					mask := uint32(o.Seed)%7 + 1
+					rs.bucket(mask, maskedKey(rs.row(0), mask))
+				}
+			}
+			if err := check(l); err != nil {
+				t.Logf("step %d (%+v): %v", step, o, err)
+				return false
+			}
+		}
+		for i, l := range lins {
+			err := check(l)
+			if err == nil {
+				err = checkStoreIndexes(l.s)
+			}
+			if err != nil {
+				t.Logf("lineage %d at the end: %v", i, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

@@ -13,11 +13,14 @@
 // feed back into any state).
 //
 // Facts are stored as rows of interned integers (store.go, symtab.go): a
-// constant is a dense uint32 symbol id, a tuple a fixed-arity run of ids in
-// one flat slice per (predicate, time) shard, membership and bound-column
-// indexes are open-addressed integer tables over row numbers, and every
-// temporal shard carries a commutative 128-bit fingerprint of its fact set
-// so "is state t equal to state t'" is a constant-time comparison.
+// constant is a dense uint32 symbol id, a tuple a fixed-arity run of ids,
+// one (predicate, time) shard either one flat slice of rows or — after a
+// store clone writes to a shard it shares — an overlay: the frozen shared
+// shard plus a short private tail of the rows written since. Membership
+// and bound-column indexes are open-addressed integer tables over the row
+// numbers of a flat shard, and every temporal shard carries a commutative
+// 128-bit fingerprint of its fact set so "is state t equal to state t'" is
+// a constant-time comparison.
 package engine
 
 import (
@@ -119,7 +122,7 @@ func (ix *colIndex) group(rs *relset, key []uint32, h uint32) (uint32, bool) {
 		if g == 0 {
 			return 0, false
 		}
-		if maskedEqual(rs.row(ix.first[g-1]), ix.mask, key) {
+		if maskedEqual(rs.flatRow(ix.first[g-1]), ix.mask, key) {
 			return g - 1, true
 		}
 	}
@@ -129,12 +132,12 @@ func (ix *colIndex) group(rs *relset, key []uint32, h uint32) (uint32, bool) {
 // opening a new group for an unseen key.
 func (ix *colIndex) add(rs *relset, n uint32) {
 	ix.next = append(ix.next, 0)
-	row := rs.row(n)
+	row := rs.flatRow(n)
 	if (len(ix.first)+1)*4 > len(ix.tab)*3 {
 		ix.tab = grownTable(2 * (len(ix.first) + 1))
 		m := uint32(len(ix.tab) - 1)
 		for g, f := range ix.first {
-			i := hashMasked(rs.row(f), ix.mask) & m
+			i := hashMasked(rs.flatRow(f), ix.mask) & m
 			for ix.tab[i] != 0 {
 				i = (i + 1) & m
 			}
@@ -150,7 +153,7 @@ func (ix *colIndex) add(rs *relset, n uint32) {
 			ix.last = append(ix.last, n)
 			return
 		}
-		if sameMasked(row, rs.row(ix.first[g-1]), ix.mask) {
+		if sameMasked(row, rs.flatRow(ix.first[g-1]), ix.mask) {
 			ix.next[ix.last[g-1]] = n
 			ix.last[g-1] = n
 			return
@@ -158,26 +161,28 @@ func (ix *colIndex) add(rs *relset, n uint32) {
 	}
 }
 
-// clone deep-copies the index (for a materialized shard).
-func (ix *colIndex) clone() *colIndex {
+// clone deep-copies the index for a flattened shard that will hold n
+// rows.
+func (ix *colIndex) clone(n int) *colIndex {
 	return &colIndex{
 		mask:  ix.mask,
 		tab:   append([]uint32(nil), ix.tab...),
 		first: append([]uint32(nil), ix.first...),
 		last:  append([]uint32(nil), ix.last...),
-		next:  append(make([]uint32, 0, len(ix.next)+len(ix.next)/8+4), ix.next...),
+		next:  append(make([]uint32, 0, n+n/8), ix.next...),
 	}
 }
 
-// idxTable is the set of indexes built so far for one relset. The table
-// value is immutable — building an index for a new mask installs a new
-// table via compare-and-swap — while the indexes inside it are mutated in
-// place by insert, which only runs on a private shard of a single-writer
-// evaluator. A shared shard (see relset.shared) is frozen but may be
-// joined against by several clone lineages at once; their read-side
-// builds race only on the CAS: both builders derive the same index from
-// the same frozen rows, so the loser's work is discarded without any
-// effect on results.
+// idxTable is the set of indexes built so far for one flat relset. The
+// table value is immutable — building an index for a new mask installs a
+// new table via compare-and-swap — while the indexes inside it are mutated
+// in place by insert, which only runs on a private shard of a
+// single-writer evaluator. A shared shard (see relset.shared) is frozen but
+// may be joined against by several clone lineages at once, directly or as
+// the base of their overlays; their read-side builds race only on the CAS:
+// both builders derive the same index from the same frozen rows, so the
+// loser's work is discarded without any effect on results. An overlay has
+// no table of its own: its lookups use its base's.
 type idxTable struct {
 	entries []*colIndex
 }
@@ -222,41 +227,92 @@ func (sp *rowSpan) advance() bool {
 	return true
 }
 
+// tailCap is the tail length at which an overlay is flattened (see
+// relset; EXPERIMENTS.md E29 gives the measurement behind the value). It
+// bounds every tail scan — an overlay's membership probe, its bucket, the
+// tail copy of a fork — and spreads a flatten's O(shard) copy over tailCap
+// written rows. A tail stays shorter, so its rows fit the uint64 bit set
+// scan and bucket return; the array below fails to compile past 64.
+const tailCap = 32
+
+var _ [64 - tailCap]struct{}
+
 // relset is a set of fixed-arity rows with lazily built bound-column
 // hash indexes for joins. It is one shard of the store (one predicate at
 // one time point, or one non-temporal predicate), the unit of
-// copy-on-write sharing between store clones.
+// copy-on-write sharing between store clones, in one of two forms:
+//
+//   - flat (base == nil): rows holds all n rows, and tab and idx index
+//     them. Open, EnsureWindow, every shard no clone has written to and
+//     every fork of a tiny shard are flat.
+//   - overlay (base != nil): the first base.n rows are base's — a flat,
+//     shared, frozen shard of more than tinyShard rows — and rows holds
+//     the rest, the tail: the rows this lineage wrote since it forked the
+//     shard, fewer than tailCap, in insertion order, with no hash table.
+//     Membership probes base's table and scans the tail; bucket returns
+//     base's index group and then the tail rows with the key. A tail
+//     reaching tailCap is flattened.
+//
+// Row numbers are global, base rows first, so row numbers and enumeration
+// order are those of a flat shard holding the same rows in the same order.
 type relset struct {
-	arity int
-	n     int      // number of rows
-	rows  []uint32 // n*arity symbol ids, rows in insertion order
-	tab   []uint32 // open-addressed membership: row number + 1, 0 = empty
-	// fp is the commutative fingerprint of the shard's fact set (temporal
-	// shards only; see Store.StateFingerprint).
-	fp Fingerprint
-	// idx holds the bound-column indexes built so far; see idxTable for
-	// the concurrency discipline. Materializing a shared shard copies
-	// them along with the rows.
-	idx atomic.Pointer[idxTable]
+	// arity is an int32 so that it and shared fill one word: every
+	// (predicate, time) point of a model has a relset, and the struct
+	// stays in the 96-byte size class.
+	arity int32
 	// shared marks a shard referenced by more than one store (set by
-	// Store.Clone). A shared shard is immutable: writers materialize a
-	// private copy first. The flag is written only while clones are
+	// Store.Clone). A shared shard is immutable: writers fork a private
+	// overlay of it first. The flag is written only while clones are
 	// serialized by the caller (the evaluator's copy-on-write
 	// discipline), and only read afterwards.
 	shared bool
+	n      int      // number of rows, a base's included
+	rows   []uint32 // rows in insertion order, arity ids each: all n (flat) or the tail (overlay)
+	tab    []uint32 // flat only: open-addressed membership, row number + 1, 0 = empty
+	base   *relset  // overlay only: the shared flat shard holding rows 0..base.n-1
+	// fp is the commutative fingerprint of the shard's fact set (temporal
+	// shards only; see Store.StateFingerprint).
+	fp Fingerprint
+	// idx holds the bound-column indexes built so far (flat only); see
+	// idxTable for the concurrency discipline. Flattening an overlay
+	// copies its base's along with the rows.
+	idx atomic.Pointer[idxTable]
 }
 
-func newRelset(arity int) *relset { return &relset{arity: arity} }
+func newRelset(arity int) *relset { return &relset{arity: int32(arity)} }
 
 // row returns row number n. Rows are immutable once inserted.
 func (r *relset) row(n uint32) []uint32 {
-	i := int(n) * r.arity
-	return r.rows[i : i+r.arity : i+r.arity]
+	rows := r.rows
+	if b := r.base; b != nil {
+		if int(n) < b.n {
+			rows = b.rows
+		} else {
+			n -= uint32(b.n)
+		}
+	}
+	a := int(r.arity)
+	i := int(n) * a
+	return rows[i : i+a : i+a]
+}
+
+// flatRow returns row number n of a flat shard: the accessor of the
+// membership table and the indexes, which only flat shards have.
+func (r *relset) flatRow(n uint32) []uint32 {
+	a := int(r.arity)
+	i := int(n) * a
+	return r.rows[i : i+a : i+a]
 }
 
 // find returns the row number of the tuple; h is hashVals(tup).
 func (r *relset) find(tup []uint32, h uint32) (uint32, bool) {
-	if r == nil || len(r.tab) == 0 {
+	if r == nil {
+		return 0, false
+	}
+	if r.base != nil {
+		return r.findOverlay(tup, h)
+	}
+	if len(r.tab) == 0 {
 		return 0, false
 	}
 	m := uint32(len(r.tab) - 1)
@@ -265,25 +321,46 @@ func (r *relset) find(tup []uint32, h uint32) (uint32, bool) {
 		if e == 0 {
 			return 0, false
 		}
-		if rowsEqual(r.row(e-1), tup) {
+		if rowsEqual(r.flatRow(e-1), tup) {
 			return e - 1, true
 		}
 	}
 }
 
+// findOverlay is find on an overlay: it probes the base's table, then
+// scans the tail. The overlay paths of find, insert and bucket are
+// functions of their own so the flat paths keep their size.
+func (r *relset) findOverlay(tup []uint32, h uint32) (uint32, bool) {
+	b := r.base
+	if n, ok := b.find(tup, h); ok {
+		return n, true
+	}
+	a := int(r.arity)
+	for i := 0; i < len(r.rows); i += a {
+		if rowsEqual(r.rows[i:i+a], tup) {
+			return uint32(b.n + i/a), true
+		}
+	}
+	return 0, false
+}
+
 // insert adds the tuple (h is hashVals(tup)), returning its row number
-// and whether it was new: one probe sequence serves both the membership
-// test and the insertion. The caller must hold a private (non-shared)
-// shard; see Store.insertRow. Every index built so far is maintained, so
-// a lookup after an insert sees the new row exactly when a linear scan
-// would. A duplicate allocates nothing; a new row costs amortized slice
-// growth only.
+// and whether it was new. The caller must hold a private (non-shared)
+// shard; see Store.insertRow. On a flat shard one probe sequence serves
+// both the membership test and the insertion, and every index built so
+// far is maintained, so a lookup after an insert sees the new row exactly
+// when a linear scan would. On an overlay the row joins the tail, and a
+// tail reaching tailCap is flattened. A duplicate allocates nothing; a new
+// row costs amortized slice growth only.
 func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
+	if r.base != nil {
+		return r.insertOverlay(tup, h)
+	}
 	if (r.n+1)*4 > len(r.tab)*3 {
 		r.tab = grownTable(2 * (r.n + 1))
 		m := uint32(len(r.tab) - 1)
 		for n := 0; n < r.n; n++ {
-			i := hashVals(r.row(uint32(n))) & m
+			i := hashVals(r.flatRow(uint32(n))) & m
 			for r.tab[i] != 0 {
 				i = (i + 1) & m
 			}
@@ -293,7 +370,7 @@ func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
 	m := uint32(len(r.tab) - 1)
 	i := h & m
 	for ; r.tab[i] != 0; i = (i + 1) & m {
-		if e := r.tab[i]; rowsEqual(r.row(e-1), tup) {
+		if e := r.tab[i]; rowsEqual(r.flatRow(e-1), tup) {
 			return e - 1, false
 		}
 	}
@@ -309,6 +386,21 @@ func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
 	return n, true
 }
 
+// insertOverlay is insert on an overlay: the row joins the tail, and a
+// tail reaching tailCap is flattened.
+func (r *relset) insertOverlay(tup []uint32, h uint32) (uint32, bool) {
+	if n, ok := r.findOverlay(tup, h); ok {
+		return n, false
+	}
+	n := uint32(r.n)
+	r.rows = append(r.rows, tup...)
+	r.n++
+	if r.n-r.base.n == tailCap {
+		r.flatten()
+	}
+	return n, true
+}
+
 func (r *relset) size() int {
 	if r == nil {
 		return 0
@@ -316,22 +408,33 @@ func (r *relset) size() int {
 	return r.n
 }
 
-// scan returns the span of every row present now, in insertion order.
-func (r *relset) scan() rowSpan {
+// scan returns every row present now, in insertion order: a span over the
+// flat rows (an overlay's base's), then an overlay's tail rows as a bit
+// set — bit i is row base.n+i — which is 0 for a flat shard.
+func (r *relset) scan() (rowSpan, uint64) {
 	if r == nil || r.n == 0 {
-		return rowSpan{}
+		return rowSpan{}, 0
 	}
-	return rowSpan{last: uint32(r.n - 1), ok: true}
+	if b := r.base; b != nil {
+		return rowSpan{last: uint32(b.n - 1), ok: true}, 1<<uint(r.n-b.n) - 1
+	}
+	return rowSpan{last: uint32(r.n - 1), ok: true}, 0
 }
 
-// bucket returns the span of the rows whose masked columns equal key (the
-// masked values packed in column order), in insertion order, building the
-// mask's index on first use. Safe for concurrent readers: the build
-// installs an immutable table via CAS and retries on contention. Neither
-// a hit nor a miss allocates once the index exists.
-func (r *relset) bucket(mask uint32, key []uint32) rowSpan {
+// bucket returns the rows whose masked columns equal key (the masked
+// values packed in column order), in insertion order, split as scan
+// splits them: the flat rows' index group, building the mask's index on
+// first use, then an overlay's tail rows with that key. An overlay's index
+// is its base's, so a build lands on the shared base and serves every
+// lineage. Safe for concurrent readers: the build installs an immutable
+// table via CAS and retries on contention. Neither a hit nor a miss
+// allocates once the index exists.
+func (r *relset) bucket(mask uint32, key []uint32) (rowSpan, uint64) {
 	if r == nil || r.n == 0 {
-		return rowSpan{}
+		return rowSpan{}, 0
+	}
+	if r.base != nil {
+		return r.bucketOverlay(mask, key)
 	}
 	for {
 		tbl := r.idx.Load()
@@ -342,9 +445,9 @@ func (r *relset) bucket(mask uint32, key []uint32) rowSpan {
 				}
 				g, ok := ix.group(r, key, hashVals(key))
 				if !ok {
-					return rowSpan{}
+					return rowSpan{}, 0
 				}
-				return rowSpan{cur: ix.first[g], last: ix.last[g], next: ix.next, ok: true}
+				return rowSpan{cur: ix.first[g], last: ix.last[g], next: ix.next, ok: true}, 0
 			}
 		}
 		// Not built yet: derive a new table from the current rows. On CAS
@@ -354,26 +457,77 @@ func (r *relset) bucket(mask uint32, key []uint32) rowSpan {
 	}
 }
 
-// materialize deep-copies a shared shard so the caller can write to it:
-// rows, membership table, fingerprint and every index built so far, all
-// flat copies, so the private copy is as warm as the shard it came from.
-// The slices the pending write will append to get a little headroom.
-func (r *relset) materialize() *relset {
+// bucketOverlay is bucket on an overlay: the base's index group, then
+// the tail rows with the key.
+func (r *relset) bucketOverlay(mask uint32, key []uint32) (rowSpan, uint64) {
+	sp, _ := r.base.bucket(mask, key)
+	var tail uint64
+	a := int(r.arity)
+	for i, off := 0, 0; off < len(r.rows); i, off = i+1, off+a {
+		if maskedEqual(r.rows[off:off+a], mask, key) {
+			tail |= 1 << uint(i)
+		}
+	}
+	return sp, tail
+}
+
+// tinyShard is the largest shard a fork copies flat instead of
+// overlaying. An overlay keeps its base alive beside it; for a shard this
+// small the base and the overlay's own struct retain more than a copy
+// would (EXPERIMENTS.md E29), and the copy is as short as a tail.
+const tinyShard = 4
+
+// fork returns a private copy-on-write version of a shared shard, for a
+// writer: an overlay whose base is the shard itself or, when the shard is
+// an overlay, the same base — so an overlay is never more than one level
+// deep — and only the tail is copied; or, for a flat shard of at most
+// tinyShard rows, a flat copy. The shared shard is not touched.
+func (r *relset) fork() *relset {
+	if r.base == nil && r.n <= tinyShard {
+		return r.flatCopy(r.n + 1)
+	}
+	c := &relset{arity: r.arity, n: r.n, fp: r.fp, base: r}
+	if r.base != nil {
+		c.base = r.base
+		c.rows = append(make([]uint32, 0, len(r.rows)+int(r.arity)), r.rows...)
+	}
+	return c
+}
+
+// flatCopy deep-copies a flat shard with room for n rows: rows, membership
+// table, fingerprint and every index it has built, so the copy is as warm
+// as the original.
+func (r *relset) flatCopy(n int) *relset {
 	c := &relset{
 		arity: r.arity,
 		n:     r.n,
-		rows:  append(make([]uint32, 0, len(r.rows)+len(r.rows)/8+4*r.arity), r.rows...),
+		rows:  append(make([]uint32, 0, (n+n/8)*int(r.arity)), r.rows...),
 		tab:   append([]uint32(nil), r.tab...),
 		fp:    r.fp,
 	}
 	if tbl := r.idx.Load(); tbl != nil {
 		ct := &idxTable{entries: make([]*colIndex, len(tbl.entries))}
 		for i, ix := range tbl.entries {
-			ct.entries[i] = ix.clone()
+			ct.entries[i] = ix.clone(n)
 		}
 		c.idx.Store(ct)
 	}
 	return c
+}
+
+// flatten turns a private overlay into a flat shard in place: a flat copy
+// of the base with the tail rows inserted after. Row numbers do not move,
+// and a join enumerating the overlay keeps the base and tail slices it
+// took. At one O(shard) copy per tailCap rows written, per-row copying
+// stays amortized O(1).
+func (r *relset) flatten() {
+	f, a := r.base.flatCopy(r.n), int(r.arity)
+	for i := 0; i < len(r.rows); i += a {
+		row := r.rows[i : i+a]
+		f.insert(row, hashVals(row))
+	}
+	r.base, r.rows, r.tab = nil, f.rows, f.tab
+	r.idx.Store(f.idx.Load())
 }
 
 // denseSlack bounds how far past (twice) the dense prefix of a predicate's
@@ -472,7 +626,9 @@ func NewStore() *Store { return &Store{syms: newSymtab()} }
 // share every relset — rows, membership table, indexes, fingerprint —
 // until one of them writes into it, so a clone costs O(shards) pointer
 // copies — independent of the number of facts — and a subsequent write
-// deep-copies only the shards it touches. The symbol table is shared the
+// into a shared shard copies only that shard's short tail (relset.fork),
+// never the rows or indexes of a shard of more than tinyShard rows. The
+// symbol table is shared the
 // same way until one side interns a new name. Clone must be externally
 // serialized against writes to s (the evaluator's single-writer
 // discipline); afterwards the two stores may be written from different
@@ -609,7 +765,7 @@ func (s *Store) shard(pred uint32, t int) *relset {
 }
 
 // Insert adds a fact, reporting whether it was new. Inserting into a
-// shard shared with a clone first materializes a private copy
+// shard shared with a clone first forks a private overlay of it
 // (copy-on-write); duplicate inserts never copy.
 func (s *Store) Insert(f ast.Fact) bool {
 	pred := s.internPred(f.Pred, len(f.Args), f.Temporal)
@@ -642,7 +798,7 @@ func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 			if n, ok := rs.find(row, h); ok {
 				return n, false
 			}
-			rs = rs.materialize()
+			rs = rs.fork()
 		}
 		if temporal {
 			pr.set(t, rs)

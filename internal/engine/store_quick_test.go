@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -142,7 +143,7 @@ func TestFingerprintAgreesWithStateKey(t *testing.T) {
 // storedRows renders a shard's rows in enumeration order.
 func storedRows(s *Store, rs *relset) [][]string {
 	var got [][]string
-	for _, n := range spanRows(rs.scan()) {
+	for _, n := range bucketRows(rs, 0, nil) {
 		got = append(got, s.args(rs, n))
 	}
 	return got
@@ -150,9 +151,9 @@ func storedRows(s *Store, rs *relset) [][]string {
 
 // TestStoreIterationOrderDeterministic is the regression test for the
 // map-order bug: relset iteration (scan, bucket, State, Snapshot) must
-// follow insertion order, including after a copy-on-write materialize,
-// so join enumeration and answer rendering cannot reshuffle between
-// runs.
+// follow insertion order, including through copy-on-write forks — base
+// rows, then the tail — and the flatten of a tail that reached tailCap,
+// so join enumeration and answer rendering cannot reshuffle between runs.
 func TestStoreIterationOrderDeterministic(t *testing.T) {
 	ins := [][]string{{"c", "1"}, {"a", "2"}, {"b", "3"}, {"a", "1"}, {"z", "0"}}
 	s := NewStore()
@@ -163,53 +164,88 @@ func TestStoreIterationOrderDeterministic(t *testing.T) {
 	if got := storedRows(s, s.nt(e)); !reflect.DeepEqual(got, ins) {
 		t.Fatalf("scan order = %v, want insertion order %v", got, ins)
 	}
-	if got := storedRows(s, s.nt(e).materialize()); !reflect.DeepEqual(got, ins) {
-		t.Fatalf("materialized scan order = %v, want insertion order %v", got, ins)
-	}
 
-	// Writing through a clone materializes the shared shard; the order
-	// must survive, and the original must not see the write.
-	c := s.Clone()
-	c.Insert(ast.Fact{Pred: "e", Args: []string{"m", "9"}})
-	want := append(append([][]string{}, ins...), []string{"m", "9"})
-	if got := storedRows(c, c.nt(e)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-COW scan order = %v, want %v", got, want)
+	// Each write goes through a clone of the store before it, as Assert
+	// does: the first forks an overlay of the shared shard, the next ones
+	// fork that overlay's tail, the tailCap-th write flattens it, and the
+	// write after that overlays the flattened shard. The order must
+	// survive every step, and the original must not see any write.
+	want := append([][]string{}, ins...)
+	c := s
+	for i := 0; i <= tailCap; i++ {
+		c = c.Clone()
+		tup := []string{"m", fmt.Sprint(i)}
+		c.Insert(ast.Fact{Pred: "e", Args: tup})
+		want = append(want, tup)
+		if got := storedRows(c, c.nt(e)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan order after write %d = %v, want %v", i, got, want)
+		}
 	}
 	if got := storedRows(s, s.nt(e)); !reflect.DeepEqual(got, ins) {
-		t.Fatalf("original after clone write = %v, want %v", got, ins)
+		t.Fatalf("original after clone writes = %v, want %v", got, ins)
+	}
+	if err := checkStoreIndexes(c); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestMaterializeCarriesIndexes: a copy-on-write materialization copies
-// the indexes the shared shard had built — the private copy answers
-// lookups without a rebuild, keeps maintaining them on insert, and the
-// frozen original is untouched.
-func TestMaterializeCarriesIndexes(t *testing.T) {
+// TestForkOverlaysSharedShard: a write through a clone into a shared
+// shard forks an overlay of it — the frozen original becomes the base and
+// is left as it was, the write lands in a private tail — and bucket on
+// the fork returns the base's index group, then the tail rows with the
+// key, in insertion order. An index the fork builds lands on the shared
+// base. A tail that reaches tailCap flattens into a flat shard carrying
+// the base's indexes, which it maintains from then on.
+func TestForkOverlaysSharedShard(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 40; i++ {
 		s.Insert(tfact("p", 2, fmt.Sprintf("a%d", i%5), fmt.Sprintf("b%d", i)))
 	}
 	p := s.syms.predIDs[predKey{name: "p", arity: 2, temporal: true}]
 	orig := s.at(p, 2)
-	a3 := s.syms.ids["a3"]
-	if got := len(spanRows(orig.bucket(1, []uint32{a3}))); got != 8 {
-		t.Fatalf("bucket(a3) = %d rows, want 8", got)
+	a3 := []uint32{s.syms.ids["a3"]}
+	origA3 := bucketRows(orig, 1, a3)
+	if len(origA3) != 8 {
+		t.Fatalf("bucket(a3) = %d rows, want 8", len(origA3))
 	}
 	c := s.Clone()
 	c.Insert(tfact("p", 2, "a3", "fresh"))
-	priv := c.at(p, 2)
-	if priv == orig {
-		t.Fatal("write through the clone did not materialize the shared shard")
+	c.Insert(tfact("p", 2, "a1", "other"))
+	c.Insert(tfact("p", 2, "a3", "fresh2"))
+	fork := c.at(p, 2)
+	if fork == orig || fork.base != orig || fork.tab != nil || fork.idx.Load() != nil {
+		t.Fatal("write through the clone did not fork an overlay of the shared shard")
 	}
-	tbl := priv.idx.Load()
-	if tbl == nil || len(tbl.entries) != 1 || tbl.entries[0].mask != 1 {
-		t.Fatalf("materialized shard carries indexes %+v, want the mask-1 index", tbl)
+	if got, want := bucketRows(fork, 1, a3), slices.Concat(origA3, []uint32{40, 42}); !slices.Equal(got, want) {
+		t.Errorf("fork bucket(a3) = %v, want base group then tail %v", got, want)
 	}
-	if got := len(spanRows(priv.bucket(1, []uint32{a3}))); got != 9 {
-		t.Errorf("carried index after insert: bucket(a3) = %d rows, want 9", got)
+	a1 := []uint32{s.syms.ids["a1"]}
+	fork.bucket(2, a1) // a mask the base has not built
+	if tbl := orig.idx.Load(); tbl == nil || len(tbl.entries) != 2 {
+		t.Fatalf("the fork's index build did not land on the shared base: %+v", tbl)
 	}
-	if got := len(spanRows(orig.bucket(1, []uint32{a3}))); got != 8 {
-		t.Errorf("frozen original: bucket(a3) = %d rows, want 8", got)
+	if orig.n != 40 || len(orig.rows) != 80 || !slices.Equal(bucketRows(orig, 1, a3), origA3) || s.Has(tfact("p", 2, "a3", "fresh")) {
+		t.Fatal("write through the clone changed the frozen original")
+	}
+	for _, ix := range orig.idx.Load().entries {
+		if len(ix.next) != 40 {
+			t.Errorf("frozen original's mask-%x index covers %d rows, want 40", ix.mask, len(ix.next))
+		}
+	}
+
+	for i := 3; i < tailCap; i++ {
+		c.Insert(tfact("p", 2, fmt.Sprintf("a%d", i%5), fmt.Sprintf("c%d", i)))
+	}
+	if fork.base != nil || fork.n != 40+tailCap {
+		t.Fatalf("a tail of %d rows did not flatten (base %p, %d rows)", tailCap, fork.base, fork.n)
+	}
+	tbl := fork.idx.Load()
+	if tbl == nil || len(tbl.entries) != 2 || tbl.entries[0].mask != 1 || tbl.entries[1].mask != 2 {
+		t.Fatalf("flattened shard carries indexes %+v, want the base's mask-1 and mask-2 indexes", tbl)
+	}
+	c.Insert(tfact("p", 2, "a3", "after"))
+	if got := bucketRows(fork, 1, a3); got[len(got)-1] != uint32(fork.n-1) {
+		t.Errorf("carried index after insert: bucket(a3) = %v, missing row %d", got, fork.n-1)
 	}
 	for _, st := range []*Store{s, c} {
 		if err := checkStoreIndexes(st); err != nil {
@@ -360,5 +396,76 @@ plane(0, r0). plane(1, r1).
 	}
 	if err := checkStoreIndexes(fork.store); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOverlayForkRace: two sibling forks write into one shared overlay —
+// each forks it again, copying only the tail, and both write past tailCap,
+// so each flattens, deep-copying the shared base and its indexes — while
+// a reader builds indexes the base has not built yet, through bucket on
+// the shared overlay. Under -race no write touches anything another
+// goroutine reads, and every store sees exactly its own rows.
+func TestOverlayForkRace(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 200; i++ {
+		s.Insert(tfact("p", 1, fmt.Sprintf("a%d", i%10), fmt.Sprintf("b%d", i), "x"))
+	}
+	p := s.syms.predIDs[predKey{name: "p", arity: 3, temporal: true}]
+	a1, x := s.syms.ids["a1"], s.syms.ids["x"]
+	s.at(p, 1).bucket(1, []uint32{a1}) // the base carries one index
+	// Half a tail, so the shared tail slice has spare capacity a fork
+	// that appended in place would write into.
+	const midRows = tailCap / 2
+	mid := s.Clone()
+	for i := 0; i < midRows; i++ {
+		mid.Insert(tfact("p", 1, "a1", fmt.Sprintf("mid%d", i), "x"))
+	}
+	shared := mid.at(p, 1)
+	if shared.base != s.at(p, 1) {
+		t.Fatal("the write through the clone did not overlay the shared shard")
+	}
+	forks := []*Store{mid.Clone(), mid.Clone()}
+
+	var wg sync.WaitGroup
+	for k, f := range forks {
+		wg.Add(1)
+		go func(k int, f *Store) {
+			defer wg.Done()
+			for i := 0; i < (k+1)*tailCap; i++ {
+				f.Insert(tfact("p", 1, "a1", fmt.Sprintf("f%d-%d", k, i), "x"))
+			}
+		}(k, f)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, q := range []struct {
+			mask uint32
+			key  []uint32
+			want int
+		}{{4, []uint32{x}, 200 + midRows}, {5, []uint32{a1, x}, 20 + midRows}, {2, []uint32{x}, 0}, {1, []uint32{a1}, 20 + midRows}} {
+			if got := len(bucketRows(shared, q.mask, q.key)); got != q.want {
+				t.Errorf("shared overlay: bucket(mask %x) = %d rows, want %d", q.mask, got, q.want)
+			}
+		}
+	}()
+	wg.Wait()
+
+	for k, f := range forks {
+		rs := f.at(p, 1)
+		if want := 200 + midRows + (k+1)*tailCap; rs.base != nil || rs.n != want {
+			t.Errorf("fork %d: %d rows, flat %v; want %d rows, flat", k, rs.n, rs.base == nil, want)
+		}
+		if f.Has(tfact("p", 1, "a1", fmt.Sprintf("f%d-0", 1-k), "x")) {
+			t.Errorf("fork %d sees its sibling's write", k)
+		}
+	}
+	if shared.n != 200+midRows || mid.Has(tfact("p", 1, "a1", "f0-0", "x")) {
+		t.Error("the shared overlay changed under its forks")
+	}
+	for _, st := range append(forks, s, mid) {
+		if err := checkStoreIndexes(st); err != nil {
+			t.Error(err)
+		}
 	}
 }

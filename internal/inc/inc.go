@@ -15,6 +15,13 @@
 // fingerprint (engine.Store.StateFingerprint), so re-certification reads
 // the states it did not touch at no cost per fact.
 //
+// Callers apply a batch to a clone of the evaluator, and the clone's
+// writes cost what the delta writes, not what the model holds: a store
+// clone shares every shard, a write into a shared shard overlays it with
+// a short private tail of the new rows instead of copying it, and the
+// database-membership set that deduplicates the batch is shared the same
+// way.
+//
 // The evaluator's join mode flows through unchanged: delta propagation
 // re-fires pinned rules through the evaluator's own join plans
 // (engine.SetJoinMode), and because both modes reach the same fixpoints

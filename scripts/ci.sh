@@ -105,9 +105,16 @@ require_test() {
 
 echo "==> store allocation budgets"
 # The interned store's claims, pinned without a clock: a duplicate emit,
-# a Store.Has and an index probe allocate nothing, and N new facts in one
-# shard cost O(log N) allocations.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts
+# a Store.Has and an index probe allocate nothing, N new facts in one
+# shard cost O(log N) allocations, and a clone plus one write into a
+# shared shard allocates the same few objects (< 1 KB) at any shard size.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite
+# Copy-on-write overlays: every shard along a random tree of store clones
+# equals a flat rebuild of its lineage's rows; a fork leaves the frozen
+# shard as it was and a flatten carries its indexes; and sibling forks
+# writing one shared overlay while a reader builds an index on its base,
+# which the go test -race ./... run above is the check for.
+require_test ./internal/engine/ TestOverlayLineages TestForkOverlaysSharedShard TestOverlayForkRace
 # The compiled query evaluator's: a closed ask allocates its compiled form
 # and one evaluation's scratch whatever |T| is, a ground ask nothing, an
 # open one two objects per answer.
