@@ -43,8 +43,11 @@ const DefaultMaxWindow = 1 << 20
 // the relational specification (period certification grows the evaluator's
 // window and fact store); mu serializes it. Once the specification is
 // certified it is published through an atomic pointer and the evaluator is
-// never mutated again, so every query path on a warm BT is a read-only
-// traversal of immutable structure that takes no lock at all.
+// never mutated again — Lint reads its firing counts and grows nothing,
+// Assert writes to a clone — so every read of a warm BT (queries, Lint,
+// Work, Explain, EngineStats) is a read-only traversal of immutable
+// structure that takes no lock at all. ProfileSnapshot takes only the
+// join profile's own lock, which Assert's clones share.
 type BT struct {
 	eval      *engine.Evaluator
 	maxWindow int
@@ -60,7 +63,8 @@ type BT struct {
 	rules func() *lint.Rules
 
 	// mu serializes the computation of spec and every mutation of eval
-	// (window growth, store inserts, stats, provenance) performed during it.
+	// (window growth, store inserts, stats, provenance) performed during
+	// it; Assert holds it while it clones eval. Nothing else takes it.
 	mu sync.Mutex
 	// spec is nil until certified. It is stored exactly once, with mu held
 	// (or before the BT is shared, in Assert), and loaded without it: a
@@ -143,16 +147,6 @@ func (b *BT) Specification() (*spec.Spec, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.specification()
-}
-
-// Certified reports whether the specification has been computed: every
-// query on a certified BT is a lock-free read, and nothing it could skip
-// evaluating is left.
-func (b *BT) Certified() bool { return b.spec.Load() != nil }
-
-// specification is Specification with mu held.
-func (b *BT) specification() (*spec.Spec, error) {
 	if s := b.spec.Load(); s != nil {
 		return s, nil
 	}
@@ -177,6 +171,11 @@ func (b *BT) specification() (*spec.Spec, error) {
 	return s, nil
 }
 
+// Certified reports whether the specification has been computed: every
+// query on a certified BT is a lock-free read, and nothing it could skip
+// evaluating is left.
+func (b *BT) Certified() bool { return b.spec.Load() != nil }
+
 func b2i(v bool) int64 {
 	if v {
 		return 1
@@ -187,26 +186,20 @@ func b2i(v bool) int64 {
 // Lint runs the Tier-A static analyzer over the processor's program and
 // database. The rules-only passes come from the program's rule analysis,
 // computed once per program; only the passes that read the database run
-// here. Never-fires reads the evaluator's per-rule firing counts, which
-// a fork inherits from its parent through Clone, so a fork whose rules
-// have all fired grows nothing. When some rule has not fired yet, the
-// check closes the window to base+period plus the rules' depth span
-// first; Lint runs under mu, which serializes that growth with
-// certification and with Assert's clone of the evaluator. The certified
-// specification is reused when available (or certifiable), so on a warm
-// BT linting adds no re-evaluation; when certification fails
+// here. Never-fires reads the certified evaluator's per-rule firing
+// counts, which a fork inherits from its parent through Clone, and
+// evaluates nothing: the certified window already holds every rule
+// instance up to a shift by the period. So Lint certifies a cold BT
+// first and on a warm one takes no lock; when certification fails
 // never-fires is skipped and the structural passes still run. source,
 // when non-empty, is the raw unit text inline "tddlint:ignore"
 // suppressions are read from.
 func (b *BT) Lint(source string) lint.Result {
-	rules := b.rules()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	opts := lint.Options{Source: source, MaxWindow: b.maxWindow}
-	if s, err := b.specification(); err == nil {
+	if s, err := b.Specification(); err == nil {
 		opts.Spec = s
 	}
-	return lint.Check(rules, b.eval.Database(), opts)
+	return lint.Check(b.rules(), b.eval.Database(), opts)
 }
 
 // Period returns the certified minimal period of the least model.
@@ -273,32 +266,19 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 		nb.preds[k] = v
 	}
 	var res inc.Result
-	cur := b.spec.Load()
-	if cur == nil {
-		var seed []ast.Fact
-		for _, f := range facts {
-			ok, err := e2.InsertBase(f)
-			if err != nil {
-				return nil, res, err
-			}
-			if ok {
-				seed = append(seed, f)
-				res.NewBase++
-			} else {
-				res.Duplicates++
-			}
-		}
+	var err error
+	if cur := b.spec.Load(); cur == nil {
 		// A certification that failed (over budget) left its window
 		// evaluated; the new facts must reach it, or the next certification
 		// would not re-derive them. A no-op on a never-evaluated window.
-		res.Derived = e2.PropagateDelta(seed)
+		res, err = inc.Insert(e2, facts)
 	} else {
-		s, r, err := inc.Apply(e2, cur, b.maxWindow, facts)
-		res = r
-		if err != nil {
-			return nil, res, err
-		}
+		var s *spec.Spec
+		s, res, err = inc.Apply(e2, cur, b.maxWindow, facts)
 		nb.spec.Store(s)
+	}
+	if err != nil {
+		return nil, res, err
 	}
 	// InsertBase admits new predicates; refresh the signature map queries
 	// are typed against.
@@ -310,9 +290,10 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 
 // EngineStats returns the engine's full work breakdown accumulated so
 // far: the aggregate counters plus the per-rule and per-index tables. A
-// certified BT's evaluator is never mutated again (Assert clones it), so
-// the read takes no lock then: ?trace=1 on a warm program does not wait
-// for an ingest, which holds mu on the parent for the whole of inc.Apply.
+// certified BT's evaluator is never mutated again, so the read takes no
+// lock then: ?trace=1 on a warm program does not wait for an ingest,
+// which holds mu on the parent for the whole of inc.Apply. A cold BT is
+// read under mu, so the read does not race a certification.
 func (b *BT) EngineStats() engine.Stats {
 	if !b.Certified() {
 		b.mu.Lock()
@@ -322,10 +303,15 @@ func (b *BT) EngineStats() engine.Stats {
 }
 
 // ProfileSnapshot renders the accumulated join profile as an EXPLAIN
-// ANALYZE report; nil unless the BT was built WithProfile.
+// ANALYZE report; nil unless the BT was built WithProfile. Like
+// EngineStats it takes mu only while the BT is cold; an ingest into a
+// clone, which shares the profile, holds the profile's lock for a lap
+// of joins at a time, not for the whole ingest.
 func (b *BT) ProfileSnapshot() *engine.ProfileJSON {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	if !b.Certified() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+	}
 	return b.eval.ProfileSnapshot()
 }
 
@@ -351,9 +337,7 @@ func (c Certificate) String() string {
 
 // Work computes the specification (if needed) and reports the work done.
 func (b *BT) Work() (Certificate, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s, err := b.specification()
+	s, err := b.Specification()
 	if err != nil {
 		return Certificate{}, err
 	}
@@ -371,15 +355,13 @@ func (b *BT) Work() (Certificate, error) {
 // shift.
 func (b *BT) Explain(f ast.Fact, maxDepth int) (string, error) {
 	// The window only grows while the specification is being computed, so
-	// certifying it first (under mu) freezes the evaluator, provenance map
-	// included; the reads below then race with nothing.
-	b.mu.Lock()
-	s, serr := b.specification()
-	w := b.eval.Window()
-	b.mu.Unlock()
-	if serr != nil {
-		return "", serr
+	// certifying it first freezes the evaluator, provenance map included;
+	// the reads below then race with nothing.
+	s, err := b.Specification()
+	if err != nil {
+		return "", err
 	}
+	w := b.eval.Window()
 	prefix := ""
 	if f.Temporal && f.Time > w {
 		rewritten := s.Rewrite(f.Time)

@@ -228,10 +228,11 @@ func TestExplainThroughBT(t *testing.T) {
 }
 
 // TestWarmReadsTakeNoLock pins the lock-free warm path: once the
-// specification is published, Specification, Ask, AskFact, Period and
-// EngineStats complete while another goroutine holds mu.
+// specification is published, Specification, Ask, AskFact, Period,
+// EngineStats, Lint, Work, Explain and ProfileSnapshot complete while
+// another goroutine holds mu.
 func TestWarmReadsTakeNoLock(t *testing.T) {
-	b := mustBT(t, skiSrc)
+	b := mustBT(t, skiSrc, WithProvenance(), WithProfile())
 	want, err := b.Specification()
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +259,18 @@ func TestWarmReadsTakeNoLock(t *testing.T) {
 		}
 		if st := b.EngineStats(); st.Derived == 0 || len(st.Rules) == 0 {
 			t.Errorf("warm EngineStats = %+v, want the certification's counters and rule table", st)
+		}
+		if res := b.Lint(""); res.Diagnostics == nil {
+			t.Error("warm Lint returned no result")
+		}
+		if c, err := b.Work(); err != nil || c.Period != want.Period {
+			t.Errorf("warm Work = (%v, %v), want period %v", c, err, want.Period)
+		}
+		if out, err := b.Explain(f, 2); err != nil || !strings.Contains(out, "plane") {
+			t.Errorf("warm Explain = (%q, %v), want a derivation tree", out, err)
+		}
+		if p := b.ProfileSnapshot(); p == nil || len(p.Rules) == 0 {
+			t.Errorf("warm ProfileSnapshot = %+v, want the certification's join profile", p)
 		}
 	}()
 	select {

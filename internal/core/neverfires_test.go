@@ -52,23 +52,28 @@ func TestNeverFiresLineage(t *testing.T) {
 // the parent is certified and linted), the rules TDL004 flags must be
 // exactly the rules that have a body, are not flagged TDL003, and that
 // naive T_P over [0, b+p+span] never instantiates (b+p the certified
-// base plus period, span the rules' deepest temporal term). The window
-// budget keeps b+p+span within the check's own probe budget, so every
-// certified model is decided.
+// base plus period, span the rules' deepest temporal term). TDL004 reads
+// only the certified window, so this is the coverage lemma at
+// period.Lookback checked against a window that reaches past it.
 func TestNeverFiresExact(t *testing.T) {
 	const (
 		trials    = 300
 		maxWindow = 1024
 	)
-	// Crafted first: flag's only instantiations read q at times 22, 36,
-	// ..., so the rule fires only in a window past 22; the certificate
-	// width counts flag's depth 9 (period.Lookback) to reach them.
-	var deep strings.Builder
-	deep.WriteString("q(T+1, Y) :- q(T, X), next(X, Y).\nflag(X) :- q(T+9, X), special(X).\nq(0, c0).\nspecial(c8).\n")
+	// Crafted first, two programs over a 14-cycle of next facts. flag's
+	// only instantiations read q at times 22, 36, ..., so the rule fires
+	// only in a window past 22; the certificate width counts flag's depth
+	// 9 (period.Lookback) to reach them. never, whose head and body both
+	// sit at depth 9, certifies (b=1, p=14) at window 22, short of
+	// b+p+span = 24.
+	var next, parity strings.Builder
 	for i := 0; i < 14; i++ {
-		fmt.Fprintf(&deep, "next(c%d, c%d).\n", i, (i+1)%14)
+		fmt.Fprintf(&next, "next(c%d, c%d).\n", i, (i+1)%14)
+		fmt.Fprintf(&parity, "%s(c%d).\n", [2]string{"even", "odd"}[i%2], i)
 	}
-	for _, src := range []string{deep.String(), lineageSrc} {
+	deep := "q(T+1, Y) :- q(T, X), next(X, Y).\nflag(X) :- q(T+9, X), special(X).\nq(0, c0).\nspecial(c8).\n" + next.String()
+	never := "step(T+1, Y) :- step(T, X), next(X, Y).\nnever(T+9) :- step(T+9, X), odd(X), even(X).\nstep(0, c0).\n" + next.String() + parity.String()
+	for _, src := range []string{deep, never, lineageSrc} {
 		prog, db, err := parser.ParseUnit(src)
 		if err != nil {
 			t.Fatal(err)

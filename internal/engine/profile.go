@@ -30,11 +30,12 @@ package engine
 //
 // Concurrency: counters are written only while the profile's mutex is
 // held. The engine takes the lock once per fixpoint entry (EnsureWindow /
-// PropagateDelta); the scan/match counters it writes are a function of
-// the store content alone, so they are bit-identical across repeated
-// runs, exactly like Stats. Snapshot takes the same lock, which makes it
-// safe against a clone (Assert path) still writing to the shared profile
-// from another goroutine.
+// PropagateDelta) and yields it between laps; the scan/match counters it
+// writes are a function of the store content alone, so they are
+// bit-identical across repeated runs, exactly like Stats. Snapshot takes
+// the same lock, which makes it safe against a clone (Assert path) still
+// writing to the shared profile from another goroutine, and waits for a
+// lap of that clone's entry, not for the whole of it.
 
 import (
 	"fmt"
@@ -179,6 +180,11 @@ func (p *Profile) exit(r *crule, en *env) {
 	p.work += 1 + en.work
 	if p.due--; p.due <= 0 {
 		p.flush()
+		// Between laps no invocation is open and nothing is pending: let a
+		// snapshot waiting on the lock in, and restart the clock after it.
+		p.mu.Unlock()
+		p.mu.Lock()
+		p.last = obs.ClockNS()
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"tdd/internal/ast"
@@ -135,6 +136,55 @@ func TestProfileCloneShared(t *testing.T) {
 	after := e.ProfileSnapshot().Rules[0].Literals[0].Scanned
 	if after <= before {
 		t.Errorf("clone's delta work not visible in shared profile: scanned %d -> %d", before, after)
+	}
+}
+
+// TestProfileConcurrentClones runs sibling clones' delta propagations,
+// each several laps long, beside snapshots of their parent. An entry
+// yields the shared profile's lock between laps, so snapshots and the
+// siblings' laps interleave; under -race nothing is shared
+// unsynchronized, and the parent's report ends up holding every clone's
+// scans.
+func TestProfileConcurrentClones(t *testing.T) {
+	e := profileEval(t, "even(T+2) :- even(T).\neven(0).\n")
+	e.EnsureWindow(4 * lapEvery)
+	scanned := func() int64 { return e.ProfileSnapshot().Rules[0].Literals[0].Scanned }
+	f := ast.Fact{Pred: "even", Temporal: true, Time: 1}
+	propagate := func(c *Evaluator) {
+		if _, err := c.InsertBase(f); err != nil {
+			t.Error(err)
+		}
+		c.PropagateDelta([]ast.Fact{f})
+	}
+	before := scanned()
+	propagate(e.Clone())
+	one := scanned() - before
+	if one == 0 {
+		t.Fatal("a clone's delta propagation scanned nothing")
+	}
+	const n = 4
+	clones := make([]*Evaluator, n)
+	for i := range clones {
+		clones[i] = e.Clone()
+	}
+	var wg sync.WaitGroup
+	for _, c := range clones {
+		wg.Add(1)
+		go func(c *Evaluator) {
+			defer wg.Done()
+			propagate(c)
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			scanned()
+		}
+	}()
+	wg.Wait()
+	if got, want := scanned(), before+(n+1)*one; got != want {
+		t.Errorf("parent's profile scanned %d after %d clone propagations of %d each from %d, want %d", got, n+1, one, before, want)
 	}
 }
 

@@ -55,6 +55,27 @@ type Result struct {
 	Period period.Period
 }
 
+// Insert is Apply without the re-certification: it adds the batch to e's
+// database and propagates its new facts through the evaluated window.
+func Insert(e *engine.Evaluator, facts []ast.Fact) (Result, error) {
+	var res Result
+	seed := make([]ast.Fact, 0, len(facts))
+	for _, f := range facts {
+		ok, err := e.InsertBase(f)
+		if err != nil {
+			return res, err
+		}
+		if ok {
+			seed = append(seed, f)
+			res.NewBase++
+		} else {
+			res.Duplicates++
+		}
+	}
+	res.Derived = e.PropagateDelta(seed)
+	return res, nil
+}
+
 // Apply inserts the batch into e, propagates its consequences through the
 // evaluated window, and re-certifies the periodic specification. old is
 // the previous specification over e, or nil if none was computed yet; it
@@ -67,33 +88,19 @@ type Result struct {
 // it in on success — the copy-on-write discipline used by tdd.DB and the
 // server registry.
 func Apply(e *engine.Evaluator, old *spec.Spec, maxWindow int, facts []ast.Fact) (*spec.Spec, Result, error) {
-	var res Result
 	sp := e.Trace().Begin("ingest")
-	seed := make([]ast.Fact, 0, len(facts))
-	for _, f := range facts {
-		ok, err := e.InsertBase(f)
-		if err != nil {
-			sp.End()
-			return nil, res, err
-		}
-		if ok {
-			seed = append(seed, f)
-			res.NewBase++
-		} else {
-			res.Duplicates++
-		}
-	}
+	res, err := Insert(e, facts)
 	sp.Add("new", int64(res.NewBase))
 	sp.Add("dup", int64(res.Duplicates))
-	if len(seed) == 0 && old != nil {
-		sp.End()
+	sp.Add("derived", int64(res.Derived))
+	sp.End()
+	if err != nil {
+		return nil, res, err
+	}
+	if res.NewBase == 0 && old != nil {
 		res.Period = old.Period
 		return old, res, nil
 	}
-	res.Derived = e.PropagateDelta(seed)
-	sp.Add("derived", int64(res.Derived))
-	sp.End()
-
 	// Re-certification runs the full deterministic pipeline, so the result
 	// is exactly the minimal specification of the fact union — a changed
 	// state below the old base can shrink the minimal period as well as

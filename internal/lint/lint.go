@@ -254,9 +254,8 @@ func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
 // Check lints one snapshot of a program: the passes that read the
 // database (reach, never-fires, relevance) run on db, and their findings
 // join the precomputed rule analysis. Never-fires reads the per-rule
-// firing counts of opts.Spec's evaluator, and may grow its window when
-// some rule has not fired yet; the caller serializes that with other
-// users of the evaluator.
+// firing counts of opts.Spec's evaluator and writes nothing to it, so
+// Check may run beside any other reader of a certified evaluator.
 func Check(rules *Rules, db *ast.Database, opts Options) Result {
 	if opts.MaxWindow <= 0 {
 		opts.MaxWindow = defaultMaxWindow

@@ -8,29 +8,23 @@ import (
 	"tdd/internal/spec"
 )
 
-// probeBudget bounds the time points TDL004 is decided over: base +
-// period of the certified model plus the rules' depth span. Models beyond
-// it are not checked.
-const probeBudget = 4096
-
 // checkNeverFires flags rules whose body is unsatisfiable at every time
 // point of the least model (TDL004). The check is semantic, not syntactic:
 // it reads the engine's per-rule instantiation counter, which counts every
-// body match the evaluation made. With the window closed to base+period
-// plus the rules' depth span, the engine has instantiated every rule at
-// every ground T in [0, base+period). By I-periodicity (Theorem 6.1 /
-// Section 3.2), states repeat from base with period p, so a rule with no
-// instantiation there has none at any T — the counter is a decision
-// procedure, which is what makes the delete-safety claim sound.
+// body match the evaluation made. The certified window already holds
+// every instance a rule can have up to a shift by the period — the
+// coverage lemma at period.Lookback, which rests on I-periodicity
+// (Theorem 6.1 / Section 3.2) — so a rule with no instantiation there has
+// none at any T: the counter is a decision procedure, which is what makes
+// the delete-safety claim sound. The check reads the certified evaluator
+// and never evaluates anything itself.
 //
 // Preconditions: a database with facts and a certifiable period within
-// opts.MaxWindow; the check is skipped (no findings) otherwise, and also
-// when base+period plus the depth span exceeds probeBudget.
+// opts.MaxWindow; the check is skipped (no findings) otherwise.
 //
 // Rules in skip are not checked. Counters only grow and the least model
-// is monotone in the database, so a rule the evaluator has already seen
-// fire — in this model or, through a clone, an ancestor's — is settled;
-// when no rule is left unfired, the window is not grown.
+// is monotone in the database, so a firing the evaluator inherited
+// through a clone from an ancestor's model holds in this one too.
 func checkNeverFires(prog *ast.Program, db *ast.Database, opts Options, skip map[int]bool) []Diagnostic {
 	if db == nil || len(db.Facts) == 0 {
 		return nil
@@ -47,33 +41,12 @@ func checkNeverFires(prog *ast.Program, db *ast.Database, opts Options, skip map
 		}
 	}
 	ev := s.Evaluator()
-	var unfired []int
-	for i, r := range prog.Rules {
-		if !skip[i] && len(r.Body) > 0 && ev.RuleFirings(i) == 0 {
-			unfired = append(unfired, i)
-		}
-	}
-	if len(unfired) == 0 {
-		return nil
-	}
 	limit := s.Period.Base + s.Period.P
-	span := 0
-	for _, r := range prog.Rules {
-		if d := r.MaxDepth(); d > span {
-			span = d
-		}
-	}
-	if limit+span > probeBudget {
-		return nil
-	}
-	ev.EnsureWindow(limit + span)
-
 	var ds []Diagnostic
-	for _, i := range unfired {
-		if ev.RuleFirings(i) > 0 {
+	for i, r := range prog.Rules {
+		if skip[i] || len(r.Body) == 0 || ev.RuleFirings(i) > 0 {
 			continue
 		}
-		r := prog.Rules[i]
 		ds = append(ds, Diagnostic{
 			Code:       "TDL004",
 			Severity:   Warning,

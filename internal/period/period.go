@@ -63,6 +63,18 @@ var ErrWindowExceeded = errors.New("period: no period certified within the windo
 // the evidence condition b+p+G <= m guarantees. Its shift-normalized
 // spread is not enough: flag(X) :- q(T+9, X) spreads over one state but
 // reads q from 9 on.
+//
+// Coverage lemma: a window certified at (b, p) holds every firing
+// pattern of every rule, so a rule that never fired in it fires nowhere
+// (lint's TDL004 rests on this). Take a temporal-head rule with head
+// depth h and shallowest body depth d; the engine instantiates it at
+// every T in [0, m-h]. An instance at T reads only states >= T+d, so when
+// T >= p and T+d-p >= b it matches exactly when the instance at T-p does,
+// and every pattern occurs at some T < max(b+p-d, p). The certificate
+// has b+p+G <= m with G >= h-d (the shift-normalized head depth), and
+// m-p+1 >= hmax >= h, so both bounds are <= m-h+1: every such T lies in
+// the window. A non-temporal-head rule's patterns occur at T < b+p by
+// the same shift, and (b) above puts its deepest literal at T+G <= m.
 func Lookback(prog *ast.Program) int {
 	g := prog.Lookback()
 	for _, r := range prog.Rules {

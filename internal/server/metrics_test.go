@@ -315,24 +315,19 @@ func TestExpositionsAgree(t *testing.T) {
 	}
 }
 
-// TestScrapeTakesNoProgramLock pins the scrape path off every program
-// lock. An ingest asserts on a fork that shares the published entry's BT,
-// and BT.Assert holds that BT's mutex for the whole delta propagation —
-// here a batch that fills every cycle of a period-60060 program, a
-// six-figure number of derived facts. While it runs, both expositions are
-// scraped and another program is looked up; all of it must finish before
-// the ingest's "ingest" span — recorded wholly inside that critical
-// section — could have ended. A scrape that reads the program's counters
-// through its BT waits for the mutex instead, holding the registry mutex
-// every Lookup needs.
-func TestScrapeTakesNoProgramLock(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+// duringIngest starts an ingest on a registered program and runs read
+// once the ingest's "ingest" span — recorded wholly inside the critical
+// section in which BT.Assert holds the program's BT mutex — has begun.
+// The batch fills every cycle of a period-60060 program, a six-figure
+// number of derived facts. It returns how long read took from the
+// span's start and how long the span held the BT.
+func duringIngest(t *testing.T, s *Server, read func(id string)) (took, held time.Duration) {
+	t.Helper()
 	rules, facts := workload.Cycles([]int{4, 3, 5, 7, 11, 13})
 	busy, _, err := s.reg.Register("", rules, facts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := register(t, ts.URL, evenUnit)
 	ingestSpans := func() (out []obs.SpanJSON) {
 		for _, p := range busy.tr.Snapshot().Phases {
 			if p.Name == "ingest" {
@@ -357,29 +352,63 @@ func TestScrapeTakesNoProgramLock(t *testing.T) {
 		default:
 		}
 	}
-
-	for _, path := range []string{"/metrics", "/metrics.prom"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(busy.ID())) {
-			t.Fatalf("%s during an ingest: status %d, err %v, or the busy program is missing", path, resp.StatusCode, err)
-		}
-	}
-	if _, err := s.reg.Lookup(other); err != nil {
-		t.Fatal(err)
-	}
-	took := time.Since(notBefore)
+	read(busy.ID())
+	took = time.Since(notBefore)
 
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	held := time.Duration(ingestSpans()[0].Us) * time.Microsecond
+	return took, time.Duration(ingestSpans()[0].Us) * time.Microsecond
+}
+
+// TestScrapeTakesNoProgramLock pins the scrape path off every program
+// lock. While an ingest holds a program's BT (duringIngest), both
+// expositions are scraped and another program is looked up; all of it
+// must finish before the ingest's span could have ended. A scrape that
+// reads the program's counters through its BT waits for the mutex
+// instead, holding the registry mutex every Lookup needs.
+func TestScrapeTakesNoProgramLock(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	other := register(t, ts.URL, evenUnit)
+	took, held := duringIngest(t, s, func(busy string) {
+		for _, path := range []string{"/metrics", "/metrics.prom"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(busy)) {
+				t.Fatalf("%s during an ingest: status %d, err %v, or the busy program is missing", path, resp.StatusCode, err)
+			}
+		}
+		if _, err := s.reg.Lookup(other); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Logf("two scrapes and a Lookup took %v inside an ingest that held its BT for %v", took, held)
 	if took >= held {
 		t.Errorf("two scrapes and a Lookup took %v from the start of an ingest that held its program's BT for %v: they waited on it", took, held)
+	}
+}
+
+// TestProfileAskDuringIngest pins a profiled ask off the ingest of its
+// program: a ?profile=1 ask on the published snapshot, while the ingest
+// holds the program's BT mutex (duringIngest), answers, profile
+// included, before the ingest's span could have ended. The ingest's
+// clone shares the join profile, and its delta propagation holds the
+// profile's lock only for a lap of joins at a time.
+func TestProfileAskDuringIngest(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	took, held := duringIngest(t, s, func(busy string) {
+		resp, body := postJSON(t, ts.URL+"/programs/"+busy+"/ask?profile=1", askRequest{Query: "cyc0(8)"})
+		var ar askResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &ar) != nil || !ar.Result || ar.Profile == nil {
+			t.Fatalf("profiled ask during an ingest: status %d: %s", resp.StatusCode, body)
+		}
+	})
+	t.Logf("a profiled ask took %v inside an ingest that held its BT for %v", took, held)
+	if took >= held {
+		t.Errorf("a profiled ask took %v from the start of an ingest that held its program's BT for %v: it waited on it", took, held)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -99,7 +98,7 @@ func DefaultConfig(c Config) Config {
 		c.RequestTimeout = 0
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	if c.Fsync == "" {
 		c.Fsync = "interval"

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -163,9 +165,9 @@ func TestRegisterAskAnswersPeriod(t *testing.T) {
 // TestRegisterDeepNonTemporalBody asks a served registration about a
 // rule whose body reads the model only from depth 9: flag(c1) follows at
 // T=6, flag(c8) only at T=13, past the window a one-state certificate
-// would stop at. Registration lints, and lint grows the window only
-// while some rule has not fired — flag has, for c1 — so the answers rest
-// on certification alone. Each must be naive T_P's.
+// would stop at. Registration lints, and lint reads the certified
+// window without growing it, so the answers rest on certification
+// alone. Each must be naive T_P's.
 func TestRegisterDeepNonTemporalBody(t *testing.T) {
 	var unit strings.Builder
 	unit.WriteString("q(T+1, Y) :- q(T, X), next(X, Y).\nflag(X) :- q(T+9, X), special(X).\nq(0, c0).\nspecial(c1).\nspecial(c8).\n")
@@ -190,6 +192,18 @@ func TestRegisterDeepNonTemporalBody(t *testing.T) {
 		want := ref.Has(ast.Fact{Pred: "flag", Args: []string{c}})
 		if got := askServed(t, ts.URL, id, "flag("+c+")"); got != want {
 			t.Errorf("flag(%s): served %v, naive T_P %v", c, got, want)
+		}
+	}
+}
+
+// TestDefaultLoggerDisabled pins the default logger off at every level
+// a request logs at: a server built without a Logger formats no request
+// line only to throw it away.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	lg := DefaultConfig(Config{}).Logger
+	for _, l := range []slog.Level{slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if lg.Enabled(context.Background(), l) {
+			t.Errorf("default logger enabled at %v", l)
 		}
 	}
 }

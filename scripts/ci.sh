@@ -144,6 +144,20 @@ echo "==> rules analyzed once per program, lint deterministic"
 require_test ./internal/core/ TestForkReusesRuleAnalysis TestNeverFiresExact TestNeverFiresLineage
 require_test ./internal/lint/ TestLintDeterministic
 
+echo "==> a certified model never changes (lint reads it, warm reads take no lock)"
+# Lint on a certified DB grows no window and writes nothing, so it runs
+# beside warm asks and engine reads with no race; a fixpoint entry
+# yields the shared join profile's lock between laps, so sibling clones
+# and snapshots interleave and a ?profile=1 ask answers while an ingest
+# of its program runs; the default server logger formats no request
+# line. require_test checks the names and runs without -race, so the two
+# concurrent tests get a -race line of their own.
+require_test . TestLintDuringWarmReads
+require_test ./internal/engine/ TestProfileConcurrentClones
+require_test ./internal/server/ TestProfileAskDuringIngest TestDefaultLoggerDisabled
+go test -race -count=1 -run '^TestLintDuringWarmReads$' .
+go test -race -count=1 -run '^TestProfileConcurrentClones$' ./internal/engine/
+
 echo "==> engine invariants over the Go sources"
 # maprange and clonecheck over every package of the module, and no clock,
 # randomness or per-process hash seed imported by fixpoint code.

@@ -2,6 +2,8 @@ package tdd_test
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -342,5 +344,80 @@ a(0). b(0). c(0).
 			}(g)
 		}
 		wg.Wait()
+	}
+}
+
+// cycleUnit steps a token around a 14-cycle of next facts: it certifies
+// (b=1, p=14) at window 22, and never's body, which asks for a node both
+// odd and even, has no match at any time point.
+func cycleUnit() string {
+	var b strings.Builder
+	b.WriteString("step(T+1, Y) :- step(T, X), next(X, Y).\nnever(T+9) :- step(T+9, X), odd(X), even(X).\nstep(0, c0).\n")
+	for i := 0; i < 14; i++ {
+		fmt.Fprintf(&b, "next(c%d, c%d).\n", i, (i+1)%14)
+		if i%2 == 0 {
+			fmt.Fprintf(&b, "even(c%d).\n", i)
+		} else {
+			fmt.Fprintf(&b, "odd(c%d).\n", i)
+		}
+	}
+	return b.String()
+}
+
+// TestLintDuringWarmReads lints a certified DB while warm asks and engine
+// reads run beside it. Lint reads the certified evaluator and writes
+// nothing, so under -race the two share nothing writable, and the
+// certificate's window and the engine's counters stay where
+// certification left them.
+func TestLintDuringWarmReads(t *testing.T) {
+	db, err := tdd.OpenUnit(cycleUnit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := db.Work()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := before.Period; p.Base != 1 || p.P != 14 {
+		t.Fatalf("period %v, want (b=1, p=14)", p)
+	}
+	detail := db.EngineDetail()
+
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if ok, err := db.Ask("step(5, c5)"); err != nil || !ok {
+				t.Errorf("Ask(step(5, c5)) = %v, %v; want true", ok, err)
+			}
+			if db.EngineDetail().Firings == 0 {
+				t.Error("warm EngineDetail lost the certification's firings")
+			}
+			if i == 0 {
+				close(started)
+			}
+		}
+	}()
+	<-started
+	var flagged []int
+	for _, d := range db.Lint("").Diagnostics {
+		if d.Code == "TDL004" {
+			flagged = append(flagged, d.RuleIdx)
+		}
+	}
+	<-done
+	if len(flagged) != 1 || flagged[0] != 1 {
+		t.Errorf("TDL004 on rules %v, want [1]", flagged)
+	}
+	after, err := db.Work()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Window != before.Window {
+		t.Errorf("Lint moved the window from %d to %d", before.Window, after.Window)
+	}
+	if got := db.EngineDetail(); !reflect.DeepEqual(got, detail) {
+		t.Errorf("Lint moved the engine's counters:\nbefore %+v\nafter  %+v", detail, got)
 	}
 }
