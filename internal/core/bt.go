@@ -249,11 +249,12 @@ func (b *BT) Answers(q ast.Query) ([]query.Answer, error) {
 // unchanged and remains fully usable — the copy-on-write discipline that
 // lets any number of readers keep querying the old processor while a
 // writer prepares its successor. The new processor's evaluator is a
-// copy-on-write clone (shared immutable tuples, copied indexes).
+// copy-on-write clone: it shares every shard, index, fact and symbol with
+// the receiver's and pays only for what the batch writes (engine.Clone).
 //
 // If the receiver has already certified its specification, the batch is
 // propagated semi-naively through the evaluated window and the period is
-// re-certified incrementally (inc.Apply); the new BT starts out warm.
+// re-certified from the old one (inc.Apply); the new BT starts out warm.
 // Otherwise the facts are recorded — and propagated through whatever
 // window a failed certification left evaluated — and the first query pays
 // the usual cold certification.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tdd/internal/ast"
@@ -58,7 +59,7 @@ func TestAllocBudgetHas(t *testing.T) {
 	e := mustEval(t, allocBudgetSrc)
 	e.EnsureWindow(12)
 	s := e.Store()
-	syms := len(s.syms.names)
+	syms := s.syms.nsyms()
 	probes := []struct {
 		f    ast.Fact
 		want bool
@@ -80,8 +81,8 @@ func TestAllocBudgetHas(t *testing.T) {
 	if n != 0 {
 		t.Errorf("Has allocates %.0f times per %d probes, want 0", n, len(probes))
 	}
-	if len(s.syms.names) != syms {
-		t.Errorf("reads interned %d symbols", len(s.syms.names)-syms)
+	if s.syms.nsyms() != syms {
+		t.Errorf("reads interned %d symbols", s.syms.nsyms()-syms)
 	}
 }
 
@@ -202,5 +203,66 @@ func TestAllocBudgetForkWrite(t *testing.T) {
 	}
 	if objects[0] != objects[1] || objects[1] > 8 {
 		t.Errorf("clone and fork write allocate %.0f objects at N = 256 and %.0f at N = 16 384, want the same few", objects[0], objects[1])
+	}
+}
+
+// TestAllocBudgetForkInsertBase: an ingest tick's fixed cost. Along a
+// chain of clones — each step clones the step before, as a chain of
+// Asserts does — a clone of the evaluator plus InsertBase of a database
+// fact that brings a fresh constant in allocates the same few objects
+// (< 2 KB) whether the database holds 256 facts or 16 384: the clone
+// shares the fact log and both symbol tables and appends past their ends,
+// and the write into the shared shard copies only its overlay's tail.
+// What remains is fixed: the evaluator, its two stores (facts and
+// database membership), their predicate arrays, and one overlay each.
+// The chain is measured for fewer than tailCap steps; at tailCap an
+// overlay is flattened and a symbol tail folded, O(shard) and O(symbols)
+// once per tailCap writes. The bytes are the median step's: a log that
+// outgrows its array regrows on one step, amortized O(1) per append.
+func TestAllocBudgetForkInsertBase(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 12 // two measured chains of runs+1 steps each stay below tailCap
+	var objects []float64
+	for _, side := range []int{16, 128} { // |D| = side*side
+		var src []byte
+		src = append(src, "p(T+1, X) :- p(T, X), e(X, Y).\n"...)
+		for a := 0; a < side; a++ {
+			for b := 0; b < side; b++ {
+				src = fmt.Appendf(src, "e(c%d, c%d).\n", a, b)
+			}
+		}
+		root := mustEval(t, string(src))
+		fresh := make([]ast.Fact, 2*runs+3)
+		for i := range fresh {
+			fresh[i] = ntfact("e", "c0", fmt.Sprintf("fresh%d", i))
+		}
+		next := 0
+		tip := root
+		step := func() {
+			tip = tip.Clone()
+			if ok, err := tip.InsertBase(fresh[next]); !ok || err != nil {
+				t.Fatalf("InsertBase(%s) = %v, %v", fresh[next], ok, err)
+			}
+			next++
+		}
+		step() // the root's fact log has no spare capacity: one copy
+		objects = append(objects, testing.AllocsPerRun(runs, step))
+		perStep := make([]uint64, runs)
+		for i := range perStep {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			step()
+			runtime.ReadMemStats(&m1)
+			perStep[i] = m1.TotalAlloc - m0.TotalAlloc
+		}
+		slices.Sort(perStep)
+		bytes := float64(perStep[runs/2])
+		t.Logf("|D| = %d: %.0f objects, median step %.0f bytes (all steps %v)", side*side, objects[len(objects)-1], bytes, perStep)
+		if bytes >= 2048 {
+			t.Errorf("|D| = %d: clone and InsertBase allocate %.0f bytes, budget 2 KB", side*side, bytes)
+		}
+	}
+	if objects[0] != objects[1] {
+		t.Errorf("clone and InsertBase allocate %.0f objects at |D| = 256 and %.0f at |D| = 16 384, want the same", objects[0], objects[1])
 	}
 }

@@ -64,7 +64,10 @@ func dbFact(f ast.Fact) ast.Fact {
 
 // Clone returns an independent evaluator over the same program: a
 // snapshot of the database, store, window, and counters. The program and
-// compiled rules are immutable after New and are shared. Writes to the
+// compiled rules are immutable after New and are shared, and so is the
+// database's fact log (sharedLog: the clone appends past the parent's
+// end, in place or into a copy) and its signature map until a new
+// predicate is admitted. Writes to the
 // clone (InsertBase, PropagateDelta, EnsureWindow) are invisible to the
 // original, which makes Clone the basis of the copy-on-write snapshot
 // discipline used by incremental ingestion. Join plans are deliberately
@@ -75,11 +78,15 @@ func dbFact(f ast.Fact) ast.Fact {
 // rebuilt on first use (planJoins); the database-membership store, once
 // built, is shared copy-on-write like the fact store.
 //
-//tddlint:resets plans deltaPlans headBuf keyBuf
+//tddlint:resets plans deltaPlans headBuf keyBuf delta next
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		prog:      e.prog,
-		db:        e.db.Clone(),
+		db:        e.db,
+		facts:     e.facts,
+		depth:     e.depth,
+		lookback:  e.lookback,
+		hmax:      e.hmax,
 		store:     e.store.Clone(),
 		rules:     e.rules,
 		evaluated: e.evaluated,
@@ -133,8 +140,19 @@ func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
 	if !e.dbFacts.Insert(dbFact(f)) {
 		return false, nil
 	}
-	e.db.Facts = append(e.db.Facts, f)
-	e.db.Preds[f.Pred] = info
+	e.facts.append(f)
+	e.db.Facts = e.facts.view()
+	if _, ok := e.db.Preds[f.Pred]; !ok {
+		preds := make(map[string]ast.PredInfo, len(e.db.Preds)+1)
+		for k, v := range e.db.Preds {
+			preds[k] = v
+		}
+		preds[f.Pred] = info
+		e.db.Preds = preds
+	}
+	if f.Temporal && f.Time > e.depth {
+		e.depth = f.Time
+	}
 	e.store.Insert(f)
 	return true, nil
 }
@@ -156,7 +174,10 @@ func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 	e.prof.lock()
 	defer e.prof.unlock()
 	sp := e.tr.Begin("delta-propagate")
-	delta := make([]dfact, 0, len(seed))
+	// The frontier and the next round's frontier swap buffers, kept on
+	// the evaluator, so a round allocates only when a frontier outgrows
+	// every earlier one.
+	delta, next := e.delta[:0], e.next[:0]
 	for _, f := range seed {
 		if d, ok := e.store.locate(f); ok {
 			delta = append(delta, d)
@@ -166,7 +187,7 @@ func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 	total := 0
 	for len(delta) > 0 {
 		rounds++
-		var next []dfact
+		next = next[:0]
 		for _, f := range delta {
 			if int(f.pred) >= len(e.occ) {
 				continue
@@ -195,8 +216,9 @@ func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 			}
 		}
 		total += len(next)
-		delta = next
+		delta, next = next, delta
 	}
+	e.delta, e.next = delta, next
 	sp.Add("seed", int64(len(seed)))
 	sp.Add("derived", int64(total))
 	sp.Add("rounds", int64(rounds))

@@ -64,6 +64,13 @@ func TestCloneIndependence(t *testing.T) {
 	if len(e.Database().Facts) == len(c.Database().Facts) {
 		t.Fatal("clone database shares the original's fact list")
 	}
+	// A predicate the clone admits stays out of the original's signatures.
+	if _, err := c.InsertBase(ntfact("r", "a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.Database().Preds["r"]; ok {
+		t.Fatal("predicate admitted by the clone leaked into the original")
+	}
 
 	// Growing the clone's window must not move the original's.
 	c.EnsureWindow(20)
@@ -118,8 +125,8 @@ func TestInsertBaseRecordsDerivedFacts(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if e.Database().MaxDepth() != 9 {
-		t.Fatalf("database depth %d, want 9", e.Database().MaxDepth())
+	if e.Database().MaxDepth() != 9 || e.DatabaseDepth() != 9 {
+		t.Fatalf("database depth %d (kept on insert: %d), want 9", e.Database().MaxDepth(), e.DatabaseDepth())
 	}
 }
 

@@ -91,10 +91,20 @@ type crule struct {
 // Evaluator computes the least model of prog ∧ db restricted to a growing
 // temporal window.
 type Evaluator struct {
-	prog  *ast.Program
-	db    *ast.Database
-	store *Store
-	rules []crule
+	prog *ast.Program
+	// db is the database the evaluator was built with plus every fact
+	// InsertBase added: its Facts is facts' view, its Preds a map that
+	// clones share and a new predicate replaces rather than writes.
+	db    ast.Database
+	facts sharedLog[ast.Fact]
+	// depth is the database's temporal depth c, kept up to date on
+	// insert; lookback and hmax are the program's certificate width G and
+	// maximum head depth (Lookback, MaxHeadDepth), computed by New.
+	depth    int
+	lookback int
+	hmax     int
+	store    *Store
+	rules    []crule
 	// evaluated is the largest time point the window has been closed to;
 	// -1 before the first EnsureWindow.
 	evaluated int
@@ -138,12 +148,15 @@ type Evaluator struct {
 	plans      []joinPlan
 	deltaPlans [][]joinPlan
 	// maxSlots sizes the scratch binding environment; en/headBuf/keyBuf
-	// are reused across firings (the evaluator is single-writer, so one
-	// scratch set suffices).
+	// are reused across firings and delta/next across delta-propagation
+	// rounds (the evaluator is single-writer, so one scratch set
+	// suffices).
 	maxSlots int
 	en       env
 	headBuf  []uint32
 	keyBuf   []uint32
+	delta    []dfact
+	next     []dfact
 }
 
 // New compiles and validates a program/database pair. The program must be
@@ -155,7 +168,9 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 	if err := db.CheckAgainst(prog); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{prog: prog, db: db, store: NewStore(), evaluated: -1}
+	e := &Evaluator{prog: prog, db: *db, facts: newSharedLog(db.Facts), store: NewStore(), evaluated: -1}
+	e.db.Facts = e.facts.view()
+	e.lookback, e.hmax = Lookback(prog), MaxHeadDepth(prog)
 	for _, r := range prog.Rules {
 		// Rules are compiled with their ORIGINAL depths. Shifting all
 		// depths down by the rule's minimum is not a semantic equivalence:
@@ -229,8 +244,58 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 	}
 	for _, f := range db.Facts {
 		e.store.Insert(f)
+		if f.Temporal && f.Time > e.depth {
+			e.depth = f.Time
+		}
 	}
 	return e, nil
+}
+
+// Lookback returns G, the period certificate's width for prog: the
+// maximum of the shift-normalized head depth of its temporal rules and
+// the deepest body literal of its non-temporal-head rules, and at least
+// 1. period.Lookback documents why the certificate needs exactly this.
+func Lookback(prog *ast.Program) int {
+	g := 1
+	for i := range prog.Rules {
+		r := &prog.Rules[i]
+		// lo and hi: the least and greatest depth of r's non-ground
+		// temporal terms (ast.Rule.MinDepth, MaxDepth), without their
+		// allocations.
+		lo, hi := -1, -1
+		for j := -1; j < len(r.Body); j++ {
+			a := &r.Head
+			if j >= 0 {
+				a = &r.Body[j]
+			}
+			if a.Time == nil || a.Time.Ground() {
+				continue
+			}
+			if lo < 0 || a.Time.Depth < lo {
+				lo = a.Time.Depth
+			}
+			hi = max(hi, a.Time.Depth)
+		}
+		switch {
+		case r.Head.Time == nil:
+			g = max(g, hi)
+		case lo >= 0 && !r.Head.Time.Ground():
+			g = max(g, r.Head.Time.Depth-lo) // the shift-normalized head depth
+		}
+	}
+	return g
+}
+
+// MaxHeadDepth returns the maximum (original, unshifted) temporal head
+// depth over the program's rules; see period.MaxHeadDepth.
+func MaxHeadDepth(prog *ast.Program) int {
+	h := 0
+	for _, r := range prog.Rules {
+		if r.Head.Time != nil && !r.Head.Time.Ground() && r.Head.Time.Depth > h {
+			h = r.Head.Time.Depth
+		}
+	}
+	return h
 }
 
 // Store exposes the fact store (read-only by convention).
@@ -266,8 +331,22 @@ func (e *Evaluator) SetTrace(tr *obs.Trace) { e.tr = tr }
 // Trace returns the attached trace (nil when tracing is disabled).
 func (e *Evaluator) Trace() *obs.Trace { return e.tr }
 
-// Database returns the database the evaluator was built with.
-func (e *Evaluator) Database() *ast.Database { return e.db }
+// Database returns the database: the one the evaluator was built with
+// plus every fact InsertBase added. Its fact slice has no spare capacity,
+// so appending to it copies; callers must not write its elements or its
+// signature map.
+func (e *Evaluator) Database() *ast.Database { return &e.db }
+
+// DatabaseDepth returns c, the database's maximum temporal depth
+// (ast.Database.MaxDepth), without a pass over the facts.
+func (e *Evaluator) DatabaseDepth() int { return e.depth }
+
+// Lookback returns the program's certificate width G (Lookback).
+func (e *Evaluator) Lookback() int { return e.lookback }
+
+// MaxHeadDepth returns the program's maximum temporal head depth
+// (MaxHeadDepth).
+func (e *Evaluator) MaxHeadDepth() int { return e.hmax }
 
 // Program returns the program the evaluator was built with.
 func (e *Evaluator) Program() *ast.Program { return e.prog }
@@ -651,7 +730,7 @@ func (e *Evaluator) factFor(a *ast.Atom, pat []carg, en *env) ast.Fact {
 				panic(fmt.Sprintf("engine: unbound variable in %s", a))
 			}
 		}
-		f.Args[i] = e.store.syms.names[v]
+		f.Args[i] = e.store.syms.name(v)
 	}
 	return f
 }

@@ -112,7 +112,7 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 		}
 		fp.add(s.syms.factFingerprint(pred, row))
 	}
-	if s.syms.preds[pred].temporal && fp != rs.fp {
+	if s.syms.pred(pred).temporal && fp != rs.fp {
 		return fmt.Errorf("%s: maintained fingerprint %x != recomputed %x", where, rs.fp, fp)
 	}
 	if tbl := rs.idx.Load(); tbl != nil {
@@ -162,7 +162,7 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 		}
 		absent := make([]uint32, len(maskedKey(rs.row(0), mask)))
 		for i := range absent {
-			absent[i] = uint32(len(s.syms.names)) + 7 // an id no symbol has
+			absent[i] = uint32(s.syms.nsyms()) + 7 // an id no symbol has
 		}
 		if got := bucketRows(rs, mask, absent); len(got) != 0 {
 			return fmt.Errorf("%s mask %x: lookup of absent key returned %d rows", where, mask, len(got))
@@ -180,7 +180,7 @@ func checkStoreIndexes(s *Store) error {
 	for i := range s.rels {
 		pr := &s.rels[i]
 		pred := uint32(i)
-		name := s.syms.preds[i].name
+		name := s.syms.pred(pred).name
 		facts, states := 0, 0
 		var err error
 		pr.each(func(tm int, rs *relset) {

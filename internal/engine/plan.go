@@ -73,7 +73,7 @@ func (e *Evaluator) planJoins() {
 	// Refresh the static bounds when the database has grown (it is
 	// append-only, so the fact count keys the cache).
 	if e.bounds == nil || e.boundsFacts != len(e.db.Facts) {
-		e.bounds = progan.ComputeBounds(e.prog, e.db)
+		e.bounds = progan.ComputeBounds(e.prog, &e.db)
 		e.boundsFacts = len(e.db.Facts)
 	}
 	if e.stats.Index == nil {

@@ -401,7 +401,7 @@ func (e *Evaluator) cardinalities() []PredCardJSON {
 	var out []PredCardJSON
 	for i := range e.store.rels {
 		pr := &e.store.rels[i]
-		sig := e.store.syms.preds[i]
+		sig := e.store.syms.pred(uint32(i))
 		if !sig.temporal {
 			if pr.nt != nil {
 				out = append(out, PredCardJSON{Pred: sig.name, Facts: int64(pr.facts)})

@@ -599,10 +599,10 @@ func (pr *predRel) each(f func(t int, rs *relset)) {
 // predicate and time point, and non-temporal relations by predicate, as
 // rows of symbol ids over the store's symbol table.
 type Store struct {
-	// syms is the symbol and predicate table, shared copy-on-write with
-	// clones (see symtab).
-	syms *symtab
-	// rels is indexed by predicate id; len(rels) == len(syms.preds).
+	// syms is the symbol and predicate table, shared with clones as a
+	// frozen base plus a private tail (see symtab).
+	syms symtab
+	// rels is indexed by predicate id, one per interned signature.
 	rels  []predRel
 	count int
 	// occ marks (one bit per symbol id) the symbols that occur in some
@@ -628,19 +628,20 @@ func NewStore() *Store { return &Store{syms: newSymtab()} }
 // copies — independent of the number of facts — and a subsequent write
 // into a shared shard copies only that shard's short tail (relset.fork),
 // never the rows or indexes of a shard of more than tinyShard rows. The
-// symbol table is shared the
-// same way until one side interns a new name. Clone must be externally
+// symbol table is shared the same way: a clone copies its headers, and a
+// new name on either side is appended past what the other holds (see
+// symtab). Clone must be externally
 // serialized against writes to s (the evaluator's single-writer
 // discipline); afterwards the two stores may be written from different
 // goroutines.
 //
 //tddlint:resets rowBuf
 func (s *Store) Clone() *Store {
-	// The flags below are written only when they change: a table or shard
-	// that is already shared may be in use by another lineage's writer,
-	// which reads them.
-	if !s.syms.shared {
-		s.syms.shared = true
+	// The flags below are written only when they change: a shard that is
+	// already shared may be in use by another lineage's writer, which
+	// reads them.
+	if s.syms.own {
+		s.syms.own = false
 	}
 	c := &Store{
 		syms:  s.syms,
@@ -676,13 +677,10 @@ func (s *Store) Clone() *Store {
 }
 
 // intern returns the symbol id of a constant, adding it to the table
-// (forking a shared table first) when it is new. Write path only.
+// when it is new. Write path only.
 func (s *Store) intern(name string) uint32 {
-	if id, ok := s.syms.ids[name]; ok {
+	if id, ok := s.syms.symbolID(name); ok {
 		return id
-	}
-	if s.syms.shared {
-		s.syms = s.syms.fork()
 	}
 	return s.syms.addSymbol(name)
 }
@@ -691,11 +689,8 @@ func (s *Store) intern(name string) uint32 {
 // is new. Write path only.
 func (s *Store) internPred(name string, arity int, temporal bool) uint32 {
 	k := predKey{name: name, arity: arity, temporal: temporal}
-	if id, ok := s.syms.predIDs[k]; ok {
+	if id, ok := s.syms.predID(k); ok {
 		return id
-	}
-	if s.syms.shared {
-		s.syms = s.syms.fork()
 	}
 	s.rels = append(s.rels, predRel{})
 	return s.syms.addPred(k)
@@ -711,14 +706,12 @@ const NoSymbol uint32 = 0
 // and HasRow it is the read surface of a reader that resolves names once
 // and then probes on ids (internal/query).
 func (s *Store) PredID(name string, arity int, temporal bool) (uint32, bool) {
-	id, ok := s.syms.predIDs[predKey{name: name, arity: arity, temporal: temporal}]
-	return id, ok
+	return s.syms.predID(predKey{name: name, arity: arity, temporal: temporal})
 }
 
 // SymbolID resolves a constant to its symbol id without interning.
 func (s *Store) SymbolID(name string) (uint32, bool) {
-	id, ok := s.syms.ids[name]
-	return id, ok
+	return s.syms.symbolID(name)
 }
 
 // HasRow reports whether the fact pred(t, row) is present (t is ignored
@@ -758,7 +751,7 @@ func (s *Store) locate(f ast.Fact) (dfact, bool) {
 // shard returns the relation holding the facts of pred at time t (t is
 // ignored for a non-temporal predicate); nil if empty.
 func (s *Store) shard(pred uint32, t int) *relset {
-	if s.syms.preds[pred].temporal {
+	if s.syms.pred(pred).temporal {
 		return s.rels[pred].get(t)
 	}
 	return s.rels[pred].nt
@@ -782,7 +775,7 @@ func (s *Store) Insert(f ast.Fact) bool {
 // returns the fact's row number in its shard and whether it was new.
 func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 	pr := &s.rels[pred]
-	temporal := s.syms.preds[pred].temporal
+	temporal := s.syms.pred(pred).temporal
 	rs := pr.nt
 	if temporal {
 		rs = pr.get(t)
@@ -905,7 +898,7 @@ func (s *Store) StateKey(t int) string {
 	for i := range s.rels {
 		rs := s.rels[i].get(t)
 		for n := 0; n < rs.size(); n++ {
-			lines = append(lines, s.syms.preds[i].name+"\x01"+strings.Join(s.args(rs, uint32(n)), "\x00"))
+			lines = append(lines, s.syms.pred(uint32(i)).name+"\x01"+strings.Join(s.args(rs, uint32(n)), "\x00"))
 		}
 	}
 	sort.Strings(lines)
@@ -917,7 +910,7 @@ func (s *Store) args(rs *relset, n uint32) []string {
 	row := rs.row(n)
 	out := make([]string, len(row))
 	for i, id := range row {
-		out[i] = s.syms.names[id]
+		out[i] = s.syms.name(id)
 	}
 	return out
 }
@@ -926,7 +919,7 @@ func (s *Store) args(rs *relset, n uint32) []string {
 // without a temporal argument.
 func (s *Store) appendFacts(out []ast.Fact, pred int, rs *relset) []ast.Fact {
 	for n := 0; n < rs.size(); n++ {
-		out = append(out, ast.Fact{Pred: s.syms.preds[pred].name, Args: s.args(rs, uint32(n))})
+		out = append(out, ast.Fact{Pred: s.syms.pred(uint32(pred)).name, Args: s.args(rs, uint32(n))})
 	}
 	return out
 }
@@ -980,11 +973,11 @@ func (s *Store) Constants() []string {
 	if c := s.consts.Load(); c != nil {
 		return *c
 	}
-	out := make([]string, 0, len(s.syms.names))
+	out := make([]string, 0, s.syms.nsyms())
 	for w, bits := range s.occ {
 		for b := 0; bits != 0; b, bits = b+1, bits>>1 {
 			if bits&1 != 0 {
-				out = append(out, s.syms.names[w<<6|b])
+				out = append(out, s.syms.name(uint32(w<<6|b)))
 			}
 		}
 	}

@@ -337,8 +337,9 @@ label(x).
 // and predicates nobody has ever named while a writer asserts new facts —
 // with new constants — on forks of it. The asks answer false, the
 // snapshot's symbol table does not grow, and (under -race) no read touches
-// anything the writer's lineage mutates: the fork that interns a name
-// takes a private copy of the table first.
+// anything the writer's lineage mutates: the fork appends a new name past
+// the snapshot's end of the shared log and folds its tail into private
+// maps, never into the snapshot's.
 func TestReadsNeverIntern(t *testing.T) {
 	snap := mustEval(t, `
 plane(T+2, X) :- plane(T, X), resort(X).
@@ -347,7 +348,7 @@ resort(r0). resort(r1).
 plane(0, r0). plane(1, r1).
 `)
 	snap.EnsureWindow(16)
-	table, syms, preds := snap.store.syms, len(snap.store.syms.names), len(snap.store.syms.preds)
+	table, syms, preds := snap.store.syms, snap.store.syms.nsyms(), len(snap.store.syms.preds.s)
 	domain := len(snap.store.Constants())
 
 	var wg sync.WaitGroup
@@ -387,11 +388,12 @@ plane(0, r0). plane(1, r1).
 	}
 	wg.Wait()
 
-	if snap.store.syms != table || len(table.names) != syms || len(table.preds) != preds {
-		t.Errorf("published snapshot's symbol table changed: %d -> %d symbols, %d -> %d predicates",
-			syms, len(snap.store.syms.names), preds, len(snap.store.syms.preds))
+	if st := &snap.store.syms; st.nsyms() != syms || len(st.preds.s) != preds || st.idsN != table.idsN ||
+		len(st.ids) != len(table.ids) {
+		t.Errorf("published snapshot's symbol table changed: %d -> %d symbols, %d -> %d predicates, map %d -> %d",
+			syms, st.nsyms(), preds, len(st.preds.s), len(table.ids), len(st.ids))
 	}
-	if got := len(fork.store.syms.names); got != syms+50 {
+	if got := fork.store.syms.nsyms(); got != syms+50 {
 		t.Errorf("fork interned %d symbols, want %d", got-syms, 50)
 	}
 	if err := checkStoreIndexes(fork.store); err != nil {

@@ -21,69 +21,124 @@ type predKey struct {
 
 // symtab is an append-only table of constants and predicate signatures.
 // Ids are dense and never reused; symbol id 0 is reserved for "unbound"
-// (see env). The table follows the shard copy-on-write discipline: store
-// clones share it (Store.Clone sets shared) until one side needs a name
-// it does not hold, and that side forks a private copy first — which only
-// base-fact ingestion can cause, since derived facts are built from
-// constants already stored and rule constants are interned by New.
-// Readers of a shared table never write to it: lookups of unknown names
-// fail without interning.
+// (see env).
+//
+// Store clones share the table the way they share shards: a frozen base
+// plus a short private part. The constants, their hashes and the
+// predicates are sharedLogs, so a clone copies slice headers and an
+// append copies nothing unless a sibling lineage took the slot first.
+// The name-to-id maps cover a prefix of the logs (ids covers
+// names[:idsN], predIDs covers preds[:predsN]); the names past it are
+// found by scanning the tail. While own is set no clone shares the maps,
+// and a new name goes
+// straight into them. After a clone it does not: new names stay in the
+// tail, and a tail reaching tailCap is folded into private copies of the
+// maps, O(symbols) once per tailCap new names. Only base-fact ingestion
+// interns on a clone — derived facts are built from constants already
+// stored and rule constants are interned by New. Readers never write:
+// lookups of unknown names fail without interning.
 type symtab struct {
-	names  []string // symbol id -> constant; names[0] is the unbound sentinel
-	hashes []uint64 // symbol id -> strHash(names[id])
-	ids    map[string]uint32
-
-	preds   []predKey // predicate id -> signature
-	phashes []uint64  // predicate id -> hash of name and arity
+	names   sharedLog[string] // symbol id -> constant; names[0] is the unbound sentinel
+	hashes  sharedLog[uint64] // symbol id -> strHash(names[id])
+	ids     map[string]uint32
+	idsN    int
+	preds   sharedLog[predSym] // predicate id -> signature
 	predIDs map[predKey]uint32
-
-	shared bool
+	predsN  int
+	own     bool
 }
 
-func newSymtab() *symtab {
-	return &symtab{
-		names:   []string{""},
-		hashes:  []uint64{0},
+// predSym is one predicate signature and the hash of its name and arity.
+type predSym struct {
+	key  predKey
+	hash uint64
+}
+
+func newSymtab() symtab {
+	return symtab{
+		names:   newSharedLog([]string{""}),
+		hashes:  newSharedLog([]uint64{0}),
 		ids:     make(map[string]uint32),
+		idsN:    1,
+		preds:   newSharedLog[predSym](nil),
 		predIDs: make(map[predKey]uint32),
+		own:     true,
 	}
 }
 
-// fork returns a private copy of a shared table.
-func (st *symtab) fork() *symtab {
-	c := &symtab{
-		names:   append(make([]string, 0, len(st.names)+8), st.names...),
-		hashes:  append(make([]uint64, 0, len(st.hashes)+8), st.hashes...),
-		ids:     make(map[string]uint32, len(st.ids)+8),
-		preds:   append([]predKey(nil), st.preds...),
-		phashes: append([]uint64(nil), st.phashes...),
-		predIDs: make(map[predKey]uint32, len(st.predIDs)),
+func (st *symtab) name(id uint32) string { return st.names.s[id] }
+
+func (st *symtab) pred(id uint32) predKey { return st.preds.s[id].key }
+
+// nsyms returns the number of symbol ids handed out, the sentinel included.
+func (st *symtab) nsyms() int { return len(st.names.s) }
+
+// symbolID resolves a constant without interning.
+func (st *symtab) symbolID(name string) (uint32, bool) {
+	if id, ok := st.ids[name]; ok {
+		return id, true
 	}
-	for k, v := range st.ids {
-		c.ids[k] = v
+	for i := st.idsN; i < len(st.names.s); i++ {
+		if st.names.s[i] == name {
+			return uint32(i), true
+		}
 	}
-	for k, v := range st.predIDs {
-		c.predIDs[k] = v
+	return 0, false
+}
+
+// predID resolves a signature without interning.
+func (st *symtab) predID(k predKey) (uint32, bool) {
+	if id, ok := st.predIDs[k]; ok {
+		return id, true
 	}
-	return c
+	for i := st.predsN; i < len(st.preds.s); i++ {
+		if st.preds.s[i].key == k {
+			return uint32(i), true
+		}
+	}
+	return 0, false
 }
 
 // addSymbol appends a constant the table does not hold yet.
 func (st *symtab) addSymbol(name string) uint32 {
-	id := uint32(len(st.names))
-	st.names = append(st.names, name)
-	st.hashes = append(st.hashes, strHash(name))
-	st.ids[name] = id
+	id := uint32(len(st.names.s))
+	st.names.append(name)
+	st.hashes.append(strHash(name))
+	st.indexTails()
 	return id
 }
 
 // addPred appends a signature the table does not hold yet.
 func (st *symtab) addPred(k predKey) uint32 {
-	id := uint32(len(st.preds))
-	st.preds = append(st.preds, k)
-	st.phashes = append(st.phashes, mix64(strHash(k.name)+uint64(k.arity)))
-	st.predIDs[k] = id
+	id := uint32(len(st.preds.s))
+	st.preds.append(predSym{key: k, hash: mix64(strHash(k.name) + uint64(k.arity))})
+	st.indexTails()
 	return id
+}
+
+// indexTails brings the maps up to date with the logs when the table owns
+// them, and folds the tails into private copies once one reaches tailCap.
+func (st *symtab) indexTails() {
+	if !st.own {
+		if len(st.names.s)-st.idsN < tailCap && len(st.preds.s)-st.predsN < tailCap {
+			return
+		}
+		ids := make(map[string]uint32, len(st.names.s))
+		for k, v := range st.ids {
+			ids[k] = v
+		}
+		predIDs := make(map[predKey]uint32, len(st.preds.s))
+		for k, v := range st.predIDs {
+			predIDs[k] = v
+		}
+		st.ids, st.predIDs, st.own = ids, predIDs, true
+	}
+	for ; st.idsN < len(st.names.s); st.idsN++ {
+		st.ids[st.names.s[st.idsN]] = uint32(st.idsN)
+	}
+	for ; st.predsN < len(st.preds.s); st.predsN++ {
+		st.predIDs[st.preds.s[st.predsN].key] = uint32(st.predsN)
+	}
 }
 
 // strHash is FNV-1a over the bytes, finalized: a fixed-seed 64-bit hash
@@ -140,10 +195,10 @@ func (f *Fingerprint) add(g Fingerprint) {
 // factFingerprint hashes one fact: the predicate hash chained through the
 // text hashes of its arguments in order, in two independently mixed lanes.
 func (st *symtab) factFingerprint(pred uint32, row []uint32) Fingerprint {
-	lo := st.phashes[pred]
+	lo := st.preds.s[pred].hash
 	hi := mix64b(lo)
 	for _, id := range row {
-		x := st.hashes[id]
+		x := st.hashes.s[id]
 		lo = mix64(lo ^ x)
 		hi = mix64b(hi + x)
 	}

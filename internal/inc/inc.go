@@ -10,17 +10,21 @@
 // then re-certified over the patched window. Because the patched window is
 // fact-for-fact identical to a from-scratch evaluation of the fact union —
 // the semi-naive completeness argument — re-certification returns exactly
-// the specification a cold start would, while touching only the states the
-// delta changed: every state carries an incrementally maintained
-// fingerprint (engine.Store.StateFingerprint), so re-certification reads
-// the states it did not touch at no cost per fact.
+// the specification a cold start would. It starts from the old period
+// (period.DetectFrom): at the largest window already evaluated it tries
+// the divisors of the old p before the full scan, which returns Detect's
+// answer even when the batch shrinks the period. Every state carries an
+// incrementally maintained fingerprint (engine.Store.StateFingerprint),
+// so the divisors' runs read states at no cost per fact and allocate
+// nothing; only a hint that fails pays for the full scan.
 //
 // Callers apply a batch to a clone of the evaluator, and the clone's
 // writes cost what the delta writes, not what the model holds: a store
 // clone shares every shard, a write into a shared shard overlays it with
-// a short private tail of the new rows instead of copying it, and the
-// database-membership set that deduplicates the batch is shared the same
-// way.
+// a short private tail of the new rows instead of copying it; the
+// database's fact log and the symbol tables are shared and appended past
+// the parent's end; and the database-membership set that deduplicates the
+// batch is a store shared the same way.
 //
 // The evaluator's join mode flows through unchanged: delta propagation
 // re-fires pinned rules through the evaluator's own join plans
@@ -80,7 +84,8 @@ func Insert(e *engine.Evaluator, facts []ast.Fact) (Result, error) {
 // evaluated window, and re-certifies the periodic specification. old is
 // the previous specification over e, or nil if none was computed yet; it
 // is returned unchanged when the batch contains nothing new. maxWindow
-// bounds the re-certification window (see period.Detect).
+// bounds the re-certification window (see period.Detect); old's period,
+// when there is one, is the re-certification's hint.
 //
 // Apply mutates e. On error (a signature-invalid fact, or a period not
 // certifiable within maxWindow) e may hold a partially applied batch;
@@ -101,14 +106,11 @@ func Apply(e *engine.Evaluator, old *spec.Spec, maxWindow int, facts []ast.Fact)
 		res.Period = old.Period
 		return old, res, nil
 	}
-	// Re-certification runs the full deterministic pipeline, so the result
-	// is exactly the minimal specification of the fact union — a changed
-	// state below the old base can shrink the minimal period as well as
-	// grow it, which is why no shortcut reuses the old certificate. The
-	// store's per-state fingerprints are maintained on insert, so the
-	// re-scan hashes nothing: only states the delta touched were rehashed,
-	// one fact at a time, as it touched them.
-	s, err := spec.Compute(e, maxWindow)
+	hint := 0
+	if old != nil {
+		hint = old.Period.P
+	}
+	s, err := spec.ComputeFrom(e, maxWindow, hint)
 	if err != nil {
 		return nil, res, err
 	}

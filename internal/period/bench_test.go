@@ -55,7 +55,7 @@ func BenchmarkScan(b *testing.B) {
 		eq := func(t1, t2 int) bool { return keys[t1] == keys[t2] }
 		b.Run(fmt.Sprintf("window=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p, ok := scan(m, 0, 3, 0, eq)
+				p, ok := scan(m, 0, 3, 0, 0, eq)
 				if !ok || p.P != 12 {
 					b.Fatalf("scan = %v, %v", p, ok)
 				}

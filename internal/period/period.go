@@ -75,36 +75,14 @@ var ErrWindowExceeded = errors.New("period: no period certified within the windo
 // m-p+1 >= hmax >= h, so both bounds are <= m-h+1: every such T lies in
 // the window. A non-temporal-head rule's patterns occur at T < b+p by
 // the same shift, and (b) above puts its deepest literal at T+G <= m.
-func Lookback(prog *ast.Program) int {
-	g := prog.Lookback()
-	for _, r := range prog.Rules {
-		if r.Head.Time != nil {
-			continue
-		}
-		if d := r.MaxDepth(); d > g {
-			g = d
-		}
-	}
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
+func Lookback(prog *ast.Program) int { return engine.Lookback(prog) }
 
 // MaxHeadDepth returns the maximum (original, unshifted) temporal head
 // depth over the program's rules. A rule contributes to states t >=
 // its head depth only — its enabling time — so the state-transition
 // function is time-invariant exactly from this point on, which the period
 // certificate must respect.
-func MaxHeadDepth(prog *ast.Program) int {
-	h := 0
-	for _, r := range prog.Rules {
-		if r.Head.Time != nil && !r.Head.Time.Ground() && r.Head.Time.Depth > h {
-			h = r.Head.Time.Depth
-		}
-	}
-	return h
-}
+func MaxHeadDepth(prog *ast.Program) int { return engine.MaxHeadDepth(prog) }
 
 // Detect finds the minimal verified period of the least model of e's
 // program and database, growing the evaluation window (doubling) until a
@@ -118,33 +96,87 @@ func MaxHeadDepth(prog *ast.Program) int {
 // certificate is confirmed by exact set comparison (see certify), so the
 // result is exactly what comparing full states everywhere would give.
 func Detect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
-	c := e.Database().MaxDepth()
-	G := Lookback(e.Program())
-	hmax := MaxHeadDepth(e.Program())
+	return DetectFrom(e, maxWindow, 0)
+}
+
+// DetectFrom is Detect given a hint: a period p0 the model probably
+// still has, such as the one certified before the last insert (hint 0
+// means none). The period, the window e ends up evaluated to and the
+// Stats are Detect's whatever the hint; a good one saves the scans.
+// DetectFrom starts at the largest window of Detect's schedule that e
+// has already evaluated, tries the divisors of p0 there in ascending
+// order, then the full scan, and from there on follows the schedule as
+// Detect does.
+//
+// Why that is Detect's answer. A certified (b, p) is a true period of
+// the model. If p and q are eventual periods, so is gcd(p, q) (for t
+// beyond both bases, step by +p and -q), so the minimal period p*
+// divides every period, and its minimal base is no larger than any
+// other period's. Hence p* certifies, with the same base, at every
+// window at which any period certifies: at exactly the windows m >=
+// max(b*+p*+G, p*+hmax-1), where b* is p*'s base beyond c. Detect
+// therefore returns (b*, p*) at the first such window of its schedule,
+// and evaluates nothing at the windows e already covers. A certified
+// divisor d of p0 is a true period, so p* divides d and is a divisor of
+// p0 that certifies too: the first divisor to certify is p*. If none
+// does and the full scan fails as well, no smaller window of the
+// schedule certifies either, and Detect would go on to the next window
+// exactly as DetectFrom does.
+func DetectFrom(e *engine.Evaluator, maxWindow, hint int) (Period, Stats, error) {
+	c, G, hmax := e.DatabaseDepth(), e.Lookback(), e.MaxHeadDepth()
+	m0 := max(2*c+4*G+4, 2*hmax+4, 16)
 	var stats Stats
-	m := 2*c + 4*G + 4
-	if min := 2*hmax + 4; m < min {
-		m = min
+	m := m0
+	if hint > 0 {
+		for m < maxWindow && min(2*m, maxWindow) <= e.Window() {
+			m *= 2
+			stats.Grown++
+		}
 	}
-	if m < 16 {
-		m = 16
-	}
+	jumped := stats.Grown > 0
+	st := e.Store()
 	for {
 		if m > maxWindow {
 			m = maxWindow
 		}
 		e.EnsureWindow(m)
 		stats.Window = m
-		st := e.Store()
-		fps := make([]engine.Fingerprint, m+1)
-		for t := range fps {
-			fps[t] = st.StateFingerprint(t)
+		var p Period
+		var ok, fellBack bool
+		if hint > 0 {
+			// The divisors' runs read a few states each: fingerprints are
+			// summed as needed, and nothing the size of the window is
+			// allocated.
+			approx := func(t1, t2 int) bool { return st.StateFingerprint(t1) == st.StateFingerprint(t2) }
+			p, ok, fellBack = certify(m, c, G, hmax, hint, approx, st.StateEqual)
+			if fellBack {
+				stats.ExactFallbacks++
+			}
 		}
-		p, ok, fellBack := certify(m, c, G, hmax, func(t1, t2 int) bool { return fps[t1] == fps[t2] }, st.StateEqual)
-		if fellBack {
-			stats.ExactFallbacks++
+		if !ok {
+			// The full scan may revisit every state many times, so each
+			// state it reads — those past c — has its fingerprint summed
+			// once.
+			fps := make([]engine.Fingerprint, max(m-c, 0))
+			for i := range fps {
+				fps[i] = st.StateFingerprint(c + 1 + i)
+			}
+			approx := func(t1, t2 int) bool { return fps[t1-c-1] == fps[t2-c-1] }
+			p, ok, fellBack = certify(m, c, G, hmax, 0, approx, st.StateEqual)
+			if fellBack {
+				stats.ExactFallbacks++
+			}
 		}
 		if ok {
+			if jumped {
+				// Detect's window: the first of its schedule that certifies.
+				need := max(p.Base+p.P+G, p.P+hmax-1)
+				stats.Window, stats.Grown = min(m0, maxWindow), 0
+				for stats.Window < need {
+					stats.Window = min(2*stats.Window, maxWindow)
+					stats.Grown++
+				}
+			}
 			return p, stats, nil
 		}
 		if m >= maxWindow {
@@ -152,11 +184,13 @@ func Detect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
 		}
 		m *= 2
 		stats.Grown++
+		hint = 0
 	}
 }
 
 // certify finds the minimal certified period of the window 0..m under
-// the exact state equality, paying for it only where it matters: the
+// the exact state equality — among the divisors of div when div > 0 —
+// paying for it only where it matters: the
 // scan runs on approx, an equality that may also hold for unequal states
 // (fingerprints: equal states always have equal fingerprints) but never
 // fails for equal ones, and the G certificate states of its winner are
@@ -172,25 +206,26 @@ func Detect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
 // t >= b', so the exact scan succeeds at p' with a base <= b' (hence
 // p = p'), and its run cannot extend below b' either: the approx run
 // stopped there on a mismatch, which is a true one. The two winners
-// coincide.
-func certify(m, c, G, hmax int, approx, exact func(t1, t2 int) bool) (p Period, ok, fellBack bool) {
-	p, ok = scan(m, c, G, hmax, approx)
+// coincide. Restricting both scans to the same candidates changes none of
+// this.
+func certify(m, c, G, hmax, div int, approx, exact func(t1, t2 int) bool) (p Period, ok, fellBack bool) {
+	p, ok = scan(m, c, G, hmax, div, approx)
 	if !ok {
 		return Period{}, false, false
 	}
 	for t := p.Base; t < p.Base+G; t++ {
 		if !exact(t, t+p.P) {
-			p, ok = scan(m, c, G, hmax, exact)
+			p, ok = scan(m, c, G, hmax, div, exact)
 			return p, ok, true
 		}
 	}
 	return p, true, false
 }
 
-// scan searches the states 0..m for the minimal certified period. eq
-// reports whether the states at two time points are equal; c is the
-// database's maximum temporal depth; G the certificate width; hmax the
-// maximum rule head depth.
+// scan searches the states 0..m for the minimal certified period, among
+// the divisors of div when div > 0. eq reports whether the states at two
+// time points are equal; c is the database's maximum temporal depth; G
+// the certificate width; hmax the maximum rule head depth.
 //
 // A pair (b, p) is certified when b > c, eq(t, t+p) for every t in
 // [b, m-p], the evidence window is wide enough (b + p + G <= m), and the
@@ -199,12 +234,15 @@ func certify(m, c, G, hmax int, approx, exact func(t1, t2 int) bool) (p Period, 
 // induction computes state t from the G previous states, and the
 // state-transition function is the same at t and t+p exactly when both
 // are beyond the database horizon and every rule's enabling time.
-func scan(m, c, G, hmax int, eq func(t1, t2 int) bool) (Period, bool) {
+func scan(m, c, G, hmax, div int, eq func(t1, t2 int) bool) (Period, bool) {
 	for p := 1; c+1+p+G <= m; p++ {
 		if m-p+1 < hmax {
 			// A rule with head depth hmax could first fire beyond the
 			// observed matches; no certificate possible at this p.
 			break
+		}
+		if div > 0 && div%p != 0 {
+			continue
 		}
 		// Find the minimal b >= c+1 with eq(t, t+p) for all t in [b, m-p].
 		b := -1

@@ -172,7 +172,7 @@ q(T+1) :- q(T).
 
 // scanKeys runs scan over explicit state keys.
 func scanKeys(keys []string, c, G, hmax int) (Period, bool) {
-	return scan(len(keys)-1, c, G, hmax, func(t1, t2 int) bool { return keys[t1] == keys[t2] })
+	return scan(len(keys)-1, c, G, hmax, 0, func(t1, t2 int) bool { return keys[t1] == keys[t2] })
 }
 
 func TestScanNoFalsePositiveOnShortEvidence(t *testing.T) {
@@ -346,7 +346,7 @@ func TestCertifyFallsBackOnCollision(t *testing.T) {
 		// Collisions only in the transient extend the run below the true base.
 		"transient": func(t1, t2 int) bool { return keys[t1] == keys[t2] || t1 < 2 },
 	} {
-		got, ok, fellBack := certify(m, 0, 2, 0, approx, exact)
+		got, ok, fellBack := certify(m, 0, 2, 0, 0, approx, exact)
 		if !ok || got != want {
 			t.Errorf("%s: certify = %v, %v; want %v", name, got, ok, want)
 		}
@@ -355,13 +355,13 @@ func TestCertifyFallsBackOnCollision(t *testing.T) {
 		}
 	}
 	// An honest approximation confirms without a second scan.
-	got, ok, fellBack := certify(m, 0, 2, 0, exact, exact)
+	got, ok, fellBack := certify(m, 0, 2, 0, 0, exact, exact)
 	if !ok || got != want || fellBack {
 		t.Errorf("honest: certify = %v, %v, fellBack=%v; want %v, true, false", got, ok, fellBack, want)
 	}
 	// No certificate under the approximation means none at all.
 	short := []string{"a", "b", "c", "d", "e", "f"}
-	if _, ok, _ := certify(len(short)-1, 0, 2, 0, func(t1, t2 int) bool { return short[t1] == short[t2] }, exact); ok {
+	if _, ok, _ := certify(len(short)-1, 0, 2, 0, 0, func(t1, t2 int) bool { return short[t1] == short[t2] }, exact); ok {
 		t.Error("certify found a period in an aperiodic window")
 	}
 }

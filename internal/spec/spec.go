@@ -44,9 +44,16 @@ type Spec struct {
 // phases are recorded as certify-period (with the engine's fixpoint
 // spans nested inside) and spec-construct.
 func Compute(e *engine.Evaluator, maxWindow int) (*Spec, error) {
+	return ComputeFrom(e, maxWindow, 0)
+}
+
+// ComputeFrom is Compute with a period hint (see period.DetectFrom): the
+// specification is Compute's, found with less scanning when the hint is
+// good.
+func ComputeFrom(e *engine.Evaluator, maxWindow, hint int) (*Spec, error) {
 	tr := e.Trace()
 	sp := tr.Begin("certify-period")
-	p, st, err := period.Detect(e, maxWindow)
+	p, st, err := period.DetectFrom(e, maxWindow, hint)
 	if err != nil {
 		sp.End()
 		return nil, err

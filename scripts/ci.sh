@@ -107,8 +107,11 @@ echo "==> store allocation budgets"
 # The interned store's claims, pinned without a clock: a duplicate emit,
 # a Store.Has and an index probe allocate nothing, N new facts in one
 # shard cost O(log N) allocations, and a clone plus one write into a
-# shared shard allocates the same few objects (< 1 KB) at any shard size.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite
+# shared shard allocates the same few objects (< 1 KB) at any shard size;
+# along a chain of evaluator clones, a clone plus a database fact with a
+# fresh constant allocates the same few objects (< 2 KB) at any database
+# size.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase
 # Copy-on-write overlays: every shard along a random tree of store clones
 # equals a flat rebuild of its lineage's rows; a fork leaves the frozen
 # shard as it was and a flatten carries its indexes; and sibling forks
@@ -134,6 +137,20 @@ echo "==> the certificate reaches deep non-temporal bodies"
 # non-temporal fact naive T_P derives.
 require_test ./internal/period/ TestDeepNonTemporalBodyCertified
 require_test ./internal/server/ TestRegisterDeepNonTemporalBody
+
+echo "==> an ingest allocates for its delta (shared logs, certification from a hint)"
+# Re-certification from the old period returns Detect's period, window,
+# Stats and counters: on the cases a hint must survive (a batch below the
+# base that halves p, a new period that fails the hint and grows the
+# window, wrong hints, c moved past the old base) and for the hints p, 2p,
+# p+1, 1 and a random one on random programs and the counter family. Four
+# fork lineages of one warm parent share its fact log and symbol tables
+# and assert at once; each tip equals a cold open of its history.
+# require_test runs without -race, so the lineage test gets a -race line.
+require_test ./internal/period/ TestDetectFromHint TestDetectFromHintProperty
+require_test ./internal/inc/ TestApplyStartsFromOldPeriod
+require_test . TestForkLineagesShareLogs
+go test -race -count=1 -run '^TestForkLineagesShareLogs$' .
 
 echo "==> rules analyzed once per program, lint deterministic"
 # An ingest re-lints only what its facts can change: every fork shares its

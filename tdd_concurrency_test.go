@@ -421,3 +421,134 @@ func TestLintDuringWarmReads(t *testing.T) {
 		t.Errorf("Lint moved the engine's counters:\nbefore %+v\nafter  %+v", detail, got)
 	}
 }
+
+// TestForkLineagesShareLogs: forks share their parent's fact log and
+// symbol tables and append past its end, so two lineages of one warm
+// parent write into one backing array until one of them loses a slot to
+// the other and copies. P is a warm snapshot whose logs have spare
+// capacity; A := P.Fork() asserts x, taking the slot after P's end. Then
+// P's lineage and a second fork of P (both find that slot taken and
+// copy), and A's lineage and a fork of A (racing for the next slot) each
+// assert batches with fresh constants — and, once, a new predicate — at
+// once, while readers ask P's original snapshot. Every tip's Facts(),
+// ModelFingerprint() and answers equal a cold OpenUnit of its own
+// history; under -race no lineage reads what another writes.
+func TestForkLineagesShareLogs(t *testing.T) {
+	const batches = 40
+	root, err := tdd.OpenUnit(concurrentSkiUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Period(); err != nil {
+		t.Fatal(err)
+	}
+	p := root.Fork()
+	first := "resort(r0). plane(3, r0).\n"
+	if _, err := p.Assert(first); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Fork()
+	queries := []string{"plane(1000003, hunter)", "exists T plane(T, r0)", "resort(X)", "plane(12, X)"}
+	want := func(db *tdd.DB) []string {
+		var out []string
+		for _, q := range queries {
+			if strings.Contains(q, "X") {
+				ans, err := db.Answers(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, tdd.FormatAnswers(ans))
+				continue
+			}
+			ok, err := db.Ask(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprint(ok))
+		}
+		return out
+	}
+	snapAnswers := want(snap)
+
+	x := "resort(x). plane(5, x).\n"
+	a := p.Fork()
+	if _, err := a.Assert(x); err != nil {
+		t.Fatal(err)
+	}
+	type lineage struct {
+		db      *tdd.DB
+		history string
+	}
+	lines := []*lineage{
+		{db: p, history: first},
+		{db: p.Fork(), history: first},
+		{db: a, history: first + x},
+		{db: a.Fork(), history: first + x},
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				if got := want(snap); !reflect.DeepEqual(got, snapAnswers) {
+					t.Errorf("snapshot answers %v, want %v", got, snapAnswers)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	var writers sync.WaitGroup
+	for li, l := range lines {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < batches; i++ {
+				b := fmt.Sprintf("resort(l%d_%d). plane(%d, l%d_%d). plane(%d, r0).\n", li, i, i%10, li, i, 11+i)
+				if i == batches/2 {
+					b += fmt.Sprintf("visited%d(l%d_%d).\n", li, li, i)
+				}
+				if _, err := l.db.Assert(b); err != nil {
+					t.Error(err)
+					return
+				}
+				l.history += b
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	for li, l := range lines {
+		cold, err := tdd.OpenUnit(concurrentSkiUnit + l.history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, exp := l.db.Facts(), cold.Facts(); got != exp {
+			t.Errorf("lineage %d: facts differ from a cold open of its history\n%s\nvs\n%s", li, got, exp)
+		}
+		gotFP, err := l.db.ModelFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		expFP, err := cold.ModelFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotFP != expFP {
+			t.Errorf("lineage %d: model fingerprint %s, cold open %s", li, gotFP, expFP)
+		}
+		if got, exp := want(l.db), want(cold); !reflect.DeepEqual(got, exp) {
+			t.Errorf("lineage %d: answers %v, cold open %v", li, got, exp)
+		}
+	}
+}
