@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tdd/internal/parser"
-	"tdd/internal/workload"
 )
 
 // Micro-benchmarks for the design choices DESIGN.md calls out: the
@@ -52,36 +51,6 @@ null(0).
 func BenchmarkJoinIndexed(b *testing.B) {
 	for _, n := range []int{20, 40, 80} {
 		src := chainGraph(n)
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := benchEval(b, src)
-				e.EnsureWindow(n)
-			}
-		})
-	}
-}
-
-// BenchmarkJoinUnindexed uses the same graph with the body literals
-// swapped so the recursive literal is matched first with an unbound first
-// argument — every tuple at the previous time point is scanned. The gap
-// against BenchmarkJoinIndexed is the value of the first-column index plus
-// binding-order sensitivity.
-func BenchmarkJoinUnindexed(b *testing.B) {
-	for _, n := range []int{20, 40, 80} {
-		src := `
-path(K, X, X) :- node(X), null(K).
-path(K+1, X, Z) :- path(K, Y, Z), edge(X, Y).
-null(0).
-`
-		for i := 0; i < n; i++ {
-			src += fmt.Sprintf("node(n%d).\n", i)
-			if i+1 < n {
-				src += fmt.Sprintf("edge(n%d, n%d).\n", i, i+1)
-			}
-			if i+5 < n {
-				src += fmt.Sprintf("edge(n%d, n%d).\n", i, i+5)
-			}
-		}
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := benchEval(b, src)
@@ -225,50 +194,6 @@ func BenchmarkCloneThenWrite(b *testing.B) {
 		row[0], row[1] = ids[i%16], fresh
 		if _, added := c.insertRow(p, i%64, row); !added {
 			b.Fatal("insert into the fork was a duplicate")
-		}
-	}
-}
-
-// BenchmarkIndexedJoin is the regression benchmark behind the ci.sh
-// indexed-join gate: the measurement behind EXPERIMENTS.md E18. Both
-// families are generated in "generate-then-filter" body order — the writing a join
-// planner exists for: the indexed engine recovers the selective order
-// from cardinalities and probes through multi-column indexes, while the
-// nested-loop mode (the pre-planner engine: source order, first-column
-// index only) degenerates to enumerating resorts (E1) or an
-// O(|path|·|edge|) per-state cross-product (E8). ci.sh fails if the
-// min-of-3 indexed/nested time ratio of either family regresses above
-// 0.5.
-func BenchmarkIndexedJoin(b *testing.B) {
-	for _, fam := range []struct {
-		name   string
-		rules  string
-		facts  string
-		window int
-	}{
-		{name: "E1_ski", window: 120},
-		{name: "E8_reach", window: 24},
-	} {
-		switch fam.name {
-		case "E1_ski":
-			fam.rules, fam.facts = workload.Ski(workload.SkiParams{
-				YearLen: 40, Resorts: 1024, Planes: 32, Holidays: 4, ResortFirst: true, Seed: 42})
-		case "E8_reach":
-			fam.rules, fam.facts = workload.Reachability(workload.ReachParams{
-				Nodes: 192, Edges: 288, PathFirst: true, Seed: 13})
-		}
-		src := fam.rules + fam.facts
-		for _, mode := range []struct {
-			name string
-			m    JoinMode
-		}{{"indexed", JoinIndexed}, {"nested", JoinNestedLoop}} {
-			b.Run(fam.name+"/"+mode.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					e := benchEval(b, src)
-					e.SetJoinMode(mode.m)
-					e.EnsureWindow(fam.window)
-				}
-			})
 		}
 	}
 }

@@ -93,8 +93,7 @@ func (e *Evaluator) Clone() *Evaluator {
 		stats:     e.stats.Clone(),
 		occ:       e.occ, // immutable after New
 		tr:        e.tr,
-		prof:      e.prof, // shared: the profile spans the database lifetime
-		mode:      e.mode,
+		prof:      e.prof,    // shared: the profile spans the database lifetime
 		derived:   e.derived, // immutable after New
 		maxSlots:  e.maxSlots,
 		// bounds are immutable once computed and keyed by the database

@@ -129,8 +129,6 @@ type Evaluator struct {
 	// counters and per-rule join wall time (profile.go); nil profiling
 	// costs one nil check per hook site.
 	prof *Profile
-	// mode selects the join strategy (plan.go); JoinIndexed by default.
-	mode JoinMode
 	// derived marks predicates appearing in some rule head: the planner
 	// treats their empty relations as database-sized rather than free,
 	// since they can grow within a fixpoint entry (plan.go).
@@ -310,18 +308,6 @@ func (e *Evaluator) Stats() Stats { return e.stats.Clone() }
 // read in place: the counter behind Stats().Rules[i].Firings, without the
 // snapshot's copy.
 func (e *Evaluator) RuleFirings(i int) int { return e.stats.Rules[i].Firings }
-
-// SetJoinMode selects the join strategy (see plan.go): JoinIndexed — the
-// default — plans the body order and probes multi-column hash indexes;
-// JoinNestedLoop is the historical source-order nested-loop engine, kept
-// as a differential baseline. Both compute the same least model; work
-// counters that depend on enumeration order (Firings, per-rule
-// attribution, profiler scan counts) are comparable only within one
-// mode. Callers set the mode before evaluation starts.
-func (e *Evaluator) SetJoinMode(m JoinMode) { e.mode = m }
-
-// JoinMode returns the configured join strategy.
-func (e *Evaluator) JoinMode() JoinMode { return e.mode }
 
 // SetTrace attaches (or, with nil, detaches) a trace: EnsureWindow and
 // PropagateDelta record fixpoint/sweep/delta spans into it. Callers

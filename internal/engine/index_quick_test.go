@@ -276,37 +276,6 @@ n(a0).
 	}
 }
 
-// Property: the same holds under the nested-loop mode — the index
-// structures are shared infrastructure, not mode-specific.
-func TestIndexConsistencyAcrossModes(t *testing.T) {
-	const src = `
-p(T+1, X, Y) :- p(T, X, Z), e(Z, Y).
-p(0, a0, a0).
-e(a0, a1).
-e(a1, a2).
-e(a2, a0).
-`
-	for _, cfg := range []struct {
-		name string
-		mode JoinMode
-	}{
-		{"indexed", JoinIndexed},
-		{"nested", JoinNestedLoop},
-	} {
-		e := mustEval(t, src)
-		e.SetJoinMode(cfg.mode)
-		e.EnsureWindow(16)
-		f := ntfact("e", "a2", "a2")
-		if ok, err := e.InsertBase(f); err != nil || !ok {
-			t.Fatalf("%s: InsertBase = %v, %v", cfg.name, ok, err)
-		}
-		e.PropagateDelta([]ast.Fact{f})
-		if err := checkStoreIndexes(e.store); err != nil {
-			t.Errorf("%s: %v", cfg.name, err)
-		}
-	}
-}
-
 // Property: along any tree of store clones — each clone taken from any
 // earlier store, so sibling forks write one shared shard, with runs of
 // writes long enough to pass tailCap and index builds on shards that are

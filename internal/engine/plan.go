@@ -6,13 +6,13 @@ package engine
 // already bound, and the join loop (eval.go, shared by delta.go) then
 // iterates only the matching index bucket instead of the full relation.
 //
-// Determinism contract: a plan is a pure function of the compiled rule,
-// the join mode, and the store's per-predicate cardinality counters
-// (store.card). Plans are recomputed at every fixpoint entry
-// (EnsureWindow, PropagateDelta) from the store content alone, so two
-// evaluators holding the same content — repeated runs, or a clone and a
-// from-scratch build of the same snapshot — choose the same orders, derive
-// facts in the same order, and report bit-identical Stats/profile counters.
+// Determinism contract: a plan is a pure function of the compiled rule
+// and the store's per-predicate cardinality counters (store.card). Plans
+// are recomputed at every fixpoint entry (EnsureWindow, PropagateDelta)
+// from the store content alone, so two evaluators holding the same
+// content — repeated runs, or a clone and a from-scratch build of the same
+// snapshot — choose the same orders, derive facts in the same order, and
+// report bit-identical Stats/profile counters.
 // The cost model is integer arithmetic only (no floats, no clock, no
 // randomness; internal/gocheck's TestFixpointImports bans the clock and
 // random imports in this package).
@@ -26,19 +26,6 @@ import (
 	"strings"
 
 	"tdd/internal/progan"
-)
-
-// JoinMode selects the body-evaluation strategy.
-type JoinMode int
-
-const (
-	// JoinIndexed (the default) evaluates rule bodies with planner-ordered
-	// literals and multi-column hash-index probes.
-	JoinIndexed JoinMode = iota
-	// JoinNestedLoop evaluates rule bodies in source order with at most
-	// the first-column index — the engine's historical behavior, kept as
-	// the differential baseline for the indexed engine.
-	JoinNestedLoop
 )
 
 // IndexStat counts join-side relation accesses for one body predicate:
@@ -96,10 +83,9 @@ func (e *Evaluator) planJoins() {
 }
 
 // planRule orders the body of r (with literal pin pre-bound; -1 for
-// none). JoinNestedLoop keeps source order and first-column masks — the
-// historical engine exactly; JoinIndexed greedily picks the cheapest
-// remaining literal under the cost estimate, ties resolved to the
-// earliest source position.
+// none): it greedily picks the cheapest remaining literal under the cost
+// estimate, ties resolved to the earliest source position, and probes it
+// through the index on every column bound by then.
 func (e *Evaluator) planRule(r *crule, pin int) joinPlan {
 	bound := make([]bool, r.nslots)
 	if pin >= 0 {
@@ -117,24 +103,16 @@ func (e *Evaluator) planRule(r *crule, pin int) joinPlan {
 	}
 	plan := joinPlan{steps: make([]planStep, 0, len(remaining))}
 	for len(remaining) > 0 {
-		pick := 0
-		if e.mode == JoinIndexed {
-			best := uint64(0)
-			for k, li := range remaining {
-				cost := e.estCost(r, li, bound)
-				if k == 0 || cost < best {
-					best, pick = cost, k
-				}
+		pick, best := 0, uint64(0)
+		for k, li := range remaining {
+			cost := e.estCost(r, li, bound)
+			if k == 0 || cost < best {
+				best, pick = cost, k
 			}
 		}
 		li := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		var mask uint32
-		if e.mode == JoinNestedLoop {
-			mask = firstColMask(r.bodyC[li], bound)
-		} else {
-			mask, _ = boundMask(r.bodyC[li], bound)
-		}
+		mask, _ := boundMask(r.bodyC[li], bound)
 		plan.steps = append(plan.steps, e.newStep(r.body[li].Pred, li, mask))
 		for _, c := range r.bodyC[li] {
 			if c.slot >= 0 {
@@ -174,18 +152,6 @@ func boundMask(pat []carg, bound []bool) (mask uint32, n int) {
 		}
 	}
 	return mask, n
-}
-
-// firstColMask reproduces the historical engine's index use: the first
-// column only, and only when it is a constant or already bound.
-func firstColMask(pat []carg, bound []bool) uint32 {
-	if len(pat) == 0 {
-		return 0
-	}
-	if c := pat[0]; c.slot < 0 || bound[c.slot] {
-		return 1
-	}
-	return 0
 }
 
 // estCost estimates how many tuples matching literal li the join loop

@@ -26,11 +26,10 @@
 // the parent's end; and the database-membership set that deduplicates the
 // batch is a store shared the same way.
 //
-// The evaluator's join mode flows through unchanged: delta propagation
-// re-fires pinned rules through the evaluator's own join plans
-// (engine.SetJoinMode), and because both modes reach the same fixpoints
-// the maintained model — and hence the re-certified specification — is
-// identical either way (see TestApplyAgreesAcrossJoinModes).
+// Delta propagation re-fires pinned rules through the evaluator's own
+// join plans, so the maintained model — and hence the re-certified
+// specification — is the one a from-scratch evaluation of the union
+// reaches.
 package inc
 
 import (

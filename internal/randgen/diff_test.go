@@ -1,68 +1,22 @@
 package randgen
 
-// Property-based differential tests: many random TDDs, three independent
+// Property-based differential tests: many random TDDs, independent
 // pipelines that must agree.
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"tdd/internal/ast"
 	"tdd/internal/baseline"
 	"tdd/internal/engine"
-	"tdd/internal/inc"
-	"tdd/internal/obs"
 	"tdd/internal/parser"
 	"tdd/internal/period"
 	"tdd/internal/spec"
 )
 
 const trials = 60
-
-// statsFingerprint renders an engine.Stats snapshot canonically: every
-// counter, map keys sorted, Index cells dereferenced (a plain %+v would
-// print the cell pointers). Two runs with bit-identical counters produce
-// equal strings.
-func statsFingerprint(s engine.Stats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "derived=%d firings=%d sweeps=%d rules=%+v", s.Derived, s.Firings, s.Sweeps, s.Rules)
-	keys := make([]string, 0, len(s.Index))
-	for k := range s.Index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " idx[%s]=%+v", k, *s.Index[k])
-	}
-	return b.String()
-}
-
-// sweepStructure renders the span sequence of a trace with the counters
-// that do not depend on join order: how many states each extension
-// covered, what each full-window sweep added, and the store size every
-// fixpoint ended at. Firing counts are left out — which binding fires
-// first within a state is the join mode's business.
-func sweepStructure(tr *obs.Trace) string {
-	var b strings.Builder
-	var walk func([]obs.SpanJSON, int)
-	walk = func(ps []obs.SpanJSON, depth int) {
-		for _, p := range ps {
-			fmt.Fprintf(&b, "%*s%s", 2*depth, "", p.Name)
-			for _, k := range []string{"states", "added", "derived", "sweeps", "window", "store_len"} {
-				if v, ok := p.Counters[k]; ok {
-					fmt.Fprintf(&b, " %s=%d", k, v)
-				}
-			}
-			b.WriteByte('\n')
-			walk(p.Children, depth+1)
-		}
-	}
-	walk(tr.Snapshot().Phases, 0)
-	return b.String()
-}
 
 // shapes are the generator's two program shapes: temporal heads only,
 // and heads drawn from every predicate.
@@ -169,121 +123,6 @@ func TestSpecAnswersMatchDirectOnRandomPrograms(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// Property (three-way differential battery): on every random program,
-// three independently built evaluation pipelines agree — the naive T_P
-// oracle, the nested-loop engine (the historical join strategy), and the
-// indexed engine (planned join orders + hash-index probes). All compare
-// equal on answers (every state of the window), on the certified period,
-// and on the whole model (every state of base+period); the
-// mode-invariant Stats (Derived, Sweeps, per-rule Derived) and the span
-// sequence (per-sweep added counts, per-fixpoint store sizes) are
-// bit-identical between the two engines. The incremental lane ingests
-// half the facts batch by batch under each join mode (inc.Apply) and must
-// end on the from-scratch specification. This is the one test that runs
-// the nested-loop engine against the others; the index structures it
-// shares with the indexed mode are walked by the engine's lineage tests.
-func TestThreeWayDifferentialBattery(t *testing.T) {
-	const m = 12
-	for seed := int64(0); seed < trials; seed++ {
-		prog, db := generate(t, seed, Default())
-		naive, _, err := baseline.NaiveTP(prog, db, m)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		mk := func(mode engine.JoinMode) *engine.Evaluator {
-			e, err := engine.New(prog.Clone(), db)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			e.SetJoinMode(mode)
-			e.SetTrace(obs.New())
-			e.EnsureWindow(m)
-			return e
-		}
-		nestedE, indexedE := mk(engine.JoinNestedLoop), mk(engine.JoinIndexed)
-		// Answers: both engines' every state equals the oracle's.
-		for _, r := range []struct {
-			name string
-			e    *engine.Evaluator
-		}{{"nested-loop", nestedE}, {"indexed", indexedE}} {
-			for tm := 0; tm <= m; tm++ {
-				if r.e.Store().StateKey(tm) != naive.StateKey(tm) {
-					t.Fatalf("seed %d: %s differs from naive T_P at t=%d\nprogram:\n%sdb:\n%s%s: %v\nnaive: %v",
-						seed, r.name, tm, prog, db, r.name, r.e.Store().State(tm), naive.State(tm))
-				}
-			}
-		}
-		if got, want := indexedE.Store().NonTemporalCount(), nestedE.Store().NonTemporalCount(); got != want {
-			t.Fatalf("seed %d: indexed has %d non-temporal facts, nested-loop has %d", seed, got, want)
-		}
-		// Mode-invariant Stats: total derived facts and the sweep
-		// structure — join order changes which binding fires first within
-		// a state, never what a closed state contains.
-		nested, indexed := nestedE.Stats(), indexedE.Stats()
-		if indexed.Derived != nested.Derived {
-			t.Fatalf("seed %d: indexed derived %d facts, nested-loop %d", seed, indexed.Derived, nested.Derived)
-		}
-		for i := range nested.Rules {
-			if nested.Rules[i].Derived != indexed.Rules[i].Derived {
-				t.Fatalf("seed %d: rule %d derived differs between join modes\nnested:  %s\nindexed: %s",
-					seed, i, statsFingerprint(nested), statsFingerprint(indexed))
-			}
-		}
-		if ns, is := sweepStructure(nestedE.Trace()), sweepStructure(indexedE.Trace()); nested.Sweeps != indexed.Sweeps || ns != is {
-			t.Fatalf("seed %d: sweep structure differs between join modes\nnested:\n%sindexed:\n%s", seed, ns, is)
-		}
-		// Period and whole model: the certified period plus every state of
-		// base+period determine the infinite model (Theorem 3.4), so
-		// equality here is equality at every time point. Skipped when the
-		// period is not certifiable in budget.
-		si, err := spec.Compute(indexedE, 1<<14)
-		if err != nil {
-			continue
-		}
-		sn, err := spec.Compute(nestedE, 1<<14)
-		if err != nil {
-			t.Fatalf("seed %d: nested-loop certification failed where indexed succeeded: %v", seed, err)
-		}
-		if sn.Period != si.Period {
-			t.Fatalf("seed %d: nested-loop period %v != indexed %v\nprogram:\n%sdb:\n%s", seed, sn.Period, si.Period, prog, db)
-		}
-		for tm := 0; tm < si.Period.Base+si.Period.P; tm++ {
-			if nestedE.Store().StateKey(tm) != indexedE.Store().StateKey(tm) {
-				t.Fatalf("seed %d: certified models differ at t=%d\nprogram:\n%sdb:\n%s", seed, tm, prog, db)
-			}
-		}
-		want := fmt.Sprint(si.PrimaryDatabase())
-		var lens []int
-		for _, mode := range []engine.JoinMode{engine.JoinNestedLoop, engine.JoinIndexed} {
-			k := len(db.Facts) / 2
-			half, err := ast.NewDatabase(append([]ast.Fact(nil), db.Facts[:k]...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := engine.New(prog.Clone(), half)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.SetJoinMode(mode)
-			s, _ := spec.Compute(e, 1<<14) // nil when the half is over budget: Apply certifies afresh
-			for rest := db.Facts[k:]; len(rest) > 0; {
-				n := 1 + len(rest)/3
-				if s, _, err = inc.Apply(e, s, 1<<14, rest[:n]); err != nil {
-					t.Fatalf("seed %d mode %d: %v", seed, mode, err)
-				}
-				rest = rest[n:]
-			}
-			if got := fmt.Sprint(s.PrimaryDatabase()); s.Period != si.Period || got != want {
-				t.Fatalf("seed %d mode %d: incremental %v %s, from scratch %v %s", seed, mode, s.Period, got, si.Period, want)
-			}
-			lens = append(lens, e.Store().Len())
-		}
-		if lens[0] != lens[1] {
-			t.Fatalf("seed %d: incremental stores hold %d (nested-loop) and %d (indexed) facts", seed, lens[0], lens[1])
 		}
 	}
 }

@@ -14,11 +14,6 @@
 // specifications (Proposition 3.1), so a query over the infinite model can
 // be answered over B after rewriting ground temporal terms to their
 // representatives.
-//
-// Compute works off whatever join mode the passed evaluator is configured
-// with (engine.SetJoinMode): both modes compute the same least model, so
-// the certified period and the specification are identical either way
-// (see internal/randgen's differential battery).
 package spec
 
 import (

@@ -31,7 +31,8 @@ type SkiParams struct {
 	// hand-optimized plane-first order. The model is identical; a
 	// source-order evaluator now enumerates every resort per rule per
 	// sweep, while a join-order planner recovers the plane-first plan
-	// from cardinalities. The benchmark knob for order sensitivity.
+	// from cardinalities. internal/engine's TestPlannerIsOrderInsensitive
+	// evaluates both orders.
 	ResortFirst bool
 	Seed        int64
 }
@@ -96,8 +97,8 @@ type ReachParams struct {
 	// then — with edge's first column X still unbound — every edge per
 	// tuple, an O(|path| · |edge|) cross-product per state. A planner
 	// restores edge-first from cardinalities; a second-column index makes
-	// even the path-first order stream. The benchmark knob for order
-	// sensitivity.
+	// even the path-first order stream. internal/engine's
+	// TestPlannerIsOrderInsensitive evaluates both orders.
 	PathFirst bool
 	Seed      int64
 }

@@ -60,39 +60,6 @@ go test -run '^$' -bench '^BenchmarkProfileOverhead$/^paired$' -benchtime 300x -
             if (r > 1.05) { print "profiler gate: enabled overhead exceeds 5%"; exit 1 }
         }'
 
-echo "==> indexed-join gate (indexed <= 0.5x nested per family, min of 3)"
-# The PR-9 acceptance bound: on the order-scrambled E1/E8 benchmark
-# instances the indexed engine (cardinality-ordered plans + multi-column
-# hash indexes) must stay at least 2x faster than the nested-loop
-# baseline — EXPERIMENTS.md E18 records ~5-15x here, so a ratio above
-# 0.5 means the planner or the indexes regressed. Min of
-# three runs per sub-benchmark, same noise rationale as the profiler
-# gate above.
-go test -run '^$' -bench '^BenchmarkIndexedJoin$' -benchtime 1x -count 3 ./internal/engine/ \
-    | awk '
-        $1 ~ /^BenchmarkIndexedJoin\// {
-            n = split($1, p, "/")
-            if (n < 3) next
-            fam = p[2]; mode = p[3]
-            sub(/-[0-9]+$/, "", mode)   # strip the -GOMAXPROCS suffix
-            key = fam SUBSEP mode
-            if (!(key in best) || $3 < best[key]) best[key] = $3
-            fams[fam] = 1
-        }
-        END {
-            nfam = 0; bad = 0
-            for (f in fams) {
-                nfam++
-                i = best[f, "indexed"]; n = best[f, "nested"]
-                if (!i || !n) { printf "indexed-join gate: %s missing samples\n", f; exit 1 }
-                ratio = i / n
-                printf "indexed-join %s: indexed %d ns/op, nested %d ns/op, ratio %.3f\n", f, i, n, ratio
-                if (ratio > 0.5) { printf "indexed-join gate: %s ratio exceeds 0.5\n", f; bad = 1 }
-            }
-            if (nfam == 0) { print "indexed-join gate: benchmark produced no samples"; exit 1 }
-            if (bad) exit 1
-        }'
-
 # require_test pkg name... — go test ./... above already ran these; naming
 # them keeps each gate visible, and -list fails loudly on a renamed one.
 require_test() {
@@ -102,6 +69,13 @@ require_test() {
     done
     go test -count=1 -run "^($(IFS='|'; echo "$*"))\$" "$pkg"
 }
+
+echo "==> join planner order-insensitive (E18, counted)"
+# E18's claim, pinned as counts rather than timed: on E1, E8 and a chain
+# graph, each in a selective and a generate-then-filter body order, both
+# orders derive, fire and probe exactly the pinned amounts. A planner
+# that fell back to source order would scan where it should probe.
+require_test ./internal/engine/ TestPlannerIsOrderInsensitive
 
 echo "==> store allocation budgets"
 # The interned store's claims, pinned without a clock: a duplicate emit,
