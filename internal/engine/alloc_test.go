@@ -266,3 +266,104 @@ func TestAllocBudgetForkInsertBase(t *testing.T) {
 		t.Errorf("clone and InsertBase allocate %.0f objects at |D| = 256 and %.0f at |D| = 16 384, want the same", objects[0], objects[1])
 	}
 }
+
+// TestAllocBudgetColdWindow: past the base of a p = 1 model every state
+// holds the rows of the state before it, so a state's shard is allocated
+// once at its final size — the shard, its rows and its membership table —
+// and never regrown. The program is reach-shaped over a complete graph of
+// k nodes (k² rows per state from state 1 on); its joins scan the state
+// and probe the non-temporal edge relation, whose index is built once, so
+// what a state allocates is its shard. At k = 8 and k = 32 (64 and 1 024
+// rows) each state allocates the same few objects, and at most 1.5 times
+// the bytes its rows and table retain.
+func TestAllocBudgetColdWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 8
+	var objects []float64
+	for _, k := range []int{8, 32} {
+		src := []byte("path(K+1, X, Z) :- path(K, X, Y), edge(Y, Z).\npath(K+1, X, Y) :- path(K, X, Y).\npath(K, X, X) :- node(X), null(K).\nnull(0).\n")
+		for i := 0; i < k; i++ {
+			src = fmt.Appendf(src, "node(n%d).\n", i)
+			for j := 0; j < k; j++ {
+				src = fmt.Appendf(src, "edge(n%d, n%d).\n", i, j)
+			}
+		}
+		e := mustEval(t, string(src))
+		const w = 4 // past the base (1)
+		e.EnsureWindow(w)
+		path := e.rules[0].headP
+		// One state at a time — a warm-up, runs, and one more — as
+		// EnsureWindow(w+runs+2) closes them after planning at its entry.
+		e.planJoins()
+		e.store.horizon = w + runs + 2
+		next := w
+		state := func() {
+			next++
+			e.evalState(next, next)
+			e.evaluated = next
+		}
+		objects = append(objects, testing.AllocsPerRun(runs, state))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		state()
+		runtime.ReadMemStats(&m1)
+		rs := e.store.at(path, next)
+		if rs.n != k*k || e.store.StateSize(next) != k*k {
+			t.Fatalf("k = %d: state %d holds %d rows, want %d", k, next, e.store.StateSize(next), k*k)
+		}
+		bytes := m1.TotalAlloc - m0.TotalAlloc
+		kept := 4 * uint64(cap(rs.rows)+len(rs.tab))
+		t.Logf("k = %d: %.0f objects, %d bytes per state for %d bytes of rows and table", k, objects[len(objects)-1], bytes, kept)
+		if 2*bytes > 3*kept {
+			t.Errorf("k = %d: a state allocates %d bytes for %d bytes of rows and table, budget 1.5×", k, bytes, kept)
+		}
+	}
+	if objects[0] != objects[1] || objects[1] > 4 {
+		t.Errorf("a state past the base allocates %.0f objects at 64 rows and %.0f at 1 024, want the same few", objects[0], objects[1])
+	}
+}
+
+// TestAllocBudgetShrinkingStates: a state is sized from the state before
+// it, so a small state after a large one starts with the large one's
+// capacity; closing it gives back what it did not use. The model
+// alternates between 500 rows and one row of one predicate (p = 2); with
+// the evaluator reachable after a collection, it retains at most 256
+// bytes per small state more than the same model without the small
+// states. Each model is measured three times after a warm-up run, and
+// the least reading is kept.
+func TestAllocBudgetShrinkingStates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const window = 128
+	retained := func(small bool) int64 {
+		src := []byte("big(T+2, X) :- big(T, X).\n")
+		for i := 0; i < 500; i++ {
+			src = fmt.Appendf(src, "big(0, a%d).\n", i)
+		}
+		if small {
+			src = append(src, "big(1, b).\n"...)
+		}
+		prog, db := mustTDD(t, string(src))
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		e, err := New(prog, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.EnsureWindow(window)
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(e)
+		return int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	}
+	retained(true)
+	large, both := retained(false), retained(true)
+	for i := 0; i < 2; i++ {
+		large, both = min(large, retained(false)), min(both, retained(true))
+	}
+	const smalls = window / 2
+	t.Logf("retained: %d bytes with the small states, %d without (%d small states)", both, large, smalls)
+	if both-large > 256*smalls {
+		t.Errorf("%d small states retain %d bytes, budget %d: a state sized from a larger one keeps its slack", smalls, both-large, 256*smalls)
+	}
+}

@@ -350,6 +350,7 @@ func (e *Evaluator) EnsureWindow(m int) {
 		return
 	}
 	e.planJoins()
+	e.store.horizon = m
 	e.prof.lock()
 	defer e.prof.unlock()
 	sp := e.tr.Begin("fixpoint")
@@ -358,6 +359,7 @@ func (e *Evaluator) EnsureWindow(m int) {
 	ext := e.tr.Begin("extend")
 	for t := e.evaluated + 1; t <= m; t++ {
 		e.evalState(t, m)
+		e.store.fitState(t)
 	}
 	e.evaluated = m
 	ext.Add("states", int64(m-from))

@@ -53,8 +53,8 @@ func maskedKey(row []uint32, mask uint32) []uint32 {
 	return key
 }
 
-// checkForm verifies the shape of a shard: a flat one holds all its rows;
-// an overlay sits one level over a flat shared base of more than
+// checkForm verifies the shape of a shard: a flat one holds all its rows
+// and, past smallShard rows, a membership table; an overlay sits one level over a flat shared base of more than
 // tinyShard rows, with a tail shorter than tailCap and no tables of its
 // own.
 func checkForm(where string, rs *relset) error {
@@ -62,6 +62,9 @@ func checkForm(where string, rs *relset) error {
 	if b == nil {
 		if len(rs.rows) != rs.n*int(rs.arity) {
 			return fmt.Errorf("%s: %d ids for %d rows of arity %d", where, len(rs.rows), rs.n, rs.arity)
+		}
+		if rs.tab == nil && rs.n > smallShard {
+			return fmt.Errorf("%s: %d rows and no membership table (small-shard limit %d)", where, rs.n, smallShard)
 		}
 		return nil
 	}
@@ -318,7 +321,7 @@ func TestOverlayLineages(t *testing.T) {
 			if err := checkForm(where, rs); err != nil {
 				return err
 			}
-			flat := newRelset(3)
+			flat := newRelset(3, 0)
 			var fp Fingerprint
 			for i, row := range want {
 				flat.insert(row, hashVals(row))

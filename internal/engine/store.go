@@ -18,12 +18,18 @@
 // store clone writes to a shard it shares — an overlay: the frozen shared
 // shard plus a short private tail of the rows written since. Membership
 // and bound-column indexes are open-addressed integer tables over the row
-// numbers of a flat shard, and every temporal shard carries a commutative
-// 128-bit fingerprint of its fact set so "is state t equal to state t'" is
-// a constant-time comparison.
+// numbers of a flat shard; a flat shard that holds and was sized for at
+// most smallShard rows has no membership table and is scanned. A new temporal shard is sized from the
+// shard of the same predicate one time point earlier — past the base of
+// an ultimately periodic model that is its final size — and a proposition
+// (a temporal predicate of arity 0) has one shared shard that every time
+// point where it holds points at. Every temporal shard carries a
+// commutative 128-bit fingerprint of its fact set so "is state t equal to
+// state t'" is a constant-time comparison.
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -243,8 +249,9 @@ var _ [64 - tailCap]struct{}
 // copy-on-write sharing between store clones, in one of two forms:
 //
 //   - flat (base == nil): rows holds all n rows, and tab and idx index
-//     them. Open, EnsureWindow, every shard no clone has written to and
-//     every fork of a tiny shard are flat.
+//     them; tab is nil while the shard holds, and was created with room
+//     for, at most smallShard rows, which find and insert then scan. Open, EnsureWindow, every shard no clone
+//     has written to and every fork of a tiny shard are flat.
 //   - overlay (base != nil): the first base.n rows are base's — a flat,
 //     shared, frozen shard of more than tinyShard rows — and rows holds
 //     the rest, the tail: the rows this lineage wrote since it forked the
@@ -255,6 +262,14 @@ var _ [64 - tailCap]struct{}
 //
 // Row numbers are global, base rows first, so row numbers and enumeration
 // order are those of a flat shard holding the same rows in the same order.
+//
+// A temporal shard is created with room for as many rows as the shard of
+// its predicate one time point earlier holds (newRelset): its row count,
+// not its capacity, so slack does not compound from state to state. A
+// shard whose state closes with room for more than twice its rows is
+// copied to its size (Store.fitState). The shard of a proposition is one frozen, shared
+// relset holding the row () (predRel.prop): any write to it is a
+// duplicate, so it never forks.
 type relset struct {
 	// arity is an int32 so that it and shared fill one word: every
 	// (predicate, time) point of a model has a relset, and the struct
@@ -279,7 +294,22 @@ type relset struct {
 	idx atomic.Pointer[idxTable]
 }
 
-func newRelset(arity int) *relset { return &relset{arity: int32(arity)} }
+// smallShard is the most rows a flat shard holds without a membership
+// table: find and insert scan its rows, which at this size costs no more
+// than one hash probe, and the row after it builds the table through
+// insert's growth branch.
+const smallShard = 8
+
+// newRelset returns an empty flat shard with room for hint rows: row
+// capacity and, for a hint above smallShard, a membership table sized so
+// hint inserts never grow it.
+func newRelset(arity, hint int) *relset {
+	r := &relset{arity: int32(arity), rows: make([]uint32, 0, hint*arity)}
+	if hint > smallShard {
+		r.tab = grownTable(hint)
+	}
+	return r
+}
 
 // row returns row number n. Rows are immutable once inserted.
 func (r *relset) row(n uint32) []uint32 {
@@ -312,7 +342,12 @@ func (r *relset) find(tup []uint32, h uint32) (uint32, bool) {
 	if r.base != nil {
 		return r.findOverlay(tup, h)
 	}
-	if len(r.tab) == 0 {
+	if r.tab == nil {
+		for n := uint32(0); n < uint32(r.n); n++ {
+			if rowsEqual(r.flatRow(n), tup) {
+				return n, true
+			}
+		}
 		return 0, false
 	}
 	m := uint32(len(r.tab) - 1)
@@ -350,32 +385,31 @@ func (r *relset) findOverlay(tup []uint32, h uint32) (uint32, bool) {
 // both the membership test and the insertion, and every index built so
 // far is maintained, so a lookup after an insert sees the new row exactly
 // when a linear scan would. On an overlay the row joins the tail, and a
-// tail reaching tailCap is flattened. A duplicate allocates nothing; a new
-// row costs amortized slice growth only.
+// tail reaching tailCap is flattened. A flat shard of fewer than
+// smallShard rows without a table is scanned instead of probed. A
+// duplicate allocates nothing; a new row costs amortized slice growth only.
 func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
 	if r.base != nil {
 		return r.insertOverlay(tup, h)
 	}
-	if (r.n+1)*4 > len(r.tab)*3 {
-		r.tab = grownTable(2 * (r.n + 1))
-		m := uint32(len(r.tab) - 1)
-		for n := 0; n < r.n; n++ {
-			i := hashVals(r.flatRow(uint32(n))) & m
-			for r.tab[i] != 0 {
-				i = (i + 1) & m
-			}
-			r.tab[i] = uint32(n) + 1
-		}
-	}
-	m := uint32(len(r.tab) - 1)
-	i := h & m
-	for ; r.tab[i] != 0; i = (i + 1) & m {
-		if e := r.tab[i]; rowsEqual(r.flatRow(e-1), tup) {
-			return e - 1, false
-		}
-	}
 	n := uint32(r.n)
-	r.tab[i] = n + 1
+	if r.tab == nil && r.n < smallShard {
+		if e, ok := r.find(tup, h); ok {
+			return e, false
+		}
+	} else {
+		if (r.n+1)*4 > len(r.tab)*3 {
+			r.rehash(2 * (r.n + 1))
+		}
+		m := uint32(len(r.tab) - 1)
+		i := h & m
+		for ; r.tab[i] != 0; i = (i + 1) & m {
+			if e := r.tab[i]; rowsEqual(r.flatRow(e-1), tup) {
+				return e - 1, false
+			}
+		}
+		r.tab[i] = n + 1
+	}
 	r.rows = append(r.rows, tup...)
 	r.n++
 	if tbl := r.idx.Load(); tbl != nil {
@@ -384,6 +418,20 @@ func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
 		}
 	}
 	return n, true
+}
+
+// rehash rebuilds a flat shard's membership table with room for rows
+// rows.
+func (r *relset) rehash(rows int) {
+	r.tab = grownTable(rows)
+	m := uint32(len(r.tab) - 1)
+	for n := 0; n < r.n; n++ {
+		i := hashVals(r.flatRow(uint32(n))) & m
+		for r.tab[i] != 0 {
+			i = (i + 1) & m
+		}
+		r.tab[i] = uint32(n) + 1
+	}
 }
 
 // insertOverlay is insert on an overlay: the row joins the tail, and a
@@ -547,6 +595,10 @@ type predRel struct {
 	byTime []*relset
 	far    map[int]*relset // time points beyond the dense prefix (or negative); nil when empty
 	nt     *relset         // the relation of a non-temporal predicate
+	// prop is the one shard of a temporal predicate of arity 0: it holds
+	// the row () and is shared, so every time point where the proposition
+	// holds points at it and no write ever forks it.
+	prop *relset
 	// facts and states are the incrementally maintained cardinality
 	// summary: total facts and, for temporal predicates, occupied time
 	// points. They are the cost-model seed the join-order planner reads
@@ -562,7 +614,9 @@ func (pr *predRel) get(t int) *relset {
 	return pr.far[t]
 }
 
-func (pr *predRel) set(t int, rs *relset) {
+// set stores the shard of time point t. A dense prefix that has to grow
+// takes room up to the window (horizon) at once.
+func (pr *predRel) set(t int, rs *relset, horizon int) {
 	if uint(t) >= uint(len(pr.byTime)) {
 		if t < 0 || t > 2*len(pr.byTime)+denseSlack {
 			if pr.far == nil {
@@ -571,6 +625,7 @@ func (pr *predRel) set(t int, rs *relset) {
 			pr.far[t] = rs
 			return
 		}
+		pr.byTime = slices.Grow(pr.byTime, max(t, horizon)+1-len(pr.byTime))
 		for i := len(pr.byTime); i <= t; i++ {
 			pr.byTime = append(pr.byTime, pr.far[i])
 			if len(pr.far) > 0 {
@@ -615,6 +670,10 @@ type Store struct {
 	consts atomic.Pointer[[]string]
 	// rowBuf is Insert's scratch row (the store is single-writer).
 	rowBuf []uint32
+	// horizon is the last time point of the window being evaluated (set
+	// by EnsureWindow): a dense time axis that grows is allocated up to
+	// it at once, not one state at a time.
+	horizon int
 }
 
 // NewStore returns an empty store.
@@ -644,10 +703,11 @@ func (s *Store) Clone() *Store {
 		s.syms.own = false
 	}
 	c := &Store{
-		syms:  s.syms,
-		rels:  make([]predRel, len(s.rels)),
-		count: s.count,
-		occ:   append([]uint64(nil), s.occ...),
+		syms:    s.syms,
+		rels:    make([]predRel, len(s.rels)),
+		count:   s.count,
+		occ:     append([]uint64(nil), s.occ...),
+		horizon: s.horizon,
 	}
 	c.consts.Store(s.consts.Load())
 	share := func(_ int, rs *relset) {
@@ -658,7 +718,7 @@ func (s *Store) Clone() *Store {
 	for i := range s.rels {
 		pr := &s.rels[i]
 		pr.each(share)
-		cp := predRel{nt: pr.nt, facts: pr.facts, states: pr.states}
+		cp := predRel{nt: pr.nt, prop: pr.prop, facts: pr.facts, states: pr.states}
 		if pr.nt != nil {
 			share(0, pr.nt)
 		}
@@ -782,19 +842,33 @@ func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 	}
 	h := hashVals(row)
 	if rs == nil || rs.shared {
-		if rs == nil {
-			rs = newRelset(len(row))
-			if temporal {
-				pr.states++
-			}
-		} else {
+		switch {
+		case rs != nil:
 			if n, ok := rs.find(row, h); ok {
 				return n, false
 			}
 			rs = rs.fork()
+		case !temporal:
+			rs = newRelset(len(row), 0)
+		case len(row) == 0:
+			// A proposition: the shard is the predicate's one shared
+			// shard, its fingerprint the fact's, whatever t is.
+			if pr.prop == nil {
+				pr.prop = &relset{n: 1, shared: true, fp: s.syms.factFingerprint(pred, row)}
+			}
+			pr.set(t, pr.prop, s.horizon)
+			pr.states++
+			pr.facts++
+			s.count++
+			return 0, true
+		default:
+			// Sized from the state before: past the base of a periodic
+			// model it holds the same number of rows.
+			rs = newRelset(len(row), pr.get(t-1).size())
+			pr.states++
 		}
 		if temporal {
-			pr.set(t, rs)
+			pr.set(t, rs, s.horizon)
 		} else {
 			pr.nt = rs
 		}
@@ -819,6 +893,24 @@ func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 		}
 	}
 	return n, true
+}
+
+// fitState gives back what the closed state t reserved and did not use: a
+// private flat shard holding fewer than half the rows its capacity was
+// sized for — from a larger state before it — is copied to its size, so
+// slack never exceeds what growth by doubling leaves.
+func (s *Store) fitState(t int) {
+	for i := range s.rels {
+		rs := s.rels[i].get(t)
+		if rs == nil || rs.shared || rs.base != nil || cap(rs.rows) <= 2*len(rs.rows)+int(rs.arity) {
+			continue
+		}
+		rs.rows = append([]uint32(nil), rs.rows...)
+		rs.tab = nil
+		if rs.n > smallShard {
+			rs.rehash(rs.n)
+		}
+	}
 }
 
 // card returns the predicate's incremental cardinality summary: total

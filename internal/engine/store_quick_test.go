@@ -471,3 +471,135 @@ func TestOverlayForkRace(t *testing.T) {
 		}
 	}
 }
+
+// TestPropositionShard: a temporal predicate of arity 0 holds the one row
+// () wherever it holds, so every time point where it holds points at one
+// shared shard. Evaluated to 256 and to 4 096 states, tick has one
+// distinct shard and even, which holds at every other state, one of its
+// own; state fingerprints and StateEqual agree with StateKey, and every
+// shard passes checkStoreIndexes; asserting the duplicate tick(5) on a
+// clone forks no shard, and the store's duplicate insert allocates
+// nothing.
+func TestPropositionShard(t *testing.T) {
+	for _, m := range []int{256, 4096} {
+		e := mustEval(t, "tick(T+1) :- tick(T).\ntick(0).\neven(T+2) :- even(T).\neven(0).\n")
+		e.EnsureWindow(m)
+		s := e.Store()
+		tick, _ := s.PredID("tick", 0, true)
+		for _, name := range []string{"tick", "even"} {
+			pred, _ := s.PredID(name, 0, true)
+			distinct := make(map[*relset]bool)
+			s.rels[pred].each(func(_ int, rs *relset) { distinct[rs] = true })
+			if len(distinct) != 1 {
+				t.Errorf("m = %d: %s has %d distinct shards, want 1", m, name, len(distinct))
+			}
+		}
+		if facts, states := s.card(tick); facts != m+1 || states != m+1 {
+			t.Errorf("m = %d: tick counts %d facts in %d states, want %d", m, facts, states, m+1)
+		}
+		points := []int{0, 1, 2, 3, 6, 7, m - 1, m, m + 1}
+		for _, t1 := range points {
+			for _, t2 := range points {
+				same := s.StateKey(t1) == s.StateKey(t2)
+				if (s.StateFingerprint(t1) == s.StateFingerprint(t2)) != same || s.StateEqual(t1, t2) != same {
+					t.Errorf("m = %d: states %d and %d: fingerprints or StateEqual disagree with StateKey (equal %v)", m, t1, t2, same)
+				}
+			}
+		}
+		if err := checkStoreIndexes(s); err != nil {
+			t.Errorf("m = %d: %v", m, err)
+		}
+
+		c := e.Clone()
+		shard := c.Store().at(tick, 5)
+		if ok, err := c.InsertBase(tfact("tick", 5)); !ok || err != nil {
+			t.Fatalf("InsertBase(tick(5)) = %v, %v; want new to the database", ok, err)
+		}
+		if c.Store().at(tick, 5) != shard || c.Store().Len() != s.Len() {
+			t.Errorf("m = %d: a duplicate tick(5) on the clone forked the shared shard", m)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if c.Store().Insert(tfact("tick", 5)) {
+				t.Fatal("duplicate tick(5) inserted")
+			}
+		}); n != 0 {
+			t.Errorf("m = %d: a duplicate proposition insert allocates %.0f times, want 0", m, n)
+		}
+	}
+}
+
+// TestPropositionLineageRace: two clone lineages of one model share its
+// proposition shards. One extends the window, cloning itself between
+// steps; the other asserts facts whose consequences land at every time
+// point; both join against the shared tick shard at every step, while a
+// reader builds an index on a shared shard of the model. Under -race
+// nothing writes what another goroutine reads, and each lineage ends
+// equal to a cold evaluation of its own database.
+func TestPropositionLineageRace(t *testing.T) {
+	const src = "tick(T+1) :- tick(T).\ntick(0).\non(T, X) :- tick(T), item(X, Y), mark(Y).\n" +
+		"item(a, y). item(b, n). item(c, y). mark(y).\n"
+	root := mustEval(t, src)
+	root.EnsureWindow(16)
+	on, _ := root.Store().PredID("on", 1, true)
+	a, b := root.Clone(), root.Clone()
+	var asserted []ast.Fact
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for w := 24; w <= 64; w += 8 {
+			a = a.Clone()
+			a.EnsureWindow(w)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 6; i++ {
+			f := ntfact("item", fmt.Sprintf("z%d", i), "y")
+			if ok, err := b.InsertBase(f); !ok || err != nil {
+				t.Errorf("InsertBase(%s) = %v, %v", f, ok, err)
+				return
+			}
+			b.PropagateDelta([]ast.Fact{f})
+			asserted = append(asserted, f)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		rs := root.Store().at(on, 3)
+		for _, x := range []string{"a", "c", "b"} {
+			id, _ := root.Store().SymbolID(x)
+			want := 1
+			if x == "b" {
+				want = 0
+			}
+			if got := len(bucketRows(rs, 1, []uint32{id})); got != want {
+				t.Errorf("on@3 bucket(%s) = %d rows, want %d", x, got, want)
+			}
+		}
+	}()
+	wg.Wait()
+
+	for _, l := range []struct {
+		e     *Evaluator
+		extra []ast.Fact
+	}{{a, nil}, {b, asserted}} {
+		unit := src
+		for _, f := range l.extra {
+			unit += f.String() + ".\n"
+		}
+		cold := mustEval(t, unit)
+		cold.EnsureWindow(l.e.Window())
+		for tm := 0; tm <= l.e.Window(); tm++ {
+			if got, want := l.e.Store().StateKey(tm), cold.Store().StateKey(tm); got != want {
+				t.Fatalf("lineage at state %d:\n%q\nwant\n%q", tm, got, want)
+			}
+		}
+		if err := checkStoreIndexes(l.e.Store()); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := checkStoreIndexes(root.Store()); err != nil {
+		t.Error(err)
+	}
+}

@@ -85,7 +85,12 @@ echo "==> store allocation budgets"
 # along a chain of evaluator clones, a clone plus a database fact with a
 # fresh constant allocates the same few objects (< 2 KB) at any database
 # size.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase
+# ColdWindow: a state past the base is allocated once at its final size (3 objects at 64 and 1 024 rows).
+# ShrinkingStates: a small state sized from a large one gives back what it did not use when it closes.
+# PropositionShard: an arity-0 temporal predicate has one shared shard however long the window.
+# PropositionLineageRace: clone lineages join against that shard at once; the -race line below checks it.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace
+go test -race -count=1 -run '^TestPropositionLineageRace$' ./internal/engine/
 # Copy-on-write overlays: every shard along a random tree of store clones
 # equals a flat rebuild of its lineage's rows; a fork leaves the frozen
 # shard as it was and a flatten carries its indexes; and sibling forks
