@@ -97,9 +97,14 @@ func quoteConst(name string) string {
 	}
 	if c := name[0]; c >= 'A' && c <= 'Z' || c == '_' {
 		plain = false
-	} else if c >= '0' && c <= '9' && strings.Trim(name, "0123456789") != "" {
-		// A leading digit scans as a number: only all-digit names may stay bare.
-		plain = false
+	} else if c >= '0' && c <= '9' {
+		// A leading digit scans as a number, which names the constant of
+		// its value: only an all-digit name that scans back as itself — 0,
+		// or no leading zero and at most nine digits, which the lexer's
+		// integer bound always admits — may stay bare.
+		if strings.Trim(name, "0123456789") != "" || c == '0' && name != "0" || len(name) > 9 {
+			plain = false
+		}
 	}
 	if plain {
 		return name

@@ -96,12 +96,12 @@ func TestAllocBudgetIndexProbe(t *testing.T) {
 	rs := s.nt(s.syms.predIDs[predKey{name: "e", arity: 3}])
 	hit := []uint32{s.syms.ids["a7"], s.syms.ids["b7"]}
 	miss := []uint32{s.syms.ids["a7"], s.syms.ids["b8"]}
-	rs.bucket(3, hit) // build
+	rs.bucket(3, hit, nil) // build
 	n := testing.AllocsPerRun(100, func() {
-		if sp, _ := rs.bucket(3, hit); spanLen(sp) != 5 {
+		if sp, _ := rs.bucket(3, hit, nil); spanLen(sp) != 5 {
 			t.Fatalf("bucket hit = %d rows, want 5", spanLen(sp))
 		}
-		if sp, _ := rs.bucket(3, miss); sp.ok {
+		if sp, _ := rs.bucket(3, miss, nil); sp.ok {
 			t.Fatal("bucket miss returned rows")
 		}
 	})
@@ -136,8 +136,8 @@ func TestAllocBudgetInserts(t *testing.T) {
 		run++
 		s.insertRow(p, 0, []uint32{ids[0], ids[0]})
 		rs := s.at(p, 0)
-		rs.bucket(1, ids[:1])
-		rs.bucket(2, ids[:1])
+		rs.bucket(1, ids[:1], nil)
+		rs.bucket(2, ids[:1], nil)
 		row := make([]uint32, 2)
 		for i := 0; i < side; i++ {
 			for j := 0; j < side; j++ {
@@ -177,8 +177,8 @@ func TestAllocBudgetForkWrite(t *testing.T) {
 				s.insertRow(p, 0, row)
 			}
 		}
-		s.at(p, 0).bucket(1, ids[:1])
-		s.at(p, 0).bucket(2, ids[:1])
+		s.at(p, 0).bucket(1, ids[:1], nil)
+		s.at(p, 0).bucket(2, ids[:1], nil)
 		fresh := s.intern("fresh")
 		write := func() {
 			c := s.Clone()
@@ -267,59 +267,93 @@ func TestAllocBudgetForkInsertBase(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetColdWindow: past the base of a p = 1 model every state
-// holds the rows of the state before it, so a state's shard is allocated
-// once at its final size — the shard, its rows and its membership table —
-// and never regrown. The program is reach-shaped over a complete graph of
-// k nodes (k² rows per state from state 1 on); its joins scan the state
-// and probe the non-temporal edge relation, whose index is built once, so
-// what a state allocates is its shard. At k = 8 and k = 32 (64 and 1 024
-// rows) each state allocates the same few objects, and at most 1.5 times
-// the bytes its rows and table retain.
-func TestAllocBudgetColdWindow(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// coldWindowState evaluates, one state at a time past the base, a p = 1
+// reach-shaped model whose first rule is rule over k nodes — a complete
+// graph, or with cycle the cycle n0 → n1 → … → n0 — so that every state
+// past the base holds k² rows. It returns the objects one state
+// allocates, the bytes of one more state, and the evaluator.
+func coldWindowState(t *testing.T, rule string, k int, cycle bool) (float64, uint64, *Evaluator) {
+	t.Helper()
 	const runs = 8
-	var objects []float64
-	for _, k := range []int{8, 32} {
-		src := []byte("path(K+1, X, Z) :- path(K, X, Y), edge(Y, Z).\npath(K+1, X, Y) :- path(K, X, Y).\npath(K, X, X) :- node(X), null(K).\nnull(0).\n")
-		for i := 0; i < k; i++ {
-			src = fmt.Appendf(src, "node(n%d).\n", i)
-			for j := 0; j < k; j++ {
+	src := []byte(rule + "\npath(K+1, X, Y) :- path(K, X, Y).\npath(K, X, X) :- node(X), null(K).\nnull(0).\n")
+	for i := 0; i < k; i++ {
+		src = fmt.Appendf(src, "node(n%d).\n", i)
+		for j := 0; j < k; j++ {
+			if !cycle || j == (i+1)%k {
 				src = fmt.Appendf(src, "edge(n%d, n%d).\n", i, j)
 			}
 		}
-		e := mustEval(t, string(src))
-		const w = 4 // past the base (1)
-		e.EnsureWindow(w)
-		path := e.rules[0].headP
-		// One state at a time — a warm-up, runs, and one more — as
-		// EnsureWindow(w+runs+2) closes them after planning at its entry.
-		e.planJoins()
-		e.store.horizon = w + runs + 2
-		next := w
-		state := func() {
-			next++
-			e.evalState(next, next)
-			e.evaluated = next
-		}
-		objects = append(objects, testing.AllocsPerRun(runs, state))
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		state()
-		runtime.ReadMemStats(&m1)
-		rs := e.store.at(path, next)
-		if rs.n != k*k || e.store.StateSize(next) != k*k {
-			t.Fatalf("k = %d: state %d holds %d rows, want %d", k, next, e.store.StateSize(next), k*k)
-		}
-		bytes := m1.TotalAlloc - m0.TotalAlloc
+	}
+	e := mustEval(t, string(src))
+	w := 4 // past the base: 1 on a complete graph, k-1 on a cycle
+	if cycle {
+		w = k + 2
+	}
+	e.EnsureWindow(w)
+	// One state at a time — a warm-up, runs, and one more — as
+	// EnsureWindow(w+runs+2) closes them after planning at its entry.
+	e.planJoins()
+	e.store.horizon = w + runs + 2
+	state := func() {
+		e.evaluated++
+		e.evalState(e.evaluated, e.evaluated)
+	}
+	objects := testing.AllocsPerRun(runs, state)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	state()
+	runtime.ReadMemStats(&m1)
+	if n := e.store.StateSize(e.evaluated); n != k*k {
+		t.Fatalf("k = %d: state %d holds %d rows, want %d", k, e.evaluated, n, k*k)
+	}
+	return objects, m1.TotalAlloc - m0.TotalAlloc, e
+}
+
+// TestAllocBudgetColdWindow: past the base of a p = 1 model every state
+// holds the rows of the state before it, so a state's shard is allocated
+// once at its final size — the shard, its rows and its membership table —
+// and never regrown. The joins scan the state and probe the non-temporal
+// edge relation, whose index is built once, so what a state allocates is
+// its shard. At k = 8 and k = 32 (64 and 1 024 rows) each state allocates
+// the same few objects, and at most 1.5 times the bytes its rows and table
+// retain.
+func TestAllocBudgetColdWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var objects []float64
+	for _, k := range []int{8, 32} {
+		n, bytes, e := coldWindowState(t, "path(K+1, X, Z) :- path(K, X, Y), edge(Y, Z).", k, false)
+		objects = append(objects, n)
+		rs := e.store.at(e.rules[0].headP, e.evaluated)
 		kept := 4 * uint64(cap(rs.rows)+len(rs.tab))
-		t.Logf("k = %d: %.0f objects, %d bytes per state for %d bytes of rows and table", k, objects[len(objects)-1], bytes, kept)
+		t.Logf("k = %d: %.0f objects, %d bytes per state for %d bytes of rows and table", k, n, bytes, kept)
 		if 2*bytes > 3*kept {
 			t.Errorf("k = %d: a state allocates %d bytes for %d bytes of rows and table, budget 1.5×", k, bytes, kept)
 		}
 	}
 	if objects[0] != objects[1] || objects[1] > 4 {
 		t.Errorf("a state past the base allocates %.0f objects at 64 rows and %.0f at 1 024, want the same few", objects[0], objects[1])
+	}
+}
+
+// TestAllocBudgetColdWindowIndex: the same model over a cycle of k nodes,
+// whose k edges are fewer than a state's k² rows, so the plan scans edge
+// and probes path(K) on a bound column: every state builds an index over
+// the state before it. The build is sized from that state's own
+// predecessor's index — the same k groups past the base — so a state
+// allocates the same number of objects at k = 8 and k = 32.
+func TestAllocBudgetColdWindowIndex(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var objects []float64
+	for _, k := range []int{8, 32} {
+		n, bytes, e := coldWindowState(t, "path(K+1, X, Z) :- edge(X, Y), path(K, Y, Z).", k, true)
+		objects = append(objects, n)
+		if e.store.at(e.rules[0].headP, e.evaluated-1).groups(1) != k {
+			t.Fatalf("k = %d: the plan built no index on path's first column", k)
+		}
+		t.Logf("k = %d: %.0f objects, %d bytes per state", k, n, bytes)
+	}
+	if objects[0] != objects[1] {
+		t.Errorf("a state past the base allocates %.0f objects at 64 rows and %.0f at 1 024, want the same", objects[0], objects[1])
 	}
 }
 

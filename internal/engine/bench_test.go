@@ -120,7 +120,7 @@ func BenchmarkStoreRows(b *testing.B) {
 			ids := benchRows(s, side)
 			p := s.internPred("p", 2, true)
 			s.insertRow(p, 0, ids[:2])
-			s.at(p, 0).bucket(1, ids[:1])
+			s.at(p, 0).bucket(1, ids[:1], nil)
 			fill(s, ids, p)
 		}
 	})
@@ -185,7 +185,7 @@ func BenchmarkCloneThenWrite(b *testing.B) {
 				s.insertRow(p, t, row)
 			}
 		}
-		s.at(p, t).bucket(1, ids[:1])
+		s.at(p, t).bucket(1, ids[:1], nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

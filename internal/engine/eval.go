@@ -573,8 +573,12 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 	var sp rowSpan
 	var tail uint64
 	if st.mask != 0 {
+		var prev *relset
+		if a.Time != nil {
+			prev = e.store.at(r.bodyP[st.lit], en.time+a.Time.Depth-1)
+		}
 		e.keyBuf = boundKey(e.keyBuf[:0], pat, st.mask, en)
-		sp, tail = rs.bucket(st.mask, e.keyBuf)
+		sp, tail = rs.bucket(st.mask, e.keyBuf, prev)
 	} else {
 		sp, tail = rs.scan()
 	}

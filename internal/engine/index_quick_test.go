@@ -26,12 +26,12 @@ func spanRows(sp rowSpan) []uint32 {
 	return out
 }
 
-// bucketRows collects the row numbers rs.bucket(mask, key) enumerates —
+// bucketRows collects the row numbers rs.bucket(mask, key, nil) enumerates —
 // rs.scan() for mask 0 — in order: the span, then an overlay's tail rows.
 func bucketRows(rs *relset, mask uint32, key []uint32) []uint32 {
 	sp, tail := rs.scan()
 	if mask != 0 {
-		sp, tail = rs.bucket(mask, key)
+		sp, tail = rs.bucket(mask, key, nil)
 	}
 	out := spanRows(sp)
 	for i := 0; tail != 0; i, tail = i+1, tail>>1 {
@@ -120,7 +120,7 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 	}
 	if tbl := rs.idx.Load(); tbl != nil {
 		for _, ix := range tbl.entries {
-			fresh := (*idxTable)(nil).withMask(ix.mask, rs).entries[0]
+			fresh := (*idxTable)(nil).withMask(ix.mask, rs, nil).entries[0]
 			if len(ix.next) != rs.n || len(ix.first) != len(fresh.first) {
 				return fmt.Errorf("%s mask %x: carried index covers %d rows in %d groups, rebuilt %d rows in %d groups",
 					where, ix.mask, len(ix.next), len(ix.first), rs.n, len(fresh.first))
@@ -386,7 +386,7 @@ func TestOverlayLineages(t *testing.T) {
 			case 3:
 				if rs := l.s.shard(pred, tm); rs != nil {
 					mask := uint32(o.Seed)%7 + 1
-					rs.bucket(mask, maskedKey(rs.row(0), mask))
+					rs.bucket(mask, maskedKey(rs.row(0), mask), nil)
 				}
 			}
 			if err := check(l); err != nil {

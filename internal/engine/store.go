@@ -19,13 +19,17 @@
 // shard plus a short private tail of the rows written since. Membership
 // and bound-column indexes are open-addressed integer tables over the row
 // numbers of a flat shard; a flat shard that holds and was sized for at
-// most smallShard rows has no membership table and is scanned. A new temporal shard is sized from the
-// shard of the same predicate one time point earlier — past the base of
-// an ultimately periodic model that is its final size — and a proposition
+// most smallShard rows has no membership table and is scanned. A new
+// temporal shard, and each index built on it, is sized from the shard of
+// the same predicate one time point earlier — past the base of an
+// ultimately periodic model that is its final size — and a proposition
 // (a temporal predicate of arity 0) has one shared shard that every time
-// point where it holds points at. Every temporal shard carries a
-// commutative 128-bit fingerprint of its fact set so "is state t equal to
-// state t'" is a constant-time comparison.
+// point where it holds points at. Once a period (b, p) is certified, each
+// state past b+p is stored as the shards of the state p earlier
+// (Evaluator.ShareRepeats), so a certified model holds each of its
+// states once. Every temporal shard carries a commutative 128-bit
+// fingerprint of its fact set so "is state t equal to state t'" is a
+// constant-time comparison.
 package engine
 
 import (
@@ -194,18 +198,39 @@ type idxTable struct {
 }
 
 // withMask returns a new table extending t (nil allowed) with an index
-// for mask over the rows of rs, in insertion order.
-func (t *idxTable) withMask(mask uint32, rs *relset) *idxTable {
+// for mask over the rows of rs, in insertion order, with room for as many
+// groups as prev's index for mask has, up to one per row: past the base
+// of a periodic model the state before holds the same groups.
+func (t *idxTable) withMask(mask uint32, rs, prev *relset) *idxTable {
 	n := &idxTable{}
 	if t != nil {
-		n.entries = append(n.entries, t.entries...)
+		n.entries = append(make([]*colIndex, 0, len(t.entries)+1), t.entries...)
 	}
 	ix := &colIndex{mask: mask, next: make([]uint32, 0, rs.n)}
+	if g := min(prev.groups(mask), rs.n); g > 0 {
+		ix.tab, ix.first, ix.last = grownTable(g), make([]uint32, 0, g), make([]uint32, 0, g)
+	}
 	for row := 0; row < rs.n; row++ {
 		ix.add(rs, uint32(row))
 	}
 	n.entries = append(n.entries, ix)
 	return n
+}
+
+// groups returns the number of groups of r's index for mask: 0 when r is
+// nil, an overlay or has not built it.
+func (r *relset) groups(mask uint32) int {
+	if r == nil {
+		return 0
+	}
+	if tbl := r.idx.Load(); tbl != nil {
+		for _, ix := range tbl.entries {
+			if ix.mask == mask {
+				return len(ix.first)
+			}
+		}
+	}
+	return 0
 }
 
 // rowSpan is a run of rows to enumerate: a whole relation (next == nil,
@@ -276,10 +301,11 @@ type relset struct {
 	// stays in the 96-byte size class.
 	arity int32
 	// shared marks a shard referenced by more than one store (set by
-	// Store.Clone). A shared shard is immutable: writers fork a private
-	// overlay of it first. The flag is written only while clones are
-	// serialized by the caller (the evaluator's copy-on-write
-	// discipline), and only read afterwards.
+	// Store.Clone) or by more than one time point (set by ShareRepeats).
+	// A shared shard is immutable: writers fork a private overlay of it
+	// first. The flag is written only on a shard private to one
+	// evaluator, while clones are serialized by the caller (the
+	// evaluator's copy-on-write discipline), and only read afterwards.
 	shared bool
 	n      int      // number of rows, a base's included
 	rows   []uint32 // rows in insertion order, arity ids each: all n (flat) or the tail (overlay)
@@ -474,15 +500,17 @@ func (r *relset) scan() (rowSpan, uint64) {
 // splits them: the flat rows' index group, building the mask's index on
 // first use, then an overlay's tail rows with that key. An overlay's index
 // is its base's, so a build lands on the shared base and serves every
-// lineage. Safe for concurrent readers: the build installs an immutable
-// table via CAS and retries on contention. Neither a hit nor a miss
-// allocates once the index exists.
-func (r *relset) bucket(mask uint32, key []uint32) (rowSpan, uint64) {
+// lineage. A build is sized from prev (see idxTable.withMask): the shard
+// of the same predicate one time point earlier, or nil. Safe for
+// concurrent readers: the build installs an immutable table via CAS and
+// retries on contention. Neither a hit nor a miss allocates once the
+// index exists.
+func (r *relset) bucket(mask uint32, key []uint32, prev *relset) (rowSpan, uint64) {
 	if r == nil || r.n == 0 {
 		return rowSpan{}, 0
 	}
 	if r.base != nil {
-		return r.bucketOverlay(mask, key)
+		return r.bucketOverlay(mask, key, prev)
 	}
 	for {
 		tbl := r.idx.Load()
@@ -501,14 +529,14 @@ func (r *relset) bucket(mask uint32, key []uint32) (rowSpan, uint64) {
 		// Not built yet: derive a new table from the current rows. On CAS
 		// failure another goroutine installed a table first — loop and
 		// look again (it may even have built this very mask).
-		r.idx.CompareAndSwap(tbl, tbl.withMask(mask, r))
+		r.idx.CompareAndSwap(tbl, tbl.withMask(mask, r, prev))
 	}
 }
 
 // bucketOverlay is bucket on an overlay: the base's index group, then
 // the tail rows with the key.
-func (r *relset) bucketOverlay(mask uint32, key []uint32) (rowSpan, uint64) {
-	sp, _ := r.base.bucket(mask, key)
+func (r *relset) bucketOverlay(mask uint32, key []uint32, prev *relset) (rowSpan, uint64) {
+	sp, _ := r.base.bucket(mask, key, prev)
 	var tail uint64
 	a := int(r.arity)
 	for i, off := 0, 0; off < len(r.rows); i, off = i+1, off+a {
@@ -909,6 +937,35 @@ func (s *Store) fitState(t int) {
 		rs.tab = nil
 		if rs.n > smallShard {
 			rs.rehash(rs.n)
+		}
+	}
+}
+
+// ShareRepeats stores each state of a model certified with period (b, p)
+// once: for every t in [b+p, Window()], in ascending order, each temporal
+// predicate's slot t is re-pointed at its shard in slot t-p, which is
+// marked shared, so every state past the representatives is its
+// representative's shards (the rewrite system W of Section 3.3, realized
+// in storage) and the shards built for it become garbage. The certificate
+// has made the two states equal; as a guard a slot is re-pointed only
+// when both shards have the same row count and fingerprint. Reads are
+// unchanged, and a later write to state t forks an overlay for slot t
+// alone. Only dense slots are touched. Call it before the evaluator is
+// published, as it rewrites slots that readers read; a shard not yet
+// shared is then private to this evaluator, so marking it races with no
+// other lineage.
+func (e *Evaluator) ShareRepeats(b, p int) {
+	for i := range e.store.rels {
+		byTime := e.store.rels[i].byTime
+		for t := b + p; t <= e.evaluated && t < len(byTime); t++ {
+			rs, rep := byTime[t], byTime[t-p]
+			if rs == rep || rs == nil || rep == nil || rs.n != rep.n || rs.fp != rep.fp {
+				continue
+			}
+			if !rep.shared {
+				rep.shared = true
+			}
+			byTime[t] = rep
 		}
 	}
 }

@@ -220,7 +220,7 @@ func TestForkOverlaysSharedShard(t *testing.T) {
 		t.Errorf("fork bucket(a3) = %v, want base group then tail %v", got, want)
 	}
 	a1 := []uint32{s.syms.ids["a1"]}
-	fork.bucket(2, a1) // a mask the base has not built
+	fork.bucket(2, a1, nil) // a mask the base has not built
 	if tbl := orig.idx.Load(); tbl == nil || len(tbl.entries) != 2 {
 		t.Fatalf("the fork's index build did not land on the shared base: %+v", tbl)
 	}
@@ -414,7 +414,7 @@ func TestOverlayForkRace(t *testing.T) {
 	}
 	p := s.syms.predIDs[predKey{name: "p", arity: 3, temporal: true}]
 	a1, x := s.syms.ids["a1"], s.syms.ids["x"]
-	s.at(p, 1).bucket(1, []uint32{a1}) // the base carries one index
+	s.at(p, 1).bucket(1, []uint32{a1}, nil) // the base carries one index
 	// Half a tail, so the shared tail slice has spare capacity a fork
 	// that appended in place would write into.
 	const midRows = tailCap / 2

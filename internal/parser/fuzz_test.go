@@ -1,8 +1,11 @@
 package parser
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"tdd/internal/ast"
 )
 
 // fuzzSeeds is a corpus covering every surface feature the unit syntax
@@ -82,6 +85,10 @@ var fuzzSeeds = []string{
 	"p(T+2) :- q(T), p(T, T).",
 	// A quoted constant with a leading digit must print quoted again.
 	"a('0000A','0000').\n",
+	// All-digit constants that do not scan back as themselves bare: a
+	// leading zero, and a value past the lexer's integer bound.
+	"a('007').\n",
+	"a('10000000000').\n",
 }
 
 // FuzzParseUnit asserts two properties on arbitrary unit sources:
@@ -90,7 +97,8 @@ var fuzzSeeds = []string{
 //     interval-expansion cap): it either errors or returns a unit.
 //  2. Accepted units round-trip: Render, which pins with a directive
 //     every sort the plain text would re-infer differently, reparses to
-//     the same clause counts and the same predicate signatures.
+//     the same clause counts, the same predicate signatures and the same
+//     facts, constant for constant.
 func FuzzParseUnit(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -110,6 +118,15 @@ func FuzzParseUnit(f *testing.F) {
 		}
 		if len(prog2.Rules) != len(prog.Rules) || len(db2.Facts) != len(db.Facts) {
 			t.Fatalf("round-trip %d rules, %d facts -> %d, %d:\n%s", len(prog.Rules), len(db.Facts), len(prog2.Rules), len(db2.Facts), out)
+		}
+		facts, facts2 := slices.Clone(db.Facts), slices.Clone(db2.Facts)
+		ast.SortFacts(facts)
+		ast.SortFacts(facts2)
+		for i, f := range facts {
+			g := facts2[i]
+			if f.Pred != g.Pred || f.Temporal != g.Temporal || f.Time != g.Time || !slices.Equal(f.Args, g.Args) {
+				t.Fatalf("round-trip fact %#v -> %#v:\n%s", f, g, out)
+			}
 		}
 		for name, pi := range prog.Preds {
 			pi2, ok := prog2.Preds[name]

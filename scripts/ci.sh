@@ -131,6 +131,18 @@ require_test ./internal/inc/ TestApplyStartsFromOldPeriod
 require_test . TestForkLineagesShareLogs
 go test -race -count=1 -run '^TestForkLineagesShareLogs$' .
 
+echo "==> a certified model stores each state once"
+# Once (b, p) is certified, every state past b+p is its representative's
+# shards: on E1, E8, a counter and 240 random programs each such slot is
+# pointer-equal to its representative's and every state equals an
+# uncertified evaluator's. Two forks of a warm parent write at once to two
+# states stored as one shard; each tip equals a cold open of its history
+# and the parent does not move. A state's index build is sized from the
+# state before it (the same objects at 64 and 1 024 rows).
+require_test ./internal/engine/ TestShareRepeatsIsExact TestAllocBudgetColdWindowIndex
+require_test . TestSharedStateForks
+go test -race -count=1 -run '^TestSharedStateForks$' .
+
 echo "==> rules analyzed once per program, lint deterministic"
 # An ingest re-lints only what its facts can change: every fork shares its
 # program's rule analysis and decides never-fires from the firing counts
