@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"tdd/internal/ast"
 )
@@ -213,8 +214,8 @@ func TestAllocBudgetForkWrite(t *testing.T) {
 // (< 2 KB) whether the database holds 256 facts or 16 384: the clone
 // shares the fact log and both symbol tables and appends past their ends,
 // and the write into the shared shard copies only its overlay's tail.
-// What remains is fixed: the evaluator, its two stores (facts and
-// database membership), their predicate arrays, and one overlay each.
+// What remains is fixed: the evaluator, its store, the store's predicate
+// array and one overlay (the store also answers database membership).
 // The chain is measured for fewer than tailCap steps; at tailCap an
 // overlay is flattened and a symbol tail folded, O(shard) and O(symbols)
 // once per tailCap writes. The bytes are the median step's: a log that
@@ -264,6 +265,57 @@ func TestAllocBudgetForkInsertBase(t *testing.T) {
 	}
 	if objects[0] != objects[1] {
 		t.Errorf("clone and InsertBase allocate %.0f objects at |D| = 256 and %.0f at |D| = 16 384, want the same", objects[0], objects[1])
+	}
+}
+
+// TestAllocBudgetForkFirstInsert: the first ingest into a fork of a root
+// that has never ingested — Clone, InsertBase of a fact of a predicate a
+// rule derives, PropagateDelta of it — allocates the same objects whether
+// the database holds 257 facts or 16 385, and no more than a few KB
+// beyond the one copy of the fact log (the root's has no spare capacity,
+// so the fork's first append copies it): the store tells a database fact
+// from a derived one, and the planner's support seeds are read from its
+// counts, without a pass over the database.
+func TestAllocBudgetForkFirstInsert(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var objects []float64
+	for _, side := range []int{16, 128} { // |D| = side*side + 1
+		src := []byte("p(T+1, X) :- p(T, X), e(X, Y).\np(0, c0).\n")
+		for a := 0; a < side; a++ {
+			for b := 0; b < side; b++ {
+				src = fmt.Appendf(src, "e(c%d, c%d).\n", a, b)
+			}
+		}
+		root := mustEval(t, string(src))
+		root.EnsureWindow(4)
+		seed := []ast.Fact{tfact("p", 2, "c1")}
+		var tip *Evaluator
+		step := func() {
+			tip = root.Clone()
+			if ok, err := tip.InsertBase(seed[0]); !ok || err != nil {
+				t.Fatalf("InsertBase(%s) = %v, %v", seed[0], ok, err)
+			}
+			if n := tip.PropagateDelta(seed); n != 2 {
+				t.Fatalf("PropagateDelta derived %d facts, want 2", n)
+			}
+		}
+		objects = append(objects, testing.AllocsPerRun(runs, step))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&m1)
+		logCopy := cap(tip.facts.s) * int(unsafe.Sizeof(ast.Fact{}))
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc)/runs - float64(logCopy)
+		t.Logf("|D| = %d: %.0f objects, %.0f bytes beyond the log copy of %d", side*side+1, objects[len(objects)-1], bytes, logCopy)
+		if bytes >= 4096 {
+			t.Errorf("|D| = %d: a fork's first insert allocates %.0f bytes beyond the log copy, budget 4 KB", side*side+1, bytes)
+		}
+	}
+	if objects[0] != objects[1] {
+		t.Errorf("a fork's first insert allocates %.0f objects at |D| = 257 and %.0f at |D| = 16 385, want the same", objects[0], objects[1])
 	}
 }
 

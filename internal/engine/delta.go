@@ -12,7 +12,7 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 
 	"tdd/internal/ast"
 )
@@ -34,49 +34,20 @@ type dfact struct {
 	row  uint32
 }
 
-// ensureDBFacts builds the database-membership store used to deduplicate
-// base inserts against the database (a fact already *derived* must still
-// be recorded as a database fact, or the database's temporal depth — and
-// with it the period certificate — would diverge from a from-scratch
-// evaluation of the union).
-func (e *Evaluator) ensureDBFacts() {
-	if e.dbFacts != nil {
-		return
-	}
-	e.dbFacts = NewStore()
-	for _, f := range e.db.Facts {
-		e.dbFacts.Insert(dbFact(f))
-	}
-}
-
-// dbFact is a database fact as dbFacts holds it: a temporal fact p(t, x̄)
-// becomes the non-temporal p(t, x̄), its time point a constant, so the
-// store has one shard per predicate rather than one per time point — it
-// only answers membership, and a shard per time point retains more than
-// the fact (EXPERIMENTS.md E29). The two cannot meet: a predicate has one
-// signature in a program and its database (InsertBase, CheckAgainst).
-func dbFact(f ast.Fact) ast.Fact {
-	if !f.Temporal {
-		return f
-	}
-	return ast.Fact{Pred: f.Pred, Args: append([]string{strconv.Itoa(f.Time)}, f.Args...)}
-}
-
 // Clone returns an independent evaluator over the same program: a
 // snapshot of the database, store, window, and counters. The program and
 // compiled rules are immutable after New and are shared, and so is the
 // database's fact log (sharedLog: the clone appends past the parent's
 // end, in place or into a copy) and its signature map until a new
-// predicate is admitted. Writes to the
-// clone (InsertBase, PropagateDelta, EnsureWindow) are invisible to the
-// original, which makes Clone the basis of the copy-on-write snapshot
-// discipline used by incremental ingestion. Join plans are deliberately
-// NOT copied: their step counters point into the parent's Stats.Index
-// cells, so the clone re-plans at its next fixpoint entry and binds fresh
-// counters of its own (stats.Clone deep-copies the cells). The scratch
-// buffers and the join plans likewise start empty in the clone and are
-// rebuilt on first use (planJoins); the database-membership store, once
-// built, is shared copy-on-write like the fact store.
+// predicate is admitted. The store, which also answers which facts are
+// the database's (Store.insertBase), is cloned copy-on-write. Writes to
+// the clone (InsertBase, PropagateDelta, EnsureWindow) are invisible to
+// the original, which makes Clone the basis of the copy-on-write
+// snapshot discipline used by incremental ingestion. Join plans are
+// deliberately NOT copied: their step counters point into the parent's
+// Stats.Index cells, so the clone re-plans at its next fixpoint entry and
+// binds fresh counters of its own (stats.Clone deep-copies the cells);
+// they and the scratch buffers start empty and are rebuilt on first use.
 //
 //tddlint:resets plans deltaPlans headBuf keyBuf delta next
 func (e *Evaluator) Clone() *Evaluator {
@@ -96,13 +67,9 @@ func (e *Evaluator) Clone() *Evaluator {
 		prof:      e.prof,    // shared: the profile spans the database lifetime
 		derived:   e.derived, // immutable after New
 		maxSlots:  e.maxSlots,
-		// bounds are immutable once computed and keyed by the database
-		// fact count, so the clone shares them until its database grows.
-		bounds:      e.bounds,
-		boundsFacts: e.boundsFacts,
-	}
-	if e.dbFacts != nil {
-		c.dbFacts = e.dbFacts.Clone()
+		// bounds are immutable once computed, so the clone shares them
+		// until it admits a predicate.
+		bounds: e.bounds,
 	}
 	if e.prov != nil {
 		c.prov = make(map[string]*Derivation, len(e.prov))
@@ -120,8 +87,8 @@ func (e *Evaluator) Clone() *Evaluator {
 // Signatures are checked against both the program's and the database's;
 // new predicates are admitted and recorded.
 func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
-	if f.Temporal && f.Time < 0 {
-		return false, fmt.Errorf("engine: fact %s has a negative time point", f)
+	if f.Temporal && (f.Time < 0 || int64(f.Time) > math.MaxUint32) {
+		return false, fmt.Errorf("engine: fact %s has a time point outside [0, %d]", f, uint32(math.MaxUint32))
 	}
 	for _, a := range f.Args {
 		if a == "" {
@@ -135,8 +102,7 @@ func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
 	if prev, ok := e.db.Preds[f.Pred]; ok && prev != info {
 		return false, fmt.Errorf("engine: fact %s conflicts with database signature %v", f, prev)
 	}
-	e.ensureDBFacts()
-	if !e.dbFacts.Insert(dbFact(f)) {
+	if !e.store.insertBase(f, e.derived[f.Pred]) {
 		return false, nil
 	}
 	e.facts.append(f)
@@ -148,11 +114,11 @@ func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
 		}
 		preds[f.Pred] = info
 		e.db.Preds = preds
+		e.bounds = nil
 	}
 	if f.Temporal && f.Time > e.depth {
 		e.depth = f.Time
 	}
-	e.store.Insert(f)
 	return true, nil
 }
 

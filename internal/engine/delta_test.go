@@ -93,6 +93,21 @@ func TestInsertBaseSignatureChecks(t *testing.T) {
 	if _, err := e.InsertBase(ast.Fact{Pred: "p", Temporal: true, Time: -1, Args: []string{"a"}}); err == nil {
 		t.Fatal("negative time accepted")
 	}
+	// A time point must fit the uint32 time column of a head predicate's
+	// database rows, or it would alias the time point 2^32 below it.
+	if _, err := e.InsertBase(tfact("p", 1<<32+1, "a")); err == nil {
+		t.Fatal("time point beyond uint32 accepted")
+	}
+	prog, _ := mustTDD(t, "p(T+1, X) :- p(T, X).\n")
+	for _, time := range []int{-1, 1<<32 + 1} {
+		db, err := ast.NewDatabase([]ast.Fact{tfact("p", time, "a")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(prog, db); err == nil {
+			t.Fatalf("New accepted a database fact at time %d", time)
+		}
+	}
 	// A brand-new predicate is admitted and recorded.
 	ok, err := e.InsertBase(ntfact("r", "a", "b"))
 	if err != nil || !ok {
@@ -111,22 +126,87 @@ func TestInsertBaseSignatureChecks(t *testing.T) {
 // TestInsertBaseRecordsDerivedFacts: a fact already derived by the rules
 // must still become a database fact — the database's temporal depth (and
 // with it the period certificate) has to match a from-scratch evaluation
-// of the union.
+// of the union — and a database fact, once recorded, is a duplicate. Per
+// kind of predicate, the store alone tells the two apart: a head
+// predicate's database rows (a proposition, temporal with arguments,
+// non-temporal) sit beside its derived ones, an EDB-only predicate's
+// shards hold nothing else. Two sibling clones of one parent each record
+// the fact once, and the parent's database does not move. The head rows
+// hold more than tinyShard database facts, so a clone's write into them
+// overlays a shared shard.
 func TestInsertBaseRecordsDerivedFacts(t *testing.T) {
-	e := mustEval(t, `
-		p(T+1) :- p(T).
-		p(0).
-	`)
-	e.EnsureWindow(12)
-	if !e.Holds(tfact("p", 9)) {
-		t.Fatal("p(9) should be derived")
+	cases := []struct {
+		name     string
+		src      string
+		dbFact   ast.Fact // already in the database
+		fact     ast.Fact // derived (head rows) or new (EDB row) before the insert
+		derived  bool
+		maxDepth int // the database's depth once fact is recorded
+	}{
+		{
+			name:     "proposition-head",
+			src:      "p(T+1) :- p(T).\np(0). p(1). p(2). p(3). p(4). p(5).\n",
+			dbFact:   tfact("p", 3),
+			fact:     tfact("p", 9),
+			derived:  true,
+			maxDepth: 9,
+		},
+		{
+			name:     "temporal-head",
+			src:      "p(T+1, X) :- p(T, X).\np(0, a). p(0, b). p(0, c). p(0, d). p(0, e). p(0, f).\n",
+			dbFact:   tfact("p", 0, "c"),
+			fact:     tfact("p", 9, "a"),
+			derived:  true,
+			maxDepth: 9,
+		},
+		{
+			name:    "nontemporal-head",
+			src:     "r(X) :- e(X, Y).\ne(a, b). r(z1). r(z2). r(z3). r(z4). r(z5). r(z6).\n",
+			dbFact:  ntfact("r", "z2"),
+			fact:    ntfact("r", "a"),
+			derived: true,
+		},
+		{
+			name:   "edb-only",
+			src:    "r(X) :- e(X, Y).\ne(a, b). e(b, c). e(c, d). e(d, e). e(e, f). e(f, g).\n",
+			dbFact: ntfact("e", "c", "d"),
+			fact:   ntfact("e", "a", "z"),
+		},
 	}
-	ok, err := e.InsertBase(tfact("p", 9))
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if e.Database().MaxDepth() != 9 || e.DatabaseDepth() != 9 {
-		t.Fatalf("database depth %d (kept on insert: %d), want 9", e.Database().MaxDepth(), e.DatabaseDepth())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			parent := mustEval(t, tc.src)
+			parent.EnsureWindow(12)
+			if got := parent.Holds(tc.fact); got != tc.derived {
+				t.Fatalf("%s holds before the insert: %v, want %v", tc.fact, got, tc.derived)
+			}
+			facts := len(parent.Database().Facts)
+			record := func(e *Evaluator) {
+				t.Helper()
+				if ok, err := e.InsertBase(tc.dbFact); ok || err != nil {
+					t.Fatalf("re-asserting database fact %s: ok=%v err=%v, want false", tc.dbFact, ok, err)
+				}
+				for i, want := range []bool{true, false} {
+					if ok, err := e.InsertBase(tc.fact); ok != want || err != nil {
+						t.Fatalf("insert %d of %s: ok=%v err=%v, want %v", i+1, tc.fact, ok, err, want)
+					}
+				}
+				if got := len(e.Database().Facts); got != facts+1 {
+					t.Fatalf("database holds %d facts, want %d", got, facts+1)
+				}
+				if e.Database().MaxDepth() != tc.maxDepth || e.DatabaseDepth() != tc.maxDepth {
+					t.Fatalf("database depth %d (kept on insert: %d), want %d", e.Database().MaxDepth(), e.DatabaseDepth(), tc.maxDepth)
+				}
+			}
+			c1, c2 := parent.Clone(), parent.Clone()
+			record(c1)
+			record(c2)
+			if got := len(parent.Database().Facts); got != facts {
+				t.Fatalf("parent database moved: %d facts, want %d", got, facts)
+			}
+			record(parent.Clone())
+			record(parent)
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"tdd/internal/ast"
@@ -117,11 +118,6 @@ type Evaluator struct {
 	// predicate admitted later by InsertBase has an id beyond it and
 	// occurs in no rule.
 	occ [][]occurrence
-	// dbFacts holds the database facts, built lazily by the first
-	// InsertBase so duplicate base asserts are detected against the
-	// database rather than the derived store (delta.go). Clones share it
-	// copy-on-write (Store.Clone).
-	dbFacts *Store
 	// tr, when non-nil, receives fixpoint/sweep/delta spans; nil tracing
 	// costs one pointer comparison per EnsureWindow/PropagateDelta call.
 	tr *obs.Trace
@@ -133,13 +129,12 @@ type Evaluator struct {
 	// treats their empty relations as database-sized rather than free,
 	// since they can grow within a fixpoint entry (plan.go).
 	derived map[string]bool
-	// bounds is the static bounds pass over (prog, db): provable emptiness
-	// and cold-relation support seeds for the planner. Recomputed by
-	// planJoins whenever the database has grown (boundsFacts is the cache
-	// key — the database is append-only). A pure function of the snapshot,
-	// so it is identical across runs and clone lineages.
-	bounds      *progan.Bounds
-	boundsFacts int
+	// bounds is the static bounds pass over the program and the
+	// database's predicates: provable emptiness and the closures whose
+	// database counts seed cold relations (plan.go). Computed by planJoins
+	// and dropped by InsertBase when it admits a predicate; a pure function
+	// of the snapshot, so it is identical across runs and clone lineages.
+	bounds *progan.Bounds
 	// plans/deltaPlans are the per-rule join orders, recomputed at every
 	// fixpoint entry by planJoins; deltaPlans[i][pin] is rule i's plan
 	// with body literal pin pre-bound (plan.go).
@@ -241,7 +236,10 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 		}
 	}
 	for _, f := range db.Facts {
-		e.store.Insert(f)
+		if f.Temporal && (f.Time < 0 || int64(f.Time) > math.MaxUint32) {
+			return nil, fmt.Errorf("engine: fact %s has a time point outside [0, %d]", f, uint32(math.MaxUint32))
+		}
+		e.store.insertBase(f, e.derived[f.Pred])
 		if f.Temporal && f.Time > e.depth {
 			e.depth = f.Time
 		}

@@ -57,11 +57,8 @@ type joinPlan struct {
 // this evaluator's own Stats.Index, so a cloned evaluator re-plans into
 // its own counters rather than its parent's.
 func (e *Evaluator) planJoins() {
-	// Refresh the static bounds when the database has grown (it is
-	// append-only, so the fact count keys the cache).
-	if e.bounds == nil || e.boundsFacts != len(e.db.Facts) {
+	if e.bounds == nil {
 		e.bounds = progan.ComputeBounds(e.prog, &e.db)
-		e.boundsFacts = len(e.db.Facts)
 	}
 	if e.stats.Index == nil {
 		e.stats.Index = make(map[string]*IndexStat)
@@ -181,17 +178,12 @@ func (e *Evaluator) estCost(r *crule, li int, bound []bool) uint64 {
 		// stays empty for the whole entry (cost 0), and a cold derived
 		// relation can never outgrow the base facts backward-reachable
 		// from it (its support seed).
-		if !e.derived[a.Pred] {
-			return 0
-		}
-		if e.bounds != nil && e.bounds.Empty[a.Pred] {
+		if !e.derived[a.Pred] || e.bounds.Empty[a.Pred] {
 			return 0
 		}
 		base = e.store.count
-		if e.bounds != nil {
-			if s, ok := e.bounds.Support[a.Pred]; ok && s < base {
-				base = s
-			}
+		if s, ok := e.bounds.Support(a.Pred, e.dbCount); ok && s < base {
+			base = s
 		}
 		if base <= 0 {
 			return 0
@@ -211,6 +203,20 @@ func (e *Evaluator) estCost(r *crule, li int, bound []bool) uint64 {
 		cost = 1
 	}
 	return cost
+}
+
+// dbCount returns the number of database facts of the named predicate,
+// read from the store (Store.insertBase): the count support seeds sum.
+func (e *Evaluator) dbCount(pred string) int {
+	info := e.db.Preds[pred]
+	id, ok := e.store.PredID(pred, info.Arity, info.Temporal)
+	if !ok {
+		return 0
+	}
+	if e.derived[pred] {
+		return e.store.rels[id].db.size()
+	}
+	return e.store.rels[id].facts
 }
 
 // PlanFingerprint recomputes the join plans from the current cardinality

@@ -68,6 +68,56 @@ func TestPlanFingerprintPureFunctionOfCardinalities(t *testing.T) {
 	}
 }
 
+// TestPlansAfterIngestMatchColdOpen: plans after an ingest are the plans
+// a cold open of the union makes, along a chain of two ingests into
+// clones. q is derived only from depth 20 on, so it stays cold in the
+// window and the planner costs it by its support seed, the database facts
+// of its closure {q, m, a}: 4 at first, below b's 5 rows, so r's body
+// starts at q; 8 after the first batch (three facts of the head predicate
+// m, one of a), so it starts at b. That batch admits no predicate, so the
+// bounds are not recomputed: a clone whose seeds did not follow its
+// database would keep q first. g is provably empty until the second batch
+// admits z, whose six facts lie past the window: s's body then starts at
+// b rather than at the free g, as it would not if the bounds outlived the
+// admission.
+func TestPlansAfterIngestMatchColdOpen(t *testing.T) {
+	const rules = `
+r(T+1, X) :- b(X, Y), q(T, X).
+q(T+20, X) :- m(T, X).
+m(T, X) :- a(T, X).
+s(T+1, X) :- b(X, Y), g(T, X).
+g(T, X) :- z(T, X).
+b(k1, c1). b(k2, c2). b(k3, c3). b(k4, c4). b(k5, c5).
+a(0, k1). a(0, k2). a(0, k3). m(0, k8).
+`
+	const m = 10
+	tip := mustEval(t, rules)
+	tip.EnsureWindow(m)
+	union := rules
+	for _, batch := range []string{
+		"m(1, k4). m(1, k5). m(2, k6). a(1, k7).\n",
+		"z(15, k1). z(15, k2). z(15, k3). z(15, k4). z(15, k5). z(16, k1).\n",
+	} {
+		parent, before := tip, tip.PlanFingerprint()
+		tip = parent.Clone()
+		_, db := mustTDD(t, batch)
+		applyDelta(t, tip, db.Facts...)
+		union += batch
+		cold := mustEval(t, union)
+		cold.EnsureWindow(m)
+		got, want := tip.PlanFingerprint(), cold.PlanFingerprint()
+		if got != want {
+			t.Fatalf("after %s the ingested clone plans %s, a cold open of the union %s\nclone:\n%s\ncold:\n%s", batch, got, want, tip.PlanText(), cold.PlanText())
+		}
+		if got == before {
+			t.Fatalf("%s did not change the plans:\n%s", batch, tip.PlanText())
+		}
+		if got := parent.PlanFingerprint(); got != before {
+			t.Fatalf("the parent's plans moved to %s after its clone ingested %s (were %s)", got, batch, before)
+		}
+	}
+}
+
 // The greedy planner must start a body with the most selective literal:
 // with small ⊂ big, the rule nt(X) :- small(X), big(X, Y) keeps source
 // order, while a body written big-first is reordered to probe big

@@ -627,6 +627,11 @@ type predRel struct {
 	// the row () and is shared, so every time point where the proposition
 	// holds points at it and no write ever forks it.
 	prop *relset
+	// db holds the database facts of a predicate that heads a rule, whose
+	// shards mix them with derived rows: a temporal fact's time point in
+	// column 0, then its arguments (Store.insertBase). A predicate no rule
+	// derives has none; its shards are its database.
+	db *relset
 	// facts and states are the incrementally maintained cardinality
 	// summary: total facts and, for temporal predicates, occupied time
 	// points. They are the cost-model seed the join-order planner reads
@@ -746,9 +751,12 @@ func (s *Store) Clone() *Store {
 	for i := range s.rels {
 		pr := &s.rels[i]
 		pr.each(share)
-		cp := predRel{nt: pr.nt, prop: pr.prop, facts: pr.facts, states: pr.states}
+		cp := predRel{nt: pr.nt, prop: pr.prop, db: pr.db, facts: pr.facts, states: pr.states}
 		if pr.nt != nil {
 			share(0, pr.nt)
+		}
+		if pr.db != nil {
+			share(0, pr.db)
 		}
 		if len(pr.byTime) > 0 {
 			cp.byTime = append([]*relset(nil), pr.byTime...)
@@ -848,14 +856,38 @@ func (s *Store) shard(pred uint32, t int) *relset {
 // Insert adds a fact, reporting whether it was new. Inserting into a
 // shard shared with a clone first forks a private overlay of it
 // (copy-on-write); duplicate inserts never copy.
-func (s *Store) Insert(f ast.Fact) bool {
+func (s *Store) Insert(f ast.Fact) bool { return s.insertBase(f, false) }
+
+// insertBase is Insert of a database fact, reporting whether it was new
+// to the database: Insert's answer for a predicate no rule derives, and
+// for one that heads a rule (head) its db relset's, where the row is the
+// fact's time point, if temporal, then its arguments. New and
+// InsertBase refuse time points that do not fit a uint32.
+func (s *Store) insertBase(f ast.Fact, head bool) bool {
 	pred := s.internPred(f.Pred, len(f.Args), f.Temporal)
 	row := s.rowBuf[:0]
+	if f.Temporal {
+		row = append(row, uint32(f.Time))
+	}
 	for _, a := range f.Args {
 		row = append(row, s.intern(a))
 	}
 	s.rowBuf = row
-	_, added := s.insertRow(pred, f.Time, row)
+	_, added := s.insertRow(pred, f.Time, row[len(row)-len(f.Args):])
+	if !head {
+		return added
+	}
+	pr, h := &s.rels[pred], hashVals(row)
+	switch {
+	case pr.db == nil:
+		pr.db = newRelset(len(row), 0)
+	case pr.db.shared:
+		if _, ok := pr.db.find(row, h); ok {
+			return false
+		}
+		pr.db = pr.db.fork()
+	}
+	_, added = pr.db.insert(row, h)
 	return added
 }
 

@@ -89,7 +89,8 @@ echo "==> store allocation budgets"
 # ShrinkingStates: a small state sized from a large one gives back what it did not use when it closes.
 # PropositionShard: an arity-0 temporal predicate has one shared shard however long the window.
 # PropositionLineageRace: clone lineages join against that shard at once; the -race line below checks it.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace
+# ForkFirstInsert: the first ingest into a fork of a never-ingested root costs the same objects at |D| = 257 and 16 385.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace
 go test -race -count=1 -run '^TestPropositionLineageRace$' ./internal/engine/
 # Copy-on-write overlays: every shard along a random tree of store clones
 # equals a flat rebuild of its lineage's rows; a fork leaves the frozen

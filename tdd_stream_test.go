@@ -3,6 +3,7 @@ package tdd_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -310,4 +311,25 @@ func BenchmarkAssertVsReopen(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestAssertAtRefusesTimeBeyondUint32: a time point that does not fit a
+// uint32 is refused like a negative one, on the cold path too (the DB has
+// never certified), and the refused batch leaves the database unchanged.
+func TestAssertAtRefusesTimeBeyondUint32(t *testing.T) {
+	db, err := tdd.OpenUnit("q(T+1) :- q(T).\nq(0).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.Facts()
+	_, err = db.AssertAt("q", 1<<32+1)
+	if err == nil || !strings.Contains(err.Error(), "time point outside") {
+		t.Fatalf("AssertAt(q, 2^32+1) = %v, want the time-point error", err)
+	}
+	if after := db.Facts(); after != before {
+		t.Fatalf("refused assert changed the facts:\n%s\nwant\n%s", after, before)
+	}
+	if ok, err := db.Ask("q(5)"); err != nil || !ok {
+		t.Fatalf("q(5) = %v, %v after the refused assert", ok, err)
+	}
 }
