@@ -289,6 +289,32 @@ winter(T+3) :- winter(T).
 	}
 }
 
+// TestIPeriodSkeletonsSpanTermDepth is randgen Default() seed 478. Its
+// deepest temporal term, p2(T+2, X), has depth 2 while the certificate
+// width (period.Lookback) is 1: skeletons seeded only at time 0 never hold
+// p0(1), so the construction claimed a base one state short of the
+// model's (b = 4 with c = 2).
+func TestIPeriodSkeletonsSpanTermDepth(t *testing.T) {
+	prog := mustProg(t, `
+p0(T+2) :- p2(T+1, W), p2(T+2, X), e1(X).
+p0(T) :- p2(T, W).
+p1(T+2) :- p0(T+1), e0(X), e1(Y).
+p0(T) :- p2(T, X), e0(X).
+p1(T+1) :- p0(T+1), p2(T, Y), e1(X).
+`)
+	ip, err := IPeriod(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := parser.ParseDatabase("e0(c0). e0(c2). e1(c0). p0(0). p0(2). p1(0). p1(1). p2(2, c1).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyIPeriod(prog, db, ip, 1<<16); err != nil {
+		t.Fatalf("I-period %v: %v", ip, err)
+	}
+}
+
 func TestIPeriodRejects(t *testing.T) {
 	if _, err := IPeriod(mustProg(t, pathRules), nil); err == nil {
 		t.Error("IPeriod accepted a non-multi-separable program")

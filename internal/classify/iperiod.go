@@ -98,7 +98,12 @@ func IPeriod(p *ast.Program, opts *IPeriodOptions) (period.Period, error) {
 	// contain tuples with temporal arguments 0..g-1 where g is the maximum
 	// depth of a non-ground temporal term: a database can populate every
 	// phase of a depth-g rule, which single time-0 seeds cannot reach.
-	g := period.Lookback(p)
+	// That depth can exceed the certificate width period.Lookback: a
+	// rule's shift-normalized depth drops its least body depth.
+	g := 1
+	for _, rule := range p.Rules {
+		g = max(g, rule.MaxDepth())
+	}
 	var atoms []ast.Fact
 	for _, name := range sortedPreds(p) {
 		info := p.Preds[name]

@@ -235,9 +235,21 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 			e.occ[p] = append(e.occ[p], occurrence{rule: i, lit: li})
 		}
 	}
+	// A rule-head predicate's database rows get a shard of their own
+	// (Store.insertBase): count them first, so each is built at its size.
+	dbRows := make(map[string]int)
+	for _, f := range db.Facts {
+		if e.derived[f.Pred] {
+			dbRows[f.Pred]++
+		}
+	}
 	for _, f := range db.Facts {
 		if f.Temporal && (f.Time < 0 || int64(f.Time) > math.MaxUint32) {
 			return nil, fmt.Errorf("engine: fact %s has a time point outside [0, %d]", f, uint32(math.MaxUint32))
+		}
+		if n := dbRows[f.Pred]; n > 0 {
+			e.store.reserveBase(f, n)
+			dbRows[f.Pred] = 0
 		}
 		e.store.insertBase(f, e.derived[f.Pred])
 		if f.Temporal && f.Time > e.depth {

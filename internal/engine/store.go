@@ -891,6 +891,19 @@ func (s *Store) insertBase(f ast.Fact, head bool) bool {
 	return added
 }
 
+// reserveBase gives the predicate of f, which heads a rule, an empty
+// database shard with room for n rows, unless it has one.
+func (s *Store) reserveBase(f ast.Fact, n int) {
+	pr := &s.rels[s.internPred(f.Pred, len(f.Args), f.Temporal)]
+	if pr.db == nil {
+		width := len(f.Args)
+		if f.Temporal {
+			width++
+		}
+		pr.db = newRelset(width, n)
+	}
+}
+
 // insertRow is Insert on interned ids — the evaluator's emit path. It
 // returns the fact's row number in its shard and whether it was new.
 func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {

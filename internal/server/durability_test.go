@@ -1,6 +1,6 @@
 package server
 
-// Recovery of a directory in the older snapshot layout, and the
+// Recovery of batches whose sorts the program fixes, and the
 // shutdown-ordering regression test: ingests racing a graceful shutdown
 // are either fully logged or rejected, never torn. (Recovery of every
 // crash point is FuzzModel's crash step, model_test.go.)
@@ -15,14 +15,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"tdd/internal/core"
-	"tdd/internal/parser"
 	"tdd/internal/wal"
 )
 
@@ -66,100 +62,6 @@ func durableRegistry(t *testing.T, dir string, pol wal.Policy) *Registry {
 	t.Cleanup(func() { store.Close() })
 	reg.EnableDurability(store)
 	return reg
-}
-
-// TestSnapshotRestartDifferential recovers the data directory an older
-// writer left behind, which folded the history into snapshot.json and
-// truncated wal.log. The history is built on a leader, and its directory
-// is rewritten by hand into that layout: records 1–4 in snapshot.json,
-// and wal.log holding record 5 (truncated after the snapshot) or records
-// 1–5 (a crash before the truncation). The recovered model must have the
-// leader's seq and rev and match naive T_P (internal/baseline) over the
-// full batch sequence.
-func TestSnapshotRestartDifferential(t *testing.T) {
-	dir := t.TempDir()
-	reg := durableRegistry(t, dir, wal.FsyncAlways)
-	ent, _, err := reg.Register(evenUnit, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := ent.ID()
-	batches := []string{"even(101).\n", "even(203).\n", "even(305).\n", "even(407).\n", "even(509).\n"}
-	for _, b := range batches {
-		if ent, _, err = reg.Ingest(id, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := reg.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	feed, err := reg.Feed(id, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := feed.Records
-	snap, err := json.Marshal(wal.Snapshot{Seq: 4, Rev: recs[3].Rev, Base: *feed.Base, Records: recs[:4]})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The judge is naive T_P over the whole batch history.
-	prog, db, err := parser.ParseUnit(evenUnit + strings.Join(batches, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := naiveModel(prog, db, core.DefaultMaxWindow)
-	if err != nil || !ref.det.OK {
-		t.Fatalf("reference: %v (certified %v)", err, ref.det.OK)
-	}
-	for _, layout := range []struct {
-		name string
-		log  []wal.Record
-	}{{"truncated", recs[4:]}, {"crash-before-truncate", recs}} {
-		t.Run(layout.name, func(t *testing.T) {
-			old := copyDir(t, dir)
-			pdir := filepath.Join(old, "programs", id)
-			var log []byte
-			for _, rec := range layout.log {
-				buf, err := wal.EncodeRecord(rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				log = append(log, buf...)
-			}
-			if err := os.WriteFile(filepath.Join(pdir, "wal.log"), log, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(pdir, "snapshot.json"), snap, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			reg2 := durableRegistry(t, old, wal.FsyncOff)
-			if _, _, err := reg2.RecoverFromWAL(true); err != nil {
-				t.Fatal(err)
-			}
-			if seq, rev, _ := reg2.SeqRev(id); seq != uint64(len(batches)) || rev != ent.Rev() {
-				t.Fatalf("recovered (seq %d, rev %s), want (%d, %s)", seq, rev, len(batches), ent.Rev())
-			}
-			ent2, err := reg2.Lookup(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if per, err := ent2.db.Period(); err != nil || per != ref.period() {
-				t.Fatalf("snapshot-recovered period %v (%v), reference %v", per, err, ref.period())
-			}
-			for at := 0; at < ref.det.Base+ref.det.P; at++ {
-				got, err := ent2.db.StateAt(at)
-				var want []string
-				for _, f := range ref.store.State(at) {
-					want = append(want, f.String())
-				}
-				if err != nil || !slices.Equal(got, want) {
-					t.Fatalf("snapshot-recovered state %d = %v (%v), reference %v", at, got, err, want)
-				}
-			}
-		})
-	}
 }
 
 // TestRecoverBatchesOfKnownSorts recovers a log whose batches read

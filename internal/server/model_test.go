@@ -65,7 +65,9 @@ var budgets = [4]int{64, 256, 32, 16}
 
 // baselineSources are the programs naive T_P was first compared with the
 // engine on: the paper's even numbers, a ski schedule, 3-cycle
-// reachability and non-temporal feedback.
+// reachability and non-temporal feedback; then rule heads with a constant
+// the database lacks, so a cold ask that quantifies over constants must
+// not answer from its slice, whose domain would miss it.
 var baselineSources = []string{
 	"even(T+2) :- even(T).\neven(0).",
 	`plane(T+7, X) :- plane(T, X), resort(X), offseason(T).
@@ -87,6 +89,14 @@ seen(X) :- p(T, X).
 q(T+1, X) :- q(T, X), seen(X).
 p(3, a).
 q(0, a).`,
+	`up(T+1) :- up(T).
+tag(T, k) :- up(T).
+tag(T, X) :- up(T), item(X).
+mark(k) :- tag(T, X).
+off(T+2) :- off(T).
+up(0).
+off(1).
+item(j).`,
 }
 
 // fixedUnits are the programs a script's first byte selects before the
@@ -103,7 +113,7 @@ var fixedUnits = func() (units []string) {
 
 // seedScripts is the seed corpus: every fixed unit and 48 random programs
 // of both shapes, each driven through every step kind under the budgets
-// 64, 32 and 16, then past failures.
+// 64, 32 and 16, then past failures and a kept mutation catch.
 func seedScripts() [][]byte {
 	var out [][]byte
 	for p := 0; p < len(fixedUnits)+48; p++ {
@@ -114,10 +124,15 @@ func seedScripts() [][]byte {
 		}
 		out = append(out, data)
 	}
-	// Minimized failures, kept: an assert on a DB whose certification had
-	// run out of budget skipped delta propagation (random program 237 of
-	// the non-temporal-heads shape, two of its rules, budget 16).
-	return append(out, []byte("\xf8\x18\x17\x01\x15\x05t"))
+	// Kept: the minimized failure of an assert on a DB whose certification
+	// had run out of budget, which skipped delta propagation (random
+	// program 237 of the non-temporal-heads shape, two of its rules, budget
+	// 16); and a cold ask quantifying over the last baseline source's head
+	// constant k, which a slice answering over the database's constants
+	// alone gets wrong (a seeded mutation of headConstantsCovered).
+	return append(out,
+		append([]byte{byte(len(fixedUnits) + 237)}, "\x18\x17\x01\x15\x05t"...),
+		[]byte{byte(len(fixedUnits) - 1), 0xff, 0, opAsk, 64})
 }
 
 func FuzzModel(f *testing.F) {

@@ -16,10 +16,12 @@
 //
 // On-disk layout under the data directory:
 //
-//	programs/<id>/base.json      registered sources (written once)
-//	programs/<id>/wal.log        every ingested batch, in order
-//	programs/<id>/snapshot.json  read, never written: the batches an older
-//	                             layout folded out of wal.log
+//	programs/<id>/base.json  registered sources (written once)
+//	programs/<id>/wal.log    every ingested batch, in order
+//
+// An older layout folded batches out of wal.log into a snapshot file
+// beside it; recovery refuses a directory that still holds one rather
+// than boot without those batches (recoverProgram).
 //
 // This package deliberately uses wall-clock time (fsync interval timers
 // and latencies); internal/gocheck's TestFixpointImports lets this package

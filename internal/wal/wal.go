@@ -122,8 +122,7 @@ func (s *Store) snapshotLogs() []*Log {
 }
 
 // Recovered is one program reconstructed from disk: its base sources and
-// the full verified record history (an old snapshot.json's records, if
-// the directory has one, then the log's). TornTail reports that an
+// the full verified record history in wal.log. TornTail reports that an
 // incomplete final record — a crash mid-append — was dropped and the log
 // truncated back to the last good boundary.
 type Recovered struct {
@@ -174,21 +173,14 @@ func (s *Store) recoverProgram(id string) (Recovered, error) {
 		return Recovered{}, fmt.Errorf("base sources hash to %s, not %s — sources were altered", got, id)
 	}
 
-	rec := Recovered{Base: base, Rev: id}
-	var snap Snapshot
-	if err := readJSON(filepath.Join(dir, "snapshot.json"), &snap); err == nil {
-		seq, rev, err := VerifyChain(0, id, snap.Records)
-		if err != nil {
-			return Recovered{}, fmt.Errorf("snapshot: %w", err)
-		}
-		if seq != snap.Seq || rev != snap.Rev {
-			return Recovered{}, fmt.Errorf("snapshot claims (seq %d, rev %s) but its records end at (%d, %s)",
-				snap.Seq, snap.Rev, seq, rev)
-		}
-		rec.Records = snap.Records
-		rec.Seq, rec.Rev = seq, rev
+	// An older writer folded batches out of wal.log into snapshot.json
+	// and truncated the log. Booting from the log alone would silently
+	// drop those batches: refuse the directory before touching it.
+	snap := filepath.Join(dir, "snapshot.json")
+	if _, err := os.Stat(snap); err == nil {
+		return Recovered{}, fmt.Errorf("%s holds batches this version no longer reads; wal.log alone is not the program's history", snap)
 	} else if !os.IsNotExist(err) {
-		return Recovered{}, fmt.Errorf("reading snapshot: %w", err)
+		return Recovered{}, err
 	}
 
 	logPath := filepath.Join(dir, "wal.log")
@@ -196,7 +188,7 @@ func (s *Store) recoverProgram(id string) (Recovered, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return Recovered{}, err
 	}
-	tail, good, derr := DecodeRecords(bytes.NewReader(data))
+	records, good, derr := DecodeRecords(bytes.NewReader(data))
 	if derr != nil {
 		ce, ok := derr.(*CorruptError)
 		if !ok || !ce.Torn {
@@ -208,20 +200,12 @@ func (s *Store) recoverProgram(id string) (Recovered, error) {
 		if err := os.Truncate(logPath, good); err != nil {
 			return Recovered{}, fmt.Errorf("truncating torn tail: %w", err)
 		}
-		rec.TornTail = true
 	}
-	// A crash between a snapshot's rename and the log's truncation left
-	// records the snapshot already holds; skip them rather than
-	// double-apply.
-	for len(tail) > 0 && tail[0].Seq <= rec.Seq {
-		tail = tail[1:]
-	}
-	seq, rev, err := VerifyChain(rec.Seq, rec.Rev, tail)
+	seq, rev, err := VerifyChain(0, id, records)
 	if err != nil {
 		return Recovered{}, err
 	}
-	rec.Records = append(rec.Records, tail...)
-	rec.Seq, rec.Rev = seq, rev
+	rec := Recovered{Base: base, Records: records, Seq: seq, Rev: rev, TornTail: derr != nil}
 
 	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -454,17 +438,6 @@ func (l *Log) syncLocked() error {
 	l.dirty = false
 	l.syncedSeq, l.syncedRev = l.seq, l.rev
 	return nil
-}
-
-// Snapshot is snapshot.json: the base sources and every record up to
-// Seq. Nothing writes it any more — the log holds the whole history —
-// but a data directory written when the log was periodically folded
-// into it and truncated still recovers, so recovery reads it first.
-type Snapshot struct {
-	Seq     uint64   `json:"seq"`
-	Rev     string   `json:"rev"`
-	Base    Base     `json:"base"`
-	Records []Record `json:"records"`
 }
 
 func (l *Log) stats() LogStats {

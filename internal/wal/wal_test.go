@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -211,83 +210,45 @@ func TestStoreRejectsMidLogCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotTruncatesAndRecovers recovers the layout an older writer
-// left behind: records 1–3 folded into snapshot.json and wal.log
-// truncated to empty. Recovery must start from the snapshot, and appends
-// must continue its chain in wal.log.
-func TestSnapshotTruncatesAndRecovers(t *testing.T) {
+// TestRecoverRefusesSnapshotLayout recovers a directory an older writer
+// left behind, with batches folded into snapshot.json. Recovery must fail
+// naming the file and leave wal.log as it found it, torn tail included.
+func TestRecoverRefusesSnapshotLayout(t *testing.T) {
 	dir := t.TempDir()
 	base := testBase()
-	recs := chain(0, base.ID, "odd(1).", "odd(3).", "odd(5).", "odd(7).", "odd(9).")
-
-	s := openStore(t, dir, Options{Policy: FsyncAlways})
-	if _, err := s.Create(base); err != nil {
-		t.Fatal(err)
-	}
-	s.Close() //nolint:errcheck
-	snap := Snapshot{Seq: 3, Rev: recs[2].Rev, Base: base, Records: recs[:3]}
-	if err := writeFileDurable(filepath.Join(dir, "programs", base.ID, "snapshot.json"), mustJSON(snap)); err != nil {
-		t.Fatal(err)
-	}
-
-	// recoverAppend recovers dir, checks the history is recs[:n], and
-	// appends recs[n] to the reopened log.
-	recoverAppend := func(n int) {
-		t.Helper()
-		s := openStore(t, dir, Options{Policy: FsyncAlways})
-		rec, err := s.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rec[0]
-		if r.Seq != uint64(n) || r.Rev != recs[n-1].Rev || !slices.Equal(r.Records, recs[:n]) {
-			t.Fatalf("recovered (seq %d, %d records), want the %d-record history", r.Seq, len(r.Records), n)
-		}
-		if err := s.Log(base.ID).Append(recs[n]); err != nil {
-			t.Fatalf("append at seq %d: %v", n+1, err)
-		}
-		s.Close() //nolint:errcheck
-	}
-	recoverAppend(3)
-	recoverAppend(4)
-}
-
-// TestSnapshotCrashBeforeTruncate simulates a crash between the
-// snapshot rename and the log truncation: the live log still holds
-// records the snapshot covers, and recovery must skip them by sequence
-// number instead of double-applying.
-func TestSnapshotCrashBeforeTruncate(t *testing.T) {
-	dir := t.TempDir()
-	base := testBase()
-	recs := chain(0, base.ID, "odd(1).", "odd(3).")
-
 	s := openStore(t, dir, Options{Policy: FsyncAlways})
 	l, err := s.Create(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
+	for _, r := range chain(0, base.ID, "odd(1).", "odd(3).") {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Close() //nolint:errcheck
 
-	// Hand-write the snapshot without truncating the log — exactly the
-	// on-disk state of a crash at the vulnerable point.
-	snap := Snapshot{Seq: 2, Rev: recs[1].Rev, Base: base, Records: recs}
-	if err := writeFileDurable(filepath.Join(dir, "programs", base.ID, "snapshot.json"), mustJSON(snap)); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir, Options{})
-	rec, err := s2.Recover()
+	pdir := filepath.Join(dir, "programs", base.ID)
+	logPath := filepath.Join(pdir, "wal.log")
+	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rec[0]
-	if r.Seq != 2 || len(r.Records) != 2 {
-		t.Fatalf("recovered (seq %d, %d records), want exactly 2 — no double apply", r.Seq, len(r.Records))
+	torn := data[:len(data)-3]
+	if err := os.WriteFile(logPath, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(pdir, "snapshot.json")
+	if err := os.WriteFile(snapPath, []byte(`{"seq":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = openStore(t, dir, Options{}).Recover()
+	if err == nil || !strings.Contains(err.Error(), snapPath) {
+		t.Fatalf("Recover = %v, want an error naming %s", err, snapPath)
+	}
+	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, torn) {
+		t.Fatalf("wal.log changed by a refused recovery (%v)", err)
 	}
 }
 

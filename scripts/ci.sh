@@ -181,12 +181,12 @@ echo "==> one resident model per served program (lock-free warm reads, entry hea
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
 require_test ./internal/server/ TestWarmEntryRetainsOneModel
 
-echo "==> a data directory in the older snapshot layout still recovers"
-# Nothing writes snapshot.json any more and FuzzModel never makes one, so
-# these hand-written parent-layout directories (snapshot plus truncated
-# log, and a crash before the truncation) are the read path's only guard.
-require_test ./internal/wal/ TestSnapshotTruncatesAndRecovers TestSnapshotCrashBeforeTruncate
-require_test ./internal/server/ TestSnapshotRestartDifferential
+echo "==> recovery refuses the older snapshot layout; the I-period spans the deepest term"
+# wal.log is the whole history, so a directory an older writer folded into
+# snapshot.json must stop the boot, untouched, rather than lose batches.
+# IPeriod's skeletons reach the deepest temporal term (randgen seed 478).
+require_test ./internal/wal/ TestRecoverRefusesSnapshotLayout
+require_test ./internal/classify/ TestIPeriodSkeletonsSpanTermDepth
 
 echo "==> one metric table (both expositions agree, a scrape takes no program lock)"
 require_test ./internal/server/ TestExpositionsAgree TestScrapeTakesNoProgramLock
