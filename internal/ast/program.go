@@ -3,6 +3,7 @@ package ast
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -21,6 +22,31 @@ func (p PredInfo) String() string {
 		kind = "temporal"
 	}
 	return fmt.Sprintf("%s/%d (%s)", p.Name, p.Arity, kind)
+}
+
+// SignatureKey renders a signature map canonically: per predicate, sorted
+// by name, the map key (quoted), its arity and its sort. It is what a
+// query typed against the map reads of it, so two maps with equal keys
+// type every query text alike. Name is left out: typing reads the key.
+func SignatureKey(preds map[string]PredInfo) string {
+	names := make([]string, 0, len(preds))
+	for name := range preds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b []byte
+	for _, name := range names {
+		info := preds[name]
+		b = strconv.AppendQuote(b, name)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(info.Arity), 10)
+		if info.Temporal {
+			b = append(b, 't')
+		} else {
+			b = append(b, 'n')
+		}
+	}
+	return string(b)
 }
 
 // Program is a finite set of temporal rules together with the predicate

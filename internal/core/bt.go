@@ -51,7 +51,10 @@ const DefaultMaxWindow = 1 << 20
 type BT struct {
 	eval      *engine.Evaluator
 	maxWindow int
-	preds     map[string]ast.PredInfo
+	// preds is never written after construction, so Assert shares it with
+	// every successor that admits no predicate; sig is its SignatureKey.
+	preds map[string]ast.PredInfo
+	sig   string
 	// tr, when non-nil, receives the pipeline's phase spans (classify,
 	// certify-period with nested fixpoint sweeps, spec-construct). All
 	// spans are recorded under mu, so one trace per BT is safe.
@@ -121,6 +124,7 @@ func New(prog *ast.Program, db *ast.Database, opts ...Option) (*BT, error) {
 	for k, v := range db.Preds {
 		b.preds[k] = v
 	}
+	b.sig = ast.SignatureKey(b.preds)
 	for _, o := range opts {
 		o(b)
 	}
@@ -130,6 +134,10 @@ func New(prog *ast.Program, db *ast.Database, opts ...Option) (*BT, error) {
 // Preds returns the predicate signatures of the TDD (program and database
 // combined); parsers use them to type queries.
 func (b *BT) Preds() map[string]ast.PredInfo { return b.preds }
+
+// Signature returns the canonical key of Preds (ast.SignatureKey): equal
+// keys type every query text alike.
+func (b *BT) Signature() string { return b.sig }
 
 // Evaluator exposes the underlying bottom-up engine.
 func (b *BT) Evaluator() *engine.Evaluator { return b.eval }
@@ -262,10 +270,7 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e2 := b.eval.Clone()
-	nb := &BT{eval: e2, maxWindow: b.maxWindow, preds: make(map[string]ast.PredInfo, len(b.preds)), tr: b.tr, rules: b.rules}
-	for k, v := range b.preds {
-		nb.preds[k] = v
-	}
+	nb := &BT{eval: e2, maxWindow: b.maxWindow, preds: b.preds, sig: b.sig, tr: b.tr, rules: b.rules}
 	var res inc.Result
 	var err error
 	if cur := b.spec.Load(); cur == nil {
@@ -281,10 +286,19 @@ func (b *BT) Assert(facts []ast.Fact) (*BT, inc.Result, error) {
 	if err != nil {
 		return nil, res, err
 	}
-	// InsertBase admits new predicates; refresh the signature map queries
-	// are typed against.
-	for k, v := range e2.Database().Preds {
-		nb.preds[k] = v
+	// InsertBase grows the database's signature map only when it admits a
+	// predicate; only then can the map queries are typed against grow, and
+	// with it its key (a predicate the map lacks is sorted from the query
+	// text, so the same text may type differently afterwards).
+	if admitted := e2.Database().Preds; len(admitted) != len(b.eval.Database().Preds) {
+		nb.preds = make(map[string]ast.PredInfo, len(b.preds)+1)
+		for k, v := range b.preds {
+			nb.preds[k] = v
+		}
+		for k, v := range admitted {
+			nb.preds[k] = v
+		}
+		nb.sig = ast.SignatureKey(nb.preds)
 	}
 	return nb, res, nil
 }

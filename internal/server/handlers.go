@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"tdd"
@@ -168,12 +171,38 @@ type errorResponse struct {
 // megabyte is already generous.
 const maxBodyBytes = 1 << 20
 
+// jsonWriter is a pooled response encoder: enc encodes into buf, which
+// writeJSON hands to the response in one Write. json.Encoder marshals a
+// whole value before writing it, so the bytes are those a
+// json.NewEncoder(w) with the same indent would write, and nothing on an
+// encoding error.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", " ")
+	return jw
+}}
+
+// maxPooledResponse bounds the buffer a pooled encoder keeps: one large
+// response (a long answers list, a trace) is not held for the next.
+const maxPooledResponse = 64 << 10
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v) //nolint:errcheck // best effort; client may be gone
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	if jw.enc.Encode(v) == nil {
+		w.Write(jw.buf.Bytes()) //nolint:errcheck // best effort; client may be gone
+	}
+	if jw.buf.Cap() <= maxPooledResponse {
+		jsonWriters.Put(jw)
+	}
 }
 
 // fail maps an error to a JSON error response and books it against the
@@ -217,6 +246,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
+	}
+	// One object per body: anything after it but whitespace is refused.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request body: unexpected data after the JSON object")
 	}
 	return nil
 }

@@ -113,16 +113,25 @@ var fixedUnits = func() (units []string) {
 
 // seedScripts is the seed corpus: every fixed unit and 48 random programs
 // of both shapes, each driven through every step kind under the budgets
-// 64, 32 and 16, then past failures and a kept mutation catch.
+// 64, 32 and 16, then past failures and a kept mutation catch. A script's
+// configuration and step seeds are dealt from its index among the fixed
+// units or among the random programs, so adding a fixed unit re-deals no
+// random program's script.
 func seedScripts() [][]byte {
-	var out [][]byte
-	for p := 0; p < len(fixedUnits)+48; p++ {
-		data := []byte{byte(p), 0xff, byte(p/4%2)<<5 | byte(p%2)<<4 | []byte{0, 2, 3}[p%3]}
+	deal := func(sel, d int) []byte {
+		data := []byte{byte(sel), 0xff, byte(d/4%2)<<5 | byte(d%2)<<4 | []byte{0, 2, 3}[d%3]}
 		for i, op := range []byte{opAsk, opAssert, opAsk, opAnswers, opFork, opAssert, opExport, opCrash,
 			opFollow, opAssert, opFollow, opOpen, opAsk, opAssert, opCrash, opPeriod} {
-			data = append(data, op, byte(p*7+i))
+			data = append(data, op, byte(d*7+i))
 		}
-		out = append(out, data)
+		return data
+	}
+	var out [][]byte
+	for u := range fixedUnits {
+		out = append(out, deal(u, u))
+	}
+	for r := 0; r < 48; r++ {
+		out = append(out, deal(len(fixedUnits)+r, r))
 	}
 	// Kept: the minimized failure of an assert on a DB whose certification
 	// had run out of budget, which skipped delta propagation (random

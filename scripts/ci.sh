@@ -167,6 +167,19 @@ require_test ./internal/server/ TestProfileAskDuringIngest TestDefaultLoggerDisa
 go test -race -count=1 -run '^TestLintDuringWarmReads$' .
 go test -race -count=1 -run '^TestProfileConcurrentClones$' ./internal/engine/
 
+echo "==> each query compiled once per signature set, each response encoded into a pooled buffer"
+# Every cache hit equals a fresh parse and compile: across programs with
+# equal signatures, across an Assert that admits a predicate the text
+# names, for failing texts (never kept) and after 10 000 distinct texts
+# (both bounds hold). A warm ground Ask allocates no more than its
+# evaluation, an admission-free Assert shares its parent's signature map,
+# and asks on two DBs with one signature set run beside admissions into
+# one of them (the -race line). A request body is one JSON object, and
+# response bytes are those of a fresh indenting json.Encoder.
+require_test . TestQueryCacheSharedAcrossPrograms TestQueryCacheAdmissionChangesKey TestQueryCacheKeepsNoFailure TestQueryCacheBounded TestAllocBudgetWarmAsk TestAssertSharesSignatures TestQueryCacheConcurrentAdmission
+go test -race -count=1 -run '^TestQueryCacheConcurrentAdmission$' .
+require_test ./internal/server/ TestTrailingBodyRejected TestResponseBytes
+
 echo "==> engine invariants over the Go sources"
 # maprange and clonecheck over every package of the module, and no clock,
 # randomness or per-process hash seed imported by fixpoint code.

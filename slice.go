@@ -222,11 +222,11 @@ type SliceInfo struct {
 // predicates select, without evaluating anything.
 func (d *DB) SliceFor(q string) (SliceInfo, error) {
 	st := d.state()
-	parsed, err := parseQuery(st.bt.Preds(), q, nil)
+	c, err := compileQuery(st.bt.Preds(), st.bt.Signature(), q, nil)
 	if err != nil {
 		return SliceInfo{}, err
 	}
-	sl := progan.SliceOf(st.prog, progan.QueryPreds(parsed))
+	sl := progan.SliceOf(st.prog, progan.QueryPreds(c.Query()))
 	return SliceInfo{
 		Goals:       sl.Goals,
 		Preds:       sl.Preds,
