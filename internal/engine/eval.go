@@ -367,10 +367,14 @@ func (e *Evaluator) EnsureWindow(m int) {
 	from := e.evaluated
 	f0, d0, s0 := e.stats.Firings, e.stats.Derived, e.stats.Sweeps
 	ext := e.tr.Begin("extend")
+	// A closing state that repeats an earlier one is stored as it, and its
+	// own shards build the next state (Store.closeState).
+	first := e.store.firstStates(e.evaluated)
 	for t := e.evaluated + 1; t <= m; t++ {
 		e.evalState(t, m)
-		e.store.fitState(t)
+		e.store.closeState(t, first)
 	}
+	e.store.dropSpares()
 	e.evaluated = m
 	ext.Add("states", int64(m-from))
 	ext.Add("derived", int64(e.stats.Derived-d0))

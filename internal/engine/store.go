@@ -24,12 +24,16 @@
 // the same predicate one time point earlier — past the base of an
 // ultimately periodic model that is its final size — and a proposition
 // (a temporal predicate of arity 0) has one shared shard that every time
-// point where it holds points at. Once a period (b, p) is certified, each
-// state past b+p is stored as the shards of the state p earlier
-// (Evaluator.ShareRepeats), so a certified model holds each of its
-// states once. Every temporal shard carries a commutative 128-bit
-// fingerprint of its fact set so "is state t equal to state t'" is a
-// constant-time comparison.
+// point where it holds points at. Every temporal shard carries a
+// commutative 128-bit fingerprint of its fact set so "is state t equal to
+// state t'" is a constant-time comparison. A state that closes equal to an
+// earlier one — found by fingerprint, confirmed exactly — is stored as the
+// shards of its first occurrence, and the shards it was built in become
+// the buffers of the next state (Store.closeState), so an evaluated
+// window holds each distinct state once and allocates shards for its
+// distinct states only. Once a period (b, p) is certified,
+// Evaluator.ShareRepeats re-shares the states past b+p that a write has
+// forked since.
 package engine
 
 import (
@@ -301,9 +305,11 @@ type relset struct {
 	// stays in the 96-byte size class.
 	arity int32
 	// shared marks a shard referenced by more than one store (set by
-	// Store.Clone) or by more than one time point (set by ShareRepeats).
-	// A shared shard is immutable: writers fork a private overlay of it
-	// first. The flag is written only on a shard private to one
+	// Store.Clone) or by more than one time point (set by
+	// Store.shareState, when a closing state repeats an earlier one or
+	// ShareRepeats re-shares a certified model). A shared shard is
+	// immutable: writers fork a private overlay of it first, and it is
+	// never recycled as a spare (predRel.spare). The flag is written only on a shard private to one
 	// evaluator, while clones are serialized by the caller (the
 	// evaluator's copy-on-write discipline), and only read afterwards.
 	shared bool
@@ -627,6 +633,11 @@ type predRel struct {
 	// the row () and is shared, so every time point where the proposition
 	// holds points at it and no write ever forks it.
 	prop *relset
+	// spare is the private flat shard of a state that closed as a repeat
+	// of an earlier one (Store.closeState): no slot points at it any
+	// more, and the next new temporal shard of the predicate is built in
+	// its buffers. EnsureWindow drops it when the extension ends.
+	spare *relset
 	// db holds the database facts of a predicate that heads a rule, whose
 	// shards mix them with derived rows: a temporal fact's time point in
 	// column 0, then its arguments (Store.insertBase). A predicate no rule
@@ -638,6 +649,25 @@ type predRel struct {
 	// (plan.go) and the totals behind the profiler's cardinality tables.
 	facts  int
 	states int
+}
+
+// newShard returns an empty temporal shard with room for hint rows (see
+// newRelset): the predicate's spare, emptied, when it has one.
+func (pr *predRel) newShard(arity, hint int) *relset {
+	rs := pr.spare
+	if rs == nil {
+		return newRelset(arity, hint)
+	}
+	pr.spare = nil
+	rs.n, rs.fp = 0, Fingerprint{}
+	rs.rows = slices.Grow(rs.rows[:0], hint*arity)
+	if hint > smallShard && len(rs.tab)*3 < hint*4 {
+		rs.tab = grownTable(hint)
+	} else {
+		clear(rs.tab)
+	}
+	rs.idx.Store(nil)
+	return rs
 }
 
 func (pr *predRel) get(t int) *relset {
@@ -937,7 +967,7 @@ func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 		default:
 			// Sized from the state before: past the base of a periodic
 			// model it holds the same number of rows.
-			rs = newRelset(len(row), pr.get(t-1).size())
+			rs = pr.newShard(len(row), pr.get(t-1).size())
 			pr.states++
 		}
 		if temporal {
@@ -986,32 +1016,85 @@ func (s *Store) fitState(t int) {
 	}
 }
 
-// ShareRepeats stores each state of a model certified with period (b, p)
-// once: for every t in [b+p, Window()], in ascending order, each temporal
-// predicate's slot t is re-pointed at its shard in slot t-p, which is
-// marked shared, so every state past the representatives is its
-// representative's shards (the rewrite system W of Section 3.3, realized
-// in storage) and the shards built for it become garbage. The certificate
-// has made the two states equal; as a guard a slot is re-pointed only
-// when both shards have the same row count and fingerprint. Reads are
-// unchanged, and a later write to state t forks an overlay for slot t
-// alone. Only dense slots are touched. Call it before the evaluator is
-// published, as it rewrites slots that readers read; a shard not yet
-// shared is then private to this evaluator, so marking it races with no
-// other lineage.
-func (e *Evaluator) ShareRepeats(b, p int) {
-	for i := range e.store.rels {
-		byTime := e.store.rels[i].byTime
-		for t := b + p; t <= e.evaluated && t < len(byTime); t++ {
-			rs, rep := byTime[t], byTime[t-p]
-			if rs == rep || rs == nil || rep == nil || rs.n != rep.n || rs.fp != rep.fp {
-				continue
-			}
-			if !rep.shared {
-				rep.shared = true
-			}
-			byTime[t] = rep
+// firstStates maps the fingerprint of each state 0..m to the first time
+// point that has it: the table closeState looks a closing state up in.
+func (s *Store) firstStates(m int) map[Fingerprint]int {
+	first := make(map[Fingerprint]int)
+	for t := 0; t <= m; t++ {
+		fp := s.StateFingerprint(t)
+		if _, ok := first[fp]; !ok {
+			first[fp] = t
 		}
+	}
+	return first
+}
+
+// closeState finishes state t of an extension. A state equal to the
+// first state f with its fingerprint (first, from firstStates) — found by
+// the fingerprint and confirmed by StateEqual, never by the fingerprint
+// alone — is stored as f's shards (shareState), and each private flat
+// shard it was built in becomes its predicate's spare, the buffers of the
+// next state. Any other state is fitted (fitState), and recorded in first
+// when its fingerprint is new.
+func (s *Store) closeState(t int, first map[Fingerprint]int) {
+	fp := s.StateFingerprint(t)
+	f, ok := first[fp]
+	if !ok {
+		first[fp] = t
+	}
+	if !ok || !s.StateEqual(t, f) {
+		s.fitState(t)
+		return
+	}
+	s.shareState(t, f, true)
+}
+
+// shareState stores state t as the shards of state f, which the caller
+// has found equal to it: each temporal slot t is re-pointed at the shard
+// of slot f, which is marked shared, so reads are unchanged and a later
+// write to either state forks an overlay for its slot alone. As a guard
+// a slot is re-pointed only when both shards have the same row count and
+// fingerprint. With spare, a private flat shard the slot held becomes its
+// predicate's spare: no slot points at it any more. Call it only while
+// the evaluator is private to its writer, as it rewrites slots that
+// readers read; a shard not yet shared is then private to this
+// evaluator, so marking it races with no other lineage.
+func (s *Store) shareState(t, f int, spare bool) {
+	for i := range s.rels {
+		pr := &s.rels[i]
+		rs, rep := pr.get(t), pr.get(f)
+		if rs == rep || rs == nil || rep == nil || rs.n != rep.n || rs.fp != rep.fp {
+			continue
+		}
+		if !rep.shared {
+			rep.shared = true
+		}
+		if spare && !rs.shared && rs.base == nil {
+			pr.spare = rs
+		}
+		pr.set(t, rep, s.horizon)
+	}
+}
+
+// dropSpares lets the shards closeState kept for reuse go.
+func (s *Store) dropSpares() {
+	for i := range s.rels {
+		s.rels[i].spare = nil
+	}
+}
+
+// ShareRepeats stores each state of a model certified with period (b, p)
+// once: for every t in [b+p, Window()], in ascending order, state t is
+// stored as the shards of state t-p (shareState), so every state past the
+// representatives is its representative's shards (the rewrite system W
+// of Section 3.3, realized in storage). EnsureWindow already stores a
+// state that repeats an earlier one as it when the state closes; what is
+// left for ShareRepeats are the slots a write forked since — an ingest's
+// delta, or an outer re-sweep. The certificate has made the two states
+// equal. Call it before the evaluator is published (see shareState).
+func (e *Evaluator) ShareRepeats(b, p int) {
+	for t := b + p; t <= e.evaluated; t++ {
+		e.store.shareState(t, t-p, false)
 	}
 }
 
@@ -1063,19 +1146,34 @@ func (s *Store) StateFingerprint(t int) Fingerprint {
 }
 
 // StateEqual reports whether L[t1] and L[t2] are the same set of atoms,
-// by exact comparison: per predicate, equal sizes and every row of one
-// shard present in the other. It allocates nothing.
+// by exact comparison: per predicate, the two shards hold the same rows
+// (sameRows). States stored once compare at one pointer comparison per
+// predicate. It allocates nothing.
 func (s *Store) StateEqual(t1, t2 int) bool {
 	for i := range s.rels {
-		a, b := s.rels[i].get(t1), s.rels[i].get(t2)
-		if a.size() != b.size() {
+		if !sameRows(s.rels[i].get(t1), s.rels[i].get(t2)) {
 			return false
 		}
-		for n := 0; n < a.size(); n++ {
-			row := a.row(uint32(n))
-			if _, ok := b.find(row, hashVals(row)); !ok {
-				return false
-			}
+	}
+	return true
+}
+
+// sameRows reports whether two shards (nil is empty) hold the same set of
+// rows: at once when they are one shard, by one pass when both are flat
+// and hold the same rows in the same order, and otherwise by looking each
+// row of a up in b, of the same size.
+func sameRows(a, b *relset) bool {
+	n := a.size()
+	if a == b || n == 0 || n != b.size() {
+		return n == b.size()
+	}
+	if a.base == nil && b.base == nil && slices.Equal(a.rows, b.rows) {
+		return true
+	}
+	for i := 0; i < n; i++ {
+		row := a.row(uint32(i))
+		if _, ok := b.find(row, hashVals(row)); !ok {
+			return false
 		}
 	}
 	return true

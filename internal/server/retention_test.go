@@ -31,7 +31,7 @@ func retainedBy(t *testing.T, build func() any) float64 {
 // cannot hide inside the bar. The allowance above 1.0 is the entry's
 // lifetime trace, join profile and lint result.
 func TestWarmEntryRetainsOneModel(t *testing.T) {
-	rules, facts := workload.Ski(workload.SkiParams{YearLen: 365, Resorts: 256, Planes: 2048, Holidays: 10, Seed: 1})
+	rules, facts := workload.Ski(workload.SkiParams{YearLen: 365, Resorts: 512, Planes: 4096, Holidays: 10, Seed: 1})
 	bare := retainedBy(t, func() any {
 		db, err := tdd.Open(rules, facts)
 		if err != nil {

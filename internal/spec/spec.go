@@ -15,10 +15,12 @@
 // be answered over B after rewriting ground temporal terms to their
 // representatives.
 //
-// W is also realized in storage: once the period is certified, every
-// state of the evaluated window past b+p is its representative's shards
-// (engine.Evaluator.ShareRepeats), so past b+p the model holds one
-// pointer per predicate and time point, and the facts it stores are B's.
+// W is also realized in storage. The evaluator stores a state that
+// closes equal to an earlier one as that state's shards, so a state past
+// b+p is its representative's shards before the period is certified;
+// engine.Evaluator.ShareRepeats re-shares the ones a write has forked
+// since. Past b+p the model holds one pointer per predicate and time
+// point, and the facts it stores are B's.
 package spec
 
 import (

@@ -144,6 +144,18 @@ require_test ./internal/engine/ TestShareRepeatsIsExact TestAllocBudgetColdWindo
 require_test . TestSharedStateForks
 go test -race -count=1 -run '^TestSharedStateForks$' .
 
+echo "==> a state that repeats an earlier one is stored as it when it closes"
+# Every closed state equal to an earlier one is pointer-equal to its first
+# occurrence's shards (unless an outer re-sweep forked it since), and
+# every state equals naive T_P's; doubling a certified ski window
+# allocates no shard for the new, repeating states; a shard a clone still
+# reads is never recycled into the next state's buffers. A fork asserting
+# into a state many slots share changes that time point's answers alone,
+# while readers ask the parent (the -race line).
+require_test ./internal/engine/ TestCloseSharesEqualStates TestAllocBudgetColdWindowRepeats TestCloseKeepsSharedShards
+require_test . TestAssertIntoSharedState
+go test -race -count=1 -run '^TestAssertIntoSharedState$' .
+
 echo "==> rules analyzed once per program, lint deterministic"
 # An ingest re-lints only what its facts can change: every fork shares its
 # program's rule analysis and decides never-fires from the firing counts

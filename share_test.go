@@ -2,6 +2,7 @@ package tdd
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -117,5 +118,99 @@ plane(0, hunter). plane(1, vail).
 	}
 	if got := answers(parent, queries(t1)); !reflect.DeepEqual(got, parentAnswers) {
 		t.Errorf("parent answers %v, were %v", got, parentAnswers)
+	}
+}
+
+// TestAssertIntoSharedState: every even state of the model closes as
+// state 0's shards, so one shard stands for the even time points of the
+// whole window. A fork of the certified model asserts a fact into one of
+// them, state 10, while readers ask the parent about every state. The
+// fork's answers change at time point 10 alone, and the parent's not at
+// all. scripts/ci.sh runs it under -race.
+func TestAssertIntoSharedState(t *testing.T) {
+	const unit = `
+even(T+2) :- even(T).
+flag(T, X) :- even(T), item(X).
+even(0).
+item(a). item(b).
+`
+	const at, horizon = 10, 40
+	parent := mustOpenUnit(t, unit)
+	if _, err := parent.Period(); err != nil {
+		t.Fatal(err)
+	}
+	if w := parent.state().bt.Evaluator().Window(); w < at+4 {
+		t.Fatalf("window %d: state %d is not among several shared states", w, at)
+	}
+	type fact struct {
+		tm int
+		x  string
+	}
+	holds := func(db *DB) map[fact]bool {
+		out := make(map[fact]bool)
+		for tm := 0; tm <= horizon; tm++ {
+			for _, x := range []string{"a", "b", "c"} {
+				ok, err := db.Ask(fmt.Sprintf("flag(%d, %s)", tm, x))
+				if err != nil {
+					t.Error(err)
+				}
+				out[fact{tm, x}] = ok
+			}
+		}
+		return out
+	}
+	before := holds(parent)
+	for f, ok := range before {
+		if want := f.tm%2 == 0 && f.x != "c"; ok != want {
+			t.Fatalf("flag(%d, %s) = %v before the assert, want %v", f.tm, f.x, ok, want)
+		}
+	}
+
+	tip := parent.Fork()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for tm := 0; tm <= horizon; tm += 2 {
+					if ok, err := parent.Ask(fmt.Sprintf("flag(%d, a)", tm)); err != nil || !ok {
+						t.Errorf("parent: flag(%d, a) = %v, %v during the fork's assert", tm, ok, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	_, err := tip.Assert(fmt.Sprintf("flag(%d, c).\n", at))
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := maps.Clone(before)
+	want[fact{at, "c"}] = true
+	got := holds(tip)
+	for f := range want {
+		if got[f] != want[f] {
+			t.Errorf("fork: flag(%d, %s) = %v, want %v", f.tm, f.x, got[f], want[f])
+		}
+	}
+	if got := holds(parent); !reflect.DeepEqual(got, before) {
+		t.Errorf("the parent's answers moved under its fork's assert")
+	}
+	ans, err := tip.Answers("flag(T, c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans) != 1 || ans[0].Temporal["T"] != at {
+		t.Errorf("fork: flag(T, c) answers %v, want T = %d alone", ans, at)
 	}
 }
