@@ -46,8 +46,7 @@ const DefaultMaxWindow = 1 << 20
 // never mutated again — Lint reads its firing counts and grows nothing,
 // Assert writes to a clone — so every read of a warm BT (queries, Lint,
 // Work, Explain, EngineStats) is a read-only traversal of immutable
-// structure that takes no lock at all. ProfileSnapshot takes only the
-// join profile's own lock, which Assert's clones share.
+// structure that takes no lock at all.
 type BT struct {
 	eval      *engine.Evaluator
 	maxWindow int
@@ -101,10 +100,10 @@ func WithTrace(tr *obs.Trace) Option {
 }
 
 // WithProfile enables the operator-level join profiler
-// (engine.Profile): per (rule, body-literal) scan/match counters
+// (engine.EnableProfile): per (rule, body-literal) scan/match counters
 // bucketed by timestamp stratum and per-rule join wall time, rendered
-// by ProfileSnapshot as an EXPLAIN ANALYZE tree. Clones made by Assert
-// share the profile, so it accumulates over the database's lifetime.
+// by ProfileSnapshot as an EXPLAIN ANALYZE tree. An Assert's clone
+// starts from its parent's counts and adds its own work to them alone.
 func WithProfile() Option {
 	return func(b *BT) { b.eval.EnableProfile() }
 }
@@ -319,9 +318,7 @@ func (b *BT) EngineStats() engine.Stats {
 
 // ProfileSnapshot renders the accumulated join profile as an EXPLAIN
 // ANALYZE report; nil unless the BT was built WithProfile. Like
-// EngineStats it takes mu only while the BT is cold; an ingest into a
-// clone, which shares the profile, holds the profile's lock for a lap
-// of joins at a time, not for the whole ingest.
+// EngineStats it takes mu only while the BT is cold.
 func (b *BT) ProfileSnapshot() *engine.ProfileJSON {
 	if !b.Certified() {
 		b.mu.Lock()

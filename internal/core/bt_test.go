@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -281,14 +282,16 @@ func TestWarmReadsTakeNoLock(t *testing.T) {
 }
 
 // TestEngineStatsDuringAssert is the race detector's view of the claim
-// EngineStats rests on: an ingest on a certified BT writes only to the
-// clone it returns, so unlocked reads of the parent's counters are safe.
+// EngineStats and ProfileSnapshot rest on: an ingest on a certified BT
+// writes only to the clone it returns, so unlocked reads of the parent's
+// counters are safe, and neither its counts nor its join profile move
+// while eight Asserts run.
 func TestEngineStatsDuringAssert(t *testing.T) {
-	b := mustBT(t, skiSrc)
+	b := mustBT(t, skiSrc, WithProfile())
 	if _, err := b.Specification(); err != nil {
 		t.Fatal(err)
 	}
-	want := b.EngineStats().Derived
+	want, prof := b.EngineStats().Derived, b.ProfileSnapshot()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -303,8 +306,14 @@ func TestEngineStatsDuringAssert(t *testing.T) {
 		if got := b.EngineStats().Derived; got != want {
 			t.Fatalf("parent's derived count moved under an ingest: %d, then %d", want, got)
 		}
+		if got := b.ProfileSnapshot(); !reflect.DeepEqual(got, prof) {
+			t.Fatalf("parent's join profile moved under an ingest:\n%s\nthen\n%s", prof.Tree(), got.Tree())
+		}
 	}
 	<-done
+	if got := b.ProfileSnapshot(); !reflect.DeepEqual(got, prof) {
+		t.Fatalf("parent's join profile moved after eight ingests:\n%s\nthen\n%s", prof.Tree(), got.Tree())
+	}
 }
 
 // TestColdCertifiesOnce: cold callers still serialise on mu — none gets

@@ -43,11 +43,10 @@ type dfact struct {
 // the database's (Store.insertBase), is cloned copy-on-write. Writes to
 // the clone (InsertBase, PropagateDelta, EnsureWindow) are invisible to
 // the original, which makes Clone the basis of the copy-on-write
-// snapshot discipline used by incremental ingestion. Join plans are
-// deliberately NOT copied: their step counters point into the parent's
-// Stats.Index cells, so the clone re-plans at its next fixpoint entry and
-// binds fresh counters of its own (stats.Clone deep-copies the cells);
-// they and the scratch buffers start empty and are rebuilt on first use.
+// snapshot discipline used by incremental ingestion. The counter block is
+// handed over copy-on-write (counters.clone), so neither side's counts,
+// profile included, move with the other's work. Join plans are recomputed
+// at every fixpoint entry, so they and the scratch buffers start empty.
 //
 //tddlint:resets plans deltaPlans headBuf keyBuf delta next
 func (e *Evaluator) Clone() *Evaluator {
@@ -61,10 +60,9 @@ func (e *Evaluator) Clone() *Evaluator {
 		store:     e.store.Clone(),
 		rules:     e.rules,
 		evaluated: e.evaluated,
-		stats:     e.stats.Clone(),
+		ctr:       e.ctr.clone(),
 		occ:       e.occ, // immutable after New
 		tr:        e.tr,
-		prof:      e.prof,    // shared: the profile spans the database lifetime
 		derived:   e.derived, // immutable after New
 		maxSlots:  e.maxSlots,
 		// bounds are immutable once computed, so the clone shares them
@@ -136,8 +134,8 @@ func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 		return 0
 	}
 	e.planJoins()
-	e.prof.lock()
-	defer e.prof.unlock()
+	e.ctr.start()
+	defer e.ctr.flush()
 	sp := e.tr.Begin("delta-propagate")
 	// The frontier and the next round's frontier swap buffers, kept on
 	// the evaluator, so a round allocates only when a frontier outgrows
@@ -214,22 +212,23 @@ func (e *Evaluator) fireDelta(r *crule, pin int, f dfact, T, m int, out *[]dfact
 	en.time = T
 	plan := &e.deltaPlans[r.idx][pin]
 	tup := e.store.shard(f.pred, f.time).row(f.row)
+	en.rec = e.ctr.own(r.idx)
 	added := 0
 	mark := len(en.trail)
-	if e.prof == nil {
+	if !e.ctr.profile {
 		if matchCompiled(r.bodyC[pin], tup, en) {
 			e.join(r, plan, 0, en, m, out, &added)
 		}
 		en.undo(mark)
 		return
 	}
-	e.prof.enter(r, en)
-	pc := &en.cell.lits[pin]
+	e.ctr.enter(en)
+	pc := &en.cells[pin]
 	pc.scanned++
 	if matchCompiled(r.bodyC[pin], tup, en) {
 		pc.matched++
 		e.join(r, plan, 0, en, m, out, &added)
 	}
 	en.undo(mark)
-	e.prof.exit(r, en)
+	e.ctr.exit(en)
 }

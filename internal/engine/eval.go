@@ -10,56 +10,6 @@ import (
 	"tdd/internal/progan"
 )
 
-// RuleStat is the per-rule slice of the work counters: how often one rule
-// fired (successful body instantiations) and how many new facts it
-// derived. The slice order matches the program's rule order.
-type RuleStat struct {
-	Rule    string `json:"rule"`
-	Firings int    `json:"firings"`
-	Derived int    `json:"derived"`
-}
-
-// Stats accumulates work counters for experiments, tests, and telemetry:
-// the aggregate counters, the per-rule table behind ?trace=1, and the
-// join-side index counters. Per-sweep, per-extension and per-timestamp
-// detail is carried by the sweep, fixpoint and delta-propagate spans of an
-// attached trace, not here.
-type Stats struct {
-	// Derived counts facts added beyond the database.
-	Derived int
-	// Firings counts successful rule-body instantiations (including those
-	// that rederive an existing fact).
-	Firings int
-	// Sweeps counts full passes over the window (the outer fixpoint driven
-	// by derived non-temporal facts re-sweeps).
-	Sweeps int
-	// Rules holds per-rule firing and derivation counts, parallel to the
-	// program's rule order.
-	Rules []RuleStat
-	// Index counts join-side relation accesses per body predicate: index
-	// bucket probes vs full scans (see IndexStat, plan.go). Like every
-	// other counter it is bit-identical across repeated runs.
-	Index map[string]*IndexStat
-}
-
-// Clone deep-copies the stats so a snapshot does not alias the
-// evaluator's live counters. The Index cells in particular are written
-// through cached pointers on the join hot path, so sharing them between
-// an evaluator and its clone (or a snapshot) would corrupt both under
-// concurrent ingestion.
-func (s Stats) Clone() Stats {
-	c := s
-	c.Rules = append([]RuleStat(nil), s.Rules...)
-	if s.Index != nil {
-		c.Index = make(map[string]*IndexStat, len(s.Index))
-		for k, v := range s.Index {
-			cv := *v
-			c.Index[k] = &cv
-		}
-	}
-	return c
-}
-
 // carg is one compiled argument position: a slot number for a variable,
 // or slot -1 with the interned symbol id for a constant. Slots are
 // per-rule, assigned in order of first appearance across the body then
@@ -72,6 +22,7 @@ type carg struct {
 // crule is a compiled (shift-normalized) rule.
 type crule struct {
 	src          ast.Rule
+	text         string // src.String(): the rule's label in Stats and the profile
 	head         ast.Atom
 	body         []ast.Atom
 	idx          int    // position in the program's rule order (per-rule stats)
@@ -109,7 +60,9 @@ type Evaluator struct {
 	// evaluated is the largest time point the window has been closed to;
 	// -1 before the first EnsureWindow.
 	evaluated int
-	stats     Stats
+	// ctr is the evaluator's counter block (counters.go): Stats and the
+	// join profile are views of it.
+	ctr counters
 	// prov, when non-nil, records the first derivation of every derived
 	// fact (see provenance.go).
 	prov map[string]*Derivation
@@ -121,10 +74,6 @@ type Evaluator struct {
 	// tr, when non-nil, receives fixpoint/sweep/delta spans; nil tracing
 	// costs one pointer comparison per EnsureWindow/PropagateDelta call.
 	tr *obs.Trace
-	// prof, when non-nil, receives per-(rule, body-literal) scan/match
-	// counters and per-rule join wall time (profile.go); nil profiling
-	// costs one nil check per hook site.
-	prof *Profile
 	// derived marks predicates appearing in some rule head: the planner
 	// treats their empty relations as database-sized rather than free,
 	// since they can grow within a fixpoint entry (plan.go).
@@ -173,7 +122,7 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 		// rule's enabling time: the rule contributes to states t with
 		// t - headDepth >= 0 only.
 		s := r.Clone()
-		c := crule{src: r, head: s.Head, body: s.Body, idx: len(e.rules), headDepth: -1, maxBodyDepth: -1}
+		c := crule{src: r, text: r.String(), head: s.Head, body: s.Body, idx: len(e.rules), headDepth: -1, maxBodyDepth: -1}
 		if tv := s.TemporalVars(); len(tv) == 1 {
 			c.timeVar = tv[0]
 		}
@@ -227,10 +176,10 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 	for i := range e.rules {
 		e.derived[e.rules[i].head.Pred] = true
 	}
-	e.stats.Rules = make([]RuleStat, len(e.rules))
+	e.ctr.rules = make([]*ruleRec, len(e.rules))
 	e.occ = make([][]occurrence, len(e.store.rels))
 	for i := range e.rules {
-		e.stats.Rules[i].Rule = e.rules[i].src.String()
+		e.ctr.rules[i] = &ruleRec{lits: make([]litCtr, len(e.rules[i].body))}
 		for li, p := range e.rules[i].bodyP {
 			e.occ[p] = append(e.occ[p], occurrence{rule: i, lit: li})
 		}
@@ -309,16 +258,6 @@ func MaxHeadDepth(prog *ast.Program) int {
 // Store exposes the fact store (read-only by convention).
 func (e *Evaluator) Store() *Store { return e.store }
 
-// Stats returns a snapshot of the accumulated work counters (the
-// per-rule table and index cells are deep-copied; the evaluator keeps
-// counting).
-func (e *Evaluator) Stats() Stats { return e.stats.Clone() }
-
-// RuleFirings returns rule i's successful body instantiations so far,
-// read in place: the counter behind Stats().Rules[i].Firings, without the
-// snapshot's copy.
-func (e *Evaluator) RuleFirings(i int) int { return e.stats.Rules[i].Firings }
-
 // SetTrace attaches (or, with nil, detaches) a trace: EnsureWindow and
 // PropagateDelta record fixpoint/sweep/delta spans into it. Callers
 // attach before evaluation starts; the engine never locks around it.
@@ -361,11 +300,12 @@ func (e *Evaluator) EnsureWindow(m int) {
 	}
 	e.planJoins()
 	e.store.horizon = m
-	e.prof.lock()
-	defer e.prof.unlock()
+	e.ctr.start()
+	defer e.ctr.flush()
 	sp := e.tr.Begin("fixpoint")
 	from := e.evaluated
-	f0, d0, s0 := e.stats.Firings, e.stats.Derived, e.stats.Sweeps
+	f0, d0 := e.ctr.totals()
+	s0 := e.ctr.sweeps
 	ext := e.tr.Begin("extend")
 	// A closing state that repeats an earlier one is stored as it, and its
 	// own shards build the next state (Store.closeState).
@@ -376,8 +316,9 @@ func (e *Evaluator) EnsureWindow(m int) {
 	}
 	e.store.dropSpares()
 	e.evaluated = m
+	_, d := e.ctr.totals()
 	ext.Add("states", int64(m-from))
-	ext.Add("derived", int64(e.stats.Derived-d0))
+	ext.Add("derived", int64(d-d0))
 	ext.End()
 	// Outer fixpoint: close non-temporal consequences, re-sweeping the
 	// temporal window until nothing changes.
@@ -388,24 +329,26 @@ func (e *Evaluator) EnsureWindow(m int) {
 		}
 		for {
 			added := 0
-			e.stats.Sweeps++
+			e.ctr.sweeps++
 			ssp := e.tr.Begin("sweep")
-			sf0 := e.stats.Firings
+			sf0, _ := e.ctr.totals()
 			for t := 0; t <= m; t++ {
 				added += e.evalState(t, m)
 			}
+			sf, _ := e.ctr.totals()
 			ssp.Add("added", int64(added))
-			ssp.Add("firings", int64(e.stats.Firings-sf0))
+			ssp.Add("firings", int64(sf-sf0))
 			ssp.End()
 			if added == 0 {
 				break
 			}
 		}
 	}
+	f, d := e.ctr.totals()
 	sp.Add("window", int64(m))
-	sp.Add("firings", int64(e.stats.Firings-f0))
-	sp.Add("derived", int64(e.stats.Derived-d0))
-	sp.Add("sweeps", int64(e.stats.Sweeps-s0))
+	sp.Add("firings", int64(f-f0))
+	sp.Add("derived", int64(d-d0))
+	sp.Add("sweeps", int64(e.ctr.sweeps-s0))
 	sp.Add("store_len", int64(e.store.Len()))
 	sp.End()
 }
@@ -479,11 +422,14 @@ type env struct {
 	time  int // binding of the rule's temporal variable
 	vals  []uint32
 	trail []int
-	// cell and work serve the profiler (Profile.enter/exit): the profile
-	// cell of the rule being fired, for the stratum of time, and the rows
-	// the invocation has scanned and matched so far.
-	cell *ruleCell
-	work int64
+	// rec is the counter record of the rule being fired (counters.own).
+	// When profiling (counters.enter/exit), bucket is the stratum of time,
+	// cells its literal cells in rec, and work the rows the invocation has
+	// scanned and matched so far.
+	rec    *ruleRec
+	bucket int
+	cells  []litCell
+	work   int64
 }
 
 func (en *env) undo(mark int) {
@@ -541,14 +487,15 @@ func boundKey(dst []uint32, pat []carg, mask uint32, en *env) []uint32 {
 func (e *Evaluator) fireRule(r *crule, T int) int {
 	en := &e.en
 	en.time = T
+	en.rec = e.ctr.own(r.idx)
 	added := 0
-	if e.prof == nil {
+	if !e.ctr.profile {
 		e.join(r, &e.plans[r.idx], 0, en, -1, nil, &added)
 		return added
 	}
-	e.prof.enter(r, en)
+	e.ctr.enter(en)
 	e.join(r, &e.plans[r.idx], 0, en, -1, nil, &added)
-	e.prof.exit(r, en)
+	e.ctr.exit(en)
 	return added
 }
 
@@ -582,11 +529,11 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 	if rs == nil {
 		return
 	}
-	*st.ctr++
 	pat := r.bodyC[st.lit]
 	var sp rowSpan
 	var tail uint64
 	if st.mask != 0 {
+		en.rec.lits[st.lit].probes++
 		var prev *relset
 		if a.Time != nil {
 			prev = e.store.at(r.bodyP[st.lit], en.time+a.Time.Depth-1)
@@ -594,6 +541,7 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 		e.keyBuf = boundKey(e.keyBuf[:0], pat, st.mask, en)
 		sp, tail = rs.bucket(st.mask, e.keyBuf, prev)
 	} else {
+		en.rec.lits[st.lit].scans++
 		sp, tail = rs.scan()
 	}
 	if rs.base != nil {
@@ -611,8 +559,8 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 	// uninstrumented hot path carries no per-row profiling branches, and
 	// the profiled one pays only local register increments per row,
 	// flushed to the literal's stratum cell once per scan.
-	if e.prof != nil {
-		lc := &en.cell.lits[st.lit]
+	if e.ctr.profile {
+		lc := &en.cells[st.lit]
 		scanned, matched := int64(0), int64(0)
 		for more := true; more; more = sp.advance() {
 			scanned++
@@ -672,8 +620,8 @@ func (e *Evaluator) joinOverlay(r *crule, plan *joinPlan, si int, en *env, capm 
 		}
 		en.undo(mark)
 	}
-	if e.prof != nil {
-		lc := &en.cell.lits[lit]
+	if e.ctr.profile {
+		lc := &en.cells[lit]
 		lc.scanned += scanned
 		lc.matched += matched
 		en.work += scanned + matched
@@ -687,8 +635,7 @@ func (e *Evaluator) joinOverlay(r *crule, plan *joinPlan, si int, en *env, capm 
 // (Store.insertRow); the duplicate case — the overwhelmingly common one
 // at fixpoint — allocates nothing, and a new fact only grows its shard.
 func (e *Evaluator) emit(r *crule, en *env) (dfact, bool) {
-	e.stats.Firings++
-	e.stats.Rules[r.idx].Firings++
+	en.rec.firings++
 	hb := e.headBuf[:0]
 	for _, c := range r.headC {
 		v := c.id
@@ -708,8 +655,7 @@ func (e *Evaluator) emit(r *crule, en *env) (dfact, bool) {
 	if f.row, added = e.store.insertRow(f.pred, f.time, hb); !added {
 		return dfact{}, false
 	}
-	e.stats.Derived++
-	e.stats.Rules[r.idx].Derived++
+	en.rec.derived++
 	if e.prov != nil {
 		body := make([]ast.Fact, len(r.body))
 		for j := range r.body {

@@ -28,21 +28,13 @@ import (
 	"tdd/internal/progan"
 )
 
-// IndexStat counts join-side relation accesses for one body predicate:
-// Probes are bucket lookups through a bound-column index, Scans are full
-// relation iterations (no column bound). Exposed through Stats.Index.
-type IndexStat struct {
-	Probes int64 `json:"probes"`
-	Scans  int64 `json:"scans"`
-}
-
 // planStep is one position in a join plan: which body literal to match
-// next, which of its columns are bound by then (the index mask), and the
-// counter to bump per relation access.
+// next and which of its columns are bound by then (the index mask). A
+// relation access counts into the literal's cell of the rule's counter
+// record (litCtr): a probe when the mask is set, else a scan.
 type planStep struct {
 	lit  int
 	mask uint32
-	ctr  *int64 // &IndexStat.Probes or &IndexStat.Scans of the literal's predicate
 }
 
 // joinPlan is the ordered body of one rule (delta plans omit the pinned
@@ -53,15 +45,10 @@ type joinPlan struct {
 
 // planJoins (re)computes every rule's join plan and delta plans from the
 // current cardinality counters. Called at each fixpoint entry; see the
-// determinism contract above. It also (re)binds the plan counters into
-// this evaluator's own Stats.Index, so a cloned evaluator re-plans into
-// its own counters rather than its parent's.
+// determinism contract above.
 func (e *Evaluator) planJoins() {
 	if e.bounds == nil {
 		e.bounds = progan.ComputeBounds(e.prog, &e.db)
-	}
-	if e.stats.Index == nil {
-		e.stats.Index = make(map[string]*IndexStat)
 	}
 	if len(e.en.vals) < e.maxSlots {
 		e.en.vals = make([]uint32, e.maxSlots)
@@ -110,7 +97,7 @@ func (e *Evaluator) planRule(r *crule, pin int) joinPlan {
 		li := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 		mask, _ := boundMask(r.bodyC[li], bound)
-		plan.steps = append(plan.steps, e.newStep(r.body[li].Pred, li, mask))
+		plan.steps = append(plan.steps, planStep{lit: li, mask: mask})
 		for _, c := range r.bodyC[li] {
 			if c.slot >= 0 {
 				bound[c.slot] = true
@@ -118,21 +105,6 @@ func (e *Evaluator) planRule(r *crule, pin int) joinPlan {
 		}
 	}
 	return plan
-}
-
-// newStep builds a plan step, allocating the predicate's Stats.Index
-// cell if needed.
-func (e *Evaluator) newStep(pred string, lit int, mask uint32) planStep {
-	st := e.stats.Index[pred]
-	if st == nil {
-		st = &IndexStat{}
-		e.stats.Index[pred] = st
-	}
-	ctr := &st.Scans
-	if mask != 0 {
-		ctr = &st.Probes
-	}
-	return planStep{lit: lit, mask: mask, ctr: ctr}
 }
 
 // boundMask returns the mask of columns determined under the bound set

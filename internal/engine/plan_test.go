@@ -147,67 +147,126 @@ big(a5, a0).
 	}
 }
 
-// Regression (satellite fix): Stats.Clone must deep-copy the
-// per-predicate index-hit counters. The join hot path writes them
-// through pointers cached in the plan steps, so an aliased cell would be
-// shared between an evaluator and its clones — two clones ingesting
-// concurrently would race on it (this test runs under -race in CI) and
-// corrupt each other's counts.
+// workCounts flattens every count an evaluator reports — Stats and the
+// profile's calls, scans and matches, but not its times — into one map.
+func workCounts(e *Evaluator) map[string]int64 {
+	st := e.Stats()
+	out := map[string]int64{"derived": int64(st.Derived), "firings": int64(st.Firings), "sweeps": int64(st.Sweeps)}
+	for i, r := range st.Rules {
+		out[fmt.Sprintf("rule %d firings", i)] = int64(r.Firings)
+		out[fmt.Sprintf("rule %d derived", i)] = int64(r.Derived)
+	}
+	for pred, ix := range st.Index {
+		out[pred+" probes"], out[pred+" scans"] = ix.Probes, ix.Scans
+	}
+	for _, r := range e.ProfileSnapshot().Rules {
+		for _, s := range r.Strata {
+			out[fmt.Sprintf("%s calls t>=%d", r.Rule, s.Lo)] = s.Calls
+		}
+		for _, l := range r.Literals {
+			for _, s := range l.Strata {
+				out[fmt.Sprintf("%s [%d] scanned t>=%d", r.Rule, l.Pos, s.Lo)] = s.Scanned
+				out[fmt.Sprintf("%s [%d] matched t>=%d", r.Rule, l.Pos, s.Lo)] = s.Matched
+			}
+		}
+	}
+	return out
+}
+
+// Each evaluator counts into its own counter block: a clone starts from
+// its parent's records copy-on-write, so neither side's Stats nor its
+// profile moves with the other's work. Sibling clones ingest on their
+// own goroutines while another reads the parent (this test runs under
+// -race in CI, which checks that nothing is written that another side
+// reads). The parent's reports do not move; each clone's counts equal
+// the parent's plus its own work — what the same ingest counts on a
+// clone run alone — and its times only grow; and when the parent ingests
+// afterwards, no clone's report and no snapshot taken before moves.
 func TestCloneDoesNotAliasIndexCounters(t *testing.T) {
 	e := mustEval(t, planSrc)
+	e.EnableProfile()
 	e.EnsureWindow(8)
-	before := e.Stats()
-	if len(before.Index) == 0 {
+	if len(e.Stats().Index) == 0 {
 		t.Fatal("evaluation should have populated Stats.Index")
 	}
-	clones := []*Evaluator{e.Clone(), e.Clone()}
+	ingest := func(c *Evaluator, tag string) {
+		for k := 0; k < 50; k++ {
+			f := ntfact("big", fmt.Sprintf("%s-%d", tag, k), "a0")
+			ok, err := c.InsertBase(f)
+			if err != nil || !ok {
+				t.Errorf("%s: InsertBase = %v, %v", tag, ok, err)
+				return
+			}
+			c.PropagateDelta([]ast.Fact{f})
+		}
+	}
+	stats, prof, counts := e.Stats(), e.ProfileSnapshot(), workCounts(e)
+	ref := e.Clone()
+	ingest(ref, "ref")
+	alone := workCounts(ref)
+	if alone["small probes"] == counts["small probes"] {
+		t.Fatal("a clone ingested 50 facts but its index counters never moved")
+	}
+	if reflect.DeepEqual(ref.ProfileSnapshot().Rules, prof.Rules) {
+		t.Fatal("a clone ingested 50 facts but its profile never moved")
+	}
+
+	clones := []*Evaluator{e.Clone(), e.Clone(), e.Clone()}
 	var wg sync.WaitGroup
 	for gi, c := range clones {
 		wg.Add(1)
 		go func(gi int, c *Evaluator) {
 			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				f := ntfact("big", fmt.Sprintf("g%d-%d", gi, k), "a0")
-				ok, err := c.InsertBase(f)
-				if err != nil || !ok {
-					t.Errorf("goroutine %d: InsertBase = %v, %v", gi, ok, err)
-					return
-				}
-				c.PropagateDelta([]ast.Fact{f})
-			}
+			ingest(c, fmt.Sprintf("g%d", gi))
 		}(gi, c)
 	}
-	wg.Wait()
-	// The parent's counters must not have moved while its clones worked.
-	after := e.Stats()
-	for pred, cell := range before.Index {
-		if got := after.Index[pred]; got == nil || *got != *cell {
-			t.Fatalf("parent counter for %s moved from %+v to %+v while clones ingested", pred, cell, after.Index[pred])
-		}
-	}
-	// And a snapshot must not alias the live counters either.
-	snap := e.Stats()
-	f := ntfact("big", "postsnap", "a0")
-	if ok, err := e.InsertBase(f); err != nil || !ok {
-		t.Fatalf("InsertBase = %v, %v", ok, err)
-	}
-	e.PropagateDelta([]ast.Fact{f})
-	for pred, cell := range snap.Index {
-		live := e.stats.Index[pred]
-		if cell == live {
-			t.Fatalf("snapshot aliases the live counter cell for %s", pred)
-		}
-	}
-	// The clones did do counted work (their own cells moved).
-	for gi, c := range clones {
-		moved := false
-		for pred, cell := range c.Stats().Index {
-			if b := before.Index[pred]; b == nil || *cell != *b {
-				moved = true
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if got := e.Stats(); !reflect.DeepEqual(got, stats) {
+				t.Errorf("parent's Stats moved from %+v to %+v while clones ingested", stats, got)
+				return
+			}
+			if got := e.ProfileSnapshot(); !reflect.DeepEqual(got, prof) {
+				t.Errorf("parent's profile moved while clones ingested:\n%s\nthen\n%s", prof.Tree(), got.Tree())
+				return
 			}
 		}
-		if !moved {
-			t.Fatalf("clone %d ingested 50 facts but its index counters never moved", gi)
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	reports := make([]*ProfileJSON, len(clones))
+	for gi, c := range clones {
+		if got := workCounts(c); !reflect.DeepEqual(got, alone) {
+			t.Fatalf("clone %d counts %v, want the parent's plus its own ingest's %v", gi, got, alone)
+		}
+		reports[gi] = c.ProfileSnapshot()
+		for _, r := range reports[gi].Rules {
+			for _, pr := range prof.Rules {
+				if pr.Rule == r.Rule && r.Us < pr.Us {
+					t.Fatalf("clone %d's time for %s fell below its parent's: %dµs < %dµs", gi, r.Rule, r.Us, pr.Us)
+				}
+			}
+		}
+	}
+
+	snap, again := e.Stats(), e.Stats()
+	ingest(e, "post")
+	if !reflect.DeepEqual(snap, again) {
+		t.Fatalf("a Stats snapshot moved from %+v to %+v when its evaluator ingested", again, snap)
+	}
+	if workCounts(e)["small probes"] == counts["small probes"] {
+		t.Fatal("the parent ingested 50 facts but its index counters never moved")
+	}
+	for gi, c := range clones {
+		if got := workCounts(c); !reflect.DeepEqual(got, alone) {
+			t.Fatalf("clone %d's counts moved to %v when its parent ingested, were %v", gi, got, alone)
+		}
+		if got := c.ProfileSnapshot(); !reflect.DeepEqual(got, reports[gi]) {
+			t.Fatalf("clone %d's profile moved when its parent ingested", gi)
 		}
 	}
 }

@@ -10,39 +10,30 @@ package engine
 // (ROADMAP item 1): selectivity = matched/scanned per literal,
 // cardinality per predicate per stratum.
 //
-// The design follows obs's nil-receiver discipline: a nil *Profile is
-// fully inert and every engine hook costs one nil check when profiling
-// is disabled. When enabled, the per-tuple cost is one counter
-// increment on a cell pointer resolved once per rule invocation, and an
-// invocation (fireRule / fireDelta) costs a few more adds: on interned
-// rows an invocation is a few hundred nanoseconds — delta propagation
-// fires one per derived fact — so reading the clock around each, as the
-// profiler did when a firing built strings, would cost more than the
-// join it times. The clock is read once per lapEvery invocations (and
-// at both ends of a fixpoint entry) and the measured interval is split
-// over the invocations in it by the work each did (rows scanned plus
-// bindings matched); per-literal times are then attributed from the
-// rule's time proportionally to scan volume, as before. Everything
-// between lock and unlock is charged to some rule, so the rule times
-// add up to the fixpoint entry. That keeps the enabled profiler inside
-// its 5% budget (E17) while the per-literal sums still reconcile with
-// the measured fixpoint phase.
-//
-// Concurrency: counters are written only while the profile's mutex is
-// held. The engine takes the lock once per fixpoint entry (EnsureWindow /
-// PropagateDelta) and yields it between laps; the scan/match counters it
-// writes are a function of the store content alone, so they are
-// bit-identical across repeated runs, exactly like Stats. Snapshot takes
-// the same lock, which makes it safe against a clone (Assert path) still
-// writing to the shared profile from another goroutine, and waits for a
-// lap of that clone's entry, not for the whole of it.
+// The profile is a view of the evaluator's counter block (counters.go):
+// its cells sit in each rule's record beside the firing and index
+// counters, so a profile belongs to one evaluator's lineage and a clone's
+// work never shows in its parent's. When profiling is off the join loop
+// pays one flag test per hook site. When on, the per-tuple cost is one
+// register increment, flushed to the literal's stratum cell once per
+// scan, and an invocation (fireRule / fireDelta) costs a few more adds:
+// on interned rows an invocation is a few hundred nanoseconds — delta
+// propagation fires one per derived fact — so reading the clock around
+// each would cost more than the join it times. The clock is read at the
+// two ends of a fixpoint entry (EnsureWindow, PropagateDelta) and the
+// interval is split over the (rule, stratum) cells the entry touched by
+// the work each did (rows scanned plus bindings matched, plus one per
+// invocation); per-literal times are then attributed from the rule's
+// time proportionally to scan volume. Every nanosecond of the entry is
+// charged to some rule, so the rule times add up to the fixpoint entry,
+// and the scan/match counters are a function of the store content alone,
+// bit-identical across repeated runs, exactly like Stats.
 
 import (
 	"fmt"
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 
 	"tdd/internal/obs"
 )
@@ -66,160 +57,6 @@ func stratumBounds(b int) (lo, hi int) {
 	}
 	return 1 << (b - 1), 1<<b - 1
 }
-
-// litCell accumulates one body literal's scan counters within one
-// stratum.
-type litCell struct {
-	scanned int64 // tuples visited from the relation set
-	matched int64 // visits that unified with the pattern
-}
-
-// ruleCell accumulates, within one stratum, one rule's invocations and
-// join wall time and its body literals' scan counters (lits is parallel
-// to the rule body). pending is the work done since the last clock
-// reading, not yet converted to time (see Profile.flush).
-type ruleCell struct {
-	calls   int64
-	ns      int64
-	pending int64
-	lits    []litCell
-}
-
-// ruleRec is one rule's counter block: one cell per stratum.
-type ruleRec struct {
-	nlits  int
-	strata []ruleCell
-}
-
-// profBuf is the counter block inside a Profile, written under its
-// mutex.
-type profBuf struct {
-	rules []*ruleRec
-}
-
-func newProfBuf(n int) *profBuf { return &profBuf{rules: make([]*ruleRec, n)} }
-
-// rec returns (allocating on first touch) the rule's counter block.
-func (b *profBuf) rec(r *crule) *ruleRec {
-	rec := b.rules[r.idx]
-	if rec == nil {
-		rec = &ruleRec{nlits: len(r.body)}
-		b.rules[r.idx] = rec
-	}
-	return rec
-}
-
-// cell returns (growing the record on first touch) the stratum's cell.
-// Growing moves the cells: a pointer is good until the next call.
-func (rec *ruleRec) cell(bucket int) *ruleCell {
-	for len(rec.strata) <= bucket {
-		rec.strata = append(rec.strata, ruleCell{lits: make([]litCell, rec.nlits)})
-	}
-	return &rec.strata[bucket]
-}
-
-// Profile is the engine-side join profiler. A nil *Profile is inert;
-// see EnableProfile. Clones (the Assert copy-on-write path) share the
-// pointer, so a profile accumulates over a database's whole lifetime —
-// certification, window growth, and every delta propagation.
-type Profile struct {
-	mu  sync.Mutex
-	buf *profBuf
-	// The lap state, under mu: the clock at the previous reading, the
-	// invocations left until the next one, and the cells (by rule record
-	// and stratum — cell addresses move when a record grows) holding
-	// pending work, whose sum is work.
-	last int64
-	due  int
-	work int64
-	open []openCell
-}
-
-type openCell struct {
-	rec    *ruleRec
-	bucket int
-}
-
-// lapEvery is the number of rule invocations per clock reading.
-const lapEvery = 256
-
-// lock/unlock bracket one fixpoint entry; nil-safe. lock starts the lap
-// clock, unlock charges what is pending.
-func (p *Profile) lock() {
-	if p != nil {
-		p.mu.Lock()
-		p.last, p.due = obs.ClockNS(), lapEvery
-	}
-}
-
-func (p *Profile) unlock() {
-	if p != nil {
-		p.flush()
-		p.mu.Unlock()
-	}
-}
-
-// enter starts one invocation of rule r at the binding en.time: the
-// join steps count into en.cell, the rule's cell for that stratum (good
-// for the invocation: a record only grows here).
-func (p *Profile) enter(r *crule, en *env) {
-	en.cell = p.buf.rec(r).cell(stratumOf(en.time))
-	en.work = 0
-}
-
-// exit ends the invocation: it counts the call and books its work (one
-// unit plus the rows it scanned and matched) against the next clock
-// reading.
-func (p *Profile) exit(r *crule, en *env) {
-	c := en.cell
-	c.calls++
-	if c.pending == 0 {
-		p.open = append(p.open, openCell{p.buf.rules[r.idx], stratumOf(en.time)})
-	}
-	c.pending += 1 + en.work
-	p.work += 1 + en.work
-	if p.due--; p.due <= 0 {
-		p.flush()
-		// Between laps no invocation is open and nothing is pending: let a
-		// snapshot waiting on the lock in, and restart the clock after it.
-		p.mu.Unlock()
-		p.mu.Lock()
-		p.last = obs.ClockNS()
-	}
-}
-
-// flush reads the clock and splits the time since the previous reading
-// over the cells with pending work, in proportion to it (the last cell
-// takes the rounding remainder, so nothing is lost).
-func (p *Profile) flush() {
-	now := obs.ClockNS()
-	rest := now - p.last
-	elapsed := rest
-	p.last, p.due = now, lapEvery
-	for i, oc := range p.open {
-		c := &oc.rec.strata[oc.bucket]
-		share := rest
-		if i < len(p.open)-1 {
-			share = elapsed * c.pending / p.work
-		}
-		c.ns += share
-		rest -= share
-		c.pending = 0
-	}
-	p.open, p.work = p.open[:0], 0
-}
-
-// EnableProfile attaches a fresh join profiler to the evaluator. A
-// no-op when one is already attached.
-func (e *Evaluator) EnableProfile() {
-	if e.prof == nil {
-		e.prof = &Profile{buf: newProfBuf(len(e.rules))}
-	}
-}
-
-// Profile returns the attached profiler (nil when profiling is
-// disabled).
-func (e *Evaluator) Profile() *Profile { return e.prof }
 
 // --- snapshot (EXPLAIN ANALYZE) ---------------------------------------
 
@@ -304,21 +141,20 @@ type ProfileJSON struct {
 	Cardinalities []PredCardJSON    `json:"cardinalities"`
 }
 
-// ProfileSnapshot renders the accumulated profile: counters under the
-// profile lock, cardinalities from the evaluator's current store. Nil
-// when profiling is disabled.
+// ProfileSnapshot renders the profile from the counter block, with
+// cardinalities from the evaluator's current store. Nil when profiling is
+// disabled.
 func (e *Evaluator) ProfileSnapshot() *ProfileJSON {
-	if e.prof == nil {
+	if !e.ctr.profile {
 		return nil
 	}
 	out := &ProfileJSON{Window: e.evaluated}
-	e.prof.mu.Lock()
-	for ri, rec := range e.prof.buf.rules {
-		if rec == nil {
+	for ri, rec := range e.ctr.rules {
+		if len(rec.strata) == 0 {
 			continue
 		}
 		r := &e.rules[ri]
-		rp := RuleProfileJSON{Rule: r.src.String()}
+		rp := RuleProfileJSON{Rule: r.text}
 		for bu, c := range rec.strata {
 			if c.calls == 0 && c.ns == 0 {
 				continue
@@ -329,10 +165,11 @@ func (e *Evaluator) ProfileSnapshot() *ProfileJSON {
 			rp.Strata = append(rp.Strata, RuleStratumJSON{Lo: lo, Hi: hi, Calls: c.calls, Us: c.ns / 1e3})
 		}
 		var totalScanned int64
+		n := len(r.body)
 		for li := range r.body {
 			lp := LiteralProfileJSON{Pos: li, Literal: r.body[li].String()}
 			for bu := range rec.strata {
-				c := rec.strata[bu].lits[li]
+				c := rec.cells[bu*n+li]
 				if c.scanned == 0 && c.matched == 0 {
 					continue
 				}
@@ -363,7 +200,6 @@ func (e *Evaluator) ProfileSnapshot() *ProfileJSON {
 		out.JoinUs += rp.Us
 		out.Rules = append(out.Rules, rp)
 	}
-	e.prof.mu.Unlock()
 	sort.SliceStable(out.Rules, func(i, j int) bool { return out.Rules[i].Us > out.Rules[j].Us })
 	// The dominant *join* is the costliest non-leading literal; literal 0
 	// is the outer scan, not a join. Fall back to the costliest outer

@@ -93,10 +93,10 @@ type askResponse struct {
 	// Profile is the program's EXPLAIN ANALYZE join-cost profile —
 	// per-rule, per-body-literal scan/match counters with attributed wall
 	// time, bucketed by timestamp stratum — present when the request
-	// carried ?profile=1. It covers the program's lifetime evaluation
-	// (compile-time certification plus every ingest), not just this
-	// request: a warm ask answers from the spec cache and does no join
-	// work of its own.
+	// carried ?profile=1. It covers the snapshot's whole evaluation
+	// (compile-time certification plus every ingest in its history), not
+	// just this request: a warm ask answers from the spec cache and does
+	// no join work of its own.
 	Profile *tdd.ProfileReport `json:"profile,omitempty"`
 }
 

@@ -391,24 +391,3 @@ func TestScrapeTakesNoProgramLock(t *testing.T) {
 		t.Errorf("two scrapes and a Lookup took %v from the start of an ingest that held its program's BT for %v: they waited on it", took, held)
 	}
 }
-
-// TestProfileAskDuringIngest pins a profiled ask off the ingest of its
-// program: a ?profile=1 ask on the published snapshot, while the ingest
-// holds the program's BT mutex (duringIngest), answers, profile
-// included, before the ingest's span could have ended. The ingest's
-// clone shares the join profile, and its delta propagation holds the
-// profile's lock only for a lap of joins at a time.
-func TestProfileAskDuringIngest(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	took, held := duringIngest(t, s, func(busy string) {
-		resp, body := postJSON(t, ts.URL+"/programs/"+busy+"/ask?profile=1", askRequest{Query: "cyc0(8)"})
-		var ar askResponse
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &ar) != nil || !ar.Result || ar.Profile == nil {
-			t.Fatalf("profiled ask during an ingest: status %d: %s", resp.StatusCode, body)
-		}
-	})
-	t.Logf("a profiled ask took %v inside an ingest that held its BT for %v", took, held)
-	if took >= held {
-		t.Errorf("a profiled ask took %v from the start of an ingest that held its program's BT for %v: it waited on it", took, held)
-	}
-}

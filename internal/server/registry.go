@@ -218,9 +218,13 @@ func NewRegistry(cacheSize, maxWindow int, m *Metrics) *Registry {
 func (r *Registry) compile(src *programSource) (*entry, error) {
 	tr := obs.New()
 	// The join profiler is always on, like the lifetime trace: certification
-	// is the only join work a served program ever does, and its cost profile
-	// (?profile=1) is only available if it was recorded then. The enabled
-	// overhead is bounded by the E17 gate in scripts/ci.sh.
+	// and ingests are the only join work a served program ever does, and its
+	// cost profile (?profile=1) is only available if it was recorded then.
+	// Each snapshot's profile covers its own history — compile plus every
+	// ingest published before it — because an ingest evaluates on a fork
+	// whose counters are its own: a rejected one leaves the published
+	// profile as it was. The enabled overhead is bounded by the E17 gate in
+	// scripts/ci.sh.
 	opts := []tdd.Option{tdd.WithTrace(tr), tdd.WithProfile()}
 	if r.maxWindow > 0 {
 		opts = append(opts, tdd.WithMaxWindow(r.maxWindow))

@@ -167,17 +167,19 @@ require_test ./internal/lint/ TestLintDeterministic
 
 echo "==> a certified model never changes (lint reads it, warm reads take no lock)"
 # Lint on a certified DB grows no window and writes nothing, so it runs
-# beside warm asks and engine reads with no race; a fixpoint entry
-# yields the shared join profile's lock between laps, so sibling clones
-# and snapshots interleave and a ?profile=1 ask answers while an ingest
-# of its program runs; the default server logger formats no request
-# line. require_test checks the names and runs without -race, so the two
-# concurrent tests get a -race line of their own.
-require_test . TestLintDuringWarmReads
-require_test ./internal/engine/ TestProfileConcurrentClones
-require_test ./internal/server/ TestProfileAskDuringIngest TestDefaultLoggerDisabled
+# beside warm asks and engine reads with no race; each evaluator counts
+# into its own counter block, which a clone takes over copy-on-write, so
+# sibling clones ingest beside reads of their parent and neither side's
+# Stats or join profile moves with the other's work; an Assert on a Fork
+# and a served ingest rejected over the window budget leave the published
+# snapshot's profile byte-identical; the default server logger formats no
+# request line. require_test checks the names and runs without -race, so
+# the concurrent tests get a -race line of their own.
+require_test . TestLintDuringWarmReads TestForkLeavesParentProfile
+require_test ./internal/engine/ TestCloneDoesNotAliasIndexCounters TestProfileCloneShared TestProfileConcurrentClones
+require_test ./internal/server/ TestDefaultLoggerDisabled
 go test -race -count=1 -run '^TestLintDuringWarmReads$' .
-go test -race -count=1 -run '^TestProfileConcurrentClones$' ./internal/engine/
+go test -race -count=1 -run '^(TestCloneDoesNotAliasIndexCounters|TestProfileConcurrentClones)$' ./internal/engine/
 
 echo "==> each query compiled once per signature set, each response encoded into a pooled buffer"
 # Every cache hit equals a fresh parse and compile: across programs with
