@@ -316,6 +316,17 @@ func (b *BT) EngineStats() engine.Stats {
 	return b.eval.Stats()
 }
 
+// EngineTotals returns EngineStats' aggregate counters — derived,
+// firings, sweeps — without its tables, so the read allocates nothing.
+// It takes mu by EngineStats' rule: only while the BT is cold.
+func (b *BT) EngineTotals() (derived, firings, sweeps int) {
+	if !b.Certified() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+	}
+	return b.eval.Totals()
+}
+
 // ProfileSnapshot renders the accumulated join profile as an EXPLAIN
 // ANALYZE report; nil unless the BT was built WithProfile. Like
 // EngineStats it takes mu only while the BT is cold.
@@ -353,8 +364,8 @@ func (b *BT) Work() (Certificate, error) {
 	if err != nil {
 		return Certificate{}, err
 	}
-	st := b.eval.Stats()
-	c := Certificate{Window: b.eval.Window(), Period: s.Period, Derived: st.Derived, Firings: st.Firings, Sweeps: st.Sweeps}
+	c := Certificate{Window: b.eval.Window(), Period: s.Period}
+	c.Derived, c.Firings, c.Sweeps = b.eval.Totals()
 	c.Representatives, c.Facts = s.Size()
 	return c, nil
 }

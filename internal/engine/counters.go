@@ -223,6 +223,13 @@ func (e *Evaluator) Stats() Stats {
 	return s
 }
 
+// Totals returns Stats' aggregate counters read in place, without the
+// per-rule and per-index tables: it allocates nothing.
+func (e *Evaluator) Totals() (derived, firings, sweeps int) {
+	firings, derived = e.ctr.totals()
+	return derived, firings, e.ctr.sweeps
+}
+
 // RuleFirings returns rule i's successful body instantiations so far,
 // read in place: Stats().Rules[i].Firings without the snapshot.
 func (e *Evaluator) RuleFirings(i int) int { return e.ctr.rules[i].firings }

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"strings"
 
 	"tdd/internal/ast"
 )
@@ -9,10 +10,12 @@ import (
 type parser struct {
 	lex *lexer
 	tok token // lookahead
+	// terms is the arena of every atom's arguments, sized once: a term follows a '(' or a ','.
+	terms []rawTerm
 }
 
 func newParser(src string) (*parser, error) {
-	p := &parser{lex: newLexer(src)}
+	p := &parser{lex: newLexer(src), terms: make([]rawTerm, 0, strings.Count(src, "(")+strings.Count(src, ","))}
 	return p, p.advance()
 }
 
@@ -33,9 +36,10 @@ func (p *parser) expect(kind tokenKind) (token, error) {
 	return tok, p.advance()
 }
 
-// parseUnit parses a sequence of clauses and directives.
+// parseUnit parses a sequence of clauses and directives. Every clause
+// ends in a '.', so their count sizes the clause list once.
 func (p *parser) parseUnit() (*rawUnit, error) {
-	u := &rawUnit{}
+	u := &rawUnit{clauses: make([]rawClause, 0, strings.Count(p.lex.src, "."))}
 	for p.tok.kind != tokEOF {
 		if p.tok.kind == tokAt {
 			d, err := p.parseDirective()
@@ -88,7 +92,7 @@ func (p *parser) parseClause() (rawClause, error) {
 	if err != nil {
 		return rawClause{}, err
 	}
-	c := rawClause{head: head, line: head.line, col: head.col}
+	c := rawClause{head: head}
 	if p.tok.kind == tokImplies {
 		if err := p.advance(); err != nil {
 			return rawClause{}, err
@@ -125,12 +129,13 @@ func (p *parser) parseAtom() (rawAtom, error) {
 	if err := p.advance(); err != nil {
 		return rawAtom{}, err
 	}
+	start := len(p.terms)
 	for {
 		t, err := p.parseTerm()
 		if err != nil {
 			return rawAtom{}, err
 		}
-		a.args = append(a.args, t)
+		p.terms = append(p.terms, t)
 		if p.tok.kind == tokComma {
 			if err := p.advance(); err != nil {
 				return rawAtom{}, err
@@ -142,6 +147,8 @@ func (p *parser) parseAtom() (rawAtom, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return rawAtom{}, err
 	}
+	// Capped at its end: appending to one atom's arguments cannot overwrite the next's.
+	a.args = p.terms[start:len(p.terms):len(p.terms)]
 	return a, nil
 }
 

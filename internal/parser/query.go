@@ -185,11 +185,10 @@ func resolveQuery(rq *rawQuery, preds map[string]ast.PredInfo) (ast.Query, error
 	var atoms []rawAtom
 	queryAtoms(rq, &atoms)
 	u := &rawUnit{clauses: []rawClause{{head: rawAtom{pred: "$query$"}, body: atoms}}}
-	s, err := newSorter(u)
+	s, err := newSorter(u, preds)
 	if err != nil {
 		return nil, err
 	}
-	s.known = preds
 	if err := s.infer(); err != nil {
 		return nil, err
 	}
@@ -243,7 +242,7 @@ func buildQuery(rq *rawQuery, s *sorter) (ast.Query, error) {
 			return nil, err
 		}
 		sort := ast.SortNonTemporal
-		if s.tempVars[0][rq.v] {
+		if s.tempVars[clauseVar{0, rq.v}] {
 			sort = ast.SortTemporal
 		}
 		if !varOccurs(sub, rq.v, sort) {

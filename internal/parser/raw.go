@@ -50,11 +50,17 @@ type rawAtom struct {
 type rawClause struct {
 	head rawAtom
 	body []rawAtom
-	line int
-	col  int
 }
 
 func (c rawClause) fact() bool { return len(c.body) == 0 }
+
+// atom returns the clause's k-th atom: the head at 0, then the body.
+func (c *rawClause) atom(k int) *rawAtom {
+	if k == 0 {
+		return &c.head
+	}
+	return &c.body[k-1]
+}
 
 // directive is a sort directive: @temporal p. or @nontemporal p.
 type directive struct {

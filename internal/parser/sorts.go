@@ -31,16 +31,23 @@ type sorter struct {
 	// evidence alike.
 	known   map[string]ast.PredInfo
 	clauses []rawClause
-	// tempVars[i] is the set of temporal variables of clause i.
-	tempVars []map[string]bool
+	// tempVars is the unit's one set of temporal variables: a fact adds none.
+	tempVars map[clauseVar]bool
 }
 
-func newSorter(u *rawUnit) (*sorter, error) {
+// clauseVar is the variable name of clause ci.
+type clauseVar struct {
+	ci   int
+	name string
+}
+
+func newSorter(u *rawUnit, known map[string]ast.PredInfo) (*sorter, error) {
 	s := &sorter{
 		temporal: make(map[string]bool),
 		forced:   make(map[string]bool),
+		known:    known,
 		clauses:  u.clauses,
-		tempVars: make([]map[string]bool, len(u.clauses)),
+		tempVars: make(map[clauseVar]bool),
 	}
 	for _, d := range u.directives {
 		if prev, ok := s.forced[d.pred]; ok && prev != d.temporal {
@@ -50,9 +57,6 @@ func newSorter(u *rawUnit) (*sorter, error) {
 		if d.temporal {
 			s.temporal[d.pred] = true
 		}
-	}
-	for i := range s.tempVars {
-		s.tempVars[i] = make(map[string]bool)
 	}
 	return s, nil
 }
@@ -88,8 +92,8 @@ func (s *sorter) markTemporal(pred string, line, col int) error {
 func (s *sorter) infer() error {
 	// Seed: explicit temporal syntax.
 	for ci, c := range s.clauses {
-		atoms := append([]rawAtom{c.head}, c.body...)
-		for _, a := range atoms {
+		for k := 0; k <= len(c.body); k++ {
+			a := c.atom(k)
 			if len(a.args) == 0 {
 				continue
 			}
@@ -110,7 +114,7 @@ func (s *sorter) infer() error {
 			// builder later rejects V+k outside the first position.
 			for _, t := range a.args {
 				if t.kind == rawVarPlus {
-					s.tempVars[ci][t.name] = true
+					s.tempVars[clauseVar{ci, t.name}] = true
 				}
 			}
 		}
@@ -119,8 +123,8 @@ func (s *sorter) infer() error {
 	for changed := true; changed; {
 		changed = false
 		for ci, c := range s.clauses {
-			atoms := append([]rawAtom{c.head}, c.body...)
-			for _, a := range atoms {
+			for k := 0; k <= len(c.body); k++ {
+				a := c.atom(k)
 				if len(a.args) == 0 {
 					continue
 				}
@@ -128,11 +132,12 @@ func (s *sorter) infer() error {
 				if first.kind != rawVar {
 					continue
 				}
-				if s.isTemporal(a.pred) && !s.tempVars[ci][first.name] {
-					s.tempVars[ci][first.name] = true
+				v := clauseVar{ci, first.name}
+				if s.isTemporal(a.pred) && !s.tempVars[v] {
+					s.tempVars[v] = true
 					changed = true
 				}
-				if s.tempVars[ci][first.name] && !s.isTemporal(a.pred) {
+				if s.tempVars[v] && !s.isTemporal(a.pred) {
 					if err := s.markTemporal(a.pred, a.line, a.col); err != nil {
 						return err
 					}
@@ -183,7 +188,6 @@ func (s *sorter) buildAtom(ci int, a rawAtom) (ast.Atom, error) {
 
 // buildArgs converts non-temporal argument positions.
 func (s *sorter) buildArgs(ci int, pred string, raws []rawTerm) ([]ast.Symbol, error) {
-	tv := s.tempVars[ci]
 	out := make([]ast.Symbol, len(raws))
 	for i, t := range raws {
 		switch t.kind {
@@ -192,7 +196,7 @@ func (s *sorter) buildArgs(ci int, pred string, raws []rawTerm) ([]ast.Symbol, e
 		case rawConst:
 			out[i] = ast.Const(t.name)
 		case rawVar:
-			if tv[t.name] {
+			if s.tempVars[clauseVar{ci, t.name}] {
 				return nil, errAt(t.line, t.col, "temporal variable %s used in a non-temporal position of %s", t.name, pred)
 			}
 			out[i] = ast.Var(t.name)
@@ -231,16 +235,23 @@ const maxIntervalPoints = 1 << 20
 // signatures are already known: the unit's directives and evidence sort
 // only the predicates it introduces.
 func resolveUnit(u *rawUnit, known map[string]ast.PredInfo) (*ast.Program, *ast.Database, error) {
-	s, err := newSorter(u)
+	s, err := newSorter(u, known)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.known = known
 	if err := s.infer(); err != nil {
 		return nil, nil, err
 	}
+	// Size the fact list once: a fact per unit clause, but an interval's,
+	// whose points are sized for once its first point has built.
+	nfacts := 0
+	for _, c := range u.clauses {
+		if c.fact() && (len(c.head.args) == 0 || c.head.args[0].kind != rawRange) {
+			nfacts++
+		}
+	}
+	facts := make([]ast.Fact, 0, nfacts)
 	var rules []ast.Rule
-	var facts []ast.Fact
 	points := 0
 	for ci, c := range u.clauses {
 		// Interval facts like winter(0..90). expand to one fact per day
@@ -254,39 +265,38 @@ func resolveUnit(u *rawUnit, known map[string]ast.PredInfo) (*ast.Program, *ast.
 			if points > maxIntervalPoints {
 				return nil, nil, errAt(r.line, r.col, "interval %d..%d expands the unit past %d points", r.num, r.hi, maxIntervalPoints)
 			}
-			for day := r.num; day <= r.hi; day++ {
-				expanded := c.head
-				expanded.args = append([]rawTerm(nil), c.head.args...)
-				expanded.args[0] = rawTerm{kind: rawInt, num: day, line: r.line, col: r.col}
-				head, err := s.buildAtom(ci, expanded)
+			pt := c.head
+			pt.args = append([]rawTerm(nil), pt.args...)
+			for t := r.num; t <= r.hi; t++ {
+				pt.args[0] = rawTerm{kind: rawInt, num: t, line: r.line, col: r.col}
+				f, err := s.fact(ci, pt)
 				if err != nil {
 					return nil, nil, err
 				}
-				if !head.Ground() {
-					return nil, nil, errAt(c.line, c.col, "unit clause %s is not ground; rules need a body, facts need constants", head)
+				if t == r.num { // only now: the points differ only in time, so all build
+					facts = append(make([]ast.Fact, 0, cap(facts)+r.hi-r.num+1), facts...)
 				}
-				facts = append(facts, ast.FactOf(head))
+				facts = append(facts, f)
 			}
+			continue
+		}
+		if c.fact() {
+			f, err := s.fact(ci, c.head)
+			if err != nil {
+				return nil, nil, err
+			}
+			facts = append(facts, f)
 			continue
 		}
 		head, err := s.buildAtom(ci, c.head)
 		if err != nil {
 			return nil, nil, err
 		}
-		if c.fact() {
-			if !head.Ground() {
-				return nil, nil, errAt(c.line, c.col, "unit clause %s is not ground; rules need a body, facts need constants", head)
-			}
-			facts = append(facts, ast.FactOf(head))
-			continue
-		}
-		r := ast.Rule{Head: head, Pos: ast.Pos{Line: c.line, Col: c.col}}
-		for _, b := range c.body {
-			atom, err := s.buildAtom(ci, b)
-			if err != nil {
+		r := ast.Rule{Head: head, Body: make([]ast.Atom, len(c.body)), Pos: ast.Pos{Line: c.head.line, Col: c.head.col}}
+		for i, b := range c.body {
+			if r.Body[i], err = s.buildAtom(ci, b); err != nil {
 				return nil, nil, err
 			}
-			r.Body = append(r.Body, atom)
 		}
 		rules = append(rules, r)
 	}
@@ -303,4 +313,37 @@ func resolveUnit(u *rawUnit, known map[string]ast.PredInfo) (*ast.Program, *ast.
 		return nil, nil, err
 	}
 	return prog, db, nil
+}
+
+// fact builds the ground fact the head a of unit clause ci states straight
+// into an ast.Fact, by buildAtom's and buildArgs' cases for a ground head;
+// a head that is no ground fact fails through buildAtom, or as not ground.
+func (s *sorter) fact(ci int, a rawAtom) (ast.Fact, error) {
+	f := ast.Fact{Pred: a.pred, Temporal: s.isTemporal(a.pred)}
+	args, ground := a.args, true
+	if f.Temporal {
+		ground = len(args) > 0 && args[0].kind == rawInt
+		if ground {
+			f.Time, args = args[0].num, args[1:]
+		}
+	}
+	f.Args = make([]string, len(args))
+	for i := 0; i < len(args) && ground; i++ {
+		switch t := args[i]; t.kind {
+		case rawInt:
+			f.Args[i] = itoa(t.num)
+		case rawConst:
+			f.Args[i] = t.name
+		default:
+			ground = false
+		}
+	}
+	if ground {
+		return f, nil
+	}
+	head, err := s.buildAtom(ci, a)
+	if err == nil {
+		err = errAt(a.line, a.col, "unit clause %s is not ground; rules need a body, facts need constants", head)
+	}
+	return ast.Fact{}, err
 }

@@ -102,6 +102,13 @@ require_test ./internal/engine/ TestOverlayLineages TestForkOverlaysSharedShard 
 # and one evaluation's scratch whatever |T| is, a ground ask nothing, an
 # open one two objects per answer.
 require_test ./internal/query/ TestAllocBudgetClosedQuery TestAllocBudgetOpenQuery
+# The parser's: a database is parsed into buffers sized once, so a fact of
+# the bench's ski database costs at most 250 bytes, an interval point one
+# ast.Fact, and a 64-atom query no more than when each atom grew its own
+# argument slice. EngineStats, which every cold bench op reads, reads
+# three counters in place and allocates nothing.
+require_test ./internal/parser/ TestAllocBudgetParseDatabase
+require_test . TestAllocBudgetEngineStats
 
 echo "==> the model test, and the rule that picks the sliced path"
 # One oracle for every path: random step scripts on a DB, a durable leader

@@ -406,3 +406,19 @@ func TestExportImportSpecPublic(t *testing.T) {
 		t.Error("garbage imported")
 	}
 }
+
+// TestAllocBudgetEngineStats: EngineStats, which every cold bench op
+// reads, agrees with EngineDetail and allocates nothing.
+func TestAllocBudgetEngineStats(t *testing.T) {
+	db, err := OpenUnit(skiUnit)
+	if _, err2 := db.Period(); err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	d, f, s := db.EngineStats()
+	if e := db.EngineDetail(); d != e.Derived || f != e.Firings || s != e.Sweeps || f == 0 {
+		t.Fatalf("EngineStats = %d, %d, %d; EngineDetail = %d, %d, %d", d, f, s, e.Derived, e.Firings, e.Sweeps)
+	}
+	if n := testing.AllocsPerRun(100, func() { db.EngineStats() }); n != 0 {
+		t.Errorf("EngineStats allocates %.0f objects, want 0", n)
+	}
+}
