@@ -62,8 +62,9 @@ type Program struct {
 func NewProgram(rules []Rule) (*Program, error) {
 	p := &Program{Rules: rules, Preds: make(map[string]PredInfo)}
 	for _, r := range rules {
-		for _, a := range r.Atoms() {
-			if err := p.note(a); err != nil {
+		for k := 0; k <= len(r.Body); k++ {
+			a := r.AtomAt(k)
+			if err := p.note(*a); err != nil {
 				return nil, err
 			}
 		}

@@ -44,12 +44,14 @@ func (r Rule) String() string {
 	return b.String()
 }
 
-// Atoms yields the head followed by the body atoms.
-func (r Rule) Atoms() []Atom {
-	out := make([]Atom, 0, 1+len(r.Body))
-	out = append(out, r.Head)
-	out = append(out, r.Body...)
-	return out
+// AtomAt returns atom k of the rule: the head for k = 0 and body atom
+// k-1 for k = 1..len(r.Body). Walking k from 0 to len(r.Body) visits the
+// head and then the body without copying either.
+func (r *Rule) AtomAt(k int) *Atom {
+	if k == 0 {
+		return &r.Head
+	}
+	return &r.Body[k-1]
 }
 
 // TemporalVars returns the distinct temporal variable names in the rule in
@@ -57,7 +59,8 @@ func (r Rule) Atoms() []Atom {
 func (r Rule) TemporalVars() []string {
 	var out []string
 	seen := make(map[string]bool)
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		if a.Time != nil && a.Time.Var != "" && !seen[a.Time.Var] {
 			seen[a.Time.Var] = true
 			out = append(out, a.Time.Var)
@@ -79,7 +82,8 @@ func (r Rule) Normal() bool {
 	if !r.SemiNormal() {
 		return false
 	}
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		if a.Time != nil && !a.Time.Ground() && a.Time.Depth > 1 {
 			return false
 		}
@@ -91,7 +95,8 @@ func (r Rule) Normal() bool {
 // temporal terms, or -1 if the rule has none.
 func (r Rule) MinDepth() int {
 	min := -1
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		if a.Time != nil && !a.Time.Ground() {
 			if min == -1 || a.Time.Depth < min {
 				min = a.Time.Depth
@@ -105,7 +110,8 @@ func (r Rule) MinDepth() int {
 // temporal terms, or -1 if the rule has none.
 func (r Rule) MaxDepth() int {
 	max := -1
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		if a.Time != nil && !a.Time.Ground() && a.Time.Depth > max {
 			max = a.Time.Depth
 		}
@@ -179,7 +185,8 @@ func (r Rule) DataOnly() bool {
 		return false
 	}
 	var seen *TemporalTerm
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		if a.Time == nil {
 			continue
 		}

@@ -41,19 +41,22 @@ func ValidateRule(r Rule) error {
 	if !r.SemiNormal() {
 		return fmt.Errorf("%w: %s%s", ErrNotSemiNormal, r, posSuffix(r.Pos))
 	}
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		if a.Time != nil && a.Time.Ground() {
 			return fmt.Errorf("%w: %s%s", ErrGroundTemporal, r, posSuffix(r.Pos))
 		}
 	}
 	// Sort discipline.
 	tvars := make(map[string]bool)
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		if a.Time != nil && a.Time.Var != "" {
 			tvars[a.Time.Var] = true
 		}
 	}
-	for _, a := range r.Atoms() {
+	for k := 0; k <= len(r.Body); k++ {
+		a := r.AtomAt(k)
 		for _, s := range a.Args {
 			if s.IsVar && tvars[s.Name] {
 				return fmt.Errorf("%w: %s in %s%s", ErrSortConflict, s.Name, r, posSuffix(r.Pos))

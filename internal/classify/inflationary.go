@@ -63,7 +63,8 @@ func InflationaryWitness(p *ast.Program) (bool, string, error) {
 // ruleConstant finds a non-temporal constant inside a rule, if any.
 func ruleConstant(p *ast.Program) (pred, c string, found bool) {
 	for _, r := range p.Rules {
-		for _, a := range r.Atoms() {
+		for k := 0; k <= len(r.Body); k++ {
+			a := r.AtomAt(k)
 			for _, s := range a.Args {
 				if !s.IsVar {
 					return a.Pred, s.Name, true

@@ -71,7 +71,8 @@ func IPeriod(p *ast.Program, opts *IPeriodOptions) (period.Period, error) {
 	r := 1
 	for _, rule := range p.Rules {
 		seen := make(map[string]bool)
-		for _, a := range rule.Atoms() {
+		for k := 0; k <= len(rule.Body); k++ {
+			a := rule.AtomAt(k)
 			for _, s := range a.Args {
 				if s.IsVar {
 					seen[s.Name] = true

@@ -453,3 +453,88 @@ func TestAllocBudgetShrinkingStates(t *testing.T) {
 		t.Errorf("%d small states retain %d bytes, budget %d: a state sized from a larger one keeps its slack", smalls, both-large, 256*smalls)
 	}
 }
+
+// TestAllocBudgetNewAxis: New sizes each temporal predicate's time axis in
+// its counting pass over the database, so on a database given in
+// ascending time order each axis is allocated exactly once, at its final
+// length. The database holds k propositions at every time point 0..n-1;
+// a proposition has one shared shard, so the axes are all that New
+// allocates per time point. New allocates the same objects at n = 2 and
+// n = 511, for k = 1 and k = 8, and each axis ends with no spare room.
+func TestAllocBudgetNewAxis(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, k := range []int{1, 8} {
+		var objects []float64
+		for _, n := range []int{2, 511} {
+			var src []byte
+			for tm := 0; tm < n; tm++ {
+				for i := 0; i < k; i++ {
+					src = fmt.Appendf(src, "p%d(%d).\n", i, tm)
+				}
+			}
+			prog, db := mustTDD(t, string(src))
+			var e *Evaluator
+			objects = append(objects, testing.AllocsPerRun(10, func() {
+				var err error
+				if e, err = New(prog, db); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			for i := 0; i < k; i++ {
+				pred, _ := e.store.PredID(fmt.Sprintf("p%d", i), 0, true)
+				if ax := e.store.rels[pred].byTime; len(ax) != n || cap(ax) != n {
+					t.Errorf("k = %d, n = %d: p%d's axis has length %d and capacity %d, want %d", k, n, i, len(ax), cap(ax), n)
+				}
+			}
+		}
+		t.Logf("k = %d: New allocates %.0f objects at n = 2 and %.0f at n = 511", k, objects[0], objects[1])
+		if objects[0] != objects[1] {
+			t.Errorf("k = %d: New allocates %.0f objects at n = 2 and %.0f at n = 511: an axis regrew", k, objects[0], objects[1])
+		}
+	}
+}
+
+// TestAllocBudgetCloneAxis: a clone shares every predicate's time axis,
+// and a write copies the axis of the one predicate it lands in. A store
+// holds k temporal predicates with one-row shards at 1 024 time points
+// each; a Clone followed by one write into the first predicate allocates
+// the same objects at k = 1 and k = 8, and at most one axis plus 4 KB:
+// the store, its predicate array and one forked shard.
+func TestAllocBudgetCloneAxis(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const points, runs = 1024, 50
+	axis := float64(points * unsafe.Sizeof((*relset)(nil)))
+	var objects []float64
+	for _, k := range []int{1, 8} {
+		s := NewStore()
+		a, fresh := s.intern("a"), s.intern("fresh")
+		preds := make([]uint32, k)
+		for i := range preds {
+			preds[i] = s.internPred(fmt.Sprintf("p%d", i), 1, true)
+			for tm := 0; tm < points; tm++ {
+				s.insertRow(preds[i], tm, []uint32{a})
+			}
+		}
+		write := func() {
+			c := s.Clone()
+			if _, added := c.insertRow(preds[0], points/2, []uint32{fresh}); !added {
+				t.Fatal("insert into the clone was a duplicate")
+			}
+		}
+		objects = append(objects, testing.AllocsPerRun(runs, write))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			write()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+		t.Logf("k = %d: %.0f objects, %.0f bytes for an axis of %.0f bytes", k, objects[len(objects)-1], bytes, axis)
+		if bytes > axis+4096 {
+			t.Errorf("k = %d: clone and write allocate %.0f bytes, budget one axis (%.0f) + 4 KB", k, bytes, axis)
+		}
+	}
+	if objects[0] != objects[1] {
+		t.Errorf("clone and write allocate %.0f objects at k = 1 and %.0f at k = 8, want the same", objects[0], objects[1])
+	}
+}

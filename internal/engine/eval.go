@@ -184,26 +184,33 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 			e.occ[p] = append(e.occ[p], occurrence{rule: i, lit: li})
 		}
 	}
-	// A rule-head predicate's database rows get a shard of their own
-	// (Store.insertBase): count them first, so each is built at its size.
-	dbRows := make(map[string]int)
-	for _, f := range db.Facts {
-		if e.derived[f.Pred] {
-			dbRows[f.Pred]++
-		}
-	}
+	// Count, per predicate, the rows of a rule-head predicate's own
+	// database shard (Store.insertBase) and the dense time axis the facts
+	// occupy, inserted in order (denseEnd), so each is allocated once at
+	// its size.
+	type need struct{ rows, axis int }
+	var needs []need
 	for _, f := range db.Facts {
 		if f.Temporal && (f.Time < 0 || int64(f.Time) > math.MaxUint32) {
 			return nil, fmt.Errorf("engine: fact %s has a time point outside [0, %d]", f, uint32(math.MaxUint32))
 		}
-		if n := dbRows[f.Pred]; n > 0 {
-			e.store.reserveBase(f, n)
-			dbRows[f.Pred] = 0
+		pred := int(e.store.internPred(f.Pred, len(f.Args), f.Temporal))
+		if pred >= len(needs) {
+			needs = append(needs, make([]need, len(e.store.rels)-len(needs))...)
 		}
+		if e.derived[f.Pred] {
+			needs[pred].rows++
+		}
+		if f.Temporal {
+			needs[pred].axis = denseEnd(needs[pred].axis, f.Time)
+			e.depth = max(e.depth, f.Time)
+		}
+	}
+	for pred, n := range needs {
+		e.store.reserve(uint32(pred), n.rows, n.axis)
+	}
+	for _, f := range db.Facts {
 		e.store.insertBase(f, e.derived[f.Pred])
-		if f.Temporal && f.Time > e.depth {
-			e.depth = f.Time
-		}
 	}
 	return e, nil
 }
@@ -216,26 +223,9 @@ func Lookback(prog *ast.Program) int {
 	g := 1
 	for i := range prog.Rules {
 		r := &prog.Rules[i]
-		// lo and hi: the least and greatest depth of r's non-ground
-		// temporal terms (ast.Rule.MinDepth, MaxDepth), without their
-		// allocations.
-		lo, hi := -1, -1
-		for j := -1; j < len(r.Body); j++ {
-			a := &r.Head
-			if j >= 0 {
-				a = &r.Body[j]
-			}
-			if a.Time == nil || a.Time.Ground() {
-				continue
-			}
-			if lo < 0 || a.Time.Depth < lo {
-				lo = a.Time.Depth
-			}
-			hi = max(hi, a.Time.Depth)
-		}
-		switch {
+		switch lo := r.MinDepth(); {
 		case r.Head.Time == nil:
-			g = max(g, hi)
+			g = max(g, r.MaxDepth())
 		case lo >= 0 && !r.Head.Time.Ground():
 			g = max(g, r.Head.Time.Depth-lo) // the shift-normalized head depth
 		}

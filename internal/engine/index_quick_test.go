@@ -280,32 +280,53 @@ n(a0).
 }
 
 // Property: along any tree of store clones — each clone taken from any
-// earlier store, so sibling forks write one shared shard, with runs of
-// writes long enough to pass tailCap and index builds on shards that are
-// about to be forked or flattened — after every step each shard of the
-// stepped store equals a flat rebuild of the rows its lineage inserted,
-// in insertion order: the same rows under the same numbers, the same
-// scan, the same rows from every bucket (every mask of the three columns,
-// present and absent keys) and from find, and the same fingerprint.
+// earlier store, the root included, so sibling forks write one shared
+// shard and lineages write the time axes of predicates that other
+// lineages have not written, with runs of writes long enough to pass
+// tailCap and index builds on shards that are about to be forked or
+// flattened — after every step each shard of the stepped store equals a
+// flat rebuild of the rows its lineage inserted, in insertion order: the
+// same rows under the same numbers, the same scan, the same rows from
+// every bucket (every mask of the three columns, present and absent keys)
+// and from find, and the same fingerprint. At the end every lineage, the
+// root included, reads exactly its own rows.
 func TestOverlayLineages(t *testing.T) {
-	root := NewStore()
-	preds := []uint32{root.internPred("p", 3, true), root.internPred("q", 3, false)}
+	newRoot := func() *Store {
+		s := NewStore()
+		s.internPred("p", 3, true)
+		s.internPred("r", 3, true)
+		s.internPred("q", 3, false)
+		for col, n := range []int{6, 6, 4} {
+			for i := 0; i < n; i++ {
+				s.intern(fmt.Sprintf("%c%d", 'a'+col, i))
+			}
+		}
+		return s
+	}
+	tmpl := newRoot()
 	var syms [3][]uint32 // column -> the constants it draws from
 	for col, n := range []int{6, 6, 4} {
 		for i := 0; i < n; i++ {
-			syms[col] = append(syms[col], root.intern(fmt.Sprintf("%c%d", 'a'+col, i)))
+			id, _ := tmpl.SymbolID(fmt.Sprintf("%c%d", 'a'+col, i))
+			syms[col] = append(syms[col], id)
 		}
 	}
-	// Shards 0..2 are p at times 0..2, shard 3 the non-temporal q.
+	// The shards are p at times 0, 2, 600, 1500 and 5000, r at 1 and
+	// 5000, and the non-temporal q. The axes start empty: 600 and 1500
+	// land past the axis end, which grows to take them, and 5000 always
+	// lands in the overflow map, as does 1500 while the axis is shorter
+	// than 238; a later write to 1500 moves it into the grown axis.
+	shards := []struct {
+		name string
+		t    int
+	}{{"p", 0}, {"p", 2}, {"p", 600}, {"p", 1500}, {"p", 5000}, {"r", 1}, {"r", 5000}, {"q", -1}}
 	locate := func(k int) (uint32, int) {
-		if k < 3 {
-			return preds[0], k
-		}
-		return preds[1], -1
+		pred, _ := tmpl.PredID(shards[k].name, 3, shards[k].t >= 0)
+		return pred, shards[k].t
 	}
 	type lineage struct {
 		s    *Store
-		rows [4][][]uint32 // per shard, in insertion order
+		rows [8][][]uint32 // per shard, in insertion order
 	}
 	check := func(l *lineage) error {
 		for k, want := range l.rows {
@@ -357,10 +378,10 @@ func TestOverlayLineages(t *testing.T) {
 
 	type op struct{ Kind, From, Shard, Seed, N uint8 }
 	f := func(ops []op) bool {
-		lins := []*lineage{{s: root.Clone()}}
+		lins := []*lineage{{s: newRoot()}}
 		for step, o := range ops {
 			l := lins[int(o.From)%len(lins)]
-			k := int(o.Shard) % 4
+			k := int(o.Shard) % len(shards)
 			pred, tm := locate(k)
 			switch o.Kind % 4 {
 			case 0:

@@ -37,6 +37,7 @@
 package engine
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -619,6 +620,17 @@ func (r *relset) flatten() {
 // all land in the prefix, at 8 KB of empty slots for a lone stray fact.
 const denseSlack = 1024
 
+// denseEnd returns the length of a dense time axis of length n after
+// predRel.set stores time point t: the axis grows to t+1 when t lies
+// within the slack past its end, and a point beyond lands in the overflow
+// map.
+func denseEnd(n, t int) int {
+	if t >= n && t <= 2*n+denseSlack {
+		return t + 1
+	}
+	return n
+}
+
 // predRel holds the shards and cardinality counters of one predicate.
 // Temporal shards are indexed by time point: a dense prefix (the
 // evaluated window grows it one state at a time) and, for a database
@@ -628,7 +640,12 @@ const denseSlack = 1024
 type predRel struct {
 	byTime []*relset
 	far    map[int]*relset // time points beyond the dense prefix (or negative); nil when empty
-	nt     *relset         // the relation of a non-temporal predicate
+	// axisShared marks byTime and far as shared with another store (set
+	// by Store.Clone on both sides): set copies them before its first
+	// write, so a clone writes only the axes of the predicates it
+	// writes. Like relset.shared it is written only when it changes.
+	axisShared bool
+	nt         *relset // the relation of a non-temporal predicate
 	// prop is the one shard of a temporal predicate of arity 0: it holds
 	// the row () and is shared, so every time point where the proposition
 	// holds points at it and no write ever forks it.
@@ -678,18 +695,32 @@ func (pr *predRel) get(t int) *relset {
 }
 
 // set stores the shard of time point t. A dense prefix that has to grow
-// takes room up to the window (horizon) at once.
+// takes room up to the window (horizon) at once. It is the only writer of
+// a shard into the axis, so an axis shared with a clone is copied here,
+// before the first write, at the capacity growth would take: a copy and a
+// growth are one allocation.
 func (pr *predRel) set(t int, rs *relset, horizon int) {
-	if uint(t) >= uint(len(pr.byTime)) {
-		if t < 0 || t > 2*len(pr.byTime)+denseSlack {
+	n := len(pr.byTime)
+	grow := denseEnd(n, t) > n
+	if pr.axisShared {
+		room := n
+		if grow {
+			room = max(t, horizon) + 1
+		}
+		pr.byTime = append(make([]*relset, 0, room), pr.byTime...)
+		pr.far = maps.Clone(pr.far)
+		pr.axisShared = false
+	}
+	if uint(t) >= uint(n) {
+		if !grow {
 			if pr.far == nil {
 				pr.far = make(map[int]*relset)
 			}
 			pr.far[t] = rs
 			return
 		}
-		pr.byTime = slices.Grow(pr.byTime, max(t, horizon)+1-len(pr.byTime))
-		for i := len(pr.byTime); i <= t; i++ {
+		pr.byTime = slices.Grow(pr.byTime, max(t, horizon)+1-n)
+		for i := n; i <= t; i++ {
 			pr.byTime = append(pr.byTime, pr.far[i])
 			if len(pr.far) > 0 {
 				delete(pr.far, i)
@@ -746,13 +777,15 @@ func NewStore() *Store { return &Store{syms: newSymtab()} }
 // are invisible to the original and vice versa. The copy is
 // copy-on-write at shard (predicate×timestamp) granularity: both stores
 // share every relset — rows, membership table, indexes, fingerprint —
-// until one of them writes into it, so a clone costs O(shards) pointer
-// copies — independent of the number of facts — and a subsequent write
-// into a shared shard copies only that shard's short tail (relset.fork),
-// never the rows or indexes of a shard of more than tinyShard rows. The
-// symbol table is shared the same way: a clone copies its headers, and a
-// new name on either side is appended past what the other holds (see
-// symtab). Clone must be externally
+// until one of them writes into it, and a write into a shared shard
+// copies only that shard's short tail (relset.fork), never the rows or
+// indexes of a shard of more than tinyShard rows. Each predicate's time
+// axis is shared too, and copied by the first write to it on either side
+// (predRel.set). So a clone allocates O(predicates) bytes, independent of
+// the number of facts and time points, plus a walk that marks every shard
+// shared. The symbol table is shared the same way: a clone copies its
+// headers, and a new name on either side is appended past what the other
+// holds (see symtab). Clone must be externally
 // serialized against writes to s (the evaluator's single-writer
 // discipline); afterwards the two stores may be written from different
 // goroutines.
@@ -781,23 +814,17 @@ func (s *Store) Clone() *Store {
 	for i := range s.rels {
 		pr := &s.rels[i]
 		pr.each(share)
-		cp := predRel{nt: pr.nt, prop: pr.prop, db: pr.db, facts: pr.facts, states: pr.states}
 		if pr.nt != nil {
 			share(0, pr.nt)
 		}
 		if pr.db != nil {
 			share(0, pr.db)
 		}
-		if len(pr.byTime) > 0 {
-			cp.byTime = append([]*relset(nil), pr.byTime...)
+		if (pr.byTime != nil || pr.far != nil) && !pr.axisShared {
+			pr.axisShared = true
 		}
-		if len(pr.far) > 0 {
-			cp.far = make(map[int]*relset, len(pr.far))
-			for t, rs := range pr.far {
-				cp.far[t] = rs
-			}
-		}
-		c.rels[i] = cp
+		c.rels[i] = predRel{byTime: pr.byTime, far: pr.far, axisShared: pr.axisShared,
+			nt: pr.nt, prop: pr.prop, db: pr.db, facts: pr.facts, states: pr.states}
 	}
 	return c
 }
@@ -921,16 +948,22 @@ func (s *Store) insertBase(f ast.Fact, head bool) bool {
 	return added
 }
 
-// reserveBase gives the predicate of f, which heads a rule, an empty
-// database shard with room for n rows, unless it has one.
-func (s *Store) reserveBase(f ast.Fact, n int) {
-	pr := &s.rels[s.internPred(f.Pred, len(f.Args), f.Temporal)]
-	if pr.db == nil {
-		width := len(f.Args)
-		if f.Temporal {
+// reserve sizes, in a store that holds no fact yet, what the database
+// facts of pred will occupy, so each is allocated once: a database shard
+// with room for rows rows when the predicate heads a rule (rows > 0), and
+// a dense time axis with room for axis slots.
+func (s *Store) reserve(pred uint32, rows, axis int) {
+	pr := &s.rels[pred]
+	if rows > 0 {
+		k := s.syms.pred(pred)
+		width := k.arity
+		if k.temporal {
 			width++
 		}
-		pr.db = newRelset(width, n)
+		pr.db = newRelset(width, rows)
+	}
+	if axis > 0 {
+		pr.byTime = make([]*relset, 0, axis)
 	}
 }
 

@@ -472,6 +472,92 @@ func TestOverlayForkRace(t *testing.T) {
 	}
 }
 
+// TestCloneAxisRace: two clones of one store share its time axis of p.
+// One extends the axis past its end and its spare capacity and forks the
+// shard in the overflow map; the other forks shards inside the axis and
+// adds a new overflow point. Meanwhile a reader reads every slot of the
+// parent. Under -race neither clone writes an axis another goroutine
+// reads, and every store holds exactly its own rows.
+func TestCloneAxisRace(t *testing.T) {
+	const points, far = 64, 5000
+	s := NewStore()
+	s.horizon = points + 8 // the axis has spare capacity a clone could append into
+	for tm := 0; tm < points; tm++ {
+		s.Insert(tfact("p", tm, "base"))
+	}
+	s.Insert(tfact("p", far, "base"))
+	p, _ := s.PredID("p", 1, true)
+	a, b := s.Clone(), s.Clone()
+	if cap(s.rels[p].byTime) == points {
+		t.Fatal("the parent's axis has no spare capacity")
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for tm := points; tm < 4*points; tm++ {
+			a.Insert(tfact("p", tm, "a"))
+		}
+		a.Insert(tfact("p", far, "a"))
+	}()
+	go func() {
+		defer wg.Done()
+		for tm := 0; tm < points; tm += 2 {
+			b.Insert(tfact("p", tm, "b"))
+		}
+		b.Insert(tfact("p", 2*far, "b"))
+	}()
+	go func() {
+		defer wg.Done()
+		for tm := 0; tm <= 2*far; tm++ {
+			want := tm < points || tm == far
+			if got := s.Has(tfact("p", tm, "base")); got != want {
+				t.Errorf("parent: p(%d, base) = %v, want %v", tm, got, want)
+			}
+		}
+	}()
+	wg.Wait()
+
+	for _, c := range []struct {
+		name string
+		s    *Store
+		own  func(tm int) []string
+	}{
+		{"parent", s, func(int) []string { return nil }},
+		{"a", a, func(tm int) []string {
+			if tm >= points && tm < 4*points || tm == far {
+				return []string{"a"}
+			}
+			return nil
+		}},
+		{"b", b, func(tm int) []string {
+			if tm < points && tm%2 == 0 || tm == 2*far {
+				return []string{"b"}
+			}
+			return nil
+		}},
+	} {
+		for tm := 0; tm <= 2*far; tm++ {
+			want := c.own(tm)
+			if tm < points || tm == far {
+				want = append(want, "base")
+			}
+			var got []string
+			for _, f := range c.s.Snapshot(tm) {
+				got = append(got, f.Args[0])
+			}
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s at %d: %v, want %v", c.name, tm, got, want)
+			}
+		}
+		if err := checkStoreIndexes(c.s); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
 // TestPropositionShard: a temporal predicate of arity 0 holds the one row
 // () wherever it holds, so every time point where it holds points at one
 // shared shard. Evaluated to 256 and to 4 096 states, tick has one

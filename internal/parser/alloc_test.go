@@ -16,6 +16,9 @@ import (
 // most 250 bytes; an interval point exactly its ast.Fact and args (one
 // regrowth passes that); a non-ground interval fails before sizing for its
 // points; a 64-atom query costs no more than when each atom grew its args.
+// Neither a comment nor a quoted constant sizes a buffer: a 1 MiB comment
+// of dots costs at most 4 KB, and a 1 MiB quoted constant of commas no
+// more than before the parser presized its buffers (5 242 848 bytes).
 func TestAllocBudgetParseDatabase(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, ski := workload.Ski(workload.SkiParams{YearLen: 365, Resorts: 64, Planes: 128, Holidays: 10, Seed: 1})
@@ -56,6 +59,8 @@ func TestAllocBudgetParseDatabase(t *testing.T) {
 		{"ski database", db, ski, "", len(skiDB.Facts), 250},
 		{"interval points", db, "winter(0..4095, alps).", "winter(0..0, alps).", 4095, float64(unsafe.Sizeof(ast.Fact{}) + unsafe.Sizeof("alps"))},
 		{"non-ground interval", rejects, "p(0..1048575, X).", "", 1, 4096},
+		{"comment of dots", db, "%" + strings.Repeat(".", 1<<20), "", 1, 4096},
+		{"quoted constant of commas", db, "p('" + strings.Repeat(",", 1<<20) + "').", "", 1, 5.25e6},
 		{"64-atom query", query, "exists T (" + strings.Join(atoms, " & ") + ")", "", 64, 62824.0 / 64},
 	} {
 		b := bytes(c.parse, c.src)

@@ -90,8 +90,11 @@ echo "==> store allocation budgets"
 # PropositionShard: an arity-0 temporal predicate has one shared shard however long the window.
 # PropositionLineageRace: clone lineages join against that shard at once; the -race line below checks it.
 # ForkFirstInsert: the first ingest into a fork of a never-ingested root costs the same objects at |D| = 257 and 16 385.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace
-go test -race -count=1 -run '^TestPropositionLineageRace$' ./internal/engine/
+# CloneAxis: a clone plus one write into one of k temporal predicates copies one time axis, the same objects at k = 1 and 8.
+# NewAxis: New allocates each predicate's time axis once, at its final length, for a database in ascending time order.
+# CloneAxisRace: two clones extend and fork one shared axis while the parent is read; the -race line below checks it.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace TestAllocBudgetCloneAxis TestAllocBudgetNewAxis TestCloneAxisRace
+go test -race -count=1 -run '^(TestPropositionLineageRace|TestCloneAxisRace)$' ./internal/engine/
 # Copy-on-write overlays: every shard along a random tree of store clones
 # equals a flat rebuild of its lineage's rows; a fork leaves the frozen
 # shard as it was and a flatten carries its indexes; and sibling forks
@@ -105,7 +108,8 @@ require_test ./internal/query/ TestAllocBudgetClosedQuery TestAllocBudgetOpenQue
 # The parser's: a database is parsed into buffers sized once, so a fact of
 # the bench's ski database costs at most 250 bytes, an interval point one
 # ast.Fact, and a 64-atom query no more than when each atom grew its own
-# argument slice. EngineStats, which every cold bench op reads, reads
+# argument slice; a 1 MiB comment of dots or quoted constant of commas
+# sizes no buffer from what it holds. EngineStats, which every cold bench op reads, reads
 # three counters in place and allocates nothing.
 require_test ./internal/parser/ TestAllocBudgetParseDatabase
 require_test . TestAllocBudgetEngineStats
