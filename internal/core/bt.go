@@ -193,14 +193,14 @@ func b2i(v bool) int64 {
 // Lint runs the Tier-A static analyzer over the processor's program and
 // database. The rules-only passes come from the program's rule analysis,
 // computed once per program; only the passes that read the database run
-// here. Never-fires reads the certified evaluator's per-rule firing
-// counts, which a fork inherits from its parent through Clone, and
-// evaluates nothing: the certified window already holds every rule
-// instance up to a shift by the period. So Lint certifies a cold BT
-// first and on a warm one takes no lock; when certification fails
-// never-fires is skipped and the structural passes still run. source,
-// when non-empty, is the raw unit text inline "tddlint:ignore"
-// suppressions are read from.
+// here, on its signatures: D is never rendered. Never-fires reads the
+// certified evaluator's per-rule firing counts, which a fork inherits
+// from its parent through Clone, and evaluates nothing: the certified
+// window already holds every rule instance up to a shift by the period.
+// So Lint certifies a cold BT first and on a warm one takes no lock;
+// when certification fails never-fires is skipped and the structural
+// passes still run. source, when non-empty, is the raw unit text inline
+// "tddlint:ignore" suppressions are read from.
 func (b *BT) Lint(source string) lint.Result {
 	opts := lint.Options{Source: source, MaxWindow: b.maxWindow}
 	if s, err := b.Specification(); err == nil {
@@ -314,6 +314,18 @@ func (b *BT) EngineStats() engine.Stats {
 		defer b.mu.Unlock()
 	}
 	return b.eval.Stats()
+}
+
+// Database returns the database D, its facts read back from the
+// evaluator's store (engine.Evaluator.Facts). It takes mu by EngineStats'
+// rule: only while the BT is cold, when a certification may be
+// re-pointing the store's time axes.
+func (b *BT) Database() *ast.Database {
+	if !b.Certified() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+	}
+	return &ast.Database{Facts: b.eval.Facts(), Preds: b.eval.Database().Preds}
 }
 
 // EngineTotals returns EngineStats' aggregate counters — derived,

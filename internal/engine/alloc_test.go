@@ -212,14 +212,14 @@ func TestAllocBudgetForkWrite(t *testing.T) {
 // Asserts does — a clone of the evaluator plus InsertBase of a database
 // fact that brings a fresh constant in allocates the same few objects
 // (< 2 KB) whether the database holds 256 facts or 16 384: the clone
-// shares the fact log and both symbol tables and appends past their ends,
-// and the write into the shared shard copies only its overlay's tail.
+// shares both symbol tables and appends past their ends, and the write
+// into the shared shard copies only its overlay's tail.
 // What remains is fixed: the evaluator, its store, the store's predicate
 // array and one overlay (the store also answers database membership).
 // The chain is measured for fewer than tailCap steps; at tailCap an
 // overlay is flattened and a symbol tail folded, O(shard) and O(symbols)
-// once per tailCap writes. The bytes are the median step's: a log that
-// outgrows its array regrows on one step, amortized O(1) per append.
+// once per tailCap writes. The bytes are the median step's: a symbol log
+// that outgrows its array regrows on one step, amortized O(1) per append.
 func TestAllocBudgetForkInsertBase(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 12 // two measured chains of runs+1 steps each stay below tailCap
@@ -246,7 +246,7 @@ func TestAllocBudgetForkInsertBase(t *testing.T) {
 			}
 			next++
 		}
-		step() // the root's fact log has no spare capacity: one copy
+		step() // the root's symbol logs have no spare capacity: one copy
 		objects = append(objects, testing.AllocsPerRun(runs, step))
 		perStep := make([]uint64, runs)
 		for i := range perStep {
@@ -271,9 +271,8 @@ func TestAllocBudgetForkInsertBase(t *testing.T) {
 // TestAllocBudgetForkFirstInsert: the first ingest into a fork of a root
 // that has never ingested — Clone, InsertBase of a fact of a predicate a
 // rule derives, PropagateDelta of it — allocates the same objects whether
-// the database holds 257 facts or 16 385, and no more than a few KB
-// beyond the one copy of the fact log (the root's has no spare capacity,
-// so the fork's first append copies it): the store tells a database fact
+// the database holds 257 facts or 16 385, and no more than 4 KB in all:
+// the database is held only by the store, which tells a database fact
 // from a derived one, and the planner's support seeds are read from its
 // counts, without a pass over the database.
 func TestAllocBudgetForkFirstInsert(t *testing.T) {
@@ -307,11 +306,10 @@ func TestAllocBudgetForkFirstInsert(t *testing.T) {
 			step()
 		}
 		runtime.ReadMemStats(&m1)
-		logCopy := cap(tip.facts.s) * int(unsafe.Sizeof(ast.Fact{}))
-		bytes := float64(m1.TotalAlloc-m0.TotalAlloc)/runs - float64(logCopy)
-		t.Logf("|D| = %d: %.0f objects, %.0f bytes beyond the log copy of %d", side*side+1, objects[len(objects)-1], bytes, logCopy)
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+		t.Logf("|D| = %d: %.0f objects, %.0f bytes", side*side+1, objects[len(objects)-1], bytes)
 		if bytes >= 4096 {
-			t.Errorf("|D| = %d: a fork's first insert allocates %.0f bytes beyond the log copy, budget 4 KB", side*side+1, bytes)
+			t.Errorf("|D| = %d: a fork's first insert allocates %.0f bytes, budget 4 KB", side*side+1, bytes)
 		}
 	}
 	if objects[0] != objects[1] {

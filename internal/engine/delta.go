@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"tdd/internal/ast"
@@ -37,23 +38,21 @@ type dfact struct {
 // Clone returns an independent evaluator over the same program: a
 // snapshot of the database, store, window, and counters. The program and
 // compiled rules are immutable after New and are shared, and so is the
-// database's fact log (sharedLog: the clone appends past the parent's
-// end, in place or into a copy) and its signature map until a new
-// predicate is admitted. The store, which also answers which facts are
-// the database's (Store.insertBase), is cloned copy-on-write. Writes to
-// the clone (InsertBase, PropagateDelta, EnsureWindow) are invisible to
-// the original, which makes Clone the basis of the copy-on-write
-// snapshot discipline used by incremental ingestion. The counter block is
-// handed over copy-on-write (counters.clone), so neither side's counts,
-// profile included, move with the other's work. Join plans are recomputed
-// at every fixpoint entry, so they and the scratch buffers start empty.
+// database's signature map until a new predicate is admitted. The store,
+// which holds the database's facts (Evaluator.Facts), is cloned
+// copy-on-write. Writes to the clone (InsertBase, PropagateDelta,
+// EnsureWindow) are invisible to the original, which makes Clone the
+// basis of the copy-on-write snapshot discipline used by incremental
+// ingestion. The counter block is handed over copy-on-write
+// (counters.clone), so neither side's counts, profile included, move with
+// the other's work. Join plans are recomputed at every fixpoint entry, so
+// they and the scratch buffers start empty.
 //
 //tddlint:resets plans deltaPlans headBuf keyBuf delta next
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		prog:      e.prog,
-		db:        e.db,
-		facts:     e.facts,
+		preds:     e.preds,
 		depth:     e.depth,
 		lookback:  e.lookback,
 		hmax:      e.hmax,
@@ -97,21 +96,17 @@ func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
 	if prev, ok := e.prog.Preds[f.Pred]; ok && prev != info {
 		return false, fmt.Errorf("engine: fact %s conflicts with program signature %v", f, prev)
 	}
-	if prev, ok := e.db.Preds[f.Pred]; ok && prev != info {
+	if prev, ok := e.preds[f.Pred]; ok && prev != info {
 		return false, fmt.Errorf("engine: fact %s conflicts with database signature %v", f, prev)
 	}
 	if !e.store.insertBase(f, e.derived[f.Pred]) {
 		return false, nil
 	}
-	e.facts.append(f)
-	e.db.Facts = e.facts.view()
-	if _, ok := e.db.Preds[f.Pred]; !ok {
-		preds := make(map[string]ast.PredInfo, len(e.db.Preds)+1)
-		for k, v := range e.db.Preds {
-			preds[k] = v
-		}
+	if _, ok := e.preds[f.Pred]; !ok {
+		preds := make(map[string]ast.PredInfo, len(e.preds)+1)
+		maps.Copy(preds, e.preds)
 		preds[f.Pred] = info
-		e.db.Preds = preds
+		e.preds = preds
 		e.bounds = nil
 	}
 	if f.Temporal && f.Time > e.depth {

@@ -44,11 +44,11 @@ type crule struct {
 // temporal window.
 type Evaluator struct {
 	prog *ast.Program
-	// db is the database the evaluator was built with plus every fact
-	// InsertBase added: its Facts is facts' view, its Preds a map that
-	// clones share and a new predicate replaces rather than writes.
-	db    ast.Database
-	facts sharedLog[ast.Fact]
+	// preds is the database's signature map: the one the evaluator was
+	// built with, shared by clones and replaced rather than written when
+	// InsertBase admits a predicate. D's facts live only in the store
+	// (Facts reads them back).
+	preds map[string]ast.PredInfo
 	// depth is the database's temporal depth c, kept up to date on
 	// insert; lookback and hmax are the program's certificate width G and
 	// maximum head depth (Lookback, MaxHeadDepth), computed by New.
@@ -110,8 +110,7 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 	if err := db.CheckAgainst(prog); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{prog: prog, db: *db, facts: newSharedLog(db.Facts), store: NewStore(), evaluated: -1}
-	e.db.Facts = e.facts.view()
+	e := &Evaluator{prog: prog, preds: db.Preds, store: NewStore(), evaluated: -1}
 	e.lookback, e.hmax = Lookback(prog), MaxHeadDepth(prog)
 	for _, r := range prog.Rules {
 		// Rules are compiled with their ORIGINAL depths. Shifting all
@@ -256,11 +255,16 @@ func (e *Evaluator) SetTrace(tr *obs.Trace) { e.tr = tr }
 // Trace returns the attached trace (nil when tracing is disabled).
 func (e *Evaluator) Trace() *obs.Trace { return e.tr }
 
-// Database returns the database: the one the evaluator was built with
-// plus every fact InsertBase added. Its fact slice has no spare capacity,
-// so appending to it copies; callers must not write its elements or its
-// signature map.
-func (e *Evaluator) Database() *ast.Database { return &e.db }
+// Database returns the database's signatures — of the one the evaluator
+// was built with and of every predicate InsertBase admitted — as a
+// database without facts, for the readers that need no more; callers
+// must not write the map. Facts reads the facts back.
+func (e *Evaluator) Database() *ast.Database { return &ast.Database{Preds: e.preds} }
+
+// Facts returns D: the facts the evaluator was built with and every fact
+// InsertBase added, each once, in no particular order. D is read back
+// from the store (Store.baseFacts), which holds it once.
+func (e *Evaluator) Facts() []ast.Fact { return e.store.baseFacts(e.derived) }
 
 // DatabaseDepth returns c, the database's maximum temporal depth
 // (ast.Database.MaxDepth), without a pass over the facts.

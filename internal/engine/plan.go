@@ -48,7 +48,7 @@ type joinPlan struct {
 // determinism contract above.
 func (e *Evaluator) planJoins() {
 	if e.bounds == nil {
-		e.bounds = progan.ComputeBounds(e.prog, &e.db)
+		e.bounds = progan.ComputeBounds(e.prog, e.Database())
 	}
 	if len(e.en.vals) < e.maxSlots {
 		e.en.vals = make([]uint32, e.maxSlots)
@@ -180,7 +180,7 @@ func (e *Evaluator) estCost(r *crule, li int, bound []bool) uint64 {
 // dbCount returns the number of database facts of the named predicate,
 // read from the store (Store.insertBase): the count support seeds sum.
 func (e *Evaluator) dbCount(pred string) int {
-	info := e.db.Preds[pred]
+	info := e.preds[pred]
 	id, ok := e.store.PredID(pred, info.Arity, info.Temporal)
 	if !ok {
 		return 0

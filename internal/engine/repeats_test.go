@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tdd/internal/ast"
@@ -256,4 +257,88 @@ p(0, a). p(4, a).
 			}
 		}
 	}
+}
+
+// TestFactsReadBack: Facts reads D back from the store, so it must equal,
+// as a set, the deduplicated facts given to New plus every fact
+// InsertBase added — for a rule-head temporal predicate with database
+// facts (p, and the proposition tick) and one without (q), a non-head
+// temporal predicate with a fact past the dense axis (r), an arity-0
+// non-head proposition (on), non-temporal predicates with and without a
+// rule (h, s) and predicates InsertBase admits — after New, after
+// EnsureWindow has stored state 26 as state 20's shards (w and on
+// included), after spec.Compute's ShareRepeats, and on two Clone
+// lineages that each insert, whose parent stays as it was.
+func TestFactsReadBack(t *testing.T) {
+	const src = `p(T+2, X) :- p(T, X).
+q(T+1, X) :- p(T, X), w(T, X), on(T).
+q(T+1, X) :- r(T, X), s(X).
+tick(T+3) :- tick(T).
+h(X) :- s(X).
+p(0, a). p(1, b). p(0, a).
+w(0, a). w(2, a). w(4, a). w(6, a). w(1, b). w(20, k). w(26, k).
+on(0). on(2). on(4). on(20). on(26).
+r(3, a). r(5000, b).
+tick(0).
+s(a). s(b). s(a).
+h(z).
+`
+	prog, db, err := parser.ParseUnit(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(facts []ast.Fact) []string {
+		out := make([]string, len(facts))
+		for i, f := range facts {
+			out[i] = f.String()
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	check := func(when string, e *engine.Evaluator, want []ast.Fact) {
+		t.Helper()
+		got := e.Facts()
+		if w := set(want); !slices.Equal(set(got), w) || len(got) != len(w) {
+			t.Fatalf("%s: Facts() = %v, want each of %v once", when, set(got), w)
+		}
+	}
+	e, err := engine.New(prog, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after New", e, db.Facts)
+	e.EnsureWindow(40)
+	if !e.Store().SameShards(26, 20) {
+		t.Fatal("state 26 was not stored as state 20's shards: the test lost its shared case")
+	}
+	check("after EnsureWindow", e, db.Facts)
+	if _, err := spec.Compute(e, 1<<14); err != nil {
+		t.Fatal(err)
+	}
+	check("after spec.Compute", e, db.Facts)
+
+	tfact := func(pred string, time int, args ...string) ast.Fact {
+		return ast.Fact{Pred: pred, Temporal: true, Time: time, Args: args}
+	}
+	ntfact := func(pred string, args ...string) ast.Fact { return ast.Fact{Pred: pred, Args: args} }
+	batches := [][]ast.Fact{
+		{tfact("p", 3, "c"), tfact("q", 2, "a"), tfact("r", 9000, "a"), tfact("on", 6), ntfact("newp", "c", "d")},
+		{tfact("w", 8, "b"), tfact("tick", 1), ntfact("s", "c"), ntfact("h", "y"), tfact("newt", 7, "x"), tfact("p", 0, "a")},
+	}
+	for i, batch := range batches {
+		c := e.Clone()
+		for _, f := range batch {
+			if _, err := c.InsertBase(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.PropagateDelta(batch)
+		want := append(slices.Clone(db.Facts), batch...)
+		check(fmt.Sprintf("lineage %d after InsertBase", i), c, want)
+		if _, err := spec.Compute(c, 1<<14); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("lineage %d after spec.Compute", i), c, want)
+	}
+	check("parent after its lineages", e, db.Facts)
 }

@@ -3,9 +3,9 @@ package engine
 import "sync/atomic"
 
 // sharedLog is an append-only slice whose backing array is shared by a
-// lineage of clones: the evaluator's database facts and the symbol
-// table's constants, hashes and predicates. A clone copies the slice header, not
-// the elements, so a fork costs O(1) whatever the log holds.
+// lineage of clones: the symbol table's constants, hashes and
+// predicates. A clone copies the slice header, not the elements, so a
+// fork costs O(1) whatever the log holds.
 //
 // Two clones of one parent hold the same prefix and may both append at
 // the same position n. The first to claim n — a compare-and-swap on the
@@ -45,7 +45,3 @@ func (l *sharedLog[T]) append(v T) {
 	l.claim = &logClaim{}
 	l.claim.n.Store(int64(n + 1))
 }
-
-// view returns the elements with capacity cut to length, so no holder
-// can append into the shared array.
-func (l *sharedLog[T]) view() []T { return l.s[:len(l.s):len(l.s)] }

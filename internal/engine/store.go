@@ -1223,16 +1223,15 @@ func (s *Store) StateKey(t int) string {
 	for i := range s.rels {
 		rs := s.rels[i].get(t)
 		for n := 0; n < rs.size(); n++ {
-			lines = append(lines, s.syms.pred(uint32(i)).name+"\x01"+strings.Join(s.args(rs, uint32(n)), "\x00"))
+			lines = append(lines, s.syms.pred(uint32(i)).name+"\x01"+strings.Join(s.names(rs.row(uint32(n))), "\x00"))
 		}
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\x02")
 }
 
-// args renders row n of rs as constants.
-func (s *Store) args(rs *relset, n uint32) []string {
-	row := rs.row(n)
+// names renders a row of symbol ids as constants.
+func (s *Store) names(row []uint32) []string {
 	out := make([]string, len(row))
 	for i, id := range row {
 		out[i] = s.syms.name(id)
@@ -1241,32 +1240,56 @@ func (s *Store) args(rs *relset, n uint32) []string {
 }
 
 // appendFacts renders the rows of one shard of predicate pred as facts
-// without a temporal argument.
-func (s *Store) appendFacts(out []ast.Fact, pred int, rs *relset) []ast.Fact {
+// at time point t, or without a temporal argument when t is -1.
+func (s *Store) appendFacts(out []ast.Fact, pred int, rs *relset, t int) []ast.Fact {
 	for n := 0; n < rs.size(); n++ {
-		out = append(out, ast.Fact{Pred: s.syms.pred(uint32(pred)).name, Args: s.args(rs, uint32(n))})
+		out = append(out, ast.Fact{Pred: s.syms.pred(uint32(pred)).name, Temporal: t >= 0, Time: max(t, 0), Args: s.names(rs.row(uint32(n)))})
+	}
+	return out
+}
+
+// baseFacts reads the database facts back, each once and in no
+// particular order: a predicate that heads a rule (head) from its
+// database shard, whose rows carry a temporal fact's time point in
+// column 0 (insertBase), and any other from its own shards, which hold
+// nothing else.
+func (s *Store) baseFacts(head map[string]bool) []ast.Fact {
+	var out []ast.Fact
+	for i := range s.rels {
+		pr, k := &s.rels[i], s.syms.pred(uint32(i))
+		if !head[k.name] {
+			out = s.appendFacts(out, i, pr.nt, -1)
+			pr.each(func(t int, rs *relset) { out = s.appendFacts(out, i, rs, t) })
+			continue
+		}
+		for n := 0; n < pr.db.size(); n++ {
+			row := pr.db.row(uint32(n))
+			f := ast.Fact{Pred: k.name, Temporal: k.temporal, Args: s.names(row[len(row)-k.arity:])}
+			if k.temporal {
+				f.Time = int(row[0])
+			}
+			out = append(out, f)
+		}
 	}
 	return out
 }
 
 // State returns the state L[t] as sorted facts with the temporal argument
 // projected out (the paper's M[t]).
-func (s *Store) State(t int) []ast.Fact {
-	var out []ast.Fact
-	for i := range s.rels {
-		out = s.appendFacts(out, i, s.rels[i].get(t))
-	}
-	ast.SortFacts(out)
-	return out
-}
+func (s *Store) State(t int) []ast.Fact { return s.stateFacts(t, -1) }
 
 // Snapshot returns the snapshot L(t) as sorted temporal facts (the paper's
 // M(t): tuples with their temporal argument).
-func (s *Store) Snapshot(t int) []ast.Fact {
-	out := s.State(t)
-	for i := range out {
-		out[i].Temporal, out[i].Time = true, t
+func (s *Store) Snapshot(t int) []ast.Fact { return s.stateFacts(t, t) }
+
+// stateFacts renders the state L[t] as sorted facts at time point at, or
+// without a temporal argument when at is -1 (appendFacts).
+func (s *Store) stateFacts(t, at int) []ast.Fact {
+	var out []ast.Fact
+	for i := range s.rels {
+		out = s.appendFacts(out, i, s.rels[i].get(t), at)
 	}
+	ast.SortFacts(out)
 	return out
 }
 
@@ -1274,7 +1297,7 @@ func (s *Store) Snapshot(t int) []ast.Fact {
 func (s *Store) NonTemporalFacts() []ast.Fact {
 	var out []ast.Fact
 	for i := range s.rels {
-		out = s.appendFacts(out, i, s.rels[i].nt)
+		out = s.appendFacts(out, i, s.rels[i].nt, -1)
 	}
 	ast.SortFacts(out)
 	return out

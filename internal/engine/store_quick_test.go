@@ -144,7 +144,7 @@ func TestFingerprintAgreesWithStateKey(t *testing.T) {
 func storedRows(s *Store, rs *relset) [][]string {
 	var got [][]string
 	for _, n := range bucketRows(rs, 0, nil) {
-		got = append(got, s.args(rs, n))
+		got = append(got, s.names(rs.row(n)))
 	}
 	return got
 }

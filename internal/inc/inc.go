@@ -22,9 +22,10 @@
 // writes cost what the delta writes, not what the model holds: a store
 // clone shares every shard, a write into a shared shard overlays it with
 // a short private tail of the new rows instead of copying it; the
-// database's fact log and the symbol tables are shared and appended past
-// the parent's end; and the store itself tells a batch's new database
-// facts from its duplicates, which costs the batch no pass over D.
+// symbol tables are shared and appended past the parent's end; and the
+// store, the one holder of the database D, itself tells a batch's new
+// database facts from its duplicates, which costs the batch no pass
+// over D.
 //
 // Delta propagation re-fires pinned rules through the evaluator's own
 // join plans, so the maintained model — and hence the re-certified

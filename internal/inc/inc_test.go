@@ -83,7 +83,7 @@ func TestOracleRandomIngestionOrders(t *testing.T) {
 			}
 
 			// From-scratch evaluation of the final fact set.
-			e2, err := engine.New(prog, e.Database().Clone())
+			e2, err := engine.New(prog, &ast.Database{Facts: e.Facts(), Preds: e.Database().Preds})
 			if err != nil {
 				t.Fatal(err)
 			}

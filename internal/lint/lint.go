@@ -255,7 +255,9 @@ func Run(prog *ast.Program, db *ast.Database, opts Options) Result {
 // database (reach, never-fires, relevance) run on db, and their findings
 // join the precomputed rule analysis. Never-fires reads the per-rule
 // firing counts of opts.Spec's evaluator and writes nothing to it, so
-// Check may run beside any other reader of a certified evaluator.
+// Check may run beside any other reader of a certified evaluator. Only
+// db's signatures are read, unless opts.Spec is nil: then never-fires
+// certifies db's facts itself.
 func Check(rules *Rules, db *ast.Database, opts Options) Result {
 	if opts.MaxWindow <= 0 {
 		opts.MaxWindow = defaultMaxWindow

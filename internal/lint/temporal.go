@@ -19,14 +19,17 @@ import (
 // the delete-safety claim sound. The check reads the certified evaluator
 // and never evaluates anything itself.
 //
-// Preconditions: a database with facts and a certifiable period within
-// opts.MaxWindow; the check is skipped (no findings) otherwise.
+// Preconditions: a database with facts and a certified period — opts.Spec,
+// or one certified here from db's facts within opts.MaxWindow; the check
+// is skipped (no findings) otherwise. A database has facts exactly when
+// it has signatures, so with opts.Spec only the signatures are read and
+// core.BT.Lint passes no facts.
 //
 // Rules in skip are not checked. Counters only grow and the least model
 // is monotone in the database, so a firing the evaluator inherited
 // through a clone from an ancestor's model holds in this one too.
 func checkNeverFires(prog *ast.Program, db *ast.Database, opts Options, skip map[int]bool) []Diagnostic {
-	if db == nil || len(db.Facts) == 0 {
+	if db == nil || len(db.Preds) == 0 || opts.Spec == nil && len(db.Facts) == 0 {
 		return nil
 	}
 	s := opts.Spec

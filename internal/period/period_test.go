@@ -250,7 +250,7 @@ func oracleDetect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
 			keys[t] = e.Store().StateKey(t)
 		}
 		return keys
-	}, e.Database().MaxDepth(), Lookback(e.Program()), MaxHeadDepth(e.Program()), maxWindow)
+	}, e.DatabaseDepth(), Lookback(e.Program()), MaxHeadDepth(e.Program()), maxWindow)
 	st := Stats{Window: d.Window, Grown: d.Grown}
 	if !d.OK {
 		return Period{}, st, ErrWindowExceeded

@@ -89,11 +89,12 @@ echo "==> store allocation budgets"
 # ShrinkingStates: a small state sized from a large one gives back what it did not use when it closes.
 # PropositionShard: an arity-0 temporal predicate has one shared shard however long the window.
 # PropositionLineageRace: clone lineages join against that shard at once; the -race line below checks it.
-# ForkFirstInsert: the first ingest into a fork of a never-ingested root costs the same objects at |D| = 257 and 16 385.
+# ForkFirstInsert: the first ingest into a fork of a never-ingested root costs the same objects at |D| = 257 and 16 385, and under 4 KB in all.
 # CloneAxis: a clone plus one write into one of k temporal predicates copies one time axis, the same objects at k = 1 and 8.
 # NewAxis: New allocates each predicate's time axis once, at its final length, for a database in ascending time order.
 # CloneAxisRace: two clones extend and fork one shared axis while the parent is read; the -race line below checks it.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace TestAllocBudgetCloneAxis TestAllocBudgetNewAxis TestCloneAxisRace
+# FactsReadBack: the database read back from the store equals the facts given to New plus those InsertBase added, after shared states and on clone lineages.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace TestAllocBudgetCloneAxis TestAllocBudgetNewAxis TestCloneAxisRace TestFactsReadBack
 go test -race -count=1 -run '^(TestPropositionLineageRace|TestCloneAxisRace)$' ./internal/engine/
 # Copy-on-write overlays: every shard along a random tree of store clones
 # equals a flat rebuild of its lineage's rows; a fork leaves the frozen

@@ -138,14 +138,15 @@ func (m *slicedModel) covers(goals []string) bool {
 // the window budget and nothing else: a snapshot with observability hooks
 // never gets here.
 func (m *slicedModel) build(st *dbState) {
-	m.consts = st.facts.Constants()
+	db := st.bt.Database()
+	m.consts = db.Constants()
 	m.eligible = headConstantsCovered(st.prog, m.consts)
 	prog, err := m.sl.Program()
 	if err != nil {
 		m.err = err
 		return
 	}
-	facts, err := m.sl.Database(st.facts)
+	facts, err := m.sl.Database(db)
 	if err != nil {
 		m.err = err
 		return
@@ -194,14 +195,14 @@ type GraphReport = progan.ReportJSON
 // temporal depth bounds, and base-reachability.
 func (d *DB) Graph() string {
 	st := d.state()
-	return progan.Analyze(st.prog, st.facts).Render()
+	return progan.Analyze(st.prog, st.bt.Evaluator().Database()).Render()
 }
 
 // GraphJSON returns the dependency report in wire form (tddserve's
 // /debug/graph payload).
 func (d *DB) GraphJSON() GraphReport {
 	st := d.state()
-	return progan.Analyze(st.prog, st.facts).JSON()
+	return progan.Analyze(st.prog, st.bt.Evaluator().Database()).JSON()
 }
 
 // SliceInfo describes the slice a query's predicates select.

@@ -132,7 +132,7 @@ func retainedHeap(build func() any) float64 {
 func TestOneSlicedSlot(t *testing.T) {
 	var unit strings.Builder
 	unit.WriteString("a(T+7, X) :- a(T, X).\nb(T+7, X) :- b(T, X).\n")
-	for i := 0; i < 6000; i++ {
+	for i := 0; i < 13000; i++ {
 		fmt.Fprintf(&unit, "a(%d, k%d). b(%d, k%d).\n", i%7, i, (i+3)%7, i)
 	}
 

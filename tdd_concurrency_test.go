@@ -422,10 +422,11 @@ func TestLintDuringWarmReads(t *testing.T) {
 	}
 }
 
-// TestForkLineagesShareLogs: forks share their parent's fact log and
-// symbol tables and append past its end, so two lineages of one warm
-// parent write into one backing array until one of them loses a slot to
-// the other and copies. P is a warm snapshot whose logs have spare
+// TestForkLineagesShareLogs: forks share their parent's symbol tables
+// and append past their end, so two lineages of one warm parent write
+// into one backing array until one of them loses a slot to the other and
+// copies; the database they share is the store's shards, from which
+// Facts() reads it back. P is a warm snapshot whose logs have spare
 // capacity; A := P.Fork() asserts x, taking the slot after P's end. Then
 // P's lineage and a second fork of P (both find that slot taken and
 // copy), and A's lineage and a fork of A (racing for the next slot) each

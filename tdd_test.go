@@ -176,16 +176,30 @@ func TestClassifyMethodsAndFunction(t *testing.T) {
 
 // TestRulesFactsRoundTrip: Rules and Facts reopen the same model, split or
 // as one unit — including sorts the text alone would re-infer otherwise.
+// Facts renders each database fact once: a repeated fact, or one a rule
+// also derives, renders as in the unit without the repetition (dedup).
 func TestRulesFactsRoundTrip(t *testing.T) {
-	for _, unit := range []string{
-		skiUnit,
-		"r(T) :- p(T). p(3).",
-		"@nontemporal score. best(J) :- score(10, J). score(10, john).",
-		"alert(T+1, S) :- alert(T, S), fragile(S).\n@nontemporal score.\nalert(0, api). fragile(api). score(10, alice).",
+	for _, tc := range []struct{ unit, dedup string }{
+		{unit: skiUnit},
+		{unit: "r(T) :- p(T). p(3)."},
+		{unit: "@nontemporal score. best(J) :- score(10, J). score(10, john)."},
+		{unit: "alert(T+1, S) :- alert(T, S), fragile(S).\n@nontemporal score.\nalert(0, api). fragile(api). score(10, alice)."},
+		{unit: "r(T) :- p(T). p(1). p(1). r(1). best(j) :- score(j). score(j). best(j). score(j).",
+			dedup: "r(T) :- p(T). p(1). r(1). best(j) :- score(j). score(j). best(j)."},
 	} {
+		unit := tc.unit
 		db, err := OpenUnit(unit)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.dedup != "" {
+			once, err := OpenUnit(tc.dedup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := db.Facts(), once.Facts(); got != want {
+				t.Errorf("%q: Facts() =\n%swant\n%s", unit, got, want)
+			}
 		}
 		want, err := db.ModelFingerprint()
 		if err != nil {
@@ -214,6 +228,32 @@ func TestWithMaxWindow(t *testing.T) {
 	}
 	if _, err := db.Period(); err == nil {
 		t.Error("expected window-budget error")
+	}
+}
+
+// TestLintNeverFiresPreconditions: DB.Lint reports no TDL004 (never
+// fires) without database facts or without a period certified within
+// WithMaxWindow. Lint is handed the database's signatures, not its
+// facts, so neither case may fall back to certifying a factless model.
+func TestLintNeverFiresPreconditions(t *testing.T) {
+	for _, tc := range []struct {
+		name, unit string
+		opts       []Option
+	}{
+		{"empty database", "p(T+1) :- p(T).\nq(T) :- p(T), r(T).\n", nil},
+		{"period over the window budget",
+			"a(T+2) :- a(T).\nb(T+3) :- b(T).\nc(T+5) :- c(T).\nq(T) :- a(T), r(T).\na(0). b(0). c(0). r(1).",
+			[]Option{WithMaxWindow(16)}},
+	} {
+		db, err := OpenUnit(tc.unit, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range db.Lint("").Diagnostics {
+			if d.Code == "TDL004" {
+				t.Errorf("%s: %s", tc.name, d.Message)
+			}
+		}
 	}
 }
 
