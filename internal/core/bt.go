@@ -328,6 +328,18 @@ func (b *BT) Database() *ast.Database {
 	return &ast.Database{Facts: b.eval.Facts(), Preds: b.eval.Database().Preds}
 }
 
+// SliceDatabase returns what a sliced processor is built from: the facts
+// of D over the predicates keep accepts, and the constants of all of D,
+// sorted. The facts of the other predicates are not rendered. It takes mu
+// by Database's rule.
+func (b *BT) SliceDatabase(keep func(pred string) bool) ([]ast.Fact, []string) {
+	if !b.Certified() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+	}
+	return b.eval.SliceFacts(keep)
+}
+
 // EngineTotals returns EngineStats' aggregate counters — derived,
 // firings, sweeps — without its tables, so the read allocates nothing.
 // It takes mu by EngineStats' rule: only while the BT is cold.

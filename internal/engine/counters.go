@@ -72,10 +72,9 @@ type ruleRec struct {
 	// literal scan counters, len(lits) per stratum.
 	strata []stratum
 	cells  []litCell
-	// shared marks a record another evaluator's block also holds (set by
-	// counters.clone): it is frozen, and counters.own copies it before a
-	// write.
-	shared bool
+	// epoch is the store epoch of the evaluator that may write the record
+	// (see Store): any other copies it first (counters.own).
+	epoch uint64
 }
 
 // strataCells readies stratum b and returns its literal cells. Growing
@@ -94,9 +93,11 @@ func (rec *ruleRec) strataCells(b int) []litCell {
 // plan steps' index probes and scans, and the join profiler's cells — is
 // written here by that evaluator alone, and Stats and ProfileSnapshot are
 // views of it. Clone hands the clone its parent's records copy-on-write,
-// the way the store shares shards (relset.shared): both sides copy a
-// record before their first write to it, so a clone pays only for the
-// rules its delta fires and neither side writes what the other reads.
+// under the store's epoch rule (see Store): the records carry the
+// evaluator's store epoch, which a clone changes on both sides, so both
+// copy a record before their first write to it. A clone pays only for
+// the rules its delta fires, and neither side writes what the other
+// reads.
 type counters struct {
 	sweeps  int
 	rules   []*ruleRec // by rule index
@@ -107,31 +108,18 @@ type counters struct {
 	work int64
 }
 
-// own returns rule i's record for writing, replacing one shared with
-// another block by a private copy first.
-func (c *counters) own(i int) *ruleRec {
+// own returns rule i's record for the writer of the given epoch,
+// replacing a record of another epoch by a copy of this one first.
+func (c *counters) own(i int, epoch uint64) *ruleRec {
 	rec := c.rules[i]
-	if rec.shared {
+	if rec.epoch != epoch {
 		cp := *rec
-		cp.shared = false
+		cp.epoch = epoch
 		cp.lits, cp.strata, cp.cells = slices.Clone(rec.lits), slices.Clone(rec.strata), slices.Clone(rec.cells)
 		rec = &cp
 		c.rules[i] = rec
 	}
 	return rec
-}
-
-// clone returns the block a clone of the evaluator starts from: the same
-// records, each now marked shared. A flag is written only when it
-// changes: a record already shared may be copied by another lineage's
-// writer, which reads it.
-func (c *counters) clone() counters {
-	for _, rec := range c.rules {
-		if !rec.shared {
-			rec.shared = true
-		}
-	}
-	return counters{sweeps: c.sweeps, rules: slices.Clone(c.rules), profile: c.profile}
 }
 
 // totals sums the rules' firings and derivations.

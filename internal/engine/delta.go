@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 
 	"tdd/internal/ast"
 )
@@ -43,9 +44,10 @@ type dfact struct {
 // copy-on-write. Writes to the clone (InsertBase, PropagateDelta,
 // EnsureWindow) are invisible to the original, which makes Clone the
 // basis of the copy-on-write snapshot discipline used by incremental
-// ingestion. The counter block is handed over copy-on-write
-// (counters.clone), so neither side's counts, profile included, move with
-// the other's work. Join plans are recomputed at every fixpoint entry, so
+// ingestion. The clone's counter block starts from the same records,
+// which the store clone's new epochs freeze to both sides (see
+// counters), so neither side's counts, profile included, move with the
+// other's work. Join plans are recomputed at every fixpoint entry, so
 // they and the scratch buffers start empty.
 //
 //tddlint:resets plans deltaPlans headBuf keyBuf delta next
@@ -59,7 +61,7 @@ func (e *Evaluator) Clone() *Evaluator {
 		store:     e.store.Clone(),
 		rules:     e.rules,
 		evaluated: e.evaluated,
-		ctr:       e.ctr.clone(),
+		ctr:       counters{sweeps: e.ctr.sweeps, rules: slices.Clone(e.ctr.rules), profile: e.ctr.profile},
 		occ:       e.occ, // immutable after New
 		tr:        e.tr,
 		derived:   e.derived, // immutable after New
@@ -207,7 +209,7 @@ func (e *Evaluator) fireDelta(r *crule, pin int, f dfact, T, m int, out *[]dfact
 	en.time = T
 	plan := &e.deltaPlans[r.idx][pin]
 	tup := e.store.shard(f.pred, f.time).row(f.row)
-	en.rec = e.ctr.own(r.idx)
+	en.rec = e.ctr.own(r.idx, e.store.epoch)
 	added := 0
 	mark := len(en.trail)
 	if !e.ctr.profile {

@@ -178,7 +178,7 @@ func New(prog *ast.Program, db *ast.Database) (*Evaluator, error) {
 	e.ctr.rules = make([]*ruleRec, len(e.rules))
 	e.occ = make([][]occurrence, len(e.store.rels))
 	for i := range e.rules {
-		e.ctr.rules[i] = &ruleRec{lits: make([]litCtr, len(e.rules[i].body))}
+		e.ctr.rules[i] = &ruleRec{lits: make([]litCtr, len(e.rules[i].body)), epoch: e.store.epoch}
 		for li, p := range e.rules[i].bodyP {
 			e.occ[p] = append(e.occ[p], occurrence{rule: i, lit: li})
 		}
@@ -264,7 +264,18 @@ func (e *Evaluator) Database() *ast.Database { return &ast.Database{Preds: e.pre
 // Facts returns D: the facts the evaluator was built with and every fact
 // InsertBase added, each once, in no particular order. D is read back
 // from the store (Store.baseFacts), which holds it once.
-func (e *Evaluator) Facts() []ast.Fact { return e.store.baseFacts(e.derived) }
+func (e *Evaluator) Facts() []ast.Fact {
+	facts, _ := e.store.baseFacts(e.derived, nil)
+	return facts
+}
+
+// SliceFacts returns what a sliced evaluator is built from: the facts of
+// D over the predicates keep accepts, without rendering the others, and
+// the constants of all of D, sorted — ast.Database.Constants of Facts,
+// read from the rows' symbol ids.
+func (e *Evaluator) SliceFacts(keep func(pred string) bool) ([]ast.Fact, []string) {
+	return e.store.baseFacts(e.derived, keep)
+}
 
 // DatabaseDepth returns c, the database's maximum temporal depth
 // (ast.Database.MaxDepth), without a pass over the facts.
@@ -481,7 +492,7 @@ func boundKey(dst []uint32, pat []carg, mask uint32, en *env) []uint32 {
 func (e *Evaluator) fireRule(r *crule, T int) int {
 	en := &e.en
 	en.time = T
-	en.rec = e.ctr.own(r.idx)
+	en.rec = e.ctr.own(r.idx, e.store.epoch)
 	added := 0
 	if !e.ctr.profile {
 		e.join(r, &e.plans[r.idx], 0, en, -1, nil, &added)

@@ -36,7 +36,7 @@ func bucketRows(rs *relset, mask uint32, key []uint32) []uint32 {
 	out := spanRows(sp)
 	for i := 0; tail != 0; i, tail = i+1, tail>>1 {
 		if tail&1 != 0 {
-			out = append(out, uint32(rs.base.n+i))
+			out = append(out, rs.base.n+uint32(i))
 		}
 	}
 	return out
@@ -54,13 +54,15 @@ func maskedKey(row []uint32, mask uint32) []uint32 {
 }
 
 // checkForm verifies the shape of a shard: a flat one holds all its rows
-// and, past smallShard rows, a membership table; an overlay sits one level over a flat shared base of more than
-// tinyShard rows, with a tail shorter than tailCap and no tables of its
+// and, past smallShard rows, a membership table; an overlay sits one
+// level over a flat base of more than tinyShard rows that the overlay's
+// writer cannot write (the two carry different epochs, unless both are
+// frozen at 0), with a tail shorter than tailCap and no tables of its
 // own.
 func checkForm(where string, rs *relset) error {
 	b := rs.base
 	if b == nil {
-		if len(rs.rows) != rs.n*int(rs.arity) {
+		if len(rs.rows) != int(rs.n)*int(rs.arity) {
 			return fmt.Errorf("%s: %d ids for %d rows of arity %d", where, len(rs.rows), rs.n, rs.arity)
 		}
 		if rs.tab == nil && rs.n > smallShard {
@@ -68,11 +70,11 @@ func checkForm(where string, rs *relset) error {
 		}
 		return nil
 	}
-	if b.base != nil || !b.shared || b.n <= tinyShard || rs.tab != nil || rs.idx.Load() != nil {
-		return fmt.Errorf("%s: overlay over a base that is flat %v, shared %v, %d rows; own tables %v %v",
-			where, b.base == nil, b.shared, b.n, rs.tab != nil, rs.idx.Load() != nil)
+	if b.base != nil || (b.epoch == rs.epoch && b.epoch != 0) || b.n <= tinyShard || rs.tab != nil || rs.idx.Load() != nil {
+		return fmt.Errorf("%s: overlay of epoch %d over a base that is flat %v, of epoch %d, %d rows; own tables %v %v",
+			where, rs.epoch, b.base == nil, b.epoch, b.n, rs.tab != nil, rs.idx.Load() != nil)
 	}
-	if tail := rs.n - b.n; tail < 1 || tail >= tailCap || len(rs.rows) != tail*int(rs.arity) {
+	if tail := int(rs.n - b.n); tail < 1 || tail >= tailCap || len(rs.rows) != tail*int(rs.arity) {
 		return fmt.Errorf("%s: overlay tail of %d rows in %d ids of arity %d (cap %d)", where, tail, len(rs.rows), rs.arity, tailCap)
 	}
 	return nil
@@ -104,11 +106,11 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 			return fmt.Errorf("%s: scan visits rows %v, want 0..%d in order", where, scan, rs.n-1)
 		}
 	}
-	if len(scan) != rs.n {
+	if len(scan) != int(rs.n) {
 		return fmt.Errorf("%s: scan visits %d of %d rows", where, len(scan), rs.n)
 	}
 	var fp Fingerprint
-	for n := 0; n < rs.n; n++ {
+	for n := 0; n < int(rs.n); n++ {
 		row := rs.row(uint32(n))
 		if got, ok := rs.find(row, hashVals(row)); !ok || got != uint32(n) {
 			return fmt.Errorf("%s: membership table maps row %d to %d, %v", where, n, got, ok)
@@ -121,7 +123,7 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 	if tbl := rs.idx.Load(); tbl != nil {
 		for _, ix := range tbl.entries {
 			fresh := (*idxTable)(nil).withMask(ix.mask, rs, nil).entries[0]
-			if len(ix.next) != rs.n || len(ix.first) != len(fresh.first) {
+			if len(ix.next) != int(rs.n) || len(ix.first) != len(fresh.first) {
 				return fmt.Errorf("%s mask %x: carried index covers %d rows in %d groups, rebuilt %d rows in %d groups",
 					where, ix.mask, len(ix.next), len(ix.first), rs.n, len(fresh.first))
 			}
@@ -145,17 +147,17 @@ func checkShard(s *Store, where string, pred uint32, rs *relset) error {
 	}
 	for mask := uint32(1); mask < 1<<uint(arity); mask++ {
 		seen := make(map[string]bool)
-		for n := 0; n < rs.n; n++ {
-			key := maskedKey(rs.row(uint32(n)), mask)
+		for n := uint32(0); n < rs.n; n++ {
+			key := maskedKey(rs.row(n), mask)
 			if k := fmt.Sprint(key); seen[k] {
 				continue
 			} else {
 				seen[k] = true
 			}
 			var want []uint32
-			for c := 0; c < rs.n; c++ {
-				if maskedEqual(rs.row(uint32(c)), mask, key) {
-					want = append(want, uint32(c))
+			for c := uint32(0); c < rs.n; c++ {
+				if maskedEqual(rs.row(c), mask, key) {
+					want = append(want, c)
 				}
 			}
 			if got := bucketRows(rs, mask, key); !slices.Equal(got, want) {
@@ -342,7 +344,7 @@ func TestOverlayLineages(t *testing.T) {
 			if err := checkForm(where, rs); err != nil {
 				return err
 			}
-			flat := newRelset(3, 0)
+			flat := newRelset(3, 0, 0)
 			var fp Fingerprint
 			for i, row := range want {
 				flat.insert(row, hashVals(row))

@@ -268,7 +268,9 @@ p(0, a). p(4, a).
 // rule (h, s) and predicates InsertBase admits — after New, after
 // EnsureWindow has stored state 26 as state 20's shards (w and on
 // included), after spec.Compute's ShareRepeats, and on two Clone
-// lineages that each insert, whose parent stays as it was.
+// lineages that each insert, whose parent stays as it was. SliceFacts
+// reads back the facts of the predicates it keeps and the constants of
+// D at each of those points.
 func TestFactsReadBack(t *testing.T) {
 	const src = `p(T+2, X) :- p(T, X).
 q(T+1, X) :- p(T, X), w(T, X), on(T).
@@ -295,11 +297,25 @@ h(z).
 		slices.Sort(out)
 		return slices.Compact(out)
 	}
+	notP := func(pred string) bool { return pred != "p" }
 	check := func(when string, e *engine.Evaluator, want []ast.Fact) {
 		t.Helper()
 		got := e.Facts()
 		if w := set(want); !slices.Equal(set(got), w) || len(got) != len(w) {
 			t.Fatalf("%s: Facts() = %v, want each of %v once", when, set(got), w)
+		}
+		var kept []ast.Fact
+		for _, f := range want {
+			if notP(f.Pred) {
+				kept = append(kept, f)
+			}
+		}
+		got, consts := e.SliceFacts(notP)
+		if w := set(kept); !slices.Equal(set(got), w) || len(got) != len(w) {
+			t.Fatalf("%s: SliceFacts(not p) = %v, want each of %v once", when, set(got), w)
+		}
+		if w := (&ast.Database{Facts: want}).Constants(); !slices.Equal(consts, w) {
+			t.Fatalf("%s: SliceFacts' constants = %v, want %v", when, consts, w)
 		}
 	}
 	e, err := engine.New(prog, db)

@@ -15,15 +15,18 @@
 // Facts are stored as rows of interned integers (store.go, symtab.go): a
 // constant is a dense uint32 symbol id, a tuple a fixed-arity run of ids,
 // one (predicate, time) shard either one flat slice of rows or — after a
-// store clone writes to a shard it shares — an overlay: the frozen shared
-// shard plus a short private tail of the rows written since. Membership
+// store clone writes to a shard it shares — an overlay: the frozen shard
+// plus a short private tail of the rows written since. What a store may
+// write in place is decided by one rule, epoch ownership (see Store): a
+// writer writes only what carries its epoch, and forks or copies the
+// rest, so Store.Clone writes nothing the two stores share. Membership
 // and bound-column indexes are open-addressed integer tables over the row
 // numbers of a flat shard; a flat shard that holds and was sized for at
 // most smallShard rows has no membership table and is scanned. A new
 // temporal shard, and each index built on it, is sized from the shard of
 // the same predicate one time point earlier — past the base of an
 // ultimately periodic model that is its final size — and a proposition
-// (a temporal predicate of arity 0) has one shared shard that every time
+// (a temporal predicate of arity 0) has one frozen shard that every time
 // point where it holds points at. Every temporal shard carries a
 // commutative 128-bit fingerprint of its fact set so "is state t equal to
 // state t'" is a constant-time comparison. A state that closes equal to an
@@ -191,13 +194,14 @@ func (ix *colIndex) clone(n int) *colIndex {
 // idxTable is the set of indexes built so far for one flat relset. The
 // table value is immutable — building an index for a new mask installs a
 // new table via compare-and-swap — while the indexes inside it are mutated
-// in place by insert, which only runs on a private shard of a
-// single-writer evaluator. A shared shard (see relset.shared) is frozen but
-// may be joined against by several clone lineages at once, directly or as
-// the base of their overlays; their read-side builds race only on the CAS:
-// both builders derive the same index from the same frozen rows, so the
-// loser's work is discarded without any effect on results. An overlay has
-// no table of its own: its lookups use its base's.
+// in place by insert, which only runs on a shard that carries its
+// single writer's epoch. A shard that carries no live store's epoch is
+// frozen but may be joined against by several clone lineages at once,
+// directly or as the base of their overlays; their read-side builds race
+// only on the CAS: both builders derive the same index from the same
+// frozen rows, so the loser's work is discarded without any effect on
+// results. An overlay has no table of its own: its lookups use its
+// base's.
 type idxTable struct {
 	entries []*colIndex
 }
@@ -212,11 +216,11 @@ func (t *idxTable) withMask(mask uint32, rs, prev *relset) *idxTable {
 		n.entries = append(make([]*colIndex, 0, len(t.entries)+1), t.entries...)
 	}
 	ix := &colIndex{mask: mask, next: make([]uint32, 0, rs.n)}
-	if g := min(prev.groups(mask), rs.n); g > 0 {
+	if g := min(prev.groups(mask), int(rs.n)); g > 0 {
 		ix.tab, ix.first, ix.last = grownTable(g), make([]uint32, 0, g), make([]uint32, 0, g)
 	}
-	for row := 0; row < rs.n; row++ {
-		ix.add(rs, uint32(row))
+	for row := uint32(0); row < rs.n; row++ {
+		ix.add(rs, row)
 	}
 	n.entries = append(n.entries, ix)
 	return n
@@ -280,10 +284,12 @@ var _ [64 - tailCap]struct{}
 //
 //   - flat (base == nil): rows holds all n rows, and tab and idx index
 //     them; tab is nil while the shard holds, and was created with room
-//     for, at most smallShard rows, which find and insert then scan. Open, EnsureWindow, every shard no clone
-//     has written to and every fork of a tiny shard are flat.
-//   - overlay (base != nil): the first base.n rows are base's — a flat,
-//     shared, frozen shard of more than tinyShard rows — and rows holds
+//     for, at most smallShard rows, which find and insert then scan.
+//     Open, EnsureWindow, every shard no clone has written to and every
+//     fork of a tiny shard are flat.
+//   - overlay (base != nil): the first base.n rows are base's — a flat
+//     shard of more than tinyShard rows, frozen to the overlay's writer
+//     (it does not carry the writer's epoch) — and rows holds
 //     the rest, the tail: the rows this lineage wrote since it forked the
 //     shard, fewer than tailCap, in insertion order, with no hash table.
 //     Membership probes base's table and scans the tail; bucket returns
@@ -297,27 +303,24 @@ var _ [64 - tailCap]struct{}
 // its predicate one time point earlier holds (newRelset): its row count,
 // not its capacity, so slack does not compound from state to state. A
 // shard whose state closes with room for more than twice its rows is
-// copied to its size (Store.fitState). The shard of a proposition is one frozen, shared
-// relset holding the row () (predRel.prop): any write to it is a
-// duplicate, so it never forks.
+// copied to its size (Store.fitState). The shard of a proposition is one
+// relset holding the row () (predRel.prop), frozen from the start: any
+// write to it is a duplicate, so it never forks.
 type relset struct {
-	// arity is an int32 so that it and shared fill one word: every
+	// arity and n are 32-bit so that they fill one word: every
 	// (predicate, time) point of a model has a relset, and the struct
-	// stays in the 96-byte size class.
+	// stays in the 96-byte size class. Row numbers are uint32 anyway.
 	arity int32
-	// shared marks a shard referenced by more than one store (set by
-	// Store.Clone) or by more than one time point (set by
-	// Store.shareState, when a closing state repeats an earlier one or
-	// ShareRepeats re-shares a certified model). A shared shard is
-	// immutable: writers fork a private overlay of it first, and it is
-	// never recycled as a spare (predRel.spare). The flag is written only on a shard private to one
-	// evaluator, while clones are serialized by the caller (the
-	// evaluator's copy-on-write discipline), and only read afterwards.
-	shared bool
-	n      int      // number of rows, a base's included
-	rows   []uint32 // rows in insertion order, arity ids each: all n (flat) or the tail (overlay)
-	tab    []uint32 // flat only: open-addressed membership, row number + 1, 0 = empty
-	base   *relset  // overlay only: the shared flat shard holding rows 0..base.n-1
+	n     uint32 // number of rows, a base's included
+	// epoch is the epoch of the one store that may write the shard in
+	// place (see Store). Any other store forks it first, and so does its
+	// writer once the shard is frozen at 0: shared between time points
+	// (Store.shareState) or a proposition's. It is never recycled as a
+	// spare (predRel.spare) unless it carries its writer's epoch.
+	epoch uint64
+	rows  []uint32 // rows in insertion order, arity ids each: all n (flat) or the tail (overlay)
+	tab   []uint32 // flat only: open-addressed membership, row number + 1, 0 = empty
+	base  *relset  // overlay only: the frozen flat shard holding rows 0..base.n-1
 	// fp is the commutative fingerprint of the shard's fact set (temporal
 	// shards only; see Store.StateFingerprint).
 	fp Fingerprint
@@ -333,11 +336,11 @@ type relset struct {
 // insert's growth branch.
 const smallShard = 8
 
-// newRelset returns an empty flat shard with room for hint rows: row
-// capacity and, for a hint above smallShard, a membership table sized so
-// hint inserts never grow it.
-func newRelset(arity, hint int) *relset {
-	r := &relset{arity: int32(arity), rows: make([]uint32, 0, hint*arity)}
+// newRelset returns an empty flat shard of the given epoch with room for
+// hint rows: row capacity and, for a hint above smallShard, a membership
+// table sized so hint inserts never grow it.
+func newRelset(arity, hint int, epoch uint64) *relset {
+	r := &relset{arity: int32(arity), epoch: epoch, rows: make([]uint32, 0, hint*arity)}
 	if hint > smallShard {
 		r.tab = grownTable(hint)
 	}
@@ -348,10 +351,10 @@ func newRelset(arity, hint int) *relset {
 func (r *relset) row(n uint32) []uint32 {
 	rows := r.rows
 	if b := r.base; b != nil {
-		if int(n) < b.n {
+		if n < b.n {
 			rows = b.rows
 		} else {
-			n -= uint32(b.n)
+			n -= b.n
 		}
 	}
 	a := int(r.arity)
@@ -376,7 +379,7 @@ func (r *relset) find(tup []uint32, h uint32) (uint32, bool) {
 		return r.findOverlay(tup, h)
 	}
 	if r.tab == nil {
-		for n := uint32(0); n < uint32(r.n); n++ {
+		for n := uint32(0); n < r.n; n++ {
 			if rowsEqual(r.flatRow(n), tup) {
 				return n, true
 			}
@@ -406,33 +409,34 @@ func (r *relset) findOverlay(tup []uint32, h uint32) (uint32, bool) {
 	a := int(r.arity)
 	for i := 0; i < len(r.rows); i += a {
 		if rowsEqual(r.rows[i:i+a], tup) {
-			return uint32(b.n + i/a), true
+			return b.n + uint32(i/a), true
 		}
 	}
 	return 0, false
 }
 
 // insert adds the tuple (h is hashVals(tup)), returning its row number
-// and whether it was new. The caller must hold a private (non-shared)
-// shard; see Store.insertRow. On a flat shard one probe sequence serves
-// both the membership test and the insertion, and every index built so
-// far is maintained, so a lookup after an insert sees the new row exactly
-// when a linear scan would. On an overlay the row joins the tail, and a
-// tail reaching tailCap is flattened. A flat shard of fewer than
-// smallShard rows without a table is scanned instead of probed. A
-// duplicate allocates nothing; a new row costs amortized slice growth only.
+// and whether it was new. The caller must own the shard (it carries the
+// caller's epoch); see Store.insertRow. On a flat shard one probe
+// sequence serves both the membership test and the insertion, and every
+// index built so far is maintained, so a lookup after an insert sees the
+// new row exactly when a linear scan would. On an overlay the row joins
+// the tail, and a tail reaching tailCap is flattened. A flat shard of
+// fewer than smallShard rows without a table is scanned instead of
+// probed. A duplicate allocates nothing; a new row costs amortized slice
+// growth only.
 func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
 	if r.base != nil {
 		return r.insertOverlay(tup, h)
 	}
-	n := uint32(r.n)
-	if r.tab == nil && r.n < smallShard {
+	n := r.n
+	if r.tab == nil && n < smallShard {
 		if e, ok := r.find(tup, h); ok {
 			return e, false
 		}
 	} else {
-		if (r.n+1)*4 > len(r.tab)*3 {
-			r.rehash(2 * (r.n + 1))
+		if (int(n)+1)*4 > len(r.tab)*3 {
+			r.rehash(2 * (int(n) + 1))
 		}
 		m := uint32(len(r.tab) - 1)
 		i := h & m
@@ -458,12 +462,12 @@ func (r *relset) insert(tup []uint32, h uint32) (uint32, bool) {
 func (r *relset) rehash(rows int) {
 	r.tab = grownTable(rows)
 	m := uint32(len(r.tab) - 1)
-	for n := 0; n < r.n; n++ {
-		i := hashVals(r.flatRow(uint32(n))) & m
+	for n := uint32(0); n < r.n; n++ {
+		i := hashVals(r.flatRow(n)) & m
 		for r.tab[i] != 0 {
 			i = (i + 1) & m
 		}
-		r.tab[i] = uint32(n) + 1
+		r.tab[i] = n + 1
 	}
 }
 
@@ -473,7 +477,7 @@ func (r *relset) insertOverlay(tup []uint32, h uint32) (uint32, bool) {
 	if n, ok := r.findOverlay(tup, h); ok {
 		return n, false
 	}
-	n := uint32(r.n)
+	n := r.n
 	r.rows = append(r.rows, tup...)
 	r.n++
 	if r.n-r.base.n == tailCap {
@@ -486,7 +490,7 @@ func (r *relset) size() int {
 	if r == nil {
 		return 0
 	}
-	return r.n
+	return int(r.n)
 }
 
 // scan returns every row present now, in insertion order: a span over the
@@ -497,9 +501,9 @@ func (r *relset) scan() (rowSpan, uint64) {
 		return rowSpan{}, 0
 	}
 	if b := r.base; b != nil {
-		return rowSpan{last: uint32(b.n - 1), ok: true}, 1<<uint(r.n-b.n) - 1
+		return rowSpan{last: b.n - 1, ok: true}, 1<<(r.n-b.n) - 1
 	}
-	return rowSpan{last: uint32(r.n - 1), ok: true}, 0
+	return rowSpan{last: r.n - 1, ok: true}, 0
 }
 
 // bucket returns the rows whose masked columns equal key (the masked
@@ -560,16 +564,17 @@ func (r *relset) bucketOverlay(mask uint32, key []uint32, prev *relset) (rowSpan
 // would (EXPERIMENTS.md E29), and the copy is as short as a tail.
 const tinyShard = 4
 
-// fork returns a private copy-on-write version of a shared shard, for a
-// writer: an overlay whose base is the shard itself or, when the shard is
-// an overlay, the same base — so an overlay is never more than one level
-// deep — and only the tail is copied; or, for a flat shard of at most
-// tinyShard rows, a flat copy. The shared shard is not touched.
-func (r *relset) fork() *relset {
+// fork returns a copy-on-write version of a shard its writer does not
+// own, carrying the writer's epoch: an overlay whose base is the shard
+// itself or, when the shard is an overlay, the same base — so an overlay
+// is never more than one level deep — and only the tail is copied; or,
+// for a flat shard of at most tinyShard rows, a flat copy. The forked
+// shard is not touched.
+func (r *relset) fork(epoch uint64) *relset {
 	if r.base == nil && r.n <= tinyShard {
-		return r.flatCopy(r.n + 1)
+		return r.flatCopy(int(r.n)+1, epoch)
 	}
-	c := &relset{arity: r.arity, n: r.n, fp: r.fp, base: r}
+	c := &relset{arity: r.arity, n: r.n, epoch: epoch, fp: r.fp, base: r}
 	if r.base != nil {
 		c.base = r.base
 		c.rows = append(make([]uint32, 0, len(r.rows)+int(r.arity)), r.rows...)
@@ -577,13 +582,14 @@ func (r *relset) fork() *relset {
 	return c
 }
 
-// flatCopy deep-copies a flat shard with room for n rows: rows, membership
-// table, fingerprint and every index it has built, so the copy is as warm
-// as the original.
-func (r *relset) flatCopy(n int) *relset {
+// flatCopy deep-copies a flat shard into one of the given epoch with room
+// for n rows: rows, membership table, fingerprint and every index it has
+// built, so the copy is as warm as the original.
+func (r *relset) flatCopy(n int, epoch uint64) *relset {
 	c := &relset{
 		arity: r.arity,
 		n:     r.n,
+		epoch: epoch,
 		rows:  append(make([]uint32, 0, (n+n/8)*int(r.arity)), r.rows...),
 		tab:   append([]uint32(nil), r.tab...),
 		fp:    r.fp,
@@ -604,7 +610,7 @@ func (r *relset) flatCopy(n int) *relset {
 // took. At one O(shard) copy per tailCap rows written, per-row copying
 // stays amortized O(1).
 func (r *relset) flatten() {
-	f, a := r.base.flatCopy(r.n), int(r.arity)
+	f, a := r.base.flatCopy(int(r.n), r.epoch), int(r.arity)
 	for i := 0; i < len(r.rows); i += a {
 		row := r.rows[i : i+a]
 		f.insert(row, hashVals(row))
@@ -640,15 +646,14 @@ func denseEnd(n, t int) int {
 type predRel struct {
 	byTime []*relset
 	far    map[int]*relset // time points beyond the dense prefix (or negative); nil when empty
-	// axisShared marks byTime and far as shared with another store (set
-	// by Store.Clone on both sides): set copies them before its first
-	// write, so a clone writes only the axes of the predicates it
-	// writes. Like relset.shared it is written only when it changes.
-	axisShared bool
-	nt         *relset // the relation of a non-temporal predicate
+	// epoch is the epoch of the store that may write byTime and far in
+	// place: set copies them first for any other, so a clone writes only
+	// the axes of the predicates it writes.
+	epoch uint64
+	nt    *relset // the relation of a non-temporal predicate
 	// prop is the one shard of a temporal predicate of arity 0: it holds
-	// the row () and is shared, so every time point where the proposition
-	// holds points at it and no write ever forks it.
+	// the row () and is frozen (epoch 0), so every time point where the
+	// proposition holds points at it and no write ever forks it.
 	prop *relset
 	// spare is the private flat shard of a state that closed as a repeat
 	// of an earlier one (Store.closeState): no slot points at it any
@@ -668,12 +673,13 @@ type predRel struct {
 	states int
 }
 
-// newShard returns an empty temporal shard with room for hint rows (see
-// newRelset): the predicate's spare, emptied, when it has one.
-func (pr *predRel) newShard(arity, hint int) *relset {
+// newShard returns an empty temporal shard of the given epoch with room
+// for hint rows (see newRelset): the predicate's spare, which carries the
+// epoch already, emptied, when it has one.
+func (pr *predRel) newShard(arity, hint int, epoch uint64) *relset {
 	rs := pr.spare
 	if rs == nil {
-		return newRelset(arity, hint)
+		return newRelset(arity, hint, epoch)
 	}
 	pr.spare = nil
 	rs.n, rs.fp = 0, Fingerprint{}
@@ -694,22 +700,23 @@ func (pr *predRel) get(t int) *relset {
 	return pr.far[t]
 }
 
-// set stores the shard of time point t. A dense prefix that has to grow
-// takes room up to the window (horizon) at once. It is the only writer of
-// a shard into the axis, so an axis shared with a clone is copied here,
-// before the first write, at the capacity growth would take: a copy and a
-// growth are one allocation.
-func (pr *predRel) set(t int, rs *relset, horizon int) {
+// set stores the shard of time point t for the writer of the given
+// epoch. A dense prefix that has to grow takes room up to the window
+// (horizon) at once. It is the only writer of a shard into the axis, so
+// an axis the writer does not own is copied here, before the first write,
+// at the capacity growth would take: a copy and a growth are one
+// allocation.
+func (pr *predRel) set(t int, rs *relset, horizon int, epoch uint64) {
 	n := len(pr.byTime)
 	grow := denseEnd(n, t) > n
-	if pr.axisShared {
+	if pr.epoch != epoch {
 		room := n
 		if grow {
 			room = max(t, horizon) + 1
 		}
 		pr.byTime = append(make([]*relset, 0, room), pr.byTime...)
 		pr.far = maps.Clone(pr.far)
-		pr.axisShared = false
+		pr.epoch = epoch
 	}
 	if uint(t) >= uint(n) {
 		if !grow {
@@ -744,10 +751,29 @@ func (pr *predRel) each(f func(t int, rs *relset)) {
 	}
 }
 
+// epochs hands out the epochs of copy-on-write ownership (see Store),
+// each value once; 0 is never issued.
+var epochs atomic.Uint64
+
+func newEpoch() uint64 { return epochs.Add(1) }
+
 // Store holds the facts derived so far: temporal relations indexed by
 // predicate and time point, and non-temporal relations by predicate, as
 // rows of symbol ids over the store's symbol table.
+//
+// Copy-on-write has one rule. Every store has an epoch, and every shard,
+// time axis and symbol map, and its evaluator's counter records, carry
+// the epoch of the store that made them. A writer changes an object in
+// place only when the object carries the writer's own epoch; any other
+// it copies or forks first. Clone gives both stores fresh epochs, so
+// everything the two share is frozen to both without being written, and
+// an epoch no store holds any more is never handed out again. Epoch 0 is
+// no store's: shareState freezes a shard two time points share by
+// setting it to 0.
 type Store struct {
+	// epoch is the store's copy-on-write epoch. Only the store's writer
+	// reads it.
+	epoch uint64
 	// syms is the symbol and predicate table, shared with clones as a
 	// frozen base plus a private tail (see symtab).
 	syms symtab
@@ -771,61 +797,41 @@ type Store struct {
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{syms: newSymtab()} }
+func NewStore() *Store {
+	e := newEpoch()
+	return &Store{epoch: e, syms: newSymtab(e)}
+}
 
 // Clone returns an independent copy of the store: inserts into the clone
 // are invisible to the original and vice versa. The copy is
 // copy-on-write at shard (predicate×timestamp) granularity: both stores
 // share every relset — rows, membership table, indexes, fingerprint —
-// until one of them writes into it, and a write into a shared shard
-// copies only that shard's short tail (relset.fork), never the rows or
-// indexes of a shard of more than tinyShard rows. Each predicate's time
-// axis is shared too, and copied by the first write to it on either side
-// (predRel.set). So a clone allocates O(predicates) bytes, independent of
-// the number of facts and time points, plus a walk that marks every shard
-// shared. The symbol table is shared the same way: a clone copies its
-// headers, and a new name on either side is appended past what the other
-// holds (see symtab). Clone must be externally
-// serialized against writes to s (the evaluator's single-writer
-// discipline); afterwards the two stores may be written from different
-// goroutines.
+// until one of them writes into it, and a write into a shard it does not
+// own copies only that shard's short tail (relset.fork), never the rows
+// or indexes of a shard of more than tinyShard rows. Each predicate's
+// time axis is shared too, and copied by the first write to it on either
+// side (predRel.set). The symbol table is shared the same way: a clone
+// copies its headers, and a new name on either side is appended past
+// what the other holds (see symtab). Clone gives the clone and s fresh
+// epochs (see Store), copies the predicate headers — no predicate holds a
+// spare outside EnsureWindow — and writes nothing but the two store
+// headers: O(predicates), independent of the number of facts and time
+// points. Clone must be externally serialized against writes to s and
+// against other clones of s (the evaluator's single-writer discipline);
+// afterwards the two stores may be written from different goroutines.
 //
 //tddlint:resets rowBuf
 func (s *Store) Clone() *Store {
-	// The flags below are written only when they change: a shard that is
-	// already shared may be in use by another lineage's writer, which
-	// reads them.
-	if s.syms.own {
-		s.syms.own = false
-	}
 	c := &Store{
+		epoch:   newEpoch(),
 		syms:    s.syms,
-		rels:    make([]predRel, len(s.rels)),
+		rels:    slices.Clone(s.rels),
 		count:   s.count,
 		occ:     append([]uint64(nil), s.occ...),
 		horizon: s.horizon,
 	}
 	c.consts.Store(s.consts.Load())
-	share := func(_ int, rs *relset) {
-		if !rs.shared {
-			rs.shared = true
-		}
-	}
-	for i := range s.rels {
-		pr := &s.rels[i]
-		pr.each(share)
-		if pr.nt != nil {
-			share(0, pr.nt)
-		}
-		if pr.db != nil {
-			share(0, pr.db)
-		}
-		if (pr.byTime != nil || pr.far != nil) && !pr.axisShared {
-			pr.axisShared = true
-		}
-		c.rels[i] = predRel{byTime: pr.byTime, far: pr.far, axisShared: pr.axisShared,
-			nt: pr.nt, prop: pr.prop, db: pr.db, facts: pr.facts, states: pr.states}
-	}
+	s.epoch = newEpoch()
 	return c
 }
 
@@ -835,7 +841,7 @@ func (s *Store) intern(name string) uint32 {
 	if id, ok := s.syms.symbolID(name); ok {
 		return id
 	}
-	return s.syms.addSymbol(name)
+	return s.syms.addSymbol(name, s.epoch)
 }
 
 // internPred returns the predicate id of a signature, adding it when it
@@ -845,8 +851,8 @@ func (s *Store) internPred(name string, arity int, temporal bool) uint32 {
 	if id, ok := s.syms.predID(k); ok {
 		return id
 	}
-	s.rels = append(s.rels, predRel{})
-	return s.syms.addPred(k)
+	s.rels = append(s.rels, predRel{epoch: s.epoch})
+	return s.syms.addPred(k, s.epoch)
 }
 
 // NoSymbol is the symbol id no stored row contains (the table reserves it
@@ -911,7 +917,7 @@ func (s *Store) shard(pred uint32, t int) *relset {
 }
 
 // Insert adds a fact, reporting whether it was new. Inserting into a
-// shard shared with a clone first forks a private overlay of it
+// shard the store does not own first forks an overlay of it
 // (copy-on-write); duplicate inserts never copy.
 func (s *Store) Insert(f ast.Fact) bool { return s.insertBase(f, false) }
 
@@ -937,12 +943,12 @@ func (s *Store) insertBase(f ast.Fact, head bool) bool {
 	pr, h := &s.rels[pred], hashVals(row)
 	switch {
 	case pr.db == nil:
-		pr.db = newRelset(len(row), 0)
-	case pr.db.shared:
+		pr.db = newRelset(len(row), 0, s.epoch)
+	case pr.db.epoch != s.epoch:
 		if _, ok := pr.db.find(row, h); ok {
 			return false
 		}
-		pr.db = pr.db.fork()
+		pr.db = pr.db.fork(s.epoch)
 	}
 	_, added = pr.db.insert(row, h)
 	return added
@@ -960,7 +966,7 @@ func (s *Store) reserve(pred uint32, rows, axis int) {
 		if k.temporal {
 			width++
 		}
-		pr.db = newRelset(width, rows)
+		pr.db = newRelset(width, rows, s.epoch)
 	}
 	if axis > 0 {
 		pr.byTime = make([]*relset, 0, axis)
@@ -977,22 +983,22 @@ func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 		rs = pr.get(t)
 	}
 	h := hashVals(row)
-	if rs == nil || rs.shared {
+	if rs == nil || rs.epoch != s.epoch {
 		switch {
 		case rs != nil:
 			if n, ok := rs.find(row, h); ok {
 				return n, false
 			}
-			rs = rs.fork()
+			rs = rs.fork(s.epoch)
 		case !temporal:
-			rs = newRelset(len(row), 0)
+			rs = newRelset(len(row), 0, s.epoch)
 		case len(row) == 0:
-			// A proposition: the shard is the predicate's one shared
+			// A proposition: the shard is the predicate's one frozen
 			// shard, its fingerprint the fact's, whatever t is.
 			if pr.prop == nil {
-				pr.prop = &relset{n: 1, shared: true, fp: s.syms.factFingerprint(pred, row)}
+				pr.prop = &relset{n: 1, fp: s.syms.factFingerprint(pred, row)}
 			}
-			pr.set(t, pr.prop, s.horizon)
+			pr.set(t, pr.prop, s.horizon, s.epoch)
 			pr.states++
 			pr.facts++
 			s.count++
@@ -1000,11 +1006,11 @@ func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 		default:
 			// Sized from the state before: past the base of a periodic
 			// model it holds the same number of rows.
-			rs = pr.newShard(len(row), pr.get(t-1).size())
+			rs = pr.newShard(len(row), pr.get(t-1).size(), s.epoch)
 			pr.states++
 		}
 		if temporal {
-			pr.set(t, rs, s.horizon)
+			pr.set(t, rs, s.horizon, s.epoch)
 		} else {
 			pr.nt = rs
 		}
@@ -1032,19 +1038,19 @@ func (s *Store) insertRow(pred uint32, t int, row []uint32) (uint32, bool) {
 }
 
 // fitState gives back what the closed state t reserved and did not use: a
-// private flat shard holding fewer than half the rows its capacity was
+// flat shard the store owns holding fewer than half the rows its capacity was
 // sized for — from a larger state before it — is copied to its size, so
 // slack never exceeds what growth by doubling leaves.
 func (s *Store) fitState(t int) {
 	for i := range s.rels {
 		rs := s.rels[i].get(t)
-		if rs == nil || rs.shared || rs.base != nil || cap(rs.rows) <= 2*len(rs.rows)+int(rs.arity) {
+		if rs == nil || rs.epoch != s.epoch || rs.base != nil || cap(rs.rows) <= 2*len(rs.rows)+int(rs.arity) {
 			continue
 		}
 		rs.rows = append([]uint32(nil), rs.rows...)
 		rs.tab = nil
 		if rs.n > smallShard {
-			rs.rehash(rs.n)
+			rs.rehash(int(rs.n))
 		}
 	}
 }
@@ -1084,14 +1090,15 @@ func (s *Store) closeState(t int, first map[Fingerprint]int) {
 
 // shareState stores state t as the shards of state f, which the caller
 // has found equal to it: each temporal slot t is re-pointed at the shard
-// of slot f, which is marked shared, so reads are unchanged and a later
-// write to either state forks an overlay for its slot alone. As a guard
-// a slot is re-pointed only when both shards have the same row count and
-// fingerprint. With spare, a private flat shard the slot held becomes its
-// predicate's spare: no slot points at it any more. Call it only while
-// the evaluator is private to its writer, as it rewrites slots that
-// readers read; a shard not yet shared is then private to this
-// evaluator, so marking it races with no other lineage.
+// of slot f, frozen (epoch 0) when the store owns it, so reads are
+// unchanged and a later write to either state forks an overlay for its
+// slot alone. As a guard a slot is re-pointed only when both shards have
+// the same row count and fingerprint. With spare, a flat shard the store
+// owns that the slot held becomes its predicate's spare: no slot points
+// at it any more. Call it only while the evaluator is private to its
+// writer, as it rewrites slots that readers read; a shard the store owns
+// is then reachable from this store alone, so freezing it races with no
+// other lineage.
 func (s *Store) shareState(t, f int, spare bool) {
 	for i := range s.rels {
 		pr := &s.rels[i]
@@ -1099,13 +1106,13 @@ func (s *Store) shareState(t, f int, spare bool) {
 		if rs == rep || rs == nil || rep == nil || rs.n != rep.n || rs.fp != rep.fp {
 			continue
 		}
-		if !rep.shared {
-			rep.shared = true
+		if rep.epoch == s.epoch {
+			rep.epoch = 0
 		}
-		if spare && !rs.shared && rs.base == nil {
+		if spare && rs.epoch == s.epoch && rs.base == nil {
 			pr.spare = rs
 		}
-		pr.set(t, rep, s.horizon)
+		pr.set(t, rep, s.horizon, s.epoch)
 	}
 }
 
@@ -1248,30 +1255,47 @@ func (s *Store) appendFacts(out []ast.Fact, pred int, rs *relset, t int) []ast.F
 	return out
 }
 
-// baseFacts reads the database facts back, each once and in no
-// particular order: a predicate that heads a rule (head) from its
-// database shard, whose rows carry a temporal fact's time point in
-// column 0 (insertBase), and any other from its own shards, which hold
-// nothing else.
-func (s *Store) baseFacts(head map[string]bool) []ast.Fact {
+// baseFacts reads the database back: the facts of the predicates keep
+// accepts (nil accepts all), each once and in no particular order, and
+// the constants of every database fact, sorted, marked by symbol id from
+// the rows, so the facts of a predicate keep rejects are not rendered. A
+// predicate that heads a rule (head) is read from its database shard,
+// whose rows carry a temporal fact's time point in column 0
+// (insertBase), and any other from its own shards, which hold nothing
+// else.
+func (s *Store) baseFacts(head map[string]bool, keep func(pred string) bool) ([]ast.Fact, []string) {
 	var out []ast.Fact
+	seen := make([]uint64, (s.syms.nsyms()+63)/64)
 	for i := range s.rels {
 		pr, k := &s.rels[i], s.syms.pred(uint32(i))
-		if !head[k.name] {
-			out = s.appendFacts(out, i, pr.nt, -1)
-			pr.each(func(t int, rs *relset) { out = s.appendFacts(out, i, rs, t) })
+		kept := keep == nil || keep(k.name)
+		fact := func(t int, args []uint32) {
+			for _, id := range args {
+				seen[id>>6] |= 1 << (id & 63)
+			}
+			if kept {
+				out = append(out, ast.Fact{Pred: k.name, Temporal: t >= 0, Time: max(t, 0), Args: s.names(args)})
+			}
+		}
+		if head[k.name] {
+			for n := uint32(0); n < uint32(pr.db.size()); n++ {
+				row, t := pr.db.row(n), -1
+				if k.temporal {
+					t = int(row[0])
+				}
+				fact(t, row[len(row)-k.arity:])
+			}
 			continue
 		}
-		for n := 0; n < pr.db.size(); n++ {
-			row := pr.db.row(uint32(n))
-			f := ast.Fact{Pred: k.name, Temporal: k.temporal, Args: s.names(row[len(row)-k.arity:])}
-			if k.temporal {
-				f.Time = int(row[0])
+		rows := func(t int, rs *relset) {
+			for n := uint32(0); n < uint32(rs.size()); n++ {
+				fact(t, rs.row(n))
 			}
-			out = append(out, f)
 		}
+		rows(-1, pr.nt)
+		pr.each(rows)
 	}
-	return out
+	return out, s.sortedNames(seen)
 }
 
 // State returns the state L[t] as sorted facts with the temporal argument
@@ -1321,8 +1345,16 @@ func (s *Store) Constants() []string {
 	if c := s.consts.Load(); c != nil {
 		return *c
 	}
+	out := s.sortedNames(s.occ)
+	s.consts.Store(&out)
+	return out
+}
+
+// sortedNames returns the constants whose symbol ids are set in the bit
+// set ids (bit id&63 of word id>>6), sorted.
+func (s *Store) sortedNames(ids []uint64) []string {
 	out := make([]string, 0, s.syms.nsyms())
-	for w, bits := range s.occ {
+	for w, bits := range ids {
 		for b := 0; bits != 0; b, bits = b+1, bits>>1 {
 			if bits&1 != 0 {
 				out = append(out, s.syms.name(uint32(w<<6|b)))
@@ -1330,6 +1362,5 @@ func (s *Store) Constants() []string {
 		}
 	}
 	sort.Strings(out)
-	s.consts.Store(&out)
 	return out
 }

@@ -455,7 +455,7 @@ func TestOverlayForkRace(t *testing.T) {
 
 	for k, f := range forks {
 		rs := f.at(p, 1)
-		if want := 200 + midRows + (k+1)*tailCap; rs.base != nil || rs.n != want {
+		if want := 200 + midRows + (k+1)*tailCap; rs.base != nil || int(rs.n) != want {
 			t.Errorf("fork %d: %d rows, flat %v; want %d rows, flat", k, rs.n, rs.base == nil, want)
 		}
 		if f.Has(tfact("p", 1, "a1", fmt.Sprintf("f%d-0", 1-k), "x")) {

@@ -9,6 +9,8 @@ package engine
 // between a leader and a follower, and between two stores that interned
 // the same names in different orders.
 
+import "maps"
+
 // predKey is a predicate signature. Interning by (name, arity, sort)
 // gives every relation a fixed row width; a validated program has one
 // signature per name, and a raw store that mixes them treats p/1 and p/2
@@ -29,14 +31,15 @@ type predKey struct {
 // append copies nothing unless a sibling lineage took the slot first.
 // The name-to-id maps cover a prefix of the logs (ids covers
 // names[:idsN], predIDs covers preds[:predsN]); the names past it are
-// found by scanning the tail. While own is set no clone shares the maps,
-// and a new name goes
-// straight into them. After a clone it does not: new names stay in the
-// tail, and a tail reaching tailCap is folded into private copies of the
-// maps, O(symbols) once per tailCap new names. Only base-fact ingestion
-// interns on a clone — derived facts are built from constants already
-// stored and rule constants are interned by New. Readers never write:
-// lookups of unknown names fail without interning.
+// found by scanning the tail. The maps carry the epoch of the store that
+// may write them (see Store). A writer of that epoch puts a new name
+// straight into them; any other — both sides of a clone, which re-epochs
+// both — leaves new names in the tail, and a tail reaching tailCap is
+// folded into copies of the maps that carry the writer's epoch,
+// O(symbols) once per tailCap new names. Only base-fact ingestion interns
+// on a clone — derived facts are built from constants already stored and
+// rule constants are interned by New. Readers never write: lookups of
+// unknown names fail without interning.
 type symtab struct {
 	names   sharedLog[string] // symbol id -> constant; names[0] is the unbound sentinel
 	hashes  sharedLog[uint64] // symbol id -> strHash(names[id])
@@ -45,7 +48,7 @@ type symtab struct {
 	preds   sharedLog[predSym] // predicate id -> signature
 	predIDs map[predKey]uint32
 	predsN  int
-	own     bool
+	epoch   uint64 // the epoch of the maps' writer
 }
 
 // predSym is one predicate signature and the hash of its name and arity.
@@ -54,7 +57,7 @@ type predSym struct {
 	hash uint64
 }
 
-func newSymtab() symtab {
+func newSymtab(epoch uint64) symtab {
 	return symtab{
 		names:   newSharedLog([]string{""}),
 		hashes:  newSharedLog([]uint64{0}),
@@ -62,7 +65,7 @@ func newSymtab() symtab {
 		idsN:    1,
 		preds:   newSharedLog[predSym](nil),
 		predIDs: make(map[predKey]uint32),
-		own:     true,
+		epoch:   epoch,
 	}
 }
 
@@ -99,39 +102,34 @@ func (st *symtab) predID(k predKey) (uint32, bool) {
 	return 0, false
 }
 
-// addSymbol appends a constant the table does not hold yet.
-func (st *symtab) addSymbol(name string) uint32 {
+// addSymbol appends a constant the table does not hold yet, for the
+// writer of the given epoch.
+func (st *symtab) addSymbol(name string, epoch uint64) uint32 {
 	id := uint32(len(st.names.s))
 	st.names.append(name)
 	st.hashes.append(strHash(name))
-	st.indexTails()
+	st.indexTails(epoch)
 	return id
 }
 
-// addPred appends a signature the table does not hold yet.
-func (st *symtab) addPred(k predKey) uint32 {
+// addPred appends a signature the table does not hold yet, for the
+// writer of the given epoch.
+func (st *symtab) addPred(k predKey, epoch uint64) uint32 {
 	id := uint32(len(st.preds.s))
 	st.preds.append(predSym{key: k, hash: mix64(strHash(k.name) + uint64(k.arity))})
-	st.indexTails()
+	st.indexTails(epoch)
 	return id
 }
 
-// indexTails brings the maps up to date with the logs when the table owns
-// them, and folds the tails into private copies once one reaches tailCap.
-func (st *symtab) indexTails() {
-	if !st.own {
+// indexTails brings the maps up to date with the logs when the writer of
+// the given epoch owns them, and otherwise folds the tails into copies
+// it owns once one reaches tailCap.
+func (st *symtab) indexTails(epoch uint64) {
+	if st.epoch != epoch {
 		if len(st.names.s)-st.idsN < tailCap && len(st.preds.s)-st.predsN < tailCap {
 			return
 		}
-		ids := make(map[string]uint32, len(st.names.s))
-		for k, v := range st.ids {
-			ids[k] = v
-		}
-		predIDs := make(map[predKey]uint32, len(st.preds.s))
-		for k, v := range st.predIDs {
-			predIDs[k] = v
-		}
-		st.ids, st.predIDs, st.own = ids, predIDs, true
+		st.ids, st.predIDs, st.epoch = maps.Clone(st.ids), maps.Clone(st.predIDs), epoch
 	}
 	for ; st.idsN < len(st.names.s); st.idsN++ {
 		st.ids[st.names.s[st.idsN]] = uint32(st.idsN)

@@ -93,16 +93,6 @@ func TestE8RatiosAboveOne(t *testing.T) {
 	}
 }
 
-func TestBTWorkFor(t *testing.T) {
-	w, err := BTWorkFor(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Period.P != 50 {
-		t.Errorf("work = %+v, want period 50", w)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{
 		ID: "EX", Title: "demo", Claim: "c", Expect: "e",

@@ -385,21 +385,6 @@ func E8(quick bool) (*Table, error) {
 	return t, nil
 }
 
-// BTWorkFor is a helper used by benchmarks: process one ski database of
-// the given scale end to end and return the work certificate.
-func BTWorkFor(resorts int) (core.Certificate, error) {
-	rules, facts := workload.Ski(workload.SkiParams{YearLen: 50, Resorts: resorts, Planes: 2 * resorts, Holidays: 5, Seed: 42})
-	prog, db, err := parser.ParseUnit(rules + facts)
-	if err != nil {
-		return core.Certificate{}, err
-	}
-	bt, err := core.New(prog, db)
-	if err != nil {
-		return core.Certificate{}, err
-	}
-	return bt.Work()
-}
-
 // E9 — extension (Section 8 future work): query-relevance pruning. A
 // database describing k independent periodic subsystems has a global
 // period equal to the lcm of the subsystem periods, but a query touches

@@ -94,7 +94,9 @@ echo "==> store allocation budgets"
 # NewAxis: New allocates each predicate's time axis once, at its final length, for a database in ascending time order.
 # CloneAxisRace: two clones extend and fork one shared axis while the parent is read; the -race line below checks it.
 # FactsReadBack: the database read back from the store equals the facts given to New plus those InsertBase added, after shared states and on clone lineages.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace TestAllocBudgetCloneAxis TestAllocBudgetNewAxis TestCloneAxisRace TestFactsReadBack
+# CloneWritesNothingShared: a clone writes no shard, time axis header, counter record or symbol map its parent reaches; it re-epochs the two store headers only.
+# ShardAndEvaluatorSizes: a relset is 96 bytes and an Evaluator at most 448, the size classes the epoch fields fit in.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace TestAllocBudgetCloneAxis TestAllocBudgetNewAxis TestCloneAxisRace TestFactsReadBack TestCloneWritesNothingShared TestShardAndEvaluatorSizes
 go test -race -count=1 -run '^(TestPropositionLineageRace|TestCloneAxisRace)$' ./internal/engine/
 # Copy-on-write overlays: every shard along a random tree of store clones
 # equals a flat rebuild of its lineage's rows; a fork leaves the frozen

@@ -138,20 +138,20 @@ func (m *slicedModel) covers(goals []string) bool {
 // the window budget and nothing else: a snapshot with observability hooks
 // never gets here.
 func (m *slicedModel) build(st *dbState) {
-	db := st.bt.Database()
-	m.consts = db.Constants()
+	facts, consts := st.bt.SliceDatabase(m.sl.Contains)
+	m.consts = consts
 	m.eligible = headConstantsCovered(st.prog, m.consts)
 	prog, err := m.sl.Program()
 	if err != nil {
 		m.err = err
 		return
 	}
-	facts, err := m.sl.Database(db)
+	db, err := ast.NewDatabase(facts)
 	if err != nil {
 		m.err = err
 		return
 	}
-	m.bt, m.err = core.New(prog, facts, core.WithMaxWindow(st.cfg.maxWindow))
+	m.bt, m.err = core.New(prog, db, core.WithMaxWindow(st.cfg.maxWindow))
 }
 
 // headConstantsCovered reports whether every constant in a rule head
