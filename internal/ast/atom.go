@@ -106,23 +106,6 @@ func (a Atom) String() string {
 	return b.String()
 }
 
-// Vars returns the set of variable names occurring in the atom, split into
-// the temporal variable (empty string if none) and the non-temporal
-// variable names in order of first occurrence.
-func (a Atom) Vars() (temporal string, nonTemporal []string) {
-	if a.Time != nil {
-		temporal = a.Time.Var
-	}
-	seen := make(map[string]bool)
-	for _, s := range a.Args {
-		if s.IsVar && !seen[s.Name] {
-			seen[s.Name] = true
-			nonTemporal = append(nonTemporal, s.Name)
-		}
-	}
-	return temporal, nonTemporal
-}
-
 // Fact is a ground atom as stored in a temporal database: either a temporal
 // tuple P(k, c1..cn) or a non-temporal tuple R(c1..cn).
 type Fact struct {

@@ -1,9 +1,6 @@
 package ast
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestAtomString(t *testing.T) {
 	cases := []struct {
@@ -62,17 +59,6 @@ func TestAtomEqualClone(t *testing.T) {
 	}
 	if a.Equal(NonTemporalAtom("p", Var("X"), Const("c"))) {
 		t.Error("temporal atom equal to non-temporal atom")
-	}
-}
-
-func TestAtomVars(t *testing.T) {
-	a := TemporalAtom("p", TemporalTerm{Var: "T", Depth: 1}, Var("X"), Const("c"), Var("Y"), Var("X"))
-	tv, nv := a.Vars()
-	if tv != "T" {
-		t.Errorf("temporal var = %q, want T", tv)
-	}
-	if !reflect.DeepEqual(nv, []string{"X", "Y"}) {
-		t.Errorf("non-temporal vars = %v, want [X Y]", nv)
 	}
 }
 

@@ -179,18 +179,6 @@ func QueryAtoms(q Query) []Atom {
 	return out
 }
 
-// MaxQueryDepth returns h, the maximum depth of a ground temporal term in
-// the query (0 if none). Algorithm BT's window bound is a function of h.
-func MaxQueryDepth(q Query) int {
-	h := 0
-	for _, a := range QueryAtoms(q) {
-		if a.Time != nil && a.Time.Ground() && a.Time.Depth > h {
-			h = a.Time.Depth
-		}
-	}
-	return h
-}
-
 // FormatAnswer renders an answer substitution for display: variable names
 // mapped to values, in sorted variable order.
 func FormatAnswer(temporal map[string]int, nonTemporal map[string]string) string {

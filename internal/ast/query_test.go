@@ -59,20 +59,6 @@ func TestQueryAtoms(t *testing.T) {
 	}
 }
 
-func TestMaxQueryDepth(t *testing.T) {
-	q := QAnd{
-		Left:  QAtom{Atom: TemporalAtom("p", TemporalTerm{Depth: 42})},
-		Right: QAtom{Atom: TemporalAtom("q", TemporalTerm{Var: "T", Depth: 99})},
-	}
-	// Only ground temporal terms count.
-	if got := MaxQueryDepth(q); got != 42 {
-		t.Errorf("MaxQueryDepth = %d, want 42", got)
-	}
-	if got := MaxQueryDepth(QAtom{Atom: NonTemporalAtom("r")}); got != 0 {
-		t.Errorf("MaxQueryDepth = %d, want 0", got)
-	}
-}
-
 func TestQueryString(t *testing.T) {
 	got := buildQ().String()
 	want := "(exists T (plane(T, X) & (!winter(T)))) | resort(X)"

@@ -13,8 +13,6 @@
 package classify
 
 import (
-	"sort"
-
 	"tdd/internal/ast"
 	"tdd/internal/progan"
 )
@@ -45,19 +43,6 @@ func mutualSCCs(g *progan.Report) [][]string {
 // predicate (self-loops — plain recursion — are allowed).
 func MutualRecursionFree(p *ast.Program) bool {
 	return len(MutualSCCs(p)) == 0
-}
-
-// RecursivePreds returns the predicates that depend on themselves (directly
-// or through a cycle), sorted.
-func RecursivePreds(p *ast.Program) []string {
-	out := []string{}
-	for _, c := range progan.Analyze(p, nil).SCCs {
-		if c.Recursion != progan.NonRecursive {
-			out = append(out, c.Preds...)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Levels assigns a level number to every predicate of a mutual-recursion-

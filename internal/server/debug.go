@@ -66,6 +66,12 @@ func (t *inflightTable) remove(token uint64) {
 	t.mu.Unlock()
 }
 
+func (t *inflightTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
 // InflightSnapshot is one in-flight request as reported by
 // GET /debug/flights.
 type InflightSnapshot struct {

@@ -1,15 +1,16 @@
 package server
 
-// Hand-rolled singleflight for query evaluation: identical concurrent
-// asks — same program, same content revision, same query text (and for
-// the answers endpoint, the same limit) — coalesce into one evaluation.
-// The first request becomes the flight leader and goes through the
-// ordinary admission path (the worker pool); every later arrival joins
-// the in-flight evaluation and just waits for the leader's result,
-// consuming no worker and no queue slot. The revision is part of the
-// key, so an ingest that moves the program immediately stops coalescing
-// against the stale model: the next ask for the new revision starts a
-// fresh flight.
+// Hand-rolled singleflight for evaluation: identical concurrent asks —
+// same program, same content revision, same query text (and for the
+// answers endpoint, the same limit) — coalesce into one evaluation, and
+// so do concurrent cache misses on one program revision (Registry.Lookup),
+// into one compile. The first request becomes the flight leader and does
+// the work — an ask through the ordinary admission path (the worker
+// pool); every later arrival joins the in-flight evaluation and just
+// waits for the leader's result, consuming no worker and no queue slot.
+// The revision is part of the key, so an ingest that moves the program
+// immediately stops coalescing against the stale model: the next ask for
+// the new revision starts a fresh flight.
 //
 // Results are shared by pointer: entries and answer slices are
 // immutable once published, and error values are never mutated, so a
@@ -27,12 +28,24 @@ import (
 
 // flightKey identifies one coalescable evaluation.
 type flightKey struct {
-	id      string
-	rev     string
-	query   string
-	answers bool // false = ask (boolean), true = answers (enumeration)
-	limit   int  // answers only
+	id    string
+	rev   string
+	query string // ask and answers only
+	kind  flightKind
+	limit int // answers only
 }
+
+// flightKind is what a flight evaluates. It is a byte so that flightKey,
+// and the flight each leader allocates, keep their size classes.
+type flightKind uint8
+
+const (
+	askFlight     flightKind = iota // a closed query (boolean)
+	answersFlight                   // an open query (enumeration)
+	compileFlight                   // a cache miss (Registry.Lookup)
+)
+
+func (k flightKind) String() string { return [...]string{"ask", "answers", "compile"}[k] }
 
 // flight is one in-progress evaluation. The leader fills the result
 // fields, then closes done; joiners block on done.
@@ -51,7 +64,8 @@ type flight struct {
 }
 
 // evaluation is what one ask or answers evaluation produced: the entry it
-// ran against and the route's result, or the error that prevented one.
+// ran against and the route's result, or the error that prevented one. A
+// compile fills ent or err only.
 type evaluation struct {
 	ent    *entry
 	result bool         // ask
@@ -95,20 +109,13 @@ func (g *flightGroup) finish(key flightKey, f *flight) {
 	close(f.done)
 }
 
-// size reports how many evaluations are in flight (test hook).
-func (g *flightGroup) size() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}
-
 // FlightSnapshot is one in-flight coalescable evaluation as reported by
 // GET /debug/flights.
 type FlightSnapshot struct {
 	Program string `json:"program"`
 	Rev     string `json:"rev"`
 	Query   string `json:"query"`
-	Kind    string `json:"kind"` // "ask" or "answers"
+	Kind    string `json:"kind"` // "ask", "answers" or "compile"
 	Limit   int    `json:"limit,omitempty"`
 	Joiners int64  `json:"joiners"`
 	AgeUs   int64  `json:"age_us"`
@@ -120,15 +127,11 @@ func (g *flightGroup) snapshot() []FlightSnapshot {
 	out := make([]FlightSnapshot, 0, len(g.m))
 	now := time.Now()
 	for _, f := range g.m {
-		kind := "ask"
-		if f.key.answers {
-			kind = "answers"
-		}
 		out = append(out, FlightSnapshot{
 			Program: f.key.id,
 			Rev:     f.key.rev,
 			Query:   f.key.query,
-			Kind:    kind,
+			Kind:    f.key.kind.String(),
 			Limit:   f.key.limit,
 			Joiners: f.joiners.Load(),
 			AgeUs:   now.Sub(f.started).Microseconds(),

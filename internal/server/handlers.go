@@ -225,12 +225,10 @@ func (s *Server) fail(w http.ResponseWriter, route string, err error) {
 	case errors.Is(err, ErrQueueFull):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
-		s.metrics.Shed.Add(1)
 		rm.Sheds.Add(1)
 		err = fmt.Errorf("overloaded, retry later: %w", err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusServiceUnavailable
-		s.metrics.Timeouts.Add(1)
 		rm.Timeouts.Add(1)
 		err = fmt.Errorf("request timed out or was canceled: %w", err)
 	case errors.Is(err, ErrPoolClosed), errors.Is(err, wal.ErrClosed):
@@ -548,7 +546,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	start := time.Now()
 	var out evaluation
-	tr, coalesced, ok := s.evaluate(w, r, "ask", flightKey{id: id, query: req.Query}, &out,
+	tr, coalesced, ok := s.evaluate(w, r, "ask", flightKey{id: id, kind: askFlight, query: req.Query}, &out,
 		func(ent *entry, tr *obs.Trace) (err error) {
 			out.result, err = ent.db.AskTrace(req.Query, tr)
 			return err
@@ -585,7 +583,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	var out evaluation
 	// The limit participates in the key: answers with different limits
 	// are different result sets and must not share a flight.
-	key := flightKey{id: id, query: req.Query, answers: true, limit: req.Limit}
+	key := flightKey{id: id, kind: answersFlight, query: req.Query, limit: req.Limit}
 	tr, coalesced, ok := s.evaluate(w, r, "answers", key, &out,
 		func(ent *entry, tr *obs.Trace) (err error) {
 			out.ans, err = ent.db.AnswersLimitTrace(req.Query, req.Limit, tr)

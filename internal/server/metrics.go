@@ -124,12 +124,11 @@ type routeMetrics struct {
 // with atomics at its increment site; what each one counts is said once,
 // in the help text of its metricTable row.
 type Metrics struct {
-	Requests, Errors, InFlight, Timeouts atomic.Int64
-	Panics                               atomic.Int64
-	CacheHits, CacheMisses, CacheEvict   atomic.Int64
-	// Admission and coalescing (pool.go, flight.go).
-	Shed, Coalesced, FlightLeaders atomic.Int64
-	Asserts, FactsIngested         atomic.Int64
+	Panics                             atomic.Int64
+	CacheHits, CacheMisses, CacheEvict atomic.Int64
+	// Coalescing (flight.go).
+	Coalesced, FlightLeaders atomic.Int64
+	Asserts, FactsIngested   atomic.Int64
 	// Durability: all zero without a data directory.
 	WalAppends, WalFsyncs atomic.Int64
 	// Replication: all zero unless following. FollowerLag is a gauge.
@@ -142,10 +141,12 @@ type Metrics struct {
 	// are created, read by every scrape.
 	start time.Time
 
+	// routes holds the request, error, shed and timeout counters; the
+	// server-wide rows are their sums (routeTotal).
 	routes map[string]*routeMetrics
 	// orphan absorbs updates for route names missing from routes, so a
-	// route registered without a metrics slot degrades to uncounted
-	// rather than a nil dereference on the request path.
+	// route registered without a metrics slot degrades to uncounted per
+	// route rather than a nil dereference on the request path.
 	orphan routeMetrics
 }
 
@@ -232,6 +233,18 @@ const (
 	histo   = "histogram"
 )
 
+// routeTotal loads a server-wide row: the sum of one per-route counter
+// over every route, the orphan slot included.
+func routeTotal(counter func(*routeMetrics) *atomic.Int64) func(*scrape, string) any {
+	return func(s *scrape, _ string) any {
+		n := counter(&s.m.orphan).Load()
+		for _, rm := range s.m.routes {
+			n += counter(rm).Load()
+		}
+		return n
+	}
+}
+
 // metricTable declares every metric the server exports, once: both
 // expositions walk it in this order.
 var metricTable = []metric{
@@ -258,13 +271,13 @@ var metricTable = []metric{
 		}},
 
 	{perServer, "requests", "tddserve_requests_total", counter, "HTTP requests received, any route.",
-		func(s *scrape, _ string) any { return s.m.Requests.Load() }},
+		routeTotal(func(rm *routeMetrics) *atomic.Int64 { return &rm.Requests })},
 	{perServer, "errors", "tddserve_errors_total", counter, "Responses with status >= 400.",
-		func(s *scrape, _ string) any { return s.m.Errors.Load() }},
+		routeTotal(func(rm *routeMetrics) *atomic.Int64 { return &rm.Errors })},
 	{perServer, "in_flight", "tddserve_in_flight_requests", gauge, "Requests currently executing.",
-		func(s *scrape, _ string) any { return s.m.InFlight.Load() }},
+		func(s *scrape, _ string) any { return s.inFlight }},
 	{perServer, "timeouts", "tddserve_timeouts_total", counter, "Requests that hit the per-request deadline.",
-		func(s *scrape, _ string) any { return s.m.Timeouts.Load() }},
+		routeTotal(func(rm *routeMetrics) *atomic.Int64 { return &rm.Timeouts })},
 	{perServer, "panics", "tddserve_panics_total", counter, "Requests whose evaluation panicked; the worker recovered and the client got a 500.",
 		func(s *scrape, _ string) any { return s.m.Panics.Load() }},
 	{perServer, "cache_hits", "tddserve_spec_cache_hits_total", counter, "Spec-cache lookups answered warm.",
@@ -295,7 +308,7 @@ var metricTable = []metric{
 	{perServer, "follower.lag_records", "tddserve_follower_lag_records", gauge, "Leader batches not yet applied, summed over programs.",
 		func(s *scrape, _ string) any { return s.m.FollowerLag.Load() }},
 	{perServer, KeyShed, "tddserve_shed_total", counter, "Requests rejected by admission control instead of queued.",
-		func(s *scrape, _ string) any { return s.m.Shed.Load() }},
+		routeTotal(func(rm *routeMetrics) *atomic.Int64 { return &rm.Sheds })},
 	{perServer, KeyCoalesced, "tddserve_coalesced_requests_total", counter, "Asks that joined an identical in-flight evaluation.",
 		func(s *scrape, _ string) any { return s.m.Coalesced.Load() }},
 	{perServer, KeyFlightLeaders, "tddserve_flight_leaders_total", counter, "Coalescable evaluations actually run (flight leaders).",
@@ -371,7 +384,7 @@ type scrape struct {
 	mem        runtime.MemStats
 	leader     string // "" unless following
 
-	queueDepth, queueCapacity int
+	inFlight, queueDepth, queueCapacity int
 
 	programs map[string]*entry
 	logs     map[string]wal.LogStats // nil without a data directory
@@ -388,6 +401,7 @@ func (s *Server) scrape() *scrape {
 		uptime:        time.Since(s.metrics.start),
 		goroutines:    runtime.NumGoroutine(),
 		leader:        s.cfg.Follow,
+		inFlight:      s.inflight.len(),
 		queueDepth:    s.pool.Depth(),
 		queueCapacity: s.pool.Capacity(),
 		programs:      s.reg.Warm(),

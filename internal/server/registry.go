@@ -8,12 +8,15 @@
 //
 //   - a program registry: clients POST a rules+facts pair and get back a
 //     stable handle (the content hash), so registration is idempotent and
-//     cacheable across clients;
-//   - an LRU specification cache: each registered program is compiled and
-//     its period certified at most once while resident. A warm entry holds
-//     one model — the tdd.DB snapshot — and every query is answered from
-//     its certified specification (the E7 fast path) without taking a
-//     lock; there is no second copy and no fallback engine;
+//     cacheable across clients. It keeps one record per program — its
+//     source, its warm entry while resident, and its writer lock;
+//   - a least-recently-used specification cache over those records: each
+//     registered program is compiled and its period certified at most
+//     once while resident, and concurrent misses share one compile
+//     through the flight group. A warm entry holds one model — the tdd.DB
+//     snapshot — and every query is answered from its certified
+//     specification (the E7 fast path) without taking a lock; there is no
+//     second copy and no fallback engine;
 //   - a bounded worker pool with per-request deadlines, so overload
 //     degrades into prompt errors rather than unbounded concurrency;
 //   - an observability layer: request/error counters, latency histograms,
@@ -22,11 +25,11 @@
 package server
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tdd"
 	"tdd/internal/obs"
@@ -35,6 +38,8 @@ import (
 
 // ErrNotFound is returned by Lookup for an unregistered program id.
 var ErrNotFound = errors.New("server: unknown program id")
+
+var errCompilePanicked = errors.New("server: compile panicked")
 
 // programSource is the registered, never-evicted form of a program: its
 // base sources and the record of every fact batch ingested since
@@ -55,10 +60,6 @@ type programSource struct {
 	// successor shares the backing array and appends past this source's
 	// length, which no reader of this source looks at.
 	records []wal.Record
-	// writer serializes ingests on the program. It is created at
-	// registration and carried by every successor, so all writers of one
-	// id contend on the same mutex for the registry's lifetime.
-	writer *sync.Mutex
 }
 
 // rev is the content hash of the program *including* every ingested
@@ -140,51 +141,33 @@ func (e *entry) Period() tdd.Period { return e.cert.Period }
 // Lint returns the Tier-A analysis computed when the entry was built.
 func (e *entry) Lint() tdd.LintResult { return e.lint }
 
-// future caches one compile-in-progress so concurrent misses on the same
-// id do the work once (no thundering herd on expensive period
-// certifications).
-type future struct {
-	once  sync.Once
-	done  atomic.Bool
-	entry *entry
-	err   error
+// program is one registered program: its current source, its warm
+// entry while resident, and the lock its writers take. The registry
+// keeps one record per id for its lifetime, so every writer of an id
+// contends on the same mutex.
+type program struct {
+	src  *programSource // guarded-by: Registry.mu
+	warm *entry         // guarded-by: Registry.mu; nil when not resident
+	// el is the program's element in the registry's recency list, nil
+	// when not resident.
+	el *list.Element // guarded-by: Registry.mu
+
+	// writer serializes ingests on the program.
+	writer sync.Mutex
 }
 
-func (f *future) resolve(build func() (*entry, error)) (*entry, error) {
-	f.once.Do(func() {
-		f.entry, f.err = build()
-		f.done.Store(true)
-	})
-	return f.entry, f.err
-}
-
-// peek returns the entry if the future has already resolved successfully,
-// nil otherwise. Never blocks — used by the metrics path to walk warm
-// entries without waiting on in-flight compiles.
-func (f *future) peek() *entry {
-	if !f.done.Load() {
-		return nil
-	}
-	return f.entry
-}
-
-// resolvedFuture wraps an already-built entry.
-func resolvedFuture(e *entry) *future {
-	f := &future{}
-	f.once.Do(func() { f.entry = e; f.done.Store(true) })
-	return f
-}
-
-// Registry stores registered program sources (unbounded — sources are
-// tiny) and a bounded LRU cache of their preprocessed specifications
-// (bounded — a warm entry pins the whole evaluated window). It is safe
-// for concurrent use. One mutex guards both tables: its critical
-// sections are a map read and an LRU recency update — nanoseconds inside a
-// served request — and compiles, ingests and queries all run outside it
-// (E16). The flight group coalesces identical concurrent asks into one
-// evaluation.
+// Registry stores one record per registered program (unbounded — sources
+// are tiny) and keeps at most cacheSize of them warm (bounded — a warm
+// entry pins the whole evaluated window), least recently used first out.
+// It is safe for concurrent use. One mutex guards the records and the
+// recency list: its critical sections are a map read and a list move —
+// nanoseconds inside a served request — and compiles, ingests and queries
+// all run outside it (E16). The flight group coalesces identical
+// concurrent asks, and concurrent misses on one program, into one
+// evaluation each.
 type Registry struct {
 	maxWindow int
+	cacheSize int
 	metrics   *Metrics
 
 	// wal, when non-nil, makes the registry durable: registrations write
@@ -195,21 +178,38 @@ type Registry struct {
 	wal *wal.Store
 
 	mu    sync.Mutex
-	progs map[string]*programSource // guarded-by: mu
-	cache *lru[*future]             // guarded-by: mu
+	progs map[string]*program // guarded-by: mu
+	// recent lists the warm programs, most recently used at the front.
+	recent list.List // guarded-by: mu
 
 	flights flightGroup
 }
 
-// NewRegistry builds a registry whose spec cache holds at most cacheSize
-// warm programs (at least 1); maxWindow (0 = default) bounds period
-// certification.
+// NewRegistry builds a registry that keeps at most cacheSize programs
+// warm (at least 1); maxWindow (0 = default) bounds period certification.
 func NewRegistry(cacheSize, maxWindow int, m *Metrics) *Registry {
 	return &Registry{
 		maxWindow: maxWindow,
+		cacheSize: max(cacheSize, 1),
 		metrics:   m,
-		progs:     make(map[string]*programSource),
-		cache:     newLRU[*future](cacheSize, func(string, *future) { m.CacheEvict.Add(1) }),
+		progs:     make(map[string]*program),
+	}
+}
+
+// resident makes e p's warm entry and p the most recently used program,
+// evicting the least recently used warm programs past the cache size.
+// The caller holds r.mu.
+func (r *Registry) resident(p *program, e *entry) {
+	p.warm = e
+	if p.el != nil {
+		r.recent.MoveToFront(p.el)
+		return
+	}
+	p.el = r.recent.PushFront(p)
+	for r.recent.Len() > r.cacheSize {
+		old := r.recent.Remove(r.recent.Back()).(*program)
+		old.warm, old.el = nil, nil
+		r.metrics.CacheEvict.Add(1)
 	}
 }
 
@@ -259,10 +259,7 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 // and uncertifiable periods at registration time, not on first query.
 func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool, err error) {
 	id := wal.HashSource(unit, rules, facts)
-	r.mu.Lock()
-	_, known := r.progs[id]
-	r.mu.Unlock()
-	if known {
+	if r.program(id) != nil {
 		e, err = r.Lookup(id)
 		return e, true, err
 	}
@@ -271,7 +268,7 @@ func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool,
 	// proceeds in parallel. Two racing registrations of the same program
 	// both compile — idempotent; the loser's entry is discarded by
 	// publish below.
-	src := &programSource{id: id, unit: unit, rules: rules, facts: facts, writer: new(sync.Mutex)}
+	src := &programSource{id: id, unit: unit, rules: rules, facts: facts}
 	ent, err := r.compile(src)
 	if err != nil {
 		return nil, false, err
@@ -296,56 +293,72 @@ func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool,
 	return ent, false, nil
 }
 
-// publish atomically installs a freshly compiled registration: source
-// and cache slot move together, so the cached entry never lags the
-// registered source. It installs nothing and reports false when another
-// registration won the race — by then the program may have ingested
-// batches, so the caller's base-only entry is potentially stale and must
-// be discarded, never cached.
+// publish atomically installs a freshly compiled registration: the
+// record is created warm, so its entry never lags its source. It installs
+// nothing and reports false when another registration won the race — by
+// then the program may have ingested batches, so the caller's base-only
+// entry is potentially stale and must be discarded, never cached.
 func (r *Registry) publish(src *programSource, ent *entry) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.progs[src.id]; ok {
 		return false
 	}
-	r.progs[src.id] = src
-	r.cache.put(src.id, resolvedFuture(ent))
+	p := &program{src: src}
+	r.progs[src.id] = p
+	r.resident(p, ent)
 	return true
 }
 
 // Lookup returns the warm entry for a registered id, recompiling on a
-// cache miss (counted in the metrics). Concurrent misses on one id share
-// a single compilation.
+// cache miss. A miss compiles through the flight group under the key
+// (id, rev, "compile"): the flight's leader books the miss and runs the
+// compile, and every concurrent miss joins it, books a hit and waits for
+// its result. Only a compile that succeeds becomes resident; a failed one
+// installs and evicts nothing, so a later lookup retries.
 func (r *Registry) Lookup(id string) (*entry, error) {
 	r.mu.Lock()
-	src, ok := r.progs[id]
+	p, ok := r.progs[id]
 	if !ok {
 		r.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	f, hit := r.cache.get(id)
-	if !hit {
-		f = &future{}
-		r.cache.put(id, f)
-	}
-	r.mu.Unlock()
-
-	if hit {
-		r.metrics.CacheHits.Add(1)
-	} else {
-		r.metrics.CacheMisses.Add(1)
-	}
-	e, err := f.resolve(func() (*entry, error) { return r.compile(src) })
-	if err != nil {
-		// Do not cache failures; drop the slot so a later lookup retries.
-		r.mu.Lock()
-		if cur, ok := r.cache.get(id); ok && cur == f {
-			r.cache.remove(id)
-		}
+	if e := p.warm; e != nil {
+		r.recent.MoveToFront(p.el)
 		r.mu.Unlock()
-		return nil, err
+		r.metrics.CacheHits.Add(1)
+		return e, nil
 	}
-	return e, nil
+	// Joining under r.mu pairs with land, which installs the entry and
+	// retires the flight under it too: a lookup that finds the program
+	// cold always finds its compile flight, if there is one, to join.
+	src := p.src
+	key := flightKey{id: id, rev: src.rev(), kind: compileFlight}
+	f, leader := r.flights.join(key)
+	r.mu.Unlock()
+	if !leader {
+		r.metrics.CacheHits.Add(1)
+		<-f.done
+		return f.ent, f.err
+	}
+	r.metrics.CacheMisses.Add(1)
+	f.err = errCompilePanicked // what the joiners get if compile panics
+	defer r.land(p, src, key, f)
+	f.ent, f.err = r.compile(src)
+	return f.ent, f.err
+}
+
+// land ends a compile flight: a compile that succeeded against the
+// program's current source becomes resident, then the flight is retired
+// and its joiners released. A compile that an ingest overtook is handed
+// to its waiters but never installed over the ingest's successor.
+func (r *Registry) land(p *program, src *programSource, key flightKey, f *flight) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f.ent != nil && p.src == src {
+		r.resident(p, f.ent)
+	}
+	r.flights.finish(key, f)
 }
 
 // Ingest appends a batch of facts (same syntax as registration fact
@@ -357,15 +370,15 @@ func (r *Registry) Lookup(id string) (*entry, error) {
 // (parse failure, signature conflict, uncertifiable period) nothing is
 // published and the program is unchanged.
 func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
-	src := r.source(id)
-	if src == nil {
+	p := r.program(id)
+	if p == nil {
 		return nil, tdd.AssertResult{}, ErrNotFound
 	}
-	src.writer.Lock()
-	defer src.writer.Unlock()
-	// Re-read the source now that the writer lock is held: an ingest that
+	p.writer.Lock()
+	defer p.writer.Unlock()
+	// Read the source now that the writer lock is held: an ingest that
 	// held it before us may have advanced it.
-	src = r.source(id)
+	src := r.source(id)
 
 	ent, err := r.Lookup(id)
 	if err != nil {
@@ -402,8 +415,8 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 		r.metrics.WalAppends.Add(1)
 	}
 	r.mu.Lock()
-	r.progs[id] = &nsrc
-	r.cache.put(id, resolvedFuture(ne))
+	p.src = &nsrc
+	r.resident(p, ne)
 	r.mu.Unlock()
 	r.metrics.Asserts.Add(1)
 	r.metrics.FactsIngested.Add(int64(res.NewFacts))
@@ -438,10 +451,9 @@ func (r *Registry) RecoverFromWAL(warm bool) (programs, batches int, err error) 
 			rules:   rec.Base.Rules,
 			facts:   rec.Base.Facts,
 			records: rec.Records,
-			writer:  new(sync.Mutex),
 		}
 		r.mu.Lock()
-		r.progs[src.id] = src
+		r.progs[src.id] = &program{src: src}
 		r.mu.Unlock()
 		programs++
 		batches += len(rec.Records)
@@ -475,12 +487,22 @@ func (r *Registry) DurabilityStats() map[string]wal.LogStats {
 	return r.wal.Stats()
 }
 
-// source returns the registered program's source state, or nil.
+// program returns the registered program's record, or nil.
+func (r *Registry) program(id string) *program {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.progs[id]
+}
+
+// source returns the registered program's current source, or nil.
 // programSource values are immutable once published.
 func (r *Registry) source(id string) *programSource {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.progs[id]
+	if p := r.progs[id]; p != nil {
+		return p.src
+	}
+	return nil
 }
 
 // SeqRev reports a registered program's batch count and current content
@@ -556,19 +578,18 @@ func (r *Registry) ApplyReplicated(id string, rec wal.Record) error {
 	return nil
 }
 
-// Warm returns every warm (resident and resolved) program's entry by id.
-// In-flight compiles are skipped rather than awaited, and the registry
-// mutex covers only the walk: entries are immutable, so the caller reads
-// them with no lock at all.
+// Warm returns every warm program's entry by id. In-flight compiles are
+// not resident and so not awaited, and the registry mutex covers only the
+// walk: entries are immutable, so the caller reads them with no lock at
+// all.
 func (r *Registry) Warm() map[string]*entry {
 	out := make(map[string]*entry)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache.each(func(id string, f *future) {
-		if e := f.peek(); e != nil {
-			out[id] = e
-		}
-	})
+	for el := r.recent.Front(); el != nil; el = el.Next() {
+		p := el.Value.(*program)
+		out[p.src.id] = p.warm
+	}
 	return out
 }
 
@@ -588,5 +609,5 @@ func (r *Registry) IDs() []string {
 func (r *Registry) CachedLen() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cache.len()
+	return r.recent.Len()
 }

@@ -236,13 +236,13 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // route registers pattern with the instrumentation middleware: in-flight
-// gauge, request/error counters, latency histogram, structured log line.
+// table (the in_flight gauge is its length), the route's request and error
+// counters (the server-wide rows are their sums), latency histogram,
+// structured log line.
 func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	rm := s.metrics.route(name)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.Requests.Add(1)
-		s.metrics.InFlight.Add(1)
 		rm.Requests.Add(1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 
@@ -268,10 +268,8 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 		s.inflight.remove(token)
 
 		d := time.Since(start)
-		s.metrics.InFlight.Add(-1)
 		rm.latency.observe(d)
 		if rec.status >= 400 {
-			s.metrics.Errors.Add(1)
 			rm.Errors.Add(1)
 		}
 		s.cfg.Logger.Info("request",

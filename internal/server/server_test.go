@@ -505,13 +505,13 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestRequestTimeout forces an immediate deadline: requests must come
 // back promptly as 503 with the timeout counter bumped, not hang.
 func TestRequestTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	resp, body := postJSON(t, ts.URL+"/programs", registerRequest{Unit: evenUnit})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
 	}
-	if got := s.Metrics().Timeouts.Load(); got < 1 {
-		t.Errorf("timeouts counter = %d, want >= 1", got)
+	if got := scrapeJSON(t, ts.URL).num(t, "timeouts"); got < 1 {
+		t.Errorf("timeouts counter = %v, want >= 1", got)
 	}
 }
 
@@ -588,30 +588,6 @@ func TestPanicIsolated(t *testing.T) {
 	}
 }
 
-func TestLRU(t *testing.T) {
-	var evicted []string
-	c := newLRU[int](2, func(k string, _ int) { evicted = append(evicted, k) })
-	c.put("a", 1)
-	c.put("b", 2)
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	c.put("c", 3) // evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should survive (recently used)")
-	}
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Errorf("evicted %v, want [b]", evicted)
-	}
-	c.remove("a")
-	if c.len() != 1 {
-		t.Errorf("len = %d, want 1", c.len())
-	}
-}
-
 // TestAskCoalesce pins the singleflight contract: with the lone pool
 // worker held hostage, N identical concurrent asks form one flight —
 // exactly one evaluation runs when the worker frees up, every other
@@ -679,7 +655,7 @@ func TestAskCoalesce(t *testing.T) {
 	if coalesced != n-1 {
 		t.Fatalf("%d responses marked coalesced, want %d", coalesced, n-1)
 	}
-	if got := s.reg.flights.size(); got != 0 {
+	if got := len(s.reg.flights.snapshot()); got != 0 {
 		t.Fatalf("%d flights still open after completion", got)
 	}
 }
@@ -733,8 +709,8 @@ func TestQueueShedsFast(t *testing.T) {
 	if best >= 50*time.Millisecond {
 		t.Fatalf("fastest of %d sheds took %v, want prompt rejection", attempts, best)
 	}
-	if got := s.metrics.Shed.Load(); got != sheds {
-		t.Fatalf("shed counter = %d, want %d", got, sheds)
+	if got := scrapeJSON(t, ts.URL).num(t, KeyShed); got != float64(sheds) {
+		t.Fatalf("shed counter = %v, want %d", got, sheds)
 	}
 	if got := s.metrics.route("ask").Sheds.Load(); got != sheds {
 		t.Fatalf("ask route sheds = %d, want %d", got, sheds)

@@ -220,7 +220,9 @@ require_test ./internal/experiments/ TestE10ClosedForm
 
 echo "==> one resident model per served program (lock-free warm reads, entry heap <= 1.3x a bare DB)"
 require_test ./internal/core/ TestWarmReadsTakeNoLock TestColdCertifiesOnce
-require_test ./internal/server/ TestWarmEntryRetainsOneModel
+# RegistryEvictsLeastRecentlyUsed: with room for two warm programs, the one used least recently is the one evicted.
+# FailedRecompileKeepsWarm: a lookup whose recompile fails installs nothing and evicts no warm program.
+require_test ./internal/server/ TestWarmEntryRetainsOneModel TestRegistryEvictsLeastRecentlyUsed TestFailedRecompileKeepsWarm
 
 echo "==> recovery refuses the older snapshot layout; the I-period spans the deepest term"
 # wal.log is the whole history, so a directory an older writer folded into
@@ -252,7 +254,8 @@ go test -run '^$' -bench '^BenchmarkSlicedAsk$' -benchtime 50x -count 3 . \
         }'
 
 echo "==> serving contention battery under GOMAXPROCS=4 -race"
-# The singleflight, queue shedding, and the per-program writer lock only see
+# The singleflight (asks, and the compile concurrent cache misses share),
+# queue shedding, and the per-program writer lock only see
 # real interleavings when the runtime can run handlers concurrently;
 # a 1-CPU box pins GOMAXPROCS=1 by default, which would serialize them.
 GOMAXPROCS=4 go test -race -run 'Coalesc|Shed|WriterLock|Flight|IngestWhileQuerying' ./internal/server/
