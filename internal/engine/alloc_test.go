@@ -536,3 +536,36 @@ func TestAllocBudgetCloneAxis(t *testing.T) {
 		t.Errorf("clone and write allocate %.0f objects at k = 1 and %.0f at k = 8, want the same", objects[0], objects[1])
 	}
 }
+
+// TestAllocBudgetClassAxis: EnsureWindow sizes the class axis once, at
+// the horizon, as it sizes the time axes, and looks closing states up in
+// a table of the classes, not of the window. On a model whose states
+// repeat from time point 1 on (two classes), evaluating a window of W
+// states cold allocates the same objects at W = 256 and W = 2 048, and
+// leaves a class axis of exactly W+1 ids: one allocation at the horizon,
+// never regrown. (Bytes are not budgeted here: the race detector's
+// runtime allocates more for the same objects.)
+func TestAllocBudgetClassAxis(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const src = "p(T+1, X) :- p(T, X).\nq(T+1) :- q(T).\np(0, a). p(0, b). q(0). r(0).\n"
+	prog, db := mustTDD(t, src)
+	var objects []float64
+	windows := []int{256, 2048}
+	for _, w := range windows {
+		var e *Evaluator
+		objects = append(objects, testing.AllocsPerRun(10, func() {
+			var err error
+			if e, err = New(prog, db); err != nil {
+				t.Fatal(err)
+			}
+			e.EnsureWindow(w)
+		}))
+		if a := e.store.classes; len(a.class) != w+1 || cap(a.class) != w+1 || len(a.first) != 2 {
+			t.Errorf("W = %d: class axis of length %d and capacity %d with %d classes, want %d, %d and 2", w, len(a.class), cap(a.class), len(a.first), w+1, w+1)
+		}
+	}
+	t.Logf("cold window: %.0f objects at W = %d, %.0f at W = %d", objects[0], windows[0], objects[1], windows[1])
+	if objects[0] != objects[1] {
+		t.Errorf("a cold window allocates %.0f objects at W = %d and %.0f at W = %d, want the same", objects[0], windows[0], objects[1], windows[1])
+	}
+}

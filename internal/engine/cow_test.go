@@ -39,14 +39,27 @@ type axisImage struct {
 	facts, states       int
 }
 
+// classImage is the store's class axis, by identity and contents, its
+// spare capacity included.
+type classImage struct {
+	axis       *classAxis
+	class      []uint32
+	classData  *uint32
+	first      []uint32
+	firstData  *uint32
+	classEpoch uint64
+}
+
 // cowImage is everything an evaluator reaches that some writer may
 // change in place: each shard (an overlay's base included) and counter
-// record by value, each predicate's header, and the symbol maps.
+// record by value, each predicate's header, the class axis and the
+// symbol maps.
 type cowImage struct {
-	shards map[*relset]shardImage
-	axes   []axisImage
-	recs   map[*ruleRec]ruleRec
-	syms   [4]uint64
+	shards  map[*relset]shardImage
+	axes    []axisImage
+	recs    map[*ruleRec]ruleRec
+	classes classImage
+	syms    [4]uint64
 }
 
 func imageOf(e *Evaluator) cowImage {
@@ -79,6 +92,10 @@ func imageOf(e *Evaluator) cowImage {
 		v.lits, v.strata, v.cells = slices.Clone(rec.lits), slices.Clone(rec.strata), slices.Clone(rec.cells)
 		img.recs[rec] = v
 	}
+	if a := s.classes; a != nil {
+		img.classes = classImage{axis: a, class: slices.Clone(a.class[:cap(a.class)]), classData: unsafe.SliceData(a.class),
+			first: slices.Clone(a.first[:cap(a.first)]), firstData: unsafe.SliceData(a.first), classEpoch: a.epoch}
+	}
 	img.syms = [4]uint64{s.syms.epoch, uint64(s.syms.idsN), uint64(s.syms.predsN), uint64(len(s.syms.ids) + len(s.syms.predIDs))}
 	return img
 }
@@ -104,6 +121,9 @@ func (a cowImage) diff(b cowImage) error {
 			return fmt.Errorf("counter record %p changed: %+v became %+v", rec, v, w)
 		}
 	}
+	if !reflect.DeepEqual(a.classes, b.classes) {
+		return fmt.Errorf("class axis changed: %+v became %+v", a.classes, b.classes)
+	}
 	if a.syms != b.syms {
 		return fmt.Errorf("symbol maps changed: %v became %v", a.syms, b.syms)
 	}
@@ -113,10 +133,12 @@ func (a cowImage) diff(b cowImage) error {
 // TestCloneWritesNothingShared: an evaluator that reaches every kind of
 // shard — overlays and their bases, a proposition, a database shard, a
 // state shared between time points, shards and counter records it owns
-// and ones it inherited — is cloned, and no shard, time axis header,
-// counter record or symbol map it reaches changes: Clone re-epochs the
-// two store headers and writes nothing else. The clone is then written
-// into, and the parent still reads as it did.
+// and ones it inherited — and a class axis it owns is cloned, and no
+// shard, time axis header, counter record, class axis (its spare
+// capacity included) or symbol map it reaches changes: Clone re-epochs
+// the two store headers and writes nothing else. The clone is then
+// extended, which classes its new states, written into and extended
+// again, and the parent still reads as it did.
 func TestCloneWritesNothingShared(t *testing.T) {
 	const src = `p(T+2, X) :- p(T, X).
 q(T+1, X) :- p(T, X), w(T, X).
@@ -139,6 +161,7 @@ s(a0). h(z).
 	}
 	e.PropagateDelta(batch)
 	e.EnsureWindow(40)
+	e.EnsureWindow(41) // the class axis grows past its length
 
 	// The fixture must reach every kind of shard, or the test checks less
 	// than it says.
@@ -169,6 +192,9 @@ s(a0). h(z).
 			ownedRecs++
 		}
 	}
+	if a := e.store.classes; a == nil || a.epoch != e.store.epoch || len(a.class) != 42 || cap(a.class) == len(a.class) {
+		t.Fatalf("fixture's class axis %+v (store epoch %d): want a fresh owned axis of 42 with room to spare", a, e.store.epoch)
+	}
 	if overlays == 0 || props == 0 || dbs == 0 || frozen == 0 || owned == 0 || ownedRecs == 0 {
 		t.Fatalf("fixture reaches %d overlays, %d propositions, %d database shards, %d frozen shards, %d owned shards, %d owned counter records: one kind is missing",
 			overlays, props, dbs, frozen, owned, ownedRecs)
@@ -184,6 +210,7 @@ s(a0). h(z).
 		t.Fatalf("epochs after Clone: parent %d, clone %d, parent before %d; want two fresh ones",
 			e.store.epoch, c.store.epoch, parentEpoch)
 	}
+	c.EnsureWindow(44) // closes states into the class axis the two share
 	more := []ast.Fact{tfact("p", 11, "x"), tfact("p", 0, "y"), tfact("tick", 11), ntfact("s", "x")}
 	for _, f := range more {
 		if _, err := c.InsertBase(f); err != nil {
@@ -191,6 +218,7 @@ s(a0). h(z).
 		}
 	}
 	c.PropagateDelta(more)
+	c.EnsureWindow(48)
 	// A join through the clone may build an index on a shard the two
 	// share (idxTable's compare-and-swap); nothing else may change.
 	after := imageOf(e)
@@ -214,11 +242,18 @@ s(a0). h(z).
 // TestShardAndEvaluatorSizes pins the sizes the epoch fields fit in: a
 // relset, of which a model has one per (predicate, time) point, stays in
 // the 96-byte size class, and an Evaluator within 448 bytes, its size
-// class, where a counter block epoch of its own would push it to 480.
+// class, where a counter block epoch of its own would push it to 480. A
+// Store, which every clone allocates, stays within 240 bytes with its
+// class axis behind one pointer (the axis's slices and epoch in place
+// would push it to 320).
 func TestShardAndEvaluatorSizes(t *testing.T) {
 	var rs relset
 	if got := unsafe.Sizeof(rs); got != 96 {
 		t.Errorf("relset is %d bytes, want 96", got)
+	}
+	var s Store
+	if got := unsafe.Sizeof(s); got > 240 {
+		t.Errorf("Store is %d bytes, want at most 240", got)
 	}
 	var e Evaluator
 	if got := unsafe.Sizeof(e); got > 448 {

@@ -124,12 +124,13 @@ func (e *Evaluator) InsertBase(f ast.Fact) (bool, error) {
 // before the first evaluation (the first EnsureWindow computes everything
 // anyway) and for seeds beyond the window (the window extension
 // recomputes those states from scratch). A seed that is not in the store
-// is not a fact and pins nothing.
+// is not a fact and pins nothing. It makes the class axis stale.
 func (e *Evaluator) PropagateDelta(seed []ast.Fact) int {
 	m := e.evaluated
 	if m < 0 || len(seed) == 0 {
 		return 0
 	}
+	e.store.classes = nil
 	e.planJoins()
 	e.ctr.start()
 	defer e.ctr.flush()

@@ -312,12 +312,13 @@ func (e *Evaluator) EnsureWindow(m int) {
 	f0, d0 := e.ctr.totals()
 	s0 := e.ctr.sweeps
 	ext := e.tr.Begin("extend")
-	// A closing state that repeats an earlier one is stored as it, and its
-	// own shards build the next state (Store.closeState).
-	first := e.store.firstStates(e.evaluated)
+	// A closing state gets its class; one that repeats an earlier state is
+	// stored as it, and its own shards build the next state
+	// (Store.closeState).
+	seen := e.store.openClasses(e.evaluated+1, m)
 	for t := e.evaluated + 1; t <= m; t++ {
 		e.evalState(t, m)
-		e.store.closeState(t, first)
+		e.store.closeState(t, seen)
 	}
 	e.store.dropSpares()
 	e.evaluated = m
@@ -326,7 +327,8 @@ func (e *Evaluator) EnsureWindow(m int) {
 	ext.Add("derived", int64(d-d0))
 	ext.End()
 	// Outer fixpoint: close non-temporal consequences, re-sweeping the
-	// temporal window until nothing changes.
+	// temporal window until nothing changes. A sweep that adds facts
+	// changes closed states: their classes are stale.
 	for {
 		nt := e.evalNonTemporalRules(m)
 		if nt == 0 {
@@ -347,6 +349,7 @@ func (e *Evaluator) EnsureWindow(m int) {
 			if added == 0 {
 				break
 			}
+			e.store.classes = nil
 		}
 	}
 	f, d := e.ctr.totals()
@@ -356,6 +359,18 @@ func (e *Evaluator) EnsureWindow(m int) {
 	sp.Add("sweeps", int64(e.ctr.sweeps-s0))
 	sp.Add("store_len", int64(e.store.Len()))
 	sp.End()
+}
+
+// Classes returns the class of every closed time point 0..Window() (see
+// Store.StateClasses), assigning them again first when a write has made
+// them stale or ShareRepeats has kept the representatives' only. It
+// writes the store: call it only while the evaluator is private to its
+// writer.
+func (e *Evaluator) Classes() []uint32 {
+	if a := e.store.classes; a == nil || len(a.class) <= e.evaluated {
+		e.store.openClasses(e.evaluated+1, e.evaluated)
+	}
+	return e.store.classes.class
 }
 
 // Holds reports whether the fact is in the least model. The window must

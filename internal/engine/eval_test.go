@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"tdd/internal/ast"
@@ -301,6 +302,37 @@ func TestStoreStateKey(t *testing.T) {
 	}
 	if s.StateKey(2) == s.StateKey(3) {
 		t.Error("even and odd states equal")
+	}
+}
+
+// TestClassesConfirmCollisions: a class is never assigned by
+// fingerprint alone. The states {a} {b} {b} {a} {c} have classes 0 1 1 0
+// 2; with every shard made to carry state 0's fingerprint, so that all
+// five states collide, classing them again must assign the same: each
+// collision is confirmed or refuted by StateEqual, and a refuted one
+// finds its equal class among all the others.
+func TestClassesConfirmCollisions(t *testing.T) {
+	e := mustEval(t, "p(0, a). p(1, b). p(2, b). p(3, a). p(4, c).")
+	e.EnsureWindow(4)
+	want := []uint32{0, 1, 1, 0, 2}
+	if got := e.Classes(); !slices.Equal(got, want) {
+		t.Fatalf("classes %v, want %v", got, want)
+	}
+	s := e.store
+	pred, _ := s.PredID("p", 1, true)
+	fp := s.at(pred, 0).fp
+	for tm := 1; tm <= 4; tm++ {
+		s.at(pred, tm).fp = fp
+	}
+	if s.StateFingerprint(4) != s.StateFingerprint(0) {
+		t.Fatal("the fingerprints were not forced to collide")
+	}
+	s.classes = nil
+	if got := e.Classes(); !slices.Equal(got, want) {
+		t.Errorf("classes under colliding fingerprints %v, want %v", got, want)
+	}
+	if _, first := s.StateClasses(5); !slices.Equal(first, []uint32{0, 1, 4}) {
+		t.Errorf("first members %v, want [0 1 4]", first)
 	}
 }
 

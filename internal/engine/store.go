@@ -34,7 +34,10 @@
 // shards of its first occurrence, and the shards it was built in become
 // the buffers of the next state (Store.closeState), so an evaluated
 // window holds each distinct state once and allocates shards for its
-// distinct states only. Once a period (b, p) is certified,
+// distinct states only. The store keeps the answer: a dense class id per
+// closed time point, equal exactly for equal states, which period
+// certification and the temporal quantifiers of queries read
+// (Store.StateClasses). Once a period (b, p) is certified,
 // Evaluator.ShareRepeats re-shares the states past b+p that a write has
 // forked since.
 package engine
@@ -762,8 +765,8 @@ func newEpoch() uint64 { return epochs.Add(1) }
 // rows of symbol ids over the store's symbol table.
 //
 // Copy-on-write has one rule. Every store has an epoch, and every shard,
-// time axis and symbol map, and its evaluator's counter records, carry
-// the epoch of the store that made them. A writer changes an object in
+// time axis, class axis and symbol map, and its evaluator's counter
+// records, carry the epoch of the store that made them. A writer changes an object in
 // place only when the object carries the writer's own epoch; any other
 // it copies or forks first. Clone gives both stores fresh epochs, so
 // everything the two share is frozen to both without being written, and
@@ -794,6 +797,24 @@ type Store struct {
 	// by EnsureWindow): a dense time axis that grows is allocated up to
 	// it at once, not one state at a time.
 	horizon int
+	// classes is the class axis of the closed time points (classAxis),
+	// nil before one is assigned and after a write that may change a
+	// closed state has made it stale: a stale axis is offered to no
+	// reader (StateClasses) until openClasses assigns every class again.
+	classes *classAxis
+}
+
+// classAxis is a store's state classes: the class of each closed time
+// point 0..len(class)-1, dense from 0 in order of first appearance, and
+// first, the first member of each class, so ascending; both are uint32
+// like the store's rows. Equal ids are exactly equal states
+// (StateEqual), never equal fingerprints alone.
+// epoch is the epoch of the store that may write the axis in place (see
+// Store); any other makes its own (openClasses).
+type classAxis struct {
+	class []uint32
+	first []uint32
+	epoch uint64
 }
 
 // NewStore returns an empty store.
@@ -810,9 +831,10 @@ func NewStore() *Store {
 // own copies only that shard's short tail (relset.fork), never the rows
 // or indexes of a shard of more than tinyShard rows. Each predicate's
 // time axis is shared too, and copied by the first write to it on either
-// side (predRel.set). The symbol table is shared the same way: a clone
-// copies its headers, and a new name on either side is appended past
-// what the other holds (see symtab). Clone gives the clone and s fresh
+// side (predRel.set), and so is the class axis (openClasses). The symbol
+// table is shared the same way: a clone copies its headers, and a new
+// name on either side is appended past what the other holds (see
+// symtab). Clone gives the clone and s fresh
 // epochs (see Store), copies the predicate headers — no predicate holds a
 // spare outside EnsureWindow — and writes nothing but the two store
 // headers: O(predicates), independent of the number of facts and time
@@ -829,6 +851,7 @@ func (s *Store) Clone() *Store {
 		count:   s.count,
 		occ:     append([]uint64(nil), s.occ...),
 		horizon: s.horizon,
+		classes: s.classes,
 	}
 	c.consts.Store(s.consts.Load())
 	s.epoch = newEpoch()
@@ -924,8 +947,9 @@ func (s *Store) Insert(f ast.Fact) bool { return s.insertBase(f, false) }
 // insertBase is Insert of a database fact, reporting whether it was new
 // to the database: Insert's answer for a predicate no rule derives, and
 // for one that heads a rule (head) its db relset's, where the row is the
-// fact's time point, if temporal, then its arguments. New and
-// InsertBase refuse time points that do not fit a uint32.
+// fact's time point, if temporal, then its arguments. A fact at a closed
+// time point makes the class axis stale. New and InsertBase refuse time
+// points that do not fit a uint32.
 func (s *Store) insertBase(f ast.Fact, head bool) bool {
 	pred := s.internPred(f.Pred, len(f.Args), f.Temporal)
 	row := s.rowBuf[:0]
@@ -937,6 +961,9 @@ func (s *Store) insertBase(f ast.Fact, head bool) bool {
 	}
 	s.rowBuf = row
 	_, added := s.insertRow(pred, f.Time, row[len(row)-len(f.Args):])
+	if f.Temporal && s.classes != nil && f.Time < len(s.classes.class) {
+		s.classes = nil
+	}
 	if !head {
 		return added
 	}
@@ -1055,37 +1082,87 @@ func (s *Store) fitState(t int) {
 	}
 }
 
-// firstStates maps the fingerprint of each state 0..m to the first time
-// point that has it: the table closeState looks a closing state up in.
-func (s *Store) firstStates(m int) map[Fingerprint]int {
-	first := make(map[Fingerprint]int)
-	for t := 0; t <= m; t++ {
-		fp := s.StateFingerprint(t)
-		if _, ok := first[fp]; !ok {
-			first[fp] = t
+// openClasses readies the class axis for closing the states past 0..n-1
+// up to m, and returns the table closeState looks a closing state up in:
+// a class with each fingerprint. An axis the store does not own is
+// copied, an owned one grows as a time axis does, and either way it has
+// room for m+1 ids. When it holds the classes of 0..n-1, the table is
+// built from the first members alone, O(classes); when it is stale or
+// short, every class of 0..n-1 is assigned afresh.
+func (s *Store) openClasses(n, m int) map[Fingerprint]uint32 {
+	a := s.classes
+	fresh := a != nil && len(a.class) >= n
+	if a == nil || a.epoch != s.epoch {
+		s.classes = &classAxis{class: make([]uint32, 0, m+1), epoch: s.epoch}
+		if fresh {
+			s.classes.class, s.classes.first = append(s.classes.class, a.class...), slices.Clone(a.first)
 		}
+		a = s.classes
 	}
-	return first
+	a.class = slices.Grow(a.class, max(m+1-len(a.class), 0))
+	seen := make(map[Fingerprint]uint32, len(a.first))
+	if fresh {
+		for c, f := range a.first {
+			seen[s.StateFingerprint(int(f))] = uint32(c)
+		}
+		return seen
+	}
+	a.class, a.first = a.class[:0], a.first[:0]
+	for t := 0; t < n; t++ {
+		s.classify(t, seen)
+	}
+	return seen
 }
 
-// closeState finishes state t of an extension. A state equal to the
-// first state f with its fingerprint (first, from firstStates) — found by
-// the fingerprint and confirmed by StateEqual, never by the fingerprint
-// alone — is stored as f's shards (shareState), and each private flat
-// shard it was built in becomes its predicate's spare, the buffers of the
-// next state. Any other state is fitted (fitState), and recorded in first
-// when its fingerprint is new.
-func (s *Store) closeState(t int, first map[Fingerprint]int) {
-	fp := s.StateFingerprint(t)
-	f, ok := first[fp]
-	if !ok {
-		first[fp] = t
+// classify appends the class of state t, the next time point of the
+// axis, and reports whether an earlier state has it. seen maps a
+// fingerprint to a class that has it; a state is put in a class only
+// when StateEqual confirms it equal to the class's first member, and one
+// whose fingerprint's class is unequal (a collision) is compared with
+// every class's first member before it gets a class of its own.
+func (s *Store) classify(t int, seen map[Fingerprint]uint32) (uint32, bool) {
+	a, fp := s.classes, s.StateFingerprint(t)
+	c, ok := seen[fp]
+	if ok && !s.StateEqual(t, int(a.first[c])) {
+		i := slices.IndexFunc(a.first, func(f uint32) bool { return s.StateEqual(t, int(f)) })
+		c, ok = uint32(i), i >= 0
 	}
-	if !ok || !s.StateEqual(t, f) {
+	if !ok {
+		c = uint32(len(a.first))
+		a.first = append(a.first, uint32(t))
+		seen[fp] = c
+	}
+	a.class = append(a.class, c)
+	return c, ok
+}
+
+// closeState finishes state t of an extension and assigns its class
+// (classify, over openClasses' table). A state equal to an earlier one
+// is stored as its class's first member's shards (shareState), and each
+// private flat shard it was built in becomes its predicate's spare, the
+// buffers of the next state. Any other state is fitted (fitState).
+func (s *Store) closeState(t int, seen map[Fingerprint]uint32) {
+	c, repeat := s.classify(t, seen)
+	if !repeat {
 		s.fitState(t)
 		return
 	}
-	s.shareState(t, f, true)
+	s.shareState(t, int(s.classes.first[c]), true)
+}
+
+// StateClasses returns the class of each time point 0..n-1 and the first
+// member of each of their classes, ascending: states t1, t2 < n are
+// equal exactly when class[t1] == class[t2], and first[class[t]] is the
+// least time point whose state is t's. Both are nil when the store has
+// not closed 0..n-1 or a write may have changed a closed state since
+// its class was assigned. The slices are the store's, to be read only.
+func (s *Store) StateClasses(n int) (class, first []uint32) {
+	a := s.classes
+	if a == nil || n > len(a.class) {
+		return nil, nil
+	}
+	k, _ := slices.BinarySearch(a.first, uint32(n))
+	return a.class[:n], a.first[:k]
 }
 
 // shareState stores state t as the shards of state f, which the caller
@@ -1131,10 +1208,18 @@ func (s *Store) dropSpares() {
 // state that repeats an earlier one as it when the state closes; what is
 // left for ShareRepeats are the slots a write forked since — an ingest's
 // delta, or an outer re-sweep. The certificate has made the two states
-// equal. Call it before the evaluator is published (see shareState).
+// equal, so no class changes; and since a class past b+p is its
+// representative's, the store keeps the representatives' classes only,
+// in storage of their size (a short axis is re-classed before its next
+// use, see openClasses). Call it before the evaluator is published (see
+// shareState).
 func (e *Evaluator) ShareRepeats(b, p int) {
 	for t := b + p; t <= e.evaluated; t++ {
 		e.store.shareState(t, t-p, false)
+	}
+	if a := e.store.classes; a != nil && len(a.class) > b+p {
+		k, _ := slices.BinarySearch(a.first, uint32(b+p))
+		e.store.classes = &classAxis{class: slices.Clone(a.class[:b+p]), first: slices.Clone(a.first[:k]), epoch: e.store.epoch}
 	}
 }
 

@@ -44,11 +44,12 @@ type symtab struct {
 	names   sharedLog[string] // symbol id -> constant; names[0] is the unbound sentinel
 	hashes  sharedLog[uint64] // symbol id -> strHash(names[id])
 	ids     map[string]uint32
-	idsN    int
 	preds   sharedLog[predSym] // predicate id -> signature
 	predIDs map[predKey]uint32
-	predsN  int
-	epoch   uint64 // the epoch of the maps' writer
+	// idsN and predsN share a word, as ids do: Store stays in its size
+	// class.
+	idsN, predsN uint32
+	epoch        uint64 // the epoch of the maps' writer
 }
 
 // predSym is one predicate signature and the hash of its name and arity.
@@ -81,7 +82,7 @@ func (st *symtab) symbolID(name string) (uint32, bool) {
 	if id, ok := st.ids[name]; ok {
 		return id, true
 	}
-	for i := st.idsN; i < len(st.names.s); i++ {
+	for i := int(st.idsN); i < len(st.names.s); i++ {
 		if st.names.s[i] == name {
 			return uint32(i), true
 		}
@@ -94,7 +95,7 @@ func (st *symtab) predID(k predKey) (uint32, bool) {
 	if id, ok := st.predIDs[k]; ok {
 		return id, true
 	}
-	for i := st.predsN; i < len(st.preds.s); i++ {
+	for i := int(st.predsN); i < len(st.preds.s); i++ {
 		if st.preds.s[i].key == k {
 			return uint32(i), true
 		}
@@ -126,16 +127,16 @@ func (st *symtab) addPred(k predKey, epoch uint64) uint32 {
 // it owns once one reaches tailCap.
 func (st *symtab) indexTails(epoch uint64) {
 	if st.epoch != epoch {
-		if len(st.names.s)-st.idsN < tailCap && len(st.preds.s)-st.predsN < tailCap {
+		if len(st.names.s)-int(st.idsN) < tailCap && len(st.preds.s)-int(st.predsN) < tailCap {
 			return
 		}
 		st.ids, st.predIDs, st.epoch = maps.Clone(st.ids), maps.Clone(st.predIDs), epoch
 	}
-	for ; st.idsN < len(st.names.s); st.idsN++ {
-		st.ids[st.names.s[st.idsN]] = uint32(st.idsN)
+	for ; int(st.idsN) < len(st.names.s); st.idsN++ {
+		st.ids[st.names.s[st.idsN]] = st.idsN
 	}
-	for ; st.predsN < len(st.preds.s); st.predsN++ {
-		st.predIDs[st.preds.s[st.predsN].key] = uint32(st.predsN)
+	for ; int(st.predsN) < len(st.preds.s); st.predsN++ {
+		st.predIDs[st.preds.s[st.predsN].key] = st.predsN
 	}
 }
 

@@ -9,6 +9,11 @@
 // if the G states starting at b equal the G states starting at b+p (with b
 // beyond every database fact and G the model's lookback), then the
 // state-transition function forces M[t] = M[t+p] for every t >= b.
+//
+// The scan compares states by the class the evaluator's store assigned
+// each one as it closed: one integer comparison per pair, exact. A hinted
+// search reads only a few states, and compares their fingerprints, then
+// confirms its winner exactly (certify).
 package period
 
 import (
@@ -41,9 +46,10 @@ func (p Period) Canonical(t int) int {
 type Stats struct {
 	Window int // final window size used
 	Grown  int // number of window growth steps
-	// ExactFallbacks counts the windows whose fingerprint-level winner
-	// failed exact confirmation and were re-scanned exactly: fingerprint
-	// collisions, expected to stay 0 for the lifetime of the universe.
+	// ExactFallbacks counts the windows whose hinted fingerprint-level
+	// winner failed exact confirmation and were re-scanned exactly:
+	// fingerprint collisions, expected to stay 0 for the lifetime of the
+	// universe.
 	ExactFallbacks int
 }
 
@@ -91,10 +97,10 @@ func MaxHeadDepth(prog *ast.Program) int { return engine.MaxHeadDepth(prog) }
 // Minimality: among all verified periods, the one with the smallest p and,
 // for that p, the smallest base is returned.
 //
-// States are compared by the store's incrementally maintained 128-bit
-// fingerprints — reading one costs nothing per fact — and the winning
-// certificate is confirmed by exact set comparison (see certify), so the
-// result is exactly what comparing full states everywhere would give.
+// States are compared by the classes the store assigned them as they
+// closed (engine.Evaluator.Classes): equal classes are exactly equal
+// states, so the result is what comparing full states everywhere would
+// give, at one integer comparison a pair.
 func Detect(e *engine.Evaluator, maxWindow int) (Period, Stats, error) {
 	return DetectFrom(e, maxWindow, 0)
 }
@@ -154,18 +160,10 @@ func DetectFrom(e *engine.Evaluator, maxWindow, hint int) (Period, Stats, error)
 			}
 		}
 		if !ok {
-			// The full scan may revisit every state many times, so each
-			// state it reads — those past c — has its fingerprint summed
-			// once.
-			fps := make([]engine.Fingerprint, max(m-c, 0))
-			for i := range fps {
-				fps[i] = st.StateFingerprint(c + 1 + i)
-			}
-			approx := func(t1, t2 int) bool { return fps[t1-c-1] == fps[t2-c-1] }
-			p, ok, fellBack = certify(m, c, G, hmax, 0, approx, st.StateEqual)
-			if fellBack {
-				stats.ExactFallbacks++
-			}
+			// The full scan may revisit every state many times; it
+			// compares the states' classes, which are exact.
+			class := e.Classes()
+			p, ok = scan(m, c, G, hmax, 0, func(t1, t2 int) bool { return class[t1] == class[t2] })
 		}
 		if ok {
 			if jumped {
@@ -190,7 +188,8 @@ func DetectFrom(e *engine.Evaluator, maxWindow, hint int) (Period, Stats, error)
 
 // certify finds the minimal certified period of the window 0..m under
 // the exact state equality — among the divisors of div when div > 0 —
-// paying for it only where it matters: the
+// for the hinted search, which reads too few states to be worth
+// classing, paying for exactness only where it matters: the
 // scan runs on approx, an equality that may also hold for unequal states
 // (fingerprints: equal states always have equal fingerprints) but never
 // fails for equal ones, and the G certificate states of its winner are

@@ -32,6 +32,10 @@ type program struct {
 	// freeT and freeN are the free variables, sorted by name — the order
 	// Answers enumerates them in.
 	freeT, freeN []binding
+	// perClass reports that the formula reads the first free temporal
+	// variable only at offset 0: Answers evaluates it at the first member
+	// of each state class (run.enumerateClasses).
+	perClass bool
 }
 
 type op uint8
@@ -43,14 +47,22 @@ const (
 	opOr
 	opExists
 	opForall
+	// opFalse and opTrue are subformulas an evaluation has found constant
+	// when it bound the atoms (run.fold); Compile emits neither.
+	opFalse
+	opTrue
 )
 
 // node is one connective. a (and b for the binary ones) index nodes,
 // except under opAtom, where a indexes atoms; a quantifier binds slot of
-// the sort temporal says.
+// the sort temporal says. A temporal quantifier is perClass when its body
+// reads its variable only at offset 0, so that the body's value at a time
+// point is a function of the state there (Proposition 3.1): it visits the
+// first member of each state class only.
 type node struct {
 	op       op
 	temporal bool
+	perClass bool
 	a, b     int32
 	slot     int32
 }
@@ -101,7 +113,22 @@ func Compile(q ast.Query) (Compiled, error) {
 	byName := func(a, b binding) int { return strings.Compare(a.name, b.name) }
 	slices.SortFunc(c.p.freeT, byName)
 	slices.SortFunc(c.p.freeN, byName)
+	for i := range c.p.nodes {
+		nd := &c.p.nodes[i]
+		nd.perClass = nd.temporal && !c.p.shifted(nd.slot)
+	}
+	c.p.perClass = len(c.p.freeT) > 0 && !c.p.shifted(c.p.freeT[0].slot)
 	return Compiled{q: q, prog: c.p}, nil
+}
+
+// shifted reports whether some atom reads the temporal slot at an offset.
+func (p *program) shifted(slot int32) bool {
+	for _, a := range p.atoms {
+		if a.tslot == slot && a.depth != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Query returns the query c was compiled from.

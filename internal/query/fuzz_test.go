@@ -34,13 +34,19 @@ var fuzzSeeds = []string{
 
 // FuzzQueryEval: whatever parser.ParseQuery accepts compiles and
 // evaluates without panicking, and agrees with the bottom-up oracle — as
-// a truth value when closed, as an answer list (order included) when open.
+// a truth value when closed, as an answer list (order included) when open
+// — in the specification itself, which offers its state classes, and in
+// the sliced structure, an embedding wrapper with a larger constant
+// domain.
 func FuzzQueryEval(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	fx := setup(f, skiSrc)
-	st := structures(f, fx)["sliced"]
+	if class, _ := fx.s.StateClasses(); class == nil {
+		f.Fatal("the specification offers no state classes")
+	}
+	sts := structures(f, fx)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 256 {
 			t.Skip("oversized input")
@@ -55,23 +61,26 @@ func FuzzQueryEval(f *testing.F) {
 		if binders(q)+len(tv)+len(nv) > 3 {
 			t.Skip("too many variables for the oracle")
 		}
-		want := baseline.Answers(st, q)
-		if ast.Closed(q) {
-			got, err := Eval(st, q)
+		for _, name := range []string{"spec", "sliced"} {
+			st := sts[name]
+			want := baseline.Answers(st, q)
+			if ast.Closed(q) {
+				got, err := Eval(st, q)
+				if err != nil {
+					t.Fatalf("%s: %q: %v", name, src, err)
+				}
+				if got != (len(want) == 1) {
+					t.Fatalf("%s: %q: eval=%v oracle=%v", name, src, got, !got)
+				}
+				continue
+			}
+			ans, err := Answers(st, q)
 			if err != nil {
-				t.Fatalf("%q: %v", src, err)
+				t.Fatalf("%s: %q: %v", name, src, err)
 			}
-			if got != (len(want) == 1) {
-				t.Fatalf("%q: eval=%v oracle=%v", src, got, !got)
+			if got := strs(ans); !slices.Equal(got, want) {
+				t.Fatalf("%s: %q: answers %q, oracle %q", name, src, got, want)
 			}
-			return
-		}
-		ans, err := Answers(st, q)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if got := strs(ans); !slices.Equal(got, want) {
-			t.Fatalf("%q: answers %q, oracle %q", src, got, want)
 		}
 	})
 }

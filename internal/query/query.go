@@ -10,14 +10,24 @@
 //
 // A query is compiled once per call (compile.go): variables become slots,
 // atoms become (predicate, time, argument) templates. Evaluating it binds
-// the templates to the structure's store — names resolved to ids once —
-// and from then on touches only integers: a probe fills a uint32 row from
-// the slots and asks the store for it.
+// the templates to the structure's store — names resolved to ids once,
+// and every subformula that an atom the store cannot hold makes constant
+// folded to its value — and from then on touches only integers: a probe
+// fills a uint32 row from the slots and asks the store for it.
+//
+// A formula that reads a temporal variable only at offset 0 has the same
+// value at time points with equal states (Proposition 3.1). When the
+// structure offers its state classes, a temporal quantifier over such a
+// body visits one time point per class, and such a free temporal
+// variable is evaluated at the first member of each class, whose answers
+// the later members copy with their own time point. Answers keep their
+// order.
 package query
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tdd/internal/ast"
 	"tdd/internal/engine"
@@ -41,6 +51,10 @@ type Structure interface {
 	// sorted. It may name constants the store has never seen: such a
 	// constant satisfies no atom but still counts under ∀ and ¬.
 	ConstantDomain() []string
+	// StateClasses returns the state class of each time point 0..n-1 and
+	// the first member of each class, ascending (engine.Store.StateClasses),
+	// or nil when the structure has none to offer.
+	StateClasses() (class, first []uint32)
 }
 
 // ErrOpenQuery is returned by Eval for queries with free variables.
@@ -162,6 +176,10 @@ type run struct {
 	cdom []string
 	cids []uint32
 
+	// first is the first member of each of the structure's state classes
+	// (StateClasses), nil when it has none.
+	first []uint32
+
 	// enumeration state (Answers only): pick[i] is the cdom index of the
 	// i-th free non-temporal variable; hits holds, per assignment the query
 	// held under, the free temporal values then the picks, so the answers
@@ -190,6 +208,7 @@ func (p *program) bind(s Structure) *run {
 		consts: make([]uint32, p.nconsts),
 		bound:  make([]boundAtom, len(p.atoms)),
 	}
+	_, r.first = s.StateClasses()
 	rows := make([]uint32, p.nargs)
 	for i := range p.atoms {
 		a, b := &p.atoms[i], &r.bound[i]
@@ -226,7 +245,59 @@ func (p *program) bind(s Structure) *run {
 			r.cids[i] = id
 		}
 	}
+	if slices.ContainsFunc(r.bound, func(b boundAtom) bool { return b.dead }) {
+		r.fold()
+	}
 	return r
+}
+
+// fold evaluates a copy of the program in which every subformula the
+// dead atoms decide is a constant: a dead atom is false, a connective
+// over constants is one, and a quantifier over a constant body is that
+// constant, as is one over an empty domain — ∃ false, ∀ true — whatever
+// its body. Children precede their parents in the node table, so one
+// pass suffices.
+func (r *run) fold() {
+	nodes := slices.Clone(r.p.nodes)
+	val := func(i int32) (v, ok bool) {
+		return nodes[i].op == opTrue, nodes[i].op == opTrue || nodes[i].op == opFalse
+	}
+	for i := range nodes {
+		nd := &nodes[i]
+		var v, ok bool
+		switch nd.op {
+		case opAtom:
+			v, ok = false, r.bound[nd.a].dead
+		case opNot:
+			v, ok = val(nd.a)
+			v = !v
+		case opAnd, opOr:
+			va, oka := val(nd.a)
+			vb, okb := val(nd.b)
+			// The side that decides: false under ∧, true under ∨.
+			decides := nd.op == opOr
+			switch {
+			case oka && va == decides, okb && vb == decides:
+				v, ok = decides, true
+			case oka && okb:
+				v, ok = va, true
+			}
+		case opExists, opForall:
+			v, ok = val(nd.a)
+			if (nd.temporal && r.n == 0) || (!nd.temporal && len(r.cids) == 0) {
+				v, ok = nd.op == opForall, true
+			}
+		}
+		if ok {
+			nd.op = opFalse
+			if v {
+				nd.op = opTrue
+			}
+		}
+	}
+	p := *r.p
+	p.nodes = nodes
+	r.p = &p
 }
 
 func (r *run) eval(i int32) bool {
@@ -240,12 +311,23 @@ func (r *run) eval(i int32) bool {
 		return r.eval(nd.a) && r.eval(nd.b)
 	case opOr:
 		return r.eval(nd.a) || r.eval(nd.b)
+	case opFalse, opTrue:
+		return nd.op == opTrue
 	}
 	// A quantifier: ∃ stops at the first witness, ∀ at the first
 	// counterexample.
 	forall := nd.op == opForall
 	if nd.temporal {
-		for t := 0; t < r.n; t++ {
+		perClass := nd.perClass && r.first != nil
+		n := r.n
+		if perClass {
+			n = len(r.first)
+		}
+		for i := 0; i < n; i++ {
+			t := i
+			if perClass {
+				t = int(r.first[i])
+			}
 			r.times[nd.slot] = t
 			if r.eval(nd.a) != forall {
 				return !forall
@@ -291,6 +373,8 @@ func (r *run) atom(i int32) bool {
 func (r *run) enumerate(k int) {
 	p := r.p
 	switch {
+	case k == 0 && p.perClass && r.first != nil:
+		r.enumerateClasses()
 	case k < len(p.freeT):
 		for t := 0; t < r.n && !r.full(); t++ {
 			r.times[p.freeT[k].slot] = t
@@ -313,6 +397,33 @@ func (r *run) enumerate(k int) {
 }
 
 func (r *run) full() bool { return r.max > 0 && r.found >= r.max }
+
+// enumerateClasses is enumerate at the first free temporal variable when
+// the formula reads it only at offset 0 (program.perClass) and the
+// structure offers classes: only the first member of a class is
+// evaluated, and a later member copies its answers, which start at
+// start[class] and run while their time point is the first member's,
+// with its own time point in their place. start is the one allocation
+// of O(classes) an enumeration makes.
+func (r *run) enumerateClasses() {
+	class, _ := r.s.StateClasses()
+	start := make([]uint32, len(r.first))
+	w := len(r.p.freeT) + len(r.p.freeN)
+	for t := 0; t < r.n && !r.full(); t++ {
+		c := class[t]
+		if f := int(r.first[c]); f != t {
+			for i, end := int(start[c]), r.found; i < end && int(r.hits[i*w]) == f && !r.full(); i++ {
+				r.hits = append(r.hits, r.hits[i*w:(i+1)*w]...)
+				r.hits[len(r.hits)-w] = uint32(t)
+				r.found++
+			}
+			continue
+		}
+		start[c] = uint32(r.found)
+		r.times[r.p.freeT[0].slot] = t
+		r.enumerate(1)
+	}
+}
 
 // answers builds the answers enumerate recorded. A sort without free
 // variables gets no map: the answers of an open query are most of what a
@@ -367,3 +478,6 @@ func (w Window) NormalizeTime(t int) (int, bool) { return t, t <= w.M }
 
 // ConstantDomain implements Structure.
 func (w Window) ConstantDomain() []string { return w.Store().Constants() }
+
+// StateClasses implements Structure: a window offers none.
+func (w Window) StateClasses() (class, first []uint32) { return nil, nil }

@@ -113,8 +113,8 @@ func (l *Loaded) HoldsFact(f ast.Fact) bool {
 	return l.store.Has(f)
 }
 
-// Store, TimePoints, NormalizeTime and ConstantDomain implement
-// query.Structure exactly as Spec does, over the imported B.
+// Store, TimePoints, NormalizeTime, ConstantDomain and StateClasses
+// implement query.Structure as Spec does, over the imported B.
 func (l *Loaded) Store() *engine.Store { return l.store }
 
 // TimePoints returns |T| = b + p.
@@ -125,3 +125,6 @@ func (l *Loaded) NormalizeTime(t int) (int, bool) { return l.Period.Canonical(t)
 
 // ConstantDomain returns the active domain of non-temporal constants.
 func (l *Loaded) ConstantDomain() []string { return l.store.Constants() }
+
+// StateClasses returns none: the imported B is not classed.
+func (l *Loaded) StateClasses() (class, first []uint32) { return nil, nil }

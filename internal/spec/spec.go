@@ -21,6 +21,12 @@
 // engine.Evaluator.ShareRepeats re-shares the ones a write has forked
 // since. Past b+p the model holds one pointer per predicate and time
 // point, and the facts it stores are B's.
+//
+// The store also numbers the distinct states as they close, and a
+// specification offers those classes for T (StateClasses): by
+// Proposition 3.1 a query's value at a representative is a function of
+// its state, so a temporal quantifier whose body reads its variable at
+// offset 0 need visit one representative per class.
 package spec
 
 import (
@@ -99,11 +105,12 @@ func (s *Spec) HoldsFact(f ast.Fact) bool {
 	return s.eval.Holds(f)
 }
 
-// Store, TimePoints, NormalizeTime and ConstantDomain make the
-// specification a query.Structure: the facts are the evaluator's store
-// (the window already covers the representatives), temporal quantifiers
-// range over the representatives (Section 3.3), and a ground temporal
-// term is answered at its normal form under W.
+// Store, TimePoints, NormalizeTime, ConstantDomain and StateClasses make
+// the specification a query.Structure: the facts are the evaluator's
+// store (the window already covers the representatives), temporal
+// quantifiers range over the representatives (Section 3.3), a ground
+// temporal term is answered at its normal form under W, and the store's
+// state classes tell which representatives hold equal states.
 func (s *Spec) Store() *engine.Store { return s.eval.Store() }
 
 // TimePoints returns |T|; see Store.
@@ -114,6 +121,13 @@ func (s *Spec) NormalizeTime(t int) (int, bool) { return s.Period.Canonical(t), 
 
 // ConstantDomain returns the active domain of non-temporal constants.
 func (s *Spec) ConstantDomain() []string { return s.eval.Store().Constants() }
+
+// StateClasses returns the state class of each representative and the
+// first representative of each class (engine.Store.StateClasses), or nil
+// when a write since the classes were assigned has made them stale.
+func (s *Spec) StateClasses() (class, first []uint32) {
+	return s.eval.Store().StateClasses(s.NumRepresentatives())
+}
 
 // PrimaryDatabase returns B as sorted facts: snapshots at every
 // representative plus the non-temporal part.

@@ -94,9 +94,10 @@ echo "==> store allocation budgets"
 # NewAxis: New allocates each predicate's time axis once, at its final length, for a database in ascending time order.
 # CloneAxisRace: two clones extend and fork one shared axis while the parent is read; the -race line below checks it.
 # FactsReadBack: the database read back from the store equals the facts given to New plus those InsertBase added, after shared states and on clone lineages.
-# CloneWritesNothingShared: a clone writes no shard, time axis header, counter record or symbol map its parent reaches; it re-epochs the two store headers only.
+# CloneWritesNothingShared: a clone writes no shard, time axis header, counter record, class axis or symbol map its parent reaches; it re-epochs the two store headers only.
 # ShardAndEvaluatorSizes: a relset is 96 bytes and an Evaluator at most 448, the size classes the epoch fields fit in.
-require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace TestAllocBudgetCloneAxis TestAllocBudgetNewAxis TestCloneAxisRace TestFactsReadBack TestCloneWritesNothingShared TestShardAndEvaluatorSizes
+# ClassAxis: a cold window sizes its class axis once, at the horizon, and allocates the same objects at 256 and 2 048 states.
+require_test ./internal/engine/ TestAllocBudgetDuplicateEmit TestAllocBudgetHas TestAllocBudgetIndexProbe TestAllocBudgetInserts TestAllocBudgetForkWrite TestAllocBudgetForkInsertBase TestAllocBudgetForkFirstInsert TestAllocBudgetColdWindow TestAllocBudgetShrinkingStates TestPropositionShard TestPropositionLineageRace TestAllocBudgetCloneAxis TestAllocBudgetNewAxis TestCloneAxisRace TestFactsReadBack TestCloneWritesNothingShared TestShardAndEvaluatorSizes TestAllocBudgetClassAxis
 go test -race -count=1 -run '^(TestPropositionLineageRace|TestCloneAxisRace)$' ./internal/engine/
 # Copy-on-write overlays: every shard along a random tree of store clones
 # equals a flat rebuild of its lineage's rows; a fork leaves the frozen
@@ -169,6 +170,20 @@ echo "==> a state that repeats an earlier one is stored as it when it closes"
 require_test ./internal/engine/ TestCloseSharesEqualStates TestAllocBudgetColdWindowRepeats TestCloseKeepsSharedShards
 require_test . TestAssertIntoSharedState
 go test -race -count=1 -run '^TestAssertIntoSharedState$' .
+
+echo "==> states classed once as they close, and quantified per class"
+# Equal class ids are exactly equal states — on E1, E8, two counters and
+# the randgen corpus, after the cold evaluation, a re-sweep and temporal
+# and non-temporal ingests — and never by fingerprint alone, under forced
+# collisions. A temporal variable read only at offset 0 is decided per
+# class, any other per representative; a limited per-class enumeration is
+# a prefix of the unlimited one; subformulas dead atoms decide fold to
+# constants; all against the reference evaluator. Two forks of a warm
+# parent, one asserting and one asking per-class queries (the -race line).
+require_test ./internal/engine/ TestStateClassesExact TestClassesConfirmCollisions
+require_test ./internal/query/ TestClassesOnlyAtOffsetZero TestAnswersLimitPerClassPrefix TestFoldDeadAtoms
+require_test . TestForkAssertDuringClassedAsks
+go test -race -count=1 -run '^TestForkAssertDuringClassedAsks$' .
 
 echo "==> rules analyzed once per program, lint deterministic"
 # An ingest re-lints only what its facts can change: every fork shares its

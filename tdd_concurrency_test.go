@@ -553,3 +553,81 @@ func TestForkLineagesShareLogs(t *testing.T) {
 		}
 	}
 }
+
+// TestForkAssertDuringClassedAsks: two forks of one warm parent, one
+// asserting batches and asking on each snapshot it makes, the other
+// asking quantified and open queries whose temporal variables are read
+// at offset 0 — decided once per state class — from two goroutines.
+// Under -race this checks that a writer's clone and its re-classing
+// write nothing the readers of the parent's class axis read, and the
+// readers' answers stay the parent's.
+func TestForkAssertDuringClassedAsks(t *testing.T) {
+	const batches = 30
+	parent, err := tdd.OpenUnit(concurrentSkiUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parent.Period(); err != nil {
+		t.Fatal(err)
+	}
+	closed := []string{
+		"forall T (winter(T) | offseason(T))",
+		"exists T (plane(T, hunter) & winter(T))",
+		"forall X (!resort(X) | exists T plane(T, X))",
+		"exists X (resort(X) & !exists T plane(T, X))",
+	}
+	open := []string{"plane(T, hunter)", "winter(T) & plane(T, X)"}
+	answers := func(db *tdd.DB) []string {
+		var out []string
+		for _, q := range closed {
+			ok, err := db.Ask(q)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			out = append(out, fmt.Sprint(ok))
+		}
+		for _, q := range open {
+			for _, limit := range []int{0, 3} {
+				ans, err := db.AnswersLimit(q, limit)
+				if err != nil {
+					t.Error(err)
+					return nil
+				}
+				out = append(out, tdd.FormatAnswers(ans))
+			}
+		}
+		return out
+	}
+	want := answers(parent)
+	asker, writer := parent.Fork(), parent.Fork()
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				if got := answers(asker); !reflect.DeepEqual(got, want) {
+					t.Errorf("fork answers %v, want the parent's %v", got, want)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < batches; i++ {
+		if _, err := writer.Assert(fmt.Sprintf("resort(w%d). plane(%d, w%d).\n", i, i%10, i)); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := writer.Ask("forall X (!resort(X) | exists T plane(T, X))"); err != nil || !ok {
+			t.Fatalf("batch %d: every resort has a plane = %v, %v; want true", i, ok, err)
+		}
+	}
+	close(done)
+	readers.Wait()
+}
