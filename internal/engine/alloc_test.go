@@ -88,7 +88,10 @@ func TestAllocBudgetHas(t *testing.T) {
 }
 
 // TestAllocBudgetIndexProbe: once a mask's index exists, a bucket lookup
-// — present or absent key — allocates nothing.
+// — present or absent key — allocates nothing; and a member step (a
+// literal bound on every column) allocates nothing and builds no index,
+// hit or miss, on a flat shard with a membership table, on one without,
+// and on an overlay, whose hit may be in its tail.
 func TestAllocBudgetIndexProbe(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 500; i++ {
@@ -108,6 +111,67 @@ func TestAllocBudgetIndexProbe(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("index probe allocates %.0f times, want 0", n)
+	}
+
+	// Each rule's e literal is a member step: a hit in the base rows, a
+	// hit only the overlay's tail holds, and a miss. Every emit below is
+	// a duplicate, which allocates nothing.
+	const memberSrc = "base(T+1) :- tick(T), e(a7, b7).\ntail(T+1) :- tick(T), e(t1, t2).\nmiss(T+1) :- tick(T), e(a7, b8).\ntick(0).\n"
+	var big []byte
+	for i := 0; i < 500; i++ {
+		big = fmt.Appendf(big, "e(a%d, b%d).\n", i%20, i)
+	}
+	table := mustEval(t, memberSrc+string(big))
+	table.EnsureWindow(2)
+	overlay := table.Clone()
+	if ok, err := overlay.InsertBase(ntfact("e", "t1", "t2")); !ok || err != nil {
+		t.Fatalf("InsertBase(e(t1, t2)) = %v, %v", ok, err)
+	}
+	overlay.PropagateDelta([]ast.Fact{ntfact("e", "t1", "t2")})
+	small := mustEval(t, memberSrc+"e(a7, b7).\ne(a1, b1).\ne(a2, b2).\n")
+	small.EnsureWindow(2)
+	for _, c := range []struct {
+		name  string
+		e     *Evaluator
+		check func(rs *relset) bool
+		tail  bool
+	}{
+		{"flat shard with a table", table, func(rs *relset) bool { return rs.base == nil && rs.tab != nil }, false},
+		{"flat shard without a table", small, func(rs *relset) bool { return rs.base == nil && rs.tab == nil }, false},
+		{"overlay with a tail", overlay, func(rs *relset) bool { return rs.base != nil && len(rs.rows) > 0 }, true},
+	} {
+		rs := c.e.store.nt(c.e.store.syms.predIDs[predKey{name: "e", arity: 2}])
+		if !c.check(rs) {
+			t.Fatalf("%s: the e shard has the wrong form", c.name)
+		}
+		for i := range c.e.rules {
+			if st := c.e.plans[i].steps[0]; !st.member {
+				t.Fatalf("%s: %s does not start with a member step:\n%s", c.name, c.e.rules[i].text, c.e.PlanText())
+			}
+		}
+		n := testing.AllocsPerRun(100, func() {
+			for i := range c.e.rules {
+				if c.e.fireRule(&c.e.rules[i], 0) != 0 {
+					t.Fatalf("%s: %s derived a new fact", c.name, c.e.rules[i].text)
+				}
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s: member steps allocate %.0f times, want 0", c.name, n)
+		}
+		for ; rs != nil; rs = rs.base {
+			if rs.idx.Load() != nil {
+				t.Errorf("%s: a member step installed an index table", c.name)
+			}
+		}
+		for _, w := range []struct {
+			f    ast.Fact
+			want bool
+		}{{tfact("base", 1), true}, {tfact("tail", 1), c.tail}, {tfact("miss", 1), false}} {
+			if c.e.Holds(w.f) != w.want {
+				t.Errorf("%s: %s holds = %v, want %v", c.name, w.f, !w.want, w.want)
+			}
+		}
 	}
 }
 

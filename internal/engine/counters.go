@@ -17,8 +17,10 @@ type RuleStat struct {
 }
 
 // IndexStat counts join-side relation accesses for one body predicate:
-// Probes are bucket lookups through a bound-column index, Scans are full
-// relation iterations (no column bound). Exposed through Stats.Index.
+// Probes are lookups with some column bound — bucket lookups through a
+// bound-column index, and membership probes of a literal bound on every
+// column — and Scans are full relation iterations (no column bound).
+// Exposed through Stats.Index.
 type IndexStat struct {
 	Probes int64 `json:"probes"`
 	Scans  int64 `json:"scans"`
@@ -42,13 +44,14 @@ type Stats struct {
 	// program's rule order.
 	Rules []RuleStat
 	// Index counts join-side relation accesses per body predicate: index
-	// bucket probes vs full scans (see IndexStat, plan.go). Like every
-	// other counter it is bit-identical across repeated runs.
+	// and membership probes vs full scans (see IndexStat, plan.go). Like
+	// every other counter it is bit-identical across repeated runs.
 	Index map[string]*IndexStat
 }
 
 // litCtr counts one body literal's relation accesses through the join
-// plans: full scans (a step with mask 0) and index bucket probes.
+// plans: full scans (a step with mask 0) and probes, index bucket and
+// membership alike.
 type litCtr struct{ scans, probes int64 }
 
 // stratum is one rule's profile within one timestamp stratum: its

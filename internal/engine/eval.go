@@ -521,7 +521,8 @@ func (e *Evaluator) fireRule(r *crule, T int) int {
 
 // join matches the body literals in plan order from step si onward, and
 // on a complete match emits the head. Each step streams the matching
-// index group (or, with mask 0, the whole relation) of its literal; a
+// index group (or, with mask 0, the whole relation) of its literal, or
+// for a member step looks its one row up and goes on once on a hit; a
 // negative capm disables the head-time cap (delta propagation caps at the
 // window, leaving deeper facts to EnsureWindow). When out is non-nil
 // newly derived facts are appended to it (the delta frontier).
@@ -554,11 +555,24 @@ func (e *Evaluator) join(r *crule, plan *joinPlan, si int, en *env, capm int, ou
 	var tail uint64
 	if st.mask != 0 {
 		en.rec.lits[st.lit].probes++
+		e.keyBuf = boundKey(e.keyBuf[:0], pat, st.mask, en)
+		if st.member {
+			// The key is the whole row and hashes as the row does, so the
+			// membership table answers it; a hit profiles as the one-row
+			// index group it stands for.
+			if _, ok := rs.find(e.keyBuf, hashVals(e.keyBuf)); ok {
+				if e.ctr.profile {
+					lc := &en.cells[st.lit]
+					lc.scanned, lc.matched, en.work = lc.scanned+1, lc.matched+1, en.work+2
+				}
+				e.join(r, plan, si+1, en, capm, out, added)
+			}
+			return
+		}
 		var prev *relset
 		if a.Time != nil {
 			prev = e.store.at(r.bodyP[st.lit], en.time+a.Time.Depth-1)
 		}
-		e.keyBuf = boundKey(e.keyBuf[:0], pat, st.mask, en)
 		sp, tail = rs.bucket(st.mask, e.keyBuf, prev)
 	} else {
 		en.rec.lits[st.lit].scans++

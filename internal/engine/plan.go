@@ -4,7 +4,8 @@ package engine
 // streaming index probes: at every position the planner picks the body
 // literal with the smallest estimated enumeration cost given the columns
 // already bound, and the join loop (eval.go, shared by delta.go) then
-// iterates only the matching index bucket instead of the full relation.
+// iterates only the matching index bucket (for a literal bound on every
+// column, looks its one row up) instead of the full relation.
 //
 // Determinism contract: a plan is a pure function of the compiled rule
 // and the store's per-predicate cardinality counters (store.card). Plans
@@ -29,12 +30,15 @@ import (
 )
 
 // planStep is one position in a join plan: which body literal to match
-// next and which of its columns are bound by then (the index mask). A
-// relation access counts into the literal's cell of the rule's counter
+// next and which of its columns are bound by then (the index mask); a
+// member step's are all of its 1 to 32 columns, and the join looks its
+// one row up in the membership table (relset.find), not an index bucket.
+// A relation access counts into the literal's cell of the rule's counter
 // record (litCtr): a probe when the mask is set, else a scan.
 type planStep struct {
-	lit  int
-	mask uint32
+	lit    int
+	mask   uint32
+	member bool
 }
 
 // joinPlan is the ordered body of one rule (delta plans omit the pinned
@@ -69,7 +73,8 @@ func (e *Evaluator) planJoins() {
 // planRule orders the body of r (with literal pin pre-bound; -1 for
 // none): it greedily picks the cheapest remaining literal under the cost
 // estimate, ties resolved to the earliest source position, and probes it
-// through the index on every column bound by then.
+// through the index on every column bound by then, or for membership when
+// that is all of them.
 func (e *Evaluator) planRule(r *crule, pin int) joinPlan {
 	bound := make([]bool, r.nslots)
 	if pin >= 0 {
@@ -96,8 +101,8 @@ func (e *Evaluator) planRule(r *crule, pin int) joinPlan {
 		}
 		li := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		mask, _ := boundMask(r.bodyC[li], bound)
-		plan.steps = append(plan.steps, planStep{lit: li, mask: mask})
+		mask, n := boundMask(r.bodyC[li], bound)
+		plan.steps = append(plan.steps, planStep{lit: li, mask: mask, member: n > 0 && n == len(r.bodyC[li])})
 		for _, c := range r.bodyC[li] {
 			if c.slot >= 0 {
 				bound[c.slot] = true
@@ -131,7 +136,7 @@ func boundMask(pat []carg, bound []bool) (mask uint32, n int) {
 // bound column shrinks the estimate by the base's bit-length scaled to
 // the fraction of columns bound — a selectivity proxy that needs no value
 // statistics and no floating point: a fully bound literal costs 0 (a
-// membership probe), an unbound one costs the full base.
+// member step's one lookup), an unbound one costs the full base.
 func (e *Evaluator) estCost(r *crule, li int, bound []bool) uint64 {
 	a := &r.body[li]
 	facts, states := e.store.card(r.bodyP[li])
@@ -222,14 +227,18 @@ func (e *Evaluator) PlanFingerprint() string {
 
 // PlanText renders the current plans in readable form (for tests and
 // debugging): one line per rule, literals in execution order with their
-// index masks.
+// index masks, or "member" for a step that tests one row for membership.
 func (e *Evaluator) PlanText() string {
 	e.planJoins()
 	var lines []string
 	for i := range e.rules {
 		var parts []string
 		for _, st := range e.plans[i].steps {
-			parts = append(parts, fmt.Sprintf("%s[%d mask=%x]", e.rules[i].body[st.lit].Pred, st.lit, st.mask))
+			how := fmt.Sprintf("mask=%x", st.mask)
+			if st.member {
+				how = "member"
+			}
+			parts = append(parts, fmt.Sprintf("%s[%d %s]", e.rules[i].body[st.lit].Pred, st.lit, how))
 		}
 		lines = append(lines, fmt.Sprintf("%s :: %s", e.rules[i].src.String(), strings.Join(parts, " ⋈ ")))
 	}

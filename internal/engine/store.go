@@ -22,7 +22,9 @@
 // rest, so Store.Clone writes nothing the two stores share. Membership
 // and bound-column indexes are open-addressed integer tables over the row
 // numbers of a flat shard; a flat shard that holds and was sized for at
-// most smallShard rows has no membership table and is scanned. A new
+// most smallShard rows has no membership table and is scanned. A join
+// tests a body literal bound on every column with one membership lookup,
+// so no bound-column index covers every column of its shard. A new
 // temporal shard, and each index built on it, is sized from the shard of
 // the same predicate one time point earlier — past the base of an
 // ultimately periodic model that is its final size — and a proposition

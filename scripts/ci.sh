@@ -70,12 +70,15 @@ require_test() {
     go test -count=1 -run "^($(IFS='|'; echo "$*"))\$" "$pkg"
 }
 
-echo "==> join planner order-insensitive (E18, counted)"
+echo "==> join planner order-insensitive (E18, counted); bound literals probed for membership (E42)"
 # E18's claim, pinned as counts rather than timed: on E1, E8 and a chain
 # graph, each in a selective and a generate-then-filter body order, both
 # orders derive, fire and probe exactly the pinned amounts. A planner
 # that fell back to source order would scan where it should probe.
-require_test ./internal/engine/ TestPlannerIsOrderInsensitive
+# MembershipSteps: a literal bound on every column (1 to 32 of them) is a
+# membership lookup, no shard builds an index over every column, and E1's
+# Stats and profile cells equal those the index-bucket join reported.
+require_test ./internal/engine/ TestPlannerIsOrderInsensitive TestMembershipSteps
 
 echo "==> store allocation budgets"
 # The interned store's claims, pinned without a clock: a duplicate emit,
