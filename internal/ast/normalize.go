@@ -4,122 +4,6 @@ import (
 	"fmt"
 )
 
-// Normalize transforms a validated forward program into an equivalent
-// normal program: every rule is semi-normal and every non-ground temporal
-// term has depth at most 1. Deeper references are compiled into chains of
-// "delay" predicates del$q$j with
-//
-//	del$q$1(T+1, x) :- q(T, x).
-//	del$q$j(T+1, x) :- del$q$(j-1)(T, x).
-//
-// so that del$q$j(t, x) holds iff q(t-j, x) holds (and t >= j). A rule with
-// head depth h >= 2 (after shift-normalization) is rewritten with its head
-// at S+1 and each body literal q(T+d, x) replaced by del$q$(h-1-d)(S, x)
-// (or q(S, x) / q(S+1, x) for d = h-1 / h). This is the normalization of
-// [5]; note that it introduces mutual recursion through the delay chain, so
-// multi-separability must be checked on the semi-normal form (Section 6).
-//
-// The least models agree on all original predicates: the delay predicates
-// are fresh and the delayed rule fires at exactly the instants the original
-// did (the depth-0 body literal forces S >= h-1).
-func Normalize(p *Program) (*Program, error) {
-	var out []Rule
-	// delays[pred] is the largest delay chain built for pred so far.
-	delays := make(map[string]int)
-
-	needDelay := func(pred string, j int) string {
-		if j <= 0 {
-			return pred
-		}
-		if delays[pred] < j {
-			delays[pred] = j
-		}
-		return delayName(pred, j)
-	}
-
-	for _, r := range p.Rules {
-		if r.Normal() {
-			out = append(out, r.Clone())
-			continue
-		}
-		s := r.Clone()
-		h := -1
-		if s.Head.Time != nil && !s.Head.Time.Ground() {
-			h = s.Head.Time.Depth
-		}
-		if h <= 1 {
-			// Non-temporal or depth<=1 head with a deep body literal would
-			// be non-forward; validation rejects it before we get here.
-			return nil, fmt.Errorf("ast: cannot normalize non-forward rule %s", r)
-		}
-		// The transformation is exact only for anchored rules (some body
-		// literal at depth 0): the deepest delay then reproduces the
-		// original enabling time T >= 0. An unanchored rule like
-		// p(T+5) :- q(T+3) fires only from time 5 on, which no
-		// combination of delay predicates can express without guard
-		// facts; see DESIGN.md.
-		if s.MinDepth() != 0 {
-			return nil, fmt.Errorf("ast: cannot normalize unanchored rule %s (no body literal at depth 0)", r)
-		}
-		nr := Rule{Head: s.Head.Clone()}
-		nr.Head.Time.Depth = 1
-		for _, a := range s.Body {
-			if a.Time == nil || a.Time.Ground() {
-				nr.Body = append(nr.Body, a.Clone())
-				continue
-			}
-			d := a.Time.Depth
-			switch {
-			case d == h:
-				b := a.Clone()
-				b.Time.Depth = 1
-				nr.Body = append(nr.Body, b)
-			case d == h-1:
-				b := a.Clone()
-				b.Time.Depth = 0
-				nr.Body = append(nr.Body, b)
-			default:
-				j := h - 1 - d
-				b := a.Clone()
-				b.Pred = needDelay(a.Pred, j)
-				b.Time.Depth = 0
-				nr.Body = append(nr.Body, b)
-			}
-		}
-		out = append(out, nr)
-	}
-
-	// Emit the delay chains.
-	for pred, maxJ := range delays {
-		info, ok := p.Preds[pred]
-		if !ok {
-			return nil, fmt.Errorf("ast: delay chain for unknown predicate %s", pred)
-		}
-		args := make([]Symbol, info.Arity)
-		for i := range args {
-			args[i] = Var(fmt.Sprintf("X%d", i))
-		}
-		for j := 1; j <= maxJ; j++ {
-			src := pred
-			if j > 1 {
-				src = delayName(pred, j-1)
-			}
-			r := Rule{
-				Head: TemporalAtom(delayName(pred, j), TemporalTerm{Var: "T", Depth: 1}, args...),
-				Body: []Atom{TemporalAtom(src, TemporalTerm{Var: "T"}, args...)},
-			}
-			out = append(out, r)
-		}
-	}
-	np, err := NewProgram(out)
-	if err != nil {
-		return nil, err
-	}
-	return np, ValidateProgram(np)
-}
-
-func delayName(pred string, j int) string { return fmt.Sprintf("del$%s$%d", pred, j) }
-
 // freshNamer returns a generator of predicate names not used by p.
 func freshNamer(p *Program) func(base string) string {
 	used := make(map[string]bool, len(p.Preds))

@@ -5,115 +5,6 @@ import (
 	"testing"
 )
 
-func TestNormalizeAlreadyNormal(t *testing.T) {
-	p, err := NewProgram([]Rule{pathRule()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Normalize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(n.Rules) != 1 || !n.Rules[0].Normal() {
-		t.Errorf("normalization of a normal program changed it: %v", n)
-	}
-}
-
-func TestNormalizeDeepRule(t *testing.T) {
-	p := skiProgram(t)
-	n, err := Normalize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range n.Rules {
-		if !r.Normal() {
-			t.Errorf("rule not normal after Normalize: %s", r)
-		}
-	}
-	// The plane(T+7) rule needs delay chains for plane (and offseason) of
-	// length 6; the offseason(T+365) rule needs length 364.
-	var sawDelay bool
-	for name := range n.Preds {
-		if strings.HasPrefix(name, "del$plane$") {
-			sawDelay = true
-		}
-	}
-	if !sawDelay {
-		t.Error("expected delay predicates for plane")
-	}
-	// 3 rewritten rules + delay chains shared per predicate: plane needs
-	// delays up to 6 (from the T+7 rule), offseason up to 364 (the T+365
-	// rule dominates the T+7 rule's 6), winter up to 1 (from the T+2
-	// rule).
-	if got, want := len(n.Rules), 3+6+364+1; got != want {
-		t.Errorf("rule count after Normalize = %d, want %d", got, want)
-	}
-}
-
-func TestNormalizeRejectsUnanchored(t *testing.T) {
-	// Head T+2, body T+1 and nothing at depth 0: the rule only fires from
-	// time 2 on, which delay predicates cannot express — shifting it to
-	// p(T+1) :- q(T) would wrongly derive p(1) from q(0).
-	p, err := NewProgram([]Rule{{
-		Head: TemporalAtom("p", tvar("T", 2), Var("X")),
-		Body: []Atom{TemporalAtom("q", tvar("T", 1), Var("X"))},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Normalize(p); err == nil {
-		t.Fatal("unanchored rule normalized")
-	}
-}
-
-func TestNormalizeDepthOneHighMinIsNormal(t *testing.T) {
-	// All depths <= 1: already normal even though the minimum depth is 1;
-	// Normalize must leave it untouched (it is exact as-is).
-	p, err := NewProgram([]Rule{{
-		Head: TemporalAtom("p", tvar("T", 1), Var("X")),
-		Body: []Atom{TemporalAtom("q", tvar("T", 1), Var("X"))},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Normalize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(n.Rules) != 1 || n.Rules[0].String() != "p(T+1, X) :- q(T+1, X)." {
-		t.Fatalf("rules = %v", n.Rules)
-	}
-}
-
-func TestNormalizeKeepsDepthHAndHMinus1Literals(t *testing.T) {
-	// p(T+2,X) :- q(T,X), r(T+1,X), s(T+2,X).
-	p, err := NewProgram([]Rule{{
-		Head: TemporalAtom("p", tvar("T", 2), Var("X")),
-		Body: []Atom{
-			TemporalAtom("q", tvar("T", 0), Var("X")),
-			TemporalAtom("r", tvar("T", 1), Var("X")),
-			TemporalAtom("s", tvar("T", 2), Var("X")),
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Normalize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var main Rule
-	for _, r := range n.Rules {
-		if r.Head.Pred == "p" {
-			main = r
-		}
-	}
-	want := "p(T+1, X) :- del$q$1(T, X), r(T, X), s(T+1, X)."
-	if got := main.String(); got != want {
-		t.Errorf("got %q, want %q", got, want)
-	}
-}
-
 func TestReduceTimeOnly(t *testing.T) {
 	// p(T+1,X) :- p(T,X), r(X,W), q(T,W).   (W not in head)
 	p, err := NewProgram([]Rule{{

@@ -4,70 +4,8 @@ import (
 	"testing"
 
 	"tdd/internal/ast"
-	"tdd/internal/engine"
 	"tdd/internal/parser"
 )
-
-// sources used for differential testing against the production engine.
-var diffSources = []string{
-	"even(T+2) :- even(T).\neven(0).",
-	`
-plane(T+7, X) :- plane(T, X), resort(X), offseason(T).
-plane(T+2, X) :- plane(T, X), resort(X), winter(T).
-offseason(T+9) :- offseason(T).
-winter(T+9) :- winter(T).
-winter(0). winter(1). winter(2).
-offseason(3). offseason(4). offseason(5). offseason(6). offseason(7). offseason(8).
-resort(hunter).
-plane(0, hunter).
-`,
-	`
-path(K, X, X) :- node(X), null(K).
-path(K+1, X, Z) :- edge(X, Y), path(K, Y, Z).
-path(K+1, X, Y) :- path(K, X, Y).
-null(0).
-node(a). node(b). node(c).
-edge(a, b). edge(b, c). edge(c, a).
-`,
-	`
-p(T+1, X) :- p(T, X).
-seen(X) :- p(T, X).
-q(T+1, X) :- q(T, X), seen(X).
-p(3, a).
-q(0, a).
-`,
-}
-
-func TestNaiveTPMatchesEngine(t *testing.T) {
-	const m = 25
-	for _, src := range diffSources {
-		prog, db, err := parser.ParseUnit(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, _, err := NaiveTP(prog, db, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := engine.New(prog, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.EnsureWindow(m)
-		fast := e.Store()
-		for tm := 0; tm <= m; tm++ {
-			if naive.StateKey(tm) != fast.StateKey(tm) {
-				t.Errorf("source %.30q...: states differ at t=%d:\nnaive: %v\nfast:  %v",
-					src, tm, naive.State(tm), fast.State(tm))
-				break
-			}
-		}
-		nNT, fNT := naive.NonTemporalFacts(), fast.NonTemporalFacts()
-		if len(nNT) != len(fNT) {
-			t.Errorf("source %.30q...: non-temporal parts differ: %v vs %v", src, nNT, fNT)
-		}
-	}
-}
 
 func TestNaiveTPStats(t *testing.T) {
 	prog, db, err := parser.ParseUnit("even(T+2) :- even(T).\neven(0).")

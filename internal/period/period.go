@@ -46,11 +46,6 @@ func (p Period) Canonical(t int) int {
 type Stats struct {
 	Window int // final window size used
 	Grown  int // number of window growth steps
-	// ExactFallbacks counts the windows whose hinted fingerprint-level
-	// winner failed exact confirmation and were re-scanned exactly:
-	// fingerprint collisions, expected to stay 0 for the lifetime of the
-	// universe.
-	ExactFallbacks int
 }
 
 // ErrWindowExceeded is returned when no period was certified within the
@@ -148,20 +143,21 @@ func DetectFrom(e *engine.Evaluator, maxWindow, hint int) (Period, Stats, error)
 		e.EnsureWindow(m)
 		stats.Window = m
 		var p Period
-		var ok, fellBack bool
+		var ok bool
 		if hint > 0 {
 			// The divisors' runs read a few states each: fingerprints are
 			// summed as needed, and nothing the size of the window is
 			// allocated.
 			approx := func(t1, t2 int) bool { return st.StateFingerprint(t1) == st.StateFingerprint(t2) }
-			p, ok, fellBack = certify(m, c, G, hmax, hint, approx, st.StateEqual)
-			if fellBack {
-				stats.ExactFallbacks++
-			}
+			p, ok = certify(m, c, G, hmax, hint, approx, st.StateEqual)
 		}
 		if !ok {
 			// The full scan may revisit every state many times; it
-			// compares the states' classes, which are exact.
+			// compares the states' classes, which are exact. It also
+			// decides a window whose hinted winner certify refuted: if a
+			// divisor of the hint certifies there, the minimal period is
+			// that divisor (the gcd argument above), and the scan finds
+			// it.
 			class := e.Classes()
 			p, ok = scan(m, c, G, hmax, 0, func(t1, t2 int) bool { return class[t1] == class[t2] })
 		}
@@ -193,12 +189,12 @@ func DetectFrom(e *engine.Evaluator, maxWindow, hint int) (Period, Stats, error)
 // scan runs on approx, an equality that may also hold for unequal states
 // (fingerprints: equal states always have equal fingerprints) but never
 // fails for equal ones, and the G certificate states of its winner are
-// then compared exactly. fellBack reports that this confirmation failed
-// and the scan was repeated on exact.
+// then compared exactly. When that confirmation fails, certify reports
+// no period, and the caller decides the window with its exact scan.
 //
-// Why confirming the winner suffices. approx holds wherever exact does,
-// so for every p the run of matches the scan walks down from m-p is at
-// least as long under approx: the approx winner (p', b') has p' <= p and,
+// Why a confirmed winner is the exact one. approx holds wherever exact
+// does, so for every p the run of matches the scan walks down from m-p is
+// at least as long under approx: the approx winner (p', b') has p' <= p and,
 // at equal p, b' <= b of the exact winner — and no winner under approx
 // means none under exact. If the certificate states of (b', p') are
 // truly equal, the continuation argument makes M[t] = M[t+p'] for every
@@ -207,18 +203,17 @@ func DetectFrom(e *engine.Evaluator, maxWindow, hint int) (Period, Stats, error)
 // stopped there on a mismatch, which is a true one. The two winners
 // coincide. Restricting both scans to the same candidates changes none of
 // this.
-func certify(m, c, G, hmax, div int, approx, exact func(t1, t2 int) bool) (p Period, ok, fellBack bool) {
-	p, ok = scan(m, c, G, hmax, div, approx)
+func certify(m, c, G, hmax, div int, approx, exact func(t1, t2 int) bool) (Period, bool) {
+	p, ok := scan(m, c, G, hmax, div, approx)
 	if !ok {
-		return Period{}, false, false
+		return Period{}, false
 	}
 	for t := p.Base; t < p.Base+G; t++ {
 		if !exact(t, t+p.P) {
-			p, ok = scan(m, c, G, hmax, div, exact)
-			return p, ok, true
+			return Period{}, false
 		}
 	}
-	return p, true, false
+	return p, true
 }
 
 // scan searches the states 0..m for the minimal certified period, among

@@ -327,7 +327,9 @@ func TestDetectMatchesStringOracle(t *testing.T) {
 
 // TestCertifyFallsBackOnCollision forces fingerprint collisions — an
 // approximate equality that also holds for unequal states — and requires
-// the exact fallback to return the true minimal (b, p) every time.
+// certify to refuse every winner they produce, leaving the window to the
+// exact scan DetectFrom falls back to, which finds the true minimal
+// (b, p).
 func TestCertifyFallsBackOnCollision(t *testing.T) {
 	// Transient x y, then period 3 from t=2.
 	keys := []string{"x", "y", "a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "c"}
@@ -338,6 +340,9 @@ func TestCertifyFallsBackOnCollision(t *testing.T) {
 	if !ok || want != (Period{Base: 2, P: 3}) {
 		t.Fatalf("oracle = %v, %v; want (b=2, p=3)", want, ok)
 	}
+	if got, ok := scan(m, 0, 2, 0, 0, exact); !ok || got != want {
+		t.Fatalf("exact scan = %v, %v; want %v", got, ok, want)
+	}
 	for name, approx := range map[string]func(t1, t2 int) bool{
 		// Everything collides: the approximate winner is (b=1, p=1).
 		"all-equal": func(t1, t2 int) bool { return true },
@@ -346,22 +351,17 @@ func TestCertifyFallsBackOnCollision(t *testing.T) {
 		// Collisions only in the transient extend the run below the true base.
 		"transient": func(t1, t2 int) bool { return keys[t1] == keys[t2] || t1 < 2 },
 	} {
-		got, ok, fellBack := certify(m, 0, 2, 0, 0, approx, exact)
-		if !ok || got != want {
-			t.Errorf("%s: certify = %v, %v; want %v", name, got, ok, want)
-		}
-		if !fellBack {
-			t.Errorf("%s: lying equality was not caught by exact confirmation", name)
+		if got, ok := certify(m, 0, 2, 0, 0, approx, exact); ok {
+			t.Errorf("%s: certify = %v; a lying equality's winner must be refused", name, got)
 		}
 	}
-	// An honest approximation confirms without a second scan.
-	got, ok, fellBack := certify(m, 0, 2, 0, 0, exact, exact)
-	if !ok || got != want || fellBack {
-		t.Errorf("honest: certify = %v, %v, fellBack=%v; want %v, true, false", got, ok, fellBack, want)
+	// An honest approximation confirms its winner.
+	if got, ok := certify(m, 0, 2, 0, 0, exact, exact); !ok || got != want {
+		t.Errorf("honest: certify = %v, %v; want %v, true", got, ok, want)
 	}
 	// No certificate under the approximation means none at all.
 	short := []string{"a", "b", "c", "d", "e", "f"}
-	if _, ok, _ := certify(len(short)-1, 0, 2, 0, 0, func(t1, t2 int) bool { return short[t1] == short[t2] }, exact); ok {
+	if _, ok := certify(len(short)-1, 0, 2, 0, 0, func(t1, t2 int) bool { return short[t1] == short[t2] }, exact); ok {
 		t.Error("certify found a period in an aperiodic window")
 	}
 }

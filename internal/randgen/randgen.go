@@ -22,10 +22,6 @@ type Options struct {
 	Consts           int // constants in generated databases
 	MaxTime          int // max temporal depth of database facts
 	Facts            int // database facts
-	// Anchored forces every rule with head depth >= 2 to carry a temporal
-	// body literal at depth 0 — the condition under which ast.Normalize
-	// is exact.
-	Anchored bool
 	// NonTemporalHeads draws rule heads from every predicate, so rules
 	// also derive non-temporal facts (plain Datalog bodies included) that
 	// feed back into the temporal ones.
@@ -120,24 +116,6 @@ func (g *Gen) Program(rng *rand.Rand) (*ast.Program, error) {
 				bodyVars[v] = true
 			}
 			body = append(body, ast.TemporalAtom(p.name, ast.TemporalTerm{Var: "T", Depth: rng.Intn(h + 1)}, args...))
-		}
-		if g.opts.Anchored && h >= 2 {
-			anchored := false
-			for i := range body {
-				if body[i].Time != nil && body[i].Time.Depth == 0 {
-					anchored = true
-					break
-				}
-			}
-			if !anchored {
-				// Pull one temporal literal down to depth 0.
-				for i := range body {
-					if body[i].Time != nil {
-						body[i].Time.Depth = 0
-						break
-					}
-				}
-			}
 		}
 		if head.arity > 0 && len(bodyVars) == 0 {
 			continue // cannot range-restrict; retry

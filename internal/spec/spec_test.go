@@ -104,38 +104,3 @@ func TestSpecString(t *testing.T) {
 		}
 	}
 }
-
-func TestSpecMatchesDirectEvaluation(t *testing.T) {
-	// Invariance on ground atomic queries: the specification and the
-	// directly evaluated window agree everywhere we can afford to check.
-	src := `
-plane(T+7, X) :- plane(T, X), resort(X), offseason(T).
-plane(T+2, X) :- plane(T, X), resort(X), winter(T).
-offseason(T+9) :- offseason(T).
-winter(T+9) :- winter(T).
-winter(0). winter(1). winter(2).
-offseason(3). offseason(4). offseason(5). offseason(6). offseason(7). offseason(8).
-resort(hunter). resort(aspen).
-plane(0, hunter).
-plane(5, aspen).
-`
-	s := mustSpec(t, src)
-	prog, db, err := parser.ParseUnit(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := engine.New(prog, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const m = 400
-	direct.EnsureWindow(m)
-	for _, x := range []string{"hunter", "aspen"} {
-		for tm := 0; tm <= m; tm++ {
-			f := tfact("plane", tm, x)
-			if got, want := s.HoldsFact(f), direct.Holds(f); got != want {
-				t.Fatalf("plane(%d, %s): spec=%v direct=%v (period %v)", tm, x, got, want, s.Period)
-			}
-		}
-	}
-}

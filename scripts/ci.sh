@@ -129,6 +129,20 @@ echo "==> the model test, and the rule that picks the sliced path"
 require_test ./internal/server/ FuzzModel
 require_test . TestCertifiedSnapshotBuildsNoAnalysis TestObservedDBAsksFullProcessor TestOneSlicedSlot
 
+echo "==> checks the model test does not replace: the detector's window and collisions, spec against window"
+# The model test compares periods; these pin the detector itself.
+# DetectMatchesStringOracle: on random programs and the counter family,
+# under generous and starved budgets, Detect's period, window, growth
+# steps and budget error equal baseline.Scan's on string state keys.
+# CertifyFallsBackOnCollision: certify refuses every winner an equality
+# that lies for unequal states produces, confirms an honest one, and finds
+# none in an aperiodic window.
+require_test ./internal/period/ TestCertifyFallsBackOnCollision TestDetectMatchesStringOracle
+# Proposition31OnRandomQueries: on random programs, random existential-
+# positive queries answer the same over the specification and over a
+# window covering a period past it.
+require_test ./internal/randgen/ TestProposition31OnRandomQueries
+
 echo "==> the certificate reaches deep non-temporal bodies"
 # A non-temporal-head rule whose body reads the model only from depth 9:
 # the certified model, and a served registration's answers, hold every
